@@ -38,6 +38,17 @@ pub enum ApaError {
         /// Width produced by the rule.
         got: usize,
     },
+    /// A `u32` id space of the arena kernel would run out: a
+    /// [`ReachOptions::max_states`](crate::ReachOptions) above
+    /// `u32::MAX`, or more states, cells, local states, firings or edges
+    /// than `u32` ids can name.
+    IdSpaceExceeded {
+        /// The id space: `"states"`, `"cells"`, `"local states"`,
+        /// `"firings"` or `"edges"`.
+        space: &'static str,
+        /// The id, count or limit that does not fit in a `u32`.
+        requested: u64,
+    },
 }
 
 impl fmt::Display for ApaError {
@@ -66,6 +77,11 @@ impl fmt::Display for ApaError {
                 f,
                 "rule of `{automaton}` produced a successor of width {got}, expected {expected}"
             ),
+            ApaError::IdSpaceExceeded { space, requested } => write!(
+                f,
+                "{requested} {space} exceed the kernel's u32 id space (at most {})",
+                u32::MAX
+            ),
         }
     }
 }
@@ -90,6 +106,14 @@ mod tests {
             got: 3,
         };
         assert!(e.to_string().contains("width 3"));
+        let e = ApaError::IdSpaceExceeded {
+            space: "states",
+            requested: 1 << 32,
+        };
+        assert_eq!(
+            e.to_string(),
+            "4294967296 states exceed the kernel's u32 id space (at most 4294967295)"
+        );
     }
 
     #[test]

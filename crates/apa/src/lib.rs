@@ -45,6 +45,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub(crate) mod arena;
 pub mod compose;
 pub mod error;
 pub mod model;

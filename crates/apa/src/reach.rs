@@ -10,15 +10,13 @@
 //! The graph does not store one `Vec<BTreeSet<Value>>` per state.
 //! Component-local value sets are deduplicated into a *cell pool*
 //! (`cells`), and every state is a fixed-width row of `u32` cell ids
-//! packed into one contiguous bump arena (`rows`). Discovering a state
-//! hashes its row words (FNV-1a + avalanche) into an open-addressing
-//! table — no per-state heap graph, no `GlobalState` clones on the hot
-//! path. Successor computation is memoised per `(automaton, local cell
-//! row)`: a transition rule fires at most once per distinct local
-//! state, and replays are `u32` row copies. (Rules are required to be
-//! pure functions of the local state — the same assumption the
-//! layer-parallel engine and checkpoint/resume bit-identity already
-//! make.)
+//! packed into one contiguous bump arena (`rows`). Breadth-first
+//! exploration runs on the crate's arena kernel, which
+//! [`crate::Simulator`] shares: states are interned rows, and
+//! successors come from the per-`(automaton, local cell row)` firing
+//! memo, so a transition rule fires at most once per distinct local
+//! state and replays are `u32` row copies — no per-state heap graph, no
+//! `GlobalState` clones on the hot path.
 //!
 //! Outgoing edges use a CSR encoding: `edges` is sorted by source (BFS
 //! emits it that way), and `out_off[i]..out_off[i + 1]` delimits state
@@ -29,9 +27,9 @@
 //! suite proves the arena kernel bit-identical to it (states in
 //! discovery order, edges, labels, symbol numbering).
 
+use crate::arena::{self, CellInterner, FireMemo, InterpSymbols, RowTable};
 use crate::error::ApaError;
 use crate::model::{Apa, GlobalState};
-use crate::rule::LocalState;
 use crate::value::Value;
 use automata::{Symbol, SymbolTable};
 use std::collections::{BTreeSet, HashMap, VecDeque};
@@ -40,7 +38,9 @@ use std::fmt::Write as _;
 /// Options for [`Apa::reachability`].
 #[derive(Debug, Clone)]
 pub struct ReachOptions {
-    /// Abort exploration beyond this many states.
+    /// Abort exploration beyond this many states. At most `u32::MAX`:
+    /// state ids are `u32`, and a larger limit is rejected up front with
+    /// [`ApaError::IdSpaceExceeded`].
     pub max_states: usize,
 }
 
@@ -90,122 +90,10 @@ pub struct ReachGraph {
     symbols: SymbolTable,
 }
 
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
-
-/// FNV-1a over the row's `u32` cells, then a splitmix64-style avalanche
-/// so the low bits (used for power-of-two masking) depend on every cell.
-fn row_hash(row: &[u32]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &w in row {
-        h ^= u64::from(w);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h ^= h >> 30;
-    h = h.wrapping_mul(0xbf58476d1ce4e5b9);
-    h ^= h >> 27;
-    h = h.wrapping_mul(0x94d049bb133111eb);
-    h ^ (h >> 31)
+/// Rejects a `max_states` the `u32` state ids cannot reach.
+fn check_max_states(options: &ReachOptions) -> Result<(), ApaError> {
+    arena::to_u32(options.max_states, "states").map(|_| ())
 }
-
-/// Interner of component-local value sets: each distinct `BTreeSet<Value>`
-/// gets one `u32` id and lives once in the pool.
-#[derive(Default)]
-struct CellInterner {
-    index: HashMap<BTreeSet<Value>, u32>,
-    pool: Vec<BTreeSet<Value>>,
-}
-
-impl CellInterner {
-    fn intern(&mut self, set: &BTreeSet<Value>) -> u32 {
-        if let Some(&id) = self.index.get(set) {
-            return id;
-        }
-        let id = u32::try_from(self.pool.len()).expect("cell pool exceeds u32 ids");
-        self.index.insert(set.clone(), id);
-        self.pool.push(set.clone());
-        id
-    }
-}
-
-/// Arena-backed state interner: rows live contiguously in `rows`; the
-/// open-addressing `slots` table maps row hashes to state indices
-/// (stored as `index + 1`, `0` = empty) with linear probing.
-struct StateInterner {
-    width: usize,
-    rows: Vec<u32>,
-    slots: Vec<u32>,
-    len: usize,
-}
-
-impl StateInterner {
-    fn new(width: usize) -> Self {
-        StateInterner {
-            width,
-            rows: Vec::new(),
-            slots: vec![0; 1024],
-            len: 0,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn row(&self, i: usize) -> &[u32] {
-        &self.rows[i * self.width..][..self.width]
-    }
-
-    /// Interns `row`, returning `(state index, freshly discovered)`.
-    fn intern(&mut self, row: &[u32]) -> (usize, bool) {
-        debug_assert_eq!(row.len(), self.width);
-        if self.width == 0 {
-            // Every state is the empty row; there is exactly one.
-            let fresh = self.len == 0;
-            self.len = 1;
-            return (0, fresh);
-        }
-        if (self.len + 1) * 8 > self.slots.len() * 7 {
-            self.grow();
-        }
-        let mask = self.slots.len() - 1;
-        let mut at = (row_hash(row) as usize) & mask;
-        loop {
-            let slot = self.slots[at];
-            if slot == 0 {
-                let i = self.len;
-                self.slots[at] = u32::try_from(i + 1).expect("state count exceeds u32 ids");
-                self.rows.extend_from_slice(row);
-                self.len += 1;
-                return (i, true);
-            }
-            let i = (slot - 1) as usize;
-            if self.row(i) == row {
-                return (i, false);
-            }
-            at = (at + 1) & mask;
-        }
-    }
-
-    fn grow(&mut self) {
-        let mask = self.slots.len() * 2 - 1;
-        let mut slots = vec![0u32; self.slots.len() * 2];
-        for i in 0..self.len {
-            let mut at = (row_hash(self.row(i)) as usize) & mask;
-            while slots[at] != 0 {
-                at = (at + 1) & mask;
-            }
-            slots[at] = u32::try_from(i + 1).expect("state count exceeds u32 ids");
-        }
-        self.slots = slots;
-    }
-}
-
-/// Per-automaton successor memo: local cell row → the rule's firings as
-/// `(interpretation symbol, successor local cell row)`. Filling an
-/// entry is the only place a rule fires or a `BTreeSet` is touched;
-/// every replay is integer work.
-type FireMemo = Vec<HashMap<Vec<u32>, Vec<(Symbol, Vec<u32>)>>>;
 
 impl Apa {
     /// Computes the reachability graph by breadth-first exploration from
@@ -219,16 +107,15 @@ impl Apa {
     /// * [`ApaError::MalformedSuccessor`] if a transition rule
     ///   misbehaves.
     pub fn reachability(&self, options: &ReachOptions) -> Result<ReachGraph, ApaError> {
+        check_max_states(options)?;
         let width = self.component_count();
-        let mut cells = CellInterner::default();
-        let mut interner = StateInterner::new(width);
+        let mut memo = FireMemo::new(self);
+        let mut states = RowTable::new(width, "states");
         let mut symbols = SymbolTable::new();
         let aut_syms: Vec<Symbol> = self.automaton_names().map(|n| symbols.intern(n)).collect();
-        let mut memo: FireMemo = self.automata.iter().map(|_| HashMap::new()).collect();
+        let mut interp_syms = InterpSymbols::default();
         let mut edges: Vec<(usize, TransitionLabel, usize)> = Vec::new();
-
-        let init_row: Vec<u32> = self.initial.iter().map(|set| cells.intern(set)).collect();
-        interner.intern(&init_row);
+        states.intern(memo.initial())?;
 
         let mut current = vec![0u32; width];
         let mut next_row = vec![0u32; width];
@@ -236,55 +123,33 @@ impl Apa {
 
         // States indexed in discovery order *are* the BFS queue.
         let mut s = 0usize;
-        while s < interner.len() {
-            current.copy_from_slice(interner.row(s));
+        while s < states.len() {
+            current.copy_from_slice(states.row(s));
             for (aut_idx, aut) in self.automata.iter().enumerate() {
                 local.clear();
                 local.extend(aut.neighbourhood.iter().map(|c| current[c.index()]));
-                if !memo[aut_idx].contains_key(local.as_slice()) {
-                    let decoded: LocalState = local
-                        .iter()
-                        .map(|&cid| cells.pool[cid as usize].clone())
-                        .collect();
-                    let mut fires = Vec::new();
-                    for (interp, next_local) in aut.rule.fire(&decoded) {
-                        if next_local.len() != aut.neighbourhood.len() {
-                            return Err(ApaError::MalformedSuccessor {
-                                automaton: aut.name.clone(),
-                                expected: aut.neighbourhood.len(),
-                                got: next_local.len(),
-                            });
-                        }
-                        // Interp symbols are interned at first firing,
-                        // which is this local state's first edge — the
-                        // same point the reference engine interns them,
-                        // so symbol numbering matches bit-for-bit.
-                        let interp_sym = symbols.intern(&interp);
-                        let next_cells: Vec<u32> =
-                            next_local.iter().map(|set| cells.intern(set)).collect();
-                        fires.push((interp_sym, next_cells));
-                    }
-                    memo[aut_idx].insert(local.clone(), fires);
-                }
-                let entry = memo[aut_idx]
-                    .get(local.as_slice())
-                    .expect("memo entry just ensured");
-                for &(interp_sym, ref next_cells) in entry {
+                for j in memo.firings(self, aut_idx, &local)? {
+                    let (interp, next_cells) = memo.firing(aut_idx, j);
                     next_row.copy_from_slice(&current);
                     for (slot, c) in aut.neighbourhood.iter().enumerate() {
                         next_row[c.index()] = next_cells[slot];
                     }
-                    let (t, fresh) = interner.intern(&next_row);
-                    if fresh && interner.len() > options.max_states {
+                    let (t, fresh) = states.intern(&next_row)?;
+                    if fresh && states.len() > options.max_states {
                         return Err(ApaError::StateLimitExceeded {
                             limit: options.max_states,
                         });
                     }
+                    // Interpretations are interned at their first edge,
+                    // as the reference engine interns them, so symbol
+                    // numbering matches bit-for-bit.
+                    let interpretation =
+                        interp_syms.get(&memo, interp, |name| symbols.intern(name));
                     edges.push((
                         s,
                         TransitionLabel {
                             automaton: aut_syms[aut_idx],
-                            interpretation: interp_sym,
+                            interpretation,
                         },
                         t,
                     ));
@@ -292,15 +157,16 @@ impl Apa {
             }
             s += 1;
         }
-        Ok(ReachGraph::assemble(
-            cells.pool,
-            interner.rows,
+        let n_states = states.len();
+        ReachGraph::assemble(
+            memo.into_cells().into_pool(),
+            states.into_rows(),
             width,
-            interner.len,
+            n_states,
             edges,
             self.component_names.clone(),
             symbols,
-        ))
+        )
     }
 
     /// Reference implementation: the original `HashMap<GlobalState,
@@ -314,6 +180,7 @@ impl Apa {
     /// Same as [`Apa::reachability`], with identical boundary semantics
     /// for `max_states`.
     pub fn reachability_reference(&self, options: &ReachOptions) -> Result<ReachGraph, ApaError> {
+        check_max_states(options)?;
         let mut index: HashMap<GlobalState, usize> = HashMap::new();
         let mut states: Vec<GlobalState> = Vec::new();
         let mut edges: Vec<(usize, TransitionLabel, usize)> = Vec::new();
@@ -351,123 +218,7 @@ impl Apa {
                 edges.push((s, label, t));
             }
         }
-        Ok(ReachGraph::from_decoded(
-            states,
-            edges,
-            self.component_names.clone(),
-            symbols,
-        ))
-    }
-}
-
-impl Apa {
-    /// Computes the reachability graph with layer-synchronous parallel
-    /// successor expansion.
-    ///
-    /// Produces a graph identical to [`Apa::reachability`] (same state
-    /// numbering, same edge order): each BFS layer's successor sets are
-    /// computed in parallel, then merged in deterministic state order
-    /// through the same arena interner. `threads == 0` or `1` falls
-    /// back to the sequential kernel.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Apa::reachability`].
-    pub fn reachability_parallel(
-        &self,
-        options: &ReachOptions,
-        threads: usize,
-    ) -> Result<ReachGraph, ApaError> {
-        if threads <= 1 {
-            return self.reachability(options);
-        }
-        let width = self.component_count();
-        let mut cells = CellInterner::default();
-        let mut interner = StateInterner::new(width);
-        let mut edges: Vec<(usize, TransitionLabel, usize)> = Vec::new();
-        let mut symbols = SymbolTable::new();
-        let aut_syms: Vec<Symbol> = self.automaton_names().map(|n| symbols.intern(n)).collect();
-
-        // Workers need decoded states to fire rules on; keep a side
-        // vector of decoded states alongside the arena rows.
-        let mut decoded: Vec<GlobalState> = vec![self.initial_state().clone()];
-        let init_row: Vec<u32> = self.initial.iter().map(|set| cells.intern(set)).collect();
-        interner.intern(&init_row);
-        let mut next_row = vec![0u32; width];
-        let mut layer: Vec<usize> = vec![0];
-
-        while !layer.is_empty() {
-            // Parallel expansion: one result slot per layer state.
-            let chunk = layer.len().div_ceil(threads);
-            let mut results: Vec<Result<Vec<_>, ApaError>> = Vec::with_capacity(layer.len());
-            {
-                let states_ref = &decoded;
-                let layer_ref = &layer;
-                let mut collected: Vec<(usize, Result<Vec<_>, ApaError>)> =
-                    std::thread::scope(|scope| {
-                        let mut handles = Vec::new();
-                        for (c, chunk_states) in layer_ref.chunks(chunk).enumerate() {
-                            handles.push(scope.spawn(move || {
-                                let mut local = Vec::with_capacity(chunk_states.len());
-                                for &s in chunk_states {
-                                    local.push(self.successors(&states_ref[s]));
-                                }
-                                (c, local)
-                            }));
-                        }
-                        let mut parts: Vec<(usize, Vec<Result<Vec<_>, ApaError>>)> = handles
-                            .into_iter()
-                            .map(|h| h.join().expect("expansion worker panicked"))
-                            .collect();
-                        parts.sort_by_key(|(c, _)| *c);
-                        parts
-                            .into_iter()
-                            .flat_map(|(c, rs)| {
-                                rs.into_iter()
-                                    .enumerate()
-                                    .map(move |(i, r)| (c * chunk + i, r))
-                            })
-                            .collect()
-                    });
-                collected.sort_by_key(|(i, _)| *i);
-                results.extend(collected.into_iter().map(|(_, r)| r));
-            }
-            // Deterministic sequential merge.
-            let mut next_layer = Vec::new();
-            for (pos, result) in results.into_iter().enumerate() {
-                let s = layer[pos];
-                for (aut, interp, next) in result? {
-                    for (c, set) in next.iter().enumerate() {
-                        next_row[c] = cells.intern(set);
-                    }
-                    let (t, fresh) = interner.intern(&next_row);
-                    if fresh {
-                        if interner.len() > options.max_states {
-                            return Err(ApaError::StateLimitExceeded {
-                                limit: options.max_states,
-                            });
-                        }
-                        decoded.push(next);
-                        next_layer.push(t);
-                    }
-                    let label = TransitionLabel {
-                        automaton: aut_syms[aut.index()],
-                        interpretation: symbols.intern(&interp),
-                    };
-                    edges.push((s, label, t));
-                }
-            }
-            layer = next_layer;
-        }
-        Ok(ReachGraph::assemble(
-            cells.pool,
-            interner.rows,
-            width,
-            interner.len,
-            edges,
-            self.component_names.clone(),
-            symbols,
-        ))
+        ReachGraph::from_decoded(states, edges, self.component_names.clone(), symbols)
     }
 }
 
@@ -475,6 +226,11 @@ impl ReachGraph {
     /// Builds the final graph from arena parts, deriving the CSR
     /// offsets. `edges` must be sorted by source — BFS discovery order
     /// guarantees it; the counting pass below does not reorder.
+    ///
+    /// # Errors
+    ///
+    /// [`ApaError::IdSpaceExceeded`] if the edges overflow the `u32` CSR
+    /// offsets.
     fn assemble(
         cells: Vec<BTreeSet<Value>>,
         rows: Vec<u32>,
@@ -483,12 +239,12 @@ impl ReachGraph {
         edges: Vec<(usize, TransitionLabel, usize)>,
         component_names: Vec<String>,
         symbols: SymbolTable,
-    ) -> Self {
+    ) -> Result<Self, ApaError> {
         debug_assert!(
             edges.windows(2).all(|w| w[0].0 <= w[1].0),
             "edges by source"
         );
-        u32::try_from(edges.len()).expect("edge count exceeds u32 CSR offsets");
+        arena::to_u32(edges.len(), "edges")?;
         let mut out_off = vec![0u32; n_states + 1];
         for &(f, _, _) in &edges {
             out_off[f + 1] += 1;
@@ -496,7 +252,7 @@ impl ReachGraph {
         for i in 1..out_off.len() {
             out_off[i] += out_off[i - 1];
         }
-        ReachGraph {
+        Ok(ReachGraph {
             cells,
             rows,
             width,
@@ -505,7 +261,7 @@ impl ReachGraph {
             out_off,
             component_names,
             symbols,
-        }
+        })
     }
 
     /// Encodes fully decoded states into the arena representation (used
@@ -515,18 +271,18 @@ impl ReachGraph {
         edges: Vec<(usize, TransitionLabel, usize)>,
         component_names: Vec<String>,
         symbols: SymbolTable,
-    ) -> Self {
+    ) -> Result<Self, ApaError> {
         let width = component_names.len();
         let n_states = states.len();
         let mut cells = CellInterner::default();
         let mut rows = Vec::with_capacity(n_states * width);
         for state in &states {
             for set in state {
-                rows.push(cells.intern(set));
+                rows.push(cells.intern(set)?);
             }
         }
         ReachGraph::assemble(
-            cells.pool,
+            cells.into_pool(),
             rows,
             width,
             n_states,
@@ -606,7 +362,9 @@ impl ReachGraph {
         let targets = self
             .edges
             .iter()
-            .map(|&(_, _, t)| u32::try_from(t).expect("state count exceeds u32 ids"))
+            // Construction keeps every state id within u32 (see
+            // `ReachOptions::max_states`), so the cast is exact.
+            .map(|&(_, _, t)| t as u32)
             .collect();
         (&self.out_off, targets)
     }
@@ -978,14 +736,13 @@ mod tests {
     fn state_limit_boundary_is_exact() {
         // The diamond has exactly 4 reachable states: a limit of 4 must
         // succeed and a limit of 3 must fail, identically on the arena
-        // kernel, the reference engine and the parallel engine.
+        // kernel and the reference engine.
         let apa = diamond_apa();
         for (limit, ok) in [(4usize, true), (3, false)] {
             let opts = ReachOptions { max_states: limit };
             let outcomes = [
                 apa.reachability(&opts).map(|g| g.state_count()),
                 apa.reachability_reference(&opts).map(|g| g.state_count()),
-                apa.reachability_parallel(&opts, 4).map(|g| g.state_count()),
             ];
             for (i, got) in outcomes.into_iter().enumerate() {
                 if ok {
@@ -1153,44 +910,35 @@ mod tests {
     }
 
     #[test]
-    fn parallel_reachability_identical_to_sequential() {
-        // A wider model: 4 independent movers → 16 states.
-        let mut b = ApaBuilder::new();
-        for k in 0..4 {
-            let src = b.component(&format!("src{k}"), [Value::atom("x")]);
-            let dst = b.component(&format!("dst{k}"), []);
-            b.automaton(&format!("move{k}"), [src, dst], rule::move_any(0, 1));
-        }
-        let apa = b.build().unwrap();
-        let seq = apa.reachability(&ReachOptions::default()).unwrap();
-        let reference = apa
-            .reachability_reference(&ReachOptions::default())
-            .unwrap();
-        assert_graphs_identical(&seq, &reference);
-        for threads in [2, 3, 8] {
-            let par = apa
-                .reachability_parallel(&ReachOptions::default(), threads)
-                .unwrap();
-            assert_graphs_identical(&par, &seq);
-        }
-    }
-
-    #[test]
-    fn parallel_one_thread_falls_back() {
+    fn max_states_beyond_u32_state_ids_is_rejected_up_front() {
+        // u32::MAX is the largest limit the state ids can honour; one
+        // more is a typed error on both engines, before any exploration.
         let apa = diamond_apa();
-        let g = apa
-            .reachability_parallel(&ReachOptions::default(), 1)
-            .unwrap();
-        assert_eq!(g.state_count(), 4);
-    }
-
-    #[test]
-    fn parallel_respects_state_limit() {
-        let apa = diamond_apa();
-        let err = apa
-            .reachability_parallel(&ReachOptions { max_states: 2 }, 4)
-            .unwrap_err();
-        assert_eq!(err, ApaError::StateLimitExceeded { limit: 2 });
+        let at_ceiling = ReachOptions {
+            max_states: u32::MAX as usize,
+        };
+        assert_eq!(
+            apa.reachability(&at_ceiling).map(|g| g.state_count()),
+            Ok(4)
+        );
+        assert_eq!(
+            apa.reachability_reference(&at_ceiling)
+                .map(|g| g.state_count()),
+            Ok(4)
+        );
+        let Ok(beyond) = usize::try_from(u64::from(u32::MAX) + 1) else {
+            return; // a 32-bit usize cannot express the limit at all
+        };
+        let expected = Err(ApaError::IdSpaceExceeded {
+            space: "states",
+            requested: u64::from(u32::MAX) + 1,
+        });
+        let opts = ReachOptions { max_states: beyond };
+        assert_eq!(apa.reachability(&opts).map(|g| g.state_count()), expected);
+        assert_eq!(
+            apa.reachability_reference(&opts).map(|g| g.state_count()),
+            expected
+        );
     }
 
     #[test]

@@ -16,11 +16,14 @@
 //! (`fsa-runtime`) relies on this determinism for bit-identical
 //! violation reports across thread counts.
 
+use crate::arena::{FireMemo, InterpSymbols};
 use crate::error::ApaError;
 use crate::model::{Apa, GlobalState};
 use crate::reach::TransitionLabel;
 use automata::{Symbol, SymbolTable};
 use std::fmt;
+use std::ops::Range;
+use std::sync::OnceLock;
 
 /// A deterministic fault / attack injected into a simulated event
 /// stream.
@@ -156,36 +159,97 @@ impl fmt::Display for Fault {
 }
 
 /// A deterministic, seedable simulator over one APA.
+///
+/// The simulator runs on the reachability kernel's arena (see
+/// [`crate::reach`]): the state is a row of interned cell ids, and each
+/// automaton's enabled firings come from the per-`(automaton, local cell
+/// row)` firing memo. After a step only the automata whose neighbourhood
+/// holds a changed component are looked up again. The memo outlives
+/// episodes: [`Simulator::restart`] starts a new run from q₀ on the same
+/// memo, so a fleet of episodes fires each rule once per distinct local
+/// state.
 #[derive(Debug)]
 pub struct Simulator<'a> {
     apa: &'a Apa,
-    state: GlobalState,
+    memo: FireMemo,
+    /// `readers[c]`: the automata whose neighbourhood contains component
+    /// `c`.
+    readers: Vec<Vec<usize>>,
+    /// The current state as a cell row.
+    row: Vec<u32>,
+    /// Per automaton: its memo firing range at the current state, or
+    /// `None` once a component of its neighbourhood has changed.
+    enabled: Vec<Option<Range<usize>>>,
+    local: Vec<u32>,
     trace: Vec<TransitionLabel>,
-    /// Interner resolving this simulator's trace labels; automaton
-    /// names are interned once at construction.
-    symbols: SymbolTable,
-    aut_syms: Vec<Symbol>,
+    /// The episode's interner of trace labels, built on first use: the
+    /// automaton names (unique, so automaton `k` is symbol `k`), then the
+    /// interpretations in order of first appearance in the trace. A
+    /// fleet never asks for it, so restarts skip building it.
+    symbols: OnceLock<SymbolTable>,
+    /// While `symbols` is unbuilt: the trace's interpretations (memo
+    /// symbols) in order of first appearance, numbered after the
+    /// automaton names.
+    first_seen: Vec<Symbol>,
+    interp_syms: InterpSymbols,
     rng_state: u64,
 }
 
 impl<'a> Simulator<'a> {
     /// Starts a simulation in the APA's initial state.
     pub fn new(apa: &'a Apa, seed: u64) -> Self {
-        let mut symbols = SymbolTable::new();
-        let aut_syms = apa.automaton_names().map(|n| symbols.intern(n)).collect();
+        let memo = FireMemo::new(apa);
+        let mut readers = vec![Vec::new(); apa.component_count()];
+        for (aut, automaton) in apa.automata.iter().enumerate() {
+            for c in &automaton.neighbourhood {
+                readers[c.index()].push(aut);
+            }
+        }
         Simulator {
             apa,
-            state: apa.initial_state().clone(),
+            row: memo.initial().to_vec(),
+            memo,
+            readers,
+            enabled: vec![None; apa.automaton_count()],
+            local: Vec::new(),
             trace: Vec::new(),
-            symbols,
-            aut_syms,
+            symbols: OnceLock::new(),
+            first_seen: Vec::new(),
+            interp_syms: InterpSymbols::default(),
             rng_state: seed | 1,
         }
     }
 
-    /// The current global state.
-    pub fn state(&self) -> &GlobalState {
-        &self.state
+    /// Starts a new episode from q₀ under `seed`, with a fresh trace and
+    /// symbol table: the run is the one [`Simulator::new`] with `seed`
+    /// makes. The firing memo is kept, so the episode replays the local
+    /// states earlier episodes visited instead of firing their rules.
+    pub fn restart(&mut self, seed: u64) {
+        self.row.copy_from_slice(self.memo.initial());
+        self.enabled.fill(None);
+        self.trace.clear();
+        self.symbols = OnceLock::new();
+        self.first_seen.clear();
+        self.interp_syms.clear();
+        self.rng_state = seed | 1;
+    }
+
+    /// Builds the episode's symbol table from the labels numbered so far.
+    fn build_symbols(&self) -> SymbolTable {
+        let mut symbols = SymbolTable::new();
+        for name in self.apa.automaton_names() {
+            symbols.intern(name);
+        }
+        for &interp in &self.first_seen {
+            symbols.intern(self.memo.interp_name(interp));
+        }
+        symbols
+    }
+
+    /// The current global state, decoded from the cell row.
+    pub fn state(&self) -> GlobalState {
+        let cells = self.memo.cells();
+        self.row.iter().map(|&c| cells.get(c).clone()).collect()
     }
 
     /// The labels of the transitions executed so far.
@@ -195,7 +259,7 @@ impl<'a> Simulator<'a> {
 
     /// The interner resolving this simulator's trace labels.
     pub fn symbols(&self) -> &SymbolTable {
-        &self.symbols
+        self.symbols.get_or_init(|| self.build_symbols())
     }
 
     /// Resolves a label symbol to its name.
@@ -204,41 +268,92 @@ impl<'a> Simulator<'a> {
     ///
     /// Panics if `s` does not belong to this simulator's table.
     pub fn name(&self, s: Symbol) -> &str {
-        self.symbols.name(s)
+        self.symbols().name(s)
     }
 
     /// The automaton names of the trace so far — convenience for
     /// rendering and for feeding [`automata::Nfa::accepts`].
     pub fn trace_names(&self) -> Vec<&str> {
+        let symbols = self.symbols();
         self.trace
             .iter()
-            .map(|l| self.symbols.name(l.automaton))
+            .map(|l| symbols.name(l.automaton))
             .collect()
     }
 
     /// Executes one step; returns the label fired, or `None` if the
     /// simulation reached a dead state.
     ///
+    /// The successors are ordered as [`Apa::successors`] orders them
+    /// (by automaton, then by the rule's firing order), and the step
+    /// takes the one a splitmix draw picks.
+    ///
     /// # Errors
     ///
-    /// Propagates [`ApaError::MalformedSuccessor`] from rule execution.
+    /// [`ApaError::MalformedSuccessor`] from rule execution (for the
+    /// first automaton in declaration order whose rule misbehaves in the
+    /// current state), and [`ApaError::IdSpaceExceeded`] if the kernel's
+    /// cell pool or memo runs out of `u32` ids.
     pub fn step(&mut self) -> Result<Option<TransitionLabel>, ApaError> {
-        let successors = self.apa.successors(&self.state)?;
-        if successors.is_empty() {
+        let apa = self.apa;
+        let mut total = 0;
+        for (aut, automaton) in apa.automata.iter().enumerate() {
+            if self.enabled[aut].is_none() {
+                self.local.clear();
+                self.local
+                    .extend(automaton.neighbourhood.iter().map(|c| self.row[c.index()]));
+                self.enabled[aut] = Some(self.memo.firings(apa, aut, &self.local)?);
+            }
+            total += self.enabled[aut].as_ref().map_or(0, Range::len);
+        }
+        if total == 0 {
             return Ok(None);
         }
-        let choice = (self.next_rand() as usize) % successors.len();
-        // `choice < successors.len()` by the modulo above, but fail
-        // soft (treat as a dead state) rather than panic if the
-        // invariant ever breaks.
-        let Some((aut, interp, next)) = successors.into_iter().nth(choice) else {
+        let mut choice = (self.next_rand() as usize) % total;
+        // `choice < total` by the modulo above, but fail soft (treat as
+        // a dead state) rather than panic if the invariant ever breaks.
+        let Some((aut, firing)) = self.enabled.iter().enumerate().find_map(|(aut, firings)| {
+            let firings = firings.as_ref()?;
+            if choice < firings.len() {
+                Some((aut, firings.start + choice))
+            } else {
+                choice -= firings.len();
+                None
+            }
+        }) else {
             return Ok(None);
         };
-        let label = TransitionLabel {
-            automaton: self.aut_syms[aut.index()],
-            interpretation: self.symbols.intern(&interp),
+        let (interp, next) = self.memo.firing(aut, firing);
+        for (slot, c) in apa.automata[aut].neighbourhood.iter().enumerate() {
+            let c = c.index();
+            if self.row[c] != next[slot] {
+                self.row[c] = next[slot];
+                for &reader in &self.readers[c] {
+                    self.enabled[reader] = None;
+                }
+            }
+        }
+        let interpretation = match self.symbols.get_mut() {
+            Some(symbols) => self
+                .interp_syms
+                .get(&self.memo, interp, |name| symbols.intern(name)),
+            None => {
+                let (automata, first_seen) = (apa.automaton_count(), &mut self.first_seen);
+                self.interp_syms.get(&self.memo, interp, |_| {
+                    if interp.index() < automata {
+                        // Spells an automaton name (see `FireMemo`).
+                        interp
+                    } else {
+                        first_seen.push(interp);
+                        Symbol::new(automata + first_seen.len() - 1)
+                    }
+                })
+            }
         };
-        self.state = next;
+        let label = TransitionLabel {
+            automaton: Symbol::new(aut),
+            interpretation,
+        };
         self.trace.push(label);
         Ok(Some(label))
     }
@@ -267,17 +382,19 @@ impl<'a> Simulator<'a> {
     /// trace still resolves through [`Simulator::symbols`] /
     /// [`Simulator::trace_names`].
     pub fn inject(&mut self, fault: &Fault) {
-        let target = fault.action().map(|a| self.symbols.intern(a));
+        let mut symbols = self.symbols.take().unwrap_or_else(|| self.build_symbols());
+        let target = fault.action().map(|a| symbols.intern(a));
         // Build the forged label up front: it exists exactly when the
         // fault is a spoof carrying an action, so the stream mutation
         // below needs no partial `expect`s.
         let forged = match (fault, target) {
             (Fault::Spoof { .. }, Some(automaton)) => Some(TransitionLabel {
                 automaton,
-                interpretation: self.symbols.intern("spoofed"),
+                interpretation: symbols.intern("spoofed"),
             }),
             _ => None,
         };
+        self.symbols = OnceLock::from(symbols);
         let mut trace = std::mem::take(&mut self.trace);
         fault.apply_stream_with(
             &mut trace,

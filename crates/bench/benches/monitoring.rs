@@ -11,8 +11,13 @@
 //! `fleet_end_to_end` measures the full pipeline (simulate → inject →
 //! check) at 1/2/4 worker threads, whose reports are bit-identical by
 //! construction.
+//!
+//! `simulate` prices trace generation for one fleet stream of the
+//! six-vehicle scenario (114 episodes of 18 steps): a cold
+//! `Simulator::new` per episode against one simulator restarted per
+//! episode, which keeps its firing memo across the episodes.
 
-use apa::{Apa, ReachOptions};
+use apa::{Apa, ReachOptions, Simulator};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fsa_core::assisted::{elicit_from_graph, DependenceMethod};
 use fsa_core::requirements::RequirementSet;
@@ -38,13 +43,9 @@ fn six_vehicle() -> (Apa, RequirementSet) {
 fn honest_stream(apa: &Apa, bank: &MonitorBank, len: usize) -> Vec<u32> {
     let mut events = Vec::with_capacity(len);
     let mut seed = 0x6_5EED;
+    let mut sim = Simulator::new(apa, seed);
     while events.len() < len {
-        let mut sim = apa::sim::Simulator::new(apa, seed);
-        let steps = sim.run(4096).expect("honest run");
-        if steps == 0 {
-            seed += 1;
-            continue;
-        }
+        sim.run(4096).expect("honest run");
         for label in sim.trace() {
             events.push(bank.event_symbol(sim.symbols().name(label.automaton)));
             if events.len() == len {
@@ -52,6 +53,7 @@ fn honest_stream(apa: &Apa, bank: &MonitorBank, len: usize) -> Vec<u32> {
             }
         }
         seed += 1;
+        sim.restart(seed);
     }
     events
 }
@@ -102,6 +104,33 @@ fn bench_monitoring(c: &mut Criterion) {
             },
         );
     }
+    group.finish();
+
+    // Trace generation for one fleet stream: 114 episodes of the
+    // six-vehicle model, cold per episode or restarted on one memo.
+    const EPISODES: u64 = 114;
+    let mut group = c.benchmark_group("simulate");
+    group.bench_function("new_per_episode", |b| {
+        b.iter(|| {
+            let mut steps = 0;
+            for episode in 0..EPISODES {
+                let mut sim = Simulator::new(&apa, black_box(episode));
+                steps += sim.run(4096).expect("honest run");
+            }
+            black_box(steps)
+        })
+    });
+    group.bench_function("restart_per_episode", |b| {
+        b.iter(|| {
+            let mut sim = Simulator::new(&apa, 0);
+            let mut steps = 0;
+            for episode in 0..EPISODES {
+                sim.restart(black_box(episode));
+                steps += sim.run(4096).expect("honest run");
+            }
+            black_box(steps)
+        })
+    });
     group.finish();
 }
 

@@ -1,14 +1,17 @@
 //! Driving monitor banks from simulator fleets.
 //!
-//! A *fleet* is a set of independent event streams, each produced by a
-//! seeded [`apa::Simulator`] over the same APA (restarted
+//! A *fleet* is a set of independent event streams, each produced by
+//! one seeded [`apa::Simulator`] over the same APA (restarted
 //! episode-by-episode until the stream's event quota is met — the
 //! precedence monitors latch `SEEN`, so concatenating honest episodes
-//! never fabricates violations). Streams are sharded across
-//! `std::thread::scope` workers in contiguous stream-id ranges and the
-//! per-stream results are merged in stream order, so the violation
-//! report is **bit-identical for every thread count** — the same
-//! discipline as the dependence grid and the exploration engine.
+//! never fabricates violations). A stream's simulator keeps its firing
+//! memo across its episodes; it belongs to the stream, not to a worker,
+//! so what the memo holds never depends on the thread count. Streams
+//! are sharded across `std::thread::scope` workers in contiguous
+//! stream-id ranges and the per-stream results are merged in stream
+//! order, so the violation report is **bit-identical for every thread
+//! count** — the same discipline as the dependence grid and the
+//! exploration engine.
 //!
 //! Fault injection ([`apa::Fault`]) mutates each stream after assembly
 //! and before checking: dropped antecedents, spoofed consequents before
@@ -325,8 +328,14 @@ struct WorkerLog {
     events: u64,
 }
 
-/// Splitmix-style seed derivation for (stream, episode).
-fn derive_seed(seed: u64, stream: u64, episode: u64) -> u64 {
+/// The simulator seed of episode `episode` of stream `stream` in a fleet
+/// with base seed `seed` (a splitmix of the three): the fleet's streams
+/// are a function of this derivation alone.
+///
+/// fsabench's traced `monitor` pipeline keeps a copy of this function, so
+/// that it simulates the very streams `fsa monitor` checks; a change here
+/// must be made there too.
+pub fn episode_seed(seed: u64, stream: u64, episode: u64) -> u64 {
     let mut z =
         seed ^ stream.wrapping_mul(0x9e3779b97f4a7c15) ^ episode.wrapping_mul(0xd1b54a32d192ed03);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
@@ -352,21 +361,7 @@ fn run_stream(
 ) -> Result<StreamResult, RuntimeError> {
     // --- Simulate: assemble the event stream episode by episode. -----
     let span = cfg.obs.span_under("fleet.simulate", root);
-    let mut events: Vec<u32> = Vec::with_capacity(cfg.events_per_stream);
-    let mut episode = 0u64;
-    while events.len() < cfg.events_per_stream {
-        let mut sim = Simulator::new(apa, derive_seed(cfg.seed, stream as u64, episode));
-        let steps = sim
-            .run(cfg.events_per_stream - events.len())
-            .map_err(|e| RuntimeError::Simulation(e.to_string()))?;
-        if steps == 0 {
-            break; // the model is quiet from its initial state
-        }
-        // `Simulator::new` interns automaton names first, so
-        // `label.automaton.index()` *is* the elementary-automaton index.
-        events.extend(sim.trace().iter().map(|l| apa_to_bank[l.automaton.index()]));
-        episode += 1;
-    }
+    let mut events = simulate_stream(apa, apa_to_bank, cfg, stream)?;
     // --- Inject the fault (deterministic trace transform). -----------
     if let Some(fault) = &cfg.fault {
         let target = fault.action().map(|a| bank.event_symbol(a));
@@ -394,6 +389,36 @@ fn run_stream(
         events: run.events,
         violations,
     })
+}
+
+/// Assembles stream `stream`'s honest event stream as bank symbols: one
+/// simulator, restarted per episode, until the event quota is met or
+/// the model is quiet from its initial state.
+fn simulate_stream(
+    apa: &Apa,
+    apa_to_bank: &[u32],
+    cfg: &FleetConfig,
+    stream: usize,
+) -> Result<Vec<u32>, RuntimeError> {
+    let mut events: Vec<u32> = Vec::with_capacity(cfg.events_per_stream);
+    let mut sim = Simulator::new(apa, episode_seed(cfg.seed, stream as u64, 0));
+    let mut episode = 0u64;
+    while events.len() < cfg.events_per_stream {
+        if episode > 0 {
+            sim.restart(episode_seed(cfg.seed, stream as u64, episode));
+        }
+        let steps = sim
+            .run(cfg.events_per_stream - events.len())
+            .map_err(|e| RuntimeError::Simulation(e.to_string()))?;
+        if steps == 0 {
+            break;
+        }
+        // Automaton names are interned first, so `label.automaton.index()`
+        // *is* the elementary-automaton index.
+        events.extend(sim.trace().iter().map(|l| apa_to_bank[l.automaton.index()]));
+        episode += 1;
+    }
+    Ok(events)
 }
 
 /// Reads the violations off a finished [`BankRun`]: `(monitor,
@@ -786,6 +811,49 @@ mod tests {
                 "fault {fault:?}: {renders:?}"
             );
         }
+    }
+
+    /// FNV-1a-64 over the little-endian bytes of the symbols.
+    fn fnv1a64(symbols: impl IntoIterator<Item = u32>) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in symbols.into_iter().flat_map(u32::to_le_bytes) {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    /// Pins the streams of the benchmark's `monitor` workload (`fsa
+    /// monitor --scenario six --streams 8 --events 16384 --seed 1`): the
+    /// 8 bank-symbol streams, concatenated in stream order, hash to the
+    /// digest the fleet produced when it built one simulator per
+    /// episode. A change to the simulator's walk, the episode seeding or
+    /// the bank's symbol numbering moves it.
+    #[test]
+    fn monitor_workload_streams_are_pinned() {
+        use fsa_core::assisted::{elicit_from_graph, DependenceMethod};
+        use vanet::apa_model::{n_pair_apa, stakeholder_of};
+        let apa = n_pair_apa(3, vanet::semantics::ApaSemantics::PAPER).unwrap();
+        let graph = apa.reachability(&apa::ReachOptions::default()).unwrap();
+        let set = elicit_from_graph(&graph, DependenceMethod::Precedence, stakeholder_of);
+        let bank = MonitorBank::for_apa(&set.requirements, &apa).unwrap();
+        let apa_to_bank: Vec<u32> = apa
+            .automaton_names()
+            .map(|n| bank.event_symbol(n))
+            .collect();
+        let cfg = FleetConfig {
+            streams: 8,
+            events_per_stream: 16384usize.div_ceil(8),
+            seed: 1,
+            ..FleetConfig::default()
+        };
+        let mut all = Vec::new();
+        for stream in 0..cfg.streams {
+            let events = simulate_stream(&apa, &apa_to_bank, &cfg, stream).unwrap();
+            assert_eq!(events.len(), cfg.events_per_stream, "stream {stream}");
+            all.extend(events);
+        }
+        assert_eq!(fnv1a64(all), 0x31cb_526a_694a_2248);
     }
 
     #[test]

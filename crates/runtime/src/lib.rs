@@ -70,6 +70,6 @@ pub mod fleet;
 pub use bank::{BankRun, CompiledMonitor, MonitorBank, SEEN, VIOLATED, WAITING};
 pub use error::RuntimeError;
 pub use fleet::{
-    monitor_apa, monitor_apa_supervised, run_fleet, run_fleet_supervised, Counterexample,
-    FleetConfig, FleetReport, MonitorStats, MonitorVerdict,
+    episode_seed, monitor_apa, monitor_apa_supervised, run_fleet, run_fleet_supervised,
+    Counterexample, FleetConfig, FleetReport, MonitorStats, MonitorVerdict,
 };

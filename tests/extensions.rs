@@ -187,5 +187,5 @@ fn dead_simulated_state_is_a_reachability_dead_state() {
     assert_eq!(dead.len(), 1);
     let mut sim = Simulator::new(&apa, 3);
     sim.run(1000).unwrap();
-    assert_eq!(sim.state(), &graph.state(dead[0]));
+    assert_eq!(sim.state(), graph.state(dead[0]));
 }
