@@ -14,7 +14,7 @@
 //! stream in a single hash pass.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fsa_core::explore::{union_requirements_loop_free, ExploreOptions};
+use fsa_core::explore::{union_requirements, ExploreOptions};
 use fsa_graph::iso::{
     dedup_isomorphic, dedup_isomorphic_certified, dedup_isomorphic_certified_parallel,
 };
@@ -99,8 +99,11 @@ fn bench_exploration(c: &mut Criterion) {
     }
 
     let instances = enumerate_scenario_instances(2, &ExploreOptions::default()).expect("bounded");
+    let supervisor = fsa_exec::Supervisor::new();
     group.bench_function("union_requirements_2v", |b| {
-        b.iter(|| black_box(union_requirements_loop_free(black_box(&instances)).expect("unions")))
+        b.iter(|| {
+            black_box(union_requirements(black_box(&instances), 1, &supervisor).expect("unions"))
+        })
     });
 
     // Cold vs warm cross-run certificate cache: the warm run trusts

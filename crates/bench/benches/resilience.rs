@@ -1,9 +1,8 @@
-//! Supervisor overhead and checkpoint cost.
+//! Supervised engine cost and checkpoint cost.
 //!
-//! The supervised execution layer (PR 4) must be effectively free when
-//! nothing goes wrong: the `catch_unwind` + work-stealing harness adds
-//! per-chunk bookkeeping, and the acceptance bar is **< 3 % overhead**
-//! over the plain engines on the 3-vehicle exploration. The checkpoint
+//! Every exploration and fleet runs under the supervised execution
+//! layer (`catch_unwind` + work-stealing chunks); these groups price the
+//! 3-vehicle exploration and an 8×512 fleet on it. The checkpoint
 //! benches price one atomic snapshot write/read round-trip so the
 //! `--checkpoint-every` default can be chosen against real numbers.
 
@@ -12,9 +11,9 @@ use fsa_core::checkpoint::{config_fingerprint, CheckpointCounters, ExploreCheckp
 use fsa_core::explore::{ExecOptions, ExploreOptions};
 use fsa_exec::Supervisor;
 use std::hint::black_box;
-use vanet::exploration::{explore_scenario, explore_scenario_supervised};
+use vanet::exploration::explore_scenario_supervised;
 
-fn bench_supervisor_overhead(c: &mut Criterion) {
+fn bench_supervised_exploration(c: &mut Criterion) {
     let mut group = c.benchmark_group("resilience");
     group.sample_size(20);
     for threads in [1usize, 4] {
@@ -22,9 +21,6 @@ fn bench_supervisor_overhead(c: &mut Criterion) {
             threads,
             ..ExploreOptions::default()
         };
-        group.bench_function(format!("explore_plain_3v_t{threads}"), |b| {
-            b.iter(|| black_box(explore_scenario(3, black_box(&options)).unwrap()))
-        });
         group.bench_function(format!("explore_supervised_3v_t{threads}"), |b| {
             let exec = ExecOptions::default();
             b.iter(|| {
@@ -35,10 +31,10 @@ fn bench_supervisor_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_fleet_overhead(c: &mut Criterion) {
+fn bench_supervised_fleet(c: &mut Criterion) {
     use fsa_core::requirements::AuthRequirement;
     use fsa_core::{Action, Agent};
-    use fsa_runtime::{monitor_apa, monitor_apa_supervised, FleetConfig};
+    use fsa_runtime::{monitor_apa_supervised, FleetConfig};
     let apa = vanet::forwarding::forwarding_chain_apa().expect("valid model");
     let set: fsa_core::requirements::RequirementSet = [AuthRequirement::new(
         Action::parse("V1_sense"),
@@ -54,9 +50,6 @@ fn bench_fleet_overhead(c: &mut Criterion) {
         ..FleetConfig::default()
     };
     let mut group = c.benchmark_group("resilience");
-    group.bench_function("fleet_plain_8x512_t4", |b| {
-        b.iter(|| black_box(monitor_apa(&apa, &set, black_box(&cfg)).unwrap()))
-    });
     group.bench_function("fleet_supervised_8x512_t4", |b| {
         let sup = Supervisor::new();
         b.iter(|| black_box(monitor_apa_supervised(&apa, &set, black_box(&cfg), &sup).unwrap()))
@@ -93,8 +86,8 @@ fn bench_checkpoint_io(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_supervisor_overhead,
-    bench_fleet_overhead,
+    bench_supervised_exploration,
+    bench_supervised_fleet,
     bench_checkpoint_io
 );
 criterion_main!(benches);

@@ -265,20 +265,20 @@ fn simplicity() {
 }
 
 fn explore() {
-    use fsa_core::explore::{union_requirements_loop_free, ExploreOptions};
+    use fsa_core::explore::{union_requirements, ExploreOptions};
     for max_vehicles in 1..=2usize {
         let instances = vanet::exploration::enumerate_scenario_instances(
             max_vehicles,
             &ExploreOptions::default(),
         )
         .expect("bounded enumeration");
-        let (union, skipped) =
-            union_requirements_loop_free(&instances).expect("loop-free elicitation");
+        let union = union_requirements(&instances, 1, &fsa_exec::Supervisor::new())
+            .expect("loop-free elicitation");
         println!(
             "1 RSU + up to {max_vehicles} vehicle(s): {} structurally different instances, union = {} requirements ({} cyclic skipped)",
             instances.len(),
-            union.len(),
-            skipped
+            union.requirements.len(),
+            union.loop_skipped
         );
     }
 }

@@ -30,14 +30,13 @@ pub enum FsaError {
         /// The configured budget that was exceeded.
         limit: usize,
     },
-    /// A parallel worker panicked in a *non-supervised* engine path.
-    /// The supervised execution layer ([`crate::explore`]'s
-    /// `enumerate_instances_supervised`) subsumes this by quarantining
-    /// and retrying the chunk instead; the variant remains the
-    /// fallback for the plain fork-join entry points.
+    /// A parallel worker panicked outside the supervisor. Only the
+    /// threaded subset scan of [`crate::explore`] (`explore:scan`)
+    /// still produces it; candidate builds and union elicitations run
+    /// under the supervisor, which retries and quarantines a panicking
+    /// chunk instead.
     WorkerPanicked {
-        /// Engine stage (e.g. `explore:scan`, `explore:build`,
-        /// `explore:union`).
+        /// Engine stage (`explore:scan`).
         stage: &'static str,
         /// Chunk index of the panicked worker.
         chunk: usize,

@@ -7,12 +7,12 @@
 //! different instances poses the set of requirements for the whole
 //! system."
 //!
-//! [`enumerate_instances`] generates every composition of component
-//! instances (up to per-model multiplicity bounds) and every subset of
-//! the external flows allowed by the [`ConnectionRule`]s, de-duplicates
-//! the results up to isomorphism of their shape graphs, and optionally
-//! keeps only weakly connected compositions. [`union_requirements`]
-//! elicits and unions the requirement sets.
+//! [`enumerate_instances_supervised`] generates every composition of
+//! component instances (up to per-model multiplicity bounds) and every
+//! subset of the external flows allowed by the [`ConnectionRule`]s,
+//! de-duplicates the results up to isomorphism of their shape graphs,
+//! and optionally keeps only weakly connected compositions.
+//! [`union_requirements`] elicits and unions the requirement sets.
 //!
 //! # The streaming certificate engine
 //!
@@ -29,22 +29,21 @@
 //! on `ExploreOptions::threads` scoped worker threads; the merged result
 //! is bit-identical for every thread count.
 //!
-//! # The supervised engine
+//! # Supervision
 //!
-//! [`enumerate_instances_supervised`] runs the same enumeration under
-//! the [`fsa_exec`] execution layer: candidate builds are
-//! panic-isolated and retried per [`fsa_exec::RetryPolicy`] (exhausted
-//! chunks are *quarantined*, not fatal), cooperative cancellation
-//! ([`fsa_exec::CancelToken`] — deadlines included) degrades the run to
-//! a partial result with explicit coverage accounting
-//! ([`ExploreStats::vectors_completed`] / [`ExploreStats::vectors_total`]),
-//! and [`ExecOptions::checkpoint`] / [`ExecOptions::resume`] persist and
-//! restore progress through the versioned, checksummed snapshot format
-//! of [`crate::checkpoint`]. A resumed run is bit-identical to an
-//! uninterrupted one — for every interruption point and every thread
-//! count. When nothing panics, nothing is cancelled and nothing is
-//! resumed, the supervised engine's instances are bit-identical to
-//! [`enumerate_instances_with_stats`].
+//! Every run executes under the [`fsa_exec`] execution layer;
+//! [`ExecOptions`] only sets its policy, and [`ExecOptions::default`]
+//! is the policy of a run without supervision flags. Candidate builds
+//! and union elicitations are panic-isolated and retried per
+//! [`fsa_exec::RetryPolicy`] (exhausted chunks are *quarantined*, not
+//! fatal), cooperative cancellation ([`fsa_exec::CancelToken`] —
+//! deadlines included) degrades the run to a partial result with
+//! explicit coverage accounting ([`ExploreStats::vectors_completed`] /
+//! [`ExploreStats::vectors_total`]), and [`ExecOptions::checkpoint`] /
+//! [`ExecOptions::resume`] persist and restore progress through the
+//! versioned, checksummed snapshot format of [`crate::checkpoint`]. A
+//! resumed run is bit-identical to an uninterrupted one — for every
+//! interruption point and every thread count.
 
 use crate::certcache::{CertCache, CertSection};
 use crate::checkpoint::{config_fingerprint, CheckpointCounters, ExploreCheckpoint};
@@ -52,12 +51,14 @@ use crate::component_model::{ComponentModel, TemplateActionId};
 use crate::error::FsaError;
 use crate::instance::{SosInstance, SosInstanceBuilder};
 use crate::manual::{elicit, ElicitationReport};
-use crate::requirements::RequirementSet;
+use crate::requirements::{AuthRequirement, RequirementSet};
 use fsa_exec::{CancelToken, ChunkFailure, Supervisor};
 use fsa_graph::iso::{canonical_certificate, Certificate, CertifiedClasses};
 use fsa_graph::{DiGraph, NodeId};
 use fsa_obs::Obs;
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 /// An allowed external flow: an output action of one component model
@@ -177,20 +178,20 @@ pub struct ExploreOptions {
     /// Worker threads for candidate building and certificate
     /// computation. Results are bit-identical for every thread count.
     pub threads: usize,
-    /// Observability handle used by the **legacy** engine
-    /// ([`enumerate_instances_with_stats`]); the supervised engine uses
-    /// the handle of its [`Supervisor`] (`exec.supervisor.obs`). The
-    /// default ([`Obs::disabled`]) records nothing; enabling it never
-    /// changes the enumerated instances or the stats values.
+    /// Observability handle for the engine's `explore.*` spans and
+    /// counters and its `checkpoint.*` timings; the [`Supervisor`]'s
+    /// own handle (`exec.supervisor.obs`) carries only its
+    /// `supervisor.*` series. The default ([`Obs::disabled`]) records
+    /// nothing; enabling it never changes the enumerated instances or
+    /// the stats values.
     pub obs: Obs,
-    /// Restrict the **supervised** engine to one shard of the
-    /// multiplicity space (`None` = the whole universe). Sharded runs
-    /// enumerate exactly the `(ordinal, mask)` pairs whose ordinal lies
-    /// in the range; per-shard `accepted` logs merged in canonical
-    /// order by [`merge_accepted`] reproduce the unsharded result
-    /// bit-identically. The legacy engine and
-    /// [`BudgetPolicy::Truncate`] reject sharded options
-    /// ([`FsaError::InvalidShard`]).
+    /// Restrict the run to one shard of the multiplicity space (`None`
+    /// = the whole universe). Sharded runs enumerate exactly the
+    /// `(ordinal, mask)` pairs whose ordinal lies in the range;
+    /// per-shard `accepted` logs merged in canonical order by
+    /// [`merge_accepted`] reproduce the unsharded result
+    /// bit-identically. [`BudgetPolicy::Truncate`] rejects sharded
+    /// options ([`FsaError::InvalidShard`]).
     pub shard: Option<ShardRange>,
     /// Cross-run certificate cache file (see [`crate::certcache`]).
     /// When set, candidates landing in buckets whose recorded census
@@ -234,7 +235,7 @@ pub struct CheckpointSpec {
 
 /// Execution policy of [`enumerate_instances_supervised`]: supervision
 /// (retry/backoff, cancellation, chaos hooks), batch granularity, and
-/// checkpoint/resume.
+/// checkpoint/resume. The default is the policy of an unflagged run.
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
     /// Panic isolation, retry/backoff and cancellation policy. The
@@ -293,23 +294,23 @@ pub struct ExploreStats {
     pub truncated: bool,
     /// Worker threads used.
     pub threads: usize,
-    /// Non-empty multiplicity vectors in the whole enumeration space
-    /// (supervised engine only; `0` in the legacy engine). Together
-    /// with [`ExploreStats::vectors_completed`] this is the coverage
+    /// Non-empty multiplicity vectors in the run's enumeration space
+    /// (its shard, when sharded). Together with
+    /// [`ExploreStats::vectors_completed`] this is the coverage
     /// accounting of a partial (cancelled) run.
     pub vectors_total: usize,
-    /// Multiplicity vectors fully processed (supervised engine only).
+    /// Multiplicity vectors fully processed.
     pub vectors_completed: usize,
     /// Candidate compositions actually built. Differs from
     /// [`ExploreStats::candidates`] on a cancelled run: `candidates`
     /// counts canonical masks the moment a vector is scanned, while
     /// pending masks of an interrupted vector are not yet built.
     pub candidates_built: usize,
-    /// Build chunks quarantined after exhausting their panic retries
-    /// (supervised engine only). A non-zero value means the coverage is
-    /// incomplete even if nothing was cancelled.
+    /// Build chunks quarantined after exhausting their panic retries. A
+    /// non-zero value means the coverage is incomplete even if nothing
+    /// was cancelled.
     pub failures: usize,
-    /// Panicking chunk attempts that were retried (supervised engine).
+    /// Panicking chunk attempts that were retried.
     pub retries: u64,
     /// `true` if the run stopped early at a cancellation point
     /// (deadline expiry or manual cancel) and the result is a partial
@@ -381,8 +382,8 @@ impl ExploreStats {
     /// [`fsa_obs::Snapshot`] of a **single** enumeration run: phase
     /// durations come from the `explore.*` spans, work counters from the
     /// `explore.*` counters. For a snapshot produced by an observed run
-    /// of either engine this equals the [`Exploration::stats`] struct
-    /// filled live (both read the same span measurements).
+    /// this equals the [`Exploration::stats`] struct filled live (both
+    /// read the same span measurements).
     ///
     /// # Errors
     ///
@@ -427,7 +428,7 @@ impl ExploreStats {
 
     /// Mirrors every counter-valued field into `explore.*` counters of
     /// `obs` (phase durations are already present as `explore.*` spans).
-    /// No-op when `obs` is disabled. Both engines call this internally;
+    /// No-op when `obs` is disabled. The engine calls this internally;
     /// it is public so hosts that *assemble* an [`ExploreStats`] (the
     /// distributed coordinator's shard merge) can export the same
     /// counters.
@@ -481,7 +482,7 @@ impl ExploreStats {
     }
 }
 
-/// Result of [`enumerate_instances_with_stats`]: the structurally
+/// Result of [`enumerate_instances_supervised`]: the structurally
 /// different instances plus the engine statistics.
 #[derive(Debug, Clone)]
 pub struct Exploration {
@@ -490,30 +491,25 @@ pub struct Exploration {
     /// Per-stage statistics.
     pub stats: ExploreStats,
     /// The accepted `(vector ordinal, flow-subset mask)` decision log
-    /// in discovery order — one entry per instance (**supervised
-    /// engine only**; the legacy engine leaves it empty). This is the
-    /// same log the checkpoint format persists; a distributed
-    /// coordinator merges per-shard logs with [`merge_accepted`].
+    /// in discovery order — one entry per instance. This is the same
+    /// log the checkpoint format persists; a distributed coordinator
+    /// merges per-shard logs with [`merge_accepted`].
     pub accepted: Vec<(u64, u64)>,
 }
 
-/// Enumerates the structurally different SoS instances built from
-/// `models` — each given with its maximum multiplicity — under the
-/// connection rules.
+/// The instances of [`enumerate_instances_supervised`] under the
+/// default [`ExecOptions`].
 ///
 /// # Errors
 ///
-/// * [`FsaError::InvalidComponentModel`] if a model fails validation, a
-///   rule references an unknown model/action, or the flow-subset space
-///   of one multiplicity vector is too large to scan.
-/// * [`FsaError::BudgetExceeded`] if the enumeration exceeds
-///   `options.max_candidates` under [`BudgetPolicy::Error`].
+/// See [`enumerate_instances_supervised`].
 pub fn enumerate_instances(
     models: &[(ComponentModel, usize)],
     rules: &[ConnectionRule],
     options: &ExploreOptions,
 ) -> Result<Vec<SosInstance>, FsaError> {
-    enumerate_instances_with_stats(models, rules, options).map(|e| e.instances)
+    enumerate_instances_supervised(models, rules, options, &ExecOptions::default())
+        .map(|e| e.instances)
 }
 
 /// Hard cap on the flow-subset space of one multiplicity vector: beyond
@@ -581,97 +577,6 @@ fn save_cert_cache(
 ) -> Result<(), FsaError> {
     cache.record(fingerprint, &classes.bucket_census());
     cache.save(path)
-}
-
-/// Like [`enumerate_instances`], but also returns [`ExploreStats`].
-///
-/// # Errors
-///
-/// See [`enumerate_instances`].
-pub fn enumerate_instances_with_stats(
-    models: &[(ComponentModel, usize)],
-    rules: &[ConnectionRule],
-    options: &ExploreOptions,
-) -> Result<Exploration, FsaError> {
-    if let Some(shard) = options.shard {
-        return Err(FsaError::InvalidShard {
-            reason: format!(
-                "shard {shard} requires the supervised engine \
-                 (enumerate_instances_supervised)"
-            ),
-        });
-    }
-    for (m, _) in models {
-        m.validate()?;
-    }
-    let run = options.obs.span("explore");
-    let resolved = resolve_rules(models, rules)?;
-
-    let threads = options.threads.max(1);
-    let mut stats = ExploreStats {
-        threads,
-        ..ExploreStats::default()
-    };
-    let mut classes: CertifiedClasses<String> = CertifiedClasses::new();
-    let mut instances: Vec<SosInstance> = Vec::new();
-    let fingerprint = config_fingerprint(models, rules, options);
-    let cert_cache = load_cert_cache(options, fingerprint)?;
-    let trusted = cert_cache.as_ref().and_then(|(_, _, t)| t.as_ref());
-    stats.cert_cache_entries = trusted.map_or(0, CertSection::len);
-
-    // Enumerate multiplicities: the cartesian product of 0..=max per
-    // model, skipping the empty composition.
-    let mut counts = vec![0usize; models.len()];
-    'vectors: loop {
-        if counts.iter().sum::<usize>() > 0 {
-            stats.multiplicity_vectors += 1;
-            let done = explore_vector(
-                models,
-                &resolved,
-                &counts,
-                options,
-                threads,
-                trusted,
-                &mut stats,
-                &mut classes,
-                &mut instances,
-            )?;
-            if done {
-                // Budget truncation: return the deduped partial
-                // universe explored so far.
-                break 'vectors;
-            }
-        }
-        let mut i = 0;
-        loop {
-            if i == models.len() {
-                break 'vectors;
-            }
-            counts[i] += 1;
-            if counts[i] <= models[i].1 {
-                break;
-            }
-            counts[i] = 0;
-            i += 1;
-        }
-    }
-
-    stats.classes = instances.len();
-    stats.certificate_hits = classes.certificate_hits();
-    stats.exact_iso_fallbacks = classes.exact_fallbacks();
-    stats.cert_cache_skips = classes.trusted_skips();
-    if let Some((path, cache, _)) = cert_cache {
-        // The legacy engine only reaches this point with full (or
-        // deterministically truncated) coverage — errors bailed above.
-        save_cert_cache(&path, cache, fingerprint, &classes)?;
-    }
-    drop(run);
-    stats.mirror_counters(&options.obs);
-    Ok(Exploration {
-        instances,
-        stats,
-        accepted: Vec::new(),
-    })
 }
 
 /// Odometer over the non-empty multiplicity vectors (`0..=max` per
@@ -781,8 +686,6 @@ fn rebuild_accepted(
     Ok(())
 }
 
-/// Writes one checkpoint snapshot of the supervised driver's state.
-#[allow(clippy::too_many_arguments)]
 /// Resume offset for a class-map counter: checkpointed total minus the
 /// value the rebuild replay produced. Fails closed as
 /// [`FsaError::CorruptCheckpoint`] when the checkpointed value cannot be
@@ -814,6 +717,7 @@ fn rebase_counter(offset: i64, current: usize, what: &str) -> Result<usize, FsaE
     })
 }
 
+/// Writes one checkpoint snapshot of the supervised driver's state.
 #[allow(clippy::too_many_arguments)]
 fn write_explore_checkpoint(
     spec: &CheckpointSpec,
@@ -863,16 +767,25 @@ fn write_explore_checkpoint(
     Ok(())
 }
 
-/// Like [`enumerate_instances_with_stats`], executed under the
-/// supervised layer: panic-isolated retried candidate builds,
+/// Enumerates the structurally different SoS instances built from
+/// `models` — each given with its maximum multiplicity — under the
+/// connection rules, with [`ExploreStats`] and the accepted decision
+/// log. Runs under `exec`: panic-isolated retried candidate builds,
 /// cooperative cancellation with coverage accounting, and
 /// checkpoint/resume (see [`ExecOptions`] and the module docs).
 ///
 /// # Errors
 ///
-/// Everything [`enumerate_instances_with_stats`] reports, plus
-/// [`FsaError::CorruptCheckpoint`] for unreadable, tampered,
-/// version-skewed or configuration-mismatched resume files.
+/// * [`FsaError::InvalidComponentModel`] if a model fails validation, a
+///   rule references an unknown model/action, or the flow-subset space
+///   of one multiplicity vector is too large to scan.
+/// * [`FsaError::BudgetExceeded`] if the enumeration exceeds
+///   `options.max_candidates` under [`BudgetPolicy::Error`].
+/// * [`FsaError::InvalidShard`] for a malformed or truncating shard.
+/// * [`FsaError::CertCache`] for an unreadable certificate cache or one
+///   combined with checkpoint/resume.
+/// * [`FsaError::CorruptCheckpoint`] for unreadable, tampered,
+///   version-skewed or configuration-mismatched resume files.
 pub fn enumerate_instances_supervised(
     models: &[(ComponentModel, usize)],
     rules: &[ConnectionRule],
@@ -882,7 +795,7 @@ pub fn enumerate_instances_supervised(
     for (m, _) in models {
         m.validate()?;
     }
-    let obs = exec.supervisor.obs.clone();
+    let obs = options.obs.clone();
     let run = obs.span("explore");
     let resolved = resolve_rules(models, rules)?;
     let threads = options.threads.max(1);
@@ -1113,7 +1026,7 @@ pub fn enumerate_instances_supervised(
                 options,
                 threads,
                 stats.candidates,
-                Some(&cancel),
+                &cancel,
             )?;
             stats.scan_time += span.finish();
             if scan.cancelled {
@@ -1474,12 +1387,6 @@ struct FlowCandidate {
 /// One built candidate: instance, shape graph, certificate.
 type Built = (SosInstance, DiGraph<String>, u64);
 
-/// Per-worker join results of a chunked `thread::scope`: the outer
-/// `Err(chunk)` marks a panicked worker (reported as
-/// [`FsaError::WorkerPanicked`]); the inner `Result` carries the
-/// chunk's own outcome.
-type JoinedChunks<T> = Vec<Result<Result<T, FsaError>, usize>>;
-
 /// Candidate external flows of one multiplicity vector: for each rule,
 /// each ordered pair of distinct instances of the involved models.
 fn flow_candidates(rules: &[ResolvedRule], counts: &[usize]) -> Vec<FlowCandidate> {
@@ -1518,15 +1425,15 @@ struct VectorScan {
 const SCAN_CANCEL_STRIDE: usize = 4096;
 
 /// Scans the flow subsets of one multiplicity vector for orbit-minimal
-/// representatives, applying the candidate budget. Shared by the legacy
-/// and the supervised engine; `cancel` is `None` in the legacy path.
+/// representatives, applying the candidate budget; the sequential scans
+/// peek at `cancel` every [`SCAN_CANCEL_STRIDE`] masks.
 fn scan_vector(
     rules: &[ResolvedRule],
     counts: &[usize],
     options: &ExploreOptions,
     threads: usize,
     candidates_so_far: usize,
-    cancel: Option<&CancelToken>,
+    cancel: &CancelToken,
 ) -> Result<VectorScan, FsaError> {
     let flows = flow_candidates(rules, counts);
     let subsets: usize = 1usize
@@ -1549,10 +1456,7 @@ fn scan_vector(
         truncated: false,
         cancelled: true,
     };
-    let peek = |mask: usize| {
-        mask.is_multiple_of(SCAN_CANCEL_STRIDE)
-            && cancel.is_some_and(CancelToken::is_cancelled_peek)
-    };
+    let peek = |mask: usize| mask.is_multiple_of(SCAN_CANCEL_STRIDE) && cancel.is_cancelled_peek();
 
     // Orbit-minimal flow subsets. Every canonical subset counts against
     // the candidate budget; a provably exceeded budget short-circuits
@@ -1683,108 +1587,6 @@ fn build_candidate(
     let shape = instance.shape_graph();
     let certificate = canonical_certificate(&shape);
     Ok(Some((instance, shape, certificate)))
-}
-
-/// Explores every flow subset of one multiplicity vector, streaming the
-/// candidates into the certificate class map. Returns `true` if the
-/// enumeration was truncated (caller stops).
-#[allow(clippy::too_many_arguments)]
-fn explore_vector(
-    models: &[(ComponentModel, usize)],
-    rules: &[ResolvedRule],
-    counts: &[usize],
-    options: &ExploreOptions,
-    threads: usize,
-    trusted: Option<&CertSection>,
-    stats: &mut ExploreStats,
-    classes: &mut CertifiedClasses<String>,
-    instances: &mut Vec<SosInstance>,
-) -> Result<bool, FsaError> {
-    let span = options.obs.span("explore.scan");
-    let scan = scan_vector(rules, counts, options, threads, stats.candidates, None)?;
-    stats.scan_time += span.finish();
-    stats.subsets_total += scan.subsets;
-    stats.orbits_skipped += scan.orbits_skipped;
-    stats.candidates += scan.canonical.len();
-    let VectorScan {
-        flows,
-        canonical,
-        truncated,
-        ..
-    } = scan;
-
-    // Instantiate the canonical subsets (chunked parallel) and compute
-    // their shape-graph certificates; merge in mask order so the stream
-    // into the class map is bit-identical for every thread count.
-    let span = options.obs.span("explore.build");
-    let build = |mask: usize| -> Result<Option<Built>, FsaError> {
-        build_candidate(
-            models,
-            rules,
-            counts,
-            &flows,
-            mask,
-            options.require_connected,
-        )
-    };
-    let built: Vec<Option<Built>> = if threads > 1 && canonical.len() >= 2 {
-        let chunk = canonical.len().div_ceil(threads);
-        let joined: JoinedChunks<Vec<Option<Built>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = canonical
-                .chunks(chunk)
-                .map(|masks| {
-                    let build = &build;
-                    scope.spawn(move || {
-                        masks
-                            .iter()
-                            .map(|&m| build(m))
-                            .collect::<Result<Vec<_>, _>>()
-                    })
-                })
-                .collect();
-            // Join every worker before reporting the first panic.
-            handles
-                .into_iter()
-                .enumerate()
-                .map(|(i, h)| h.join().map_err(|_| i))
-                .collect()
-        });
-        let mut merged = Vec::with_capacity(canonical.len());
-        for chunk_result in joined {
-            match chunk_result {
-                Ok(Ok(items)) => merged.extend(items),
-                Ok(Err(e)) => return Err(e),
-                Err(chunk) => {
-                    return Err(FsaError::WorkerPanicked {
-                        stage: "explore:build",
-                        chunk,
-                    })
-                }
-            }
-        }
-        merged
-    } else {
-        canonical
-            .iter()
-            .map(|&m| build(m))
-            .collect::<Result<Vec<_>, _>>()?
-    };
-    stats.build_time += span.finish();
-
-    // Stream into the certificate class map.
-    let span = options.obs.span("explore.dedup");
-    for item in built {
-        let Some((instance, shape, certificate)) = item else {
-            stats.disconnected_skipped += 1;
-            continue;
-        };
-        if insert_candidate(classes, trusted, shape, certificate).is_some() {
-            instances.push(instance);
-        }
-    }
-    stats.dedup_time += span.finish();
-    stats.truncated |= truncated;
-    Ok(truncated)
 }
 
 /// The copy-permutation group of one multiplicity vector, induced on the
@@ -1961,123 +1763,12 @@ fn is_weakly_connected(instance: &SosInstance) -> bool {
     visited == n
 }
 
-/// Elicits every instance and unions the requirement sets (§4.4).
-///
-/// # Errors
-///
-/// Propagates elicitation errors (e.g. a cyclic composition produced by
-/// bidirectional connection rules).
-pub fn union_requirements(instances: &[SosInstance]) -> Result<RequirementSet, FsaError> {
-    union_requirements_threaded(instances, 1)
-}
+/// Instances per supervised union stage. Each window's new requirements
+/// are folded into the running union before the next window starts.
+const UNION_WINDOW: usize = 256;
 
-/// Like [`union_requirements`], with the elicitation fanned out over
-/// `threads` scoped worker threads (chunked, merged in instance order —
-/// bit-identical to the sequential run).
-///
-/// # Errors
-///
-/// Propagates elicitation errors.
-pub fn union_requirements_threaded(
-    instances: &[SosInstance],
-    threads: usize,
-) -> Result<RequirementSet, FsaError> {
-    union_with(instances, threads, &elicit, false).map(|(set, _)| set)
-}
-
-/// Like [`union_requirements`], but skips instances whose composition is
-/// cyclic (bidirectional rules can produce `A sends to B sends to A`
-/// loops, which the paper's loop-freedom assumption excludes). Returns
-/// the union together with the number of skipped instances.
-///
-/// # Errors
-///
-/// *Only* [`FsaError::CircularDependency`] counts as a loop-skip; every
-/// other elicitation error is a real failure and propagates.
-pub fn union_requirements_loop_free(
-    instances: &[SosInstance],
-) -> Result<(RequirementSet, usize), FsaError> {
-    union_with(instances, 1, &elicit, true)
-}
-
-/// Like [`union_requirements_loop_free`], fanned out over `threads`
-/// scoped worker threads (bit-identical to the sequential run).
-///
-/// # Errors
-///
-/// See [`union_requirements_loop_free`].
-pub fn union_requirements_loop_free_threaded(
-    instances: &[SosInstance],
-    threads: usize,
-) -> Result<(RequirementSet, usize), FsaError> {
-    union_with(instances, threads, &elicit, true)
-}
-
-/// Chunked fork-join union of per-instance elicitations. `skip_cycles`
-/// turns [`FsaError::CircularDependency`] into a skip count; all other
-/// errors propagate, first-in-instance-order.
-fn union_with<F>(
-    instances: &[SosInstance],
-    threads: usize,
-    elicit_fn: &F,
-    skip_cycles: bool,
-) -> Result<(RequirementSet, usize), FsaError>
-where
-    F: Fn(&SosInstance) -> Result<ElicitationReport, FsaError> + Sync,
-{
-    let worker = |chunk: &[SosInstance]| -> Result<(RequirementSet, usize), FsaError> {
-        let mut union = RequirementSet::new();
-        let mut skipped = 0usize;
-        for inst in chunk {
-            match elicit_fn(inst) {
-                Ok(report) => union = union.union(&report.requirement_set()),
-                Err(FsaError::CircularDependency { .. }) if skip_cycles => skipped += 1,
-                Err(e) => return Err(e),
-            }
-        }
-        Ok((union, skipped))
-    };
-    let threads = threads.max(1);
-    if threads == 1 || instances.len() < 2 {
-        return worker(instances);
-    }
-    let chunk = instances.len().div_ceil(threads);
-    // Join every worker before reporting the first panic, so a second
-    // panicking chunk cannot double-panic the scope; a panicked worker
-    // surfaces as `FsaError::WorkerPanicked`, not a process abort.
-    let joined: JoinedChunks<(RequirementSet, usize)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = instances
-            .chunks(chunk)
-            .map(|c| scope.spawn(move || worker(c)))
-            .collect();
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(i, h)| h.join().map_err(|_| i))
-            .collect()
-    });
-    let mut union = RequirementSet::new();
-    let mut skipped = 0usize;
-    for chunk_result in joined {
-        match chunk_result {
-            Ok(Ok((u, s))) => {
-                union = union.union(&u);
-                skipped += s;
-            }
-            Ok(Err(e)) => return Err(e),
-            Err(chunk) => {
-                return Err(FsaError::WorkerPanicked {
-                    stage: "explore:union",
-                    chunk,
-                })
-            }
-        }
-    }
-    Ok((union, skipped))
-}
-
-/// Result of [`union_requirements_loop_free_supervised`]: the union
-/// plus the supervised-run accounting.
+/// Result of [`union_requirements`]: the union plus its coverage
+/// accounting.
 #[derive(Debug, Clone)]
 pub struct UnionOutcome {
     /// Union of the elicited requirement sets.
@@ -2101,60 +1792,107 @@ pub struct UnionOutcome {
 
 impl UnionOutcome {
     /// `true` when every instance was elicited (nothing dropped,
-    /// nothing cancelled) — the union is then bit-identical to
-    /// [`union_requirements_loop_free`].
+    /// nothing cancelled).
     #[must_use]
     pub fn is_complete(&self) -> bool {
         self.elicited == self.total
     }
 }
 
-/// Like [`union_requirements_loop_free_threaded`], executed under the
-/// supervised layer: one chunk per instance, panic-isolated and
-/// retried; a cancellation (deadline) degrades to a prefix union with
-/// explicit coverage in [`UnionOutcome`].
+/// Elicits every instance and unions the requirement sets (§4.4),
+/// skipping instances whose composition is cyclic (bidirectional rules
+/// can produce `A sends to B sends to A` loops, which the paper's
+/// loop-freedom assumption excludes).
+///
+/// Runs under `supervisor` as the `explore:union` stage, one chunk per
+/// instance on `threads` workers: a panicking elicitation is retried and
+/// then quarantined, and a cancellation (deadline) degrades to a prefix
+/// union with explicit coverage in [`UnionOutcome`]. The union is
+/// bit-identical for every thread count.
 ///
 /// # Errors
 ///
-/// Propagates non-cycle elicitation errors, smallest instance index
-/// first.
-pub fn union_requirements_loop_free_supervised(
+/// *Only* [`FsaError::CircularDependency`] counts as a loop-skip; every
+/// other elicitation error propagates, smallest instance index first.
+pub fn union_requirements(
     instances: &[SosInstance],
     threads: usize,
     supervisor: &Supervisor,
 ) -> Result<UnionOutcome, FsaError> {
-    enum One {
-        Set(Box<RequirementSet>),
-        Cyclic,
-    }
-    let outcome = supervisor.run_chunks::<One, FsaError, _>(
-        "explore:union",
-        threads.max(1),
-        instances.len(),
-        |i| match elicit(&instances[i]) {
-            Ok(report) => Ok(One::Set(Box::new(report.requirement_set()))),
-            Err(FsaError::CircularDependency { .. }) => Ok(One::Cyclic),
-            Err(e) => Err(e),
-        },
-    )?;
-    let mut requirements = RequirementSet::new();
-    let mut loop_skipped = 0usize;
-    let elicited = outcome.results.len();
-    for (_, one) in outcome.results {
-        match one {
-            One::Set(set) => requirements = requirements.union(&set),
-            One::Cyclic => loop_skipped += 1,
+    union_windows(instances, threads, supervisor, &elicit)
+}
+
+/// [`union_requirements`] over an arbitrary elicitor, window by window
+/// ([`UNION_WINDOW`] instances per supervised stage).
+fn union_windows<F>(
+    instances: &[SosInstance],
+    threads: usize,
+    supervisor: &Supervisor,
+    elicit_fn: &F,
+) -> Result<UnionOutcome, FsaError>
+where
+    F: Fn(&SosInstance) -> Result<ElicitationReport, FsaError> + Sync,
+{
+    let mut union = UnionOutcome {
+        requirements: RequirementSet::new(),
+        loop_skipped: 0,
+        elicited: 0,
+        total: instances.len(),
+        failures: Vec::new(),
+        retries: 0,
+        cancelled: false,
+    };
+    for (w, window) in instances.chunks(UNION_WINDOW).enumerate() {
+        // The window's additions to the union. A finished chunk inserts
+        // only what neither the union nor an earlier chunk of the window
+        // has, so a window never holds more than the union's own size.
+        let fresh: Mutex<BTreeSet<AuthRequirement>> = Mutex::new(BTreeSet::new());
+        let known = &union.requirements;
+        let outcome = supervisor.run_chunks("explore:union", threads, window.len(), |i| {
+            let report = match elicit_fn(&window[i]) {
+                Ok(report) => report,
+                Err(FsaError::CircularDependency { .. }) => return Ok(false),
+                Err(e) => return Err(e),
+            };
+            let new: Vec<&AuthRequirement> = report
+                .classified_requirements()
+                .iter()
+                .map(|c| &c.requirement)
+                .filter(|r| !known.contains(r))
+                .collect();
+            if !new.is_empty() {
+                let mut fresh = fresh.lock().unwrap_or_else(PoisonError::into_inner);
+                for r in new {
+                    if !fresh.contains(r) {
+                        fresh.insert(r.clone());
+                    }
+                }
+            }
+            Ok(true)
+        })?;
+        union.elicited += outcome.results.len();
+        union.loop_skipped += outcome
+            .results
+            .iter()
+            .filter(|(_, elicited)| !elicited)
+            .count();
+        union.retries += outcome.retries;
+        union
+            .requirements
+            .extend(fresh.into_inner().unwrap_or_else(PoisonError::into_inner));
+        let offset = w * UNION_WINDOW;
+        union
+            .failures
+            .extend(outcome.failures.into_iter().map(|f| ChunkFailure {
+                chunk: offset + f.chunk,
+                ..f
+            }));
+        if outcome.cancelled {
+            union.cancelled = true;
+            break;
         }
     }
-    Ok(UnionOutcome {
-        requirements,
-        loop_skipped,
-        elicited,
-        total: instances.len(),
-        failures: outcome.failures,
-        retries: outcome.retries,
-        cancelled: outcome.cancelled,
-    })
+    Ok(union)
 }
 
 #[cfg(test)]
@@ -2174,6 +1912,15 @@ mod tests {
 
     fn rules() -> Vec<ConnectionRule> {
         vec![ConnectionRule::new("S", 0, "D", 0)]
+    }
+
+    /// One run under the default execution policy.
+    fn explore(
+        models: &[(ComponentModel, usize)],
+        rules: &[ConnectionRule],
+        options: &ExploreOptions,
+    ) -> Result<Exploration, FsaError> {
+        enumerate_instances_supervised(models, rules, options, &ExecOptions::default())
     }
 
     #[test]
@@ -2228,7 +1975,7 @@ mod tests {
         };
 
         // Cold run: nothing to trust, census saved at the end.
-        let cold = enumerate_instances_with_stats(&twin_models(), &[], &options).unwrap();
+        let cold = explore(&twin_models(), &[], &options).unwrap();
         assert_eq!(cold.stats.cert_cache_entries, 0);
         assert_eq!(cold.stats.cert_cache_skips, 0);
         assert!(path.exists(), "completed run persists its census");
@@ -2237,7 +1984,7 @@ mod tests {
         // Warm run: every duplicate is discharged on the cache's word —
         // zero exact-isomorphism fallbacks — and the instance stream is
         // bit-identical to the cold run.
-        let warm = enumerate_instances_with_stats(&twin_models(), &[], &options).unwrap();
+        let warm = explore(&twin_models(), &[], &options).unwrap();
         assert!(warm.stats.cert_cache_entries > 0);
         assert_eq!(warm.stats.cert_cache_skips, warm.stats.certificate_hits);
         assert_eq!(warm.stats.exact_iso_fallbacks, 0);
@@ -2252,15 +1999,6 @@ mod tests {
                 .map(SosInstance::name)
                 .collect::<Vec<_>>()
         );
-
-        // The supervised engine shares the fingerprint and candidate
-        // stream, so it consumes the same cache section.
-        let sup =
-            enumerate_instances_supervised(&twin_models(), &[], &options, &ExecOptions::default())
-                .unwrap();
-        assert_eq!(sup.stats.exact_iso_fallbacks, 0);
-        assert_eq!(sup.stats.cert_cache_skips, sup.stats.certificate_hits);
-        assert_eq!(sup.stats.classes, cold.stats.classes);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -2285,23 +2023,14 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_cert_cache_fails_closed_in_both_engines() {
+    fn corrupt_cert_cache_fails_closed() {
         let path = cache_tmp("corrupt");
         std::fs::write(&path, b"garbage, not a snapshot").unwrap();
         let options = ExploreOptions {
             cert_cache: Some(path.clone()),
             ..ExploreOptions::default()
         };
-        let err =
-            enumerate_instances_with_stats(&sensor_and_display(), &rules(), &options).unwrap_err();
-        assert!(matches!(err, FsaError::CertCache { .. }), "{err}");
-        let err = enumerate_instances_supervised(
-            &sensor_and_display(),
-            &rules(),
-            &options,
-            &ExecOptions::default(),
-        )
-        .unwrap_err();
+        let err = explore(&sensor_and_display(), &rules(), &options).unwrap_err();
         assert!(matches!(err, FsaError::CertCache { .. }), "{err}");
         std::fs::remove_file(&path).unwrap();
     }
@@ -2328,7 +2057,9 @@ mod tests {
         let instances =
             enumerate_instances(&sensor_and_display(), &rules(), &ExploreOptions::default())
                 .unwrap();
-        let union = union_requirements(&instances).unwrap();
+        let union = union_requirements(&instances, 1, &Supervisor::new())
+            .unwrap()
+            .requirements;
         for inst in &instances {
             let set = elicit(inst).unwrap().requirement_set();
             assert!(set.is_subset(&union), "instance {}", inst.name());
@@ -2350,13 +2081,24 @@ mod tests {
             },
         )
         .unwrap();
-        let seq = union_requirements(&instances).unwrap();
+        // The first union window holds only copies of one instance, so
+        // every other instance's requirements arrive in a later window.
+        let mut many = vec![instances[0].clone(); 300];
+        many.extend(instances.iter().cloned());
+        let oracle: RequirementSet = instances
+            .iter()
+            .flat_map(|i| elicit(i).unwrap().requirements())
+            .collect();
+        let first = elicit(&instances[0]).unwrap().requirement_set();
+        assert!(first.len() < oracle.len(), "later windows add requirements");
+        let union = |threads| union_requirements(&many, threads, &Supervisor::new()).unwrap();
+        let seq = union(1);
+        assert!(seq.is_complete());
+        assert_eq!(seq.requirements, oracle);
         for threads in [2usize, 4, 8] {
-            assert_eq!(
-                seq,
-                union_requirements_threaded(&instances, threads).unwrap(),
-                "threads {threads}"
-            );
+            let par = union(threads);
+            assert_eq!(seq.requirements, par.requirements, "threads {threads}");
+            assert_eq!(seq.loop_skipped, par.loop_skipped, "threads {threads}");
         }
     }
 
@@ -2404,14 +2146,9 @@ mod tests {
         // Regression: exceeding `max_candidates` mid-enumeration used to
         // throw away *all* work; `BudgetPolicy::Truncate` keeps the
         // deduped partial universe and flags the truncation.
-        let full = enumerate_instances_with_stats(
-            &sensor_and_display(),
-            &rules(),
-            &ExploreOptions::default(),
-        )
-        .unwrap();
+        let full = explore(&sensor_and_display(), &rules(), &ExploreOptions::default()).unwrap();
         assert!(!full.stats.truncated);
-        let partial = enumerate_instances_with_stats(
+        let partial = explore(
             &sensor_and_display(),
             &rules(),
             &ExploreOptions {
@@ -2439,12 +2176,7 @@ mod tests {
     fn orbit_pruning_skips_copy_permutations() {
         // With two interchangeable displays, the subsets {S→D1} and
         // {S→D2} are one orbit: exactly one is instantiated.
-        let e = enumerate_instances_with_stats(
-            &sensor_and_display(),
-            &rules(),
-            &ExploreOptions::default(),
-        )
-        .unwrap();
+        let e = explore(&sensor_and_display(), &rules(), &ExploreOptions::default()).unwrap();
         assert!(e.stats.orbits_skipped > 0, "{:?}", e.stats);
         assert!(e.stats.candidates < e.stats.subsets_total);
         assert_eq!(e.stats.classes, e.instances.len());
@@ -2452,14 +2184,9 @@ mod tests {
 
     #[test]
     fn parallel_enumeration_is_bit_identical() {
-        let seq = enumerate_instances_with_stats(
-            &sensor_and_display(),
-            &rules(),
-            &ExploreOptions::default(),
-        )
-        .unwrap();
+        let seq = explore(&sensor_and_display(), &rules(), &ExploreOptions::default()).unwrap();
         for threads in [2usize, 4, 8] {
-            let par = enumerate_instances_with_stats(
+            let par = explore(
                 &sensor_and_display(),
                 &rules(),
                 &ExploreOptions {
@@ -2480,6 +2207,15 @@ mod tests {
             assert_eq!(seq.stats.candidates, par.stats.candidates);
             assert_eq!(seq.stats.orbits_skipped, par.stats.orbits_skipped);
             assert_eq!(seq.stats.classes, par.stats.classes);
+            assert_eq!(seq.stats.certificate_hits, par.stats.certificate_hits);
+            assert_eq!(seq.stats.exact_iso_fallbacks, par.stats.exact_iso_fallbacks);
+            assert_eq!(
+                seq.stats.disconnected_skipped,
+                par.stats.disconnected_skipped
+            );
+            assert_eq!(par.stats.vectors_completed, par.stats.vectors_total);
+            assert_eq!(par.stats.candidates_built, par.stats.candidates);
+            assert!(!par.stats.cancelled && !par.stats.resumed);
         }
     }
 
@@ -2502,16 +2238,21 @@ mod tests {
             },
         )
         .unwrap();
-        let (union, skipped) = union_requirements_loop_free(&instances).unwrap();
-        assert!(skipped > 0, "the mutual-send composition is cyclic");
+        let union = union_requirements(&instances, 1, &Supervisor::new()).unwrap();
+        assert!(
+            union.loop_skipped > 0,
+            "the mutual-send composition is cyclic"
+        );
+        assert!(union.is_complete());
         assert!(union
+            .requirements
             .iter()
             .any(|r| r.antecedent.name() == "rec" && r.consequent.name() == "send"));
     }
 
     #[test]
     fn loop_free_union_propagates_non_cycle_errors() {
-        // Regression: `union_requirements_loop_free` used to count
+        // Regression: the loop-free union used to count
         // *every* error as a loop-skip, silently mislabelling real
         // elicitation failures as cycle exclusions. A deliberately
         // invalid instance (here: an elicitor that rejects it with a
@@ -2528,7 +2269,7 @@ mod tests {
             }
         };
         for threads in [1usize, 4] {
-            let err = union_with(&instances, threads, &failing, true).unwrap_err();
+            let err = union_windows(&instances, threads, &Supervisor::new(), &failing).unwrap_err();
             assert_eq!(
                 err,
                 FsaError::UnknownAction("ghost(X,val)".to_owned()),
@@ -2542,17 +2283,17 @@ mod tests {
                 second: crate::action::Action::parse("b"),
             })
         };
-        let (union, skipped) = union_with(&instances, 1, &cyclic, true).unwrap();
-        assert!(union.is_empty());
-        assert_eq!(skipped, instances.len());
+        let union = union_windows(&instances, 1, &Supervisor::new(), &cyclic).unwrap();
+        assert!(union.requirements.is_empty());
+        assert_eq!(union.loop_skipped, instances.len());
+        assert!(union.is_complete());
     }
 
     #[test]
-    fn union_worker_panic_is_worker_panicked_not_abort() {
-        // Satellite regression: the *non-supervised* fork-join paths
-        // used to `expect()` on worker joins, turning any panicking
-        // elicitor into a process abort. They now surface as
-        // `FsaError::WorkerPanicked` with the stage and chunk.
+    fn union_worker_panic_is_quarantined_not_abort() {
+        // A panicking elicitor neither aborts the process nor fails the
+        // union: every retry panics, so each instance is quarantined
+        // under its own instance index.
         let instances = enumerate_instances(
             &sensor_and_display(),
             &rules(),
@@ -2562,86 +2303,19 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(instances.len() >= 2, "need at least two chunks");
         let exploding = |_: &SosInstance| -> Result<ElicitationReport, FsaError> {
             panic!("elicitor exploded")
         };
-        let err = union_with(&instances, 4, &exploding, true).unwrap_err();
-        match err {
-            FsaError::WorkerPanicked { stage, .. } => assert_eq!(stage, "explore:union"),
-            other => panic!("expected WorkerPanicked, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn supervised_matches_legacy_bit_identically() {
-        let legacy = enumerate_instances_with_stats(
-            &sensor_and_display(),
-            &rules(),
-            &ExploreOptions::default(),
-        )
-        .unwrap();
-        for threads in [1usize, 4] {
-            let sup = enumerate_instances_supervised(
-                &sensor_and_display(),
-                &rules(),
-                &ExploreOptions {
-                    threads,
-                    ..Default::default()
-                },
-                &ExecOptions::default(),
-            )
-            .unwrap();
-            assert_eq!(
-                legacy.instances.len(),
-                sup.instances.len(),
-                "threads {threads}"
-            );
-            for (a, b) in legacy.instances.iter().zip(&sup.instances) {
-                assert_eq!(a.name(), b.name());
-                assert_eq!(a.graph(), b.graph());
-            }
-            assert_eq!(legacy.stats.candidates, sup.stats.candidates);
-            assert_eq!(legacy.stats.subsets_total, sup.stats.subsets_total);
-            assert_eq!(legacy.stats.orbits_skipped, sup.stats.orbits_skipped);
-            assert_eq!(legacy.stats.classes, sup.stats.classes);
-            assert_eq!(legacy.stats.certificate_hits, sup.stats.certificate_hits);
-            assert_eq!(
-                legacy.stats.exact_iso_fallbacks,
-                sup.stats.exact_iso_fallbacks
-            );
-            assert_eq!(
-                legacy.stats.disconnected_skipped,
-                sup.stats.disconnected_skipped
-            );
-            assert_eq!(sup.stats.vectors_completed, sup.stats.vectors_total);
-            assert_eq!(sup.stats.candidates_built, sup.stats.candidates);
-            assert!(!sup.stats.cancelled && !sup.stats.resumed);
-        }
-    }
-
-    #[test]
-    fn supervised_union_matches_threaded_union() {
-        let instances = enumerate_instances(
-            &sensor_and_display(),
-            &rules(),
-            &ExploreOptions {
-                require_connected: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let (golden, golden_skipped) = union_requirements_loop_free(&instances).unwrap();
-        for threads in [1usize, 4] {
-            let out =
-                union_requirements_loop_free_supervised(&instances, threads, &Supervisor::new())
-                    .unwrap();
-            assert!(out.is_complete(), "threads {threads}");
-            assert_eq!(out.requirements, golden);
-            assert_eq!(out.loop_skipped, golden_skipped);
-            assert!(out.failures.is_empty());
-            assert!(!out.cancelled);
-        }
+        let supervisor = Supervisor::new().with_retry(fsa_exec::RetryPolicy {
+            max_retries: 0,
+            ..fsa_exec::RetryPolicy::default()
+        });
+        let union = union_windows(&instances, 4, &supervisor, &exploding).unwrap();
+        assert_eq!(union.elicited, 0);
+        assert!(!union.is_complete());
+        let chunks: Vec<usize> = union.failures.iter().map(|f| f.chunk).collect();
+        assert_eq!(chunks, (0..instances.len()).collect::<Vec<_>>());
+        assert!(union.failures.iter().all(|f| f.stage == "explore:union"));
     }
 
     #[test]
@@ -2779,20 +2453,30 @@ mod tests {
     fn observed_exploration_matches_unobserved_and_stats_are_a_snapshot_view() {
         let models = sensor_and_display();
         let rules = rules();
-        let plain = enumerate_instances_with_stats(&models, &rules, &ExploreOptions::default())
-            .expect("legacy engine");
+        let plain = explore(&models, &rules, &ExploreOptions::default()).expect("plain run");
 
-        // Legacy engine, observed.
-        let obs = Obs::enabled();
-        let observed = enumerate_instances_with_stats(
-            &models,
-            &rules,
-            &ExploreOptions {
-                obs: obs.clone(),
-                ..Default::default()
-            },
-        )
-        .expect("observed legacy engine");
+        // The engine's series go to `ExploreOptions::obs`, the
+        // supervisor's to its own handle; checkpoint timing included.
+        let path = std::env::temp_dir().join(format!(
+            "fsa_explore_obs_{}_{:?}.ckpt",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let (obs, sup_obs) = (Obs::enabled(), Obs::enabled());
+        let exec = ExecOptions {
+            supervisor: Supervisor::new().with_obs(sup_obs.clone()),
+            checkpoint: Some(CheckpointSpec {
+                path: path.clone(),
+                every: 1,
+            }),
+            ..Default::default()
+        };
+        let options = ExploreOptions {
+            obs: obs.clone(),
+            ..Default::default()
+        };
+        let observed =
+            enumerate_instances_supervised(&models, &rules, &options, &exec).expect("observed run");
         assert_eq!(observed.instances.len(), plain.instances.len());
         for (a, b) in plain.instances.iter().zip(&observed.instances) {
             assert_eq!(a.name(), b.name());
@@ -2805,42 +2489,29 @@ mod tests {
         assert!(snap.span_count("explore.scan") >= 1);
         assert!(snap.span_count("explore.build") >= 1);
         assert!(snap.span_count("explore.dedup") >= 1);
-
-        // Supervised engine, observed, with checkpoint timing.
-        let path = std::env::temp_dir().join(format!(
-            "fsa_explore_obs_{}_{:?}.ckpt",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let obs = Obs::enabled();
-        let exec = ExecOptions {
-            supervisor: Supervisor::new().with_obs(obs.clone()),
-            checkpoint: Some(CheckpointSpec {
-                path: path.clone(),
-                every: 1,
-            }),
-            ..Default::default()
-        };
-        let sup =
-            enumerate_instances_supervised(&models, &rules, &ExploreOptions::default(), &exec)
-                .expect("supervised engine");
-        assert_eq!(sup.instances.len(), plain.instances.len());
-        let snap = obs.snapshot();
-        let view = ExploreStats::from_snapshot(&snap).unwrap();
-        assert_eq!(format!("{}", view), format!("{}", sup.stats));
         assert!(snap.span_count("checkpoint.write") >= 1);
         assert_eq!(
             snap.counter("explore.checkpoints_written"),
-            Some(sup.stats.checkpoints_written as u64)
+            Some(observed.stats.checkpoints_written as u64)
         );
         assert_eq!(
             snap.histogram("checkpoint.write").map(|h| h.count),
-            Some(sup.stats.checkpoints_written as u64)
+            Some(observed.stats.checkpoints_written as u64)
         );
+        assert!(snap
+            .counters
+            .iter()
+            .all(|c| !c.name.starts_with("supervisor.")));
+        let sup_snap = sup_obs.snapshot();
         assert_eq!(
-            snap.counter("supervisor.chunks"),
-            Some(sup.stats.candidates_built as u64)
+            sup_snap.counter("supervisor.chunks"),
+            Some(observed.stats.candidates_built as u64)
         );
+        assert!(sup_snap
+            .counters
+            .iter()
+            .all(|c| c.name.starts_with("supervisor.")));
+        assert!(sup_snap.spans.is_empty());
         std::fs::remove_file(&path).ok();
     }
 
@@ -2973,12 +2644,7 @@ mod tests {
 
     #[test]
     fn stats_render_mentions_key_counters() {
-        let e = enumerate_instances_with_stats(
-            &sensor_and_display(),
-            &rules(),
-            &ExploreOptions::default(),
-        )
-        .unwrap();
+        let e = explore(&sensor_and_display(), &rules(), &ExploreOptions::default()).unwrap();
         let rendered = e.stats.to_string();
         for needle in ["candidates", "classes", "orbit-skipped", "certificate hits"] {
             assert!(rendered.contains(needle), "missing {needle}: {rendered}");
@@ -3011,20 +2677,8 @@ mod tests {
     }
 
     #[test]
-    fn shard_rejected_by_legacy_engine_and_bad_ranges() {
+    fn bad_shard_ranges_are_rejected() {
         let models = sensor_and_display();
-        let shard = Some(ShardRange::new(0, 1));
-        let err = enumerate_instances_with_stats(
-            &models,
-            &rules(),
-            &ExploreOptions {
-                shard,
-                ..Default::default()
-            },
-        )
-        .unwrap_err();
-        assert!(matches!(err, FsaError::InvalidShard { .. }), "{err}");
-
         let exec = ExecOptions::default();
         // start beyond end.
         let err = enumerate_instances_supervised(

@@ -12,8 +12,7 @@
 //!
 //! Completed chunk results are merged in ascending chunk order, so the
 //! output of a supervised stage is bit-identical for every worker
-//! thread count — and bit-identical to the unsupervised engines
-//! whenever no chunk was dropped.
+//! thread count.
 
 use crate::cancel::CancelToken;
 #[cfg(feature = "chaos")]
@@ -113,8 +112,7 @@ pub struct Outcome<T> {
 
 impl<T> Outcome<T> {
     /// `true` when every chunk completed (nothing dropped, nothing
-    /// cancelled) — the merged output is then bit-identical to an
-    /// unsupervised run.
+    /// cancelled) — the merged output then covers the whole stage.
     #[must_use]
     pub fn is_complete(&self) -> bool {
         self.results.len() == self.chunks_total

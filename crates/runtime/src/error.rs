@@ -28,12 +28,6 @@ pub enum RuntimeError {
         /// Index of the monitor within its bank.
         monitor: usize,
     },
-    /// A stream slot was never filled by any worker — an internal
-    /// invariant breach of the shard/merge bookkeeping.
-    StreamNotRun {
-        /// Index of the stream that has no result.
-        stream: usize,
-    },
     /// An exported observability counter does not fit this target's
     /// `usize` (32-bit truncation hazard); snapshot views fail closed
     /// instead of wrapping.
@@ -68,9 +62,6 @@ impl fmt::Display for RuntimeError {
                 f,
                 "monitor {monitor} is VIOLATED but has no recorded violation position"
             ),
-            RuntimeError::StreamNotRun { stream } => {
-                write!(f, "stream {stream} was never run by any worker")
-            }
             RuntimeError::CounterOutOfRange { name, value } => write!(
                 f,
                 "observability counter `{name}` value {value} does not fit in usize on this target"
@@ -86,14 +77,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn invariant_breach_variants_render() {
+    fn invariant_breach_variant_renders() {
         let miss = RuntimeError::MissingViolationPosition { monitor: 3 };
         assert_eq!(
             miss.to_string(),
             "monitor 3 is VIOLATED but has no recorded violation position"
         );
-        let not_run = RuntimeError::StreamNotRun { stream: 7 };
-        assert_eq!(not_run.to_string(), "stream 7 was never run by any worker");
-        assert_ne!(miss, not_run);
     }
 }

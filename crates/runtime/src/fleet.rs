@@ -6,12 +6,12 @@
 //! precedence monitors latch `SEEN`, so concatenating honest episodes
 //! never fabricates violations). A stream's simulator keeps its firing
 //! memo across its episodes; it belongs to the stream, not to a worker,
-//! so what the memo holds never depends on the thread count. Streams
-//! are sharded across `std::thread::scope` workers in contiguous
-//! stream-id ranges and the per-stream results are merged in stream
-//! order, so the violation report is **bit-identical for every thread
-//! count** — the same discipline as the dependence grid and the
-//! exploration engine.
+//! so what the memo holds never depends on the thread count. Every
+//! stream is one chunk of a [`Supervisor`]'s `fleet:stream` stage
+//! (panic-isolated, retried, cancellable at stream boundaries), and the
+//! per-stream results are merged in stream order, so the violation
+//! report is **bit-identical for every thread count** — the same
+//! discipline as the dependence grid and the exploration engine.
 //!
 //! Fault injection ([`apa::Fault`]) mutates each stream after assembly
 //! and before checking: dropped antecedents, spoofed consequents before
@@ -50,11 +50,10 @@ pub struct FleetConfig {
     /// Observability handle. [`Obs::disabled`] (the default) records
     /// nothing and costs one branch per probe; an enabled handle gets
     /// the `fleet` root span, per-stream `fleet.simulate`/`fleet.check`
-    /// spans + histograms (the per-shard split), the `fleet.merge`
-    /// span, and the `fleet.*` counters mirrored from [`MonitorStats`].
-    /// Supervised runs record their `supervisor.*` series through the
-    /// [`Supervisor`]'s own handle; point both at the same registry for
-    /// a unified trace.
+    /// spans + histograms, the `fleet.merge` span, and the `fleet.*`
+    /// counters mirrored from [`MonitorStats`]. The [`Supervisor`]'s own
+    /// handle records its `supervisor.*` series; point both at the same
+    /// registry for a unified trace.
     pub obs: Obs,
 }
 
@@ -135,20 +134,21 @@ impl fmt::Display for MonitorVerdict {
 /// Throughput and shard statistics of one fleet run.
 #[derive(Debug, Clone, Default)]
 pub struct MonitorStats {
-    /// Time to compile the bank (filled by [`monitor_apa`]; zero when
-    /// the bank was compiled elsewhere).
+    /// Time to compile the bank (filled by [`monitor_apa_supervised`];
+    /// zero when the bank was compiled elsewhere).
     pub compile: Duration,
-    /// Summed per-worker time spent simulating streams.
+    /// Summed per-stream time spent simulating.
     pub simulate: Duration,
-    /// Summed per-worker time spent in the fused check loop.
+    /// Summed per-stream time spent in the fused check loop.
     pub check: Duration,
-    /// Wall-clock time of the sharded run.
+    /// Wall-clock time of the fleet run.
     pub wall: Duration,
     /// Total events checked across the fleet.
     pub events: u64,
     /// Events checked per wall-clock second.
     pub events_per_sec: f64,
-    /// Events handled per worker shard (shard balance).
+    /// Events checked per completed stream, in stream order (the
+    /// `shard balance` line reports their range).
     pub shard_events: Vec<u64>,
     /// Worker threads used.
     pub threads: usize,
@@ -219,8 +219,8 @@ impl MonitorStats {
 
     /// Mirrors the scalar fields into the registry's counters so a
     /// snapshot self-describes (see [`MonitorStats::from_snapshot`]).
-    /// Shard counters are zero-padded (`fleet.shard.0007.events`) so
-    /// the registry's lexicographic order is the worker order. No-op
+    /// Per-stream counters are zero-padded (`fleet.shard.0007.events`)
+    /// so the registry's lexicographic order is the stream order. No-op
     /// when `obs` is disabled.
     fn mirror_counters(&self, obs: &Obs) {
         if !obs.is_enabled() {
@@ -242,15 +242,13 @@ pub struct FleetReport {
     pub verdicts: Vec<MonitorVerdict>,
     /// Streams the fleet was asked to check.
     pub streams: usize,
-    /// Streams that actually completed. Equal to `streams` for
-    /// unsupervised runs; under [`run_fleet_supervised`] a deadline or
-    /// quarantined stream leaves this smaller, and the verdicts cover
-    /// only the completed streams.
+    /// Streams that actually completed. A deadline or a quarantined
+    /// stream leaves this smaller than `streams`, and the verdicts then
+    /// cover only the completed streams.
     pub streams_completed: usize,
     /// Total events checked (over completed streams).
     pub events: u64,
     /// Streams quarantined by the supervisor (every retry panicked).
-    /// Empty for unsupervised runs.
     pub failures: Vec<ChunkFailure>,
     /// `true` if the run stopped early at a stream boundary because the
     /// supervisor's deadline / cancel token tripped.
@@ -271,8 +269,7 @@ impl FleetReport {
     }
 
     /// Returns `true` when every requested stream completed — the
-    /// verdicts then cover the whole fleet, and (for supervised runs)
-    /// are bit-identical to an unsupervised run.
+    /// verdicts then cover the whole fleet.
     pub fn is_complete(&self) -> bool {
         self.streams_completed == self.streams && !self.cancelled && self.failures.is_empty()
     }
@@ -318,14 +315,8 @@ struct StreamResult {
     events: u64,
     /// One [`Violation`] per violated monitor.
     violations: Vec<Violation>,
-}
-
-/// Worker-local timing accumulator.
-#[derive(Default, Clone)]
-struct WorkerLog {
     simulate: Duration,
     check: Duration,
-    events: u64,
 }
 
 /// The simulator seed of episode `episode` of stream `stream` in a fleet
@@ -346,10 +337,9 @@ pub fn episode_seed(seed: u64, stream: u64, episode: u64) -> u64 {
 /// Runs one stream: simulate episodes, inject the fault, check.
 ///
 /// `root` is the id of the fleet's root span, so per-stream spans on
-/// worker threads parent correctly across threads. The [`WorkerLog`]
-/// is filled from the *same* measurements the spans record, which is
-/// what keeps [`MonitorStats`] identical whether or not observability
-/// is enabled.
+/// worker threads parent correctly across threads. The result's timings
+/// are the *same* measurements the spans record, which is what keeps
+/// [`MonitorStats`] identical whether or not observability is enabled.
 fn run_stream(
     apa: &Apa,
     bank: &MonitorBank,
@@ -357,7 +347,6 @@ fn run_stream(
     cfg: &FleetConfig,
     stream: usize,
     root: Option<u64>,
-    log: &mut WorkerLog,
 ) -> Result<StreamResult, RuntimeError> {
     // --- Simulate: assemble the event stream episode by episode. -----
     let span = cfg.obs.span_under("fleet.simulate", root);
@@ -371,23 +360,22 @@ fn run_stream(
             || target.unwrap_or_else(|| bank.other_symbol()),
         );
     }
-    let simulated = span.finish();
-    log.simulate += simulated;
-    cfg.obs.record_duration("fleet.simulate", simulated);
+    let simulate = span.finish();
+    cfg.obs.record_duration("fleet.simulate", simulate);
 
     // --- Check: one fused sweep per event. ---------------------------
     let span = cfg.obs.span_under("fleet.check", root);
     let mut run = bank.start();
     bank.feed(&mut run, &events);
-    let checked = span.finish();
-    log.check += checked;
-    cfg.obs.record_duration("fleet.check", checked);
-    log.events += run.events;
+    let check = span.finish();
+    cfg.obs.record_duration("fleet.check", check);
 
     let violations = extract_violations(bank, &run, &events, cfg.prefix_limit)?;
     Ok(StreamResult {
         events: run.events,
         violations,
+        simulate,
+        check,
     })
 }
 
@@ -455,117 +443,22 @@ fn extract_violations(
     Ok(violations)
 }
 
-/// Checks a simulator fleet against a compiled bank.
-///
-/// Streams are sharded over `cfg.threads` scoped workers in contiguous
-/// ranges; the merge walks streams in index order, so the verdict
-/// vector (violation counts **and** first counterexamples) does not
-/// depend on the thread count.
+/// [`run_fleet_supervised`] under the default [`Supervisor`].
 ///
 /// # Errors
 ///
-/// * [`RuntimeError::NoStreams`] if `cfg.streams == 0`.
-/// * [`RuntimeError::Simulation`] if an underlying APA step fails.
+/// See [`run_fleet_supervised`].
 pub fn run_fleet(
     apa: &Apa,
     bank: &MonitorBank,
     cfg: &FleetConfig,
 ) -> Result<FleetReport, RuntimeError> {
-    if cfg.streams == 0 {
-        return Err(RuntimeError::NoStreams);
-    }
-    let run = cfg.obs.span("fleet");
-    let root = Some(run.id()).filter(|&id| id != 0);
-    // Automaton index → bank event symbol, computed once.
-    let apa_to_bank: Vec<u32> = apa
-        .automaton_names()
-        .map(|n| bank.event_symbol(n))
-        .collect();
-
-    let threads = cfg.threads.clamp(1, cfg.streams);
-    let chunk = cfg.streams.div_ceil(threads);
-    let mut results: Vec<Option<Result<StreamResult, RuntimeError>>> = Vec::new();
-    results.resize_with(cfg.streams, || None);
-    let mut logs = vec![WorkerLog::default(); results.chunks(chunk).count()];
-
-    if threads <= 1 {
-        let log = &mut logs[0];
-        for (i, slot) in results.iter_mut().enumerate() {
-            *slot = Some(run_stream(apa, bank, &apa_to_bank, cfg, i, root, log));
-        }
-    } else {
-        std::thread::scope(|scope| {
-            for (w, (chunk_slots, log)) in
-                results.chunks_mut(chunk).zip(logs.iter_mut()).enumerate()
-            {
-                let apa_to_bank = &apa_to_bank;
-                scope.spawn(move || {
-                    for (k, slot) in chunk_slots.iter_mut().enumerate() {
-                        let i = w * chunk + k;
-                        *slot = Some(run_stream(apa, bank, apa_to_bank, cfg, i, root, log));
-                    }
-                });
-            }
-        });
-    }
-
-    // Deterministic merge in stream order.
-    let merge = cfg.obs.span("fleet.merge");
-    let mut counts = vec![0usize; bank.len()];
-    let mut firsts: Vec<Option<Counterexample>> = vec![None; bank.len()];
-    let mut total_events = 0u64;
-    for (i, slot) in results.into_iter().enumerate() {
-        let sr = slot.ok_or(RuntimeError::StreamNotRun { stream: i })??;
-        total_events += sr.events;
-        for (m, idx, prefix, truncated) in sr.violations {
-            counts[m] += 1;
-            if firsts[m].is_none() {
-                firsts[m] = Some(Counterexample {
-                    stream: i,
-                    event_index: idx,
-                    prefix,
-                    truncated,
-                });
-            }
-        }
-    }
-    let verdicts = bank
-        .monitors()
-        .iter()
-        .zip(counts)
-        .zip(firsts)
-        .map(|((meta, violating_streams), first)| MonitorVerdict {
-            requirement: meta.requirement.to_string(),
-            violating_streams,
-            first,
-        })
-        .collect();
-    drop(merge);
-    let wall = run.finish();
-    let stats = MonitorStats {
-        compile: Duration::ZERO,
-        simulate: logs.iter().map(|l| l.simulate).sum(),
-        check: logs.iter().map(|l| l.check).sum(),
-        wall,
-        events: total_events,
-        events_per_sec: total_events as f64 / wall.as_secs_f64().max(f64::EPSILON),
-        shard_events: logs.iter().map(|l| l.events).collect(),
-        threads,
-    };
-    stats.mirror_counters(&cfg.obs);
-    Ok(FleetReport {
-        verdicts,
-        streams: cfg.streams,
-        streams_completed: cfg.streams,
-        events: total_events,
-        failures: Vec::new(),
-        cancelled: false,
-        stats,
-    })
+    run_fleet_supervised(apa, bank, cfg, &Supervisor::new())
 }
 
-/// Like [`run_fleet`], executed under a [`Supervisor`]: each stream is
-/// one panic-isolated, retried chunk of the `fleet:stream` stage.
+/// Checks a simulator fleet against a compiled bank under a
+/// [`Supervisor`]: each stream is one panic-isolated, retried chunk of
+/// the `fleet:stream` stage, run on `cfg.threads` workers.
 ///
 /// * A stream that panics on every retry is quarantined as a
 ///   [`ChunkFailure`] in [`FleetReport::failures`] — the fleet carries
@@ -574,9 +467,9 @@ pub fn run_fleet(
 ///   trips, the run stops at the next stream boundary and reports the
 ///   completed prefix, with [`FleetReport::streams_completed`] < the
 ///   requested count and `cancelled = true`.
-/// * When nothing was dropped, the report renders **bit-identically**
-///   to [`run_fleet`] for every thread count: verdicts are merged in
-///   ascending stream order regardless of which worker ran what.
+/// * The merge walks the completed streams in index order, so the
+///   verdict vector (violation counts **and** first counterexamples)
+///   does not depend on the thread count.
 ///
 /// # Errors
 ///
@@ -600,28 +493,25 @@ pub fn run_fleet_supervised(
         .collect();
 
     let threads = cfg.threads.clamp(1, cfg.streams);
-    let outcome = supervisor.run_chunks::<(StreamResult, WorkerLog), RuntimeError, _>(
-        "fleet:stream",
-        threads,
-        cfg.streams,
-        |i| {
-            let mut log = WorkerLog::default();
-            let sr = run_stream(apa, bank, &apa_to_bank, cfg, i, root, &mut log)?;
-            Ok((sr, log))
-        },
-    )?;
+    let outcome = supervisor.run_chunks("fleet:stream", threads, cfg.streams, |i| {
+        run_stream(apa, bank, &apa_to_bank, cfg, i, root)
+    })?;
 
     // Deterministic merge in stream order over the completed streams
     // (outcome.results is sorted ascending by chunk = stream index).
     let merge = cfg.obs.span("fleet.merge");
     let mut counts = vec![0usize; bank.len()];
     let mut firsts: Vec<Option<Counterexample>> = vec![None; bank.len()];
-    let mut total_events = 0u64;
-    let mut logs = Vec::with_capacity(outcome.results.len());
+    let mut stats = MonitorStats {
+        threads,
+        ..MonitorStats::default()
+    };
     let streams_completed = outcome.results.len();
-    for (i, (sr, log)) in outcome.results {
-        total_events += sr.events;
-        logs.push(log);
+    for (i, sr) in outcome.results {
+        stats.simulate += sr.simulate;
+        stats.check += sr.check;
+        stats.events += sr.events;
+        stats.shard_events.push(sr.events);
         for (m, idx, prefix, truncated) in sr.violations {
             counts[m] += 1;
             if firsts[m].is_none() {
@@ -646,50 +536,36 @@ pub fn run_fleet_supervised(
         })
         .collect();
     drop(merge);
-    let wall = run.finish();
-    let stats = MonitorStats {
-        compile: Duration::ZERO,
-        simulate: logs.iter().map(|l| l.simulate).sum(),
-        check: logs.iter().map(|l| l.check).sum(),
-        wall,
-        events: total_events,
-        events_per_sec: total_events as f64 / wall.as_secs_f64().max(f64::EPSILON),
-        shard_events: logs.iter().map(|l| l.events).collect(),
-        threads,
-    };
+    stats.wall = run.finish();
+    stats.events_per_sec = stats.events as f64 / stats.wall.as_secs_f64().max(f64::EPSILON);
     stats.mirror_counters(&cfg.obs);
     Ok(FleetReport {
         verdicts,
         streams: cfg.streams,
         streams_completed,
-        events: total_events,
+        events: stats.events,
         failures: outcome.failures,
         cancelled: outcome.cancelled,
         stats,
     })
 }
 
-/// One-call pipeline: compile the bank for `apa` from `set`, run the
-/// fleet, and account the compile time in the report's stats.
+/// [`monitor_apa_supervised`] under the default [`Supervisor`].
 ///
 /// # Errors
 ///
-/// Propagates [`MonitorBank::compile`] and [`run_fleet`] errors.
+/// See [`monitor_apa_supervised`].
 pub fn monitor_apa(
     apa: &Apa,
     set: &fsa_core::requirements::RequirementSet,
     cfg: &FleetConfig,
 ) -> Result<(MonitorBank, FleetReport), RuntimeError> {
-    let span = cfg.obs.span("fleet.compile");
-    let bank = MonitorBank::for_apa(set, apa)?;
-    let compile = span.finish();
-    let mut report = run_fleet(apa, &bank, cfg)?;
-    report.stats.compile = compile;
-    Ok((bank, report))
+    monitor_apa_supervised(apa, set, cfg, &Supervisor::new())
 }
 
-/// Like [`monitor_apa`], but driving the fleet under a [`Supervisor`]
-/// (see [`run_fleet_supervised`]).
+/// One-call pipeline: compile the bank for `apa` from `set`, run the
+/// fleet under `supervisor` (see [`run_fleet_supervised`]), and account
+/// the compile time in the report's stats.
 ///
 /// # Errors
 ///
@@ -921,38 +797,6 @@ mod tests {
         let (m, idx, ref prefix, truncated) = vs[0];
         assert_eq!((m, idx, truncated), (0, 1, false));
         assert_eq!(prefix, &vec!["second".to_owned(); 2]);
-    }
-
-    #[test]
-    fn supervised_fleet_matches_legacy_bit_identically() {
-        let apa = pipeline_apa();
-        let set = reqs(&[("first", "second")]);
-        for fault in [
-            None,
-            Some(Fault::Drop {
-                action: "first".into(),
-            }),
-        ] {
-            for threads in [1usize, 4] {
-                let cfg = FleetConfig {
-                    streams: 13,
-                    events_per_stream: 200,
-                    threads,
-                    fault: fault.clone(),
-                    ..FleetConfig::default()
-                };
-                let (_, legacy) = monitor_apa(&apa, &set, &cfg).unwrap();
-                let (_, sup) =
-                    monitor_apa_supervised(&apa, &set, &cfg, &Supervisor::new()).unwrap();
-                assert!(sup.is_complete());
-                assert_eq!(
-                    legacy.render(),
-                    sup.render(),
-                    "fault {fault:?} threads {threads}"
-                );
-                assert_eq!(sup.streams_completed, 13);
-            }
-        }
     }
 
     #[test]

@@ -14,9 +14,11 @@
 //! 2. **Stream** ([`fleet`]): seeded [`apa::Simulator`] fleets produce
 //!    event streams (optionally mutated by deterministic
 //!    [`apa::Fault`] injection — drop, spoof-before-sense, reorder
-//!    windows), sharded across scoped threads with a deterministic
+//!    windows), one [`fsa_exec::Supervisor`] chunk per stream
+//!    (panic-isolated, retried, cancellable) with a deterministic
 //!    stream-order merge: violation reports are bit-identical for any
-//!    thread count.
+//!    thread count. [`monitor_apa`] runs the default supervision
+//!    policy; [`monitor_apa_supervised`] takes an explicit one.
 //! 3. **Report**: per-requirement violation counts, the first
 //!    counterexample prefix per violation, and
 //!    [`fleet::MonitorStats`] (events/sec, per-stage timings, shard
@@ -28,7 +30,8 @@
 //! use apa::{ApaBuilder, Value, rule, Fault};
 //! use fsa_core::requirements::AuthRequirement;
 //! use fsa_core::{Action, Agent};
-//! use fsa_runtime::{FleetConfig, monitor_apa};
+//! use fsa_exec::{CancelToken, Supervisor};
+//! use fsa_runtime::{FleetConfig, monitor_apa, monitor_apa_supervised};
 //!
 //! // A two-stage pipeline: `second` cannot honestly precede `first`.
 //! let mut b = ApaBuilder::new();
@@ -51,13 +54,17 @@
 //! let (_, report) = monitor_apa(&apa, &set, &FleetConfig::default()).unwrap();
 //! assert!(report.is_clean());
 //!
-//! // Drop the authentic cause: every stream trips the monitor.
+//! // Drop the authentic cause: every stream trips the monitor. A
+//! // supervisor with a deadline only changes the policy, not the report.
 //! let cfg = FleetConfig {
 //!     fault: Some(Fault::Drop { action: "first".into() }),
 //!     ..FleetConfig::default()
 //! };
-//! let (_, attacked) = monitor_apa(&apa, &set, &cfg).unwrap();
+//! let deadline = CancelToken::with_deadline(std::time::Duration::from_secs(600));
+//! let supervisor = Supervisor::new().with_cancel(deadline);
+//! let (_, attacked) = monitor_apa_supervised(&apa, &set, &cfg, &supervisor).unwrap();
 //! assert_eq!(attacked.violated(), 1);
+//! assert!(attacked.is_complete());
 //! ```
 
 #![forbid(unsafe_code)]

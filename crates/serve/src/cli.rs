@@ -65,8 +65,8 @@ scenario (§4.2) and union their elicited requirements (§4.4).
                     run's census back; the instance output is
                     bit-identical to a cacheless run (not combinable
                     with --checkpoint/--resume/--distributed)
-Supervised execution (any of these selects the supervised engine; the
-output stays bit-identical to the plain engine when nothing is cut):
+Supervised execution (every run is supervised; these flags set its
+policy, and the output is unchanged when nothing is cut):
   --deadline-ms N        stop at the next batch boundary after N ms and
                          report the completed prefix (exit code 3)
   --retries N            retries per panicked worker chunk (default 2)
@@ -119,8 +119,7 @@ and check a sharded simulator fleet against it (exit 1 on violations).
   --stats          print events/sec, per-stage timings, shard balance
   --deadline-ms N  stop at the next stream boundary after N ms; a clean
                    partial report exits 3, violations still exit 1
-  --retries N      retries per panicked stream (default 2; selects the
-                   supervised fleet driver)
+  --retries N      retries per panicked stream (default 2)
   --stats-json F   write span/counter/histogram statistics (fsa-obs/v1) to F
   --trace-json F   write a chrome://tracing view of the run to F";
 
@@ -957,9 +956,8 @@ pub fn register_distributed_engine(engine: DistributedEngine) {
     let _ = DISTRIBUTED.set(engine);
 }
 
-/// Renders a completed exploration exactly as the single-process
-/// `fsa explore` does: universe header, instance lines, the threaded
-/// requirement union, and (optionally) the stats block. The distributed
+/// Renders an exploration exactly as `fsa explore` does, unioning the
+/// requirements under the default supervision policy. The distributed
 /// coordinator funnels its merged result through this same function, so
 /// distributed output is byte-identical to single-process output by
 /// construction.
@@ -971,43 +969,32 @@ pub fn render_exploration(
     stats: bool,
     threads: usize,
 ) -> Rendered {
-    use fsa_core::explore::union_requirements_loop_free_threaded;
-    let mut r = Rendered::success();
-    write_universe_header(&mut r, exploration, max_vehicles, all);
-    match union_requirements_loop_free_threaded(&exploration.instances, threads) {
-        Ok((union, skipped)) => {
-            let _ = writeln!(
-                r.stdout,
-                "union over the universe: {} requirement(s) ({skipped} cyclic composition(s) \
-                 skipped)",
-                union.len()
-            );
-            for req in union.iter() {
-                let _ = writeln!(r.stdout, "  {req}");
-            }
-        }
-        Err(e) => return Rendered::failure(&format!("union elicitation failed: {e}")),
-    }
-    if stats {
-        let _ = write!(r.stdout, "{}", exploration.stats);
-    }
-    r
+    let supervisor = fsa_exec::Supervisor::new();
+    render_supervised(exploration, max_vehicles, all, stats, threads, &supervisor)
 }
 
-/// The shared `universe with ...` header plus one line per instance.
-fn write_universe_header(
-    r: &mut Rendered,
+/// The one `fsa explore` report: universe header, instance lines, the
+/// requirement union elicited under `supervisor` on `threads` workers,
+/// and (optionally) the stats block. A run that was cancelled or lost
+/// chunks says so and exits [`EXIT_PARTIAL`]; a budget truncation is
+/// reported by the header alone.
+fn render_supervised(
     exploration: &fsa_core::explore::Exploration,
     max_vehicles: usize,
     all: bool,
-) {
+    stats: bool,
+    threads: usize,
+    supervisor: &fsa_exec::Supervisor,
+) -> Rendered {
+    let mut r = Rendered::success();
+    let s = &exploration.stats;
     let _ = writeln!(
         r.stdout,
         "universe with 1 RSU and up to {max_vehicles} vehicle(s): {} structurally \
          different {}instance(s){}",
         exploration.instances.len(),
         if all { "" } else { "connected " },
-        if exploration.stats.truncated {
+        if s.truncated {
             " (truncated at budget)"
         } else {
             ""
@@ -1022,16 +1009,62 @@ fn write_universe_header(
             inst.graph().edge_count()
         );
     }
+    let mut partial = false;
+    if s.cancelled {
+        let _ = writeln!(
+            r.stdout,
+            "partial universe: vector coverage {}/{} (deadline or quarantined chunks)",
+            s.vectors_completed, s.vectors_total
+        );
+        partial = true;
+    }
+    if s.failures > 0 {
+        let _ = writeln!(
+            r.stdout,
+            "quarantined worker chunks: {} (after {} retried panic(s))",
+            s.failures, s.retries
+        );
+        partial = true;
+    }
+    match fsa_core::explore::union_requirements(&exploration.instances, threads, supervisor) {
+        Ok(union) => {
+            let _ = writeln!(
+                r.stdout,
+                "union over the universe: {} requirement(s) ({} cyclic composition(s) \
+                 skipped)",
+                union.requirements.len(),
+                union.loop_skipped
+            );
+            for req in union.requirements.iter() {
+                let _ = writeln!(r.stdout, "  {req}");
+            }
+            if !union.is_complete() {
+                let _ = writeln!(
+                    r.stdout,
+                    "partial union: elicited {}/{} instance(s){}",
+                    union.elicited,
+                    union.total,
+                    if union.cancelled { " (cancelled)" } else { "" }
+                );
+                partial = true;
+            }
+        }
+        Err(e) => return Rendered::failure(&format!("union elicitation failed: {e}")),
+    }
+    if stats {
+        let _ = write!(r.stdout, "{s}");
+    }
+    if partial {
+        r.exit = EXIT_PARTIAL;
+    }
+    r
 }
 
 /// `fsa explore` — enumerate the vehicular instance space (§4.2) and
 /// union the elicited requirements (§4.4) with the streaming
 /// certificate engine.
 pub fn run_explore(rest: &[String], ctx: &ServiceCtx) -> Rendered {
-    use fsa_core::explore::{
-        union_requirements_loop_free_supervised, BudgetPolicy, CheckpointSpec, ExecOptions,
-        ExploreOptions,
-    };
+    use fsa_core::explore::{BudgetPolicy, CheckpointSpec, ExecOptions, ExploreOptions};
 
     if wants_help(rest) {
         return help(EXPLORE_USAGE);
@@ -1143,7 +1176,8 @@ pub fn run_explore(rest: &[String], ctx: &ServiceCtx) -> Rendered {
         );
     }
     let obs = outputs.obs(ctx);
-    if distributed {
+    let supervisor = build_supervisor(deadline_ms, retries, ctx).with_obs(obs.clone());
+    let exploration = if distributed {
         if truncate
             || deadline_ms.is_some()
             || retries.is_some()
@@ -1173,109 +1207,40 @@ pub fn run_explore(rest: &[String], ctx: &ServiceCtx) -> Rendered {
             require_connected: !all,
             obs: obs.clone(),
         };
-        let exploration = match engine(&request) {
+        match engine(&request) {
             Ok(e) => e,
             Err(e) => return Rendered::failure(&format!("distributed exploration failed: {e}")),
+        }
+    } else {
+        let options = ExploreOptions {
+            require_connected: !all,
+            max_candidates: budget.unwrap_or(ExploreOptions::default().max_candidates),
+            on_budget: if truncate {
+                BudgetPolicy::Truncate
+            } else {
+                BudgetPolicy::Error
+            },
+            threads,
+            obs: obs.clone(),
+            cert_cache: cert_cache.map(Into::into),
+            ..ExploreOptions::default()
         };
-        let mut r = render_exploration(&exploration, max_vehicles, all, stats, threads);
-        outputs.collect(&obs, &mut r);
-        return r;
-    }
-    let options = ExploreOptions {
-        require_connected: !all,
-        max_candidates: budget.unwrap_or(ExploreOptions::default().max_candidates),
-        on_budget: if truncate {
-            BudgetPolicy::Truncate
-        } else {
-            BudgetPolicy::Error
-        },
-        threads,
-        obs: obs.clone(),
-        cert_cache: cert_cache.map(Into::into),
-        ..ExploreOptions::default()
-    };
-    let supervised = deadline_ms.is_some()
-        || retries.is_some()
-        || checkpoint.is_some()
-        || resume.is_some()
-        || ctx.cancel.is_some();
-    let supervisor = build_supervisor(deadline_ms, retries, ctx).with_obs(obs.clone());
-    if !supervised {
-        let exploration = match vanet::exploration::explore_scenario(max_vehicles, &options) {
-            Ok(e) => e,
-            Err(e) => return Rendered::failure(&format!("exploration failed: {e}")),
+        let exec = ExecOptions {
+            supervisor: supervisor.clone(),
+            checkpoint: checkpoint.map(|p| CheckpointSpec {
+                path: p.into(),
+                every: checkpoint_every,
+            }),
+            resume: resume.map(Into::into),
+            ..ExecOptions::default()
         };
-        let mut r = render_exploration(&exploration, max_vehicles, all, stats, threads);
-        outputs.collect(&obs, &mut r);
-        return r;
-    }
-    let exec = ExecOptions {
-        supervisor: supervisor.clone(),
-        checkpoint: checkpoint.map(|p| CheckpointSpec {
-            path: p.into(),
-            every: checkpoint_every,
-        }),
-        resume: resume.map(Into::into),
-        ..ExecOptions::default()
-    };
-    let exploration =
         match vanet::exploration::explore_scenario_supervised(max_vehicles, &options, &exec) {
             Ok(e) => e,
             Err(e) => return Rendered::failure(&format!("exploration failed: {e}")),
-        };
-    let mut r = Rendered::success();
-    write_universe_header(&mut r, &exploration, max_vehicles, all);
-    let mut partial = exploration.stats.cancelled;
-    if exploration.stats.vectors_total > 0 {
-        if exploration.stats.vectors_completed < exploration.stats.vectors_total {
-            let _ = writeln!(
-                r.stdout,
-                "partial universe: vector coverage {}/{} (deadline or quarantined chunks)",
-                exploration.stats.vectors_completed, exploration.stats.vectors_total
-            );
-            partial = true;
         }
-        if exploration.stats.failures > 0 {
-            let _ = writeln!(
-                r.stdout,
-                "quarantined worker chunks: {} (after {} retried panic(s))",
-                exploration.stats.failures, exploration.stats.retries
-            );
-            partial = true;
-        }
-    }
-    match union_requirements_loop_free_supervised(&exploration.instances, threads, &supervisor) {
-        Ok(union) => {
-            let _ = writeln!(
-                r.stdout,
-                "union over the universe: {} requirement(s) ({} cyclic composition(s) \
-                 skipped)",
-                union.requirements.len(),
-                union.loop_skipped
-            );
-            for req in union.requirements.iter() {
-                let _ = writeln!(r.stdout, "  {req}");
-            }
-            if !union.is_complete() {
-                let _ = writeln!(
-                    r.stdout,
-                    "partial union: elicited {}/{} instance(s){}",
-                    union.elicited,
-                    union.total,
-                    if union.cancelled { " (cancelled)" } else { "" }
-                );
-                partial = true;
-            }
-        }
-        Err(e) => return Rendered::failure(&format!("union elicitation failed: {e}")),
-    }
-    if stats {
-        let _ = write!(r.stdout, "{}", exploration.stats);
-    }
+    };
+    let mut r = render_supervised(&exploration, max_vehicles, all, stats, threads, &supervisor);
     outputs.collect(&obs, &mut r);
-    if partial {
-        r.exit = EXIT_PARTIAL;
-    }
     r
 }
 
@@ -1544,14 +1509,8 @@ pub fn run_monitor(
         obs: obs.clone(),
         ..fsa_runtime::FleetConfig::default()
     };
-    let supervised = deadline_ms.is_some() || retries.is_some() || ctx.cancel.is_some();
-    let run = if supervised {
-        let supervisor = build_supervisor(deadline_ms, retries, ctx).with_obs(obs.clone());
-        fsa_runtime::monitor_apa_supervised(apa_ref, requirements, &cfg, &supervisor)
-    } else {
-        fsa_runtime::monitor_apa(apa_ref, requirements, &cfg)
-    };
-    match run {
+    let supervisor = build_supervisor(deadline_ms, retries, ctx).with_obs(obs.clone());
+    match fsa_runtime::monitor_apa_supervised(apa_ref, requirements, &cfg, &supervisor) {
         Ok((bank, report)) => {
             let _ = writeln!(
                 r.stdout,

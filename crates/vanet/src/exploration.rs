@@ -11,8 +11,8 @@
 
 use crate::component_models::{rsu_model, vehicle_model_reduced};
 use fsa_core::explore::{
-    enumerate_instances, enumerate_instances_supervised, enumerate_instances_with_stats,
-    ConnectionRule, ExecOptions, Exploration, ExploreOptions,
+    enumerate_instances, enumerate_instances_supervised, ConnectionRule, ExecOptions, Exploration,
+    ExploreOptions,
 };
 use fsa_core::{FsaError, SosInstance};
 
@@ -51,9 +51,8 @@ pub fn enumerate_scenario_instances(
     enumerate_instances(&models, &rules, options)
 }
 
-/// Like [`enumerate_scenario_instances`], but also returns the
-/// [`fsa_core::explore::ExploreStats`] of the run (candidates, orbit
-/// skips, certificate hits, per-stage timings).
+/// [`explore_scenario_supervised`] under the default
+/// [`fsa_core::explore::ExecOptions`].
 ///
 /// # Errors
 ///
@@ -62,13 +61,14 @@ pub fn explore_scenario(
     max_vehicles: usize,
     options: &ExploreOptions,
 ) -> Result<Exploration, FsaError> {
-    let (models, rules) = scenario_universe(max_vehicles);
-    enumerate_instances_with_stats(&models, &rules, options)
+    explore_scenario_supervised(max_vehicles, options, &ExecOptions::default())
 }
 
-/// Like [`explore_scenario`], executed under the supervised layer:
-/// panic-isolated retried candidate builds, deadlines with coverage
-/// accounting, and checkpoint/resume (see
+/// Like [`enumerate_scenario_instances`], but returns the whole
+/// [`Exploration`] with its [`fsa_core::explore::ExploreStats`]
+/// (candidates, orbit skips, certificate hits, per-stage timings). Runs
+/// under `exec`: panic-isolated retried candidate builds, deadlines with
+/// coverage accounting, and checkpoint/resume (see
 /// [`fsa_core::explore::ExecOptions`]).
 ///
 /// # Errors
@@ -87,7 +87,7 @@ pub fn explore_scenario_supervised(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fsa_core::explore::union_requirements_loop_free;
+    use fsa_core::explore::union_requirements;
     use fsa_graph::iso::are_isomorphic;
 
     #[test]
@@ -102,7 +102,9 @@ mod tests {
         // vehicle's sensing. (Full-model instances carry extra unused
         // actions, so we check requirement-level coverage, plus exact
         // shape matches for the pruned figures if present.)
-        let (union, _skipped) = union_requirements_loop_free(&instances).unwrap();
+        let union = union_requirements(&instances, 1, &ExecOptions::default().supervisor)
+            .unwrap()
+            .requirements;
         for fig in [&fig2, &fig3] {
             let wanted = fsa_core::manual::elicit(fig).unwrap().requirement_set();
             for req in &wanted {
@@ -126,21 +128,6 @@ mod tests {
                 assert!(!are_isomorphic(&a.shape_graph(), &b.shape_graph()));
             }
         }
-    }
-
-    #[test]
-    fn supervised_scenario_matches_legacy() {
-        let legacy = explore_scenario(2, &ExploreOptions::default()).unwrap();
-        let sup =
-            explore_scenario_supervised(2, &ExploreOptions::default(), &ExecOptions::default())
-                .unwrap();
-        assert_eq!(legacy.instances.len(), sup.instances.len());
-        for (a, b) in legacy.instances.iter().zip(&sup.instances) {
-            assert_eq!(a.name(), b.name());
-            assert_eq!(a.graph(), b.graph());
-        }
-        assert_eq!(legacy.stats.candidates, sup.stats.candidates);
-        assert_eq!(sup.stats.vectors_completed, sup.stats.vectors_total);
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //!
 //! Run with `cargo run --example sos_exploration`.
 
-use fsa::core::explore::{union_requirements_loop_free, ExploreOptions};
+use fsa::core::explore::{union_requirements, ExploreOptions};
 use fsa::core::manual::elicit;
+use fsa::exec::Supervisor;
 use fsa::vanet::exploration::enumerate_scenario_instances;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -28,12 +29,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             };
             println!("  {:24} {summary}", inst.name());
         }
-        let (union, skipped) = union_requirements_loop_free(&instances)?;
+        let union = union_requirements(&instances, 1, &Supervisor::new())?;
         println!(
             "union over the universe: {} requirements ({} cyclic compositions skipped)\n",
-            union.len(),
-            skipped
+            union.requirements.len(),
+            union.loop_skipped
         );
+        let union = union.requirements;
         if max_vehicles == 2 {
             for r in union.iter().take(10) {
                 println!("  {r}");

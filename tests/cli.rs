@@ -99,6 +99,84 @@ fn explore_budget_error_and_truncate() {
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("(truncated at budget)"), "{stdout}");
+    // A budget truncation is not partial coverage, whatever the policy.
+    let retried = fsa(&["explore", "--budget", "5", "--truncate", "--retries", "2"]);
+    assert_eq!(retried.status.code(), Some(0), "{retried:?}");
+    let retried_stdout = String::from_utf8_lossy(&retried.stdout);
+    assert!(
+        !retried_stdout.contains("partial universe"),
+        "{retried_stdout}"
+    );
+    assert_eq!(retried_stdout, stdout);
+}
+
+/// A report with every duration and rate value masked, and runs of
+/// spaces collapsed (masked values no longer pad to the same width).
+fn mask_timings(stdout: &[u8]) -> String {
+    let is_duration = |token: &str| {
+        ["ns", "µs", "ms", "s"].iter().any(|unit| {
+            token
+                .strip_suffix(unit)
+                .is_some_and(|n| !n.is_empty() && n.parse::<f64>().is_ok())
+        })
+    };
+    String::from_utf8_lossy(stdout)
+        .lines()
+        .map(|line| {
+            let rate = line.trim_start().starts_with("events/sec");
+            let tokens: Vec<&str> = line.split_whitespace().collect();
+            let masked: Vec<&str> = tokens
+                .iter()
+                .enumerate()
+                .map(|(i, &t)| {
+                    if is_duration(t) || (rate && i == tokens.len() - 1) {
+                        "<t>"
+                    } else {
+                        t
+                    }
+                })
+                .collect();
+            masked.join(" ") + "\n"
+        })
+        .collect()
+}
+
+/// Supervision flags only set the policy: with timings masked, a run
+/// prints the same report with and without them, `--stats` included.
+#[test]
+fn supervision_flags_keep_one_output_shape() {
+    let pairs: [(&[&str], &[&str]); 2] = [
+        (
+            &["explore", "--max-vehicles", "2", "--stats"],
+            &["--deadline-ms", "600000"],
+        ),
+        (
+            &[
+                "monitor",
+                "--streams",
+                "4",
+                "--events",
+                "400",
+                "--threads",
+                "2",
+                "--stats",
+            ],
+            &["--retries", "2"],
+        ),
+    ];
+    for (base, policy) in pairs {
+        let plain = fsa(base);
+        let with_policy = fsa(&[base, policy].concat());
+        assert_eq!(plain.status.code(), Some(0), "{plain:?}");
+        assert_eq!(with_policy.status.code(), Some(0), "{with_policy:?}");
+        let plain = mask_timings(&plain.stdout);
+        assert!(plain.contains("<t>"), "timings masked: {plain}");
+        assert_eq!(
+            plain,
+            mask_timings(&with_policy.stdout),
+            "{base:?} + {policy:?}"
+        );
+    }
 }
 
 #[test]

@@ -8,7 +8,8 @@
 //! * Exploration is deterministic and *bit-identical* for every thread
 //!   count: parallelism is an implementation detail, never a semantics.
 
-use fsa::core::explore::{union_requirements_loop_free_threaded, ExploreOptions};
+use fsa::core::explore::{union_requirements, ExploreOptions};
+use fsa::exec::Supervisor;
 use fsa::graph::iso::{
     are_isomorphic, canonical_certificate, dedup_isomorphic, dedup_isomorphic_certified,
     dedup_isomorphic_certified_parallel,
@@ -120,8 +121,8 @@ proptest! {
     #[test]
     fn scenario_exploration_is_bit_identical_across_threads(max_vehicles in 1usize..4) {
         let seq = explore_scenario(max_vehicles, &ExploreOptions::default()).expect("sequential");
-        let (seq_union, seq_skipped) =
-            union_requirements_loop_free_threaded(&seq.instances, 1).expect("union");
+        let seq_union =
+            union_requirements(&seq.instances, 1, &Supervisor::new()).expect("union");
         for threads in [2usize, 4, 8] {
             let par = explore_scenario(
                 max_vehicles,
@@ -144,11 +145,14 @@ proptest! {
             }
             // Unions (and the skipped-cycle count) agree for every
             // worker count on both sides.
-            let (par_union, par_skipped) =
-                union_requirements_loop_free_threaded(&par.instances, threads).expect("union");
-            prop_assert_eq!(par_skipped, seq_skipped, "threads {}", threads);
-            let pu: Vec<String> = par_union.iter().map(ToString::to_string).collect();
-            let su: Vec<String> = seq_union.iter().map(ToString::to_string).collect();
+            let par_union =
+                union_requirements(&par.instances, threads, &Supervisor::new()).expect("union");
+            prop_assert!(par_union.is_complete(), "threads {}", threads);
+            prop_assert_eq!(par_union.loop_skipped, seq_union.loop_skipped, "threads {}", threads);
+            let pu: Vec<String> =
+                par_union.requirements.iter().map(ToString::to_string).collect();
+            let su: Vec<String> =
+                seq_union.requirements.iter().map(ToString::to_string).collect();
             prop_assert_eq!(pu, su, "threads {}", threads);
             // Engine counters are deterministic too — the parallel scan
             // partitions the same canonical subset stream.

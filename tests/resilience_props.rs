@@ -5,8 +5,7 @@
 //! (feature `chaos`) injected worker panics.
 
 use fsa::core::explore::{
-    union_requirements_loop_free_supervised, CheckpointSpec, ExecOptions, Exploration,
-    ExploreOptions,
+    union_requirements, CheckpointSpec, ExecOptions, Exploration, ExploreOptions,
 };
 use fsa::exec::{CancelToken, Supervisor};
 use fsa::vanet::exploration::{explore_scenario, explore_scenario_supervised};
@@ -20,16 +19,14 @@ fn fingerprint(e: &Exploration) -> String {
         let _ = writeln!(out, "{} {:?}", i.name(), i.graph());
     }
     let s = &e.stats;
-    // `candidates_built` is a supervised-only counter (legacy runs
-    // leave it zero), so it is deliberately not part of the
-    // bit-identity fingerprint.
     let _ = writeln!(
         out,
-        "v={} s={} o={} c={} d={} cls={}",
+        "v={} s={} o={} c={} b={} d={} cls={}",
         s.multiplicity_vectors,
         s.subsets_total,
         s.orbits_skipped,
         s.candidates,
+        s.candidates_built,
         s.disconnected_skipped,
         s.classes
     );
@@ -111,19 +108,28 @@ fn interrupt_then_resume_across_thread_counts_is_bit_identical() {
 
 #[test]
 fn supervised_union_matches_threaded_union_and_degrades_cleanly() {
-    use fsa::core::explore::union_requirements_loop_free_threaded;
+    use fsa::core::{FsaError, RequirementSet};
     let instances = explore_scenario(2, &ExploreOptions::default())
         .unwrap()
         .instances;
-    let (golden, skipped) = union_requirements_loop_free_threaded(&instances, 2).unwrap();
-    let out = union_requirements_loop_free_supervised(&instances, 2, &Supervisor::new()).unwrap();
+    // Oracle: a sequential fold of the per-instance §4 elicitations.
+    let mut golden = RequirementSet::new();
+    let mut skipped = 0usize;
+    for instance in &instances {
+        match fsa::core::manual::elicit(instance) {
+            Ok(report) => golden.extend(report.requirements()),
+            Err(FsaError::CircularDependency { .. }) => skipped += 1,
+            Err(e) => panic!("{}: {e}", instance.name()),
+        }
+    }
+    let out = union_requirements(&instances, 2, &Supervisor::new()).unwrap();
     assert!(out.is_complete());
     assert_eq!(out.requirements, golden);
     assert_eq!(out.loop_skipped, skipped);
 
     // An expired deadline elicits nothing but does not error.
     let sup = Supervisor::new().with_cancel(CancelToken::with_deadline(std::time::Duration::ZERO));
-    let out = union_requirements_loop_free_supervised(&instances, 2, &sup).unwrap();
+    let out = union_requirements(&instances, 2, &sup).unwrap();
     assert!(out.cancelled);
     assert_eq!(out.elicited, 0);
     assert!(out.requirements.is_empty());
@@ -191,6 +197,43 @@ mod chaos {
             let sup = explore_scenario_supervised(2, &options, &exec).unwrap();
             assert_eq!(fingerprint(&sup), golden_fp, "threads {threads}");
             assert_eq!(sup.stats.failures, 0);
+        }
+    }
+
+    /// The union elicits in windows of 256 instances and chunk indices
+    /// are local to a window: 309 instances (the 3-vehicle universe's
+    /// 103, three times over) make two windows, so a fault on local
+    /// chunk 44 hits global instances 44 and 300, and failures report
+    /// the global index.
+    #[test]
+    fn union_windows_report_global_indices_and_heal() {
+        let once = explore_scenario(3, &ExploreOptions::default())
+            .unwrap()
+            .instances;
+        assert_eq!(once.len(), 103);
+        let instances: Vec<_> = once.iter().cycle().take(309).cloned().collect();
+        for threads in [1usize, 4] {
+            let golden = union_requirements(&instances, threads, &Supervisor::new()).unwrap();
+            assert!(golden.is_complete());
+
+            let sup = Supervisor::new()
+                .with_retry(fast_retry(1))
+                .with_fault_plan(FaultPlan::new().panic_on("explore:union", 44, u32::MAX));
+            let out = union_requirements(&instances, threads, &sup).unwrap();
+            let chunks: Vec<usize> = out.failures.iter().map(|f| f.chunk).collect();
+            assert_eq!(chunks, [44, 300], "threads {threads}");
+            assert_eq!(out.elicited, 307);
+            assert!(!out.is_complete());
+            // Both lost instances have copies elsewhere in the input.
+            assert_eq!(out.requirements, golden.requirements);
+
+            let sup = Supervisor::new()
+                .with_retry(fast_retry(2))
+                .with_fault_plan(FaultPlan::new().panic_on("explore:union", 44, 2));
+            let healed = union_requirements(&instances, threads, &sup).unwrap();
+            assert!(healed.is_complete() && healed.failures.is_empty());
+            assert_eq!(healed.requirements, golden.requirements);
+            assert_eq!(healed.loop_skipped, golden.loop_skipped);
         }
     }
 
