@@ -16,7 +16,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fsa_core::explore::{union_requirements, ExploreOptions};
 use fsa_graph::iso::{
-    dedup_isomorphic, dedup_isomorphic_certified, dedup_isomorphic_certified_parallel,
+    canonical_certificate, dedup_isomorphic, dedup_isomorphic_certified,
+    dedup_isomorphic_certified_parallel,
 };
 use fsa_graph::DiGraph;
 use std::hint::black_box;
@@ -98,11 +99,41 @@ fn bench_exploration(c: &mut Criterion) {
         );
     }
 
-    let instances = enumerate_scenario_instances(2, &ExploreOptions::default()).expect("bounded");
+    // The §4.4 union over χ node pairs, on one thread: 2 vehicles, and
+    // the 3015 instances of 4 vehicles that `fsa explore` unions.
     let supervisor = fsa_exec::Supervisor::new();
-    group.bench_function("union_requirements_2v", |b| {
+    for max_vehicles in [2usize, 4] {
+        let instances = enumerate_scenario_instances(max_vehicles, &ExploreOptions::default())
+            .expect("bounded");
+        group.bench_with_input(
+            BenchmarkId::new("union_requirements", max_vehicles),
+            &instances,
+            |b, instances| {
+                b.iter(|| {
+                    black_box(
+                        union_requirements(black_box(instances), 1, &supervisor).expect("unions"),
+                    )
+                })
+            },
+        );
+    }
+
+    // Certificates alone (colour refinement plus the canonical trace):
+    // one per class of the 4-vehicle universe (3015 shape graphs),
+    // without bucketing or exact isomorphism.
+    let shapes: Vec<DiGraph<String>> = enumerate_scenario_instances(4, &ExploreOptions::default())
+        .expect("bounded")
+        .iter()
+        .map(|i| i.shape_graph())
+        .collect();
+    group.bench_with_input(BenchmarkId::new("certificate", 4), &shapes, |b, shapes| {
         b.iter(|| {
-            black_box(union_requirements(black_box(&instances), 1, &supervisor).expect("unions"))
+            black_box(
+                shapes
+                    .iter()
+                    .map(|g| canonical_certificate(black_box(g)))
+                    .fold(0u64, u64::wrapping_add),
+            )
         })
     });
 

@@ -45,12 +45,13 @@
 //! resumed run is bit-identical to an uninterrupted one — for every
 //! interruption point and every thread count.
 
+use crate::action::{Action, Agent};
 use crate::certcache::{CertCache, CertSection};
 use crate::checkpoint::{config_fingerprint, CheckpointCounters, ExploreCheckpoint};
 use crate::component_model::{ComponentModel, TemplateActionId};
 use crate::error::FsaError;
 use crate::instance::{SosInstance, SosInstanceBuilder};
-use crate::manual::{elicit, ElicitationReport};
+use crate::manual::chi_nodes;
 use crate::requirements::{AuthRequirement, RequirementSet};
 use fsa_exec::{CancelToken, ChunkFailure, Supervisor};
 use fsa_graph::iso::{canonical_certificate, Certificate, CertifiedClasses};
@@ -138,16 +139,18 @@ impl ShardRange {
         self.end <= self.start
     }
 
-    /// Partitions the ordinal space `0..total` into `shards` contiguous
-    /// ranges whose lengths differ by at most one, in ascending order.
-    /// Covers every ordinal exactly once; when `shards > total` the
-    /// trailing ranges are empty (still no gap, no overlap).
+    /// Partitions the ordinal space `0..total` into
+    /// `shards.clamp(1, total.max(1))` contiguous ranges whose lengths
+    /// differ by at most one, in ascending order. Covers every ordinal
+    /// exactly once. When `total > 0` every range is non-empty, so no two
+    /// ranges are equal and a range names its shard; an empty space is
+    /// the single range `0..0`.
     #[must_use]
     pub fn partition(total: u64, shards: usize) -> Vec<ShardRange> {
-        let n = shards.max(1) as u64;
+        let n = (shards as u64).clamp(1, total.max(1));
         let base = total / n;
         let rem = total % n;
-        let mut ranges = Vec::with_capacity(shards.max(1));
+        let mut ranges = Vec::with_capacity(n as usize);
         let mut start = 0u64;
         for i in 0..n {
             let len = base + u64::from(i < rem);
@@ -1804,6 +1807,14 @@ impl UnionOutcome {
 /// can produce `A sends to B sends to A` loops, which the paper's
 /// loop-freedom assumption excludes).
 ///
+/// Each instance contributes its χ pairs ([`chi_nodes`]) as borrowed
+/// `(antecedent, consequent, stakeholder)` keys to one set shared by
+/// every window, so duplicates are eliminated by value before anything
+/// is cloned; only the distinct requirements are copied into the
+/// [`RequirementSet`], at the end. No per-instance
+/// [`ElicitationReport`](crate::manual::ElicitationReport) is built: the
+/// union of the reports' requirement sets is the same set.
+///
 /// Runs under `supervisor` as the `explore:union` stage, one chunk per
 /// instance on `threads` workers: a panicking elicitation is retried and
 /// then quarantined, and a cancellation (deadline) degrades to a prefix
@@ -1819,19 +1830,24 @@ pub fn union_requirements(
     threads: usize,
     supervisor: &Supervisor,
 ) -> Result<UnionOutcome, FsaError> {
-    union_windows(instances, threads, supervisor, &elicit)
+    union_windows(instances, threads, supervisor, &chi_nodes)
 }
 
-/// [`union_requirements`] over an arbitrary elicitor, window by window
+/// A requirement `auth(antecedent, consequent, stakeholder)` borrowed
+/// from the instance that elicited it. Tuples order field by field, as
+/// [`AuthRequirement`] does.
+type RequirementKey<'a> = (&'a Action, &'a Action, &'a Agent);
+
+/// [`union_requirements`] over an arbitrary χ elicitor, window by window
 /// ([`UNION_WINDOW`] instances per supervised stage).
 fn union_windows<F>(
     instances: &[SosInstance],
     threads: usize,
     supervisor: &Supervisor,
-    elicit_fn: &F,
+    chi_fn: &F,
 ) -> Result<UnionOutcome, FsaError>
 where
-    F: Fn(&SosInstance) -> Result<ElicitationReport, FsaError> + Sync,
+    F: Fn(&SosInstance) -> Result<Vec<(NodeId, NodeId)>, FsaError> + Sync,
 {
     let mut union = UnionOutcome {
         requirements: RequirementSet::new(),
@@ -1842,32 +1858,23 @@ where
         retries: 0,
         cancelled: false,
     };
+    let seen: Mutex<BTreeSet<RequirementKey<'_>>> = Mutex::new(BTreeSet::new());
     for (w, window) in instances.chunks(UNION_WINDOW).enumerate() {
-        // The window's additions to the union. A finished chunk inserts
-        // only what neither the union nor an earlier chunk of the window
-        // has, so a window never holds more than the union's own size.
-        let fresh: Mutex<BTreeSet<AuthRequirement>> = Mutex::new(BTreeSet::new());
-        let known = &union.requirements;
         let outcome = supervisor.run_chunks("explore:union", threads, window.len(), |i| {
-            let report = match elicit_fn(&window[i]) {
-                Ok(report) => report,
+            let instance = &window[i];
+            let chi = match chi_fn(instance) {
+                Ok(chi) => chi,
                 Err(FsaError::CircularDependency { .. }) => return Ok(false),
                 Err(e) => return Err(e),
             };
-            let new: Vec<&AuthRequirement> = report
-                .classified_requirements()
-                .iter()
-                .map(|c| &c.requirement)
-                .filter(|r| !known.contains(r))
-                .collect();
-            if !new.is_empty() {
-                let mut fresh = fresh.lock().unwrap_or_else(PoisonError::into_inner);
-                for r in new {
-                    if !fresh.contains(r) {
-                        fresh.insert(r.clone());
-                    }
-                }
-            }
+            let mut seen = seen.lock().unwrap_or_else(PoisonError::into_inner);
+            seen.extend(chi.into_iter().map(|(x, y)| {
+                (
+                    instance.action(x),
+                    instance.action(y),
+                    instance.stakeholder(y),
+                )
+            }));
             Ok(true)
         })?;
         union.elicited += outcome.results.len();
@@ -1877,9 +1884,6 @@ where
             .filter(|(_, elicited)| !elicited)
             .count();
         union.retries += outcome.retries;
-        union
-            .requirements
-            .extend(fresh.into_inner().unwrap_or_else(PoisonError::into_inner));
         let offset = w * UNION_WINDOW;
         union
             .failures
@@ -1892,12 +1896,19 @@ where
             break;
         }
     }
+    union.requirements = seen
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+        .into_iter()
+        .map(|(a, c, s)| AuthRequirement::new(a.clone(), c.clone(), s.clone()))
+        .collect();
     Ok(union)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manual::elicit;
 
     /// A sensor model (one output) and a sink model (input → display).
     fn sensor_and_display() -> Vec<(ComponentModel, usize)> {
@@ -2068,6 +2079,34 @@ mod tests {
         assert!(union
             .iter()
             .any(|r| r.antecedent.name() == "emit" && r.consequent.name() == "show"));
+    }
+
+    #[test]
+    fn union_dedups_by_value_not_by_node_id() {
+        // The same requirement elicited at different node ids in two
+        // instances is one requirement of the union.
+        let mut a = SosInstanceBuilder::new("a");
+        let emit = a.action(Action::parse("emit(S_1,val)"), "U_1");
+        let show = a.action(Action::parse("show(D_1,val)"), "U_2");
+        a.flow(emit, show);
+        let mut b = SosInstanceBuilder::new("b");
+        let show = b.action(Action::parse("show(D_1,val)"), "U_2");
+        let emit = b.action(Action::parse("emit(S_1,val)"), "U_1");
+        b.flow(emit, show);
+        let instances = vec![a.build(), b.build()];
+        assert_ne!(
+            chi_nodes(&instances[0]).unwrap(),
+            chi_nodes(&instances[1]).unwrap(),
+            "same pair, different node ids"
+        );
+        for threads in [1usize, 2] {
+            let union = union_requirements(&instances, threads, &Supervisor::new()).unwrap();
+            assert_eq!(union.requirements.len(), 1, "threads {threads}");
+            assert_eq!(
+                union.requirements,
+                elicit(&instances[1]).unwrap().requirement_set()
+            );
+        }
     }
 
     #[test]
@@ -2261,11 +2300,11 @@ mod tests {
             enumerate_instances(&sensor_and_display(), &rules(), &ExploreOptions::default())
                 .unwrap();
         let invalid_name = instances[0].name().to_owned();
-        let failing = |inst: &SosInstance| -> Result<ElicitationReport, FsaError> {
+        let failing = |inst: &SosInstance| -> Result<Vec<(NodeId, NodeId)>, FsaError> {
             if inst.name() == invalid_name {
                 Err(FsaError::UnknownAction("ghost(X,val)".to_owned()))
             } else {
-                elicit(inst)
+                chi_nodes(inst)
             }
         };
         for threads in [1usize, 4] {
@@ -2277,7 +2316,7 @@ mod tests {
             );
         }
         // Circular dependencies are still skipped, not propagated.
-        let cyclic = |_: &SosInstance| -> Result<ElicitationReport, FsaError> {
+        let cyclic = |_: &SosInstance| -> Result<Vec<(NodeId, NodeId)>, FsaError> {
             Err(FsaError::CircularDependency {
                 first: crate::action::Action::parse("a"),
                 second: crate::action::Action::parse("b"),
@@ -2303,7 +2342,7 @@ mod tests {
             },
         )
         .unwrap();
-        let exploding = |_: &SosInstance| -> Result<ElicitationReport, FsaError> {
+        let exploding = |_: &SosInstance| -> Result<Vec<(NodeId, NodeId)>, FsaError> {
             panic!("elicitor exploded")
         };
         let supervisor = Supervisor::new().with_retry(fsa_exec::RetryPolicy {
@@ -2656,7 +2695,16 @@ mod tests {
         for total in [0u64, 1, 2, 5, 7, 26, 100] {
             for shards in [1usize, 2, 3, 4, 7, 150] {
                 let parts = ShardRange::partition(total, shards);
-                assert_eq!(parts.len(), shards, "total {total} shards {shards}");
+                // Never more shards than ordinals, so no range is empty
+                // (or equal to another) unless the space itself is.
+                let expected = shards.clamp(1, total.max(1) as usize);
+                assert_eq!(parts.len(), expected, "total {total} shards {shards}");
+                if total > 0 {
+                    assert!(
+                        parts.iter().all(|p| !p.is_empty()),
+                        "total {total} shards {shards}: {parts:?}"
+                    );
+                }
                 // Contiguous, in order, no gap, no overlap, full cover.
                 let mut cursor = 0u64;
                 for part in &parts {
@@ -2674,6 +2722,15 @@ mod tests {
         }
         // Zero shards is clamped to one covering shard.
         assert_eq!(ShardRange::partition(9, 0), vec![ShardRange::new(0, 9)]);
+        // An empty space is one empty shard, whatever was asked for.
+        assert_eq!(ShardRange::partition(0, 8), vec![ShardRange::new(0, 0)]);
+        // The default 8 shards over the 2-vehicle universe's 5 vectors.
+        assert_eq!(
+            ShardRange::partition(5, 8),
+            (0..5)
+                .map(|i| ShardRange::new(i, i + 1))
+                .collect::<Vec<_>>()
+        );
     }
 
     #[test]

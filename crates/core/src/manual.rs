@@ -19,7 +19,7 @@ use crate::error::FsaError;
 use crate::instance::SosInstance;
 use crate::requirements::{AuthRequirement, Relevance, RequirementSet};
 use fsa_graph::closure::reflexive_transitive_closure;
-use fsa_graph::{GraphError, PartialOrder};
+use fsa_graph::{GraphError, NodeId, PartialOrder};
 
 /// A requirement together with its safety evaluation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -111,6 +111,44 @@ impl ElicitationReport {
     }
 }
 
+/// The relation `χ` of `instance` as node pairs (steps 2–4 above):
+/// `ζ*` → partial order → (minimal, maximal) restriction, ordered by
+/// maximal element first (requirements grouped per output action, as the
+/// paper lists them), then by antecedent node.
+///
+/// Every `(x, y)` yields `auth(action(x), action(y), stakeholder(y))`;
+/// this is all the §4.4 union needs of an instance, so it never builds an
+/// [`ElicitationReport`].
+///
+/// # Errors
+///
+/// * [`FsaError::CircularDependency`] if the functional flow has a
+///   cycle (the paper's loop-freedom assumption is violated).
+pub fn chi_nodes(instance: &SosInstance) -> Result<Vec<(NodeId, NodeId)>, FsaError> {
+    flow_order(instance).map(|order| chi_of(&order))
+}
+
+/// `ζ*` of the instance's functional flow as a partial order.
+fn flow_order(instance: &SosInstance) -> Result<PartialOrder, FsaError> {
+    let closure = reflexive_transitive_closure(instance.graph());
+    PartialOrder::try_new(closure).map_err(|e| match e {
+        GraphError::NotAntisymmetric(a, b) => FsaError::CircularDependency {
+            first: instance.action(a).clone(),
+            second: instance.action(b).clone(),
+        },
+        other => FsaError::InvalidComponentModel {
+            reason: other.to_string(),
+        },
+    })
+}
+
+/// `χ` of `order` in report order (see [`chi_nodes`]).
+fn chi_of(order: &PartialOrder) -> Vec<(NodeId, NodeId)> {
+    let mut chi = order.min_max_restriction();
+    chi.sort_by_key(|&(x, y)| (y, x));
+    chi
+}
+
 /// Runs the manual pipeline on one instance.
 ///
 /// # Errors
@@ -119,21 +157,10 @@ impl ElicitationReport {
 ///   cycle (the paper's loop-freedom assumption is violated).
 pub fn elicit(instance: &SosInstance) -> Result<ElicitationReport, FsaError> {
     let g = instance.graph();
-    let closure = reflexive_transitive_closure(g);
-    let order = PartialOrder::try_new(closure).map_err(|e| match e {
-        GraphError::NotAntisymmetric(a, b) => FsaError::CircularDependency {
-            first: instance.action(a).clone(),
-            second: instance.action(b).clone(),
-        },
-        other => FsaError::InvalidComponentModel {
-            reason: other.to_string(),
-        },
-    })?;
-
-    // χ ordered by maximal element first (requirements grouped per
-    // output action, as the paper lists them), then by antecedent node.
-    let mut chi_nodes = order.min_max_restriction();
-    chi_nodes.sort_by_key(|&(x, y)| (y, x));
+    // The report also lists |ζ*|, the minima and the maxima, so it keeps
+    // the order [`chi_nodes`] would drop.
+    let order = flow_order(instance)?;
+    let chi_nodes = chi_of(&order);
 
     let classifier = Classifier::new(instance);
     let mut requirements = Vec::with_capacity(chi_nodes.len());
@@ -267,12 +294,17 @@ mod tests {
         let c = b.action(Action::parse("c"), "P");
         b.flow(a, c);
         b.flow(c, a);
-        match elicit(&b.build()) {
+        let instance = b.build();
+        match elicit(&instance) {
             Err(FsaError::CircularDependency { first, second }) => {
                 assert_ne!(first, second);
             }
             other => panic!("expected cycle error, got {other:?}"),
         }
+        assert!(matches!(
+            chi_nodes(&instance),
+            Err(FsaError::CircularDependency { .. })
+        ));
     }
 
     #[test]
@@ -315,6 +347,18 @@ mod tests {
             crate::action::Agent::new("D_w"),
         );
         assert_eq!(explain(&inst, &missing), None);
+    }
+
+    #[test]
+    fn chi_nodes_are_the_reports_chi() {
+        let inst = fig3();
+        let report = elicit(&inst).unwrap();
+        let chi: Vec<(Action, Action)> = chi_nodes(&inst)
+            .unwrap()
+            .into_iter()
+            .map(|(x, y)| (inst.action(x).clone(), inst.action(y).clone()))
+            .collect();
+        assert_eq!(chi, report.chi());
     }
 
     #[test]

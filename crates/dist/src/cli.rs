@@ -25,7 +25,7 @@ to the single-process `fsa explore`. The first stdout line is
   --listen HOST:PORT   bind address; port 0 picks an ephemeral port
   --max-vehicles N     universe bound (default 2)
   --shards N           contiguous shards to partition the vector
-                       space into (default 8)
+                       space into (default 8; at most one per vector)
   --lease-ms N         shard lease before a silent worker's shard is
                        re-issued (default 2000)
   --state F            store-and-forward state file: completed shards

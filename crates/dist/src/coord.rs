@@ -43,7 +43,9 @@ use std::time::{Duration, Instant};
 pub struct CoordConfig {
     /// Universe size: one RSU plus up to this many vehicles.
     pub max_vehicles: usize,
-    /// How many contiguous shards to partition the vector space into.
+    /// How many contiguous shards to partition the vector space into;
+    /// capped at one per vector, so every shard is non-empty
+    /// ([`ShardRange::partition`]).
     pub shards: usize,
     /// Lease validity in milliseconds; a worker must complete or renew
     /// within this window or its shard is re-issued.

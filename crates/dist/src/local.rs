@@ -38,7 +38,8 @@ pub struct LocalConfig {
     /// Worker count.
     pub workers: usize,
     /// Shard count; defaults to `4 × workers` so slow shards
-    /// rebalance across workers.
+    /// rebalance across workers. The coordinator caps it at one shard
+    /// per vector.
     pub shards: Option<usize>,
     /// Lease validity in milliseconds.
     pub lease_ms: u64,

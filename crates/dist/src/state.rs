@@ -181,6 +181,11 @@ impl CoordState {
     /// Verifies that a loaded state file belongs to this run's
     /// configuration and shard layout.
     ///
+    /// The layout is compared range by range, so a file written with more
+    /// shards than vectors (identical empty ranges, a run that could
+    /// never finish) is rejected: [`ShardRange::partition`] now yields at
+    /// most one shard per vector.
+    ///
     /// # Errors
     ///
     /// [`DistError::State`] naming the first disagreeing field.

@@ -100,27 +100,63 @@ pub fn find_isomorphism<L: Eq + Hash + Ord>(a: &DiGraph<L>, b: &DiGraph<L>) -> O
 /// The refined colours are signature hashes: equal signatures get equal
 /// colours, and the signature construction is identical for both graphs,
 /// so colours remain comparable across graphs.
+///
+/// A round recolours every node from its own colour and the sorted
+/// colours of its in- and out-neighbours. Refinement stops before the
+/// first round whose colouring induces the same partition as the one it
+/// was computed from, and after at most `n` rounds. The signature
+/// buffers and the second colour vector are allocated once per call.
 fn refine_colors<L>(g: &DiGraph<L>, initial: impl Fn(&L) -> u64) -> Vec<u64> {
     let n = g.node_count();
     let mut color: Vec<u64> = g.nodes().map(|(_, l)| initial(l)).collect();
+    let mut next: Vec<u64> = vec![0; n];
+    let mut ins: Vec<u64> = Vec::new();
+    let mut outs: Vec<u64> = Vec::new();
+    let mut sorted: Vec<u64> = Vec::with_capacity(n);
+    let mut pairs: Vec<(u64, u64)> = Vec::with_capacity(n);
+    let mut classes = distinct_count(&color, &mut sorted);
 
     for _round in 0..n {
         // Signature of each node: (colour, sorted in-colours, sorted out-colours),
         // hashed so that equal signatures yield equal colours in both graphs.
-        let mut next: Vec<u64> = Vec::with_capacity(n);
         for id in g.node_ids() {
-            let mut ins: Vec<u64> = g.predecessors(id).map(|p| color[p.index()]).collect();
-            let mut outs: Vec<u64> = g.successors(id).map(|s| color[s.index()]).collect();
+            ins.clear();
+            ins.extend(g.predecessors(id).map(|p| color[p.index()]));
+            outs.clear();
+            outs.extend(g.successors(id).map(|s| color[s.index()]));
             ins.sort_unstable();
             outs.sort_unstable();
-            next.push(hash_signature(color[id.index()], &ins, &outs));
+            next[id.index()] = hash_signature(color[id.index()], &ins, &outs);
         }
-        if partition_of(&next) == partition_of(&color) {
+        let next_classes = distinct_count(&next, &mut sorted);
+        if next_classes == classes && same_partition(&color, &next, classes, &mut pairs) {
             break;
         }
-        color = next;
+        std::mem::swap(&mut color, &mut next);
+        classes = next_classes;
     }
     color
+}
+
+/// Number of distinct values in `colors`, sorting a copy in `scratch`.
+fn distinct_count(colors: &[u64], scratch: &mut Vec<u64>) -> usize {
+    scratch.clear();
+    scratch.extend_from_slice(colors);
+    scratch.sort_unstable();
+    scratch.dedup();
+    scratch.len()
+}
+
+/// Whether colourings `a` and `b`, each with `classes` distinct values,
+/// induce the same partition of the nodes. The (a, b) pairs induce the
+/// coarsest common refinement of both partitions; it has exactly
+/// `classes` blocks iff it equals each of them.
+fn same_partition(a: &[u64], b: &[u64], classes: usize, scratch: &mut Vec<(u64, u64)>) -> bool {
+    scratch.clear();
+    scratch.extend(a.iter().copied().zip(b.iter().copied()));
+    scratch.sort_unstable();
+    scratch.dedup();
+    scratch.len() == classes
 }
 
 /// A deterministic (FNV-1a) hash of a refinement signature.
@@ -144,18 +180,6 @@ fn hash_signature(own: u64, ins: &[u64], outs: &[u64]) -> u64 {
         mix(v);
     }
     h
-}
-
-/// The partition a colouring induces, as sorted groups of node indices —
-/// used to detect the refinement fixpoint independent of hash values.
-fn partition_of(colors: &[u64]) -> Vec<Vec<usize>> {
-    let mut groups: HashMap<u64, Vec<usize>> = HashMap::new();
-    for (i, &c) in colors.iter().enumerate() {
-        groups.entry(c).or_default().push(i);
-    }
-    let mut out: Vec<Vec<usize>> = groups.into_values().collect();
-    out.sort();
-    out
 }
 
 fn histogram(colors: &[u64]) -> HashMap<u64, usize> {
@@ -551,6 +575,83 @@ pub fn dedup_isomorphic_certified_parallel<L: Eq + Hash + Ord + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Colour refinement with fresh signature vectors per node and
+    /// round, its fixpoint detected by comparing the two partitions as
+    /// sorted groups of node indices: the oracle for [`refine_colors`].
+    fn refine_colors_oracle<L>(g: &DiGraph<L>, initial: impl Fn(&L) -> u64) -> Vec<u64> {
+        let n = g.node_count();
+        let mut color: Vec<u64> = g.nodes().map(|(_, l)| initial(l)).collect();
+        for _round in 0..n {
+            let mut next: Vec<u64> = Vec::with_capacity(n);
+            for id in g.node_ids() {
+                let mut ins: Vec<u64> = g.predecessors(id).map(|p| color[p.index()]).collect();
+                let mut outs: Vec<u64> = g.successors(id).map(|s| color[s.index()]).collect();
+                ins.sort_unstable();
+                outs.sort_unstable();
+                next.push(hash_signature(color[id.index()], &ins, &outs));
+            }
+            if partition_of(&next) == partition_of(&color) {
+                break;
+            }
+            color = next;
+        }
+        color
+    }
+
+    /// The partition a colouring induces, as sorted groups of node indices.
+    fn partition_of(colors: &[u64]) -> Vec<Vec<usize>> {
+        let mut groups: HashMap<u64, Vec<usize>> = HashMap::new();
+        for (i, &c) in colors.iter().enumerate() {
+            groups.entry(c).or_default().push(i);
+        }
+        let mut out: Vec<Vec<usize>> = groups.into_values().collect();
+        out.sort();
+        out
+    }
+
+    /// A labelled digraph drawn from `seed`: 0–30 nodes over 1–3 labels,
+    /// self-loops allowed, with an edge density of 1/2 to 1/32 drawn per
+    /// graph so both dense graphs and long sparse chains occur.
+    fn random_digraph(seed: u64) -> DiGraph<u8> {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let n = (next() % 31) as usize;
+        let labels = 1 + next() % 3;
+        let sparsity = 2 + next() % 31;
+        let mut g = DiGraph::new();
+        let ids: Vec<NodeId> = (0..n)
+            .map(|_| g.add_node((next() % labels) as u8))
+            .collect();
+        for &u in &ids {
+            for &v in &ids {
+                if next() % sparsity == 0 {
+                    g.add_edge(u, v);
+                }
+            }
+        }
+        g
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        #[test]
+        fn in_place_refinement_matches_the_partition_oracle(seed in any::<u64>()) {
+            let g = random_digraph(seed);
+            prop_assert_eq!(
+                refine_colors(&g, label_hash),
+                refine_colors_oracle(&g, label_hash),
+                "seed {}", seed
+            );
+        }
+    }
 
     fn triangle(labels: [&'static str; 3]) -> DiGraph<&'static str> {
         let mut g = DiGraph::new();

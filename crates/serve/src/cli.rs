@@ -77,7 +77,8 @@ Distributed execution (coordinator + local worker processes; the class
 output is byte-identical to the single-process engine):
   --distributed          shard the universe across worker processes
   --workers N            local worker processes to spawn (default 2)
-  --shards N             shard count (default: 4 x workers)
+  --shards N             shard count (default: 4 x workers; at most one
+                         per vector)
   --lease-ms N           shard lease before a dead worker's shard is
                          re-issued (default 2000)
   --state-dir D          directory for the coordinator state file and

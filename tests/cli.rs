@@ -1,7 +1,8 @@
 //! Integration tests for the `fsa` command-line tool, exercising the
 //! shipped `specs/*.fsa` files through the real binary.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 fn fsa(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_fsa"))
@@ -86,6 +87,38 @@ fn explore_is_bit_identical_across_threads() {
     assert_eq!(
         String::from_utf8_lossy(&one.stdout),
         String::from_utf8_lossy(&four.stdout)
+    );
+}
+
+#[test]
+fn distributed_explore_finishes_at_the_default_universe() {
+    // Regression: the default 8 shards over the 2-vehicle universe's 5
+    // vectors used to include three identical empty ranges; the
+    // coordinator finds a shard by its range, so the run never
+    // finished. A run still going after 60 s is killed and fails.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_fsa"))
+        .args(["explore", "--distributed", "--workers", "2"])
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while child.try_wait().expect("child status").is_none() {
+        if Instant::now() >= deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("`fsa explore --distributed --workers 2` still running after 60 s");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let distributed = child.wait_with_output().expect("child output");
+    let single = fsa(&["explore"]);
+    assert!(distributed.status.success(), "{distributed:?}");
+    assert!(single.status.success(), "{single:?}");
+    assert_eq!(
+        String::from_utf8_lossy(&single.stdout),
+        String::from_utf8_lossy(&distributed.stdout)
     );
 }
 

@@ -28,6 +28,12 @@ proptest! {
     fn shard_partition_tiles_the_ordinal_space(total in 0u64..10_000, shards in 0usize..64) {
         let ranges = ShardRange::partition(total, shards);
         prop_assert!(!ranges.is_empty());
+        // Never more shards than ordinals: the coordinator finds a shard
+        // by its range, so two equal (empty) ranges would be one shard.
+        prop_assert_eq!(ranges.len(), shards.clamp(1, total.max(1) as usize));
+        if total > 0 {
+            prop_assert!(ranges.iter().all(|r| !r.is_empty()), "empty range: {:?}", ranges);
+        }
         prop_assert_eq!(ranges[0].start, 0);
         prop_assert_eq!(ranges[ranges.len() - 1].end, total);
         for pair in ranges.windows(2) {

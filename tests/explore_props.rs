@@ -7,8 +7,20 @@
 //!   `find_isomorphism` fallback can split the bucket.
 //! * Exploration is deterministic and *bit-identical* for every thread
 //!   count: parallelism is an implementation detail, never a semantics.
+//! * The §4.4 union over χ node pairs equals the union of the manual
+//!   reports' requirement sets on random component models and rules,
+//!   cycles and policy flows included, and skips exactly the instances
+//!   the manual method rejects as cyclic.
+//! * Shape-graph certificates of the 3-vehicle universe are pinned, so
+//!   a change to colour refinement cannot silently move a certificate
+//!   (and orphan every on-disk certificate cache).
 
-use fsa::core::explore::{union_requirements, ExploreOptions};
+use fsa::core::component_model::ComponentModel;
+use fsa::core::explore::{
+    enumerate_instances, union_requirements, BudgetPolicy, ConnectionRule, ExploreOptions,
+};
+use fsa::core::manual::elicit;
+use fsa::core::{FsaError, RequirementSet, SosInstance};
 use fsa::exec::Supervisor;
 use fsa::graph::iso::{
     are_isomorphic, canonical_certificate, dedup_isomorphic, dedup_isomorphic_certified,
@@ -52,6 +64,157 @@ fn arb_graph_batch() -> impl Strategy<Value = Vec<DiGraph<String>>> {
             })
             .collect()
     })
+}
+
+/// A random universe drawn from `seed`: 1–3 component models (the first
+/// with up to 2 copies, the others with 1) whose actions form a chain
+/// from the first (input) to the last (output) action, plus random
+/// forward shortcuts, some of them policy flows; and 1–3 connection
+/// rules from some model's output to some model's input. Each rule is
+/// joined by its reverse with probability 1/2, and a composition that
+/// uses both directions between the same copies closes a cycle.
+fn random_universe(seed: u64) -> (Vec<(ComponentModel, usize)>, Vec<ConnectionRule>) {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) as usize
+    };
+    let model_count = 1 + next() % 3;
+    let mut models = Vec::with_capacity(model_count);
+    let mut sizes = Vec::with_capacity(model_count);
+    for m in 0..model_count {
+        let mut model = ComponentModel::new(&format!("M{m}"), &format!("U{m}_i"));
+        let k = 2 + next() % 3;
+        let ids: Vec<usize> = (0..k)
+            .map(|j| model.action(&format!("a{j}(M{m}_i,v)")))
+            .collect();
+        for pair in ids.windows(2) {
+            model.flow(pair[0], pair[1]);
+        }
+        for from in 0..k {
+            for to in from + 2..k {
+                match next() % 4 {
+                    0 => model.flow(ids[from], ids[to]),
+                    1 => model.policy_flow(ids[from], ids[to]),
+                    _ => {}
+                }
+            }
+        }
+        let copies = if m == 0 { 1 + next() % 2 } else { 1 };
+        models.push((model, copies));
+        sizes.push(k);
+    }
+    let mut rules = Vec::new();
+    for _ in 0..1 + next() % 3 {
+        let from = next() % model_count;
+        let to = next() % model_count;
+        rules.push(ConnectionRule::new(
+            &format!("M{from}"),
+            sizes[from] - 1,
+            &format!("M{to}"),
+            0,
+        ));
+        if next() % 2 == 0 {
+            rules.push(ConnectionRule::new(
+                &format!("M{to}"),
+                sizes[to] - 1,
+                &format!("M{from}"),
+                0,
+            ));
+        }
+    }
+    (models, rules)
+}
+
+/// The instances of [`random_universe`]`(seed)`, connected or not by the
+/// seed's lowest bit, truncated at 2 000 candidates.
+fn random_instances(seed: u64) -> Vec<SosInstance> {
+    let (models, rules) = random_universe(seed);
+    enumerate_instances(
+        &models,
+        &rules,
+        &ExploreOptions {
+            require_connected: seed & 1 == 0,
+            max_candidates: 2_000,
+            on_budget: BudgetPolicy::Truncate,
+            ..ExploreOptions::default()
+        },
+    )
+    .expect("random universe explores")
+}
+
+/// The §4.4 union as the fold of the manual reports' requirement sets
+/// over the acyclic instances, and the number of cyclic instances.
+fn manual_union(instances: &[SosInstance]) -> Result<(RequirementSet, usize), FsaError> {
+    let mut union = RequirementSet::new();
+    let mut cyclic = 0;
+    for instance in instances {
+        match elicit(instance) {
+            Ok(report) => union = union.union(&report.requirement_set()),
+            Err(FsaError::CircularDependency { .. }) => cyclic += 1,
+            Err(e) => return Err(e),
+        }
+    }
+    Ok((union, cyclic))
+}
+
+#[test]
+fn random_universes_close_cycles_and_carry_policy_flows() {
+    // The union differential below is only as strong as its inputs:
+    // the generator must reach cyclic compositions, acyclic ones with
+    // requirements, and instances with policy flows.
+    let (mut cyclic, mut requirements, mut policy) = (0, 0, 0);
+    for seed in 0..32u64 {
+        let instances = random_instances(seed);
+        let (union, skipped) = manual_union(&instances).expect("manual union");
+        cyclic += skipped;
+        requirements += union.len();
+        policy += instances
+            .iter()
+            .filter(|i| {
+                i.graph()
+                    .edges()
+                    .any(|(a, b)| i.flow_kind(a, b) == Some(fsa::core::instance::FlowKind::Policy))
+            })
+            .count();
+    }
+    assert!(cyclic > 0, "no cyclic composition drawn");
+    assert!(requirements > 0, "no requirement elicited");
+    assert!(policy > 0, "no policy flow drawn");
+}
+
+/// FNV-1a-64 over the little-endian bytes of `certificates`, in order.
+fn certificate_digest(certificates: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for c in certificates {
+        for byte in c.to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// [`certificate_digest`] of the 3-vehicle universe's shape-graph
+/// certificates, in instance order.
+const PINNED_3V_DIGEST: u64 = 0xfead_3dd1_2eea_f8a7;
+
+#[test]
+fn three_vehicle_certificates_are_pinned() {
+    // The on-disk certificate cache is keyed by certificate value, so a
+    // change to colour refinement or to the certificate trace must not
+    // move a single certificate.
+    let universe = explore_scenario(3, &ExploreOptions::default()).expect("explores");
+    assert_eq!(universe.instances.len(), 103);
+    let digest = certificate_digest(
+        universe
+            .instances
+            .iter()
+            .map(|i| canonical_certificate(&i.shape_graph())),
+    );
+    assert_eq!(digest, PINNED_3V_DIGEST, "digest {digest:#018x}");
 }
 
 /// Multiset equality of isomorphism classes: same length, and a
@@ -159,6 +322,23 @@ proptest! {
             prop_assert_eq!(par.stats.candidates, seq.stats.candidates);
             prop_assert_eq!(par.stats.orbits_skipped, seq.stats.orbits_skipped);
             prop_assert_eq!(par.stats.classes, seq.stats.classes);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn chi_pair_union_matches_the_manual_report_fold(seed in any::<u64>()) {
+        let instances = random_instances(seed);
+        let (oracle, cyclic) = manual_union(&instances).expect("manual union");
+        for threads in [1usize, 2, 3] {
+            let union =
+                union_requirements(&instances, threads, &Supervisor::new()).expect("union");
+            prop_assert!(union.is_complete(), "threads {}", threads);
+            prop_assert_eq!(&union.requirements, &oracle, "seed {} threads {}", seed, threads);
+            prop_assert_eq!(union.loop_skipped, cyclic, "seed {} threads {}", seed, threads);
         }
     }
 }
