@@ -15,10 +15,12 @@
 //!   carrying a realistic accepted log.
 //! * `retry_backoff` — lease contention under oversubscription: 16
 //!   workers fighting over 4 shards, with the old fixed `retry_ms`
-//!   sleep versus the seeded decorrelated jitter. Fixed wakes the
-//!   whole losing fleet in lockstep half a second later; jitter
-//!   re-probes within tens of milliseconds and desynchronises, so
-//!   freed shards are picked up almost immediately.
+//!   sleep versus the seeded decorrelated jitter. The coordinator
+//!   holds a contended request until a shard frees up or the universe
+//!   is done, so a worker only sleeps when a hold runs out (500 ms);
+//!   without holds, fixed woke the whole losing fleet in lockstep half
+//!   a second later while jitter re-probed within tens of
+//!   milliseconds.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fsa_core::checkpoint::CheckpointCounters;

@@ -5,18 +5,27 @@
 //! parameter may carry an *instance index* (`ESP_1`, `GPS_w`), which the
 //! parameterisation step ([`crate::param`]) abstracts into first-order
 //! variables.
+//!
+//! [`Action`] and [`Agent`] are reference-counted handles: a clone
+//! shares the term or name instead of copying it, so the many SoS
+//! instances composed from one component template share its actions.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// An agent / stakeholder, e.g. the driver `D_w` of vehicle `w`.
+///
+/// A reference-counted handle on the name: cloning an agent increments
+/// a count. Equality, order and hash are those of the name.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct Agent(String);
+#[serde(transparent)]
+pub struct Agent(Arc<str>);
 
 impl Agent {
     /// Creates an agent from its name.
     pub fn new(name: &str) -> Self {
-        Agent(name.to_owned())
+        Agent(Arc::from(name))
     }
 
     /// The agent's name.
@@ -114,8 +123,18 @@ impl fmt::Display for Param {
 }
 
 /// An atomic action of the functional model, e.g. `sense(ESP_1,sW)`.
+///
+/// A reference-counted handle on one shared term: cloning an action
+/// increments a count and copies neither the name nor the parameters.
+/// Equality, order and hash are the term's, name first, then the
+/// parameters.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct Action {
+#[serde(transparent)]
+pub struct Action(Arc<Term>);
+
+/// The shared term behind an [`Action`].
+#[derive(PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+struct Term {
     name: String,
     params: Vec<Param>,
 }
@@ -123,10 +142,12 @@ pub struct Action {
 impl Action {
     /// Creates an action from its name and parameters.
     pub fn new(name: &str, params: impl IntoIterator<Item = Param>) -> Self {
-        Action {
-            name: name.to_owned(),
-            params: params.into_iter().collect(),
-        }
+        Action::from_parts(name.to_owned(), params.into_iter().collect())
+    }
+
+    /// A handle on a new term.
+    fn from_parts(name: String, params: Vec<Param>) -> Self {
+        Action(Arc::new(Term { name, params }))
     }
 
     /// Parses the `name(p1,p2,…)` notation of Table 1, e.g.
@@ -165,19 +186,19 @@ impl Action {
 
     /// The action's name (e.g. `sense`).
     pub fn name(&self) -> &str {
-        &self.name
+        &self.0.name
     }
 
     /// The action's parameters.
     pub fn params(&self) -> &[Param] {
-        &self.params
+        &self.0.params
     }
 
     /// The instance indices occurring in the parameters, in order,
     /// de-duplicated.
     pub fn indices(&self) -> Vec<&str> {
         let mut out: Vec<&str> = Vec::new();
-        for p in &self.params {
+        for p in self.params() {
             if let Some(i) = p.index() {
                 if !out.contains(&i) {
                     out.push(i);
@@ -191,10 +212,9 @@ impl Action {
     /// `to` — used to instantiate component templates (`i ↦ 1`) and to
     /// abstract indices into first-order variables (`2 ↦ x`).
     pub fn rename_index(&self, from: &str, to: &str) -> Action {
-        Action {
-            name: self.name.clone(),
-            params: self
-                .params
+        Action::from_parts(
+            self.name().to_owned(),
+            self.params()
                 .iter()
                 .map(|p| {
                     if p.index() == Some(from) {
@@ -204,7 +224,7 @@ impl Action {
                     }
                 })
                 .collect(),
-        }
+        )
     }
 
     /// A canonical identifier usable as an APA automaton name or graph
@@ -217,10 +237,13 @@ impl Action {
     /// The action with all indices erased — its *shape*, used when
     /// de-duplicating isomorphic SoS instances.
     pub fn shape(&self) -> Action {
-        Action {
-            name: self.name.clone(),
-            params: self.params.iter().map(|p| Param::plain(p.base())).collect(),
-        }
+        Action::from_parts(
+            self.name().to_owned(),
+            self.params()
+                .iter()
+                .map(|p| Param::plain(p.base()))
+                .collect(),
+        )
     }
 }
 
@@ -232,10 +255,10 @@ impl fmt::Debug for Action {
 
 impl fmt::Display for Action {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.name)?;
-        if !self.params.is_empty() {
+        write!(f, "{}", self.name())?;
+        if !self.params().is_empty() {
             write!(f, "(")?;
-            for (i, p) in self.params.iter().enumerate() {
+            for (i, p) in self.params().iter().enumerate() {
                 if i > 0 {
                     write!(f, ",")?;
                 }
@@ -321,6 +344,32 @@ mod tests {
         ] {
             assert_eq!(Action::parse(s).to_string(), s);
         }
+    }
+
+    #[test]
+    fn handles_share_their_term_and_compare_like_its_fields() {
+        use std::hash::{DefaultHasher, Hash, Hasher};
+        let hash = |v: &dyn Fn(&mut DefaultHasher)| {
+            let mut h = DefaultHasher::new();
+            v(&mut h);
+            h.finish()
+        };
+        let a = Action::parse("send(CU_1,cam(pos))");
+        let b = a.clone();
+        assert!(Arc::ptr_eq(&a.0, &b.0), "a clone shares the term");
+        let fields = (a.name().to_owned(), a.params().to_vec());
+        assert_eq!(hash(&|h| a.hash(h)), hash(&|h| fields.hash(h)));
+        let c = Action::parse("send(CU_2,cam(pos))");
+        assert_eq!(
+            a.cmp(&c),
+            fields.cmp(&(c.name().to_owned(), c.params().to_vec()))
+        );
+        let d = Agent::new("D_1");
+        assert_eq!(hash(&|h| d.hash(h)), hash(&|h| "D_1".to_owned().hash(h)));
+        assert!(
+            Agent::new("D_10") < Agent::new("D_2"),
+            "agents order as strings"
+        );
     }
 
     #[test]

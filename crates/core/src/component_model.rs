@@ -7,10 +7,11 @@
 //! an [`SosInstanceBuilder`]; external flows between instances are then
 //! connected explicitly, which is the *synthesis* step of §4.2.
 
-use crate::action::{Action, Param};
+use crate::action::{Action, Agent, Param};
 use crate::error::FsaError;
 use crate::instance::SosInstanceBuilder;
 use fsa_graph::NodeId;
+use std::sync::Arc;
 
 /// Index of a template action within its [`ComponentModel`].
 pub type TemplateActionId = usize;
@@ -111,17 +112,21 @@ impl ComponentModel {
         builder: &mut SosInstanceBuilder,
     ) -> Result<ComponentInstance, FsaError> {
         self.validate()?;
-        let stakeholder = instantiate_name(&self.stakeholder_template, index);
-        let owner = if index.is_empty() {
-            self.name.clone()
+        let stakeholder = Agent::new(&instantiate_name(&self.stakeholder_template, index));
+        let owner: Arc<str> = if index.is_empty() {
+            Arc::from(self.name.as_str())
         } else {
-            format!("{}{}", self.name, index)
+            Arc::from(format!("{}{}", self.name, index))
         };
         let nodes: Vec<NodeId> = self
             .actions
             .iter()
             .map(|template| {
-                builder.action_owned(template.rename_index("i", index), &stakeholder, &owner)
+                builder.action_shared(
+                    template.rename_index("i", index),
+                    stakeholder.clone(),
+                    Arc::clone(&owner),
+                )
             })
             .collect();
         for &(from, to, is_policy) in &self.flows {
@@ -147,7 +152,7 @@ fn instantiate_name(template: &str, index: &str) -> String {
 /// One instantiated component within an SoS instance under construction.
 #[derive(Debug, Clone)]
 pub struct ComponentInstance {
-    owner: String,
+    owner: Arc<str>,
     nodes: Vec<NodeId>,
 }
 

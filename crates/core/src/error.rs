@@ -30,13 +30,14 @@ pub enum FsaError {
         /// The configured budget that was exceeded.
         limit: usize,
     },
-    /// A parallel worker panicked outside the supervisor. Only the
-    /// threaded subset scan of [`crate::explore`] (`explore:scan`)
-    /// still produces it; candidate builds and union elicitations run
-    /// under the supervisor, which retries and quarantines a panicking
-    /// chunk instead.
+    /// A parallel worker panicked outside the supervisor: the threaded
+    /// subset scan of [`crate::explore`] (`explore:scan`) or a pair
+    /// worker of [`crate::incremental`] (`incremental:pairs`).
+    /// Candidate builds and union elicitations run under the
+    /// supervisor, which retries and quarantines a panicking chunk
+    /// instead.
     WorkerPanicked {
-        /// Engine stage (`explore:scan`).
+        /// Engine stage (`explore:scan`, `incremental:pairs`).
         stage: &'static str,
         /// Chunk index of the panicked worker.
         chunk: usize,

@@ -25,9 +25,12 @@
 //! Flow subsets are additionally enumerated up to *copy-permutation
 //! symmetry* — copies of one component model are interchangeable, so a
 //! whole orbit of subsets is skipped once its minimal representative has
-//! been instantiated. Candidate building and certificate computation run
-//! on `ExploreOptions::threads` scoped worker threads; the merged result
-//! is bit-identical for every thread count.
+//! been instantiated. Each vector's copies are instantiated once, into a
+//! flow-free prototype; a candidate clones it and adds its external
+//! flows, sharing the prototype's reference-counted actions, agents,
+//! owners and shape labels. Candidate building and certificate
+//! computation run on `ExploreOptions::threads` scoped worker threads;
+//! the merged result is bit-identical for every thread count.
 //!
 //! # Supervision
 //!
@@ -48,7 +51,7 @@
 use crate::action::{Action, Agent};
 use crate::certcache::{CertCache, CertSection};
 use crate::checkpoint::{config_fingerprint, CheckpointCounters, ExploreCheckpoint};
-use crate::component_model::{ComponentModel, TemplateActionId};
+use crate::component_model::{ComponentInstance, ComponentModel, TemplateActionId};
 use crate::error::FsaError;
 use crate::instance::{SosInstance, SosInstanceBuilder};
 use crate::manual::chi_nodes;
@@ -59,7 +62,7 @@ use fsa_graph::{DiGraph, NodeId};
 use fsa_obs::Obs;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 /// An allowed external flow: an output action of one component model
@@ -548,9 +551,9 @@ fn load_cert_cache(
 /// isomorphism. Mixed buckets and unknown certificates take the
 /// ordinary exact path.
 fn insert_candidate(
-    classes: &mut CertifiedClasses<String>,
+    classes: &mut CertifiedClasses<Arc<str>>,
     trusted: Option<&CertSection>,
-    shape: DiGraph<String>,
+    shape: DiGraph<Arc<str>>,
     certificate: Certificate,
 ) -> Option<usize> {
     match trusted.and_then(|section| section.get(&certificate)) {
@@ -576,7 +579,7 @@ fn save_cert_cache(
     path: &Path,
     mut cache: CertCache,
     fingerprint: u64,
-    classes: &CertifiedClasses<String>,
+    classes: &CertifiedClasses<Arc<str>>,
 ) -> Result<(), FsaError> {
     cache.record(fingerprint, &classes.bucket_census());
     cache.save(path)
@@ -651,14 +654,13 @@ pub fn vector_space(models: &[(ComponentModel, usize)]) -> u64 {
 /// map and instance list end up bit-identical to the checkpointed run.
 #[allow(clippy::too_many_arguments)]
 fn rebuild_accepted(
-    models: &[(ComponentModel, usize)],
+    prototype: &Prototype,
     rules: &[ResolvedRule],
-    counts: &[usize],
     ordinal: u64,
     flows: &[FlowCandidate],
     accepted: &[(u64, u64)],
     cursor: &mut usize,
-    classes: &mut CertifiedClasses<String>,
+    classes: &mut CertifiedClasses<Arc<str>>,
     instances: &mut Vec<SosInstance>,
 ) -> Result<(), FsaError> {
     while let Some(&(entry_ordinal, mask)) = accepted.get(*cursor) {
@@ -670,8 +672,8 @@ fn rebuild_accepted(
                 reason: format!("accepted mask {mask} out of range for vector {ordinal}"),
             });
         }
-        let instance = build_composition(models, rules, counts, flows, mask as usize)?;
-        let shape = instance.shape_graph();
+        let instance = prototype.compose(rules, flows, mask as usize);
+        let shape = prototype.shape_graph(&instance);
         let certificate = canonical_certificate(&shape);
         if classes
             .insert_with_certificate(shape, certificate)
@@ -729,7 +731,7 @@ fn write_explore_checkpoint(
     pending: &[usize],
     accepted: &[(u64, u64)],
     stats: &mut ExploreStats,
-    classes: &CertifiedClasses<String>,
+    classes: &CertifiedClasses<Arc<str>>,
     hits_offset: i64,
     fallbacks_offset: i64,
     obs: &Obs,
@@ -837,7 +839,7 @@ pub fn enumerate_instances_supervised(
         vectors_total,
         ..ExploreStats::default()
     };
-    let mut classes: CertifiedClasses<String> = CertifiedClasses::new();
+    let mut classes: CertifiedClasses<Arc<str>> = CertifiedClasses::new();
     let mut instances: Vec<SosInstance> = Vec::new();
     if options.cert_cache.is_some() && (exec.checkpoint.is_some() || exec.resume.is_some()) {
         // The resume replay is cacheless: its exact-fallback counters
@@ -939,9 +941,8 @@ pub fn enumerate_instances_supervised(
             if accepted.get(cursor).is_some_and(|&(o, _)| o == ordinal64) {
                 let flows = flow_candidates(&resolved, &counts);
                 rebuild_accepted(
-                    models,
+                    &Prototype::new(models, &counts)?,
                     &resolved,
-                    &counts,
                     ordinal64,
                     &flows,
                     &accepted,
@@ -953,11 +954,16 @@ pub fn enumerate_instances_supervised(
             continue;
         }
 
-        // ordinal == next_ordinal: the current vector. A non-empty
-        // `pending` means the checkpoint interrupted it mid-build:
-        // replay its accepted prefix, then build the pending masks
-        // without re-scanning (the scan counters are already in the
-        // checkpoint).
+        // ordinal == next_ordinal: the current vector, whose candidates
+        // are all composed from one prototype.
+        let span = obs.span("explore.build");
+        let prototype = Prototype::new(models, &counts)?;
+        stats.build_time += span.finish();
+
+        // A non-empty `pending` means the checkpoint interrupted the
+        // vector mid-build: replay its accepted prefix, then build the
+        // pending masks without re-scanning (the scan counters are
+        // already in the checkpoint).
         let mut flows_pending: Option<Vec<FlowCandidate>> = None;
         if !pending.is_empty() {
             let flows = flow_candidates(&resolved, &counts);
@@ -969,9 +975,8 @@ pub fn enumerate_instances_supervised(
                 }
             }
             rebuild_accepted(
-                models,
+                &prototype,
                 &resolved,
-                &counts,
                 ordinal64,
                 &flows,
                 &accepted,
@@ -1060,14 +1065,13 @@ pub fn enumerate_instances_supervised(
 
         // Build the vector's masks in supervised batches.
         let build = |mask: usize| -> Result<Option<Built>, FsaError> {
-            build_candidate(
-                models,
+            Ok(build_candidate(
+                &prototype,
                 &resolved,
-                &counts,
                 &flows,
                 mask,
                 options.require_connected,
-            )
+            ))
         };
         let mut idx = 0usize;
         while idx < masks.len() {
@@ -1292,7 +1296,7 @@ pub fn merge_accepted(
             reason: "merged accepted entries lie beyond the multiplicity space".to_owned(),
         });
     }
-    let mut classes: CertifiedClasses<String> = CertifiedClasses::new();
+    let mut classes: CertifiedClasses<Arc<str>> = CertifiedClasses::new();
     let mut instances: Vec<SosInstance> = Vec::new();
     let mut kept: Vec<(u64, u64)> = Vec::new();
     let mut duplicates = 0usize;
@@ -1306,6 +1310,7 @@ pub fn merge_accepted(
             continue;
         }
         let flows = flow_candidates(&resolved, &counts);
+        let prototype = Prototype::new(models, &counts)?;
         while let Some(&(o, mask)) = accepted.get(cursor) {
             if o != ordinal64 {
                 break;
@@ -1315,8 +1320,8 @@ pub fn merge_accepted(
                     reason: format!("merged accepted mask {mask} out of range for vector {o}"),
                 });
             }
-            let instance = build_composition(models, &resolved, &counts, &flows, mask as usize)?;
-            let shape = instance.shape_graph();
+            let instance = prototype.compose(&resolved, &flows, mask as usize);
+            let shape = prototype.shape_graph(&instance);
             let certificate = canonical_certificate(&shape);
             if classes
                 .insert_with_certificate(shape, certificate)
@@ -1388,7 +1393,7 @@ struct FlowCandidate {
 }
 
 /// One built candidate: instance, shape graph, certificate.
-type Built = (SosInstance, DiGraph<String>, u64);
+type Built = (SosInstance, DiGraph<Arc<str>>, u64);
 
 /// Candidate external flows of one multiplicity vector: for each rule,
 /// each ordered pair of distinct instances of the involved models.
@@ -1576,20 +1581,19 @@ fn scan_vector(
 /// Instantiates one canonical mask and computes its shape-graph
 /// certificate; `None` = dropped by the weak-connectivity filter.
 fn build_candidate(
-    models: &[(ComponentModel, usize)],
+    prototype: &Prototype,
     rules: &[ResolvedRule],
-    counts: &[usize],
     flows: &[FlowCandidate],
     mask: usize,
     require_connected: bool,
-) -> Result<Option<Built>, FsaError> {
-    let instance = build_composition(models, rules, counts, flows, mask)?;
+) -> Option<Built> {
+    let instance = prototype.compose(rules, flows, mask);
     if require_connected && !is_weakly_connected(&instance) {
-        return Ok(None);
+        return None;
     }
-    let shape = instance.shape_graph();
+    let shape = prototype.shape_graph(&instance);
     let certificate = canonical_certificate(&shape);
-    Ok(Some((instance, shape, certificate)))
+    Some((instance, shape, certificate))
 }
 
 /// The copy-permutation group of one multiplicity vector, induced on the
@@ -1698,48 +1702,87 @@ fn is_orbit_minimal(mask: usize, flow_perms: &[Vec<usize>]) -> bool {
     true
 }
 
-/// Builds the composition of one multiplicity vector and one flow
-/// subset.
-fn build_composition(
-    models: &[(ComponentModel, usize)],
-    rules: &[ResolvedRule],
-    counts: &[usize],
-    flows: &[FlowCandidate],
-    mask: usize,
-) -> Result<SosInstance, FsaError> {
-    let name = models
-        .iter()
-        .zip(counts)
-        .filter(|(_, c)| **c > 0)
-        .map(|((m, _), c)| format!("{}x{}", c, m.name()))
-        .collect::<Vec<_>>()
-        .join("+");
-    let mut builder = SosInstanceBuilder::new(&name);
-    // Instantiate components with global per-model indices 1, 2, …
-    let mut handles: Vec<Vec<crate::component_model::ComponentInstance>> = Vec::new();
-    for (mi, (model, _)) in models.iter().enumerate() {
-        let mut copies = Vec::new();
-        for c in 0..counts[mi] {
-            let index = if counts[mi] == 1 && model.actions().iter().all(|a| a.indices().is_empty())
-            {
-                String::new()
-            } else {
-                (c + 1).to_string()
-            };
-            copies.push(model.instantiate(&index, &mut builder)?);
+/// The flow-free composition of one multiplicity vector: every copy of
+/// every model instantiated once, with its internal flows, plus the
+/// shape label of every node. A candidate of the vector is a clone of
+/// the prototype with its external flows added; the clone shares every
+/// action, stakeholder, owner and shape label, so composing costs no
+/// string work at all.
+struct Prototype {
+    builder: SosInstanceBuilder,
+    /// `copies[model][copy]`: the instantiated component of each copy.
+    copies: Vec<Vec<ComponentInstance>>,
+    /// Node `n`'s label in [`SosInstance::shape_graph`].
+    shapes: Vec<Arc<str>>,
+}
+
+impl Prototype {
+    /// Instantiates the copies of multiplicity vector `counts`, with
+    /// global per-model indices 1, 2, … (no index for the single copy of
+    /// a model whose actions carry none).
+    fn new(models: &[(ComponentModel, usize)], counts: &[usize]) -> Result<Prototype, FsaError> {
+        let name = models
+            .iter()
+            .zip(counts)
+            .filter(|(_, c)| **c > 0)
+            .map(|((m, _), c)| format!("{}x{}", c, m.name()))
+            .collect::<Vec<_>>()
+            .join("+");
+        let mut builder = SosInstanceBuilder::new(&name);
+        let mut copies = Vec::with_capacity(models.len());
+        for ((model, _), &count) in models.iter().zip(counts) {
+            let unindexed = count == 1 && model.actions().iter().all(|a| a.indices().is_empty());
+            let instances = (0..count)
+                .map(|c| {
+                    let index = if unindexed {
+                        String::new()
+                    } else {
+                        (c + 1).to_string()
+                    };
+                    model.instantiate(&index, &mut builder)
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            copies.push(instances);
         }
-        handles.push(copies);
+        let shapes = builder
+            .clone()
+            .build()
+            .shape_graph()
+            .nodes()
+            .map(|(_, label)| Arc::from(label.as_str()))
+            .collect();
+        Ok(Prototype {
+            builder,
+            copies,
+            shapes,
+        })
     }
-    for (k, cand) in flows.iter().enumerate() {
-        if mask & (1 << k) == 0 {
-            continue;
+
+    /// The composition with the external flows of `mask` (bit `k` =
+    /// `flows[k]`).
+    fn compose(&self, rules: &[ResolvedRule], flows: &[FlowCandidate], mask: usize) -> SosInstance {
+        let mut builder = self.builder.clone();
+        for (k, cand) in flows.iter().enumerate() {
+            if mask & (1 << k) == 0 {
+                continue;
+            }
+            let rule = &rules[cand.rule];
+            let from = self.copies[rule.from_idx][cand.from_copy].node(rule.from_action);
+            let to = self.copies[rule.to_idx][cand.to_copy].node(rule.to_action);
+            builder.flow(from, to);
         }
-        let rule = &rules[cand.rule];
-        let from = handles[rule.from_idx][cand.from_copy].node(rule.from_action);
-        let to = handles[rule.to_idx][cand.to_copy].node(rule.to_action);
-        builder.flow(from, to);
+        builder.build()
     }
-    Ok(builder.build())
+
+    /// [`SosInstance::shape_graph`] of a composition of this prototype,
+    /// with the stored labels shared instead of formatted. `Arc<str>`
+    /// hashes as `str`, as `String` does, so the certificate is the
+    /// same.
+    fn shape_graph(&self, instance: &SosInstance) -> DiGraph<Arc<str>> {
+        instance
+            .graph()
+            .map(|id, _| Arc::clone(&self.shapes[id.index()]))
+    }
 }
 
 /// Weak connectivity of the action graph (single component, ignoring
@@ -1908,7 +1951,53 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instance::FlowKind;
     use crate::manual::elicit;
+
+    /// The per-candidate builder that [`Prototype`] replaced, kept as its
+    /// oracle: instantiates every copy from its template for every
+    /// candidate.
+    fn build_composition(
+        models: &[(ComponentModel, usize)],
+        rules: &[ResolvedRule],
+        counts: &[usize],
+        flows: &[FlowCandidate],
+        mask: usize,
+    ) -> Result<SosInstance, FsaError> {
+        let name = models
+            .iter()
+            .zip(counts)
+            .filter(|(_, c)| **c > 0)
+            .map(|((m, _), c)| format!("{}x{}", c, m.name()))
+            .collect::<Vec<_>>()
+            .join("+");
+        let mut builder = SosInstanceBuilder::new(&name);
+        // Instantiate components with global per-model indices 1, 2, …
+        let mut handles: Vec<Vec<ComponentInstance>> = Vec::new();
+        for (mi, (model, _)) in models.iter().enumerate() {
+            let mut copies = Vec::new();
+            for c in 0..counts[mi] {
+                let index =
+                    if counts[mi] == 1 && model.actions().iter().all(|a| a.indices().is_empty()) {
+                        String::new()
+                    } else {
+                        (c + 1).to_string()
+                    };
+                copies.push(model.instantiate(&index, &mut builder)?);
+            }
+            handles.push(copies);
+        }
+        for (k, cand) in flows.iter().enumerate() {
+            if mask & (1 << k) == 0 {
+                continue;
+            }
+            let rule = &rules[cand.rule];
+            let from = handles[rule.from_idx][cand.from_copy].node(rule.from_action);
+            let to = handles[rule.to_idx][cand.to_copy].node(rule.to_action);
+            builder.flow(from, to);
+        }
+        Ok(builder.build())
+    }
 
     /// A sensor model (one output) and a sink model (input → display).
     fn sensor_and_display() -> Vec<(ComponentModel, usize)> {
@@ -1955,6 +2044,159 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A random universe drawn from `seed`, as the property suite's
+    /// generator draws it: 1–3 component models whose actions form a
+    /// chain from the first (input) to the last (output) action, plus
+    /// random forward shortcuts, some of them policy flows, the first
+    /// model with up to 2 copies. Added here: a model `R` whose actions
+    /// carry no index, with a plain stakeholder and a policy flow. Its
+    /// single copy takes the empty index (the RSU case); its two copies
+    /// have the same actions under different owners. 1–3 connection
+    /// rules run from some model's output to some model's input, each
+    /// joined by its reverse with probability 1/2.
+    fn random_universe(seed: u64) -> (Vec<(ComponentModel, usize)>, Vec<ConnectionRule>) {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        };
+        let model_count = 1 + next() % 3;
+        let mut models = Vec::with_capacity(model_count + 1);
+        let mut sizes = Vec::with_capacity(model_count + 1);
+        for m in 0..model_count {
+            let mut model = ComponentModel::new(&format!("M{m}"), &format!("U{m}_i"));
+            let k = 2 + next() % 3;
+            let ids: Vec<usize> = (0..k)
+                .map(|j| model.action(&format!("a{j}(M{m}_i,v)")))
+                .collect();
+            for pair in ids.windows(2) {
+                model.flow(pair[0], pair[1]);
+            }
+            for from in 0..k {
+                for to in from + 2..k {
+                    match next() % 4 {
+                        0 => model.flow(ids[from], ids[to]),
+                        1 => model.policy_flow(ids[from], ids[to]),
+                        _ => {}
+                    }
+                }
+            }
+            let copies = if m == 0 { 1 + next() % 2 } else { 1 };
+            models.push((model, copies));
+            sizes.push(k);
+        }
+        let mut rsu = ComponentModel::new("R", "Operator");
+        let rec = rsu.action("rec(cam(pos))");
+        let send = rsu.action("send(cam(pos))");
+        rsu.policy_flow(rec, send);
+        models.push((rsu, 1 + next() % 2));
+        sizes.push(2);
+        let mut rules = Vec::new();
+        for _ in 0..1 + next() % 3 {
+            let from = next() % models.len();
+            let to = next() % models.len();
+            let name = |m: usize| models[m].0.name().to_owned();
+            rules.push(ConnectionRule::new(
+                &name(from),
+                sizes[from] - 1,
+                &name(to),
+                0,
+            ));
+            if next() % 2 == 0 {
+                rules.push(ConnectionRule::new(
+                    &name(to),
+                    sizes[to] - 1,
+                    &name(from),
+                    0,
+                ));
+            }
+        }
+        (models, rules)
+    }
+
+    /// Every flow-subset mask over `flows` candidates up to 2¹⁰ masks;
+    /// beyond that 1 024 masks spread evenly from 0 to all-ones.
+    fn masks_to_check(flows: usize) -> Vec<usize> {
+        let full = (1usize << flows) - 1;
+        if flows <= 10 {
+            (0..=full).collect()
+        } else {
+            (0..1024).map(|k| k * full / 1023).collect()
+        }
+    }
+
+    /// Field-by-field equality of two compositions: name, actions,
+    /// stakeholders, owners, edges and flow kinds.
+    fn assert_same_composition(got: &SosInstance, want: &SosInstance, at: &str) {
+        assert_eq!(got.name(), want.name(), "{at}");
+        let actions = |i: &SosInstance| {
+            i.graph()
+                .nodes()
+                .map(|(_, a)| a.clone())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(actions(got), actions(want), "{at}");
+        for id in want.graph().node_ids() {
+            assert_eq!(got.stakeholder(id), want.stakeholder(id), "{at} {id:?}");
+            assert_eq!(got.owner(id), want.owner(id), "{at} {id:?}");
+        }
+        let edges = |i: &SosInstance| {
+            i.graph()
+                .edges()
+                .map(|(x, y)| (x, y, i.flow_kind(x, y)))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(edges(got), edges(want), "{at}");
+    }
+
+    #[test]
+    fn prototype_compositions_equal_the_per_candidate_oracle() {
+        let (mut checked, mut unindexed, mut shared_actions, mut policy) = (0, 0, 0, 0);
+        for seed in 0..24u64 {
+            let (models, rules) = random_universe(seed);
+            let resolved = resolve_rules(&models, &rules).expect("rules resolve");
+            let maxes: Vec<usize> = models.iter().map(|(_, max)| *max).collect();
+            for counts in VectorIter::new(&maxes) {
+                let flows = flow_candidates(&resolved, &counts);
+                let prototype = Prototype::new(&models, &counts).expect("prototype");
+                for mask in masks_to_check(flows.len()) {
+                    let at = format!("seed {seed}, vector {counts:?}, mask {mask:#x}");
+                    let got = prototype.compose(&resolved, &flows, mask);
+                    let want = build_composition(&models, &resolved, &counts, &flows, mask)
+                        .expect("oracle builds");
+                    assert_same_composition(&got, &want, &at);
+                    let shape = prototype.shape_graph(&got);
+                    let formatted = got.shape_graph();
+                    assert!(
+                        shape
+                            .nodes()
+                            .map(|(_, l)| &**l)
+                            .eq(formatted.nodes().map(|(_, l)| l.as_str())),
+                        "{at}"
+                    );
+                    assert_eq!(
+                        canonical_certificate(&shape),
+                        canonical_certificate(&formatted),
+                        "{at}"
+                    );
+                    let ids: Vec<NodeId> = want.graph().node_ids().collect();
+                    checked += 1;
+                    unindexed += usize::from(ids.iter().any(|&id| want.owner(id) == "R"));
+                    shared_actions += usize::from(ids.iter().any(|&id| want.owner(id) == "R2"));
+                    policy += usize::from(
+                        want.graph()
+                            .edges()
+                            .any(|(x, y)| want.flow_kind(x, y) == Some(FlowKind::Policy)),
+                    );
+                }
+            }
+        }
+        assert!(checked > 10_000, "{checked} compositions checked");
+        assert!(unindexed > 0 && shared_actions > 0 && policy > 0);
     }
 
     fn cache_tmp(name: &str) -> PathBuf {

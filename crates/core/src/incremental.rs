@@ -235,8 +235,12 @@ impl IncrementalElicitor {
                 }
                 None => {
                     run_misses += 1;
-                    let fresh =
-                        Arc::new(analyze_fragment(&graph, labeled, self.method, self.threads));
+                    let fresh = Arc::new(analyze_fragment(
+                        &graph,
+                        labeled,
+                        self.method,
+                        self.threads,
+                    )?);
                     self.store
                         .insert("cert", cert_payload, BTreeSet::new(), Arc::clone(&fresh));
                     fresh
@@ -406,12 +410,17 @@ fn unary_nfa(lang: UnaryLang, sym: &str) -> Nfa {
 /// fragment-local dependence grid (chunked over `threads` workers,
 /// merged in index order — deterministic for every thread count), and
 /// the per-action unary projections for cross-fragment pairs.
+///
+/// # Errors
+///
+/// [`FsaError::WorkerPanicked`] (stage `incremental:pairs`) if a pair
+/// worker panics.
 fn analyze_fragment(
     graph: &ReachGraph,
     labeled: DiGraph<String>,
     method: DependenceMethod,
     threads: usize,
-) -> FragmentAnalysis {
+) -> Result<FragmentAnalysis, FsaError> {
     let behaviour = graph.to_nfa();
     let minima = graph.minima();
     let maxima = graph.maxima();
@@ -441,21 +450,7 @@ fn analyze_fragment(
             }
         }
     };
-    let results: Vec<(bool, Option<usize>)> = if threads <= 1 || pairs.len() < 2 {
-        pairs.iter().map(eval).collect()
-    } else {
-        let chunk = pairs.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = pairs
-                .chunks(chunk)
-                .map(|ps| scope.spawn(|| ps.iter().map(eval).collect::<Vec<_>>()))
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("pair worker panicked"))
-                .collect()
-        })
-    };
+    let results = eval_chunked(&pairs, threads, eval)?;
     let verdicts: BTreeMap<(String, String), (bool, Option<usize>)> =
         pairs.into_iter().zip(results).collect();
 
@@ -483,7 +478,7 @@ fn analyze_fragment(
         }
     }
 
-    FragmentAnalysis {
+    Ok(FragmentAnalysis {
         state_count: graph.state_count(),
         edge_count: graph.edge_count(),
         minima,
@@ -492,7 +487,46 @@ fn analyze_fragment(
         verdicts,
         unary,
         graph: labeled,
+    })
+}
+
+/// Maps `eval` over `items` in chunks on up to `threads` scoped
+/// workers, merged in index order. Every worker is joined before the
+/// first panicking chunk is reported, so a second panic cannot abort
+/// the scope.
+fn eval_chunked<T: Sync, R: Send>(
+    items: &[T],
+    threads: usize,
+    eval: impl Fn(&T) -> R + Sync,
+) -> Result<Vec<R>, FsaError> {
+    if threads <= 1 || items.len() < 2 {
+        return Ok(items.iter().map(eval).collect());
     }
+    let chunk = items.len().div_ceil(threads);
+    let per_chunk: Vec<Result<Vec<R>, usize>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = items
+            .chunks(chunk)
+            .map(|part| scope.spawn(|| part.iter().map(&eval).collect::<Vec<_>>()))
+            .collect();
+        handles
+            .into_iter()
+            .enumerate()
+            .map(|(i, h)| h.join().map_err(|_| i))
+            .collect()
+    });
+    let mut out = Vec::with_capacity(items.len());
+    for part in per_chunk {
+        match part {
+            Ok(results) => out.extend(results),
+            Err(chunk) => {
+                return Err(FsaError::WorkerPanicked {
+                    stage: "incremental:pairs",
+                    chunk,
+                })
+            }
+        }
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -704,7 +738,8 @@ mod tests {
             labeled_digraph(&graph),
             DependenceMethod::Abstraction,
             1,
-        );
+        )
+        .unwrap();
         // `f` can fire exactly once.
         assert_eq!(analysis.unary["f"], UnaryLang::Bounded(1));
 
@@ -725,7 +760,32 @@ mod tests {
             labeled_digraph(&graph),
             DependenceMethod::Abstraction,
             1,
-        );
+        )
+        .unwrap();
         assert_eq!(analysis.unary["f"], UnaryLang::Unbounded);
+    }
+
+    #[test]
+    fn a_panicking_pair_worker_is_a_typed_error() {
+        let items: Vec<usize> = (0..8).collect();
+        let doubled = eval_chunked(&items, 4, |&i| i * 2).unwrap();
+        assert_eq!(doubled, vec![0, 2, 4, 6, 8, 10, 12, 14]);
+        // Four chunks of two items; items 5 and 7 sit in chunks 2 and 3,
+        // and the first panicking chunk is reported.
+        let err = eval_chunked(&items, 4, |&i| {
+            assert!(i != 5 && i != 7, "injected pair-worker panic");
+            i
+        })
+        .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                FsaError::WorkerPanicked {
+                    stage: "incremental:pairs",
+                    chunk: 2
+                }
+            ),
+            "{err}"
+        );
     }
 }

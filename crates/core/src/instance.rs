@@ -8,9 +8,11 @@
 //! with stakeholders and component ownership attached to each action.
 
 use crate::action::{Action, Agent};
-use fsa_graph::{iso, DiGraph, NodeId};
+use fsa_graph::iso::CertifiedClasses;
+use fsa_graph::{DiGraph, NodeId};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// The kind of a functional flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -31,7 +33,7 @@ pub struct SosInstance {
     name: String,
     graph: DiGraph<Action>,
     stakeholders: Vec<Agent>,
-    owners: Vec<String>,
+    owners: Vec<Arc<str>>,
     policy_edges: BTreeSet<(NodeId, NodeId)>,
 }
 
@@ -123,19 +125,15 @@ impl SosInstance {
 
     /// De-duplicates instances up to isomorphism of their shape graphs,
     /// keeping the first representative of each class. §4.2:
-    /// "Isomorphic combinations can be neglected."
+    /// "Isomorphic combinations can be neglected." Each shape graph is
+    /// built once and bucketed by its certificate; exact isomorphism
+    /// runs only within a bucket.
     pub fn dedup_isomorphic(instances: Vec<SosInstance>) -> Vec<SosInstance> {
-        let mut reps: Vec<SosInstance> = Vec::new();
-        for inst in instances {
-            let shape = inst.shape_graph();
-            if !reps
-                .iter()
-                .any(|r| iso::are_isomorphic(&r.shape_graph(), &shape))
-            {
-                reps.push(inst);
-            }
-        }
-        reps
+        let mut classes = CertifiedClasses::new();
+        instances
+            .into_iter()
+            .filter(|inst| classes.insert(inst.shape_graph()).is_some())
+            .collect()
     }
 }
 
@@ -188,7 +186,7 @@ pub struct SosInstanceBuilder {
     name: String,
     graph: DiGraph<Action>,
     stakeholders: Vec<Agent>,
-    owners: Vec<String>,
+    owners: Vec<Arc<str>>,
     policy_edges: BTreeSet<(NodeId, NodeId)>,
 }
 
@@ -212,9 +210,20 @@ impl SosInstanceBuilder {
 
     /// Adds an action with an explicit owning component instance.
     pub fn action_owned(&mut self, action: Action, stakeholder: &str, owner: &str) -> NodeId {
+        self.action_shared(action, Agent::new(stakeholder), Arc::from(owner))
+    }
+
+    /// Adds an action whose stakeholder and owner handles are shared
+    /// with the other actions of its component instance.
+    pub(crate) fn action_shared(
+        &mut self,
+        action: Action,
+        stakeholder: Agent,
+        owner: Arc<str>,
+    ) -> NodeId {
         let id = self.graph.add_node(action);
-        self.stakeholders.push(Agent::new(stakeholder));
-        self.owners.push(owner.to_owned());
+        self.stakeholders.push(stakeholder);
+        self.owners.push(owner);
         id
     }
 

@@ -7,7 +7,11 @@
 //! ordinal space. A worker that goes silent past its lease deadline
 //! (killed, wedged, partitioned) simply stops renewing; the sweep at
 //! the next lease request expires the claim and the shard is
-//! re-issued to whoever asks next. Completed shards are durably
+//! re-issued to whoever asks next. A lease request that finds every
+//! unfinished shard leased out is held (up to the `retry` hint) until
+//! a shard frees up or the universe completes, so an idle worker hears
+//! `done` the moment the last result lands instead of after its
+//! backoff sleep. Completed shards are durably
 //! recorded through [`CoordState`] (store-and-forward: the accepted
 //! log travels worker → coordinator memory → checksummed state file
 //! before the shard is acknowledged), so a coordinator restarted
@@ -35,7 +39,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Configuration of a coordinator run.
@@ -101,6 +105,9 @@ struct Inner {
 
 struct Shared {
     inner: Mutex<Inner>,
+    /// Notified whenever a held lease request may now be answered: a
+    /// result recorded or a lease released.
+    changed: Condvar,
     shutdown: AtomicBool,
     obs: Obs,
     lease_ms: u64,
@@ -121,11 +128,47 @@ impl Shared {
         }
     }
 
+    /// Answers a `lease` request. When every unfinished shard is
+    /// leased out the request is held (`dist.leases_held`) until a
+    /// shard frees up (a result, a release, the earliest lease
+    /// deadline) or the universe completes, for at most the `retry`
+    /// hint; only then is the answer `retry`.
     fn grant(&self, conn: u64) -> ToWorker {
-        let now = Instant::now();
+        let retry_ms = self.lease_ms.clamp(10, 500);
+        let hold_until = Instant::now() + Duration::from_millis(retry_ms);
+        let mut inner = self.lock();
+        let mut held = false;
+        loop {
+            let now = Instant::now();
+            if let Some(reply) = self.try_grant(&mut inner, conn, now) {
+                return reply;
+            }
+            if now >= hold_until {
+                return ToWorker::Retry { retry_ms };
+            }
+            if !held {
+                held = true;
+                self.obs.counter_add("dist.leases_held", 1);
+            }
+            let wake = inner
+                .leases
+                .iter()
+                .flatten()
+                .map(|lease| lease.deadline)
+                .fold(hold_until, Instant::min);
+            inner = self
+                .changed
+                .wait_timeout(inner, wake.saturating_duration_since(now))
+                .expect("coordinator ledger poisoned")
+                .0;
+        }
+    }
+
+    /// A renewal, a fresh shard or `done`; `None` when every unfinished
+    /// shard is leased to another worker. Called under the lock.
+    fn try_grant(&self, inner: &mut Inner, conn: u64, now: Instant) -> Option<ToWorker> {
         let deadline = now + Duration::from_millis(self.lease_ms);
-        let mut inner = self.inner.lock().expect("coordinator ledger poisoned");
-        self.sweep(&mut inner, now);
+        self.sweep(inner, now);
         // Renewal: a worker that already holds a lease (it is mid-shard
         // and checking in, or was deadline-cancelled and wants to
         // resume from its checkpoint) gets the same shard back.
@@ -134,39 +177,31 @@ impl Shared {
                 if lease.conn == conn {
                     lease.deadline = deadline;
                     let range = inner.state.shards[i].range;
-                    return ToWorker::Grant {
+                    return Some(ToWorker::Grant {
                         start: range.start,
                         end: range.end,
                         lease_ms: self.lease_ms,
-                    };
+                    });
                 }
             }
         }
         if inner.remaining == 0 {
-            return ToWorker::Done;
+            return Some(ToWorker::Done);
         }
-        let open = (0..inner.state.shards.len())
-            .find(|&i| inner.state.shards[i].done.is_none() && inner.leases[i].is_none());
-        match open {
-            Some(i) => {
-                inner.leases[i] = Some(Lease { conn, deadline });
-                self.obs.counter_add("dist.leases_granted", 1);
-                if inner.ever_leased[i] {
-                    self.obs.counter_add("dist.leases_reissued", 1);
-                }
-                inner.ever_leased[i] = true;
-                let range = inner.state.shards[i].range;
-                ToWorker::Grant {
-                    start: range.start,
-                    end: range.end,
-                    lease_ms: self.lease_ms,
-                }
-            }
-            // Everything unfinished is leased out: back off and retry.
-            None => ToWorker::Retry {
-                retry_ms: self.lease_ms.clamp(10, 500),
-            },
+        let i = (0..inner.state.shards.len())
+            .find(|&i| inner.state.shards[i].done.is_none() && inner.leases[i].is_none())?;
+        inner.leases[i] = Some(Lease { conn, deadline });
+        self.obs.counter_add("dist.leases_granted", 1);
+        if inner.ever_leased[i] {
+            self.obs.counter_add("dist.leases_reissued", 1);
         }
+        inner.ever_leased[i] = true;
+        let range = inner.state.shards[i].range;
+        Some(ToWorker::Grant {
+            start: range.start,
+            end: range.end,
+            lease_ms: self.lease_ms,
+        })
     }
 
     fn record_result(
@@ -177,7 +212,7 @@ impl Shared {
         accepted: Vec<(u64, u64)>,
         counters: CheckpointCounters,
     ) -> Result<ToWorker, DistError> {
-        let mut inner = self.inner.lock().expect("coordinator ledger poisoned");
+        let mut inner = self.lock();
         let Some(i) = inner
             .state
             .shards
@@ -215,26 +250,29 @@ impl Shared {
             inner.state.save(path)?;
         }
         self.obs.counter_add("dist.shards_completed", 1);
+        self.changed.notify_all();
         let _ = conn;
         Ok(ToWorker::ShardDone { start, end })
     }
 
     /// Releases every lease held by a disconnected worker.
     fn release_conn(&self, conn: u64) {
-        let mut inner = self.inner.lock().expect("coordinator ledger poisoned");
+        let mut inner = self.lock();
         for slot in &mut inner.leases {
             if slot.as_ref().is_some_and(|l| l.conn == conn) {
                 *slot = None;
                 self.obs.counter_add("dist.leases_expired", 1);
+                self.changed.notify_all();
             }
         }
     }
 
     fn remaining(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("coordinator ledger poisoned")
-            .remaining
+        self.lock().remaining
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().expect("coordinator ledger poisoned")
     }
 }
 
@@ -394,6 +432,7 @@ impl Coordinator {
                 ever_leased: vec![false; shard_count],
                 remaining,
             }),
+            changed: Condvar::new(),
             shutdown: AtomicBool::new(false),
             obs: obs.clone(),
             lease_ms: lease_ms.max(1),
@@ -454,7 +493,7 @@ impl Coordinator {
         for handle in handles {
             let _ = handle.join();
         }
-        let inner = shared.inner.lock().expect("coordinator ledger poisoned");
+        let inner = shared.lock();
         merge_state(
             &models,
             &rules,
@@ -547,4 +586,154 @@ fn merge_state(
         stats,
         accepted: merged.accepted,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::thread::JoinHandle;
+
+    /// A ledger of `shards` one-vector shards, none leased or done.
+    fn ledger(shards: u64, lease_ms: u64, obs: &Obs) -> Arc<Shared> {
+        let shards: Vec<ShardRecord> = (0..shards)
+            .map(|i| ShardRecord {
+                range: ShardRange {
+                    start: i,
+                    end: i + 1,
+                },
+                done: None,
+            })
+            .collect();
+        let n = shards.len();
+        Arc::new(Shared {
+            inner: Mutex::new(Inner {
+                state: CoordState {
+                    fingerprint: 0,
+                    max_vehicles: 1,
+                    max_candidates: 1,
+                    require_connected: true,
+                    shards,
+                },
+                leases: (0..n).map(|_| None).collect(),
+                ever_leased: vec![false; n],
+                remaining: n,
+            }),
+            changed: Condvar::new(),
+            shutdown: AtomicBool::new(false),
+            obs: obs.clone(),
+            lease_ms,
+            state_path: None,
+            hello: HelloConfig {
+                max_vehicles: 1,
+                max_candidates: 1,
+                require_connected: true,
+            },
+        })
+    }
+
+    /// Connection `conn` asks for a lease on its own thread; the reply
+    /// comes back with the time it took.
+    fn ask(shared: &Arc<Shared>, conn: u64) -> JoinHandle<(ToWorker, Duration)> {
+        let shared = Arc::clone(shared);
+        std::thread::spawn(move || {
+            let asked = Instant::now();
+            let reply = shared.grant(conn);
+            (reply, asked.elapsed())
+        })
+    }
+
+    /// Returns once a lease request is waiting on the ledger. The
+    /// counter is bumped under the ledger lock, which the request
+    /// only gives up by waiting, so whatever the caller does with the
+    /// ledger next happens while the request is held.
+    fn until_held(obs: &Obs) {
+        let give_up = Instant::now() + Duration::from_secs(10);
+        while obs.snapshot().counter("dist.leases_held").is_none() {
+            assert!(Instant::now() < give_up, "the request was never held");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Well inside the 500 ms hold, however loaded the machine.
+    const PROMPT: Duration = Duration::from_millis(400);
+
+    #[test]
+    fn a_held_request_hears_done_as_soon_as_the_last_result_lands() {
+        let obs = Obs::enabled();
+        let shared = ledger(1, 60_000, &obs);
+        assert!(matches!(shared.grant(1), ToWorker::Grant { start: 0, .. }));
+        let waiter = ask(&shared, 2);
+        until_held(&obs);
+        let ack = shared
+            .record_result(1, 0, 1, Vec::new(), CheckpointCounters::default())
+            .unwrap();
+        assert!(matches!(ack, ToWorker::ShardDone { start: 0, end: 1 }));
+        let (reply, waited) = waiter.join().unwrap();
+        assert!(matches!(reply, ToWorker::Done), "{reply:?}");
+        assert!(waited < PROMPT, "answered after {waited:?}");
+    }
+
+    #[test]
+    fn a_held_request_takes_over_a_released_shard() {
+        let obs = Obs::enabled();
+        let shared = ledger(1, 60_000, &obs);
+        assert!(matches!(shared.grant(1), ToWorker::Grant { start: 0, .. }));
+        let waiter = ask(&shared, 2);
+        until_held(&obs);
+        shared.release_conn(1);
+        let (reply, waited) = waiter.join().unwrap();
+        assert!(
+            matches!(
+                reply,
+                ToWorker::Grant {
+                    start: 0,
+                    end: 1,
+                    ..
+                }
+            ),
+            "{reply:?}"
+        );
+        assert!(waited < PROMPT, "answered after {waited:?}");
+    }
+
+    #[test]
+    fn a_held_request_takes_over_an_expired_lease() {
+        // Lease and hold are both 100 ms; the lease, taken first,
+        // lapses before the hold ends.
+        let obs = Obs::enabled();
+        let shared = ledger(1, 100, &obs);
+        assert!(matches!(shared.grant(1), ToWorker::Grant { start: 0, .. }));
+        let (reply, _) = ask(&shared, 2).join().unwrap();
+        assert!(
+            matches!(
+                reply,
+                ToWorker::Grant {
+                    start: 0,
+                    end: 1,
+                    ..
+                }
+            ),
+            "{reply:?}"
+        );
+        assert_eq!(shared.lock().leases[0].as_ref().map(|l| l.conn), Some(2));
+        let counters = obs.snapshot();
+        assert_eq!(counters.counter("dist.leases_held"), Some(1));
+        assert_eq!(counters.counter("dist.leases_expired"), Some(1));
+        assert_eq!(counters.counter("dist.leases_reissued"), Some(1));
+    }
+
+    #[test]
+    fn an_unanswerable_request_is_told_to_retry_after_the_hint() {
+        let shared = ledger(1, 1_000, &Obs::disabled());
+        assert!(matches!(shared.grant(1), ToWorker::Grant { start: 0, .. }));
+        let (reply, waited) = ask(&shared, 2).join().unwrap();
+        assert!(
+            matches!(reply, ToWorker::Retry { retry_ms: 500 }),
+            "{reply:?}"
+        );
+        assert!(
+            waited >= Duration::from_millis(500),
+            "answered after {waited:?}"
+        );
+    }
 }

@@ -44,7 +44,8 @@ pub struct LocalConfig {
     /// Lease validity in milliseconds.
     pub lease_ms: u64,
     /// Checkpoint/state directory; an ephemeral one is created (and
-    /// removed on success) when unset.
+    /// removed on success) when unset, and the coordinator then keeps
+    /// its ledger in memory only.
     pub state_dir: Option<PathBuf>,
     /// Global candidate budget.
     pub max_candidates: usize,
@@ -194,7 +195,9 @@ pub fn explore_distributed(
             lease_ms: config.lease_ms,
             max_candidates: config.max_candidates,
             require_connected: config.require_connected,
-            state_path: Some(state_dir.join("coordinator.fsas")),
+            // Nothing resumes an ephemeral run, so its ledger is not
+            // written (and fsynced) after every shard.
+            state_path: (!ephemeral).then(|| state_dir.join("coordinator.fsas")),
             obs: config.obs.clone(),
             ..CoordConfig::default()
         },

@@ -59,6 +59,15 @@ use std::time::{Duration, Instant};
 /// coordinator state file), so this is generous.
 const REPLY_DEADLINE_MS: u64 = 5_000;
 
+/// Candidates a shard builds between two of its checkpoints. Every
+/// checkpoint is a full snapshot, fsynced twice: one per 32-candidate
+/// batch cost a third of a large shard's time, at whatever latency
+/// the disk had at the moment. The successor of a `SIGKILL`ed worker
+/// first waits out the dead worker's lease (2 s by default), then
+/// re-builds at most this many candidates, about a tenth of that
+/// wait. Parking at the lease deadline still checkpoints at once.
+const CHECKPOINT_EVERY: usize = 4096;
+
 /// Socket-level read/write timeout; the polling granularity under
 /// the frame deadlines, not a protocol timeout of its own.
 const SOCKET_TIMEOUT_MS: u64 = 100;
@@ -216,7 +225,7 @@ fn run_shard(
             batch: 32,
             checkpoint: Some(CheckpointSpec {
                 path: own.clone(),
-                every: 8,
+                every: CHECKPOINT_EVERY,
             }),
             resume: resume.clone(),
         };

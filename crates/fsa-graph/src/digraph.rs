@@ -5,7 +5,6 @@
 //! export) deterministic — important for reproducible requirement lists.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// Identifier of a node within one [`DiGraph`].
@@ -63,9 +62,10 @@ pub type EdgeRef = (NodeId, NodeId);
 #[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DiGraph<N> {
     payloads: Vec<N>,
-    /// Sorted adjacency (deterministic iteration).
-    succ: Vec<BTreeSet<NodeId>>,
-    pred: Vec<BTreeSet<NodeId>>,
+    /// Adjacency lists, each sorted by id without duplicates
+    /// (deterministic iteration, binary-search lookup).
+    succ: Vec<Vec<NodeId>>,
+    pred: Vec<Vec<NodeId>>,
     edge_count: usize,
 }
 
@@ -94,8 +94,8 @@ impl<N> DiGraph<N> {
     pub fn add_node(&mut self, payload: N) -> NodeId {
         let id = NodeId::new(self.payloads.len());
         self.payloads.push(payload);
-        self.succ.push(BTreeSet::new());
-        self.pred.push(BTreeSet::new());
+        self.succ.push(Vec::new());
+        self.pred.push(Vec::new());
         id
     }
 
@@ -107,9 +107,9 @@ impl<N> DiGraph<N> {
     pub fn add_edge(&mut self, from: NodeId, to: NodeId) -> bool {
         assert!(from.index() < self.payloads.len(), "unknown source node");
         assert!(to.index() < self.payloads.len(), "unknown target node");
-        let new = self.succ[from.index()].insert(to);
+        let new = insert_sorted(&mut self.succ[from.index()], to);
         if new {
-            self.pred[to.index()].insert(from);
+            insert_sorted(&mut self.pred[to.index()], from);
             self.edge_count += 1;
         }
         new
@@ -117,7 +117,9 @@ impl<N> DiGraph<N> {
 
     /// Returns `true` if the edge `from → to` exists.
     pub fn has_edge(&self, from: NodeId, to: NodeId) -> bool {
-        self.succ.get(from.index()).is_some_and(|s| s.contains(&to))
+        self.succ
+            .get(from.index())
+            .is_some_and(|s| s.binary_search(&to).is_ok())
     }
 
     /// Number of nodes.
@@ -237,20 +239,29 @@ impl<N> DiGraph<N> {
 
     /// Maps payloads, preserving structure and node ids.
     pub fn map<M>(&self, mut f: impl FnMut(NodeId, &N) -> M) -> DiGraph<M> {
-        let mut g = DiGraph::with_capacity(self.node_count());
-        for (id, p) in self.nodes() {
-            g.add_node(f(id, p));
+        DiGraph {
+            payloads: self.nodes().map(|(id, p)| f(id, p)).collect(),
+            succ: self.succ.clone(),
+            pred: self.pred.clone(),
+            edge_count: self.edge_count,
         }
-        for (a, b) in self.edges() {
-            g.add_edge(a, b);
-        }
-        g
     }
 
     /// Finds the first node (in insertion order) whose payload satisfies
     /// `pred`.
     pub fn find(&self, mut pred: impl FnMut(&N) -> bool) -> Option<NodeId> {
         self.nodes().find(|(_, p)| pred(p)).map(|(id, _)| id)
+    }
+}
+
+/// Inserts `id` into the sorted list `ids`; `false` if already present.
+fn insert_sorted(ids: &mut Vec<NodeId>, id: NodeId) -> bool {
+    match ids.binary_search(&id) {
+        Ok(_) => false,
+        Err(at) => {
+            ids.insert(at, id);
+            true
+        }
     }
 }
 
@@ -388,6 +399,27 @@ mod tests {
         let mut sorted = e1.clone();
         sorted.sort();
         assert_eq!(e1, sorted);
+    }
+
+    #[test]
+    fn adjacency_stays_sorted_under_any_insertion_order() {
+        let mut g = DiGraph::new();
+        let ids: Vec<NodeId> = (0..6).map(|i| g.add_node(i)).collect();
+        for &(a, b) in &[(3, 1), (3, 5), (3, 0), (0, 1), (5, 1), (3, 1), (2, 1)] {
+            g.add_edge(ids[a], ids[b]);
+        }
+        assert_eq!(g.edge_count(), 6, "the repeated 3 → 1 collapses");
+        let succ: Vec<_> = g.successors(ids[3]).map(NodeId::index).collect();
+        assert_eq!(succ, vec![0, 1, 5]);
+        let pred: Vec<_> = g.predecessors(ids[1]).map(NodeId::index).collect();
+        assert_eq!(pred, vec![0, 2, 3, 5]);
+        assert!(g.has_edge(ids[3], ids[5]) && !g.has_edge(ids[5], ids[3]));
+        let mut sorted: Vec<_> = g.edges().collect();
+        sorted.sort();
+        assert_eq!(g.edges().collect::<Vec<_>>(), sorted);
+        let mapped = g.map(|_, p| p * 10);
+        assert_eq!(mapped.edges().collect::<Vec<_>>(), sorted);
+        assert_eq!(mapped.edge_count(), 6);
     }
 
     #[test]
