@@ -11,9 +11,10 @@
 //!   reports' requirement sets on random component models and rules,
 //!   cycles and policy flows included, and skips exactly the instances
 //!   the manual method rejects as cyclic.
-//! * Shape-graph certificates of the 3-vehicle universe are pinned, so
-//!   a change to colour refinement cannot silently move a certificate
-//!   (and orphan every on-disk certificate cache).
+//! * Shape-graph certificates of the 3- and 4-vehicle universes are
+//!   pinned, so a change to colour refinement cannot silently move a
+//!   certificate (and with it the `certificate hits` and `exact iso
+//!   fallbacks` counts that `--stats` and fsabench report).
 
 use fsa::core::component_model::ComponentModel;
 use fsa::core::explore::{
@@ -201,11 +202,17 @@ fn certificate_digest(certificates: impl IntoIterator<Item = u64>) -> u64 {
 /// certificates, in instance order.
 const PINNED_3V_DIGEST: u64 = 0xfead_3dd1_2eea_f8a7;
 
+/// [`certificate_digest`] of the 4-vehicle universe's shape-graph
+/// certificates, in instance order.
+const PINNED_4V_DIGEST: u64 = 0x119e_4edd_a70a_a3ab;
+
 #[test]
 fn three_vehicle_certificates_are_pinned() {
-    // The on-disk certificate cache is keyed by certificate value, so a
-    // change to colour refinement or to the certificate trace must not
-    // move a single certificate.
+    // Certificates decide which candidates share a bucket, so they fix
+    // the `certificate hits` and `exact iso fallbacks` counts — the
+    // deterministic counters `--stats` and fsabench report. A change to
+    // colour refinement or to the certificate trace must not move a
+    // single certificate.
     let universe = explore_scenario(3, &ExploreOptions::default()).expect("explores");
     assert_eq!(universe.instances.len(), 103);
     let digest = certificate_digest(
@@ -215,6 +222,30 @@ fn three_vehicle_certificates_are_pinned() {
             .map(|i| canonical_certificate(&i.shape_graph())),
     );
     assert_eq!(digest, PINNED_3V_DIGEST, "digest {digest:#018x}");
+}
+
+#[test]
+fn four_vehicle_certificates_are_pinned() {
+    // As above, at the scale whose `exact iso fallbacks 9` CI checks;
+    // the digest must not depend on the thread count either.
+    for threads in [1usize, 2] {
+        let options = ExploreOptions {
+            threads,
+            ..ExploreOptions::default()
+        };
+        let universe = explore_scenario(4, &options).expect("explores");
+        assert_eq!(universe.instances.len(), 3015, "threads {threads}");
+        let digest = certificate_digest(
+            universe
+                .instances
+                .iter()
+                .map(|i| canonical_certificate(&i.shape_graph())),
+        );
+        assert_eq!(
+            digest, PINNED_4V_DIGEST,
+            "threads {threads}: digest {digest:#018x}"
+        );
+    }
 }
 
 /// Multiset equality of isomorphism classes: same length, and a
