@@ -100,7 +100,7 @@ impl Homomorphism {
         }
     }
 
-    /// Compiles the homomorphism against a source [`Alphabet`]: entry
+    /// Compiles the homomorphism against a source [`crate::Alphabet`]: entry
     /// `i` is the image *name* of the source symbol with index `i`
     /// (`None` = erased). One `BTreeMap` lookup per *distinct* source
     /// symbol; [`Homomorphism::apply`] then relabels transitions with

@@ -14,18 +14,14 @@
 //!   encode/decode of one `lease` round-trip and one `shard-result`
 //!   carrying a realistic accepted log.
 //! * `retry_backoff` — lease contention under oversubscription: 16
-//!   workers fighting over 4 shards, with the old fixed `retry_ms`
-//!   sleep versus the seeded decorrelated jitter. The coordinator
-//!   holds a contended request until a shard frees up or the universe
-//!   is done, so a worker only sleeps when a hold runs out (500 ms);
-//!   without holds, fixed woke the whole losing fleet in lockstep half
-//!   a second later while jitter re-probed within tens of
-//!   milliseconds.
+//!   workers fighting over 4 shards, pacing themselves with the
+//!   seeded decorrelated jitter. The coordinator holds a contended
+//!   request until a shard frees up or the universe is done, so a
+//!   worker only sleeps when a hold runs out (500 ms).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fsa_core::checkpoint::CheckpointCounters;
 use fsa_core::explore::{ExecOptions, ExploreOptions};
-use fsa_dist::backoff::BackoffKind;
 use fsa_dist::local::{explore_distributed, LocalConfig, WorkerMode};
 use fsa_dist::proto::{
     decode_to_coordinator, decode_to_worker, encode_to_coordinator, encode_to_worker,
@@ -113,22 +109,15 @@ fn bench_retry_backoff(c: &mut Criterion) {
     // 16 workers over 4 shards: at any moment 12 workers hold no
     // lease and are pacing themselves on `retry` frames, so the retry
     // policy dominates how fast freed shards change hands.
-    for kind in [BackoffKind::Fixed, BackoffKind::Decorrelated] {
-        let name = match kind {
-            BackoffKind::Fixed => "fixed_retry_ms",
-            BackoffKind::Decorrelated => "decorrelated_jitter",
+    group.bench_function("decorrelated_jitter", |b| {
+        let config = LocalConfig {
+            max_vehicles: 2,
+            workers: 16,
+            shards: Some(4),
+            ..LocalConfig::default()
         };
-        group.bench_function(name, |b| {
-            let config = LocalConfig {
-                max_vehicles: 2,
-                workers: 16,
-                shards: Some(4),
-                backoff: kind,
-                ..LocalConfig::default()
-            };
-            b.iter(|| black_box(explore_distributed(&config, &WorkerMode::Threads).unwrap()))
-        });
-    }
+        b.iter(|| black_box(explore_distributed(&config, &WorkerMode::Threads).unwrap()))
+    });
     group.finish();
 }
 

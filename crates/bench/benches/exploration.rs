@@ -139,29 +139,6 @@ fn bench_exploration(c: &mut Criterion) {
         })
     });
 
-    // Cold vs warm cross-run certificate cache: the warm run trusts
-    // the previous census and skips every exact-isomorphism fallback.
-    // 4 vehicles is the smallest scenario universe where fallbacks
-    // exist at all (nine 2-class certificate-collision buckets).
-    let mut cache = std::env::temp_dir();
-    cache.push(format!("fsa-bench-certcache-{}", std::process::id()));
-    let _ = std::fs::remove_file(&cache);
-    let cached = ExploreOptions {
-        threads: 1,
-        cert_cache: Some(cache.clone()),
-        ..Default::default()
-    };
-    let warmup = explore_scenario(4, &cached).expect("census run");
-    assert!(warmup.stats.certificate_hits > 0);
-    assert!(warmup.stats.exact_iso_fallbacks > 0);
-    group.bench_function("enumerate_warm_cache/4", |b| {
-        b.iter(|| {
-            let e = explore_scenario(4, &cached).expect("warm run");
-            assert_eq!(e.stats.exact_iso_fallbacks, 0);
-            black_box(e)
-        })
-    });
-    let _ = std::fs::remove_file(&cache);
     group.finish();
 }
 

@@ -138,40 +138,6 @@ pub struct PipelineStats {
     pub threads: usize,
 }
 
-impl PipelineStats {
-    /// Reconstructs the stats as a *thin view* over an observability
-    /// [`fsa_obs::Snapshot`] of a **single** elicitation run: stage
-    /// durations come from the `elicit.*` spans, work counters from the
-    /// `elicit.*` counters. For a snapshot produced by
-    /// [`elicit_observed`], this equals the [`AssistedReport::stats`]
-    /// struct filled live (both read the same span measurements).
-    ///
-    /// # Errors
-    ///
-    /// [`crate::FsaError::CounterOutOfRange`] when a recorded `u64`
-    /// counter does not fit this target's `usize` (fail closed instead
-    /// of truncating on 32-bit targets).
-    pub fn from_snapshot(snapshot: &fsa_obs::Snapshot) -> Result<PipelineStats, crate::FsaError> {
-        let count = |name: &str| -> Result<usize, crate::FsaError> {
-            let value = snapshot.counter(name).unwrap_or(0);
-            usize::try_from(value).map_err(|_| crate::FsaError::CounterOutOfRange {
-                name: name.to_owned(),
-                value,
-            })
-        };
-        Ok(PipelineStats {
-            behaviour_nfa: snapshot.span_total("elicit.behaviour_nfa"),
-            min_max: snapshot.span_total("elicit.min_max"),
-            prune_pass: snapshot.span_total("elicit.prune_pass"),
-            pair_eval: snapshot.span_total("elicit.pair_eval"),
-            pairs_total: count("elicit.pairs_total")?,
-            pairs_pruned: count("elicit.pairs_pruned")?,
-            coreach_cache_hits: count("elicit.coreach_cache_hits")?,
-            threads: count("elicit.threads")?,
-        })
-    }
-}
-
 /// Decides dependence of (`minimum`, `maximum`) by homomorphic
 /// abstraction, returning the verdict together with the minimal
 /// automaton of the image (the paper's Figs. 10/11).
@@ -726,7 +692,7 @@ mod tests {
     }
 
     #[test]
-    fn observed_run_matches_unobserved_and_stats_are_a_snapshot_view() {
+    fn observed_run_matches_unobserved_and_counters_mirror_live_stats() {
         let g = pipeline_graph();
         let options = ElicitOptions {
             prune: true,
@@ -743,19 +709,27 @@ mod tests {
         assert_eq!(observed.minima, plain.minima);
         assert_eq!(observed.maxima, plain.maxima);
 
-        // The legacy stats struct is a thin view over the snapshot: the
-        // reconstructed view equals the struct filled live.
+        // Every `elicit.*` counter mirrors its live stats field, and
+        // every stage span measures the duration the struct holds.
         let snap = obs.snapshot();
-        let view = PipelineStats::from_snapshot(&snap).unwrap();
-        assert_eq!(view, observed.stats);
+        let stats = &observed.stats;
+        for (name, live) in [
+            ("elicit.pairs_total", stats.pairs_total),
+            ("elicit.pairs_pruned", stats.pairs_pruned),
+            ("elicit.coreach_cache_hits", stats.coreach_cache_hits),
+            ("elicit.threads", stats.threads),
+        ] {
+            assert_eq!(snap.counter(name), Some(live as u64), "{name}");
+        }
         assert_eq!(snap.span_count("elicit"), 1);
-        for stage in [
-            "elicit.behaviour_nfa",
-            "elicit.min_max",
-            "elicit.prune_pass",
-            "elicit.pair_eval",
+        for (stage, live) in [
+            ("elicit.behaviour_nfa", stats.behaviour_nfa),
+            ("elicit.min_max", stats.min_max),
+            ("elicit.prune_pass", stats.prune_pass),
+            ("elicit.pair_eval", stats.pair_eval),
         ] {
             assert_eq!(snap.span_count(stage), 1, "{stage}");
+            assert_eq!(snap.span_total(stage), live, "{stage}");
             let rec = snap.spans.iter().find(|s| s.name == stage).unwrap();
             assert!(rec.parent.is_some(), "{stage} is parented under elicit");
         }

@@ -42,31 +42,11 @@ pub enum FsaError {
         /// Chunk index of the panicked worker.
         chunk: usize,
     },
-    /// An exported observability counter does not fit the native
-    /// `usize` of this target (32-bit truncation hazard). Snapshot
-    /// *views* (`ExploreStats::from_snapshot` & friends) fail closed
-    /// with this instead of silently wrapping, mirroring the
-    /// checkpoint-counter discipline of [`FsaError::CorruptCheckpoint`].
-    CounterOutOfRange {
-        /// Counter name (e.g. `explore.candidates`).
-        name: String,
-        /// The recorded value that does not fit.
-        value: u64,
-    },
     /// A checkpoint file could not be loaded: missing, truncated,
     /// bit-flipped (checksum mismatch), version-skewed, or written by a
     /// run with a different configuration. Never a panic, never a
     /// silent partial load.
     CorruptCheckpoint {
-        /// Explanation.
-        reason: String,
-    },
-    /// The cross-run certificate cache failed: the file is unreadable,
-    /// truncated, bit-flipped (checksum mismatch), version-skewed or
-    /// structurally malformed, or the cache was combined with an
-    /// execution mode it cannot honour (checkpoint/resume). Fail
-    /// closed — a suspect cache is never consulted.
-    CertCache {
         /// Explanation.
         reason: String,
     },
@@ -106,15 +86,8 @@ impl fmt::Display for FsaError {
             FsaError::WorkerPanicked { stage, chunk } => {
                 write!(f, "worker panicked in stage `{stage}` chunk {chunk}")
             }
-            FsaError::CounterOutOfRange { name, value } => write!(
-                f,
-                "observability counter `{name}` value {value} does not fit in usize on this target"
-            ),
             FsaError::CorruptCheckpoint { reason } => {
                 write!(f, "corrupt checkpoint: {reason}")
-            }
-            FsaError::CertCache { reason } => {
-                write!(f, "certificate cache: {reason}")
             }
             FsaError::InvalidShard { reason } => {
                 write!(f, "invalid shard range: {reason}")

@@ -49,7 +49,6 @@
 //! interruption point and every thread count.
 
 use crate::action::{Action, Agent};
-use crate::certcache::{CertCache, CertSection};
 use crate::checkpoint::{config_fingerprint, CheckpointCounters, ExploreCheckpoint};
 use crate::component_model::{ComponentInstance, ComponentModel, TemplateActionId};
 use crate::error::FsaError;
@@ -57,11 +56,11 @@ use crate::instance::{SosInstance, SosInstanceBuilder};
 use crate::manual::chi_nodes;
 use crate::requirements::{AuthRequirement, RequirementSet};
 use fsa_exec::{CancelToken, ChunkFailure, Supervisor};
-use fsa_graph::iso::{canonical_certificate, Certificate, CertifiedClasses};
+use fsa_graph::iso::{canonical_certificate, CertifiedClasses};
 use fsa_graph::{DiGraph, NodeId};
 use fsa_obs::Obs;
 use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
@@ -199,18 +198,6 @@ pub struct ExploreOptions {
     /// bit-identically. [`BudgetPolicy::Truncate`] rejects sharded
     /// options ([`FsaError::InvalidShard`]).
     pub shard: Option<ShardRange>,
-    /// Cross-run certificate cache file (see [`crate::certcache`]).
-    /// When set, candidates landing in buckets whose recorded census
-    /// is conclusive — exactly one class, or every candidate its own
-    /// class — bypass the exact-isomorphism fallback, and a completed
-    /// run saves its own bucket census back (replacing only its
-    /// configuration's section). Results are bit-identical with or
-    /// without the cache; only [`ExploreStats::exact_iso_fallbacks`]
-    /// drops. Excluded from the configuration fingerprint (the cache
-    /// path never changes the enumeration). Cannot be combined with
-    /// checkpoint/resume ([`FsaError::CertCache`]): the resume replay
-    /// is cacheless and its fallback counters would not re-base.
-    pub cert_cache: Option<PathBuf>,
 }
 
 impl Default for ExploreOptions {
@@ -222,7 +209,6 @@ impl Default for ExploreOptions {
             threads: 1,
             obs: Obs::disabled(),
             shard: None,
-            cert_cache: None,
         }
     }
 }
@@ -288,12 +274,6 @@ pub struct ExploreStats {
     pub certificate_hits: usize,
     /// Exact isomorphism checks run inside certificate buckets.
     pub exact_iso_fallbacks: usize,
-    /// Certificate-cache entries loaded for this configuration's
-    /// section (`0` on a cacheless or cold run).
-    pub cert_cache_entries: usize,
-    /// Duplicates discharged on the certificate cache's word, skipping
-    /// the exact isomorphism fallback.
-    pub cert_cache_skips: usize,
     /// Structurally different instances (equivalence classes) found.
     pub classes: usize,
     /// `true` if the run stopped early under [`BudgetPolicy::Truncate`].
@@ -346,10 +326,6 @@ impl std::fmt::Display for ExploreStats {
         writeln!(f, "  disconnected          {}", self.disconnected_skipped)?;
         writeln!(f, "  certificate hits      {}", self.certificate_hits)?;
         writeln!(f, "  exact iso fallbacks   {}", self.exact_iso_fallbacks)?;
-        if self.cert_cache_entries > 0 || self.cert_cache_skips > 0 {
-            writeln!(f, "  cert cache entries    {}", self.cert_cache_entries)?;
-            writeln!(f, "  cert cache skips      {}", self.cert_cache_skips)?;
-        }
         writeln!(f, "  classes               {}", self.classes)?;
         writeln!(f, "  truncated             {}", self.truncated)?;
         writeln!(f, "  threads               {}", self.threads)?;
@@ -384,54 +360,6 @@ impl std::fmt::Display for ExploreStats {
 }
 
 impl ExploreStats {
-    /// Reconstructs the stats as a *thin view* over an observability
-    /// [`fsa_obs::Snapshot`] of a **single** enumeration run: phase
-    /// durations come from the `explore.*` spans, work counters from the
-    /// `explore.*` counters. For a snapshot produced by an observed run
-    /// this equals the [`Exploration::stats`] struct filled live (both
-    /// read the same span measurements).
-    ///
-    /// # Errors
-    ///
-    /// [`FsaError::CounterOutOfRange`] when a recorded `u64` counter
-    /// does not fit this target's `usize` (a 32-bit truncation would
-    /// otherwise silently corrupt the view — same fail-closed stance
-    /// as the checkpoint counter re-basing).
-    pub fn from_snapshot(snapshot: &fsa_obs::Snapshot) -> Result<ExploreStats, FsaError> {
-        let count = |name: &str| -> Result<usize, FsaError> {
-            let value = snapshot.counter(name).unwrap_or(0);
-            usize::try_from(value).map_err(|_| FsaError::CounterOutOfRange {
-                name: name.to_owned(),
-                value,
-            })
-        };
-        Ok(ExploreStats {
-            multiplicity_vectors: count("explore.multiplicity_vectors")?,
-            subsets_total: count("explore.subsets_total")?,
-            orbits_skipped: count("explore.orbits_skipped")?,
-            candidates: count("explore.candidates")?,
-            disconnected_skipped: count("explore.disconnected_skipped")?,
-            certificate_hits: count("explore.certificate_hits")?,
-            exact_iso_fallbacks: count("explore.exact_iso_fallbacks")?,
-            cert_cache_entries: count("explore.cert_cache_entries")?,
-            cert_cache_skips: count("explore.cert_cache_skips")?,
-            classes: count("explore.classes")?,
-            truncated: count("explore.truncated")? != 0,
-            threads: count("explore.threads")?,
-            vectors_total: count("explore.vectors_total")?,
-            vectors_completed: count("explore.vectors_completed")?,
-            candidates_built: count("explore.candidates_built")?,
-            failures: count("explore.failures")?,
-            retries: snapshot.counter("explore.retries").unwrap_or(0),
-            cancelled: count("explore.cancelled")? != 0,
-            checkpoints_written: count("explore.checkpoints_written")?,
-            resumed: count("explore.resumed")? != 0,
-            scan_time: snapshot.span_total("explore.scan"),
-            build_time: snapshot.span_total("explore.build"),
-            dedup_time: snapshot.span_total("explore.dedup"),
-        })
-    }
-
     /// Mirrors every counter-valued field into `explore.*` counters of
     /// `obs` (phase durations are already present as `explore.*` spans).
     /// No-op when `obs` is disabled. The engine calls this internally;
@@ -477,14 +405,6 @@ impl ExploreStats {
             "explore.checkpoints_written",
             self.checkpoints_written as u64,
         );
-        // Cache counters are only materialised when a cache was in
-        // play, so cacheless observed runs export the exact counter
-        // set they always did (snapshot views read missing counters
-        // as zero).
-        if self.cert_cache_entries > 0 || self.cert_cache_skips > 0 {
-            obs.counter_add("explore.cert_cache_entries", self.cert_cache_entries as u64);
-            obs.counter_add("explore.cert_cache_skips", self.cert_cache_skips as u64);
-        }
     }
 }
 
@@ -526,64 +446,6 @@ const SUBSET_SCAN_CAP: usize = 1 << 26;
 /// pruning (correctness is unaffected — the certificate dedup still
 /// collapses the orbits, just later).
 const ORBIT_GROUP_CAP: usize = 720;
-
-/// Loads the cross-run certificate cache of `options`, returning the
-/// whole cache (foreign sections are preserved on save) and this
-/// configuration's trusted section, cloned out so the class map can be
-/// mutated while it is consulted.
-fn load_cert_cache(
-    options: &ExploreOptions,
-    fingerprint: u64,
-) -> Result<Option<(PathBuf, CertCache, Option<CertSection>)>, FsaError> {
-    let Some(path) = &options.cert_cache else {
-        return Ok(None);
-    };
-    let cache = CertCache::load(path)?;
-    let trusted = cache.section(fingerprint).cloned();
-    Ok(Some((path.clone(), cache, trusted)))
-}
-
-/// Streams one candidate into the class map, trusting the certificate
-/// cache's census where it is conclusive (see [`crate::certcache`] for
-/// the soundness argument): single-class buckets discharge duplicates
-/// without exact isomorphism, all-founders collision buckets
-/// (candidates == classes) append new classes without exact
-/// isomorphism. Mixed buckets and unknown certificates take the
-/// ordinary exact path.
-fn insert_candidate(
-    classes: &mut CertifiedClasses<Arc<str>>,
-    trusted: Option<&CertSection>,
-    shape: DiGraph<Arc<str>>,
-    certificate: Certificate,
-) -> Option<usize> {
-    match trusted.and_then(|section| section.get(&certificate)) {
-        Some(census) if census.classes == 1 => {
-            classes.insert_trusting_unique_bucket(shape, certificate)
-        }
-        Some(census) if census.candidates == census.classes => classes.insert_trusting_new_class(
-            shape,
-            certificate,
-            usize::try_from(census.classes).unwrap_or(usize::MAX),
-        ),
-        _ => classes.insert_with_certificate(shape, certificate),
-    }
-}
-
-/// Persists a completed run's bucket census into its cache section.
-/// Partial coverage (cancellation or quarantined chunks) must never be
-/// recorded — its bucket counts are lower bounds, not facts — so
-/// callers gate on completeness; deterministic budget truncation is
-/// fine (the fingerprint pins the budget, so the truncated candidate
-/// stream is reproducible).
-fn save_cert_cache(
-    path: &Path,
-    mut cache: CertCache,
-    fingerprint: u64,
-    classes: &CertifiedClasses<Arc<str>>,
-) -> Result<(), FsaError> {
-    cache.record(fingerprint, &classes.bucket_census());
-    cache.save(path)
-}
 
 /// Odometer over the non-empty multiplicity vectors (`0..=max` per
 /// model), in the engine's canonical order: the first model's count
@@ -787,8 +649,6 @@ fn write_explore_checkpoint(
 /// * [`FsaError::BudgetExceeded`] if the enumeration exceeds
 ///   `options.max_candidates` under [`BudgetPolicy::Error`].
 /// * [`FsaError::InvalidShard`] for a malformed or truncating shard.
-/// * [`FsaError::CertCache`] for an unreadable certificate cache or one
-///   combined with checkpoint/resume.
 /// * [`FsaError::CorruptCheckpoint`] for unreadable, tampered,
 ///   version-skewed or configuration-mismatched resume files.
 pub fn enumerate_instances_supervised(
@@ -841,16 +701,6 @@ pub fn enumerate_instances_supervised(
     };
     let mut classes: CertifiedClasses<Arc<str>> = CertifiedClasses::new();
     let mut instances: Vec<SosInstance> = Vec::new();
-    if options.cert_cache.is_some() && (exec.checkpoint.is_some() || exec.resume.is_some()) {
-        // The resume replay is cacheless: its exact-fallback counters
-        // would not re-base against a cached live run's checkpoint.
-        return Err(FsaError::CertCache {
-            reason: "the certificate cache cannot be combined with checkpoint/resume".to_owned(),
-        });
-    }
-    let cert_cache = load_cert_cache(options, fingerprint)?;
-    let trusted = cert_cache.as_ref().and_then(|(_, _, t)| t.as_ref());
-    stats.cert_cache_entries = trusted.map_or(0, CertSection::len);
 
     // Frontier state: the vector being processed and, mid-vector, the
     // canonical masks not yet built. Ordinals are *global* (sharded
@@ -1131,7 +981,10 @@ pub fn enumerate_instances_supervised(
                 match item {
                     None => stats.disconnected_skipped += 1,
                     Some((instance, shape, certificate)) => {
-                        if insert_candidate(&mut classes, trusted, shape, certificate).is_some() {
+                        if classes
+                            .insert_with_certificate(shape, certificate)
+                            .is_some()
+                        {
                             accepted.push((ordinal64, slice[chunk] as u64));
                             instances.push(instance);
                         }
@@ -1228,12 +1081,6 @@ pub fn enumerate_instances_supervised(
         classes.exact_fallbacks(),
         "exact-isomorphism-fallback",
     )?;
-    stats.cert_cache_skips = classes.trusted_skips();
-    if let Some((path, cache, _)) = cert_cache {
-        if !stats.cancelled && stats.failures == 0 {
-            save_cert_cache(&path, cache, fingerprint, &classes)?;
-        }
-    }
     drop(run);
     stats.mirror_counters(&obs);
     Ok(Exploration {
@@ -2199,95 +2046,6 @@ mod tests {
         assert!(unindexed > 0 && shared_actions > 0 && policy > 0);
     }
 
-    fn cache_tmp(name: &str) -> PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("fsa-explore-cache-{name}-{}", std::process::id()));
-        p
-    }
-
-    /// Two structurally identical models under different names: the
-    /// vectors (1,0) and (0,1) instantiate isomorphic compositions,
-    /// which only the certificate dedup (not the within-vector orbit
-    /// pruning) collapses — guaranteeing certificate hits.
-    fn twin_models() -> Vec<(ComponentModel, usize)> {
-        let mut a = ComponentModel::new("A", "Op");
-        a.action("emit(SNS_i,val)");
-        let mut b = ComponentModel::new("B", "Op");
-        b.action("emit(SNS_i,val)");
-        vec![(a, 2), (b, 2)]
-    }
-
-    #[test]
-    fn cert_cache_warm_run_is_bit_identical_and_skips_exact_iso() {
-        let path = cache_tmp("warm");
-        let _ = std::fs::remove_file(&path);
-        let options = ExploreOptions {
-            require_connected: false,
-            cert_cache: Some(path.clone()),
-            ..ExploreOptions::default()
-        };
-
-        // Cold run: nothing to trust, census saved at the end.
-        let cold = explore(&twin_models(), &[], &options).unwrap();
-        assert_eq!(cold.stats.cert_cache_entries, 0);
-        assert_eq!(cold.stats.cert_cache_skips, 0);
-        assert!(path.exists(), "completed run persists its census");
-        assert!(cold.stats.certificate_hits > 0, "universe has duplicates");
-
-        // Warm run: every duplicate is discharged on the cache's word —
-        // zero exact-isomorphism fallbacks — and the instance stream is
-        // bit-identical to the cold run.
-        let warm = explore(&twin_models(), &[], &options).unwrap();
-        assert!(warm.stats.cert_cache_entries > 0);
-        assert_eq!(warm.stats.cert_cache_skips, warm.stats.certificate_hits);
-        assert_eq!(warm.stats.exact_iso_fallbacks, 0);
-        assert_eq!(warm.stats.classes, cold.stats.classes);
-        assert_eq!(
-            warm.instances
-                .iter()
-                .map(SosInstance::name)
-                .collect::<Vec<_>>(),
-            cold.instances
-                .iter()
-                .map(SosInstance::name)
-                .collect::<Vec<_>>()
-        );
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn cert_cache_rejects_checkpoint_and_resume() {
-        let path = cache_tmp("ckpt-combo");
-        let options = ExploreOptions {
-            cert_cache: Some(path.clone()),
-            ..ExploreOptions::default()
-        };
-        let exec = ExecOptions {
-            checkpoint: Some(CheckpointSpec {
-                path: cache_tmp("ckpt-combo-cp"),
-                every: 1,
-            }),
-            ..ExecOptions::default()
-        };
-        let err = enumerate_instances_supervised(&sensor_and_display(), &rules(), &options, &exec)
-            .unwrap_err();
-        assert!(matches!(err, FsaError::CertCache { .. }), "{err}");
-        assert!(!path.exists(), "rejected run must not touch the cache");
-    }
-
-    #[test]
-    fn corrupt_cert_cache_fails_closed() {
-        let path = cache_tmp("corrupt");
-        std::fs::write(&path, b"garbage, not a snapshot").unwrap();
-        let options = ExploreOptions {
-            cert_cache: Some(path.clone()),
-            ..ExploreOptions::default()
-        };
-        let err = explore(&sensor_and_display(), &rules(), &options).unwrap_err();
-        assert!(matches!(err, FsaError::CertCache { .. }), "{err}");
-        std::fs::remove_file(&path).unwrap();
-    }
-
     #[test]
     fn connected_filter_drops_disconnected() {
         let all = enumerate_instances(
@@ -2731,7 +2489,7 @@ mod tests {
     }
 
     #[test]
-    fn observed_exploration_matches_unobserved_and_stats_are_a_snapshot_view() {
+    fn observed_exploration_matches_unobserved_and_counters_mirror_live_stats() {
         let models = sensor_and_display();
         let rules = rules();
         let plain = explore(&models, &rules, &ExploreOptions::default()).expect("plain run");
@@ -2763,18 +2521,63 @@ mod tests {
             assert_eq!(a.name(), b.name());
             assert_eq!(a.graph(), b.graph());
         }
+        // Every `explore.*` counter mirrors its live stats field, and
+        // every phase span measures the duration the struct holds.
         let snap = obs.snapshot();
-        let view = ExploreStats::from_snapshot(&snap).unwrap();
-        assert_eq!(format!("{}", view), format!("{}", observed.stats));
-        assert_eq!(snap.span_count("explore"), 1);
-        assert!(snap.span_count("explore.scan") >= 1);
-        assert!(snap.span_count("explore.build") >= 1);
-        assert!(snap.span_count("explore.dedup") >= 1);
-        assert!(snap.span_count("checkpoint.write") >= 1);
+        let stats = &observed.stats;
+        let mirrored = [
+            (
+                "explore.multiplicity_vectors",
+                stats.multiplicity_vectors as u64,
+            ),
+            ("explore.subsets_total", stats.subsets_total as u64),
+            ("explore.orbits_skipped", stats.orbits_skipped as u64),
+            ("explore.candidates", stats.candidates as u64),
+            (
+                "explore.disconnected_skipped",
+                stats.disconnected_skipped as u64,
+            ),
+            ("explore.certificate_hits", stats.certificate_hits as u64),
+            (
+                "explore.exact_iso_fallbacks",
+                stats.exact_iso_fallbacks as u64,
+            ),
+            ("explore.classes", stats.classes as u64),
+            ("explore.truncated", u64::from(stats.truncated)),
+            ("explore.threads", stats.threads as u64),
+            ("explore.vectors_total", stats.vectors_total as u64),
+            ("explore.vectors_completed", stats.vectors_completed as u64),
+            ("explore.candidates_built", stats.candidates_built as u64),
+            ("explore.failures", stats.failures as u64),
+            ("explore.retries", stats.retries),
+            ("explore.cancelled", u64::from(stats.cancelled)),
+            ("explore.resumed", u64::from(stats.resumed)),
+            (
+                "explore.checkpoints_written",
+                stats.checkpoints_written as u64,
+            ),
+        ];
+        for (name, live) in mirrored {
+            assert_eq!(snap.counter(name), Some(live), "{name}");
+        }
         assert_eq!(
-            snap.counter("explore.checkpoints_written"),
-            Some(observed.stats.checkpoints_written as u64)
+            snap.counters
+                .iter()
+                .filter(|c| c.name.starts_with("explore."))
+                .count(),
+            mirrored.len(),
+            "every explore.* counter is checked above"
         );
+        assert_eq!(snap.span_count("explore"), 1);
+        for (phase, live) in [
+            ("explore.scan", stats.scan_time),
+            ("explore.build", stats.build_time),
+            ("explore.dedup", stats.dedup_time),
+        ] {
+            assert!(snap.span_count(phase) >= 1, "{phase}");
+            assert_eq!(snap.span_total(phase), live, "{phase}");
+        }
+        assert!(snap.span_count("checkpoint.write") >= 1);
         assert_eq!(
             snap.histogram("checkpoint.write").map(|h| h.count),
             Some(observed.stats.checkpoints_written as u64)

@@ -59,7 +59,6 @@
 pub mod action;
 pub mod assisted;
 pub mod boundary;
-pub mod certcache;
 pub mod checkpoint;
 pub mod classify;
 pub mod component_model;

@@ -11,29 +11,16 @@
 //! `[base, prev × 3]`, clamped to a cap, from a per-worker seeded
 //! generator — workers desynchronise immediately and idle probes stay
 //! cheap while sustained contention still backs off exponentially.
-//!
-//! [`BackoffKind::Fixed`] preserves the old obey-the-hint behaviour
-//! so `benches/distributed.rs` can measure the two side by side.
 
 use std::time::Duration;
 
-/// Which delay policy a [`Backoff`] applies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackoffKind {
-    /// Sleep exactly the hinted delay (the pre-jitter behaviour):
-    /// deterministic, but synchronises contending workers.
-    Fixed,
-    /// Decorrelated jitter: uniform in `[base, prev × 3]`, clamped to
-    /// the cap, independent per seed.
-    Decorrelated,
-}
-
-/// A seeded backoff schedule. One instance per worker per concern
-/// (lease contention and reconnects track separate streaks), reset
-/// whenever the contended resource is acquired.
+/// A seeded decorrelated-jitter backoff schedule: each delay is
+/// uniform in `[base, prev × 3]`, clamped to the cap, independent per
+/// seed. One instance per worker per concern (lease contention and
+/// reconnects track separate streaks), reset whenever the contended
+/// resource is acquired.
 #[derive(Debug, Clone)]
 pub struct Backoff {
-    kind: BackoffKind,
     base_ms: u64,
     cap_ms: u64,
     prev_ms: u64,
@@ -44,10 +31,9 @@ impl Backoff {
     /// A backoff starting at `base_ms`, never exceeding `cap_ms`,
     /// with its jitter stream derived from `seed`.
     #[must_use]
-    pub fn new(kind: BackoffKind, base_ms: u64, cap_ms: u64, seed: u64) -> Backoff {
+    pub fn new(base_ms: u64, cap_ms: u64, seed: u64) -> Backoff {
         let base_ms = base_ms.max(1);
         Backoff {
-            kind,
             base_ms,
             cap_ms: cap_ms.max(base_ms),
             prev_ms: base_ms,
@@ -55,26 +41,16 @@ impl Backoff {
         }
     }
 
-    /// The next delay of the streak. `hint_ms` is the peer's
-    /// suggestion (e.g. the coordinator's `retry_ms`); [`Fixed`]
-    /// obeys it, [`Decorrelated`] only lets it raise the cap's floor
-    /// for this draw, so a jittered probe can come back well before
-    /// the hint but a streak still grows past it toward the cap.
-    ///
-    /// [`Fixed`]: BackoffKind::Fixed
-    /// [`Decorrelated`]: BackoffKind::Decorrelated
-    pub fn next_delay(&mut self, hint_ms: u64) -> Duration {
-        let ms = match self.kind {
-            BackoffKind::Fixed => hint_ms.max(1).min(self.cap_ms),
-            BackoffKind::Decorrelated => {
-                let hi = self.prev_ms.saturating_mul(3).min(self.cap_ms);
-                let lo = self.base_ms.min(hi);
-                let span = hi - lo + 1;
-                let ms = lo + self.next_u64() % span;
-                self.prev_ms = ms;
-                ms
-            }
-        };
+    /// The next delay of the streak. A peer's suggested delay (the
+    /// coordinator's `retry_ms`) is not consulted: a jittered probe
+    /// may come back well before it, while a streak still grows
+    /// toward the cap.
+    pub fn next_delay(&mut self) -> Duration {
+        let hi = self.prev_ms.saturating_mul(3).min(self.cap_ms);
+        let lo = self.base_ms.min(hi);
+        let span = hi - lo + 1;
+        let ms = lo + self.next_u64() % span;
+        self.prev_ms = ms;
         Duration::from_millis(ms)
     }
 
@@ -100,19 +76,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fixed_obeys_the_hint_up_to_the_cap() {
-        let mut b = Backoff::new(BackoffKind::Fixed, 10, 2000, 7);
-        assert_eq!(b.next_delay(500), Duration::from_millis(500));
-        assert_eq!(b.next_delay(9_999), Duration::from_millis(2000));
-        assert_eq!(b.next_delay(0), Duration::from_millis(1));
-    }
-
-    #[test]
     fn decorrelated_stays_within_base_and_cap() {
-        let mut b = Backoff::new(BackoffKind::Decorrelated, 10, 400, 42);
+        let mut b = Backoff::new(10, 400, 42);
         let mut prev = 10u64;
         for _ in 0..200 {
-            let d = b.next_delay(500).as_millis() as u64;
+            let d = b.next_delay().as_millis() as u64;
             assert!((10..=400).contains(&d), "delay {d} out of [10, 400]");
             assert!(
                 d <= prev.saturating_mul(3).min(400),
@@ -125,10 +93,8 @@ mod tests {
     #[test]
     fn decorrelated_is_deterministic_per_seed_and_desynchronised_across_seeds() {
         let draws = |seed: u64| -> Vec<u64> {
-            let mut b = Backoff::new(BackoffKind::Decorrelated, 10, 2000, seed);
-            (0..16)
-                .map(|_| b.next_delay(500).as_millis() as u64)
-                .collect()
+            let mut b = Backoff::new(10, 2000, seed);
+            (0..16).map(|_| b.next_delay().as_millis() as u64).collect()
         };
         assert_eq!(draws(1), draws(1));
         assert_ne!(draws(1), draws(2));
@@ -136,12 +102,12 @@ mod tests {
 
     #[test]
     fn reset_returns_the_streak_to_base_scale() {
-        let mut b = Backoff::new(BackoffKind::Decorrelated, 10, 2000, 3);
+        let mut b = Backoff::new(10, 2000, 3);
         for _ in 0..10 {
-            b.next_delay(500);
+            b.next_delay();
         }
         b.reset();
-        let d = b.next_delay(500).as_millis() as u64;
+        let d = b.next_delay().as_millis() as u64;
         assert!(d <= 30, "post-reset delay {d} should be within base×3");
     }
 }

@@ -561,10 +561,6 @@ fn merge_state(
         // Merge-time bucket collisions that needed an exact check are
         // not attributable to a shard; this stays the shard sum.
         exact_iso_fallbacks: sum.exact_iso_fallbacks,
-        // Workers never carry a certificate cache (the CLI rejects the
-        // combination), so the merged view reports none.
-        cert_cache_entries: 0,
-        cert_cache_skips: 0,
         classes: merged.instances.len(),
         truncated: false,
         threads: 1,

@@ -42,7 +42,7 @@ pub mod proto;
 pub mod state;
 pub mod worker;
 
-pub use backoff::{Backoff, BackoffKind};
+pub use backoff::Backoff;
 pub use coord::{CoordConfig, Coordinator};
 pub use error::DistError;
 pub use local::{explore_distributed, LocalConfig, WorkerMode};

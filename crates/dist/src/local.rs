@@ -6,7 +6,6 @@
 //! merged exploration. The result is bit-identical to the
 //! single-process engine; only the execution is distributed.
 
-use crate::backoff::BackoffKind;
 use crate::coord::{CoordConfig, Coordinator};
 use crate::error::DistError;
 use crate::worker::{run_worker, WorkerConfig};
@@ -56,9 +55,6 @@ pub struct LocalConfig {
     /// Base seed for the workers' jittered backoff; each worker gets
     /// a distinct stream derived from it and its index.
     pub seed: u64,
-    /// Backoff policy handed to every worker
-    /// ([`BackoffKind::Fixed`] exists for the before/after bench).
-    pub backoff: BackoffKind,
     /// Observability handle (owned by the coordinator side).
     pub obs: Obs,
 }
@@ -76,7 +72,6 @@ impl Default for LocalConfig {
             require_connected: explore.require_connected,
             threads: 1,
             seed: 0x5EED_0F5A,
-            backoff: BackoffKind::Decorrelated,
             obs: Obs::disabled(),
         }
     }
@@ -237,7 +232,6 @@ pub fn explore_distributed(
                         state_dir: state_dir.clone(),
                         threads: config.threads.max(1),
                         seed: worker_seed(config.seed, i),
-                        backoff: config.backoff,
                         ..WorkerConfig::default()
                     };
                     std::thread::spawn(move || run_worker(&addr, &worker))

@@ -35,7 +35,7 @@
 //!
 //! [`ExploreCheckpoint`]: fsa_core::checkpoint::ExploreCheckpoint
 
-use crate::backoff::{Backoff, BackoffKind};
+use crate::backoff::Backoff;
 use crate::error::DistError;
 use crate::proto::{
     decode_to_worker, encode_to_coordinator, HelloConfig, ToCoordinator, ToWorker, MAX_FRAME,
@@ -99,9 +99,6 @@ pub struct WorkerConfig {
     /// worker. Any session that reaches a handshake refills the
     /// budget, so a long run tolerates any number of transient drops.
     pub reconnect: usize,
-    /// Delay policy for the retry and reconnect sleeps
-    /// ([`BackoffKind::Fixed`] exists for the before/after bench).
-    pub backoff: BackoffKind,
     /// Observability handle (workers run with it disabled by default;
     /// the coordinator owns the run's `dist.*` counters).
     pub obs: Obs,
@@ -114,7 +111,6 @@ impl Default for WorkerConfig {
             threads: 1,
             seed: 0,
             reconnect: 8,
-            backoff: BackoffKind::Decorrelated,
             obs: Obs::disabled(),
         }
     }
@@ -304,8 +300,8 @@ fn work_session(
         // other contention and try again (without refilling the
         // attempt budget — a permanently saturated coordinator must
         // not pin the worker forever).
-        Step::Frame(ToWorker::Retry { retry_ms }) => {
-            std::thread::sleep(contention.next_delay(retry_ms));
+        Step::Frame(ToWorker::Retry { .. }) => {
+            std::thread::sleep(contention.next_delay());
             return Ok(SessionEnd::Unreachable);
         }
         Step::Frame(ToWorker::Error { message }) => return Err(DistError::Worker(message)),
@@ -374,8 +370,8 @@ fn work_session(
                     Step::Gone => return Ok(SessionEnd::Lost),
                 }
             }
-            ToWorker::Retry { retry_ms } => {
-                std::thread::sleep(contention.next_delay(retry_ms));
+            ToWorker::Retry { .. } => {
+                std::thread::sleep(contention.next_delay());
             }
             ToWorker::Done => {
                 let _ = wire::write_frame_deadline(
@@ -428,13 +424,11 @@ pub fn run_worker(addr: &str, config: &WorkerConfig) -> Result<(), DistError> {
     // contention are separate streaks (losing a connection should not
     // inherit a grown lease-contention delay, and vice versa).
     let mut reconnect = Backoff::new(
-        config.backoff,
         RECONNECT_BASE_MS,
         RECONNECT_CAP_MS,
         config.seed ^ 0xA076_1D64_78BD_642F,
     );
     let mut contention = Backoff::new(
-        config.backoff,
         RETRY_BASE_MS,
         RETRY_CAP_MS,
         config.seed ^ 0xE703_7ED1_A0B4_28DB,
@@ -466,6 +460,6 @@ pub fn run_worker(addr: &str, config: &WorkerConfig) -> Result<(), DistError> {
                 "coordinator at {addr} unreachable after {budget} attempts"
             )));
         }
-        std::thread::sleep(reconnect.next_delay(RECONNECT_BASE_MS));
+        std::thread::sleep(reconnect.next_delay());
     }
 }

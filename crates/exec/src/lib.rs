@@ -21,12 +21,12 @@
 //!   checkpoint files (magic, version, length, FNV-1a checksum), with
 //!   atomic tmp-file + rename persistence so a `SIGKILL` mid-write can
 //!   never leave a torn checkpoint behind.
-//! * [`FaultPlan`] *(feature `chaos`)* — deterministic injected worker
+//! * `FaultPlan` *(feature `chaos`)* — deterministic injected worker
 //!   panics and delays, mirroring `apa::sim::Fault`'s design, so the
 //!   property tests can prove the supervisor's guarantees.
-//! * [`net`] *(feature `chaos`)* — the transport-level counterpart:
-//!   seeded network fault injection ([`net::ChaosStream`]) and a
-//!   frame-aware chaos proxy ([`net::ChaosProxy`]) for hardening the
+//! * `net` *(feature `chaos`)* — the transport-level counterpart:
+//!   seeded network fault injection (`net::ChaosStream`) and a
+//!   frame-aware chaos proxy (`net::ChaosProxy`) for hardening the
 //!   serving and distributed wire protocols.
 
 #![forbid(unsafe_code)]

@@ -327,8 +327,8 @@ pub fn canonical_certificate<L: Hash>(g: &DiGraph<L>) -> Certificate {
 /// FNV-1a as a [`std::hash::Hasher`], so `#[derive(Hash)]` labels feed a
 /// fully deterministic digest: no per-process `RandomState` keys, no
 /// toolchain-dependent SipHash. Certificates built on it are stable
-/// across runs and machines, which is what lets the cross-run
-/// certificate cache key an on-disk store by certificate value.
+/// across runs and machines, so the bucket layout — and with it the
+/// certificate-hit and exact-fallback counts — is reproducible.
 struct FnvHasher(u64);
 
 impl std::hash::Hasher for FnvHasher {
@@ -363,23 +363,11 @@ fn label_hash<L: Hash>(label: &L) -> u64 {
 /// instance-space exploration.
 #[derive(Debug, Clone, Default)]
 pub struct CertifiedClasses<L> {
-    buckets: HashMap<Certificate, Bucket>,
+    /// Per certificate, the classes founded under it.
+    buckets: HashMap<Certificate, Vec<usize>>,
     reps: Vec<DiGraph<L>>,
     certificate_hits: usize,
     exact_fallbacks: usize,
-    trusted_skips: usize,
-}
-
-/// One certificate's bucket: the classes founded under it and how many
-/// candidates landed in it overall. The candidate count is what lets
-/// the cross-run cache distinguish an all-duplicates bucket (1 class,
-/// many candidates) from an all-founders collision bucket (every
-/// candidate a distinct class) — both trustable — from a mixed bucket,
-/// which is not.
-#[derive(Debug, Clone, Default)]
-struct Bucket {
-    classes: Vec<usize>,
-    candidates: usize,
 }
 
 impl<L: Eq + Hash + Ord> CertifiedClasses<L> {
@@ -390,7 +378,6 @@ impl<L: Eq + Hash + Ord> CertifiedClasses<L> {
             reps: Vec::new(),
             certificate_hits: 0,
             exact_fallbacks: 0,
-            trusted_skips: 0,
         }
     }
 
@@ -403,77 +390,17 @@ impl<L: Eq + Hash + Ord> CertifiedClasses<L> {
         certificate: Certificate,
     ) -> Option<usize> {
         let bucket = self.buckets.entry(certificate).or_default();
-        bucket.candidates += 1;
-        if !bucket.classes.is_empty() {
+        if !bucket.is_empty() {
             self.certificate_hits += 1;
         }
-        for &idx in &bucket.classes {
+        for &idx in bucket.iter() {
             self.exact_fallbacks += 1;
             if are_isomorphic(&self.reps[idx], &g) {
                 return None;
             }
         }
         let idx = self.reps.len();
-        bucket.classes.push(idx);
-        self.reps.push(g);
-        Some(idx)
-    }
-
-    /// Like [`CertifiedClasses::insert_with_certificate`], but trusts
-    /// an external oracle (the cross-run certificate cache) claiming
-    /// this certificate's bucket holds exactly one class: a hit on a
-    /// single-representative bucket is recorded as a duplicate *without*
-    /// running exact isomorphism. Buckets with zero representatives
-    /// found a class as usual; buckets that have grown past one fall
-    /// back to the exact check defensively — the oracle's claim no
-    /// longer matches what this run observed.
-    pub fn insert_trusting_unique_bucket(
-        &mut self,
-        g: DiGraph<L>,
-        certificate: Certificate,
-    ) -> Option<usize> {
-        match self.buckets.get_mut(&certificate) {
-            Some(bucket) if bucket.classes.len() == 1 => {
-                bucket.candidates += 1;
-                self.certificate_hits += 1;
-                self.trusted_skips += 1;
-                None
-            }
-            _ => self.insert_with_certificate(g, certificate),
-        }
-    }
-
-    /// Like [`CertifiedClasses::insert_with_certificate`], but trusts
-    /// an external oracle claiming every candidate of this certificate
-    /// founded its own class (census `candidates == classes` — an
-    /// all-founders collision bucket): the candidate is recorded as a
-    /// new class *without* exact-isomorphism checks against the
-    /// bucket's existing representatives. `expected_classes` is the
-    /// oracle's final class count for the bucket; once the bucket has
-    /// grown to that size the claim is spent and further candidates
-    /// take the exact path defensively — the oracle's census no longer
-    /// matches what this run observed.
-    pub fn insert_trusting_new_class(
-        &mut self,
-        g: DiGraph<L>,
-        certificate: Certificate,
-        expected_classes: usize,
-    ) -> Option<usize> {
-        let seen = self
-            .buckets
-            .get(&certificate)
-            .map_or(0, |b| b.classes.len());
-        if seen >= expected_classes {
-            return self.insert_with_certificate(g, certificate);
-        }
-        let bucket = self.buckets.entry(certificate).or_default();
-        bucket.candidates += 1;
-        if !bucket.classes.is_empty() {
-            self.certificate_hits += 1;
-            self.trusted_skips += 1;
-        }
-        let idx = self.reps.len();
-        bucket.classes.push(idx);
+        bucket.push(idx);
         self.reps.push(g);
         Some(idx)
     }
@@ -503,26 +430,6 @@ impl<L: Eq + Hash + Ord> CertifiedClasses<L> {
     /// How many exact [`find_isomorphism`] fallback checks ran.
     pub fn exact_fallbacks(&self) -> usize {
         self.exact_fallbacks
-    }
-
-    /// How many duplicates were discharged on the word of an external
-    /// oracle via [`CertifiedClasses::insert_trusting_unique_bucket`],
-    /// skipping the exact isomorphism check.
-    pub fn trusted_skips(&self) -> usize {
-        self.trusted_skips
-    }
-
-    /// `(certificate, class count, candidate count)` of every bucket,
-    /// sorted by certificate — the exact payload the cross-run
-    /// certificate cache persists at the end of a completed run.
-    pub fn bucket_census(&self) -> Vec<(Certificate, usize, usize)> {
-        let mut out: Vec<(Certificate, usize, usize)> = self
-            .buckets
-            .iter()
-            .map(|(cert, bucket)| (*cert, bucket.classes.len(), bucket.candidates))
-            .collect();
-        out.sort_unstable();
-        out
     }
 
     /// The class representatives, in first-seen order.
@@ -883,80 +790,12 @@ mod tests {
     }
 
     #[test]
-    fn trusting_insert_skips_exact_iso_on_singleton_buckets() {
-        let mut classes: CertifiedClasses<&str> = CertifiedClasses::new();
-        let g = triangle(["v", "v", "v"]);
-        let cert = canonical_certificate(&g);
-        // Cold bucket: founds a class, no trust involved.
-        assert_eq!(
-            classes.insert_trusting_unique_bucket(g.clone(), cert),
-            Some(0)
-        );
-        assert_eq!(classes.trusted_skips(), 0);
-        assert_eq!(classes.exact_fallbacks(), 0);
-        // Singleton bucket: discharged without an exact check.
-        assert_eq!(classes.insert_trusting_unique_bucket(g.clone(), cert), None);
-        assert_eq!(classes.trusted_skips(), 1);
-        assert_eq!(classes.certificate_hits(), 1);
-        assert_eq!(classes.exact_fallbacks(), 0);
-        assert_eq!(classes.bucket_census(), vec![(cert, 1, 2)]);
-    }
-
-    #[test]
-    fn trusting_insert_founds_new_classes_without_exact_checks() {
-        // An all-founders collision bucket: the oracle's census says
-        // every candidate with this certificate is a distinct class, so
-        // arrivals under the expected count skip exact isomorphism and
-        // found classes directly.
-        let mut classes: CertifiedClasses<&str> = CertifiedClasses::new();
-        let a = triangle(["v", "v", "v"]);
-        let mut b = DiGraph::new();
-        let x = b.add_node("v");
-        let y = b.add_node("v");
-        b.add_edge(x, y);
-        assert_eq!(classes.insert_trusting_new_class(a.clone(), 7, 2), Some(0));
-        assert_eq!(classes.trusted_skips(), 0, "founding an empty bucket");
-        assert_eq!(classes.insert_trusting_new_class(b.clone(), 7, 2), Some(1));
-        assert_eq!(classes.trusted_skips(), 1);
-        assert_eq!(classes.certificate_hits(), 1);
-        assert_eq!(classes.exact_fallbacks(), 0);
-        assert_eq!(classes.bucket_census(), vec![(7, 2, 2)]);
-        // The claim is spent: a third arrival goes exact and is caught
-        // as a duplicate of class 0.
-        assert_eq!(classes.insert_trusting_new_class(a.clone(), 7, 2), None);
-        assert!(classes.exact_fallbacks() > 0, "defensive exact check");
-        assert_eq!(classes.len(), 2);
-        assert_eq!(classes.bucket_census(), vec![(7, 2, 3)]);
-    }
-
-    #[test]
-    fn trusting_insert_falls_back_once_bucket_collides() {
-        // Force a bucket with two classes by inserting with a forged
-        // shared certificate, then check the trusting path goes exact.
-        let mut classes: CertifiedClasses<&str> = CertifiedClasses::new();
-        let a = triangle(["v", "v", "v"]);
-        let mut b = DiGraph::new();
-        let x = b.add_node("v");
-        let y = b.add_node("v");
-        b.add_edge(x, y);
-        assert_eq!(classes.insert_with_certificate(a.clone(), 7), Some(0));
-        assert_eq!(classes.insert_with_certificate(b.clone(), 7), Some(1));
-        let fallbacks = classes.exact_fallbacks();
-        assert_eq!(classes.insert_trusting_unique_bucket(a.clone(), 7), None);
-        assert!(
-            classes.exact_fallbacks() > fallbacks,
-            "must re-check exactly"
-        );
-        assert_eq!(classes.trusted_skips(), 0);
-        assert_eq!(classes.bucket_census(), vec![(7, 2, 3)]);
-    }
-
-    #[test]
     fn certificates_are_stable_across_runs() {
         // The initial colours come from a keyless FNV hasher, so the
-        // certificate of a fixed graph is a cross-process constant the
-        // on-disk cache may key by. Pin it: a silent change to the hash
-        // would orphan every existing cache file.
+        // certificate of a fixed graph is a cross-process constant. Pin
+        // it: certificates decide which candidates share a bucket, so a
+        // silent change to the hash would move the certificate-hit and
+        // exact-fallback counts that `--stats` reports.
         let cert = canonical_certificate(&triangle(["v", "v", "w"]));
         assert_eq!(cert, canonical_certificate(&triangle(["v", "v", "w"])));
         assert_eq!(cert, 0xaae9_1e8a_9b29_0b1d);

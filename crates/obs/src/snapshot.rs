@@ -260,7 +260,7 @@ impl Snapshot {
 
     /// chrome://tracing `trace_events` JSON: complete (`ph:"X"`) events
     /// for spans, counter (`ph:"C"`) events, plus the schema version in
-    /// `otherData`. Load via chrome://tracing or https://ui.perfetto.dev.
+    /// `otherData`. Load via chrome://tracing or <https://ui.perfetto.dev>.
     pub fn to_trace_json(&self) -> String {
         let mut out = String::new();
         out.push('{');

@@ -28,15 +28,6 @@ pub enum RuntimeError {
         /// Index of the monitor within its bank.
         monitor: usize,
     },
-    /// An exported observability counter does not fit this target's
-    /// `usize` (32-bit truncation hazard); snapshot views fail closed
-    /// instead of wrapping.
-    CounterOutOfRange {
-        /// Counter name (e.g. `fleet.threads`).
-        name: String,
-        /// The recorded value that does not fit.
-        value: u64,
-    },
 }
 
 impl fmt::Display for RuntimeError {
@@ -61,10 +52,6 @@ impl fmt::Display for RuntimeError {
             RuntimeError::MissingViolationPosition { monitor } => write!(
                 f,
                 "monitor {monitor} is VIOLATED but has no recorded violation position"
-            ),
-            RuntimeError::CounterOutOfRange { name, value } => write!(
-                f,
-                "observability counter `{name}` value {value} does not fit in usize on this target"
             ),
         }
     }

@@ -176,49 +176,10 @@ impl fmt::Display for MonitorStats {
 }
 
 impl MonitorStats {
-    /// Reconstructs the stats from an observability
-    /// [`Snapshot`](fsa_obs::Snapshot) of a single fleet run — the
-    /// struct is a *view* over the snapshot: `compile`, `simulate`,
-    /// `check` and `wall` come from the `fleet.compile` /
-    /// `fleet.simulate` / `fleet.check` / `fleet` span totals,
-    /// everything else from the mirrored `fleet.*` counters
-    /// (`events_per_sec` is derived with the same formula the live
-    /// path uses). Only meaningful when the registry observed exactly
-    /// one run.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::RuntimeError::CounterOutOfRange`] when a recorded `u64`
-    /// counter does not fit this target's `usize` (fail closed instead
-    /// of truncating on 32-bit targets).
-    pub fn from_snapshot(snapshot: &fsa_obs::Snapshot) -> Result<MonitorStats, RuntimeError> {
-        let wall = snapshot.span_total("fleet");
-        let events = snapshot.counter("fleet.events").unwrap_or(0);
-        let threads_raw = snapshot.counter("fleet.threads").unwrap_or(0);
-        let threads =
-            usize::try_from(threads_raw).map_err(|_| RuntimeError::CounterOutOfRange {
-                name: "fleet.threads".to_owned(),
-                value: threads_raw,
-            })?;
-        Ok(MonitorStats {
-            compile: snapshot.span_total("fleet.compile"),
-            simulate: snapshot.span_total("fleet.simulate"),
-            check: snapshot.span_total("fleet.check"),
-            wall,
-            events,
-            events_per_sec: events as f64 / wall.as_secs_f64().max(f64::EPSILON),
-            shard_events: snapshot
-                .counters
-                .iter()
-                .filter(|c| c.name.starts_with("fleet.shard."))
-                .map(|c| c.value)
-                .collect(),
-            threads,
-        })
-    }
-
     /// Mirrors the scalar fields into the registry's counters so a
-    /// snapshot self-describes (see [`MonitorStats::from_snapshot`]).
+    /// snapshot self-describes; the durations are already there as the
+    /// `fleet` / `fleet.compile` / `fleet.simulate` / `fleet.check`
+    /// span totals.
     /// Per-stream counters are zero-padded (`fleet.shard.0007.events`)
     /// so the registry's lexicographic order is the stream order. No-op
     /// when `obs` is disabled.
@@ -929,8 +890,30 @@ mod tests {
         assert!(rendered.contains("shard balance"));
     }
 
+    /// Every `fleet.*` counter of `snap` mirrors its live field of
+    /// `stats`, and every fleet span totals the duration it holds.
+    fn assert_counters_mirror(snap: &fsa_obs::Snapshot, stats: &MonitorStats) {
+        assert_eq!(snap.counter("fleet.events"), Some(stats.events));
+        assert_eq!(snap.counter("fleet.threads"), Some(stats.threads as u64));
+        let shard_events: Vec<u64> = snap
+            .counters
+            .iter()
+            .filter(|c| c.name.starts_with("fleet.shard."))
+            .map(|c| c.value)
+            .collect();
+        assert_eq!(shard_events, stats.shard_events);
+        for (span, live) in [
+            ("fleet", stats.wall),
+            ("fleet.compile", stats.compile),
+            ("fleet.simulate", stats.simulate),
+            ("fleet.check", stats.check),
+        ] {
+            assert_eq!(snap.span_total(span), live, "{span}");
+        }
+    }
+
     #[test]
-    fn observed_fleet_matches_unobserved_and_stats_are_a_snapshot_view() {
+    fn observed_fleet_matches_unobserved_and_counters_mirror_live_stats() {
         let apa = pipeline_apa();
         let set = reqs(&[("first", "second")]);
         let plain_cfg = FleetConfig {
@@ -950,11 +933,8 @@ mod tests {
         // Observability never changes the deterministic report.
         assert_eq!(observed.render(), plain.render());
 
-        // The stats struct is a thin view over the snapshot.
         let snap = obs.snapshot();
-        let view = MonitorStats::from_snapshot(&snap).unwrap();
-        assert_eq!(format!("{view}"), format!("{}", observed.stats));
-        assert_eq!(view.shard_events, observed.stats.shard_events);
+        assert_counters_mirror(&snap, &observed.stats);
 
         // Span inventory: one root, one compile, one merge, one
         // simulate + check pair per stream.
@@ -963,7 +943,6 @@ mod tests {
         assert_eq!(snap.span_count("fleet.merge"), 1);
         assert_eq!(snap.span_count("fleet.simulate"), cfg.streams);
         assert_eq!(snap.span_count("fleet.check"), cfg.streams);
-        assert_eq!(snap.counter("fleet.events"), Some(observed.events));
         assert_eq!(snap.counter("fleet.threads"), Some(2));
         let h = snap.histogram("fleet.check").unwrap();
         assert_eq!(h.count, cfg.streams as u64);
@@ -1001,8 +980,7 @@ mod tests {
         assert_eq!(observed.render(), plain.render());
 
         let snap = obs.snapshot();
-        let view = MonitorStats::from_snapshot(&snap).unwrap();
-        assert_eq!(format!("{view}"), format!("{}", observed.stats));
+        assert_counters_mirror(&snap, &observed.stats);
         assert_eq!(snap.span_count("fleet.simulate"), cfg.streams);
         // One supervised chunk per stream, all first-try successes.
         assert_eq!(snap.counter("supervisor.chunks"), Some(cfg.streams as u64));

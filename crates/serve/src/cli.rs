@@ -28,7 +28,6 @@ pub(crate) const GLOBAL_USAGE: &str = "usage:
   fsa elicit --scenario two|chain|attacked|six [--edit-script F] [--threads N]
   fsa check <spec-file>
   fsa explore [--max-vehicles N] [--threads N] [--stats] [--budget N] [--truncate] [--all]
-              [--cert-cache F]
               [--deadline-ms N] [--retries N] [--checkpoint F [--checkpoint-every N]] [--resume F]
   fsa explore --distributed [--workers N] [--shards N] [--lease-ms N] [--state-dir D] [--max-vehicles N] ...
   fsa coordinate --listen HOST:PORT [--max-vehicles N] [--shards N] [--lease-ms N] [--state F]
@@ -46,7 +45,6 @@ Every subcommand additionally accepts observability exports:
 
 pub(crate) const EXPLORE_USAGE: &str = "usage:
   fsa explore [--max-vehicles N] [--threads N] [--stats] [--budget N] [--truncate] [--all]
-              [--cert-cache F]
               [--deadline-ms N] [--retries N] [--checkpoint F [--checkpoint-every N]] [--resume F]
   fsa explore --distributed [--workers N] [--shards N] [--lease-ms N] [--state-dir D]
               [--max-vehicles N] [--threads N] [--budget N] [--all] [--stats]
@@ -59,12 +57,6 @@ scenario (§4.2) and union their elicited requirements (§4.4).
   --truncate        return the deduped partial universe at budget
   --all             keep disconnected compositions
   --stats           print engine counters and per-stage timings
-  --cert-cache F    cross-run certificate cache: trust F's record of
-                    single-class certificate buckets (skipping exact
-                    isomorphism on duplicates) and save the completed
-                    run's census back; the instance output is
-                    bit-identical to a cacheless run (not combinable
-                    with --checkpoint/--resume/--distributed)
 Supervised execution (every run is supervised; these flags set its
 policy, and the output is unchanged when nothing is cut):
   --deadline-ms N        stop at the next batch boundary after N ms and
@@ -1079,9 +1071,8 @@ pub fn run_explore(rest: &[String], ctx: &ServiceCtx) -> Rendered {
     let mut deadline_ms: Option<u64> = None;
     let mut retries: Option<u32> = None;
     let mut checkpoint: Option<String> = None;
-    let mut checkpoint_every = 256usize;
+    let mut checkpoint_every: Option<usize> = None;
     let mut resume: Option<String> = None;
-    let mut cert_cache: Option<String> = None;
     let mut distributed = false;
     let mut workers: Option<usize> = None;
     let mut shards: Option<usize> = None;
@@ -1128,15 +1119,11 @@ pub fn run_explore(rest: &[String], ctx: &ServiceCtx) -> Rendered {
                 Err(r) => return r,
             },
             "checkpoint-every" => match flags.positive("checkpoint-every", inline) {
-                Ok(n) => checkpoint_every = n,
+                Ok(n) => checkpoint_every = Some(n),
                 Err(r) => return r,
             },
             "resume" => match flags.value("resume", inline) {
                 Ok(p) => resume = Some(p),
-                Err(r) => return r,
-            },
-            "cert-cache" => match flags.value("cert-cache", inline) {
-                Ok(p) => cert_cache = Some(p),
                 Err(r) => return r,
             },
             "distributed" => distributed = true,
@@ -1176,6 +1163,9 @@ pub fn run_explore(rest: &[String], ctx: &ServiceCtx) -> Rendered {
             EXPLORE_USAGE,
         );
     }
+    if checkpoint_every.is_some() && checkpoint.is_none() {
+        return Rendered::usage_error("--checkpoint-every requires --checkpoint", EXPLORE_USAGE);
+    }
     let obs = outputs.obs(ctx);
     let supervisor = build_supervisor(deadline_ms, retries, ctx).with_obs(obs.clone());
     let exploration = if distributed {
@@ -1184,11 +1174,10 @@ pub fn run_explore(rest: &[String], ctx: &ServiceCtx) -> Rendered {
             || retries.is_some()
             || checkpoint.is_some()
             || resume.is_some()
-            || cert_cache.is_some()
         {
             return Rendered::usage_error(
                 "--distributed cannot be combined with --truncate, --deadline-ms, --retries, \
-                 --checkpoint, --resume, or --cert-cache (workers checkpoint their own shards)",
+                 --checkpoint, or --resume (workers checkpoint their own shards)",
                 EXPLORE_USAGE,
             );
         }
@@ -1223,14 +1212,13 @@ pub fn run_explore(rest: &[String], ctx: &ServiceCtx) -> Rendered {
             },
             threads,
             obs: obs.clone(),
-            cert_cache: cert_cache.map(Into::into),
             ..ExploreOptions::default()
         };
         let exec = ExecOptions {
             supervisor: supervisor.clone(),
             checkpoint: checkpoint.map(|p| CheckpointSpec {
                 path: p.into(),
-                every: checkpoint_every,
+                every: checkpoint_every.unwrap_or(256),
             }),
             resume: resume.map(Into::into),
             ..ExecOptions::default()
@@ -1579,78 +1567,6 @@ mod tests {
             }
         }
         assert_eq!(values, ["a", "b"]);
-    }
-
-    #[test]
-    fn cert_cache_warm_explore_output_is_bit_identical() {
-        let mut path = std::env::temp_dir();
-        path.push(format!("fsa-cli-certcache-{}", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let cache = path.to_string_lossy().into_owned();
-        let baseline = dispatch(&argv(&["explore", "--max-vehicles", "2"]));
-        assert_eq!(baseline.exit, 0, "{}", baseline.stderr);
-        let cold = dispatch(&argv(&[
-            "explore",
-            "--max-vehicles",
-            "2",
-            "--cert-cache",
-            &cache,
-        ]));
-        let warm = dispatch(&argv(&[
-            "explore",
-            "--max-vehicles",
-            "2",
-            "--cert-cache",
-            &cache,
-        ]));
-        assert_eq!(cold.exit, 0, "{}", cold.stderr);
-        assert_eq!(cold.stdout, baseline.stdout, "cache never changes output");
-        assert_eq!(warm.stdout, cold.stdout, "warm run is bit-identical");
-        // The warm run's stats expose the cache at work.
-        let stats = dispatch(&argv(&[
-            "explore",
-            "--max-vehicles",
-            "2",
-            "--cert-cache",
-            &cache,
-            "--stats",
-        ]));
-        assert_eq!(stats.exit, 0, "{}", stats.stderr);
-        assert!(
-            stats.stdout.contains("exact iso fallbacks   0"),
-            "{}",
-            stats.stdout
-        );
-        assert!(
-            stats.stdout.contains("cert cache skips"),
-            "{}",
-            stats.stdout
-        );
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn cert_cache_rejects_distributed() {
-        let r = dispatch(&argv(&[
-            "explore",
-            "--distributed",
-            "--cert-cache",
-            "/tmp/x",
-        ]));
-        assert_eq!(r.exit, 2);
-        assert!(r.stderr.contains("--cert-cache"), "{}", r.stderr);
-    }
-
-    #[test]
-    fn corrupt_cert_cache_fails_the_run() {
-        let mut path = std::env::temp_dir();
-        path.push(format!("fsa-cli-certcache-corrupt-{}", std::process::id()));
-        std::fs::write(&path, b"not a cache").unwrap();
-        let cache = path.to_string_lossy().into_owned();
-        let r = dispatch(&argv(&["explore", "--cert-cache", &cache]));
-        assert_eq!(r.exit, 1);
-        assert!(r.stderr.contains("certificate cache"), "{}", r.stderr);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

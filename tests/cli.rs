@@ -433,12 +433,17 @@ fn explore_resume_from_corrupt_checkpoint_fails_cleanly() {
 
 #[test]
 fn explore_rejects_bad_supervision_flag_values() {
-    let out = fsa(&["explore", "--deadline-ms", "soon"]);
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    let out = fsa(&["explore", "--checkpoint"]);
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    let out = fsa(&["explore", "--checkpoint-every", "0"]);
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    for args in [
+        &["explore", "--deadline-ms", "soon"][..],
+        &["explore", "--checkpoint"],
+        &["explore", "--checkpoint-every", "0"],
+        // `--checkpoint-every` only paces a `--checkpoint F` run.
+        &["explore", "--checkpoint-every", "5"],
+        &["explore", "--distributed", "--checkpoint-every", "5"],
+    ] {
+        let out = fsa(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+    }
 }
 
 #[test]

@@ -1,11 +1,10 @@
-//! Differential property suite for the arena/bitset kernels (and the
-//! cross-run certificate cache): the rewritten hot paths must be
-//! *bit-identical* to the retained legacy oracles on random inputs —
-//! same states, same edges, same interned symbols, same verdicts, same
-//! rendered requirements, same simulated walks, for every dependence
-//! method, prune setting and thread count. A faster kernel that
-//! disagrees with its oracle on one random APA is a bug, not an
-//! optimisation.
+//! Differential property suite for the arena/bitset kernels: the
+//! rewritten hot paths must be *bit-identical* to the retained legacy
+//! oracles on random inputs — same states, same edges, same interned
+//! symbols, same verdicts, same rendered requirements, same simulated
+//! walks, for every dependence method, prune setting and thread count.
+//! A faster kernel that disagrees with its oracle on one random APA is
+//! a bug, not an optimisation.
 
 use fsa::apa::rule::{FnRule, LocalState};
 use fsa::apa::{
@@ -13,9 +12,7 @@ use fsa::apa::{
 };
 use fsa::automata::{Symbol, SymbolTable};
 use fsa::core::assisted::{elicit_with_options, DependenceMethod, ElicitOptions};
-use fsa::core::explore::ExploreOptions;
 use fsa::core::Agent;
-use fsa::vanet::exploration::explore_scenario;
 use proptest::prelude::*;
 
 /// A random token-mover APA (same shape as `parallel_props`): `n`
@@ -296,43 +293,5 @@ proptest! {
                 }
             }
         }
-    }
-}
-
-/// Warm-vs-cold certificate cache over the real vehicular universes:
-/// the cached run must reproduce the cacheless instance stream
-/// bit-identically while discharging every duplicate without an exact
-/// isomorphism check (no certificate collisions exist in these
-/// universes — a collision would show up as a nonzero fallback count,
-/// which is exactly what the assertion pins).
-#[test]
-fn cert_cache_warm_scenario_runs_are_bit_identical_with_zero_fallbacks() {
-    for max_vehicles in 1usize..=3 {
-        let mut path = std::env::temp_dir();
-        path.push(format!(
-            "fsa-diff-certcache-{max_vehicles}-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        let options = ExploreOptions {
-            cert_cache: Some(path.clone()),
-            ..ExploreOptions::default()
-        };
-        let cold = explore_scenario(max_vehicles, &options).expect("cold run");
-        let warm = explore_scenario(max_vehicles, &options).expect("warm run");
-        assert_eq!(
-            warm.stats.exact_iso_fallbacks, 0,
-            "max_vehicles {max_vehicles}: warm run must trust the census"
-        );
-        assert_eq!(warm.stats.cert_cache_skips, warm.stats.certificate_hits);
-        assert_eq!(warm.stats.classes, cold.stats.classes);
-        assert_eq!(warm.instances.len(), cold.instances.len());
-        for (w, c) in warm.instances.iter().zip(cold.instances.iter()) {
-            assert_eq!(w.name(), c.name(), "max_vehicles {max_vehicles}");
-            let wa: Vec<String> = w.graph().nodes().map(|(_, a)| a.to_string()).collect();
-            let ca: Vec<String> = c.graph().nodes().map(|(_, a)| a.to_string()).collect();
-            assert_eq!(wa, ca, "max_vehicles {max_vehicles}");
-        }
-        std::fs::remove_file(&path).unwrap();
     }
 }
