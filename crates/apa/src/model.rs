@@ -6,6 +6,7 @@ use crate::rule::{LocalState, TransitionRule};
 use crate::value::Value;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a state component (`s ∈ S`).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -47,7 +48,9 @@ pub type GlobalState = Vec<BTreeSet<Value>>;
 pub(crate) struct ElementaryAutomaton {
     pub(crate) name: String,
     pub(crate) neighbourhood: Vec<ComponentId>,
-    pub(crate) rule: Box<dyn TransitionRule>,
+    /// Shared, so the sub-APAs of [`Apa::fragments`] reuse the rule
+    /// instead of rebuilding it.
+    pub(crate) rule: Arc<dyn TransitionRule>,
 }
 
 /// A complete APA model `((Z_s), (Φ_t, Δ_t), N, q₀)`.
@@ -141,6 +144,139 @@ impl Apa {
             }
         }
         Ok(out)
+    }
+}
+
+impl Apa {
+    /// The independent fragments of the model: the connected components
+    /// of the graph that links every automaton to the state components
+    /// of its neighbourhood, each as a sub-APA over its own automata and
+    /// the components they touch. The sub-APAs share their transition
+    /// rules with `self`.
+    ///
+    /// The split is exact for any APA. No two fragments touch a common
+    /// component, so a firing in one never enables or disables a firing
+    /// in another, and the reachability graph of `self` is the
+    /// interleaving product of the fragments' graphs: its state count is
+    /// the product of theirs and its edge count the sum, over
+    /// fragments, of each fragment's edges times the other fragments'
+    /// states.
+    ///
+    /// Automata keep their declaration order, and so do the components
+    /// within a fragment; fragments are ordered by their first
+    /// automaton. A component that no automaton touches is dropped: it
+    /// contributes one state and no edges to the product. An APA without
+    /// automata has no fragments.
+    ///
+    /// For the dataflow APA of an instance the fragments are the weakly
+    /// connected components of its flow graph.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use apa::{rule, ApaBuilder, Value};
+    ///
+    /// let mut b = ApaBuilder::new();
+    /// for k in 0..2 {
+    ///     let src = b.component(&format!("src{k}"), [Value::atom("x")]);
+    ///     let dst = b.component(&format!("dst{k}"), []);
+    ///     b.automaton(&format!("move{k}"), [src, dst], rule::move_any(0, 1));
+    /// }
+    /// let apa = b.build()?;
+    /// let parts = apa.fragments();
+    /// assert_eq!(parts.len(), 2);
+    /// let whole = apa.reachability(&Default::default())?;
+    /// let part = parts[0].reachability(&Default::default())?;
+    /// assert_eq!((part.state_count(), whole.state_count()), (2, 2 * 2));
+    /// # Ok::<(), apa::ApaError>(())
+    /// ```
+    pub fn fragments(&self) -> Vec<Apa> {
+        self.fragment_automata()
+            .iter()
+            .map(|automata| self.restrict(automata))
+            .collect()
+    }
+
+    /// The number of [`Apa::fragments`], without building them.
+    pub fn fragment_count(&self) -> usize {
+        self.fragment_automata().len()
+    }
+
+    /// The automaton indices of each fragment, in declaration order,
+    /// fragments ordered by their first automaton: union-find over the
+    /// components and the automata, joining each automaton to its
+    /// neighbourhood.
+    fn fragment_automata(&self) -> Vec<Vec<usize>> {
+        fn root(parent: &mut [usize], mut x: usize) -> usize {
+            while parent[x] != x {
+                parent[x] = parent[parent[x]];
+                x = parent[x];
+            }
+            x
+        }
+        // Components are nodes `0..n`, automaton `i` is node `n + i`.
+        let n = self.component_count();
+        let mut parent: Vec<usize> = (0..n + self.automata.len()).collect();
+        for (i, aut) in self.automata.iter().enumerate() {
+            for c in &aut.neighbourhood {
+                let (a, b) = (root(&mut parent, n + i), root(&mut parent, c.index()));
+                parent[a] = b;
+            }
+        }
+        let mut group_of_root: HashMap<usize, usize> = HashMap::new();
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        for i in 0..self.automata.len() {
+            let group = *group_of_root
+                .entry(root(&mut parent, n + i))
+                .or_insert(groups.len());
+            if group == groups.len() {
+                groups.push(Vec::new());
+            }
+            groups[group].push(i);
+        }
+        groups
+    }
+
+    /// The sub-APA over `automata` and the components they touch, in
+    /// declaration order.
+    fn restrict(&self, automata: &[usize]) -> Apa {
+        let mut touched = vec![false; self.component_count()];
+        for &a in automata {
+            for c in &self.automata[a].neighbourhood {
+                touched[c.index()] = true;
+            }
+        }
+        // `slot[c]`: component `c`'s id in the sub-APA (read only for
+        // touched components).
+        let mut slot = vec![0u32; touched.len()];
+        let mut component_names = Vec::new();
+        let mut initial = Vec::new();
+        for (c, _) in touched.iter().enumerate().filter(|(_, &t)| t) {
+            // At most as many components as `self`, whose ids fit u32.
+            slot[c] = component_names.len() as u32;
+            component_names.push(self.component_names[c].clone());
+            initial.push(self.initial[c].clone());
+        }
+        let automata = automata
+            .iter()
+            .map(|&a| {
+                let aut = &self.automata[a];
+                ElementaryAutomaton {
+                    name: aut.name.clone(),
+                    neighbourhood: aut
+                        .neighbourhood
+                        .iter()
+                        .map(|c| ComponentId(slot[c.index()]))
+                        .collect(),
+                    rule: Arc::clone(&aut.rule),
+                }
+            })
+            .collect();
+        Apa {
+            component_names,
+            automata,
+            initial,
+        }
     }
 }
 
@@ -287,7 +423,7 @@ impl ApaBuilder {
         self.automata.push(ElementaryAutomaton {
             name: name.to_owned(),
             neighbourhood,
-            rule,
+            rule: Arc::from(rule),
         });
         id
     }

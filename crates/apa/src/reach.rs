@@ -41,6 +41,12 @@ pub struct ReachOptions {
     /// Abort exploration beyond this many states. At most `u32::MAX`:
     /// state ids are `u32`, and a larger limit is rejected up front with
     /// [`ApaError::IdSpaceExceeded`].
+    ///
+    /// The bound applies to each graph that is actually built. The
+    /// fragment-wise §5 engine (`fsa_core::assisted::elicit_apa`) explores
+    /// every fragment of [`Apa::fragments`] alone, so there it bounds
+    /// each fragment, not the recomposed product, whose size is only
+    /// computed (with checked arithmetic).
     pub max_states: usize,
 }
 

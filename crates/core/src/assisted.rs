@@ -17,13 +17,40 @@
 //!   (Figs. 10/11), or
 //! * by a direct **precedence check** on the behaviour — an equivalent
 //!   decision procedure offered for cross-validation and benchmarking.
+//!
+//! ### One analysis, one recomposition
+//!
+//! Every entry point runs the same two steps. The *analysis* reads one
+//! reachability graph: its minima, maxima and dead states, the pair
+//! grid, and (when several fragments meet under the abstraction method)
+//! the projection of the behaviour onto each single minimum or maximum.
+//! The *recomposition* turns the analyses of independent fragments into
+//! the report of their interleaving product (DESIGN.md §2.5):
+//!
+//! * the state count is the product of the fragments' counts, the edge
+//!   count the sum over fragments of its edges times the others' states;
+//! * the minima are the union of the fragments' minima;
+//! * the maxima are the union only if every fragment has a dead state
+//!   (a dead state of the product is dead in every fragment);
+//! * a pair whose minimum and maximum lie in different fragments is
+//!   independent, and under abstraction its minimal automaton is the
+//!   shuffle of the two unary projections.
+//!
+//! [`elicit_apa`] splits an APA with [`apa::Apa::fragments`] and never
+//! builds the global product. The graph-level entry points
+//! ([`elicit_observed`] and its wrappers) analyse the graph they are
+//! handed as one fragment. The incremental engine
+//! ([`crate::incremental::IncrementalElicitor`]) memoises analyses of
+//! the value-level fragments of an edit model and recomposes them here.
 
 use crate::action::{Action, Agent};
 use crate::requirements::{AuthRequirement, RequirementSet};
-use apa::ReachGraph;
+use crate::FsaError;
+use apa::{Apa, ReachGraph, ReachOptions};
 use automata::temporal::PrecedenceIndex;
-use automata::{ops, temporal, Dfa, Homomorphism, Nfa, Symbol};
+use automata::{ops, shuffle::shuffle_product, temporal, Dfa, Homomorphism, Nfa, Symbol};
 use fsa_obs::Obs;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
 /// The decision procedure for functional dependence of a (max, min)
@@ -116,9 +143,22 @@ impl ElicitOptions {
 }
 
 /// Per-stage timings and work counters of one elicitation run
-/// (§5.5 pipeline: behaviour → minima/maxima → pair grid).
+/// (§5.5 pipeline: reachability → behaviour → minima/maxima → pair
+/// grid). Stage durations are summed over the run's fragments; the pair
+/// counters describe the recomposed grid, so they do not depend on how
+/// the model split.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PipelineStats {
+    /// Fragments recomposed: the independent sub-APAs of an
+    /// [`elicit_apa`] run, the value-level fragments of an incremental
+    /// run, 1 for a graph-level run.
+    pub fragments: usize,
+    /// Time to explore the fragments' reachability graphs (zero for a
+    /// graph-level run, which is handed its graph).
+    pub reach: Duration,
+    /// States of the reachability graphs this run actually built — the
+    /// sum over fragments, not the recomposed product.
+    pub reach_states: usize,
     /// Time to build the behaviour NFA from the reachability graph.
     pub behaviour_nfa: Duration,
     /// Time to read the minima and maxima off the graph.
@@ -131,8 +171,9 @@ pub struct PipelineStats {
     pub pairs_total: usize,
     /// Pairs decided by the pruning pre-pass alone.
     pub pairs_pruned: usize,
-    /// Pair evaluations that reused a cached per-maximum backward
-    /// reachability instead of recomputing it.
+    /// Pairs of the grid that reuse their maximum's backward
+    /// reachability from an earlier pair instead of recomputing it
+    /// (with pruning on: every pair but the first of each maximum).
     pub coreach_cache_hits: usize,
     /// Worker threads used for the pair grid (1 = sequential).
     pub threads: usize,
@@ -160,10 +201,6 @@ pub fn dependence_by_precedence(behaviour: &Nfa, minimum: &str, maximum: &str) -
 /// Builds the requirement set from a verdict vector: one authenticity
 /// requirement per *dependent* pair, with the responsible agent
 /// assigned by `stakeholder` from the maximum's action name.
-///
-/// Shared between [`elicit_observed`] and the incremental engine
-/// ([`crate::incremental::IncrementalElicitor`]), so both derive
-/// requirements from verdicts in exactly the same way.
 pub fn requirements_from_verdicts(
     verdicts: &[PairVerdict],
     stakeholder: impl Fn(&str) -> Agent,
@@ -200,6 +237,518 @@ pub fn elicit_from_graph(
         },
         stakeholder,
     )
+}
+
+/// Runs the tool-assisted pipeline with explicit engine options:
+/// worker threads over the (maxima × minima) grid and the
+/// occurrence-set pruning pre-pass.
+///
+/// For any fixed options, the verdict vector is deterministic; for any
+/// *thread count*, it is bit-identical to the sequential run (pairs are
+/// chunked, evaluated independently, and merged in index order).
+/// Pruned pairs report `dependent = false` with
+/// `minimal_automaton_states = None`.
+pub fn elicit_with_options(
+    graph: &ReachGraph,
+    options: &ElicitOptions,
+    stakeholder: impl Fn(&str) -> Agent,
+) -> AssistedReport {
+    elicit_observed(graph, options, &Obs::disabled(), stakeholder)
+}
+
+/// [`elicit_with_options`] with an observability handle: the run is one
+/// `elicit` span over the stage spans `elicit.behaviour_nfa`,
+/// `elicit.min_max`, `elicit.prune_pass` and `elicit.pair_eval`, and
+/// the work counters are mirrored into `elicit.*` counters. With
+/// [`Obs::disabled`] (what [`elicit_with_options`] passes) nothing is
+/// recorded and the report — including [`PipelineStats`] — is identical
+/// to the unobserved run: the stats are filled from the very same span
+/// measurements.
+///
+/// The graph is analysed as one fragment and recomposed alone.
+///
+/// # Panics
+///
+/// If a pair worker panics. This infallible graph-level wrapper is the
+/// only place that turns [`FsaError::WorkerPanicked`] into a panic;
+/// [`elicit_apa`] returns it.
+pub fn elicit_observed(
+    graph: &ReachGraph,
+    options: &ElicitOptions,
+    obs: &Obs,
+    stakeholder: impl Fn(&str) -> Agent,
+) -> AssistedReport {
+    let run = obs.span("elicit");
+    let mut stats = PipelineStats::default();
+    let report = analyze(graph, options, false, obs, &mut stats).and_then(|analysis| {
+        recompose(
+            &[&analysis],
+            options,
+            &mut CrossCache::new(),
+            stats,
+            stakeholder,
+        )
+    });
+    let report = report.unwrap_or_else(|e| panic!("{e}"));
+    mirror_counters(obs, &report.stats);
+    drop(run);
+    report
+}
+
+/// Runs the tool-assisted pipeline on an APA fragment by fragment,
+/// without building its global reachability graph.
+///
+/// Each fragment of [`Apa::fragments`] is explored alone with
+/// [`ReachOptions::default`], analysed, and dropped; the report is the
+/// exact recomposition of the analyses (see the module docs). It equals
+/// [`elicit_with_options`] on `apa.reachability(..)` in every field but
+/// the timings and the fragment counters of [`PipelineStats`]. With a
+/// single fragment the APA itself is explored, with no copy.
+///
+/// Observability: one `elicit` span, under it per fragment an
+/// `elicit.reach` span and the stage spans of [`elicit_observed`], and
+/// the same `elicit.*` counters, where `elicit.fragments` and
+/// `elicit.reach.states` count the fragments and the states built.
+///
+/// # Errors
+///
+/// * [`FsaError::Apa`] when a fragment's exploration fails — notably
+///   [`apa::ApaError::StateLimitExceeded`]: `max_states` bounds each
+///   fragment, since only fragments are built.
+/// * [`FsaError::RecompositionOverflow`] when the recomposed state or
+///   edge count does not fit `usize`.
+/// * [`FsaError::WorkerPanicked`] (stage `assisted:pairs`) when a pair
+///   worker panics.
+pub fn elicit_apa(
+    apa: &Apa,
+    options: &ElicitOptions,
+    obs: &Obs,
+    stakeholder: impl Fn(&str) -> Agent,
+) -> Result<AssistedReport, FsaError> {
+    let run = obs.span("elicit");
+    let mut stats = PipelineStats::default();
+    let fragments = apa.fragment_count();
+    // Unary projections only serve cross-fragment abstraction verdicts.
+    let projections = fragments > 1;
+    let mut analyses = Vec::with_capacity(fragments);
+    let mut analyse = |part: &Apa| -> Result<(), FsaError> {
+        let span = obs.span("elicit.reach");
+        let graph = part.reachability(&ReachOptions::default())?;
+        stats.reach += span.finish();
+        stats.reach_states += graph.state_count();
+        analyses.push(analyze(&graph, options, projections, obs, &mut stats)?);
+        Ok(())
+    };
+    if fragments == 1 {
+        analyse(apa)?;
+    } else {
+        for part in apa.fragments() {
+            analyse(&part)?;
+        }
+    }
+    let analyses: Vec<&FragmentAnalysis> = analyses.iter().collect();
+    let report = recompose(
+        &analyses,
+        options,
+        &mut CrossCache::new(),
+        stats,
+        stakeholder,
+    )?;
+    mirror_counters(obs, &report.stats);
+    drop(run);
+    Ok(report)
+}
+
+/// Mirrors the work counters of a run into its `elicit.*` counters.
+fn mirror_counters(obs: &Obs, stats: &PipelineStats) {
+    if obs.is_enabled() {
+        obs.counter_add("elicit.pairs_total", stats.pairs_total as u64);
+        obs.counter_add("elicit.pairs_pruned", stats.pairs_pruned as u64);
+        obs.counter_add("elicit.coreach_cache_hits", stats.coreach_cache_hits as u64);
+        obs.counter_add("elicit.threads", stats.threads as u64);
+        obs.counter_add("elicit.fragments", stats.fragments as u64);
+        obs.counter_add("elicit.reach.states", stats.reach_states as u64);
+    }
+}
+
+/// A unary prefix-closed language over one symbol: either all words up
+/// to a bound, or the full `a*`. This is the exact shape of any
+/// fragment behaviour projected onto a single action, and the whole
+/// input a cross-fragment abstraction verdict needs from each side.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum UnaryLang {
+    /// `{aⁱ | i ≤ bound}`.
+    Bounded(usize),
+    /// `a*`.
+    Unbounded,
+}
+
+/// Cross-fragment minimal-automaton sizes, keyed by the two unary
+/// languages (see [`cross_pair_states`]).
+pub(crate) type CrossCache = BTreeMap<(UnaryLang, UnaryLang), usize>;
+
+/// The verdict of one pair of a fragment's own grid.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct GridVerdict {
+    dependent: bool,
+    minimal_automaton_states: Option<usize>,
+    /// Decided by the pruning pre-pass alone.
+    pruned: bool,
+}
+
+/// The analysis of one reachability graph: everything the
+/// recomposition needs from a fragment.
+#[derive(Debug, Clone)]
+pub(crate) struct FragmentAnalysis {
+    /// States of the fragment's reachability graph.
+    state_count: usize,
+    /// Edges of the fragment's reachability graph.
+    edge_count: usize,
+    /// The fragment's minima (sorted by name).
+    minima: Vec<String>,
+    /// The fragment's maxima (sorted by name).
+    maxima: Vec<String>,
+    /// Whether the fragment's graph has a dead state. The product has
+    /// maxima iff *every* fragment does: an edge into a dead state of
+    /// the product needs all other fragments dead too.
+    has_dead: bool,
+    /// The fragment's own grid: the verdict of
+    /// (`maxima[ma]`, `minima[mi]`) is `grid[ma * minima.len() + mi]`.
+    /// The entry of an action that is both a minimum and a maximum
+    /// paired with itself is never read.
+    grid: Vec<GridVerdict>,
+    /// Projection of the fragment behaviour onto each single minimum or
+    /// maximum action (abstraction method, when asked for) — the input
+    /// for cross-fragment minimal-automaton sizes.
+    unary: BTreeMap<String, UnaryLang>,
+}
+
+/// Analyses one reachability graph (a fragment): minima and maxima,
+/// dead states, the pair grid with the options' method, pruning and
+/// threads — chunked over the workers and merged in index order, so
+/// deterministic for every thread count — and, with `projections` under
+/// the abstraction method, the unary projection of every minimum and
+/// maximum. Each stage runs under its `elicit.*` span and adds its
+/// duration to `stats`.
+///
+/// # Errors
+///
+/// [`FsaError::WorkerPanicked`] (stage `assisted:pairs`) if a pair
+/// worker panics.
+pub(crate) fn analyze(
+    graph: &ReachGraph,
+    options: &ElicitOptions,
+    projections: bool,
+    obs: &Obs,
+    stats: &mut PipelineStats,
+) -> Result<FragmentAnalysis, FsaError> {
+    let span = obs.span("elicit.behaviour_nfa");
+    let behaviour = graph.to_nfa();
+    stats.behaviour_nfa += span.finish();
+
+    let span = obs.span("elicit.min_max");
+    let minima_syms = graph.minima_syms();
+    let maxima_syms = graph.maxima_syms();
+    let minima: Vec<String> = minima_syms
+        .iter()
+        .map(|&s| graph.name(s).to_owned())
+        .collect();
+    let maxima: Vec<String> = maxima_syms
+        .iter()
+        .map(|&s| graph.name(s).to_owned())
+        .collect();
+    let has_dead = !graph.dead_states().is_empty();
+    stats.min_max += span.finish();
+
+    // The deterministic pair grid: maxima outer, minima inner.
+    let mut pairs: Vec<(usize, usize)> = Vec::with_capacity(maxima_syms.len() * minima_syms.len());
+    for (ma, &max_sym) in maxima_syms.iter().enumerate() {
+        for (mi, &min_sym) in minima_syms.iter().enumerate() {
+            if min_sym != max_sym {
+                pairs.push((ma, mi));
+            }
+        }
+    }
+
+    // Pruning pre-pass: one backward reachability per *maximum*,
+    // reused across all its minima.
+    let span = obs.span("elicit.prune_pass");
+    let pruned: Vec<bool> = if options.prune {
+        let index = PruneIndex::new(graph);
+        let mut coreach_cache: Vec<Option<fsa_graph::BitSet>> = vec![None; maxima_syms.len()];
+        pairs
+            .iter()
+            .map(|&(ma, mi)| {
+                let coreach =
+                    coreach_cache[ma].get_or_insert_with(|| index.coreach(maxima_syms[ma]));
+                !index.min_before_max_possible(minima_syms[mi], coreach)
+            })
+            .collect()
+    } else {
+        vec![false; pairs.len()]
+    };
+    stats.prune_pass += span.finish();
+
+    let span = obs.span("elicit.pair_eval");
+    let precedence_index = match options.method {
+        DependenceMethod::Precedence => Some(PrecedenceIndex::new(&behaviour)),
+        DependenceMethod::Abstraction => None,
+    };
+    let items: Vec<(usize, usize, bool)> = pairs
+        .iter()
+        .zip(&pruned)
+        .map(|(&(ma, mi), &p)| (ma, mi, p))
+        .collect();
+    let eval = |&(ma, mi, pruned): &(usize, usize, bool)| -> GridVerdict {
+        let (minimum, maximum) = (minima[mi].as_str(), maxima[ma].as_str());
+        let (dependent, minimal_automaton_states) = if pruned {
+            (false, None)
+        } else if let Some(index) = &precedence_index {
+            (index.precedes_names(minimum, maximum), None)
+        } else {
+            let (dep, minimal) = dependence_by_abstraction(&behaviour, minimum, maximum);
+            (dep, Some(minimal.state_count()))
+        };
+        GridVerdict {
+            dependent,
+            minimal_automaton_states,
+            pruned,
+        }
+    };
+    let verdicts = eval_chunked(&items, options.threads.max(1), eval)?;
+    let mut grid = vec![GridVerdict::default(); maxima.len() * minima.len()];
+    for (&(ma, mi), verdict) in pairs.iter().zip(verdicts) {
+        grid[ma * minima.len() + mi] = verdict;
+    }
+
+    let mut unary = BTreeMap::new();
+    if projections && options.method == DependenceMethod::Abstraction {
+        let actions: BTreeSet<&String> = minima.iter().chain(&maxima).collect();
+        for action in actions {
+            unary.insert(action.clone(), unary_projection(&behaviour, action));
+        }
+    }
+    stats.pair_eval += span.finish();
+
+    Ok(FragmentAnalysis {
+        state_count: graph.state_count(),
+        edge_count: graph.edge_count(),
+        minima,
+        maxima,
+        has_dead,
+        grid,
+        unary,
+    })
+}
+
+/// The projection of a behaviour onto the single action `action`.
+///
+/// The projection of a prefix-closed language onto one symbol is
+/// {aⁱ | i ≤ j} or a*; the minimal DFA is probed by acceptance: if aⁿ
+/// is accepted (n its state count) the language pumps.
+fn unary_projection(behaviour: &Nfa, action: &str) -> UnaryLang {
+    let h = Homomorphism::erase_all_except([action]);
+    let minimal = ops::minimize(&ops::determinize(&h.apply(behaviour)));
+    let n = minimal.state_count();
+    if minimal.accepts(vec![action; n]) {
+        UnaryLang::Unbounded
+    } else {
+        let bound = (0..n)
+            .rev()
+            .find(|&i| minimal.accepts(vec![action; i]))
+            .unwrap_or(0);
+        UnaryLang::Bounded(bound)
+    }
+}
+
+/// Recomposes the report of the interleaving product of independent
+/// fragments from their analyses (see the module docs). `stats` carries
+/// the stage timings of the run; the recomposition sets the counters.
+///
+/// # Errors
+///
+/// [`FsaError::RecompositionOverflow`] when the product's state or edge
+/// count does not fit `usize`.
+pub(crate) fn recompose(
+    analyses: &[&FragmentAnalysis],
+    options: &ElicitOptions,
+    cross_cache: &mut CrossCache,
+    mut stats: PipelineStats,
+    stakeholder: impl Fn(&str) -> Agent,
+) -> Result<AssistedReport, FsaError> {
+    let overflow = |what| FsaError::RecompositionOverflow { what };
+    let state_count = analyses
+        .iter()
+        .try_fold(1usize, |acc, a| acc.checked_mul(a.state_count))
+        .ok_or_else(|| overflow("state count"))?;
+    let edge_count = analyses
+        .iter()
+        .try_fold(0usize, |acc, a| {
+            // Every fragment has at least its initial state, and the
+            // product is a multiple of each factor.
+            let others = state_count / a.state_count;
+            a.edge_count
+                .checked_mul(others)
+                .and_then(|edges| acc.checked_add(edges))
+        })
+        .ok_or_else(|| overflow("edge count"))?;
+
+    // Every minimum and maximum with its fragment and its index there,
+    // sorted by name.
+    let located = |pick: fn(&FragmentAnalysis) -> &[String]| {
+        let mut all: Vec<(&str, usize, usize)> = analyses
+            .iter()
+            .enumerate()
+            .flat_map(|(f, a)| {
+                pick(a)
+                    .iter()
+                    .enumerate()
+                    .map(move |(i, name)| (name.as_str(), f, i))
+            })
+            .collect();
+        all.sort_unstable();
+        all
+    };
+    let minima = located(|a| &a.minima);
+    let maxima = if analyses.iter().all(|a| a.has_dead) {
+        located(|a| &a.maxima)
+    } else {
+        Vec::new()
+    };
+
+    let mut verdicts = Vec::with_capacity(maxima.len() * minima.len());
+    for &(maximum, fmax, ma) in &maxima {
+        let row = verdicts.len();
+        for &(minimum, fmin, mi) in &minima {
+            if minimum == maximum {
+                continue;
+            }
+            let verdict = if fmin == fmax {
+                let a = analyses[fmax];
+                a.grid[ma * a.minima.len() + mi]
+            } else {
+                // Cross-fragment: the other fragment can always run to
+                // the maximum with no minimum in between, so the pair
+                // is independent; under abstraction the minimal
+                // automaton of the projected shuffle is still reported,
+                // from the two unary projections.
+                let minimal_automaton_states = match options.method {
+                    DependenceMethod::Abstraction => Some(cross_pair_states(
+                        cross_cache,
+                        analyses[fmin].unary[minimum],
+                        analyses[fmax].unary[maximum],
+                    )),
+                    DependenceMethod::Precedence => None,
+                };
+                GridVerdict {
+                    minimal_automaton_states,
+                    ..GridVerdict::default()
+                }
+            };
+            stats.pairs_pruned += usize::from(verdict.pruned);
+            verdicts.push(PairVerdict {
+                minimum: minimum.to_owned(),
+                maximum: maximum.to_owned(),
+                dependent: verdict.dependent,
+                minimal_automaton_states: verdict.minimal_automaton_states,
+            });
+        }
+        // The prune pass sweeps once per maximum and reuses the sweep
+        // for the rest of its row.
+        if options.prune && verdicts.len() > row {
+            stats.coreach_cache_hits += verdicts.len() - row - 1;
+        }
+    }
+    stats.pairs_total = verdicts.len();
+    stats.threads = options.threads.max(1);
+    stats.fragments = analyses.len();
+
+    let requirements = requirements_from_verdicts(&verdicts, stakeholder);
+    Ok(AssistedReport {
+        state_count,
+        edge_count,
+        minima: minima.iter().map(|&(name, ..)| name.to_owned()).collect(),
+        maxima: maxima.iter().map(|&(name, ..)| name.to_owned()).collect(),
+        verdicts,
+        requirements,
+        stats,
+    })
+}
+
+/// The minimal-DFA size of the shuffle of two unary languages over
+/// distinct symbols — what `minimize(determinize(erase_all_except([min,
+/// max])))` computes on the product for a cross-fragment pair.
+/// Independent of the symbol names, so memoised per language pair.
+fn cross_pair_states(cache: &mut CrossCache, min: UnaryLang, max: UnaryLang) -> usize {
+    *cache.entry((min, max)).or_insert_with(|| {
+        let product = shuffle_product(&unary_nfa(min, "a"), &unary_nfa(max, "b"));
+        ops::minimize(&ops::determinize(&product)).state_count()
+    })
+}
+
+/// Builds the NFA of a unary language over `sym`.
+fn unary_nfa(lang: UnaryLang, sym: &str) -> Nfa {
+    let mut b = Nfa::builder();
+    let s = b.symbol(sym);
+    match lang {
+        UnaryLang::Bounded(bound) => {
+            let states: Vec<_> = (0..=bound).map(|_| b.state(true)).collect();
+            b.initial(states[0]);
+            for w in states.windows(2) {
+                b.edge(w[0], Some(s), w[1]);
+            }
+        }
+        UnaryLang::Unbounded => {
+            let state = b.state(true);
+            b.initial(state);
+            b.edge(state, Some(s), state);
+        }
+    }
+    b.build()
+}
+
+/// Maps `eval` over `items` in chunks on up to `threads` scoped
+/// workers, merged in index order. Every worker is joined before the
+/// first panicking chunk is reported, so a second panic cannot abort
+/// the scope.
+///
+/// # Errors
+///
+/// [`FsaError::WorkerPanicked`] (stage `assisted:pairs`) naming the
+/// first chunk whose worker panicked.
+fn eval_chunked<T: Sync, R: Send>(
+    items: &[T],
+    threads: usize,
+    eval: impl Fn(&T) -> R + Sync,
+) -> Result<Vec<R>, FsaError> {
+    if threads <= 1 || items.len() < 2 {
+        return Ok(items.iter().map(eval).collect());
+    }
+    let chunk = items.len().div_ceil(threads);
+    let per_chunk: Vec<Result<Vec<R>, usize>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = items
+            .chunks(chunk)
+            .map(|part| scope.spawn(|| part.iter().map(&eval).collect::<Vec<_>>()))
+            .collect();
+        handles
+            .into_iter()
+            .enumerate()
+            .map(|(i, h)| h.join().map_err(|_| i))
+            .collect()
+    });
+    let mut out = Vec::with_capacity(items.len());
+    for part in per_chunk {
+        match part {
+            Ok(results) => out.extend(results),
+            Err(chunk) => {
+                return Err(FsaError::WorkerPanicked {
+                    stage: "assisted:pairs",
+                    chunk,
+                })
+            }
+        }
+    }
+    Ok(out)
 }
 
 /// The per-maximum backward-reachability pruning index.
@@ -293,175 +842,10 @@ impl PruneIndex {
     }
 }
 
-/// Runs the tool-assisted pipeline with explicit engine options:
-/// worker threads over the (maxima × minima) grid and the
-/// occurrence-set pruning pre-pass.
-///
-/// For any fixed options, the verdict vector is deterministic; for any
-/// *thread count*, it is bit-identical to the sequential run (pairs are
-/// chunked, evaluated independently, and merged in index order).
-/// Pruned pairs report `dependent = false` with
-/// `minimal_automaton_states = None`.
-pub fn elicit_with_options(
-    graph: &ReachGraph,
-    options: &ElicitOptions,
-    stakeholder: impl Fn(&str) -> Agent,
-) -> AssistedReport {
-    elicit_observed(graph, options, &Obs::disabled(), stakeholder)
-}
-
-/// [`elicit_with_options`] with an observability handle: every pipeline
-/// stage runs under an `elicit.*` span and the work counters are
-/// mirrored into `elicit.*` counters. With [`Obs::disabled`] (what
-/// [`elicit_with_options`] passes) nothing is recorded and the report —
-/// including [`PipelineStats`] — is identical to the unobserved run:
-/// the stats are filled from the very same span measurements.
-pub fn elicit_observed(
-    graph: &ReachGraph,
-    options: &ElicitOptions,
-    obs: &Obs,
-    stakeholder: impl Fn(&str) -> Agent,
-) -> AssistedReport {
-    let run = obs.span("elicit");
-    let mut stats = PipelineStats::default();
-
-    let span = obs.span("elicit.behaviour_nfa");
-    let behaviour = graph.to_nfa();
-    stats.behaviour_nfa = span.finish();
-
-    let span = obs.span("elicit.min_max");
-    let minima_syms = graph.minima_syms();
-    let maxima_syms = graph.maxima_syms();
-    let minima: Vec<String> = minima_syms
-        .iter()
-        .map(|&s| graph.name(s).to_owned())
-        .collect();
-    let maxima: Vec<String> = maxima_syms
-        .iter()
-        .map(|&s| graph.name(s).to_owned())
-        .collect();
-    stats.min_max = span.finish();
-
-    // The deterministic pair grid: maxima outer, minima inner — the
-    // same order as the original nested loop.
-    let mut pairs: Vec<(usize, usize)> = Vec::with_capacity(maxima_syms.len() * minima_syms.len());
-    for (ma, &max_sym) in maxima_syms.iter().enumerate() {
-        for (mi, &min_sym) in minima_syms.iter().enumerate() {
-            if min_sym != max_sym {
-                pairs.push((ma, mi));
-            }
-        }
-    }
-    stats.pairs_total = pairs.len();
-
-    // Pruning pre-pass: one backward reachability per *maximum*,
-    // reused across all its minima.
-    let span = obs.span("elicit.prune_pass");
-    let pruned: Vec<bool> = if options.prune {
-        let index = PruneIndex::new(graph);
-        let mut coreach_cache: Vec<Option<fsa_graph::BitSet>> = vec![None; maxima_syms.len()];
-        pairs
-            .iter()
-            .map(|&(ma, mi)| {
-                let slot = &mut coreach_cache[ma];
-                if slot.is_some() {
-                    stats.coreach_cache_hits += 1;
-                }
-                let coreach = slot.get_or_insert_with(|| index.coreach(maxima_syms[ma]));
-                !index.min_before_max_possible(minima_syms[mi], coreach)
-            })
-            .collect()
-    } else {
-        vec![false; pairs.len()]
-    };
-    stats.pairs_pruned = pruned.iter().filter(|&&p| p).count();
-    stats.prune_pass = span.finish();
-
-    // Shared-work caches for the decision procedures: the behaviour NFA
-    // (both methods) and its adjacency index (precedence method).
-    let precedence_index = match options.method {
-        DependenceMethod::Precedence => Some(PrecedenceIndex::new(&behaviour)),
-        DependenceMethod::Abstraction => None,
-    };
-
-    let eval_pair = |(&(ma, mi), &is_pruned): (&(usize, usize), &bool)| -> PairVerdict {
-        let minimum = &minima[mi];
-        let maximum = &maxima[ma];
-        let (dependent, automaton_states) = if is_pruned {
-            (false, None)
-        } else {
-            match options.method {
-                DependenceMethod::Abstraction => {
-                    let (dep, minimal) = dependence_by_abstraction(&behaviour, minimum, maximum);
-                    (dep, Some(minimal.state_count()))
-                }
-                DependenceMethod::Precedence => {
-                    let index = precedence_index.as_ref().expect("built for this method");
-                    (index.precedes_names(minimum, maximum), None)
-                }
-            }
-        };
-        PairVerdict {
-            minimum: minimum.clone(),
-            maximum: maximum.clone(),
-            dependent,
-            minimal_automaton_states: automaton_states,
-        }
-    };
-
-    let span = obs.span("elicit.pair_eval");
-    let threads = options.threads.max(1);
-    stats.threads = threads;
-    let verdicts: Vec<PairVerdict> = if threads == 1 || pairs.len() < 2 {
-        pairs.iter().zip(pruned.iter()).map(eval_pair).collect()
-    } else {
-        // Chunked fork-join over the grid; the merge walks chunks in
-        // order, so the verdict vector is identical to the sequential
-        // one for every thread count.
-        let chunk = pairs.len().div_ceil(threads);
-        let pair_chunks: Vec<_> = pairs.chunks(chunk).collect();
-        let pruned_chunks: Vec<_> = pruned.chunks(chunk).collect();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = pair_chunks
-                .iter()
-                .zip(pruned_chunks.iter())
-                .map(|(ps, fs)| {
-                    scope.spawn(|| ps.iter().zip(fs.iter()).map(eval_pair).collect::<Vec<_>>())
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("pair worker panicked"))
-                .collect()
-        })
-    };
-    stats.pair_eval = span.finish();
-
-    if obs.is_enabled() {
-        obs.counter_add("elicit.pairs_total", stats.pairs_total as u64);
-        obs.counter_add("elicit.pairs_pruned", stats.pairs_pruned as u64);
-        obs.counter_add("elicit.coreach_cache_hits", stats.coreach_cache_hits as u64);
-        obs.counter_add("elicit.threads", stats.threads as u64);
-    }
-    drop(run);
-
-    let requirements = requirements_from_verdicts(&verdicts, stakeholder);
-
-    AssistedReport {
-        state_count: graph.state_count(),
-        edge_count: graph.edge_count(),
-        minima,
-        maxima,
-        verdicts,
-        requirements,
-        stats,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apa::{rule, ApaBuilder, ReachOptions, Value};
+    use apa::{rule, ApaBuilder, Value};
 
     /// A two-stage pipeline APA: `in_a`/`in_b` feed `combine`, which
     /// feeds `out`; `noise` is independent.
@@ -713,15 +1097,14 @@ mod tests {
         // every stage span measures the duration the struct holds.
         let snap = obs.snapshot();
         let stats = &observed.stats;
-        for (name, live) in [
-            ("elicit.pairs_total", stats.pairs_total),
-            ("elicit.pairs_pruned", stats.pairs_pruned),
-            ("elicit.coreach_cache_hits", stats.coreach_cache_hits),
-            ("elicit.threads", stats.threads),
-        ] {
-            assert_eq!(snap.counter(name), Some(live as u64), "{name}");
-        }
+        assert_eq!((stats.fragments, stats.reach_states), (1, 0));
+        assert_counters_mirror(&snap, stats);
         assert_eq!(snap.span_count("elicit"), 1);
+        assert_eq!(
+            snap.span_count("elicit.reach"),
+            0,
+            "the graph was handed in"
+        );
         for (stage, live) in [
             ("elicit.behaviour_nfa", stats.behaviour_nfa),
             ("elicit.min_max", stats.min_max),
@@ -733,5 +1116,138 @@ mod tests {
             let rec = snap.spans.iter().find(|s| s.name == stage).unwrap();
             assert!(rec.parent.is_some(), "{stage} is parented under elicit");
         }
+    }
+
+    fn assert_counters_mirror(snap: &fsa_obs::Snapshot, stats: &PipelineStats) {
+        for (name, live) in [
+            ("elicit.pairs_total", stats.pairs_total),
+            ("elicit.pairs_pruned", stats.pairs_pruned),
+            ("elicit.coreach_cache_hits", stats.coreach_cache_hits),
+            ("elicit.threads", stats.threads),
+            ("elicit.fragments", stats.fragments),
+            ("elicit.reach.states", stats.reach_states),
+        ] {
+            assert_eq!(snap.counter(name), Some(live as u64), "{name}");
+        }
+    }
+
+    /// `copies` independent relays, each moving two tokens through
+    /// `src{k}` → `mid{k}` → `dst{k}` (nine states apiece).
+    fn relays(copies: usize) -> Apa {
+        let mut b = ApaBuilder::new();
+        for k in 0..copies {
+            let src = b.component(&format!("src{k}"), [Value::atom("x"), Value::atom("y")]);
+            let mid = b.component(&format!("mid{k}"), []);
+            let dst = b.component(&format!("dst{k}"), []);
+            b.automaton(&format!("a{k}"), [src, mid], rule::move_any(0, 1));
+            b.automaton(&format!("c{k}"), [mid, dst], rule::move_any(0, 1));
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn observed_fragment_run_spans_each_fragment_once() {
+        let apa = relays(3);
+        let obs = Obs::enabled();
+        let report =
+            elicit_apa(&apa, &ElicitOptions::service(1), &obs, |_| Agent::new("P")).unwrap();
+        let snap = obs.snapshot();
+        let stats = &report.stats;
+        assert_eq!(stats.fragments, 3);
+        // Each relay explores to 9 states (two tokens in three places):
+        // 9³ in the product, 27 built.
+        assert_eq!((report.state_count, stats.reach_states), (729, 27));
+        assert_counters_mirror(&snap, stats);
+        assert_eq!(snap.span_count("elicit"), 1);
+        for (stage, live) in [
+            ("elicit.reach", stats.reach),
+            ("elicit.behaviour_nfa", stats.behaviour_nfa),
+            ("elicit.min_max", stats.min_max),
+            ("elicit.prune_pass", stats.prune_pass),
+            ("elicit.pair_eval", stats.pair_eval),
+        ] {
+            assert_eq!(snap.span_count(stage), 3, "{stage}");
+            assert_eq!(snap.span_total(stage), live, "{stage}");
+        }
+    }
+
+    #[test]
+    fn a_product_too_large_to_count_is_a_typed_error() {
+        // Every relay is small; the product of enough of them overflows
+        // usize and is reported, never built.
+        let many = relays(21); // 9^21 > 2^64
+        let err = elicit_apa(&many, &ElicitOptions::default(), &Obs::disabled(), |_| {
+            Agent::new("P")
+        })
+        .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                FsaError::RecompositionOverflow {
+                    what: "state count"
+                }
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn unary_probing_recognises_bounds_and_pumping() {
+        let analysis = |apa: Apa| {
+            let graph = apa.reachability(&ReachOptions::default()).unwrap();
+            let mut stats = PipelineStats::default();
+            analyze(
+                &graph,
+                &ElicitOptions::default(),
+                true,
+                &Obs::disabled(),
+                &mut stats,
+            )
+            .unwrap()
+        };
+        // `f` can fire exactly once.
+        let mut b = ApaBuilder::new();
+        let a = b.component("a", [Value::atom("x")]);
+        let c = b.component("b", []);
+        b.automaton("f", [a, c], rule::move_any(0, 1));
+        assert_eq!(
+            analysis(b.build().unwrap()).unary["f"],
+            UnaryLang::Bounded(1)
+        );
+
+        // A ping-pong pair fires forever.
+        let mut b = ApaBuilder::new();
+        let a = b.component("a", [Value::atom("x")]);
+        let c = b.component("b", []);
+        b.automaton("f", [a, c], rule::move_any(0, 1));
+        b.automaton("g", [c, a], rule::move_any(0, 1));
+        assert_eq!(
+            analysis(b.build().unwrap()).unary["f"],
+            UnaryLang::Unbounded
+        );
+    }
+
+    #[test]
+    fn a_panicking_pair_worker_is_a_typed_error() {
+        let items: Vec<usize> = (0..8).collect();
+        let doubled = eval_chunked(&items, 4, |&i| i * 2).unwrap();
+        assert_eq!(doubled, vec![0, 2, 4, 6, 8, 10, 12, 14]);
+        // Four chunks of two items; items 5 and 7 sit in chunks 2 and 3,
+        // and the first panicking chunk is reported.
+        let err = eval_chunked(&items, 4, |&i| {
+            assert!(i != 5 && i != 7, "injected pair-worker panic");
+            i
+        })
+        .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                FsaError::WorkerPanicked {
+                    stage: "assisted:pairs",
+                    chunk: 2
+                }
+            ),
+            "{err}"
+        );
     }
 }

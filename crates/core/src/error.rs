@@ -31,13 +31,13 @@ pub enum FsaError {
         limit: usize,
     },
     /// A parallel worker panicked outside the supervisor: the threaded
-    /// subset scan of [`crate::explore`] (`explore:scan`) or a pair
-    /// worker of [`crate::incremental`] (`incremental:pairs`).
+    /// subset scan of [`crate::explore`] (`explore:scan`) or a worker of
+    /// the §5 pair grid in [`crate::assisted`] (`assisted:pairs`).
     /// Candidate builds and union elicitations run under the
     /// supervisor, which retries and quarantines a panicking chunk
     /// instead.
     WorkerPanicked {
-        /// Engine stage (`explore:scan`, `incremental:pairs`).
+        /// Engine stage (`explore:scan`, `assisted:pairs`).
         stage: &'static str,
         /// Chunk index of the panicked worker.
         chunk: usize,
@@ -63,6 +63,14 @@ pub enum FsaError {
     /// construction, not as surprising evict-on-insert behaviour.
     InvalidCapacity {
         /// Which store rejected the construction (e.g. `MemoStore`).
+        what: &'static str,
+    },
+    /// The report recomposed from independent fragments would count
+    /// more states or edges than `usize` holds (see
+    /// [`crate::assisted::elicit_apa`]). The fragments themselves were
+    /// explored; only their product is too large to count.
+    RecompositionOverflow {
+        /// What overflowed (`state count`, `edge count`).
         what: &'static str,
     },
     /// The underlying APA analysis failed.
@@ -97,6 +105,9 @@ impl fmt::Display for FsaError {
                     f,
                     "invalid capacity: {what} requires a capacity of at least 1"
                 )
+            }
+            FsaError::RecompositionOverflow { what } => {
+                write!(f, "the recomposed {what} overflows usize")
             }
             FsaError::Apa(e) => write!(f, "APA analysis failed: {e}"),
         }
@@ -152,6 +163,10 @@ mod tests {
         assert!(e.to_string().contains("invalid shard range"));
         let e = FsaError::InvalidCapacity { what: "MemoStore" };
         assert!(e.to_string().contains("MemoStore") && e.to_string().contains("at least 1"));
+        let e = FsaError::RecompositionOverflow {
+            what: "state count",
+        };
+        assert_eq!(e.to_string(), "the recomposed state count overflows usize");
     }
 
     #[test]

@@ -5,7 +5,10 @@
 //! the *fragments* of an [`EditModel`] (see [`crate::delta`]) instead
 //! of its full reachability graph, memoising per-fragment analyses in
 //! a bounded [`MemoStore`] and recomposing the full
-//! [`AssistedReport`] by product. The recomposition is exact, not a
+//! [`AssistedReport`] by product. The analysis and the recomposition
+//! are the ones every §5 path shares (see [`crate::assisted`]); this
+//! module adds the value-level fragment lookup and the memo around
+//! them. The recomposition is exact, not a
 //! heuristic — the report is bit-identical (stats aside) to a
 //! from-scratch [`crate::assisted::elicit_with_options`] run on the
 //! compiled model, which the property tests in
@@ -25,59 +28,27 @@
 //!   frag entry was invalidated in between.
 
 use crate::assisted::{
-    dependence_by_abstraction, requirements_from_verdicts, AssistedReport, DependenceMethod,
-    PairVerdict, PipelineStats,
+    analyze, recompose, AssistedReport, CrossCache, DependenceMethod, ElicitOptions,
+    FragmentAnalysis, PipelineStats,
 };
 use crate::delta::{DeltaError, EditModel, ModelDelta};
 use crate::memo::{MemoCounters, MemoStore};
 use crate::FsaError;
 use apa::{ReachGraph, ReachOptions};
-use automata::temporal::PrecedenceIndex;
-use automata::{ops, shuffle::shuffle_product, Homomorphism, Nfa};
 use fsa_graph::iso::canonical_certificate;
 use fsa_graph::{iso::find_isomorphism, DiGraph};
 use fsa_obs::Obs;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// A unary prefix-closed language over one symbol: either all words up
-/// to a bound, or the full `a*`. This is the exact shape of any
-/// fragment behaviour projected onto a single action, and the whole
-/// input a cross-fragment abstraction verdict needs from each side.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum UnaryLang {
-    /// `{aⁱ | i ≤ bound}`.
-    Bounded(usize),
-    /// `a*`.
-    Unbounded,
-}
-
-/// The memoised analysis of one fragment.
-#[derive(Debug, Clone)]
-pub struct FragmentAnalysis {
-    /// States of the fragment's reachability graph.
-    pub state_count: usize,
-    /// Edges of the fragment's reachability graph.
-    pub edge_count: usize,
-    /// The fragment's minima (sorted by name).
-    pub minima: Vec<String>,
-    /// The fragment's maxima (sorted by name).
-    pub maxima: Vec<String>,
-    /// Whether the fragment's graph has a dead state. The full model
-    /// has maxima iff *every* fragment does: an edge into a dead state
-    /// of the product needs all other fragments dead too.
-    pub has_dead: bool,
-    /// Dependence verdicts for the fragment's own (maximum, minimum)
-    /// grid, keyed `(maximum, minimum)`.
-    pub verdicts: BTreeMap<(String, String), (bool, Option<usize>)>,
-    /// Projection of the fragment behaviour onto each single minimum or
-    /// maximum action (abstraction method only) — the input for
-    /// cross-fragment minimal-automaton sizes.
-    pub unary: BTreeMap<String, UnaryLang>,
-    /// The labeled reachability digraph (states labeled `s0`/`s`, one
-    /// node per edge labeled with its automaton name): the exact-
-    /// verification witness behind the `"cert"` namespace.
-    pub graph: DiGraph<String>,
+/// A memo entry: the fragment's analysis plus its labeled reachability
+/// digraph (states labeled `s0`/`s`, one node per edge labeled with its
+/// automaton name) — the exact-verification witness behind the
+/// `"cert"` namespace. A `"frag"` entry shares the `"cert"` entry it
+/// was found or analysed through.
+struct Memoised {
+    analysis: FragmentAnalysis,
+    graph: DiGraph<String>,
 }
 
 /// Encodes a reachability graph as a labeled digraph for the
@@ -88,7 +59,7 @@ pub struct FragmentAnalysis {
 /// A label-preserving isomorphism of two such digraphs guarantees equal
 /// state/edge counts, minima, maxima, and — because the NFA over
 /// automaton names is preserved — equal dependence verdicts, so a
-/// memoised [`FragmentAnalysis`] transfers wholesale. Interpretations
+/// memoised fragment analysis transfers wholesale. Interpretations
 /// are deliberately dropped: no elicitation output depends on them.
 pub fn labeled_digraph(graph: &ReachGraph) -> DiGraph<String> {
     let mut g = DiGraph::with_capacity(graph.state_count() + graph.edge_count());
@@ -112,11 +83,11 @@ pub fn labeled_digraph(graph: &ReachGraph) -> DiGraph<String> {
 /// The incremental elicitation engine: an [`EditModel`] session's
 /// memo store plus the engine options. See the module docs.
 pub struct IncrementalElicitor {
-    store: MemoStore<FragmentAnalysis>,
+    store: MemoStore<Memoised>,
     /// Cross-fragment minimal-automaton sizes depend only on the two
     /// unary languages — a handful of entries, kept outside the
     /// bounded store.
-    cross_cache: BTreeMap<(UnaryLang, UnaryLang), usize>,
+    cross_cache: CrossCache,
     method: DependenceMethod,
     threads: usize,
     hits: u64,
@@ -136,7 +107,7 @@ impl IncrementalElicitor {
     pub fn new(capacity: usize) -> Result<IncrementalElicitor, FsaError> {
         Ok(IncrementalElicitor {
             store: MemoStore::new(capacity)?,
-            cross_cache: BTreeMap::new(),
+            cross_cache: CrossCache::new(),
             method: DependenceMethod::Abstraction,
             threads: 1,
             hits: 0,
@@ -200,33 +171,48 @@ impl IncrementalElicitor {
     /// returned report is bit-identical — stats aside — to
     /// [`crate::assisted::elicit_with_options`] with this engine's
     /// method on the compiled model's reachability graph.
+    ///
+    /// Each fragment missing from the memo is analysed and the report
+    /// recomposed by the shared calls of [`crate::assisted`], with
+    /// pruning off. They record nothing: the engine's own span and memo
+    /// counters describe the run.
     pub fn elicit(&mut self, model: &EditModel, obs: &Obs) -> Result<AssistedReport, FsaError> {
         let run = obs.span("elicit.incremental");
         let evictions_before = self.store.counters().evictions;
         let mut run_hits = 0u64;
         let mut run_misses = 0u64;
+        let options = ElicitOptions {
+            method: self.method,
+            threads: self.threads,
+            prune: false,
+        };
+        let quiet = Obs::disabled();
+        let mut stats = PipelineStats::default();
 
         let fragments = model.fragments();
         let method_tag = match self.method {
             DependenceMethod::Abstraction => "abstraction",
             DependenceMethod::Precedence => "precedence",
         };
-        let mut analyses: Vec<Arc<FragmentAnalysis>> = Vec::with_capacity(fragments.len());
+        let mut entries: Vec<Arc<Memoised>> = Vec::with_capacity(fragments.len());
         for fragment in &fragments {
             let payload = format!("{method_tag}\n{}", fragment.model.canonical_encoding());
             if let Some(hit) = self.store.lookup("frag", &payload, |_| true) {
                 run_hits += 1;
-                analyses.push(hit);
+                entries.push(hit);
                 continue;
             }
+            let span = quiet.span("elicit.reach");
             let graph = fragment
                 .model
                 .compile()?
                 .reachability(&ReachOptions::default())?;
+            stats.reach += span.finish();
+            stats.reach_states += graph.state_count();
             let labeled = labeled_digraph(&graph);
             let cert = canonical_certificate(&labeled);
             let cert_payload = format!("{method_tag}/{cert:016x}");
-            let analysis = match self.store.lookup("cert", &cert_payload, |stored| {
+            let entry = match self.store.lookup("cert", &cert_payload, |stored| {
                 find_isomorphism(&stored.graph, &labeled).is_some()
             }) {
                 Some(stored) => {
@@ -235,29 +221,26 @@ impl IncrementalElicitor {
                 }
                 None => {
                     run_misses += 1;
-                    let fresh = Arc::new(analyze_fragment(
-                        &graph,
-                        labeled,
-                        self.method,
-                        self.threads,
-                    )?);
+                    let fresh = Arc::new(Memoised {
+                        analysis: analyze(&graph, &options, true, &quiet, &mut stats)?,
+                        graph: labeled,
+                    });
                     self.store
                         .insert("cert", cert_payload, BTreeSet::new(), Arc::clone(&fresh));
                     fresh
                 }
             };
-            self.store.insert(
-                "frag",
-                payload,
-                fragment.deps.clone(),
-                Arc::clone(&analysis),
-            );
-            analyses.push(analysis);
+            self.store
+                .insert("frag", payload, fragment.deps.clone(), Arc::clone(&entry));
+            entries.push(entry);
         }
         self.hits += run_hits;
         self.misses += run_misses;
 
-        let report = self.recompose(&analyses, model)?;
+        let analyses: Vec<&FragmentAnalysis> = entries.iter().map(|e| &e.analysis).collect();
+        let report = recompose(&analyses, &options, &mut self.cross_cache, stats, |max| {
+            model.stakeholder(max)
+        })?;
 
         if obs.is_enabled() {
             obs.counter_add("elicit.memo.hits", run_hits);
@@ -270,263 +253,6 @@ impl IncrementalElicitor {
         drop(run);
         Ok(report)
     }
-
-    /// Recomposes the full report from the fragment analyses (see the
-    /// invariants on [`FragmentAnalysis`] and DESIGN.md §2.11).
-    fn recompose(
-        &mut self,
-        analyses: &[Arc<FragmentAnalysis>],
-        model: &EditModel,
-    ) -> Result<AssistedReport, FsaError> {
-        let too_large = |what: &str| FsaError::InvalidComponentModel {
-            reason: format!("incremental recomposition: {what} overflows usize"),
-        };
-        let state_product: u128 = analyses.iter().map(|a| a.state_count as u128).product();
-        let state_count = usize::try_from(state_product).map_err(|_| too_large("state count"))?;
-        let mut edge_total: u128 = 0;
-        for (i, a) in analyses.iter().enumerate() {
-            let others: u128 = analyses
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| j != i)
-                .map(|(_, b)| b.state_count as u128)
-                .product();
-            edge_total += a.edge_count as u128 * others;
-        }
-        let edge_count = usize::try_from(edge_total).map_err(|_| too_large("edge count"))?;
-
-        let mut frag_of: BTreeMap<&str, usize> = BTreeMap::new();
-        for (i, a) in analyses.iter().enumerate() {
-            for name in a.minima.iter().chain(a.maxima.iter()) {
-                frag_of.insert(name, i);
-            }
-        }
-        let mut minima: Vec<String> = analyses
-            .iter()
-            .flat_map(|a| a.minima.iter().cloned())
-            .collect();
-        minima.sort();
-        let mut maxima: Vec<String> = if analyses.iter().all(|a| a.has_dead) {
-            analyses
-                .iter()
-                .flat_map(|a| a.maxima.iter().cloned())
-                .collect()
-        } else {
-            Vec::new()
-        };
-        maxima.sort();
-
-        let mut verdicts = Vec::with_capacity(maxima.len() * minima.len());
-        for maximum in &maxima {
-            for minimum in &minima {
-                if minimum == maximum {
-                    continue;
-                }
-                let (fmin, fmax) = (frag_of[minimum.as_str()], frag_of[maximum.as_str()]);
-                let (dependent, minimal_automaton_states) = if fmin == fmax {
-                    *analyses[fmax]
-                        .verdicts
-                        .get(&(maximum.clone(), minimum.clone()))
-                        .expect("fragment grid covers its own pairs")
-                } else {
-                    // Cross-fragment: the other fragment can always run
-                    // to the maximum with no minimum in between, so the
-                    // pair is independent; under abstraction the
-                    // minimal automaton of the projected shuffle is
-                    // still reported, from the two unary projections.
-                    let states = match self.method {
-                        DependenceMethod::Abstraction => Some(self.cross_pair_states(
-                            analyses[fmin].unary[minimum.as_str()],
-                            analyses[fmax].unary[maximum.as_str()],
-                        )),
-                        DependenceMethod::Precedence => None,
-                    };
-                    (false, states)
-                };
-                verdicts.push(PairVerdict {
-                    minimum: minimum.clone(),
-                    maximum: maximum.clone(),
-                    dependent,
-                    minimal_automaton_states,
-                });
-            }
-        }
-
-        let requirements = requirements_from_verdicts(&verdicts, |max| model.stakeholder(max));
-        let stats = PipelineStats {
-            pairs_total: verdicts.len(),
-            threads: self.threads,
-            ..PipelineStats::default()
-        };
-        Ok(AssistedReport {
-            state_count,
-            edge_count,
-            minima,
-            maxima,
-            verdicts,
-            requirements,
-            stats,
-        })
-    }
-
-    /// The minimal-DFA size of the shuffle of two unary languages over
-    /// distinct symbols — what the full pipeline's
-    /// `minimize(determinize(erase_all_except([min, max])))` computes
-    /// for a cross-fragment pair. Independent of the symbol names, so
-    /// memoised per language pair.
-    fn cross_pair_states(&mut self, min: UnaryLang, max: UnaryLang) -> usize {
-        if let Some(&states) = self.cross_cache.get(&(min, max)) {
-            return states;
-        }
-        let product = shuffle_product(&unary_nfa(min, "a"), &unary_nfa(max, "b"));
-        let states = ops::minimize(&ops::determinize(&product)).state_count();
-        self.cross_cache.insert((min, max), states);
-        states
-    }
-}
-
-/// Builds the NFA of a unary language over `sym`.
-fn unary_nfa(lang: UnaryLang, sym: &str) -> Nfa {
-    let mut b = Nfa::builder();
-    let s = b.symbol(sym);
-    match lang {
-        UnaryLang::Bounded(bound) => {
-            let states: Vec<_> = (0..=bound).map(|_| b.state(true)).collect();
-            b.initial(states[0]);
-            for w in states.windows(2) {
-                b.edge(w[0], Some(s), w[1]);
-            }
-        }
-        UnaryLang::Unbounded => {
-            let state = b.state(true);
-            b.initial(state);
-            b.edge(state, Some(s), state);
-        }
-    }
-    b.build()
-}
-
-/// Runs the §5 pipeline on one fragment graph: minima/maxima, the
-/// fragment-local dependence grid (chunked over `threads` workers,
-/// merged in index order — deterministic for every thread count), and
-/// the per-action unary projections for cross-fragment pairs.
-///
-/// # Errors
-///
-/// [`FsaError::WorkerPanicked`] (stage `incremental:pairs`) if a pair
-/// worker panics.
-fn analyze_fragment(
-    graph: &ReachGraph,
-    labeled: DiGraph<String>,
-    method: DependenceMethod,
-    threads: usize,
-) -> Result<FragmentAnalysis, FsaError> {
-    let behaviour = graph.to_nfa();
-    let minima = graph.minima();
-    let maxima = graph.maxima();
-    let has_dead = !graph.dead_states().is_empty();
-
-    let mut pairs: Vec<(String, String)> = Vec::with_capacity(maxima.len() * minima.len());
-    for maximum in &maxima {
-        for minimum in &minima {
-            if minimum != maximum {
-                pairs.push((maximum.clone(), minimum.clone()));
-            }
-        }
-    }
-    let precedence_index = match method {
-        DependenceMethod::Precedence => Some(PrecedenceIndex::new(&behaviour)),
-        DependenceMethod::Abstraction => None,
-    };
-    let eval = |(maximum, minimum): &(String, String)| -> (bool, Option<usize>) {
-        match method {
-            DependenceMethod::Abstraction => {
-                let (dep, minimal) = dependence_by_abstraction(&behaviour, minimum, maximum);
-                (dep, Some(minimal.state_count()))
-            }
-            DependenceMethod::Precedence => {
-                let index = precedence_index.as_ref().expect("built for this method");
-                (index.precedes_names(minimum, maximum), None)
-            }
-        }
-    };
-    let results = eval_chunked(&pairs, threads, eval)?;
-    let verdicts: BTreeMap<(String, String), (bool, Option<usize>)> =
-        pairs.into_iter().zip(results).collect();
-
-    let mut unary = BTreeMap::new();
-    if method == DependenceMethod::Abstraction {
-        let mut actions: BTreeSet<&String> = minima.iter().collect();
-        actions.extend(maxima.iter());
-        for action in actions {
-            let h = Homomorphism::erase_all_except([action.as_str()]);
-            let minimal = ops::minimize(&ops::determinize(&h.apply(&behaviour)));
-            let n = minimal.state_count();
-            // The projection of a prefix-closed language onto one
-            // symbol is {aⁱ | i ≤ j} or a*; probe the minimal DFA by
-            // acceptance. If aⁿ is accepted the language pumps.
-            let lang = if minimal.accepts(vec![action.as_str(); n]) {
-                UnaryLang::Unbounded
-            } else {
-                let bound = (0..n)
-                    .rev()
-                    .find(|&i| minimal.accepts(vec![action.as_str(); i]))
-                    .unwrap_or(0);
-                UnaryLang::Bounded(bound)
-            };
-            unary.insert(action.clone(), lang);
-        }
-    }
-
-    Ok(FragmentAnalysis {
-        state_count: graph.state_count(),
-        edge_count: graph.edge_count(),
-        minima,
-        maxima,
-        has_dead,
-        verdicts,
-        unary,
-        graph: labeled,
-    })
-}
-
-/// Maps `eval` over `items` in chunks on up to `threads` scoped
-/// workers, merged in index order. Every worker is joined before the
-/// first panicking chunk is reported, so a second panic cannot abort
-/// the scope.
-fn eval_chunked<T: Sync, R: Send>(
-    items: &[T],
-    threads: usize,
-    eval: impl Fn(&T) -> R + Sync,
-) -> Result<Vec<R>, FsaError> {
-    if threads <= 1 || items.len() < 2 {
-        return Ok(items.iter().map(eval).collect());
-    }
-    let chunk = items.len().div_ceil(threads);
-    let per_chunk: Vec<Result<Vec<R>, usize>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|part| scope.spawn(|| part.iter().map(&eval).collect::<Vec<_>>()))
-            .collect();
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(i, h)| h.join().map_err(|_| i))
-            .collect()
-    });
-    let mut out = Vec::with_capacity(items.len());
-    for part in per_chunk {
-        match part {
-            Ok(results) => out.extend(results),
-            Err(chunk) => {
-                return Err(FsaError::WorkerPanicked {
-                    stage: "incremental:pairs",
-                    chunk,
-                })
-            }
-        }
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -719,73 +445,5 @@ mod tests {
             .count();
         assert!(crossing > 0, "model should produce cross-fragment pairs");
         assert_eq!(report.verdicts, scratch.verdicts);
-    }
-
-    #[test]
-    fn unary_probing_recognises_bounds_and_pumping() {
-        let model = model_from(&[
-            "add-component a x",
-            "add-component b",
-            "add-flow f move a b",
-        ]);
-        let graph = model
-            .compile()
-            .unwrap()
-            .reachability(&ReachOptions::default())
-            .unwrap();
-        let analysis = analyze_fragment(
-            &graph,
-            labeled_digraph(&graph),
-            DependenceMethod::Abstraction,
-            1,
-        )
-        .unwrap();
-        // `f` can fire exactly once.
-        assert_eq!(analysis.unary["f"], UnaryLang::Bounded(1));
-
-        // A ping-pong pair fires forever.
-        let model = model_from(&[
-            "add-component a x",
-            "add-component b",
-            "add-flow f move a b",
-            "add-flow g move b a",
-        ]);
-        let graph = model
-            .compile()
-            .unwrap()
-            .reachability(&ReachOptions::default())
-            .unwrap();
-        let analysis = analyze_fragment(
-            &graph,
-            labeled_digraph(&graph),
-            DependenceMethod::Abstraction,
-            1,
-        )
-        .unwrap();
-        assert_eq!(analysis.unary["f"], UnaryLang::Unbounded);
-    }
-
-    #[test]
-    fn a_panicking_pair_worker_is_a_typed_error() {
-        let items: Vec<usize> = (0..8).collect();
-        let doubled = eval_chunked(&items, 4, |&i| i * 2).unwrap();
-        assert_eq!(doubled, vec![0, 2, 4, 6, 8, 10, 12, 14]);
-        // Four chunks of two items; items 5 and 7 sit in chunks 2 and 3,
-        // and the first panicking chunk is reported.
-        let err = eval_chunked(&items, 4, |&i| {
-            assert!(i != 5 && i != 7, "injected pair-worker panic");
-            i
-        })
-        .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                FsaError::WorkerPanicked {
-                    stage: "incremental:pairs",
-                    chunk: 2
-                }
-            ),
-            "{err}"
-        );
     }
 }

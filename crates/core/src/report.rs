@@ -190,7 +190,16 @@ pub fn render_assisted(report: &AssistedReport) -> String {
 /// (the `--stats` output of the `fsa` binary).
 pub fn render_stats(stats: &crate::assisted::PipelineStats) -> String {
     let mut s = String::new();
-    let _ = writeln!(s, "pipeline stats ({} thread(s)):", stats.threads);
+    let _ = writeln!(
+        s,
+        "pipeline stats ({} thread(s), {} fragment(s)):",
+        stats.threads, stats.fragments
+    );
+    let _ = writeln!(
+        s,
+        "  reachability:    {:?} ({} state(s) built)",
+        stats.reach, stats.reach_states
+    );
     let _ = writeln!(s, "  behaviour NFA:   {:?}", stats.behaviour_nfa);
     let _ = writeln!(s, "  min/max scan:    {:?}", stats.min_max);
     let _ = writeln!(
@@ -299,10 +308,13 @@ mod tests {
             pairs_pruned: 2,
             coreach_cache_hits: 4,
             threads: 4,
+            fragments: 3,
+            reach_states: 87,
             ..Default::default()
         };
         let text = render_stats(&stats);
-        assert!(text.contains("pipeline stats (4 thread(s))"));
+        assert!(text.contains("pipeline stats (4 thread(s), 3 fragment(s))"));
+        assert!(text.contains("(87 state(s) built)"));
         assert!(text.contains("2/6 pairs pruned"));
         assert!(text.contains("4 co-reach cache hit(s)"));
         assert!(text.contains("pair evaluation"));

@@ -623,7 +623,7 @@ pub fn run_spec(
             );
         }
         "elicit" => {
-            for instance in instances {
+            for (i, instance) in instances.iter().enumerate() {
                 let report = match elicit(instance) {
                     Ok(rep) => rep,
                     Err(e) => {
@@ -710,7 +710,8 @@ pub fn run_spec(
                             return r;
                         }
                     }
-                } else if set.contains("stats") {
+                } else if set.contains("stats") && i == 0 {
+                    // Once per run, not once per instance.
                     let _ = writeln!(
                         r.stderr,
                         "note: --stats requires --verify-dataflow (the §5 pipeline)"
@@ -725,8 +726,8 @@ pub fn run_spec(
     r
 }
 
-/// Derives the dataflow APA, runs the §5 pipeline and compares.
-/// Returns the engine's per-stage statistics on success.
+/// Derives the dataflow APA, runs the §5 pipeline fragment by fragment
+/// and compares. Returns the engine's per-stage statistics on success.
 fn cross_check(
     instance: &fsa_core::SosInstance,
     report: &fsa_core::manual::ElicitationReport,
@@ -734,11 +735,8 @@ fn cross_check(
     obs: &fsa_obs::Obs,
 ) -> Result<fsa_core::assisted::PipelineStats, String> {
     let apa = dataflow_apa(instance).map_err(|e| e.to_string())?;
-    let graph = apa
-        .reachability(&apa::ReachOptions::default())
-        .map_err(|e| e.to_string())?;
-    let assisted = fsa_core::assisted::elicit_observed(
-        &graph,
+    let assisted = fsa_core::assisted::elicit_apa(
+        &apa,
         &fsa_core::assisted::ElicitOptions::service(threads),
         obs,
         |name| {
@@ -748,7 +746,13 @@ fn cross_check(
                 .map(|n| instance.stakeholder(n).clone())
                 .unwrap_or_else(|| fsa_core::Agent::new("env"))
         },
-    );
+    )
+    .map_err(|e| match e {
+        // Exploration errors print without `FsaError`'s prefix, as
+        // `fsa elicit` has always printed them.
+        fsa_core::FsaError::Apa(e) => e.to_string(),
+        e => e.to_string(),
+    })?;
     if assisted.requirements == report.requirement_set() {
         Ok(assisted.stats)
     } else {
@@ -1461,30 +1465,21 @@ pub fn run_monitor(
 
     // Elicit the scenario's requirements from its honest behaviour
     // (§5 tool-assisted pipeline), then compile and stream. A session
-    // model memoises the elicited set; one-shot derives it here.
-    let built;
-    let (apa_ref, requirements): (&apa::Apa, &fsa_core::RequirementSet) = match model {
-        Some(m) => match m.split_elicited() {
-            Ok(pair) => pair,
+    // model memoises the elicited set; one-shot loads the same model.
+    let mut built;
+    let model = match model {
+        Some(m) => m,
+        None => match ScenarioModel::load(&scenario) {
+            Ok(m) => {
+                built = m;
+                &mut built
+            }
             Err(e) => return Rendered::failure(&e),
         },
-        None => {
-            let apa_model = match scenario_apa(&scenario) {
-                Ok(a) => a,
-                Err(e) => return Rendered::failure(&e),
-            };
-            let graph = match apa_model.reachability(&apa::ReachOptions::default()) {
-                Ok(g) => g,
-                Err(e) => return Rendered::failure(&format!("reachability failed: {e}")),
-            };
-            let elicited = fsa_core::assisted::elicit_from_graph(
-                &graph,
-                fsa_core::assisted::DependenceMethod::Precedence,
-                vanet::apa_model::stakeholder_of,
-            );
-            built = (apa_model, elicited.requirements);
-            (&built.0, &built.1)
-        }
+    };
+    let (apa_ref, requirements) = match model.split_elicited() {
+        Ok(pair) => pair,
+        Err(e) => return Rendered::failure(&e),
     };
     let mut r = Rendered::success();
     warn_unmatched_fault(&mut r, fault.as_ref(), apa_ref, &scenario);

@@ -144,9 +144,10 @@ impl ScenarioModel {
     }
 
     /// Elicits the scenario's requirement set as a full
-    /// [`AssistedReport`]: incrementally (memoised fragments) for
-    /// editable scenarios, from scratch for the rest. The from-scratch
-    /// path runs the shared service configuration
+    /// [`AssistedReport`]: incrementally (memoised value-level
+    /// fragments) for editable scenarios, fragment by fragment of the
+    /// APA ([`fsa_core::assisted::elicit_apa`]) for the rest. The latter
+    /// runs the shared service configuration
     /// ([`fsa_core::assisted::ElicitOptions::service`] — precedence
     /// method, co-reachability pruning on), the same options the
     /// one-shot `fsa elicit` cross-check uses, so the report is
@@ -163,16 +164,13 @@ impl ScenarioModel {
                 .elicit(&ed.model, obs)
                 .map_err(|e| e.to_string());
         }
-        let graph = self
-            .apa
-            .reachability(&apa::ReachOptions::default())
-            .map_err(|e| format!("reachability failed: {e}"))?;
-        Ok(fsa_core::assisted::elicit_observed(
-            &graph,
+        fsa_core::assisted::elicit_apa(
+            &self.apa,
             &fsa_core::assisted::ElicitOptions::service(threads),
             obs,
             vanet::apa_model::stakeholder_of,
-        ))
+        )
+        .map_err(|e| e.to_string())
     }
 
     /// The scenario name this session was opened over.
@@ -194,25 +192,18 @@ impl ScenarioModel {
         self.elicited.is_some()
     }
 
-    /// The APA together with its elicited requirement set, deriving and
-    /// memoising the latter on first call.
+    /// The APA together with its elicited requirement set, deriving it
+    /// with [`Self::elicit_report`] (one thread, nothing recorded) and
+    /// memoising it on first call. Served and one-shot `monitor` both
+    /// compile their bank from this set.
     ///
     /// # Errors
     ///
-    /// The reachability failure, formatted exactly as the one-shot CLI
-    /// reports it.
+    /// The elicitation failure of [`Self::elicit_report`].
     pub fn split_elicited(&mut self) -> Result<(&apa::Apa, &RequirementSet), String> {
         if self.elicited.is_none() {
-            let graph = self
-                .apa
-                .reachability(&apa::ReachOptions::default())
-                .map_err(|e| format!("reachability failed: {e}"))?;
-            let elicited = fsa_core::assisted::elicit_from_graph(
-                &graph,
-                fsa_core::assisted::DependenceMethod::Precedence,
-                vanet::apa_model::stakeholder_of,
-            );
-            self.elicited = Some(elicited.requirements);
+            let report = self.elicit_report(1, &Obs::disabled())?;
+            self.elicited = Some(report.requirements);
         }
         Ok((
             &self.apa,
@@ -422,6 +413,27 @@ mod tests {
         assert!(m.is_elicited());
         let (_, reqs) = m.split_elicited().expect("memoised");
         assert_eq!(reqs.len(), first_len);
+    }
+
+    #[test]
+    fn the_monitor_set_equals_the_global_product_elicitation() {
+        // `split_elicited` derives the bank's set from value-level
+        // fragments (editable `two`/`six`) or APA fragments (`chain`),
+        // never from the global product; it must still equal it.
+        for name in ["two", "six", "chain"] {
+            let mut model = ScenarioModel::load(name).expect("scenario builds");
+            let graph = model
+                .apa()
+                .reachability(&apa::ReachOptions::default())
+                .expect("reachability");
+            let global = fsa_core::assisted::elicit_from_graph(
+                &graph,
+                DependenceMethod::Precedence,
+                vanet::apa_model::stakeholder_of,
+            );
+            let (_, split) = model.split_elicited().expect("elicitation");
+            assert_eq!(split, &global.requirements, "{name}");
+        }
     }
 
     #[test]

@@ -628,3 +628,107 @@ fn unmatched_fault_target_warns_but_still_runs() {
         "{out:?}"
     );
 }
+
+/// A spec of `k` independent Fig. 4 chains (sender → forwarder →
+/// receiver). Each chain's dataflow APA fragment has 29 reachable
+/// states, so the global product has 29^k.
+fn independent_chains_spec(k: usize) -> String {
+    let mut spec = format!("instance \"{k} independent chains\" {{\n");
+    for c in 1..=k {
+        let (s, f, w) = (format!("c{c}s"), format!("c{c}f"), format!("c{c}w"));
+        for (id, term, vehicle) in [
+            (format!("sense_{s}"), format!("sense(ESP_{s}, sW)"), &s),
+            (format!("pos_{s}"), format!("pos(GPS_{s}, pos)"), &s),
+            (format!("send_{s}"), format!("send(CU_{s}, cam(pos))"), &s),
+            (format!("rec_{f}"), format!("rec(CU_{f}, cam(pos))"), &f),
+            (format!("pos_{f}"), format!("pos(GPS_{f}, pos)"), &f),
+            (format!("fwd_{f}"), format!("fwd(CU_{f}, cam(pos))"), &f),
+            (format!("rec_{w}"), format!("rec(CU_{w}, cam(pos))"), &w),
+            (format!("pos_{w}"), format!("pos(GPS_{w}, pos)"), &w),
+            (format!("show_{w}"), format!("show(HMI_{w}, warn)"), &w),
+        ] {
+            spec.push_str(&format!(
+                "    action {id} = {term} owner V_{vehicle} stakeholder D_{vehicle};\n"
+            ));
+        }
+        for flow in [
+            format!("flow sense_{s} -> send_{s};"),
+            format!("flow pos_{s} -> send_{s};"),
+            format!("flow send_{s} -> rec_{f};"),
+            format!("flow rec_{f} -> fwd_{f};"),
+            format!("policy flow pos_{f} -> fwd_{f};"),
+            format!("flow fwd_{f} -> rec_{w};"),
+            format!("flow rec_{w} -> show_{w};"),
+            format!("flow pos_{w} -> show_{w};"),
+        ] {
+            spec.push_str(&format!("    {flow}\n"));
+        }
+    }
+    spec.push_str("}\n");
+    spec
+}
+
+fn write_spec(name: &str, source: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("fsa-cli-specs-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(name);
+    std::fs::write(&path, source).unwrap();
+    path
+}
+
+#[test]
+fn cross_check_explores_independent_chains_one_fragment_at_a_time() {
+    // 29^6 ≈ 5.9e8 global states: over the default state limit, which
+    // bounds each fragment (29 states) instead.
+    let spec = write_spec("six-chains.fsa", &independent_chains_spec(6));
+    let started = std::time::Instant::now();
+    let out = fsa(&["elicit", spec.to_str().unwrap(), "--verify-dataflow"]);
+    let took = started.elapsed();
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        stdout
+            .matches("tool-assisted cross-check: requirement sets match")
+            .count(),
+        1,
+        "{stdout}"
+    );
+    assert!(took < std::time::Duration::from_secs(1), "took {took:?}");
+}
+
+#[test]
+fn an_uncountable_product_is_a_typed_cross_check_failure() {
+    // 29^14 ≈ 2.9e20 states do not fit usize: the recomposition must
+    // say so, neither wrap nor panic nor try to build the product.
+    let spec = write_spec("fourteen-chains.fsa", &independent_chains_spec(14));
+    let out = fsa(&["elicit", spec.to_str().unwrap(), "--verify-dataflow"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(
+            "tool-assisted cross-check FAILED: the recomposed state count overflows usize"
+        ),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn stats_without_verify_dataflow_notes_once_per_run() {
+    let one = independent_chains_spec(1);
+    let two = format!("{one}{}", one.replace("1 independent chains", "again"));
+    let spec = write_spec("two-instances.fsa", &two);
+    let out = fsa(&["elicit", spec.to_str().unwrap(), "--stats"]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        stdout.matches("authenticity requirements").count(),
+        2,
+        "{stdout}"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        stderr,
+        "note: --stats requires --verify-dataflow (the §5 pipeline)\n"
+    );
+}

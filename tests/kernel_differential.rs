@@ -11,8 +11,9 @@ use fsa::apa::{
     rule, Apa, ApaBuilder, ApaError, GlobalState, ReachOptions, Simulator, TransitionLabel, Value,
 };
 use fsa::automata::{Symbol, SymbolTable};
-use fsa::core::assisted::{elicit_with_options, DependenceMethod, ElicitOptions};
+use fsa::core::assisted::{elicit_apa, elicit_with_options, DependenceMethod, ElicitOptions};
 use fsa::core::Agent;
+use fsa::obs::Obs;
 use proptest::prelude::*;
 
 /// A random token-mover APA (same shape as `parallel_props`): `n`
@@ -20,39 +21,80 @@ use proptest::prelude::*;
 /// with forward-only movers so every run terminates.
 fn arb_apa() -> impl Strategy<Value = Apa> {
     (2usize..6, any::<u64>()).prop_map(|(n, seed)| {
-        let mut state = seed | 1;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 33
-        };
         let mut b = ApaBuilder::new();
-        let comps: Vec<_> = (0..n)
-            .map(|i| {
-                if i == 0 {
-                    b.component(&format!("c{i}"), [Value::atom("x"), Value::atom("y")])
-                } else {
-                    b.component(&format!("c{i}"), [])
-                }
-            })
-            .collect();
-        let mut k = 0;
-        for i in 0..n - 1 {
+        add_mover_shape(&mut b, "", n, seed);
+        b.build().expect("valid mover APA")
+    })
+}
+
+/// Adds one [`arb_apa`] shape to `b`, its components and automata named
+/// with `prefix`.
+fn add_mover_shape(b: &mut ApaBuilder, prefix: &str, n: usize, seed: u64) {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        state >> 33
+    };
+    let comps: Vec<_> = (0..n)
+        .map(|i| {
+            if i == 0 {
+                b.component(
+                    &format!("{prefix}c{i}"),
+                    [Value::atom("x"), Value::atom("y")],
+                )
+            } else {
+                b.component(&format!("{prefix}c{i}"), [])
+            }
+        })
+        .collect();
+    let mut k = 0;
+    for i in 0..n - 1 {
+        b.automaton(
+            &format!("{prefix}m{k}"),
+            [comps[i], comps[i + 1]],
+            rule::move_any(0, 1),
+        );
+        k += 1;
+        let j = i + 1 + (next() as usize) % (n - i - 1).max(1);
+        if j < n && j != i + 1 && next() % 2 == 0 {
             b.automaton(
-                &format!("m{k}"),
-                [comps[i], comps[i + 1]],
+                &format!("{prefix}m{k}"),
+                [comps[i], comps[j]],
                 rule::move_any(0, 1),
             );
             k += 1;
-            let j = i + 1 + (next() as usize) % (n - i - 1).max(1);
-            if j < n && j != i + 1 && next() % 2 == 0 {
-                b.automaton(&format!("m{k}"), [comps[i], comps[j]], rule::move_any(0, 1));
-                k += 1;
-            }
         }
-        b.build().expect("valid mover APA")
-    })
+    }
+}
+
+/// 1–4 renamed [`arb_apa`] shapes glued side by side into one APA,
+/// sometimes with a ping-pong fragment (no dead state, so the product
+/// has no maxima) and sometimes with a component no automaton touches.
+/// Shapes have 2–3 components, so the global product stays small
+/// enough for the abstraction oracle.
+fn arb_glued_apa() -> impl Strategy<Value = Apa> {
+    (1usize..5, any::<u64>(), any::<bool>(), any::<bool>()).prop_map(
+        |(shapes, seed, ping_pong, idle)| {
+            let mut b = ApaBuilder::new();
+            if idle {
+                b.component("idle", [Value::atom("z")]);
+            }
+            for p in 0..shapes {
+                let shape_seed = seed.wrapping_add((p as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+                let n = 2 + (shape_seed >> 61) as usize % 2;
+                add_mover_shape(&mut b, &format!("s{p}"), n, shape_seed);
+            }
+            if ping_pong {
+                let ping = b.component("ping", [Value::atom("t")]);
+                let pong = b.component("pong", []);
+                b.automaton("serve", [ping, pong], rule::move_any(0, 1));
+                b.automaton("return", [pong, ping], rule::move_any(0, 1));
+            }
+            b.build().expect("valid glued APA")
+        },
+    )
 }
 
 /// The simulator's oracle: the walk it made before it ran on the firing
@@ -294,4 +336,90 @@ proptest! {
             }
         }
     }
+
+    #[test]
+    fn fragments_partition_the_automata_and_multiply_out(apa in arb_glued_apa()) {
+        let fragments = apa.fragments();
+        prop_assert_eq!(fragments.len(), apa.fragment_count());
+        // Every automaton lands in exactly one fragment; a fragment
+        // lists its automata in declaration order, and the fragments
+        // are ordered by their first automaton.
+        let position = |name: &str| apa.automaton_names().position(|n| n == name);
+        let positions: Vec<Vec<usize>> = fragments
+            .iter()
+            .map(|f| f.automaton_names().map(|n| position(n).expect("known automaton")).collect())
+            .collect();
+        for p in &positions {
+            prop_assert!(!p.is_empty() && p.windows(2).all(|w| w[0] < w[1]), "{:?}", positions);
+        }
+        prop_assert!(positions.windows(2).all(|w| w[0][0] < w[1][0]), "{:?}", positions);
+        let mut all: Vec<usize> = positions.concat();
+        all.sort_unstable();
+        prop_assert_eq!(all, (0..apa.automaton_count()).collect::<Vec<_>>());
+        // The global graph is the interleaving product of theirs.
+        let global = apa.reachability(&ReachOptions::default()).expect("global");
+        let counts: Vec<(usize, usize)> = fragments
+            .iter()
+            .map(|f| {
+                let g = f.reachability(&ReachOptions::default()).expect("fragment");
+                (g.state_count(), g.edge_count())
+            })
+            .collect();
+        let states: usize = counts.iter().map(|&(s, _)| s).product();
+        let edges: usize = (0..counts.len())
+            .map(|i| {
+                let others: usize = (0..counts.len())
+                    .filter(|&j| j != i)
+                    .map(|j| counts[j].0)
+                    .product();
+                counts[i].1 * others
+            })
+            .sum();
+        prop_assert_eq!(states, global.state_count());
+        prop_assert_eq!(edges, global.edge_count());
+    }
+
+    #[test]
+    fn fragment_engine_matches_the_global_product_oracle(apa in arb_glued_apa()) {
+        let global = apa.reachability(&ReachOptions::default()).expect("global");
+        for method in [DependenceMethod::Abstraction, DependenceMethod::Precedence] {
+            for prune in [false, true] {
+                for threads in [1usize, 2] {
+                    let opts = ElicitOptions { method, threads, prune };
+                    let at = format!("method {method:?} prune {prune} threads {threads}");
+                    let split = elicit_apa(&apa, &opts, &Obs::disabled(), Agent::new)
+                        .expect("fragment engine");
+                    let oracle = elicit_with_options(&global, &opts, Agent::new);
+                    prop_assert_eq!(split.state_count, oracle.state_count, "{}", at);
+                    prop_assert_eq!(split.edge_count, oracle.edge_count, "{}", at);
+                    prop_assert_eq!(&split.minima, &oracle.minima, "{}", at);
+                    prop_assert_eq!(&split.maxima, &oracle.maxima, "{}", at);
+                    prop_assert_eq!(&split.verdicts, &oracle.verdicts, "{}", at);
+                    prop_assert_eq!(&split.requirements, &oracle.requirements, "{}", at);
+                    prop_assert_eq!(split.stats.pairs_total, oracle.stats.pairs_total, "{}", at);
+                    prop_assert_eq!(split.stats.pairs_pruned, oracle.stats.pairs_pruned, "{}", at);
+                    prop_assert_eq!(
+                        split.stats.coreach_cache_hits, oracle.stats.coreach_cache_hits, "{}", at
+                    );
+                    prop_assert_eq!(split.stats.threads, oracle.stats.threads, "{}", at);
+                    prop_assert_eq!(split.stats.fragments, apa.fragment_count(), "{}", at);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn an_apa_without_automata_has_no_fragments_and_one_state() {
+    let mut b = ApaBuilder::new();
+    b.component("idle", [Value::atom("z")]);
+    let apa = b.build().expect("valid APA");
+    assert!(apa.fragments().is_empty());
+    let report = elicit_apa(&apa, &ElicitOptions::default(), &Obs::disabled(), |m| {
+        Agent::new(m)
+    })
+    .expect("fragment engine");
+    assert_eq!((report.state_count, report.edge_count), (1, 0));
+    assert!(report.minima.is_empty() && report.maxima.is_empty());
+    assert!(report.verdicts.is_empty());
 }

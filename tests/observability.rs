@@ -135,11 +135,14 @@ fn elicit_exports_pipeline_series() {
     let body = std::fs::read_to_string(&stats).unwrap();
     for name in [
         r#""name":"elicit""#,
+        r#""name":"elicit.reach""#,
         r#""name":"elicit.behaviour_nfa""#,
         r#""name":"elicit.min_max""#,
         r#""name":"elicit.prune_pass""#,
         r#""name":"elicit.pair_eval""#,
         r#""name":"elicit.pairs_total""#,
+        r#""name":"elicit.fragments""#,
+        r#""name":"elicit.reach.states""#,
     ] {
         assert!(body.contains(name), "{name} missing: {body}");
     }
