@@ -14,14 +14,14 @@
 //! stream in a single hash pass.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fsa_core::explore::{union_requirements, ExploreOptions};
+use fsa_core::explore::{union_requirements, ExecOptions, ExploreOptions};
 use fsa_graph::iso::{
     canonical_certificate, dedup_isomorphic, dedup_isomorphic_certified,
     dedup_isomorphic_certified_parallel,
 };
 use fsa_graph::DiGraph;
 use std::hint::black_box;
-use vanet::exploration::{enumerate_scenario_instances, explore_scenario};
+use vanet::exploration::{enumerate_scenario_instances, explore_scenario_universe};
 
 /// Duplication factor of the candidate stream fed to the dedup benches.
 const DUP: usize = 4;
@@ -43,9 +43,10 @@ fn bench_exploration(c: &mut Criterion) {
     let mut group = c.benchmark_group("exploration");
     group.sample_size(10);
 
-    // End-to-end enumeration with the streaming certificate engine, on
-    // one thread. Each iteration also drops its universe, so teardown
-    // (3 015 instances at 4 vehicles) is part of the time.
+    // What `fsa explore` runs: the class engine with its requirement
+    // union, on one thread, composing no instance. Each iteration also
+    // drops its universe (3 015 classes at 4 vehicles).
+    let exec = ExecOptions::default();
     for max_vehicles in [1usize, 2, 3, 4] {
         group.bench_with_input(
             BenchmarkId::new("enumerate", max_vehicles),
@@ -53,25 +54,26 @@ fn bench_exploration(c: &mut Criterion) {
             |b, &mv| {
                 b.iter(|| {
                     black_box(
-                        enumerate_scenario_instances(mv, &ExploreOptions::default())
+                        explore_scenario_universe(mv, &ExploreOptions::default(), &exec)
                             .expect("bounded"),
                     )
                 })
             },
         );
     }
-    // The tentpole scale target: 16 candidate flows → 65 536 subsets for
-    // the full (1 RSU, 4 V) multiplicity vector, enumerated with orbit
-    // pruning and 4 worker threads.
+    // The same with 4 worker threads, on the scale target: 16 candidate
+    // flows → 65 536 subsets for the full (1 RSU, 4 V) multiplicity
+    // vector, enumerated with orbit pruning.
     group.bench_function("enumerate_threads4/4", |b| {
         b.iter(|| {
             black_box(
-                explore_scenario(
+                explore_scenario_universe(
                     4,
                     &ExploreOptions {
                         threads: 4,
                         ..Default::default()
                     },
+                    &exec,
                 )
                 .expect("bounded"),
             )

@@ -7,12 +7,14 @@
 //! different instances poses the set of requirements for the whole
 //! system."
 //!
-//! [`enumerate_instances_supervised`] generates every composition of
-//! component instances (up to per-model multiplicity bounds) and every
-//! subset of the external flows allowed by the [`ConnectionRule`]s,
-//! de-duplicates the results up to isomorphism of their shape graphs,
-//! and optionally keeps only weakly connected compositions.
-//! [`union_requirements`] elicits and unions the requirement sets.
+//! [`explore_universe`] generates every composition of component
+//! instances (up to per-model multiplicity bounds) and every subset of
+//! the external flows allowed by the [`ConnectionRule`]s, de-duplicates
+//! the results up to isomorphism of their shape graphs, optionally keeps
+//! only weakly connected compositions, and unions the requirements of
+//! the classes it keeps. [`enumerate_instances_supervised`] also
+//! composes each class's [`SosInstance`]; [`union_requirements`] elicits
+//! and unions the requirements of any instance list.
 //!
 //! # The streaming certificate engine
 //!
@@ -25,19 +27,30 @@
 //! Flow subsets are additionally enumerated up to *copy-permutation
 //! symmetry* — copies of one component model are interchangeable, so a
 //! whole orbit of subsets is skipped once its minimal representative has
-//! been instantiated. Each vector's copies are instantiated once, into a
-//! flow-free prototype; a candidate clones it and adds its external
-//! flows, sharing the prototype's reference-counted actions, agents,
-//! owners and shape labels. Candidate building and certificate
-//! computation run on `ExploreOptions::threads` scoped worker threads;
-//! the merged result is bit-identical for every thread count.
+//! been instantiated.
+//!
+//! Each vector's copies are instantiated once, into a flow-free
+//! prototype that also holds the composition as fixed-width adjacency
+//! rows ([`AdjacencyRows`]). A candidate is those rows with its mask's
+//! external flows OR-ed in, built in scratch buffers each worker thread
+//! reuses: its connectivity, its certificate ([`row_certificate`]) and
+//! its χ pairs ([`AdjacencyRows::chi`]) are all read off the rows, and
+//! no `SosInstance` or shape graph is built for it. A class is kept as
+//! its `(ordinal, mask)`; a certificate-bucket hit rebuilds both shape
+//! graphs from their prototypes for the exact check. Only a class's
+//! representative contributes χ, OR-ed into one bit matrix per vector
+//! that is mapped to requirements through the prototype when the vector
+//! ends or the run stops. Candidate building and certificate computation
+//! run on `ExploreOptions::threads` scoped worker threads; the merged
+//! result is bit-identical for every thread count.
 //!
 //! # Supervision
 //!
 //! Every run executes under the [`fsa_exec`] execution layer;
 //! [`ExecOptions`] only sets its policy, and [`ExecOptions::default`]
 //! is the policy of a run without supervision flags. Candidate builds
-//! and union elicitations are panic-isolated and retried per
+//! (χ included) and the elicitations of [`union_requirements`] are
+//! panic-isolated and retried per
 //! [`fsa_exec::RetryPolicy`] (exhausted chunks are *quarantined*, not
 //! fatal), cooperative cancellation ([`fsa_exec::CancelToken`] —
 //! deadlines included) degrades the run to a partial result with
@@ -50,15 +63,19 @@
 
 use crate::action::{Action, Agent};
 use crate::checkpoint::{config_fingerprint, CheckpointCounters, ExploreCheckpoint};
-use crate::component_model::{ComponentInstance, ComponentModel, TemplateActionId};
+use crate::component_model::{ComponentModel, TemplateActionId};
 use crate::error::FsaError;
 use crate::instance::{SosInstance, SosInstanceBuilder};
 use crate::manual::chi_nodes;
 use crate::requirements::{AuthRequirement, RequirementSet};
 use fsa_exec::{CancelToken, ChunkFailure, Supervisor};
-use fsa_graph::iso::{canonical_certificate, CertifiedClasses};
+use fsa_graph::bitset::{set_bits, AdjacencyRows, ChiScratch};
+use fsa_graph::iso::{
+    are_isomorphic, label_hash, row_certificate, Certificate, CertificateScratch, CertifiedClasses,
+};
 use fsa_graph::{DiGraph, NodeId};
 use fsa_obs::Obs;
+use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -314,6 +331,11 @@ pub struct ExploreStats {
     pub build_time: Duration,
     /// Time spent inserting candidates into the certificate class map.
     pub dedup_time: Duration,
+    /// Time a distributed coordinator spent merging the shards' accepted
+    /// logs. `Some` marks a merged run: its statistics are assembled
+    /// from shard counters, so it has no thread count and no scan, build
+    /// or dedup timings of its own.
+    pub merge_time: Option<Duration>,
 }
 
 impl std::fmt::Display for ExploreStats {
@@ -328,10 +350,14 @@ impl std::fmt::Display for ExploreStats {
         writeln!(f, "  exact iso fallbacks   {}", self.exact_iso_fallbacks)?;
         writeln!(f, "  classes               {}", self.classes)?;
         writeln!(f, "  truncated             {}", self.truncated)?;
-        writeln!(f, "  threads               {}", self.threads)?;
-        writeln!(f, "  subset scan           {:?}", self.scan_time)?;
-        writeln!(f, "  candidate build       {:?}", self.build_time)?;
-        writeln!(f, "  certificate dedup     {:?}", self.dedup_time)?;
+        if let Some(merge) = self.merge_time {
+            writeln!(f, "  merge                 {merge:?}")?;
+        } else {
+            writeln!(f, "  threads               {}", self.threads)?;
+            writeln!(f, "  subset scan           {:?}", self.scan_time)?;
+            writeln!(f, "  candidate build       {:?}", self.build_time)?;
+            writeln!(f, "  certificate dedup     {:?}", self.dedup_time)?;
+        }
         if self.vectors_total > 0 {
             writeln!(
                 f,
@@ -365,12 +391,12 @@ impl ExploreStats {
     /// No-op when `obs` is disabled. The engine calls this internally;
     /// it is public so hosts that *assemble* an [`ExploreStats`] (the
     /// distributed coordinator's shard merge) can export the same
-    /// counters.
+    /// counters. A merged run exports no `explore.threads`.
     pub fn mirror_counters(&self, obs: &Obs) {
         if !obs.is_enabled() {
             return;
         }
-        let pairs: [(&str, u64); 17] = [
+        let pairs: [(&str, u64); 16] = [
             (
                 "explore.multiplicity_vectors",
                 self.multiplicity_vectors as u64,
@@ -389,7 +415,6 @@ impl ExploreStats {
             ),
             ("explore.classes", self.classes as u64),
             ("explore.truncated", u64::from(self.truncated)),
-            ("explore.threads", self.threads as u64),
             ("explore.vectors_total", self.vectors_total as u64),
             ("explore.vectors_completed", self.vectors_completed as u64),
             ("explore.candidates_built", self.candidates_built as u64),
@@ -401,6 +426,9 @@ impl ExploreStats {
         for (name, value) in pairs {
             obs.counter_add(name, value);
         }
+        if self.merge_time.is_none() {
+            obs.counter_add("explore.threads", self.threads as u64);
+        }
         obs.counter_add(
             "explore.checkpoints_written",
             self.checkpoints_written as u64,
@@ -408,19 +436,68 @@ impl ExploreStats {
     }
 }
 
-/// Result of [`enumerate_instances_supervised`]: the structurally
-/// different instances plus the engine statistics.
+/// One isomorphism class of an explored universe: its representative
+/// candidate, kept as its `(ordinal, mask)`, with what a report line
+/// prints of it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ExploredClass {
+    /// The representative's multiplicity-vector ordinal.
+    pub ordinal: u64,
+    /// The representative's flow-subset mask (bit `k` = the vector's
+    /// `k`-th candidate external flow).
+    pub mask: u64,
+    /// The vector's name, e.g. `1xRSU+2xV`: the name of every
+    /// composition of the vector.
+    pub vector: Arc<str>,
+    /// Number of actions.
+    pub actions: usize,
+    /// Number of distinct flows: the popcount of the representative's
+    /// adjacency rows. A mask flow that duplicates an internal flow is
+    /// one flow, as in the composed instance's graph.
+    pub flows: usize,
+}
+
+/// Result of the class engine [`explore_universe`]: the structurally
+/// different classes, the union of their requirements and the engine
+/// statistics. No [`SosInstance`] is composed.
 #[derive(Debug, Clone)]
-pub struct Exploration {
+pub struct Universe {
     /// One representative per isomorphism class, in discovery order.
-    pub instances: Vec<SosInstance>,
+    pub classes: Vec<ExploredClass>,
+    /// The union of the requirements of the classes' representatives
+    /// (§4.4). Cyclic compositions contribute none.
+    pub requirements: RequirementSet,
+    /// Classes whose composition is cyclic (loop-freedom exclusion).
+    pub loop_skipped: usize,
     /// Per-stage statistics.
     pub stats: ExploreStats,
-    /// The accepted `(vector ordinal, flow-subset mask)` decision log
-    /// in discovery order — one entry per instance. This is the same
-    /// log the checkpoint format persists; a distributed coordinator
-    /// merges per-shard logs with [`merge_accepted`].
-    pub accepted: Vec<(u64, u64)>,
+}
+
+impl Universe {
+    /// The accepted `(vector ordinal, flow-subset mask)` decision log in
+    /// discovery order — one entry per class. This is the log the
+    /// checkpoint format persists; a distributed coordinator merges
+    /// per-shard logs with [`merge_accepted`], and [`compose_accepted`]
+    /// composes its instances.
+    #[must_use]
+    pub fn accepted(&self) -> Vec<(u64, u64)> {
+        accepted_log(&self.classes)
+    }
+}
+
+/// The `(ordinal, mask)` of each class, in class order.
+fn accepted_log(classes: &[ExploredClass]) -> Vec<(u64, u64)> {
+    classes.iter().map(|c| (c.ordinal, c.mask)).collect()
+}
+
+/// Result of [`enumerate_instances_supervised`]: the explored universe
+/// plus each class's composed instance.
+#[derive(Debug, Clone)]
+pub struct Exploration {
+    /// The classes, their requirement union and the statistics.
+    pub universe: Universe,
+    /// The representative instance of each class, in class order.
+    pub instances: Vec<SosInstance>,
 }
 
 /// The instances of [`enumerate_instances_supervised`] under the
@@ -493,6 +570,23 @@ impl Iterator for VectorIter {
     }
 }
 
+/// The multiplicity vector of `ordinal` in [`VectorIter`] order: the
+/// digits of `ordinal + 1` in the mixed radix `maxᵢ + 1`, the first
+/// model's digit least significant (the all-zero vector, number 0, is
+/// skipped).
+fn vector_of(ordinal: u64, maxes: &[usize]) -> Vec<usize> {
+    let mut rest = ordinal + 1;
+    maxes
+        .iter()
+        .map(|&max| {
+            let base = max as u64 + 1;
+            let digit = rest % base;
+            rest /= base;
+            digit as usize
+        })
+        .collect()
+}
+
 /// Number of non-empty multiplicity vectors: `∏ (maxᵢ + 1) − 1`.
 fn vector_count(maxes: &[usize]) -> usize {
     maxes
@@ -510,47 +604,34 @@ pub fn vector_space(models: &[(ComponentModel, usize)]) -> u64 {
     vector_count(&maxes) as u64
 }
 
-/// Re-instantiates the accepted class representatives of one vector
-/// (resume rebuild). The checkpoint recorded only `(ordinal, mask)`
-/// decisions; rebuilding replays them in discovery order, so the class
-/// map and instance list end up bit-identical to the checkpointed run.
-#[allow(clippy::too_many_arguments)]
-fn rebuild_accepted(
-    prototype: &Prototype,
-    rules: &[ResolvedRule],
-    ordinal: u64,
-    flows: &[FlowCandidate],
-    accepted: &[(u64, u64)],
-    cursor: &mut usize,
-    classes: &mut CertifiedClasses<Arc<str>>,
-    instances: &mut Vec<SosInstance>,
-) -> Result<(), FsaError> {
-    while let Some(&(entry_ordinal, mask)) = accepted.get(*cursor) {
-        if entry_ordinal != ordinal {
-            break;
-        }
-        if mask >> flows.len() != 0 {
-            return Err(FsaError::CorruptCheckpoint {
-                reason: format!("accepted mask {mask} out of range for vector {ordinal}"),
-            });
-        }
-        let instance = prototype.compose(rules, flows, mask as usize);
-        let shape = prototype.shape_graph(&instance);
-        let certificate = canonical_certificate(&shape);
-        if classes
-            .insert_with_certificate(shape, certificate)
-            .is_none()
-        {
-            return Err(FsaError::CorruptCheckpoint {
-                reason: format!(
-                    "accepted instance (vector {ordinal}, mask {mask}) duplicates an earlier class on rebuild"
-                ),
-            });
-        }
-        instances.push(instance);
-        *cursor += 1;
+/// A run of accepted-log entries that share a vector: `(ordinal,
+/// multiplicities, entries)`.
+type VectorRun<'a> = (u64, Vec<usize>, &'a [(u64, u64)]);
+
+/// The runs of an accepted log that share a vector, in log order.
+///
+/// # Errors
+///
+/// [`FsaError::CorruptCheckpoint`] unless the ordinals ascend and lie in
+/// the multiplicity space of `maxes`.
+fn vector_runs<'a>(maxes: &[usize], log: &'a [(u64, u64)]) -> Result<Vec<VectorRun<'a>>, FsaError> {
+    if !log.windows(2).all(|w| w[0].0 <= w[1].0) {
+        return Err(FsaError::CorruptCheckpoint {
+            reason: "accepted list is out of discovery order".to_owned(),
+        });
     }
-    Ok(())
+    if log
+        .last()
+        .is_some_and(|&(o, _)| o >= vector_count(maxes) as u64)
+    {
+        return Err(FsaError::CorruptCheckpoint {
+            reason: "accepted entries lie beyond the multiplicity space".to_owned(),
+        });
+    }
+    Ok(log
+        .chunk_by(|a, b| a.0 == b.0)
+        .map(|run| (run[0].0, vector_of(run[0].0, maxes), run))
+        .collect())
 }
 
 /// Resume offset for a class-map counter: checkpointed total minus the
@@ -591,9 +672,8 @@ fn write_explore_checkpoint(
     fingerprint: u64,
     next_ordinal: u64,
     pending: &[usize],
-    accepted: &[(u64, u64)],
     stats: &mut ExploreStats,
-    classes: &CertifiedClasses<Arc<str>>,
+    classes: &ClassMap<'_>,
     hits_offset: i64,
     fallbacks_offset: i64,
     obs: &Obs,
@@ -608,12 +688,12 @@ fn write_explore_checkpoint(
         disconnected_skipped: stats.disconnected_skipped,
         certificate_hits: rebase_counter(
             hits_offset,
-            classes.certificate_hits(),
+            classes.certified.certificate_hits(),
             "certificate-hit",
         )?,
         exact_iso_fallbacks: rebase_counter(
             fallbacks_offset,
-            classes.exact_fallbacks(),
+            classes.certified.exact_fallbacks(),
             "exact-isomorphism-fallback",
         )?,
         truncated: stats.truncated,
@@ -625,7 +705,7 @@ fn write_explore_checkpoint(
         fingerprint,
         next_ordinal,
         pending_masks: pending.iter().map(|&m| m as u64).collect(),
-        accepted: accepted.to_vec(),
+        accepted: accepted_log(&classes.classes),
         counters,
     }
     .write(&spec.path)?;
@@ -636,10 +716,36 @@ fn write_explore_checkpoint(
 
 /// Enumerates the structurally different SoS instances built from
 /// `models` — each given with its maximum multiplicity — under the
-/// connection rules, with [`ExploreStats`] and the accepted decision
-/// log. Runs under `exec`: panic-isolated retried candidate builds,
-/// cooperative cancellation with coverage accounting, and
-/// checkpoint/resume (see [`ExecOptions`] and the module docs).
+/// connection rules, and composes each class's representative
+/// instance: [`explore_universe`], then [`compose_accepted`] over its
+/// accepted log.
+///
+/// # Errors
+///
+/// See [`explore_universe`].
+pub fn enumerate_instances_supervised(
+    models: &[(ComponentModel, usize)],
+    rules: &[ConnectionRule],
+    options: &ExploreOptions,
+    exec: &ExecOptions,
+) -> Result<Exploration, FsaError> {
+    let universe = explore_universe(models, rules, options, exec)?;
+    let instances = compose_accepted(models, rules, &universe.accepted())?;
+    Ok(Exploration {
+        universe,
+        instances,
+    })
+}
+
+/// The class engine: enumerates the isomorphism classes of the
+/// compositions of `models` — each given with its maximum multiplicity —
+/// under the connection rules, unions the requirements of their
+/// representatives (§4.4, cyclic compositions skipped), and reports
+/// [`ExploreStats`]. Composes no [`SosInstance`]. Runs under `exec`:
+/// panic-isolated retried candidate builds, cooperative cancellation
+/// with coverage accounting, and checkpoint/resume (see
+/// [`ExecOptions`] and the module docs). A run that stops early still
+/// unions the requirements of exactly the classes it returns.
 ///
 /// # Errors
 ///
@@ -651,12 +757,12 @@ fn write_explore_checkpoint(
 /// * [`FsaError::InvalidShard`] for a malformed or truncating shard.
 /// * [`FsaError::CorruptCheckpoint`] for unreadable, tampered,
 ///   version-skewed or configuration-mismatched resume files.
-pub fn enumerate_instances_supervised(
+pub fn explore_universe(
     models: &[(ComponentModel, usize)],
     rules: &[ConnectionRule],
     options: &ExploreOptions,
     exec: &ExecOptions,
-) -> Result<Exploration, FsaError> {
+) -> Result<Universe, FsaError> {
     for (m, _) in models {
         m.validate()?;
     }
@@ -699,8 +805,7 @@ pub fn enumerate_instances_supervised(
         vectors_total,
         ..ExploreStats::default()
     };
-    let mut classes: CertifiedClasses<Arc<str>> = CertifiedClasses::new();
-    let mut instances: Vec<SosInstance> = Vec::new();
+    let mut classes = ClassMap::new(models, &resolved);
 
     // Frontier state: the vector being processed and, mid-vector, the
     // canonical masks not yet built. Ordinals are *global* (sharded
@@ -708,7 +813,8 @@ pub fn enumerate_instances_supervised(
     // their range), so accepted logs concatenate across shards.
     let mut next_ordinal = shard.start;
     let mut pending: Vec<usize> = Vec::new();
-    let mut accepted: Vec<(u64, u64)> = Vec::new();
+    // The resumed checkpoint's accepted log, replayed into the class map.
+    let mut log: Vec<(u64, u64)> = Vec::new();
     let mut cp_hits = 0usize;
     let mut cp_fallbacks = 0usize;
 
@@ -749,7 +855,7 @@ pub fn enumerate_instances_supervised(
         }
         next_ordinal = cp.next_ordinal;
         pending = cp.pending_masks.iter().map(|&m| m as usize).collect();
-        accepted = cp.accepted;
+        log = cp.accepted;
         let c = cp.counters;
         stats.multiplicity_vectors = c.multiplicity_vectors;
         stats.subsets_total = c.subsets_total;
@@ -771,7 +877,6 @@ pub fn enumerate_instances_supervised(
     // counters carry over seamlessly.
     let mut rebuilding = stats.resumed;
     let mut cursor = 0usize;
-    let resume_accepted = accepted.len();
     let mut hits_offset = 0i64;
     let mut fallbacks_offset = 0i64;
     let mut built_since_ckpt = 0usize;
@@ -788,71 +893,55 @@ pub fn enumerate_instances_supervised(
         if ordinal64 < next_ordinal {
             // Resume rebuild: replay the accepted decisions of an
             // already-completed vector.
-            if accepted.get(cursor).is_some_and(|&(o, _)| o == ordinal64) {
-                let flows = flow_candidates(&resolved, &counts);
-                rebuild_accepted(
-                    &Prototype::new(models, &counts)?,
-                    &resolved,
-                    ordinal64,
-                    &flows,
-                    &accepted,
-                    &mut cursor,
-                    &mut classes,
-                    &mut instances,
-                )?;
+            if log.get(cursor).is_some_and(|&(o, _)| o == ordinal64) {
+                classes.enter(ordinal64, &counts)?;
+                classes.replay(&log, &mut cursor)?;
             }
             continue;
         }
 
         // ordinal == next_ordinal: the current vector, whose candidates
-        // are all composed from one prototype.
+        // are all built from one prototype.
         let span = obs.span("explore.build");
-        let prototype = Prototype::new(models, &counts)?;
+        let flow_count = classes.enter(ordinal64, &counts)?.flows.len();
         stats.build_time += span.finish();
 
         // A non-empty `pending` means the checkpoint interrupted the
         // vector mid-build: replay its accepted prefix, then build the
         // pending masks without re-scanning (the scan counters are
         // already in the checkpoint).
-        let mut flows_pending: Option<Vec<FlowCandidate>> = None;
-        if !pending.is_empty() {
-            let flows = flow_candidates(&resolved, &counts);
+        let resumed_mid_vector = !pending.is_empty();
+        if resumed_mid_vector {
             for &mask in &pending {
-                if mask >> flows.len() != 0 {
+                if mask >> flow_count != 0 {
                     return Err(FsaError::CorruptCheckpoint {
                         reason: format!("pending mask {mask} out of range for vector {ordinal64}"),
                     });
                 }
             }
-            rebuild_accepted(
-                &prototype,
-                &resolved,
-                ordinal64,
-                &flows,
-                &accepted,
-                &mut cursor,
-                &mut classes,
-                &mut instances,
-            )?;
-            flows_pending = Some(flows);
+            classes.replay(&log, &mut cursor)?;
         }
         if rebuilding {
-            if cursor != resume_accepted {
+            if cursor != log.len() {
                 return Err(FsaError::CorruptCheckpoint {
                     reason: "accepted entries reference vectors beyond the frontier".to_owned(),
                 });
             }
-            hits_offset = resume_offset(cp_hits, classes.certificate_hits(), "certificate-hit")?;
+            hits_offset = resume_offset(
+                cp_hits,
+                classes.certified.certificate_hits(),
+                "certificate-hit",
+            )?;
             fallbacks_offset = resume_offset(
                 cp_fallbacks,
-                classes.exact_fallbacks(),
+                classes.certified.exact_fallbacks(),
                 "exact-isomorphism-fallback",
             )?;
             rebuilding = false;
         }
 
-        let (masks, flows) = if let Some(flows) = flows_pending {
-            (std::mem::take(&mut pending), flows)
+        let masks = if resumed_mid_vector {
+            std::mem::take(&mut pending)
         } else {
             // A fresh vector. A truncated (budget-exhausted) resumed
             // run has nothing further to enumerate.
@@ -867,7 +956,6 @@ pub fn enumerate_instances_supervised(
                         fingerprint,
                         ordinal64,
                         &[],
-                        &accepted,
                         &mut stats,
                         &classes,
                         hits_offset,
@@ -895,7 +983,6 @@ pub fn enumerate_instances_supervised(
                         fingerprint,
                         ordinal64,
                         &[],
-                        &accepted,
                         &mut stats,
                         &classes,
                         hits_offset,
@@ -910,19 +997,10 @@ pub fn enumerate_instances_supervised(
             stats.orbits_skipped += scan.orbits_skipped;
             stats.candidates += scan.canonical.len();
             stats.truncated |= scan.truncated;
-            (scan.canonical, scan.flows)
+            scan.canonical
         };
 
         // Build the vector's masks in supervised batches.
-        let build = |mask: usize| -> Result<Option<Built>, FsaError> {
-            Ok(build_candidate(
-                &prototype,
-                &resolved,
-                &flows,
-                mask,
-                options.require_connected,
-            ))
-        };
         let mut idx = 0usize;
         while idx < masks.len() {
             if cancel.is_cancelled() {
@@ -933,7 +1011,6 @@ pub fn enumerate_instances_supervised(
                         fingerprint,
                         ordinal64,
                         &masks[idx..],
-                        &accepted,
                         &mut stats,
                         &classes,
                         hits_offset,
@@ -946,11 +1023,18 @@ pub fn enumerate_instances_supervised(
             let hi = (idx + batch).min(masks.len());
             let slice = &masks[idx..hi];
             let span = obs.span("explore.build");
+            let prototype = classes.prototype();
             let outcome = exec.supervisor.run_chunks::<Option<Built>, FsaError, _>(
                 "explore:build",
                 threads,
                 slice.len(),
-                |i| build(slice[i]),
+                |i| {
+                    Ok(build_candidate(
+                        prototype,
+                        slice[i] as u64,
+                        options.require_connected,
+                    ))
+                },
             )?;
             stats.build_time += span.finish();
             stats.retries += outcome.retries;
@@ -964,7 +1048,6 @@ pub fn enumerate_instances_supervised(
                         fingerprint,
                         ordinal64,
                         &masks[idx..],
-                        &accepted,
                         &mut stats,
                         &classes,
                         hits_offset,
@@ -980,14 +1063,8 @@ pub fn enumerate_instances_supervised(
             for (chunk, item) in outcome.results {
                 match item {
                     None => stats.disconnected_skipped += 1,
-                    Some((instance, shape, certificate)) => {
-                        if classes
-                            .insert_with_certificate(shape, certificate)
-                            .is_some()
-                        {
-                            accepted.push((ordinal64, slice[chunk] as u64));
-                            instances.push(instance);
-                        }
+                    Some(built) => {
+                        classes.offer(slice[chunk] as u64, &built)?;
                     }
                 }
             }
@@ -1002,7 +1079,6 @@ pub fn enumerate_instances_supervised(
                             fingerprint,
                             ordinal64,
                             &masks[idx..],
-                            &accepted,
                             &mut stats,
                             &classes,
                             hits_offset,
@@ -1028,7 +1104,6 @@ pub fn enumerate_instances_supervised(
                     fingerprint,
                     next_ordinal,
                     &[],
-                    &accepted,
                     &mut stats,
                     &classes,
                     hits_offset,
@@ -1043,15 +1118,19 @@ pub fn enumerate_instances_supervised(
     if rebuilding {
         // The resumed checkpoint covered the whole space (or ended on a
         // truncated run): every decision was replayed, nothing new ran.
-        if cursor != resume_accepted {
+        if cursor != log.len() {
             return Err(FsaError::CorruptCheckpoint {
                 reason: "accepted entries reference vectors beyond the frontier".to_owned(),
             });
         }
-        hits_offset = resume_offset(cp_hits, classes.certificate_hits(), "certificate-hit")?;
+        hits_offset = resume_offset(
+            cp_hits,
+            classes.certified.certificate_hits(),
+            "certificate-hit",
+        )?;
         fallbacks_offset = resume_offset(
             cp_fallbacks,
-            classes.exact_fallbacks(),
+            classes.certified.exact_fallbacks(),
             "exact-isomorphism-fallback",
         )?;
     }
@@ -1064,7 +1143,6 @@ pub fn enumerate_instances_supervised(
                 fingerprint,
                 next_ordinal,
                 &[],
-                &accepted,
                 &mut stats,
                 &classes,
                 hits_offset,
@@ -1073,33 +1151,65 @@ pub fn enumerate_instances_supervised(
             )?;
         }
     }
-    stats.classes = instances.len();
-    stats.certificate_hits =
-        rebase_counter(hits_offset, classes.certificate_hits(), "certificate-hit")?;
+    stats.classes = classes.classes.len();
+    stats.certificate_hits = rebase_counter(
+        hits_offset,
+        classes.certified.certificate_hits(),
+        "certificate-hit",
+    )?;
     stats.exact_iso_fallbacks = rebase_counter(
         fallbacks_offset,
-        classes.exact_fallbacks(),
+        classes.certified.exact_fallbacks(),
         "exact-isomorphism-fallback",
     )?;
+    let universe = classes.finish(stats);
     drop(run);
-    stats.mirror_counters(&obs);
-    Ok(Exploration {
-        instances,
-        stats,
-        accepted,
-    })
+    universe.stats.mirror_counters(&obs);
+    Ok(universe)
 }
 
-/// Outcome of [`merge_accepted`]: the global instance list rebuilt from
+/// Composes the [`SosInstance`] of every `(ordinal, mask)` entry of an
+/// accepted log, in log order, each from its vector's prototype: the
+/// instances of the classes a [`Universe`] or a [`MergedExploration`]
+/// lists, for callers that ask for them.
+///
+/// # Errors
+///
+/// * [`FsaError::InvalidComponentModel`] if a model or rule fails
+///   validation.
+/// * [`FsaError::CorruptCheckpoint`] if the log's ordinals do not
+///   ascend, or it names an ordinal or mask outside the universe.
+pub fn compose_accepted(
+    models: &[(ComponentModel, usize)],
+    rules: &[ConnectionRule],
+    accepted: &[(u64, u64)],
+) -> Result<Vec<SosInstance>, FsaError> {
+    for (m, _) in models {
+        m.validate()?;
+    }
+    let resolved = resolve_rules(models, rules)?;
+    let maxes: Vec<usize> = models.iter().map(|(_, max)| *max).collect();
+    let mut instances = Vec::with_capacity(accepted.len());
+    for (ordinal, counts, run) in vector_runs(&maxes, accepted)? {
+        let prototype = Prototype::new(models, &resolved, &counts)?;
+        for &(_, mask) in run {
+            prototype.check_mask(ordinal, mask)?;
+            instances.push(prototype.compose(mask));
+        }
+    }
+    Ok(instances)
+}
+
+/// Outcome of [`merge_accepted`]: the global universe rebuilt from
 /// merged per-shard decision logs.
 #[derive(Debug, Clone)]
 pub struct MergedExploration {
-    /// One representative per isomorphism class, in canonical
-    /// `(ordinal, mask)` order — bit-identical to the instance list of
-    /// an unsharded run.
-    pub instances: Vec<SosInstance>,
-    /// The deduplicated accepted log (one entry per instance).
-    pub accepted: Vec<(u64, u64)>,
+    /// The classes in canonical `(ordinal, mask)` order — bit-identical
+    /// to the class list of an unsharded run — with their requirement
+    /// union. Its statistics count only the merge itself: `classes`,
+    /// and the certificate hits and exact fallbacks of the merge's class
+    /// map. A coordinator assembles the rest from the shard counters.
+    pub universe: Universe,
     /// Cross-shard duplicate classes dropped during the merge: a class
     /// first discovered in one shard and independently rediscovered in
     /// another (each shard deduplicates only within its own range).
@@ -1109,11 +1219,13 @@ pub struct MergedExploration {
 /// Rebuilds the global exploration result from per-shard accepted
 /// `(ordinal, mask)` logs, merged in ascending canonical order (shards
 /// are contiguous and disjoint, so concatenating their logs in range
-/// order *is* ascending order). Classes rediscovered by later shards
-/// are dropped, keeping the first representative — because every
-/// globally-accepted pair is also accepted by its own shard, the kept
-/// list and instance stream are bit-identical to an unsharded
-/// supervised run over the whole universe.
+/// order *is* ascending order). Each entry is certified on its rows
+/// through the same class map and union as the live build, and nothing
+/// is composed. Classes rediscovered by later shards are dropped,
+/// keeping the first representative — because every globally-accepted
+/// pair is also accepted by its own shard, the kept classes and the
+/// union are bit-identical to an unsharded supervised run over the
+/// whole universe.
 ///
 /// # Errors
 ///
@@ -1137,54 +1249,24 @@ pub fn merge_accepted(
         });
     }
     let maxes: Vec<usize> = models.iter().map(|(_, max)| *max).collect();
-    let total = vector_count(&maxes) as u64;
-    if accepted.last().is_some_and(|&(o, _)| o >= total) {
-        return Err(FsaError::CorruptCheckpoint {
-            reason: "merged accepted entries lie beyond the multiplicity space".to_owned(),
-        });
-    }
-    let mut classes: CertifiedClasses<Arc<str>> = CertifiedClasses::new();
-    let mut instances: Vec<SosInstance> = Vec::new();
-    let mut kept: Vec<(u64, u64)> = Vec::new();
+    let mut classes = ClassMap::new(models, &resolved);
     let mut duplicates = 0usize;
-    let mut cursor = 0usize;
-    for (ordinal, counts) in VectorIter::new(&maxes).enumerate() {
-        if cursor == accepted.len() {
-            break;
-        }
-        let ordinal64 = ordinal as u64;
-        if accepted[cursor].0 != ordinal64 {
-            continue;
-        }
-        let flows = flow_candidates(&resolved, &counts);
-        let prototype = Prototype::new(models, &counts)?;
-        while let Some(&(o, mask)) = accepted.get(cursor) {
-            if o != ordinal64 {
-                break;
-            }
-            if mask >> flows.len() != 0 {
-                return Err(FsaError::CorruptCheckpoint {
-                    reason: format!("merged accepted mask {mask} out of range for vector {o}"),
-                });
-            }
-            let instance = prototype.compose(&resolved, &flows, mask as usize);
-            let shape = prototype.shape_graph(&instance);
-            let certificate = canonical_certificate(&shape);
-            if classes
-                .insert_with_certificate(shape, certificate)
-                .is_some()
-            {
-                kept.push((o, mask));
-                instances.push(instance);
-            } else {
+    for (ordinal, counts, run) in vector_runs(&maxes, accepted)? {
+        classes.enter(ordinal, &counts)?;
+        for &(_, mask) in run {
+            if !classes.offer_mask(mask)? {
                 duplicates += 1;
             }
-            cursor += 1;
         }
     }
+    let stats = ExploreStats {
+        classes: classes.classes.len(),
+        certificate_hits: classes.certified.certificate_hits(),
+        exact_iso_fallbacks: classes.certified.exact_fallbacks(),
+        ..ExploreStats::default()
+    };
     Ok(MergedExploration {
-        instances,
-        accepted: kept,
+        universe: classes.finish(stats),
         duplicates,
     })
 }
@@ -1239,9 +1321,6 @@ struct FlowCandidate {
     to_copy: usize,
 }
 
-/// One built candidate: instance, shape graph, certificate.
-type Built = (SosInstance, DiGraph<Arc<str>>, u64);
-
 /// Candidate external flows of one multiplicity vector: for each rule,
 /// each ordered pair of distinct instances of the involved models.
 fn flow_candidates(rules: &[ResolvedRule], counts: &[usize]) -> Vec<FlowCandidate> {
@@ -1263,10 +1342,9 @@ fn flow_candidates(rules: &[ResolvedRule], counts: &[usize]) -> Vec<FlowCandidat
     flows
 }
 
-/// One scanned multiplicity vector: its flow candidates and the
-/// orbit-minimal (budget-trimmed) subset masks to instantiate.
+/// One scanned multiplicity vector: the orbit-minimal (budget-trimmed)
+/// subset masks to instantiate.
 struct VectorScan {
-    flows: Vec<FlowCandidate>,
     subsets: usize,
     canonical: Vec<usize>,
     orbits_skipped: usize,
@@ -1303,8 +1381,7 @@ fn scan_vector(
     let flow_perms = flow_permutations(rules, counts, &flows);
     let group_len = flow_perms.len() + 1;
 
-    let abandoned = |flows: Vec<FlowCandidate>| VectorScan {
-        flows,
+    let abandoned = || VectorScan {
         subsets,
         canonical: Vec::new(),
         orbits_skipped: 0,
@@ -1333,7 +1410,7 @@ fn scan_vector(
                 let mut picked = Vec::with_capacity(remaining);
                 for mask in 0..subsets {
                     if peek(mask) {
-                        return Ok(abandoned(flows));
+                        return Ok(abandoned());
                     }
                     if is_orbit_minimal(mask, &flow_perms) {
                         if picked.len() == remaining {
@@ -1391,7 +1468,7 @@ fn scan_vector(
         let mut picked = Vec::new();
         for mask in 0..subsets {
             if peek(mask) {
-                return Ok(abandoned(flows));
+                return Ok(abandoned());
             }
             if is_orbit_minimal(mask, &flow_perms) {
                 picked.push(mask);
@@ -1416,31 +1493,12 @@ fn scan_vector(
         }
     }
     Ok(VectorScan {
-        flows,
         subsets,
         canonical,
         orbits_skipped,
         truncated,
         cancelled: false,
     })
-}
-
-/// Instantiates one canonical mask and computes its shape-graph
-/// certificate; `None` = dropped by the weak-connectivity filter.
-fn build_candidate(
-    prototype: &Prototype,
-    rules: &[ResolvedRule],
-    flows: &[FlowCandidate],
-    mask: usize,
-    require_connected: bool,
-) -> Option<Built> {
-    let instance = prototype.compose(rules, flows, mask);
-    if require_connected && !is_weakly_connected(&instance) {
-        return None;
-    }
-    let shape = prototype.shape_graph(&instance);
-    let certificate = canonical_certificate(&shape);
-    Some((instance, shape, certificate))
 }
 
 /// The copy-permutation group of one multiplicity vector, induced on the
@@ -1550,24 +1608,40 @@ fn is_orbit_minimal(mask: usize, flow_perms: &[Vec<usize>]) -> bool {
 }
 
 /// The flow-free composition of one multiplicity vector: every copy of
-/// every model instantiated once, with its internal flows, plus the
-/// shape label of every node. A candidate of the vector is a clone of
-/// the prototype with its external flows added; the clone shares every
-/// action, stakeholder, owner and shape label, so composing costs no
-/// string work at all.
+/// every model instantiated once, with its internal flows, as an
+/// instance and as adjacency rows, plus each node's shape label and
+/// initial refinement colour and each candidate external flow's node
+/// pair. A candidate of the vector is the prototype's rows with its
+/// mask's flows OR-ed in; its [`SosInstance`] is composed only for
+/// callers that ask for it, sharing every action, stakeholder and owner
+/// of the prototype.
 struct Prototype {
-    builder: SosInstanceBuilder,
-    /// `copies[model][copy]`: the instantiated component of each copy.
-    copies: Vec<Vec<ComponentInstance>>,
+    /// The vector's name, e.g. `1xRSU+2xV`.
+    name: Arc<str>,
+    /// The flow-free composition: the actions and stakeholders χ bits
+    /// map to, and the base of every composed candidate.
+    base: SosInstance,
     /// Node `n`'s label in [`SosInstance::shape_graph`].
     shapes: Vec<Arc<str>>,
+    /// [`label_hash`] of each shape label: the initial colours of
+    /// [`row_certificate`], computed once per vector.
+    colours: Vec<u64>,
+    /// The flow-free composition's adjacency rows.
+    rows: AdjacencyRows,
+    /// The `(from, to)` nodes of each candidate external flow, in
+    /// [`flow_candidates`] order: bit `k` of a mask adds `flows[k]`.
+    flows: Vec<(usize, usize)>,
 }
 
 impl Prototype {
     /// Instantiates the copies of multiplicity vector `counts`, with
     /// global per-model indices 1, 2, … (no index for the single copy of
     /// a model whose actions carry none).
-    fn new(models: &[(ComponentModel, usize)], counts: &[usize]) -> Result<Prototype, FsaError> {
+    fn new(
+        models: &[(ComponentModel, usize)],
+        rules: &[ResolvedRule],
+        counts: &[usize],
+    ) -> Result<Prototype, FsaError> {
         let name = models
             .iter()
             .zip(counts)
@@ -1591,69 +1665,299 @@ impl Prototype {
                 .collect::<Result<Vec<_>, _>>()?;
             copies.push(instances);
         }
-        let shapes = builder
-            .clone()
-            .build()
-            .shape_graph()
-            .nodes()
-            .map(|(_, label)| Arc::from(label.as_str()))
+        let flows = flow_candidates(rules, counts)
+            .into_iter()
+            .map(|f| {
+                let rule = &rules[f.rule];
+                let from = copies[rule.from_idx][f.from_copy].node(rule.from_action);
+                let to = copies[rule.to_idx][f.to_copy].node(rule.to_action);
+                (from.index(), to.index())
+            })
             .collect();
+        let base = builder.build();
+        let shapes: Vec<Arc<str>> = base
+            .graph()
+            .nodes()
+            .map(|(_, action)| Arc::from(action.shape().to_string()))
+            .collect();
+        let mut rows = AdjacencyRows::new(base.action_count());
+        for (x, y) in base.graph().edges() {
+            rows.add_edge(x.index(), y.index());
+        }
         Ok(Prototype {
-            builder,
-            copies,
+            name: Arc::from(name),
+            colours: shapes.iter().map(label_hash).collect(),
+            base,
             shapes,
+            rows,
+            flows,
         })
     }
 
-    /// The composition with the external flows of `mask` (bit `k` =
-    /// `flows[k]`).
-    fn compose(&self, rules: &[ResolvedRule], flows: &[FlowCandidate], mask: usize) -> SosInstance {
-        let mut builder = self.builder.clone();
-        for (k, cand) in flows.iter().enumerate() {
-            if mask & (1 << k) == 0 {
-                continue;
-            }
-            let rule = &rules[cand.rule];
-            let from = self.copies[rule.from_idx][cand.from_copy].node(rule.from_action);
-            let to = self.copies[rule.to_idx][cand.to_copy].node(rule.to_action);
-            builder.flow(from, to);
+    /// Fails as [`FsaError::CorruptCheckpoint`] unless `mask` names only
+    /// flows of this vector (ordinal `ordinal`).
+    fn check_mask(&self, ordinal: u64, mask: u64) -> Result<(), FsaError> {
+        if mask >> self.flows.len() == 0 {
+            Ok(())
+        } else {
+            Err(FsaError::CorruptCheckpoint {
+                reason: format!("accepted mask {mask} out of range for vector {ordinal}"),
+            })
+        }
+    }
+
+    /// Copies the rows of candidate `mask` into `rows`: the prototype's
+    /// rows with the mask's flows OR-ed in.
+    fn rows_into(&self, mask: u64, rows: &mut AdjacencyRows) {
+        rows.clone_from(&self.rows);
+        for k in set_bits(&[mask]) {
+            let (from, to) = self.flows[k];
+            rows.add_edge(from, to);
+        }
+    }
+
+    /// [`SosInstance::shape_graph`] of candidate `mask`'s composition,
+    /// built from its rows with the stored labels shared instead of
+    /// formatted. `Arc<str>` hashes as `str`, as `String` does, so the
+    /// certificate is the same.
+    fn shape_graph(&self, mask: u64) -> DiGraph<Arc<str>> {
+        let mut rows = AdjacencyRows::default();
+        self.rows_into(mask, &mut rows);
+        let mut g = DiGraph::with_capacity(self.shapes.len());
+        for label in &self.shapes {
+            g.add_node(Arc::clone(label));
+        }
+        for (x, y) in rows.edges() {
+            g.add_edge(NodeId::new(x), NodeId::new(y));
+        }
+        g
+    }
+
+    /// The composition of candidate `mask`: the prototype with the mask's
+    /// external flows added.
+    fn compose(&self, mask: u64) -> SosInstance {
+        let mut builder = self.base.to_builder();
+        for k in set_bits(&[mask]) {
+            let (from, to) = self.flows[k];
+            builder.flow(NodeId::new(from), NodeId::new(to));
         }
         builder.build()
     }
-
-    /// [`SosInstance::shape_graph`] of a composition of this prototype,
-    /// with the stored labels shared instead of formatted. `Arc<str>`
-    /// hashes as `str`, as `String` does, so the certificate is the
-    /// same.
-    fn shape_graph(&self, instance: &SosInstance) -> DiGraph<Arc<str>> {
-        instance
-            .graph()
-            .map(|id, _| Arc::clone(&self.shapes[id.index()]))
-    }
 }
 
-/// Weak connectivity of the action graph (single component, ignoring
-/// edge direction). The empty graph counts as connected.
-fn is_weakly_connected(instance: &SosInstance) -> bool {
-    let g = instance.graph();
-    let n = g.node_count();
-    if n == 0 {
-        return true;
-    }
-    let mut seen = vec![false; n];
-    let mut stack = vec![NodeId::new(0)];
-    seen[0] = true;
-    let mut visited = 1;
-    while let Some(v) = stack.pop() {
-        for u in g.successors(v).chain(g.predecessors(v)) {
-            if !seen[u.index()] {
-                seen[u.index()] = true;
-                visited += 1;
-                stack.push(u);
-            }
+/// What the class map needs of one built candidate.
+struct Built {
+    certificate: Certificate,
+    /// Distinct flows: the population count of the candidate's rows.
+    flows: usize,
+    /// χ as rows over the prototype's nodes ([`AdjacencyRows::chi`]);
+    /// `None` when the composition is cyclic.
+    chi: Option<Vec<u64>>,
+}
+
+/// The buffers a candidate is built in.
+#[derive(Default)]
+struct CandidateScratch {
+    rows: AdjacencyRows,
+    reached: Vec<u64>,
+    certificate: CertificateScratch,
+    chi: ChiScratch,
+}
+
+thread_local! {
+    /// Every worker thread builds its candidates in its own buffers.
+    static SCRATCH: RefCell<CandidateScratch> = RefCell::new(CandidateScratch::default());
+}
+
+/// Builds candidate `mask` of `prototype` on its adjacency rows: `None`
+/// when `require_connected` drops it as not weakly connected, else its
+/// certificate, flow count and χ.
+fn build_candidate(prototype: &Prototype, mask: u64, require_connected: bool) -> Option<Built> {
+    SCRATCH.with_borrow_mut(|s| {
+        prototype.rows_into(mask, &mut s.rows);
+        if require_connected && !s.rows.is_weakly_connected(&mut s.reached) {
+            return None;
+        }
+        Some(Built {
+            certificate: row_certificate(&s.rows, &prototype.colours, &mut s.certificate),
+            flows: s.rows.edge_count(),
+            chi: s.rows.chi(&mut s.chi).map(<[u64]>::to_vec),
+        })
+    })
+}
+
+/// The class map and §4.4 union of one run. The live build, the resume
+/// replay and the distributed merge all feed their candidates through
+/// one. A class is kept as its `(ordinal, mask)`; a bucket hit rebuilds
+/// both shape graphs for the exact check. Only a founding candidate's χ
+/// counts (a duplicate's χ names other node indices): it is OR-ed into
+/// the current vector's χ rows, which are mapped to requirements
+/// through the vector's prototype when the next vector is entered and
+/// when the run finishes, completed or not — so the union covers
+/// exactly the classes returned.
+struct ClassMap<'u> {
+    models: &'u [(ComponentModel, usize)],
+    rules: &'u [ResolvedRule],
+    certified: CertifiedClasses<(u64, u64)>,
+    classes: Vec<ExploredClass>,
+    requirements: RequirementSet,
+    loop_skipped: usize,
+    /// The vector being filled, with its prototype.
+    current: Option<(u64, Prototype)>,
+    /// χ of the current vector's classes, one row per prototype node.
+    chi: Vec<u64>,
+}
+
+impl<'u> ClassMap<'u> {
+    fn new(models: &'u [(ComponentModel, usize)], rules: &'u [ResolvedRule]) -> Self {
+        ClassMap {
+            models,
+            rules,
+            certified: CertifiedClasses::new(),
+            classes: Vec::new(),
+            requirements: RequirementSet::new(),
+            loop_skipped: 0,
+            current: None,
+            chi: Vec::new(),
         }
     }
-    visited == n
+
+    /// Unions the current vector's χ and makes vector `ordinal`, of
+    /// multiplicities `counts`, current.
+    fn enter(&mut self, ordinal: u64, counts: &[usize]) -> Result<&Prototype, FsaError> {
+        self.flush();
+        let prototype = Prototype::new(self.models, self.rules, counts)?;
+        self.chi.clear();
+        self.chi.resize(
+            prototype.rows.node_count() * prototype.rows.words_per_row(),
+            0,
+        );
+        Ok(&self.current.insert((ordinal, prototype)).1)
+    }
+
+    fn current(&self) -> &(u64, Prototype) {
+        self.current.as_ref().expect("a vector was entered")
+    }
+
+    fn prototype(&self) -> &Prototype {
+        &self.current().1
+    }
+
+    /// Offers candidate `mask` of the current vector; `Ok(true)` if it
+    /// founded a class.
+    fn offer(&mut self, mask: u64, built: &Built) -> Result<bool, FsaError> {
+        let (ordinal, prototype) = self.current.as_ref().expect("a vector was entered");
+        let (models, rules) = (self.models, self.rules);
+        let shape = |(o, m): (u64, u64)| -> Result<DiGraph<Arc<str>>, FsaError> {
+            if o == *ordinal {
+                Ok(prototype.shape_graph(m))
+            } else {
+                let maxes: Vec<usize> = models.iter().map(|(_, max)| *max).collect();
+                Ok(Prototype::new(models, rules, &vector_of(o, &maxes))?.shape_graph(m))
+            }
+        };
+        let mut failure = None;
+        let founded = self
+            .certified
+            .insert_by(
+                (*ordinal, mask),
+                built.certificate,
+                |&rep, &candidate| match shape(rep).and_then(|a| Ok((a, shape(candidate)?))) {
+                    Ok((a, b)) => are_isomorphic(&a, &b),
+                    Err(e) => {
+                        failure.get_or_insert(e);
+                        false
+                    }
+                },
+            )
+            .is_some();
+        if let Some(e) = failure {
+            return Err(e);
+        }
+        if founded {
+            self.classes.push(ExploredClass {
+                ordinal: *ordinal,
+                mask,
+                vector: Arc::clone(&prototype.name),
+                actions: prototype.rows.node_count(),
+                flows: built.flows,
+            });
+            match &built.chi {
+                Some(rows) => {
+                    for (into, from) in self.chi.iter_mut().zip(rows) {
+                        *into |= from;
+                    }
+                }
+                None => self.loop_skipped += 1,
+            }
+        }
+        Ok(founded)
+    }
+
+    /// Builds candidate `mask` of the current vector, unfiltered, and
+    /// offers it: a decision replayed from an accepted log.
+    fn offer_mask(&mut self, mask: u64) -> Result<bool, FsaError> {
+        let (ordinal, prototype) = self.current();
+        prototype.check_mask(*ordinal, mask)?;
+        let built = build_candidate(prototype, mask, false).expect("unfiltered candidates build");
+        self.offer(mask, &built)
+    }
+
+    /// Replays the checkpointed decisions of the current vector,
+    /// `log[*cursor..]` while they name its ordinal. The checkpoint
+    /// recorded only `(ordinal, mask)` decisions; replaying them in
+    /// discovery order leaves the class map and union bit-identical to
+    /// the checkpointed run's, so every entry must found a class again.
+    fn replay(&mut self, log: &[(u64, u64)], cursor: &mut usize) -> Result<(), FsaError> {
+        let ordinal = self.current().0;
+        while let Some(&(entry_ordinal, mask)) = log.get(*cursor) {
+            if entry_ordinal != ordinal {
+                break;
+            }
+            if !self.offer_mask(mask)? {
+                return Err(FsaError::CorruptCheckpoint {
+                    reason: format!(
+                        "accepted instance (vector {ordinal}, mask {mask}) duplicates an earlier class on rebuild"
+                    ),
+                });
+            }
+            *cursor += 1;
+        }
+        Ok(())
+    }
+
+    /// Maps the current vector's χ rows to `auth(x, y, stakeholder(y))`
+    /// requirements through its prototype, into the union.
+    fn flush(&mut self) {
+        let Some((_, prototype)) = &self.current else {
+            return;
+        };
+        let base = &prototype.base;
+        let words = prototype.rows.words_per_row();
+        for (x, row) in self.chi.chunks(words.max(1)).enumerate() {
+            for y in set_bits(row) {
+                let (x, y) = (NodeId::new(x), NodeId::new(y));
+                self.requirements.insert(AuthRequirement::new(
+                    base.action(x).clone(),
+                    base.action(y).clone(),
+                    base.stakeholder(y).clone(),
+                ));
+            }
+        }
+        self.chi.fill(0);
+    }
+
+    /// Unions the current vector's χ and returns the classes, their
+    /// union and `stats`.
+    fn finish(mut self, stats: ExploreStats) -> Universe {
+        self.flush();
+        Universe {
+            classes: self.classes,
+            requirements: self.requirements,
+            loop_skipped: self.loop_skipped,
+            stats,
+        }
+    }
 }
 
 /// Instances per supervised union stage. Each window's new requirements
@@ -1798,8 +2102,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::component_model::ComponentInstance;
     use crate::instance::FlowKind;
     use crate::manual::elicit;
+    use fsa_graph::iso::canonical_certificate;
 
     /// The per-candidate builder that [`Prototype`] replaced, kept as its
     /// oracle: instantiates every copy from its template for every
@@ -2000,23 +2306,63 @@ mod tests {
         assert_eq!(edges(got), edges(want), "{at}");
     }
 
+    /// Weak connectivity of the action graph (single component, ignoring
+    /// edge direction): the oracle of the row search. The empty graph
+    /// counts as connected.
+    fn is_weakly_connected(instance: &SosInstance) -> bool {
+        let g = instance.graph();
+        let n = g.node_count();
+        if n == 0 {
+            return true;
+        }
+        let mut seen = vec![false; n];
+        let mut stack = vec![NodeId::new(0)];
+        seen[0] = true;
+        let mut visited = 1;
+        while let Some(v) = stack.pop() {
+            for u in g.successors(v).chain(g.predecessors(v)) {
+                if !seen[u.index()] {
+                    seen[u.index()] = true;
+                    visited += 1;
+                    stack.push(u);
+                }
+            }
+        }
+        visited == n
+    }
+
+    /// χ rows over `n` nodes as sorted `(x, y)` node pairs.
+    fn chi_pairs(rows: &[u64], n: usize) -> Vec<(NodeId, NodeId)> {
+        let words = n.div_ceil(64).max(1);
+        let mut pairs: Vec<(NodeId, NodeId)> = rows
+            .chunks(words)
+            .enumerate()
+            .flat_map(|(x, row)| set_bits(row).map(move |y| (NodeId::new(x), NodeId::new(y))))
+            .collect();
+        pairs.sort();
+        pairs
+    }
+
     #[test]
     fn prototype_compositions_equal_the_per_candidate_oracle() {
         let (mut checked, mut unindexed, mut shared_actions, mut policy) = (0, 0, 0, 0);
+        let (mut disconnected, mut cyclic) = (0, 0);
         for seed in 0..24u64 {
             let (models, rules) = random_universe(seed);
             let resolved = resolve_rules(&models, &rules).expect("rules resolve");
             let maxes: Vec<usize> = models.iter().map(|(_, max)| *max).collect();
             for counts in VectorIter::new(&maxes) {
                 let flows = flow_candidates(&resolved, &counts);
-                let prototype = Prototype::new(&models, &counts).expect("prototype");
+                let prototype = Prototype::new(&models, &resolved, &counts).expect("prototype");
                 for mask in masks_to_check(flows.len()) {
                     let at = format!("seed {seed}, vector {counts:?}, mask {mask:#x}");
-                    let got = prototype.compose(&resolved, &flows, mask);
-                    let want = build_composition(&models, &resolved, &counts, &flows, mask)
-                        .expect("oracle builds");
+                    let mask = mask as u64;
+                    let got = prototype.compose(mask);
+                    let want =
+                        build_composition(&models, &resolved, &counts, &flows, mask as usize)
+                            .expect("oracle builds");
                     assert_same_composition(&got, &want, &at);
-                    let shape = prototype.shape_graph(&got);
+                    let shape = prototype.shape_graph(mask);
                     let formatted = got.shape_graph();
                     assert!(
                         shape
@@ -2026,12 +2372,36 @@ mod tests {
                         "{at}"
                     );
                     assert_eq!(
-                        canonical_certificate(&shape),
-                        canonical_certificate(&formatted),
+                        shape.edges().collect::<Vec<_>>(),
+                        formatted.edges().collect::<Vec<_>>(),
                         "{at}"
                     );
+                    // The row path: connectivity, certificate, flow count
+                    // and χ read off the candidate's rows.
+                    let connected = is_weakly_connected(&want);
+                    assert_eq!(
+                        build_candidate(&prototype, mask, true).is_some(),
+                        connected,
+                        "{at}"
+                    );
+                    let built = build_candidate(&prototype, mask, false).expect("unfiltered");
+                    assert_eq!(built.certificate, canonical_certificate(&formatted), "{at}");
+                    assert_eq!(built.flows, want.graph().edge_count(), "{at}");
+                    match chi_nodes(&want) {
+                        Ok(mut chi) => {
+                            chi.sort();
+                            let rows = built.chi.as_deref().expect("acyclic composition");
+                            assert_eq!(chi_pairs(rows, want.action_count()), chi, "{at}");
+                        }
+                        Err(FsaError::CircularDependency { .. }) => {
+                            assert!(built.chi.is_none(), "{at}");
+                            cyclic += 1;
+                        }
+                        Err(e) => panic!("{at}: {e}"),
+                    }
                     let ids: Vec<NodeId> = want.graph().node_ids().collect();
                     checked += 1;
+                    disconnected += usize::from(!connected);
                     unindexed += usize::from(ids.iter().any(|&id| want.owner(id) == "R"));
                     shared_actions += usize::from(ids.iter().any(|&id| want.owner(id) == "R2"));
                     policy += usize::from(
@@ -2044,6 +2414,19 @@ mod tests {
         }
         assert!(checked > 10_000, "{checked} compositions checked");
         assert!(unindexed > 0 && shared_actions > 0 && policy > 0);
+        assert!(
+            disconnected > 0 && cyclic > 0,
+            "{disconnected} disconnected, {cyclic} cyclic"
+        );
+    }
+
+    #[test]
+    fn vector_ordinals_decode_in_odometer_order() {
+        for maxes in [vec![1usize, 4], vec![2, 0, 3], vec![3]] {
+            for (ordinal, counts) in VectorIter::new(&maxes).enumerate() {
+                assert_eq!(vector_of(ordinal as u64, &maxes), counts, "{maxes:?}");
+            }
+        }
     }
 
     #[test]
@@ -2186,7 +2569,7 @@ mod tests {
         // throw away *all* work; `BudgetPolicy::Truncate` keeps the
         // deduped partial universe and flags the truncation.
         let full = explore(&sensor_and_display(), &rules(), &ExploreOptions::default()).unwrap();
-        assert!(!full.stats.truncated);
+        assert!(!full.universe.stats.truncated);
         let partial = explore(
             &sensor_and_display(),
             &rules(),
@@ -2197,8 +2580,8 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(partial.stats.truncated);
-        assert!(partial.stats.candidates <= 2);
+        assert!(partial.universe.stats.truncated);
+        assert!(partial.universe.stats.candidates <= 2);
         assert!(partial.instances.len() < full.instances.len());
         // The partial universe is still isomorphism-reduced.
         for (i, a) in partial.instances.iter().enumerate() {
@@ -2216,9 +2599,13 @@ mod tests {
         // With two interchangeable displays, the subsets {S→D1} and
         // {S→D2} are one orbit: exactly one is instantiated.
         let e = explore(&sensor_and_display(), &rules(), &ExploreOptions::default()).unwrap();
-        assert!(e.stats.orbits_skipped > 0, "{:?}", e.stats);
-        assert!(e.stats.candidates < e.stats.subsets_total);
-        assert_eq!(e.stats.classes, e.instances.len());
+        assert!(
+            e.universe.stats.orbits_skipped > 0,
+            "{:?}",
+            e.universe.stats
+        );
+        assert!(e.universe.stats.candidates < e.universe.stats.subsets_total);
+        assert_eq!(e.universe.stats.classes, e.instances.len());
     }
 
     #[test]
@@ -2243,18 +2630,33 @@ mod tests {
                 assert_eq!(a.name(), b.name());
                 assert_eq!(a.graph(), b.graph());
             }
-            assert_eq!(seq.stats.candidates, par.stats.candidates);
-            assert_eq!(seq.stats.orbits_skipped, par.stats.orbits_skipped);
-            assert_eq!(seq.stats.classes, par.stats.classes);
-            assert_eq!(seq.stats.certificate_hits, par.stats.certificate_hits);
-            assert_eq!(seq.stats.exact_iso_fallbacks, par.stats.exact_iso_fallbacks);
+            assert_eq!(seq.universe.stats.candidates, par.universe.stats.candidates);
             assert_eq!(
-                seq.stats.disconnected_skipped,
-                par.stats.disconnected_skipped
+                seq.universe.stats.orbits_skipped,
+                par.universe.stats.orbits_skipped
             );
-            assert_eq!(par.stats.vectors_completed, par.stats.vectors_total);
-            assert_eq!(par.stats.candidates_built, par.stats.candidates);
-            assert!(!par.stats.cancelled && !par.stats.resumed);
+            assert_eq!(seq.universe.stats.classes, par.universe.stats.classes);
+            assert_eq!(
+                seq.universe.stats.certificate_hits,
+                par.universe.stats.certificate_hits
+            );
+            assert_eq!(
+                seq.universe.stats.exact_iso_fallbacks,
+                par.universe.stats.exact_iso_fallbacks
+            );
+            assert_eq!(
+                seq.universe.stats.disconnected_skipped,
+                par.universe.stats.disconnected_skipped
+            );
+            assert_eq!(
+                par.universe.stats.vectors_completed,
+                par.universe.stats.vectors_total
+            );
+            assert_eq!(
+                par.universe.stats.candidates_built,
+                par.universe.stats.candidates
+            );
+            assert!(!par.universe.stats.cancelled && !par.universe.stats.resumed);
         }
     }
 
@@ -2390,15 +2792,15 @@ mod tests {
                 resume: None,
             };
             let partial = enumerate_instances_supervised(&models, &rules, &options, &exec).unwrap();
-            if !partial.stats.cancelled {
+            if !partial.universe.stats.cancelled {
                 break;
             }
             interruptions += 1;
             assert!(
-                partial.stats.vectors_completed < partial.stats.vectors_total
-                    || partial.stats.candidates_built < partial.stats.candidates,
+                partial.universe.stats.vectors_completed < partial.universe.stats.vectors_total
+                    || partial.universe.stats.candidates_built < partial.universe.stats.candidates,
                 "a cancelled run must report incomplete coverage: {:?}",
-                partial.stats
+                partial.universe.stats
             );
             let resumed = enumerate_instances_supervised(
                 &models,
@@ -2410,29 +2812,44 @@ mod tests {
                 },
             )
             .unwrap();
-            assert!(resumed.stats.resumed, "k = {k}");
+            assert!(resumed.universe.stats.resumed, "k = {k}");
             assert_eq!(golden.instances.len(), resumed.instances.len(), "k = {k}");
             for (a, b) in golden.instances.iter().zip(&resumed.instances) {
                 assert_eq!(a.name(), b.name(), "k = {k}");
                 assert_eq!(a.graph(), b.graph(), "k = {k}");
             }
-            assert_eq!(golden.stats.candidates, resumed.stats.candidates, "k = {k}");
-            assert_eq!(golden.stats.subsets_total, resumed.stats.subsets_total);
-            assert_eq!(golden.stats.orbits_skipped, resumed.stats.orbits_skipped);
-            assert_eq!(golden.stats.classes, resumed.stats.classes);
             assert_eq!(
-                golden.stats.certificate_hits,
-                resumed.stats.certificate_hits
+                golden.universe.stats.candidates, resumed.universe.stats.candidates,
+                "k = {k}"
             );
             assert_eq!(
-                golden.stats.exact_iso_fallbacks,
-                resumed.stats.exact_iso_fallbacks
+                golden.universe.stats.subsets_total,
+                resumed.universe.stats.subsets_total
             );
             assert_eq!(
-                golden.stats.disconnected_skipped,
-                resumed.stats.disconnected_skipped
+                golden.universe.stats.orbits_skipped,
+                resumed.universe.stats.orbits_skipped
             );
-            assert_eq!(resumed.stats.vectors_completed, resumed.stats.vectors_total);
+            assert_eq!(
+                golden.universe.stats.classes,
+                resumed.universe.stats.classes
+            );
+            assert_eq!(
+                golden.universe.stats.certificate_hits,
+                resumed.universe.stats.certificate_hits
+            );
+            assert_eq!(
+                golden.universe.stats.exact_iso_fallbacks,
+                resumed.universe.stats.exact_iso_fallbacks
+            );
+            assert_eq!(
+                golden.universe.stats.disconnected_skipped,
+                resumed.universe.stats.disconnected_skipped
+            );
+            assert_eq!(
+                resumed.universe.stats.vectors_completed,
+                resumed.universe.stats.vectors_total
+            );
         }
         assert!(interruptions > 0, "the countdown never interrupted the run");
         std::fs::remove_file(&path).ok();
@@ -2524,7 +2941,7 @@ mod tests {
         // Every `explore.*` counter mirrors its live stats field, and
         // every phase span measures the duration the struct holds.
         let snap = obs.snapshot();
-        let stats = &observed.stats;
+        let stats = &observed.universe.stats;
         let mirrored = [
             (
                 "explore.multiplicity_vectors",
@@ -2580,7 +2997,7 @@ mod tests {
         assert!(snap.span_count("checkpoint.write") >= 1);
         assert_eq!(
             snap.histogram("checkpoint.write").map(|h| h.count),
-            Some(observed.stats.checkpoints_written as u64)
+            Some(observed.universe.stats.checkpoints_written as u64)
         );
         assert!(snap
             .counters
@@ -2589,7 +3006,7 @@ mod tests {
         let sup_snap = sup_obs.snapshot();
         assert_eq!(
             sup_snap.counter("supervisor.chunks"),
-            Some(observed.stats.candidates_built as u64)
+            Some(observed.universe.stats.candidates_built as u64)
         );
         assert!(sup_snap
             .counters
@@ -2687,16 +3104,19 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(resumed.stats.resumed);
+        assert!(resumed.universe.stats.resumed);
         assert_eq!(golden.instances.len(), resumed.instances.len());
         for (a, b) in golden.instances.iter().zip(&resumed.instances) {
             assert_eq!(a.name(), b.name());
             assert_eq!(a.graph(), b.graph());
         }
-        assert_eq!(golden.stats.candidates, resumed.stats.candidates);
         assert_eq!(
-            golden.stats.certificate_hits,
-            resumed.stats.certificate_hits
+            golden.universe.stats.candidates,
+            resumed.universe.stats.candidates
+        );
+        assert_eq!(
+            golden.universe.stats.certificate_hits,
+            resumed.universe.stats.certificate_hits
         );
         std::fs::remove_file(&path).ok();
     }
@@ -2717,11 +3137,11 @@ mod tests {
             &exec,
         )
         .unwrap();
-        assert!(out.stats.cancelled);
-        assert_eq!(out.stats.vectors_completed, 0);
-        assert!(out.stats.vectors_total > 0);
+        assert!(out.universe.stats.cancelled);
+        assert_eq!(out.universe.stats.vectors_completed, 0);
+        assert!(out.universe.stats.vectors_total > 0);
         assert!(out.instances.is_empty());
-        let rendered = out.stats.to_string();
+        let rendered = out.universe.stats.to_string();
         assert!(rendered.contains("cancelled"), "{rendered}");
         assert!(rendered.contains("vector coverage"), "{rendered}");
     }
@@ -2729,7 +3149,7 @@ mod tests {
     #[test]
     fn stats_render_mentions_key_counters() {
         let e = explore(&sensor_and_display(), &rules(), &ExploreOptions::default()).unwrap();
-        let rendered = e.stats.to_string();
+        let rendered = e.universe.stats.to_string();
         for needle in ["candidates", "classes", "orbit-skipped", "certificate hits"] {
             assert!(rendered.contains(needle), "missing {needle}: {rendered}");
         }
@@ -2833,13 +3253,13 @@ mod tests {
                 ..Default::default()
             };
             let exec = ExecOptions::default();
-            let golden = enumerate_instances_supervised(&models, &rules, &options, &exec).unwrap();
+            let golden = explore_universe(&models, &rules, &options, &exec).unwrap();
             let total = vector_space(&models);
             for shards in [1usize, 2, 3, 5, 11] {
                 let mut log: Vec<(u64, u64)> = Vec::new();
                 let mut candidates = 0usize;
                 for range in ShardRange::partition(total, shards) {
-                    let part = enumerate_instances_supervised(
+                    let part = explore_universe(
                         &models,
                         &rules,
                         &ExploreOptions {
@@ -2851,24 +3271,52 @@ mod tests {
                     .unwrap();
                     assert!(!part.stats.cancelled);
                     candidates += part.stats.candidates;
-                    log.extend_from_slice(&part.accepted);
+                    log.extend(part.accepted());
                 }
-                let merged = merge_accepted(&models, &rules, &log).unwrap();
-                assert_eq!(
-                    merged.instances.len(),
-                    golden.instances.len(),
-                    "shards {shards} connected {require_connected}"
-                );
-                for (a, b) in golden.instances.iter().zip(&merged.instances) {
-                    assert_eq!(a.name(), b.name());
-                    assert_eq!(a.graph(), b.graph());
-                }
-                assert_eq!(merged.accepted, golden.accepted);
+                let merged = merge_accepted(&models, &rules, &log).unwrap().universe;
+                let at = format!("shards {shards} connected {require_connected}");
+                assert_eq!(merged.classes, golden.classes, "{at}");
+                assert_eq!(merged.requirements, golden.requirements, "{at}");
+                assert_eq!(merged.loop_skipped, golden.loop_skipped, "{at}");
                 // Every shard scans its own slice of the lattice, so the
                 // summed candidate count matches the unsharded run.
-                assert_eq!(candidates, golden.stats.candidates, "shards {shards}");
+                assert_eq!(candidates, golden.stats.candidates, "{at}");
             }
         }
+    }
+
+    #[test]
+    fn classes_dedup_across_vectors_on_rebuilt_shape_graphs() {
+        // Two models with the same action templates: the single copy of
+        // either composes the same shape, so the second vector's
+        // candidate hits the first vector's bucket, and the exact check
+        // rebuilds the representative from the other vector's prototype.
+        let model = |name: &str| {
+            let mut m = ComponentModel::new(name, "U_i");
+            let rec = m.action("rec(C_i,v)");
+            let show = m.action("show(H_i,v)");
+            m.flow(rec, show);
+            (m, 1)
+        };
+        let models = vec![model("A"), model("B")];
+        let universe = explore_universe(
+            &models,
+            &[],
+            &ExploreOptions::default(),
+            &ExecOptions::default(),
+        )
+        .unwrap();
+        // 1xA founds the class, 1xB duplicates it, 1xA+1xB is not
+        // connected.
+        assert_eq!(universe.accepted(), vec![(0, 0)]);
+        let stats = &universe.stats;
+        assert_eq!((stats.certificate_hits, stats.exact_iso_fallbacks), (1, 1));
+        assert_eq!(stats.disconnected_skipped, 1);
+        assert_eq!(universe.requirements.len(), 1);
+        let merged = merge_accepted(&models, &[], &[(0, 0), (1, 0)]).unwrap();
+        assert_eq!(merged.duplicates, 1);
+        assert_eq!(merged.universe.classes, universe.classes);
+        assert_eq!(merged.universe.requirements, universe.requirements);
     }
 
     #[test]

@@ -115,6 +115,18 @@ impl SosInstance {
         g
     }
 
+    /// A builder holding this instance, for composing it with further
+    /// flows.
+    pub(crate) fn to_builder(&self) -> SosInstanceBuilder {
+        SosInstanceBuilder {
+            name: self.name.clone(),
+            graph: self.graph.clone(),
+            stakeholders: self.stakeholders.clone(),
+            owners: self.owners.clone(),
+            policy_edges: self.policy_edges.clone(),
+        }
+    }
+
     /// The *shape* graph: actions with instance indices erased, labelled
     /// with the owning component's template identity. Two instances are
     /// structurally interchangeable iff their shape graphs are

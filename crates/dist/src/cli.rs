@@ -8,11 +8,11 @@
 //! local driver.
 
 use crate::coord::{CoordConfig, Coordinator};
-use crate::local::{explore_distributed, LocalConfig, WorkerMode};
+use crate::local::{explore_distributed_universe, LocalConfig, WorkerMode};
 use crate::worker::{run_worker, WorkerConfig};
-use fsa_core::explore::{Exploration, ExploreOptions};
+use fsa_core::explore::{ExploreOptions, Universe};
 use fsa_core::service::{Rendered, ServiceCtx};
-use fsa_serve::cli::{emit, render_exploration, Flag, Flags, ObsOutputs};
+use fsa_serve::cli::{emit, render_universe, Flag, Flags, ObsOutputs};
 use std::path::PathBuf;
 
 const COORDINATE_USAGE: &str = "usage:
@@ -76,7 +76,7 @@ fn help(usage: &str) -> Rendered {
 /// The engine handed to [`fsa_serve::cli::register_distributed_engine`]:
 /// a local coordinator plus `fsa work` child processes re-invoking the
 /// current executable.
-fn process_engine(req: &fsa_serve::cli::DistributedRequest) -> Result<Exploration, String> {
+fn process_engine(req: &fsa_serve::cli::DistributedRequest) -> Result<Universe, String> {
     let exe = std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?;
     let config = LocalConfig {
         max_vehicles: req.max_vehicles,
@@ -92,7 +92,7 @@ fn process_engine(req: &fsa_serve::cli::DistributedRequest) -> Result<Exploratio
         obs: req.obs.clone(),
         ..LocalConfig::default()
     };
-    explore_distributed(&config, &WorkerMode::Processes { exe }).map_err(|e| e.to_string())
+    explore_distributed_universe(&config, &WorkerMode::Processes { exe }).map_err(|e| e.to_string())
 }
 
 /// Registers the process-spawning local driver as the engine behind
@@ -203,8 +203,8 @@ pub fn coordinate_command(args: &[String]) -> u8 {
         let _ = std::io::stdout().flush();
     }
     match coordinator.run() {
-        Ok(exploration) => {
-            let mut r = render_exploration(&exploration, max_vehicles, all, stats, 1);
+        Ok(universe) => {
+            let mut r = render_universe(&universe, max_vehicles, all, stats);
             outputs.collect(&obs, &mut r);
             emit(&r)
         }

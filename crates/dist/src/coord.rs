@@ -20,8 +20,9 @@
 //! Once every shard is done the accepted `(ordinal, mask)` logs are
 //! concatenated in shard order — which is ascending global ordinal
 //! order by construction — and replayed through
-//! [`fsa_core::explore::merge_accepted`], reproducing the
-//! single-process result bit-identically.
+//! [`fsa_core::explore::merge_accepted`], which certifies every entry
+//! on its adjacency rows and composes nothing, reproducing the
+//! single-process classes and union bit-identically.
 
 use crate::error::DistError;
 use crate::proto::{
@@ -30,7 +31,7 @@ use crate::proto::{
 use crate::state::{CoordState, ShardRecord};
 use fsa_core::checkpoint::{config_fingerprint, CheckpointCounters};
 use fsa_core::explore::{
-    merge_accepted, vector_space, Exploration, ExploreOptions, ExploreStats, ShardRange,
+    merge_accepted, vector_space, ExploreOptions, ExploreStats, ShardRange, Universe,
 };
 use fsa_core::FsaError;
 use fsa_obs::Obs;
@@ -379,7 +380,7 @@ impl Coordinator {
     /// file, [`DistError::Io`] for transport failures, and
     /// [`DistError::Fsa`] when the merge or the global candidate
     /// budget fails.
-    pub fn run(self) -> Result<Exploration, DistError> {
+    pub fn run(self) -> Result<Universe, DistError> {
         let CoordConfig {
             max_vehicles,
             shards,
@@ -506,7 +507,9 @@ impl Coordinator {
 }
 
 /// Merges a fully completed [`CoordState`] into the canonical
-/// [`Exploration`], bit-identical to the single-process run.
+/// [`Universe`], bit-identical to the single-process run. Its
+/// statistics are the shard counters' sums plus the merge time: a
+/// merged run has no thread count and no scan, build or dedup timings.
 fn merge_state(
     models: &[(fsa_core::component_model::ComponentModel, usize)],
     rules: &[fsa_core::explore::ConnectionRule],
@@ -514,7 +517,7 @@ fn merge_state(
     max_candidates: usize,
     resumed: bool,
     obs: &Obs,
-) -> Result<Exploration, DistError> {
+) -> Result<Universe, DistError> {
     let span = obs.span("dist.merge");
     let merge_start = Instant::now();
     let mut all_accepted = Vec::new();
@@ -561,26 +564,21 @@ fn merge_state(
         // Merge-time bucket collisions that needed an exact check are
         // not attributable to a shard; this stays the shard sum.
         exact_iso_fallbacks: sum.exact_iso_fallbacks,
-        classes: merged.instances.len(),
+        classes: merged.universe.classes.len(),
         truncated: false,
-        threads: 1,
         vectors_total: usize::try_from(vector_space(models)).unwrap_or(usize::MAX),
         vectors_completed: sum.vectors_completed,
         candidates_built: sum.candidates_built,
         failures: sum.failures,
         retries: sum.retries,
-        cancelled: false,
-        checkpoints_written: 0,
         resumed,
-        scan_time: Duration::ZERO,
-        build_time: Duration::ZERO,
-        dedup_time: elapsed,
+        merge_time: Some(elapsed),
+        ..ExploreStats::default()
     };
     stats.mirror_counters(obs);
-    Ok(Exploration {
-        instances: merged.instances,
+    Ok(Universe {
         stats,
-        accepted: merged.accepted,
+        ..merged.universe
     })
 }
 

@@ -9,7 +9,7 @@
 use crate::coord::{CoordConfig, Coordinator};
 use crate::error::DistError;
 use crate::worker::{run_worker, WorkerConfig};
-use fsa_core::explore::{Exploration, ExploreOptions};
+use fsa_core::explore::{compose_accepted, Exploration, ExploreOptions, Universe};
 use fsa_obs::Obs;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -156,17 +156,36 @@ impl Workers {
 }
 
 /// Runs a full distributed exploration on this machine and returns
-/// the merged result.
+/// the merged result with each class's composed instance: the merged
+/// universe, then [`fsa_core::explore::compose_accepted`] over its
+/// accepted log.
 ///
 /// # Errors
 ///
 /// [`DistError::Io`] when workers cannot be spawned,
 /// [`DistError::Worker`] when every worker died before the universe
-/// completed, plus everything [`Coordinator::run`] can return.
+/// completed, plus everything [`Coordinator::run`] can return and
+/// [`DistError::Fsa`] if the composition fails.
 pub fn explore_distributed(
     config: &LocalConfig,
     mode: &WorkerMode,
 ) -> Result<Exploration, DistError> {
+    let universe = explore_distributed_universe(config, mode)?;
+    let (models, rules) = vanet::exploration::scenario_universe(config.max_vehicles);
+    let instances = compose_accepted(&models, &rules, &universe.accepted())?;
+    Ok(Exploration {
+        universe,
+        instances,
+    })
+}
+
+/// [`explore_distributed`] without the composition: the merged
+/// universe — its classes, requirement union and statistics — which is
+/// what `fsa explore --distributed` prints.
+pub(crate) fn explore_distributed_universe(
+    config: &LocalConfig,
+    mode: &WorkerMode,
+) -> Result<Universe, DistError> {
     let workers = config.workers.max(1);
     let shards = config.shards.unwrap_or(4 * workers).max(1);
     let (state_dir, ephemeral) = match &config.state_dir {

@@ -42,7 +42,7 @@ use crate::proto::{
 };
 use fsa_core::checkpoint::CheckpointCounters;
 use fsa_core::explore::{
-    enumerate_instances_supervised, CheckpointSpec, ExecOptions, ExploreOptions, ShardRange,
+    explore_universe, CheckpointSpec, ExecOptions, ExploreOptions, ShardRange,
 };
 use fsa_core::FsaError;
 use fsa_exec::{CancelToken, Supervisor};
@@ -225,24 +225,25 @@ fn run_shard(
             }),
             resume: resume.clone(),
         };
-        match enumerate_instances_supervised(&models, &rules, &options, &exec) {
-            Ok(expl) if expl.stats.cancelled => return Ok(None),
-            Ok(expl) => {
+        match explore_universe(&models, &rules, &options, &exec) {
+            Ok(universe) if universe.stats.cancelled => return Ok(None),
+            Ok(universe) => {
+                let stats = &universe.stats;
                 let counters = CheckpointCounters {
-                    multiplicity_vectors: expl.stats.multiplicity_vectors,
-                    subsets_total: expl.stats.subsets_total,
-                    orbits_skipped: expl.stats.orbits_skipped,
-                    candidates: expl.stats.candidates,
-                    candidates_built: expl.stats.candidates_built,
-                    disconnected_skipped: expl.stats.disconnected_skipped,
-                    certificate_hits: expl.stats.certificate_hits,
-                    exact_iso_fallbacks: expl.stats.exact_iso_fallbacks,
-                    truncated: expl.stats.truncated,
-                    vectors_completed: expl.stats.vectors_completed,
-                    failures: expl.stats.failures,
-                    retries: expl.stats.retries,
+                    multiplicity_vectors: stats.multiplicity_vectors,
+                    subsets_total: stats.subsets_total,
+                    orbits_skipped: stats.orbits_skipped,
+                    candidates: stats.candidates,
+                    candidates_built: stats.candidates_built,
+                    disconnected_skipped: stats.disconnected_skipped,
+                    certificate_hits: stats.certificate_hits,
+                    exact_iso_fallbacks: stats.exact_iso_fallbacks,
+                    truncated: stats.truncated,
+                    vectors_completed: stats.vectors_completed,
+                    failures: stats.failures,
+                    retries: stats.retries,
                 };
-                return Ok(Some((expl.accepted, counters)));
+                return Ok(Some((universe.accepted(), counters)));
             }
             // A stale or foreign checkpoint (e.g. written under a
             // different configuration) fails closed; drop it and run

@@ -3,7 +3,7 @@
 //! re-issue, and coordinator restart from the store-and-forward
 //! state file.
 
-use fsa_core::explore::{ExecOptions, Exploration, ExploreOptions};
+use fsa_core::explore::{ExecOptions, ExploreOptions, Universe};
 use fsa_dist::coord::{CoordConfig, Coordinator};
 use fsa_dist::error::DistError;
 use fsa_dist::local::{explore_distributed, LocalConfig, WorkerMode};
@@ -18,8 +18,8 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;
 
-fn golden(max_vehicles: usize) -> Exploration {
-    vanet::exploration::explore_scenario_supervised(
+fn golden(max_vehicles: usize) -> Universe {
+    vanet::exploration::explore_scenario_universe(
         max_vehicles,
         &ExploreOptions::default(),
         &ExecOptions::default(),
@@ -27,13 +27,10 @@ fn golden(max_vehicles: usize) -> Exploration {
     .unwrap()
 }
 
-fn assert_same_universe(a: &Exploration, b: &Exploration) {
-    assert_eq!(a.instances.len(), b.instances.len());
-    for (x, y) in a.instances.iter().zip(&b.instances) {
-        assert_eq!(x.name(), y.name());
-        assert_eq!(x.graph(), y.graph());
-    }
-    assert_eq!(a.accepted, b.accepted);
+fn assert_same_universe(a: &Universe, b: &Universe) {
+    assert_eq!(a.classes, b.classes);
+    assert_eq!(a.requirements, b.requirements);
+    assert_eq!(a.loop_skipped, b.loop_skipped);
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -54,12 +51,20 @@ fn three_vehicle_distributed_is_bit_identical() {
         ..LocalConfig::default()
     };
     let dist = explore_distributed(&config, &WorkerMode::Threads).unwrap();
-    let single = golden(3);
-    assert_same_universe(&single, &dist);
-    assert_eq!(dist.stats.candidates, single.stats.candidates);
+    let single = vanet::exploration::explore_scenario(3, &ExploreOptions::default()).unwrap();
+    assert_same_universe(&single.universe, &dist.universe);
+    // `explore_distributed` also composes the same instances.
+    assert_eq!(dist.instances.len(), single.instances.len());
+    for (x, y) in dist.instances.iter().zip(&single.instances) {
+        assert_eq!(x.name(), y.name());
+        assert_eq!(x.graph(), y.graph());
+    }
+    let (d, s) = (&dist.universe.stats, &single.universe.stats);
+    assert_eq!(d.candidates, s.candidates);
     // The cross-shard identity: Σ shard hits + merge duplicates.
-    assert_eq!(dist.stats.certificate_hits, single.stats.certificate_hits);
-    assert_eq!(dist.stats.classes, single.stats.classes);
+    assert_eq!(d.certificate_hits, s.certificate_hits);
+    assert_eq!(d.classes, s.classes);
+    assert!(d.merge_time.is_some() && s.merge_time.is_none());
     let snapshot = obs.snapshot();
     assert_eq!(snapshot.counter("dist.shards_completed"), Some(5));
     assert!(snapshot.counter("dist.leases_granted").unwrap_or(0) >= 5);
@@ -141,7 +146,7 @@ fn coordinator_resumes_from_its_state_file() {
     };
     let first = explore_distributed(&config, &WorkerMode::Threads).unwrap();
     let single = golden(2);
-    assert_same_universe(&single, &first);
+    assert_same_universe(&single, &first.universe);
 
     // The state file recorded every shard result before the workers
     // were allowed to drop their checkpoints.

@@ -2,12 +2,256 @@
 //!
 //! The transitive-closure algorithms in [`crate::closure`] represent the
 //! descendant set of each node as one [`BitSet`] row, so that the
-//! accumulation step is a word-parallel union.
+//! accumulation step is a word-parallel union. [`AdjacencyRows`] holds
+//! a whole small digraph the same way, for kernels that run once per
+//! candidate composition: weak connectivity and the §4.4 relation χ.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
 const WORD_BITS: usize = 64;
+
+/// Number of set bits in `words`.
+fn popcount(words: &[u64]) -> usize {
+    words.iter().map(|w| w.count_ones() as usize).sum()
+}
+
+/// Number of set bits in `row` other than node `v`'s own.
+fn others(v: usize, row: &[u64]) -> usize {
+    popcount(row) - (row[v / WORD_BITS] >> (v % WORD_BITS) & 1) as usize
+}
+
+/// The indices of the set bits of `words`, lowest first: bit `b` of
+/// word `i` is index `64·i + b`.
+///
+/// # Examples
+///
+/// ```
+/// use fsa_graph::bitset::set_bits;
+///
+/// assert_eq!(set_bits(&[0b1010, 1]).collect::<Vec<_>>(), vec![1, 3, 64]);
+/// ```
+pub fn set_bits(words: &[u64]) -> Iter<'_> {
+    Iter {
+        words,
+        word_idx: 0,
+        current: words.first().copied().unwrap_or(0),
+    }
+}
+
+/// A directed graph on the nodes `0..n` as fixed-width adjacency rows:
+/// ⌈n/64⌉ `u64` words per row, the `n` successor rows followed by the
+/// `n` predecessor rows, in one flat buffer. Parallel edges collapse, as
+/// in [`crate::DiGraph`]; self-loops are kept.
+///
+/// Rows cost O(n²/64) words, so they suit the small graphs that are
+/// built, checked and dropped by the thousand (a §4.2 candidate has a
+/// few dozen actions), not graphs of thousands of states.
+///
+/// # Examples
+///
+/// ```
+/// use fsa_graph::bitset::AdjacencyRows;
+///
+/// let mut g = AdjacencyRows::new(3);
+/// g.add_edge(0, 1);
+/// g.add_edge(2, 1);
+/// assert_eq!(g.edges().collect::<Vec<_>>(), vec![(0, 1), (2, 1)]);
+/// assert_eq!(g.predecessors(1), &[0b101]);
+/// assert!(g.is_weakly_connected(&mut Vec::new()));
+/// ```
+#[derive(Debug, Default, PartialEq, Eq)]
+pub struct AdjacencyRows {
+    nodes: usize,
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl Clone for AdjacencyRows {
+    fn clone(&self) -> Self {
+        AdjacencyRows {
+            nodes: self.nodes,
+            words: self.words,
+            bits: self.bits.clone(),
+        }
+    }
+
+    /// Copies `source` into `self`'s buffer, reusing its allocation.
+    fn clone_from(&mut self, source: &Self) {
+        self.nodes = source.nodes;
+        self.words = source.words;
+        self.bits.clone_from(&source.bits);
+    }
+}
+
+impl AdjacencyRows {
+    /// An edgeless graph on `nodes` nodes.
+    pub fn new(nodes: usize) -> Self {
+        let words = nodes.div_ceil(WORD_BITS);
+        AdjacencyRows {
+            nodes,
+            words,
+            bits: vec![0; 2 * nodes * words],
+        }
+    }
+
+    /// Number of nodes.
+    pub fn node_count(&self) -> usize {
+        self.nodes
+    }
+
+    /// Words per row: ⌈n/64⌉.
+    pub fn words_per_row(&self) -> usize {
+        self.words
+    }
+
+    /// Adds the edge `from → to`: sets `to` in `from`'s successor row
+    /// and `from` in `to`'s predecessor row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either node is out of range.
+    pub fn add_edge(&mut self, from: usize, to: usize) {
+        assert!(
+            from < self.nodes && to < self.nodes,
+            "edge {from} → {to} out of range for {} nodes",
+            self.nodes
+        );
+        let w = self.words;
+        self.bits[from * w + to / WORD_BITS] |= 1 << (to % WORD_BITS);
+        let reverse = (self.nodes + to) * w;
+        self.bits[reverse + from / WORD_BITS] |= 1 << (from % WORD_BITS);
+    }
+
+    /// The successor row of `node`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of range.
+    pub fn successors(&self, node: usize) -> &[u64] {
+        assert!(node < self.nodes, "node {node} out of range");
+        &self.bits[node * self.words..(node + 1) * self.words]
+    }
+
+    /// The predecessor row of `node`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of range.
+    pub fn predecessors(&self, node: usize) -> &[u64] {
+        assert!(node < self.nodes, "node {node} out of range");
+        let start = (self.nodes + node) * self.words;
+        &self.bits[start..start + self.words]
+    }
+
+    /// Number of (distinct) edges: the population count of the
+    /// successor rows.
+    pub fn edge_count(&self) -> usize {
+        popcount(&self.bits[..self.nodes * self.words])
+    }
+
+    /// Iterates over all edges in `(source, target)` order, sorted.
+    pub fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        (0..self.nodes).flat_map(move |v| set_bits(self.successors(v)).map(move |u| (v, u)))
+    }
+
+    /// Weak connectivity (one component, ignoring edge direction); the
+    /// empty graph counts as connected. A word-parallel search from node
+    /// 0: each node, once reached, ORs its successor and predecessor
+    /// rows into the reached set. `scratch` holds the reached and
+    /// pending sets and is reused across calls.
+    pub fn is_weakly_connected(&self, scratch: &mut Vec<u64>) -> bool {
+        let (n, w) = (self.nodes, self.words);
+        if n == 0 {
+            return true;
+        }
+        scratch.clear();
+        scratch.resize(2 * w, 0);
+        let (seen, pending) = scratch.split_at_mut(w);
+        seen[0] = 1;
+        pending[0] = 1;
+        while let Some(i) = pending.iter().position(|&word| word != 0) {
+            let v = i * WORD_BITS + pending[i].trailing_zeros() as usize;
+            pending[i] &= pending[i] - 1;
+            let (succ, pred) = (self.successors(v), self.predecessors(v));
+            for k in 0..w {
+                let fresh = (succ[k] | pred[k]) & !seen[k];
+                seen[k] |= fresh;
+                pending[k] |= fresh;
+            }
+        }
+        popcount(seen) == n
+    }
+
+    /// The relation χ of the paper's §4.4 as rows: row `x` holds every
+    /// `y` with `(x, y) ∈ χ`, i.e. `x` is minimal (no predecessor), `y`
+    /// is maximal (no successor), `y ≠ x` and `y` is reachable from `x`.
+    /// Self-loops are ignored throughout: a node's own bit never makes it
+    /// a predecessor, a successor or a descendant of itself.
+    ///
+    /// Runs a Kahn order, ORs descendant rows in reverse order, and
+    /// intersects each minimal node's row with the maxima. Returns
+    /// `None` on a cycle of length ≥ 2, where the reflexive transitive
+    /// closure is no partial order.
+    pub fn chi<'s>(&self, scratch: &'s mut ChiScratch) -> Option<&'s [u64]> {
+        let (n, w) = (self.nodes, self.words);
+        let ChiScratch {
+            indegree,
+            order,
+            rows,
+            maxima,
+        } = scratch;
+        indegree.clear();
+        indegree.extend((0..n).map(|v| others(v, self.predecessors(v))));
+        order.clear();
+        order.extend((0..n).filter(|&v| indegree[v] == 0));
+        let mut head = 0;
+        while let Some(&v) = order.get(head) {
+            head += 1;
+            for u in set_bits(self.successors(v)).filter(|&u| u != v) {
+                indegree[u] -= 1;
+                if indegree[u] == 0 {
+                    order.push(u);
+                }
+            }
+        }
+        if order.len() < n {
+            return None;
+        }
+        rows.clear();
+        rows.resize(n * w, 0);
+        for &v in order.iter().rev() {
+            for u in set_bits(self.successors(v)).filter(|&u| u != v) {
+                rows[v * w + u / WORD_BITS] |= 1 << (u % WORD_BITS);
+                for k in 0..w {
+                    let below = rows[u * w + k];
+                    rows[v * w + k] |= below;
+                }
+            }
+        }
+        maxima.clear();
+        maxima.resize(w, 0);
+        for v in (0..n).filter(|&v| others(v, self.successors(v)) == 0) {
+            maxima[v / WORD_BITS] |= 1 << (v % WORD_BITS);
+        }
+        for v in 0..n {
+            let minimal = others(v, self.predecessors(v)) == 0;
+            for k in 0..w {
+                rows[v * w + k] &= if minimal { maxima[k] } else { 0 };
+            }
+        }
+        Some(rows)
+    }
+}
+
+/// Reusable buffers of [`AdjacencyRows::chi`].
+#[derive(Debug, Default)]
+pub struct ChiScratch {
+    indegree: Vec<usize>,
+    order: Vec<usize>,
+    rows: Vec<u64>,
+    maxima: Vec<u64>,
+}
 
 /// A fixed-capacity dense set of `usize` indices.
 ///
@@ -179,11 +423,7 @@ impl BitSet {
 
     /// Iterates over the set indices in increasing order.
     pub fn iter(&self) -> Iter<'_> {
-        Iter {
-            set: self,
-            word_idx: 0,
-            current: self.words.first().copied().unwrap_or(0),
-        }
+        set_bits(&self.words)
     }
 }
 
@@ -244,10 +484,11 @@ impl FromIterator<usize> for BitSet {
     }
 }
 
-/// Iterator over the indices of a [`BitSet`], created by [`BitSet::iter`].
+/// Iterator over the set indices of a word slice, created by
+/// [`set_bits`] and [`BitSet::iter`].
 #[derive(Debug)]
 pub struct Iter<'a> {
-    set: &'a BitSet,
+    words: &'a [u64],
     word_idx: usize,
     current: u64,
 }
@@ -263,10 +504,10 @@ impl Iterator for Iter<'_> {
                 return Some(self.word_idx * WORD_BITS + bit);
             }
             self.word_idx += 1;
-            if self.word_idx >= self.set.words.len() {
+            if self.word_idx >= self.words.len() {
                 return None;
             }
-            self.current = self.set.words[self.word_idx];
+            self.current = self.words[self.word_idx];
         }
     }
 }
@@ -394,6 +635,91 @@ mod tests {
         seeds.insert(4);
         let reach = bfs_reachable(&offsets, &targets, &seeds);
         assert_eq!(reach.iter().collect::<Vec<_>>(), vec![0, 1, 2, 4]);
+    }
+
+    /// Undirected reachability from node 0 by a plain worklist: the
+    /// oracle of [`AdjacencyRows::is_weakly_connected`].
+    fn connected_oracle(g: &AdjacencyRows) -> bool {
+        let n = g.node_count();
+        if n == 0 {
+            return true;
+        }
+        let mut seen = vec![false; n];
+        let mut stack = vec![0];
+        seen[0] = true;
+        while let Some(v) = stack.pop() {
+            for (x, y) in g.edges() {
+                for (a, b) in [(x, y), (y, x)] {
+                    if a == v && !seen[b] {
+                        seen[b] = true;
+                        stack.push(b);
+                    }
+                }
+            }
+        }
+        seen.iter().all(|&s| s)
+    }
+
+    #[test]
+    fn adjacency_rows_mirror_edges_and_connectivity() {
+        let mut state = 7u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        };
+        let mut scratch = Vec::new();
+        for _ in 0..300 {
+            let n = next() % 140;
+            let mut g = AdjacencyRows::new(n);
+            let mut edges = std::collections::BTreeSet::new();
+            for _ in 0..next() % (2 * n + 1) {
+                let (x, y) = (next() % n, next() % n);
+                g.add_edge(x, y);
+                edges.insert((x, y));
+            }
+            assert_eq!(
+                g.edges().collect::<Vec<_>>(),
+                edges.iter().copied().collect::<Vec<_>>()
+            );
+            assert_eq!(g.edge_count(), edges.len());
+            let reversed: std::collections::BTreeSet<(usize, usize)> = (0..n)
+                .flat_map(|y| set_bits(g.predecessors(y)).map(move |x| (x, y)))
+                .collect();
+            assert_eq!(reversed, edges);
+            assert_eq!(
+                g.is_weakly_connected(&mut scratch),
+                connected_oracle(&g),
+                "{g:?}"
+            );
+            let mut copy = AdjacencyRows::new(3);
+            copy.clone_from(&g);
+            assert_eq!(copy, g);
+        }
+    }
+
+    #[test]
+    fn chi_ignores_self_loops_and_rejects_longer_cycles() {
+        // 0 → 1 → 2 and 3 → 2, a self-loop on 1 and one on the minimum 3.
+        let mut g = AdjacencyRows::new(5);
+        for (x, y) in [(0, 1), (1, 2), (3, 2), (1, 1), (3, 3)] {
+            g.add_edge(x, y);
+        }
+        let mut scratch = ChiScratch::default();
+        let chi = g.chi(&mut scratch).expect("no cycle of length ≥ 2");
+        // Node 4 is isolated: minimal and maximal, but (4, 4) ∉ χ.
+        let pairs: Vec<(usize, usize)> = (0..5)
+            .flat_map(|x| {
+                (0..5)
+                    .filter(move |&y| chi[x] & (1 << y) != 0)
+                    .map(move |y| (x, y))
+            })
+            .collect();
+        assert_eq!(pairs, vec![(0, 2), (3, 2)]);
+        g.add_edge(2, 0);
+        assert!(g.chi(&mut scratch).is_none());
+        assert_eq!(AdjacencyRows::new(0).chi(&mut scratch), Some(&[][..]));
     }
 
     #[test]

@@ -8,10 +8,62 @@
 //! The implementation uses iterated colour refinement (1-WL) to prune,
 //! followed by a backtracking search; SoS instance graphs are small
 //! (tens of actions), so this is fast in practice while remaining exact.
+//!
+//! Colour refinement and the certificate trace are one routine, generic
+//! over how a node's neighbours are enumerated: from the sorted
+//! adjacency lists of a [`DiGraph`] ([`canonical_certificate`]), or from
+//! fixed-width [`AdjacencyRows`] with caller-supplied initial colours
+//! ([`row_certificate`]). Both give the same certificate for the same
+//! labelled graph.
 
+use crate::bitset::{set_bits, AdjacencyRows};
 use crate::digraph::{DiGraph, NodeId};
 use std::collections::HashMap;
 use std::hash::Hash;
+
+/// The neighbourhoods colour refinement and the certificate trace read.
+trait Neighbours {
+    fn node_count(&self) -> usize;
+    fn edge_count(&self) -> usize;
+    fn predecessors_of(&self, v: usize) -> impl Iterator<Item = usize> + '_;
+    fn successors_of(&self, v: usize) -> impl Iterator<Item = usize> + '_;
+}
+
+impl<L> Neighbours for DiGraph<L> {
+    fn node_count(&self) -> usize {
+        DiGraph::node_count(self)
+    }
+
+    fn edge_count(&self) -> usize {
+        DiGraph::edge_count(self)
+    }
+
+    fn predecessors_of(&self, v: usize) -> impl Iterator<Item = usize> + '_ {
+        self.predecessors(NodeId::new(v)).map(NodeId::index)
+    }
+
+    fn successors_of(&self, v: usize) -> impl Iterator<Item = usize> + '_ {
+        self.successors(NodeId::new(v)).map(NodeId::index)
+    }
+}
+
+impl Neighbours for AdjacencyRows {
+    fn node_count(&self) -> usize {
+        AdjacencyRows::node_count(self)
+    }
+
+    fn edge_count(&self) -> usize {
+        AdjacencyRows::edge_count(self)
+    }
+
+    fn predecessors_of(&self, v: usize) -> impl Iterator<Item = usize> + '_ {
+        set_bits(self.predecessors(v))
+    }
+
+    fn successors_of(&self, v: usize) -> impl Iterator<Item = usize> + '_ {
+        set_bits(self.successors(v))
+    }
+}
 
 /// Decides whether `a` and `b` are isomorphic as labelled digraphs, i.e.
 /// whether a bijection of nodes exists that preserves labels and edges.
@@ -63,8 +115,14 @@ pub fn find_isomorphism<L: Eq + Hash + Ord>(a: &DiGraph<L>, b: &DiGraph<L>) -> O
         .enumerate()
         .map(|(i, l)| (*l, i as u64))
         .collect();
-    let ca = refine_colors(a, |l| rank[l]);
-    let cb = refine_colors(b, |l| rank[l]);
+    let refined = |g: &DiGraph<L>| {
+        let mut s = CertificateScratch::default();
+        s.color.extend(g.nodes().map(|(_, l)| rank[l]));
+        refine_colors(g, &mut s);
+        s.color
+    };
+    let ca = refined(a);
+    let cb = refined(b);
 
     // The colour histograms must match.
     if histogram(&ca) != histogram(&cb) {
@@ -95,7 +153,22 @@ pub fn find_isomorphism<L: Eq + Hash + Ord>(a: &DiGraph<L>, b: &DiGraph<L>) -> O
     })
 }
 
-/// Iterated colour refinement combining label, in/out colour multisets.
+/// Reusable buffers of colour refinement and the certificate trace: the
+/// two colour vectors, the in/out signature buffers and the sorting
+/// buffers. One value serves any number of [`row_certificate`] calls.
+#[derive(Debug, Default)]
+pub struct CertificateScratch {
+    color: Vec<u64>,
+    next: Vec<u64>,
+    ins: Vec<u64>,
+    outs: Vec<u64>,
+    sorted: Vec<u64>,
+    pairs: Vec<(u64, u64)>,
+}
+
+/// Iterated colour refinement combining label, in/out colour multisets,
+/// from the initial colours in `s.color`; the refined colours are left
+/// there.
 ///
 /// The refined colours are signature hashes: equal signatures get equal
 /// colours, and the signature construction is identical for both graphs,
@@ -105,37 +178,41 @@ pub fn find_isomorphism<L: Eq + Hash + Ord>(a: &DiGraph<L>, b: &DiGraph<L>) -> O
 /// colours of its in- and out-neighbours. Refinement stops before the
 /// first round whose colouring induces the same partition as the one it
 /// was computed from, and after at most `n` rounds. The signature
-/// buffers and the second colour vector are allocated once per call.
-fn refine_colors<L>(g: &DiGraph<L>, initial: impl Fn(&L) -> u64) -> Vec<u64> {
+/// buffers and the second colour vector are reused across nodes and
+/// rounds.
+fn refine_colors<G: Neighbours>(g: &G, s: &mut CertificateScratch) {
     let n = g.node_count();
-    let mut color: Vec<u64> = g.nodes().map(|(_, l)| initial(l)).collect();
-    let mut next: Vec<u64> = vec![0; n];
-    let mut ins: Vec<u64> = Vec::new();
-    let mut outs: Vec<u64> = Vec::new();
-    let mut sorted: Vec<u64> = Vec::with_capacity(n);
-    let mut pairs: Vec<(u64, u64)> = Vec::with_capacity(n);
-    let mut classes = distinct_count(&color, &mut sorted);
+    let CertificateScratch {
+        color,
+        next,
+        ins,
+        outs,
+        sorted,
+        pairs,
+    } = s;
+    next.clear();
+    next.resize(n, 0);
+    let mut classes = distinct_count(color, sorted);
 
     for _round in 0..n {
         // Signature of each node: (colour, sorted in-colours, sorted out-colours),
         // hashed so that equal signatures yield equal colours in both graphs.
-        for id in g.node_ids() {
+        for v in 0..n {
             ins.clear();
-            ins.extend(g.predecessors(id).map(|p| color[p.index()]));
+            ins.extend(g.predecessors_of(v).map(|p| color[p]));
             outs.clear();
-            outs.extend(g.successors(id).map(|s| color[s.index()]));
+            outs.extend(g.successors_of(v).map(|u| color[u]));
             ins.sort_unstable();
             outs.sort_unstable();
-            next[id.index()] = hash_signature(color[id.index()], &ins, &outs);
+            next[v] = hash_signature(color[v], ins, outs);
         }
-        let next_classes = distinct_count(&next, &mut sorted);
-        if next_classes == classes && same_partition(&color, &next, classes, &mut pairs) {
+        let next_classes = distinct_count(next, sorted);
+        if next_classes == classes && same_partition(color, next, classes, pairs) {
             break;
         }
-        std::mem::swap(&mut color, &mut next);
+        std::mem::swap(color, next);
         classes = next_classes;
     }
-    color
 }
 
 /// Number of distinct values in `colors`, sorting a copy in `scratch`.
@@ -292,14 +369,79 @@ pub type Certificate = u64;
 /// assert_eq!(canonical_certificate(&a), canonical_certificate(&b));
 /// ```
 pub fn canonical_certificate<L: Hash>(g: &DiGraph<L>) -> Certificate {
-    let color = refine_colors(g, label_hash);
-    let mut node_colors = color.clone();
-    node_colors.sort_unstable();
-    let mut edge_colors: Vec<(u64, u64)> = g
-        .edges()
-        .map(|(x, y)| (color[x.index()], color[y.index()]))
-        .collect();
-    edge_colors.sort_unstable();
+    let n = g.node_count();
+    let mut s = CertificateScratch {
+        color: g.nodes().map(|(_, l)| label_hash(l)).collect(),
+        sorted: Vec::with_capacity(n),
+        pairs: Vec::with_capacity(g.edge_count().max(n)),
+        ..CertificateScratch::default()
+    };
+    certificate_trace(g, &mut s)
+}
+
+/// The [`canonical_certificate`] of the graph `rows` with node `v`
+/// labelled `ℓ(v)`, given `initial[v] = label_hash(ℓ(v))`: the same
+/// refinement and trace, reading neighbours from the rows, in the
+/// reused buffers of `scratch`.
+///
+/// # Panics
+///
+/// Panics if `initial` does not hold one colour per node.
+///
+/// # Examples
+///
+/// ```
+/// use fsa_graph::bitset::AdjacencyRows;
+/// use fsa_graph::iso::{canonical_certificate, label_hash, row_certificate, CertificateScratch};
+/// use fsa_graph::DiGraph;
+///
+/// let mut g = DiGraph::new();
+/// let x = g.add_node("x");
+/// let y = g.add_node("y");
+/// g.add_edge(x, y);
+/// let mut rows = AdjacencyRows::new(2);
+/// rows.add_edge(0, 1);
+/// let initial = [label_hash(&"x"), label_hash(&"y")];
+/// let mut scratch = CertificateScratch::default();
+/// assert_eq!(
+///     row_certificate(&rows, &initial, &mut scratch),
+///     canonical_certificate(&g)
+/// );
+/// ```
+pub fn row_certificate(
+    rows: &AdjacencyRows,
+    initial: &[u64],
+    scratch: &mut CertificateScratch,
+) -> Certificate {
+    assert_eq!(
+        initial.len(),
+        rows.node_count(),
+        "one initial colour per node"
+    );
+    scratch.color.clear();
+    scratch.color.extend_from_slice(initial);
+    certificate_trace(rows, scratch)
+}
+
+/// Refines the initial colours in `s.color` and hashes the certificate
+/// trace: node and edge counts, sorted node colours, sorted edge colour
+/// pairs.
+fn certificate_trace<G: Neighbours>(g: &G, s: &mut CertificateScratch) -> Certificate {
+    refine_colors(g, s);
+    let CertificateScratch {
+        color,
+        sorted,
+        pairs,
+        ..
+    } = s;
+    sorted.clear();
+    sorted.extend_from_slice(color);
+    sorted.sort_unstable();
+    pairs.clear();
+    for v in 0..g.node_count() {
+        pairs.extend(g.successors_of(v).map(|u| (color[v], color[u])));
+    }
+    pairs.sort_unstable();
 
     const OFFSET: u64 = 0xcbf29ce484222325;
     const PRIME: u64 = 0x100000001b3;
@@ -313,11 +455,11 @@ pub fn canonical_certificate<L: Hash>(g: &DiGraph<L>) -> Certificate {
     mix(g.node_count() as u64);
     mix(g.edge_count() as u64);
     mix(0xa5a5);
-    for &c in &node_colors {
+    for &c in sorted.iter() {
         mix(c);
     }
     mix(0x5a5a);
-    for (x, y) in edge_colors {
+    for &(x, y) in pairs.iter() {
         mix(x);
         mix(y);
     }
@@ -348,7 +490,8 @@ impl std::hash::Hasher for FnvHasher {
 /// label, used as the initial refinement colour. Equal labels hash
 /// equally in *any* graph, so the refined colours — and hence
 /// certificates — are comparable across graphs *and across runs*.
-fn label_hash<L: Hash>(label: &L) -> u64 {
+/// `str`, `String` and `Arc<str>` labels hash alike.
+pub fn label_hash<L: Hash + ?Sized>(label: &L) -> u64 {
     use std::hash::Hasher;
     let mut h = FnvHasher(0xcbf29ce484222325);
     label.hash(&mut h);
@@ -356,23 +499,27 @@ fn label_hash<L: Hash>(label: &L) -> u64 {
 }
 
 /// Streaming isomorphism de-duplicator: candidates are bucketed by
-/// [`canonical_certificate`] and compared exactly (via
-/// [`find_isomorphism`]) only against representatives *inside* their
-/// bucket. Memory and time are proportional to the number of
-/// *equivalence classes*, not candidates — the engine behind the §4.2
-/// instance-space exploration.
-#[derive(Debug, Clone, Default)]
-pub struct CertifiedClasses<L> {
+/// [`Certificate`] and compared exactly only against representatives
+/// *inside* their bucket. Memory and time are proportional to the
+/// number of *equivalence classes*, not candidates — the engine behind
+/// the §4.2 instance-space exploration.
+///
+/// A representative `R` is whatever the caller keeps of a class: a
+/// whole [`DiGraph`] (compared with [`find_isomorphism`] by
+/// [`CertifiedClasses::insert_with_certificate`]), or a key from which
+/// the caller rebuilds the graph when a bucket is hit
+/// ([`CertifiedClasses::insert_by`]).
+#[derive(Debug, Clone)]
+pub struct CertifiedClasses<R> {
     /// Per certificate, the classes founded under it.
     buckets: HashMap<Certificate, Vec<usize>>,
-    reps: Vec<DiGraph<L>>,
+    reps: Vec<R>,
     certificate_hits: usize,
     exact_fallbacks: usize,
 }
 
-impl<L: Eq + Hash + Ord> CertifiedClasses<L> {
-    /// Creates an empty class map.
-    pub fn new() -> Self {
+impl<R> Default for CertifiedClasses<R> {
+    fn default() -> Self {
         CertifiedClasses {
             buckets: HashMap::new(),
             reps: Vec::new(),
@@ -380,14 +527,24 @@ impl<L: Eq + Hash + Ord> CertifiedClasses<L> {
             exact_fallbacks: 0,
         }
     }
+}
 
-    /// Inserts a candidate whose certificate was precomputed (e.g. on a
-    /// worker thread). Returns `Some(class index)` if the candidate
-    /// founded a *new* class, `None` if it duplicated an existing one.
-    pub fn insert_with_certificate(
+impl<R> CertifiedClasses<R> {
+    /// Creates an empty class map.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Inserts the candidate `rep` under its precomputed `certificate`,
+    /// deciding exact equivalence with `same(representative, rep)`
+    /// against each representative in the bucket, in founding order.
+    /// Returns `Some(class index)` if the candidate founded a *new*
+    /// class, `None` if it duplicated an existing one.
+    pub fn insert_by(
         &mut self,
-        g: DiGraph<L>,
+        rep: R,
         certificate: Certificate,
+        mut same: impl FnMut(&R, &R) -> bool,
     ) -> Option<usize> {
         let bucket = self.buckets.entry(certificate).or_default();
         if !bucket.is_empty() {
@@ -395,21 +552,14 @@ impl<L: Eq + Hash + Ord> CertifiedClasses<L> {
         }
         for &idx in bucket.iter() {
             self.exact_fallbacks += 1;
-            if are_isomorphic(&self.reps[idx], &g) {
+            if same(&self.reps[idx], &rep) {
                 return None;
             }
         }
         let idx = self.reps.len();
         bucket.push(idx);
-        self.reps.push(g);
+        self.reps.push(rep);
         Some(idx)
-    }
-
-    /// Inserts a candidate, computing its certificate. See
-    /// [`CertifiedClasses::insert_with_certificate`].
-    pub fn insert(&mut self, g: DiGraph<L>) -> Option<usize> {
-        let certificate = canonical_certificate(&g);
-        self.insert_with_certificate(g, certificate)
     }
 
     /// Number of classes discovered so far.
@@ -427,14 +577,34 @@ impl<L: Eq + Hash + Ord> CertifiedClasses<L> {
         self.certificate_hits
     }
 
-    /// How many exact [`find_isomorphism`] fallback checks ran.
+    /// How many exact equivalence checks ran.
     pub fn exact_fallbacks(&self) -> usize {
         self.exact_fallbacks
     }
 
     /// The class representatives, in first-seen order.
-    pub fn into_reps(self) -> Vec<DiGraph<L>> {
+    pub fn into_reps(self) -> Vec<R> {
         self.reps
+    }
+}
+
+impl<L: Eq + Hash + Ord> CertifiedClasses<DiGraph<L>> {
+    /// Inserts a candidate graph whose certificate was precomputed (e.g.
+    /// on a worker thread), confirming bucket hits with
+    /// [`find_isomorphism`]. See [`CertifiedClasses::insert_by`].
+    pub fn insert_with_certificate(
+        &mut self,
+        g: DiGraph<L>,
+        certificate: Certificate,
+    ) -> Option<usize> {
+        self.insert_by(g, certificate, are_isomorphic)
+    }
+
+    /// Inserts a candidate graph, computing its certificate. See
+    /// [`CertifiedClasses::insert_with_certificate`].
+    pub fn insert(&mut self, g: DiGraph<L>) -> Option<usize> {
+        let certificate = canonical_certificate(&g);
+        self.insert_with_certificate(g, certificate)
     }
 }
 
@@ -522,6 +692,11 @@ mod tests {
     /// self-loops allowed, with an edge density of 1/2 to 1/32 drawn per
     /// graph so both dense graphs and long sparse chains occur.
     fn random_digraph(seed: u64) -> DiGraph<u8> {
+        random_digraph_up_to(seed, 30)
+    }
+
+    /// [`random_digraph`] with 0–`max_nodes` nodes.
+    fn random_digraph_up_to(seed: u64, max_nodes: u64) -> DiGraph<u8> {
         let mut state = seed | 1;
         let mut next = move || {
             state = state
@@ -529,7 +704,7 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             state >> 33
         };
-        let n = (next() % 31) as usize;
+        let n = (next() % (max_nodes + 1)) as usize;
         let labels = 1 + next() % 3;
         let sparsity = 2 + next() % 31;
         let mut g = DiGraph::new();
@@ -552,11 +727,33 @@ mod tests {
         #[test]
         fn in_place_refinement_matches_the_partition_oracle(seed in any::<u64>()) {
             let g = random_digraph(seed);
-            prop_assert_eq!(
-                refine_colors(&g, label_hash),
-                refine_colors_oracle(&g, label_hash),
-                "seed {}", seed
-            );
+            let mut s = CertificateScratch::default();
+            s.color.extend(g.nodes().map(|(_, l)| label_hash(l)));
+            refine_colors(&g, &mut s);
+            prop_assert_eq!(s.color, refine_colors_oracle(&g, label_hash), "seed {}", seed);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// The row certificate equals the adjacency-list certificate on
+        /// labelled digraphs of 0–150 nodes (1–3 words per row), 1–3
+        /// labels and self-loops.
+        #[test]
+        fn row_certificate_matches_the_adjacency_list_certificate(seed in any::<u64>()) {
+            let g = random_digraph_up_to(seed, 150);
+            let mut rows = AdjacencyRows::new(g.node_count());
+            for (x, y) in g.edges() {
+                rows.add_edge(x.index(), y.index());
+            }
+            prop_assert_eq!(rows.edge_count(), g.edge_count());
+            let initial: Vec<u64> = g.nodes().map(|(_, l)| label_hash(l)).collect();
+            let mut scratch = CertificateScratch::default();
+            let certificate = row_certificate(&rows, &initial, &mut scratch);
+            prop_assert_eq!(certificate, canonical_certificate(&g), "seed {}", seed);
+            // A reused scratch gives the same certificate.
+            prop_assert_eq!(row_certificate(&rows, &initial, &mut scratch), certificate);
         }
     }
 
@@ -780,7 +977,7 @@ mod tests {
 
     #[test]
     fn certified_classes_empty_and_counts() {
-        let mut classes: CertifiedClasses<&str> = CertifiedClasses::new();
+        let mut classes: CertifiedClasses<DiGraph<&str>> = CertifiedClasses::new();
         assert!(classes.is_empty());
         assert_eq!(classes.insert(triangle(["v", "v", "v"])), Some(0));
         assert_eq!(classes.insert(triangle(["v", "v", "v"])), None);

@@ -937,10 +937,9 @@ pub struct DistributedRequest {
 }
 
 /// The engine behind `fsa explore --distributed`: spawns a local
-/// coordinator plus worker processes and returns the merged
-/// exploration, or a display-ready error.
-pub type DistributedEngine =
-    fn(&DistributedRequest) -> Result<fsa_core::explore::Exploration, String>;
+/// coordinator plus worker processes and returns the merged universe,
+/// or a display-ready error.
+pub type DistributedEngine = fn(&DistributedRequest) -> Result<fsa_core::explore::Universe, String>;
 
 static DISTRIBUTED: std::sync::OnceLock<DistributedEngine> = std::sync::OnceLock::new();
 
@@ -953,43 +952,42 @@ pub fn register_distributed_engine(engine: DistributedEngine) {
     let _ = DISTRIBUTED.set(engine);
 }
 
-/// Renders an exploration exactly as `fsa explore` does, unioning the
-/// requirements under the default supervision policy. The distributed
-/// coordinator funnels its merged result through this same function, so
-/// distributed output is byte-identical to single-process output by
-/// construction.
+/// Renders an exploration exactly as `fsa explore` does: the
+/// [`render_universe`] report of the class list it wraps. `threads` has
+/// no work left (the union is the engine's, already computed) and is
+/// ignored; it stays for callers of this signature.
 #[must_use]
 pub fn render_exploration(
     exploration: &fsa_core::explore::Exploration,
     max_vehicles: usize,
     all: bool,
     stats: bool,
-    threads: usize,
+    _threads: usize,
 ) -> Rendered {
-    let supervisor = fsa_exec::Supervisor::new();
-    render_supervised(exploration, max_vehicles, all, stats, threads, &supervisor)
+    render_universe(&exploration.universe, max_vehicles, all, stats)
 }
 
-/// The one `fsa explore` report: universe header, instance lines, the
-/// requirement union elicited under `supervisor` on `threads` workers,
-/// and (optionally) the stats block. A run that was cancelled or lost
-/// chunks says so and exits [`EXIT_PARTIAL`]; a budget truncation is
-/// reported by the header alone.
-fn render_supervised(
-    exploration: &fsa_core::explore::Exploration,
+/// The one `fsa explore` report: universe header, one line per class,
+/// the requirement union over the classes, and (optionally) the stats
+/// block. A run that was cancelled or lost chunks says so and exits
+/// [`EXIT_PARTIAL`]; its union covers the classes it found. A budget
+/// truncation is reported by the header alone. The distributed
+/// coordinator renders its merged universe here too, so distributed
+/// output is byte-identical to single-process output by construction.
+#[must_use]
+pub fn render_universe(
+    universe: &fsa_core::explore::Universe,
     max_vehicles: usize,
     all: bool,
     stats: bool,
-    threads: usize,
-    supervisor: &fsa_exec::Supervisor,
 ) -> Rendered {
     let mut r = Rendered::success();
-    let s = &exploration.stats;
+    let s = &universe.stats;
     let _ = writeln!(
         r.stdout,
         "universe with 1 RSU and up to {max_vehicles} vehicle(s): {} structurally \
          different {}instance(s){}",
-        exploration.instances.len(),
+        universe.classes.len(),
         if all { "" } else { "connected " },
         if s.truncated {
             " (truncated at budget)"
@@ -997,13 +995,11 @@ fn render_supervised(
             ""
         }
     );
-    for inst in &exploration.instances {
+    for class in &universe.classes {
         let _ = writeln!(
             r.stdout,
             "  {:32} {} action(s), {} flow(s)",
-            inst.name(),
-            inst.action_count(),
-            inst.graph().edge_count()
+            class.vector, class.actions, class.flows
         );
     }
     let mut partial = false;
@@ -1023,30 +1019,14 @@ fn render_supervised(
         );
         partial = true;
     }
-    match fsa_core::explore::union_requirements(&exploration.instances, threads, supervisor) {
-        Ok(union) => {
-            let _ = writeln!(
-                r.stdout,
-                "union over the universe: {} requirement(s) ({} cyclic composition(s) \
-                 skipped)",
-                union.requirements.len(),
-                union.loop_skipped
-            );
-            for req in union.requirements.iter() {
-                let _ = writeln!(r.stdout, "  {req}");
-            }
-            if !union.is_complete() {
-                let _ = writeln!(
-                    r.stdout,
-                    "partial union: elicited {}/{} instance(s){}",
-                    union.elicited,
-                    union.total,
-                    if union.cancelled { " (cancelled)" } else { "" }
-                );
-                partial = true;
-            }
-        }
-        Err(e) => return Rendered::failure(&format!("union elicitation failed: {e}")),
+    let _ = writeln!(
+        r.stdout,
+        "union over the universe: {} requirement(s) ({} cyclic composition(s) skipped)",
+        universe.requirements.len(),
+        universe.loop_skipped
+    );
+    for req in universe.requirements.iter() {
+        let _ = writeln!(r.stdout, "  {req}");
     }
     if stats {
         let _ = write!(r.stdout, "{s}");
@@ -1172,7 +1152,7 @@ pub fn run_explore(rest: &[String], ctx: &ServiceCtx) -> Rendered {
     }
     let obs = outputs.obs(ctx);
     let supervisor = build_supervisor(deadline_ms, retries, ctx).with_obs(obs.clone());
-    let exploration = if distributed {
+    let universe = if distributed {
         if truncate
             || deadline_ms.is_some()
             || retries.is_some()
@@ -1202,7 +1182,7 @@ pub fn run_explore(rest: &[String], ctx: &ServiceCtx) -> Rendered {
             obs: obs.clone(),
         };
         match engine(&request) {
-            Ok(e) => e,
+            Ok(u) => u,
             Err(e) => return Rendered::failure(&format!("distributed exploration failed: {e}")),
         }
     } else {
@@ -1219,7 +1199,7 @@ pub fn run_explore(rest: &[String], ctx: &ServiceCtx) -> Rendered {
             ..ExploreOptions::default()
         };
         let exec = ExecOptions {
-            supervisor: supervisor.clone(),
+            supervisor,
             checkpoint: checkpoint.map(|p| CheckpointSpec {
                 path: p.into(),
                 every: checkpoint_every.unwrap_or(256),
@@ -1227,12 +1207,12 @@ pub fn run_explore(rest: &[String], ctx: &ServiceCtx) -> Rendered {
             resume: resume.map(Into::into),
             ..ExecOptions::default()
         };
-        match vanet::exploration::explore_scenario_supervised(max_vehicles, &options, &exec) {
-            Ok(e) => e,
+        match vanet::exploration::explore_scenario_universe(max_vehicles, &options, &exec) {
+            Ok(u) => u,
             Err(e) => return Rendered::failure(&format!("exploration failed: {e}")),
         }
     };
-    let mut r = render_supervised(&exploration, max_vehicles, all, stats, threads, &supervisor);
+    let mut r = render_universe(&universe, max_vehicles, all, stats);
     outputs.collect(&obs, &mut r);
     r
 }
@@ -1530,6 +1510,39 @@ mod tests {
 
     fn argv(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| (*s).to_owned()).collect()
+    }
+
+    #[test]
+    fn a_cancelled_run_prints_the_union_of_the_classes_it_found() {
+        use fsa_core::explore::{ExecOptions, ExploreOptions};
+        // Cancel the 3-vehicle exploration after its first few batches:
+        // the report lists the classes found so far, their union, and
+        // the partial-universe line, and exits 3.
+        let exec = ExecOptions {
+            supervisor: fsa_exec::Supervisor::new()
+                .with_cancel(fsa_exec::CancelToken::countdown(60)),
+            batch: 4,
+            ..ExecOptions::default()
+        };
+        let universe =
+            vanet::exploration::explore_scenario_universe(3, &ExploreOptions::default(), &exec)
+                .expect("explores");
+        assert!(universe.stats.cancelled);
+        assert!(!universe.classes.is_empty());
+        assert!(!universe.requirements.is_empty());
+        let r = render_universe(&universe, 3, false, false);
+        assert_eq!(r.exit, EXIT_PARTIAL);
+        assert!(
+            r.stdout.contains("partial universe: vector coverage"),
+            "{}",
+            r.stdout
+        );
+        let header = format!(
+            "union over the universe: {} requirement(s)",
+            universe.requirements.len()
+        );
+        assert!(r.stdout.contains(&header), "{}", r.stdout);
+        assert!(!r.stdout.contains("partial union"), "{}", r.stdout);
     }
 
     #[test]

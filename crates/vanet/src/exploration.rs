@@ -11,8 +11,8 @@
 
 use crate::component_models::{rsu_model, vehicle_model_reduced};
 use fsa_core::explore::{
-    enumerate_instances, enumerate_instances_supervised, ConnectionRule, ExecOptions, Exploration,
-    ExploreOptions,
+    enumerate_instances, enumerate_instances_supervised, explore_universe, ConnectionRule,
+    ExecOptions, Exploration, ExploreOptions, Universe,
 };
 use fsa_core::{FsaError, SosInstance};
 
@@ -65,10 +65,11 @@ pub fn explore_scenario(
 }
 
 /// Like [`enumerate_scenario_instances`], but returns the whole
-/// [`Exploration`] with its [`fsa_core::explore::ExploreStats`]
-/// (candidates, orbit skips, certificate hits, per-stage timings). Runs
-/// under `exec`: panic-isolated retried candidate builds, deadlines with
-/// coverage accounting, and checkpoint/resume (see
+/// [`Exploration`]: the classes, their requirement union and the
+/// [`fsa_core::explore::ExploreStats`] (candidates, orbit skips,
+/// certificate hits, per-stage timings), plus the composed instances.
+/// Runs under `exec`: panic-isolated retried candidate builds, deadlines
+/// with coverage accounting, and checkpoint/resume (see
 /// [`fsa_core::explore::ExecOptions`]).
 ///
 /// # Errors
@@ -82,6 +83,22 @@ pub fn explore_scenario_supervised(
 ) -> Result<Exploration, FsaError> {
     let (models, rules) = scenario_universe(max_vehicles);
     enumerate_instances_supervised(&models, &rules, options, exec)
+}
+
+/// The class engine over the scenario universe
+/// ([`fsa_core::explore::explore_universe`]): what `fsa explore` runs.
+/// Like [`explore_scenario_supervised`], but composes no instance.
+///
+/// # Errors
+///
+/// As [`explore_scenario_supervised`].
+pub fn explore_scenario_universe(
+    max_vehicles: usize,
+    options: &ExploreOptions,
+    exec: &ExecOptions,
+) -> Result<Universe, FsaError> {
+    let (models, rules) = scenario_universe(max_vehicles);
+    explore_universe(&models, &rules, options, exec)
 }
 
 #[cfg(test)]
@@ -152,17 +169,17 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(four.stats.subsets_total >= 65_536, "{:?}", four.stats);
+        let stats = &four.universe.stats;
+        assert!(stats.subsets_total >= 65_536, "{stats:?}");
         assert!(
-            four.stats.candidates <= 100_000,
-            "within the default budget: {:?}",
-            four.stats
+            stats.candidates <= 100_000,
+            "within the default budget: {stats:?}"
         );
-        assert!(four.stats.orbits_skipped > four.stats.candidates);
-        assert!(!four.stats.truncated);
+        assert!(stats.orbits_skipped > stats.candidates);
+        assert!(!stats.truncated);
         assert!(four.instances.len() > three.instances.len());
         // Still isomorphism-reduced (spot-check is quadratic; the class
         // map guarantees it structurally).
-        assert_eq!(four.stats.classes, four.instances.len());
+        assert_eq!(stats.classes, four.instances.len());
     }
 }

@@ -122,6 +122,50 @@ fn distributed_explore_finishes_at_the_default_universe() {
     );
 }
 
+/// The lines of a report's `exploration stats:` block, durations masked.
+fn stats_block(stdout: &[u8]) -> Vec<String> {
+    mask_timings(stdout)
+        .lines()
+        .skip_while(|line| *line != "exploration stats:")
+        .skip(1)
+        .map(str::to_owned)
+        .collect()
+}
+
+#[test]
+fn distributed_stats_print_only_what_the_coordinator_measured() {
+    // Regression: a merged run printed `threads 1`, `subset scan 0ns`
+    // and `candidate build 0ns`, which the coordinator never measured,
+    // and filed the merge time under `certificate dedup`.
+    let base = [
+        "explore",
+        "--max-vehicles",
+        "3",
+        "--threads",
+        "2",
+        "--stats",
+    ];
+    let single = fsa(&base);
+    let distributed = fsa(&[&base[..], &["--distributed", "--workers", "2"]].concat());
+    assert!(single.status.success(), "{single:?}");
+    assert!(distributed.status.success(), "{distributed:?}");
+    let raw = String::from_utf8_lossy(&distributed.stdout);
+    assert!(!raw.lines().any(|l| l.ends_with(" 0ns")), "{raw}");
+    let block = stats_block(&distributed.stdout);
+    assert!(!block.iter().any(|l| l.starts_with("threads")), "{block:?}");
+    assert!(block.contains(&"merge <t>".to_owned()), "{block:?}");
+    // Every counter line equals the single-process run's.
+    let counters = |block: Vec<String>| -> Vec<String> {
+        block
+            .into_iter()
+            .filter(|l| !l.contains("<t>") && !l.starts_with("threads"))
+            .collect()
+    };
+    let single_counters = counters(stats_block(&single.stdout));
+    assert!(single_counters.iter().any(|l| l.starts_with("classes 103")));
+    assert_eq!(counters(block), single_counters);
+}
+
 #[test]
 fn explore_budget_error_and_truncate() {
     let out = fsa(&["explore", "--budget", "5"]);

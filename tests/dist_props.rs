@@ -4,16 +4,16 @@
 //!   shard count, the ranges tile `[0, total)` contiguously — no
 //!   ordinal is lost, none is enumerated twice.
 //! * The distributed pipeline is *bit-identical*: running every shard
-//!   independently through the supervised engine, round-tripping each
+//!   independently through the class engine, round-tripping each
 //!   result through the `fsa-dist/v1` `shard-result` frame, and
 //!   merging the accepted logs in canonical order reproduces the
-//!   unsharded exploration exactly — instances, accepted log, and the
+//!   unsharded exploration exactly — classes, requirement union,
+//!   accepted log, and the
 //!   `Σ shard hits + merge duplicates = single-process hits` identity.
 
 use fsa::core::checkpoint::CheckpointCounters;
 use fsa::core::explore::{
-    enumerate_instances_supervised, merge_accepted, vector_space, ExecOptions, ExploreOptions,
-    ShardRange,
+    explore_universe, merge_accepted, vector_space, ExecOptions, ExploreOptions, ShardRange,
 };
 use fsa::dist::proto::{decode_to_coordinator, encode_to_coordinator, ToCoordinator};
 use fsa::vanet::exploration::scenario_universe;
@@ -64,9 +64,7 @@ proptest! {
             require_connected,
             ..ExploreOptions::default()
         };
-        let golden =
-            enumerate_instances_supervised(&models, &rules, &options, &ExecOptions::default())
-                .unwrap();
+        let golden = explore_universe(&models, &rules, &options, &ExecOptions::default()).unwrap();
 
         let total = vector_space(&models);
         let mut all_accepted = Vec::new();
@@ -77,19 +75,14 @@ proptest! {
                 shard: Some(range),
                 ..options.clone()
             };
-            let part = enumerate_instances_supervised(
-                &models,
-                &rules,
-                &shard_options,
-                &ExecOptions::default(),
-            )
-            .unwrap();
+            let part =
+                explore_universe(&models, &rules, &shard_options, &ExecOptions::default()).unwrap();
             // Ship the shard through the wire frame it would really
             // travel in.
             let frame = ToCoordinator::ShardResult {
                 start: range.start,
                 end: range.end,
-                accepted: part.accepted.clone(),
+                accepted: part.accepted(),
                 counters: CheckpointCounters {
                     certificate_hits: part.stats.certificate_hits,
                     candidates: part.stats.candidates,
@@ -101,19 +94,17 @@ proptest! {
                 prop_assert!(false, "frame round-trip changed the type");
                 unreachable!()
             };
-            prop_assert_eq!(&accepted, &part.accepted);
+            prop_assert_eq!(&accepted, &part.accepted());
             all_accepted.extend(accepted);
             hits += counters.certificate_hits;
             candidates += counters.candidates;
         }
 
         let merged = merge_accepted(&models, &rules, &all_accepted).unwrap();
-        prop_assert_eq!(merged.instances.len(), golden.instances.len());
-        for (a, b) in merged.instances.iter().zip(&golden.instances) {
-            prop_assert_eq!(a.name(), b.name());
-            prop_assert_eq!(a.graph(), b.graph());
-        }
-        prop_assert_eq!(merged.accepted, golden.accepted);
+        prop_assert_eq!(&merged.universe.classes, &golden.classes);
+        prop_assert_eq!(&merged.universe.requirements, &golden.requirements);
+        prop_assert_eq!(merged.universe.loop_skipped, golden.loop_skipped);
+        prop_assert_eq!(merged.universe.accepted(), golden.accepted());
         prop_assert_eq!(candidates, golden.stats.candidates);
         prop_assert_eq!(hits + merged.duplicates, golden.stats.certificate_hits);
     }

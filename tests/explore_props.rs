@@ -10,19 +10,26 @@
 //! * The §4.4 union over χ node pairs equals the union of the manual
 //!   reports' requirement sets on random component models and rules,
 //!   cycles and policy flows included, and skips exactly the instances
-//!   the manual method rejects as cyclic.
+//!   the manual method rejects as cyclic — both `union_requirements`
+//!   and the class engine's own per-vector union on adjacency rows, on
+//!   every thread count, after a mid-vector resume, across a sharded
+//!   merge, and for a run cancelled mid-vector (over exactly the
+//!   classes it returns).
 //! * Shape-graph certificates of the 3- and 4-vehicle universes are
 //!   pinned, so a change to colour refinement cannot silently move a
-//!   certificate (and with it the `certificate hits` and `exact iso
-//!   fallbacks` counts that `--stats` and fsabench report).
+//!   certificate, and so are the `certificate hits` and `exact iso
+//!   fallbacks` counts that `--stats` and fsabench report.
 
+use fsa::core::checkpoint::ExploreCheckpoint;
 use fsa::core::component_model::ComponentModel;
 use fsa::core::explore::{
-    enumerate_instances, union_requirements, BudgetPolicy, ConnectionRule, ExploreOptions,
+    compose_accepted, enumerate_instances, explore_universe, merge_accepted, union_requirements,
+    vector_space, BudgetPolicy, CheckpointSpec, ConnectionRule, ExecOptions, ExploreOptions,
+    ShardRange,
 };
 use fsa::core::manual::elicit;
 use fsa::core::{FsaError, RequirementSet, SosInstance};
-use fsa::exec::Supervisor;
+use fsa::exec::{CancelToken, Supervisor};
 use fsa::graph::iso::{
     are_isomorphic, canonical_certificate, dedup_isomorphic, dedup_isomorphic_certified,
     dedup_isomorphic_certified_parallel,
@@ -129,21 +136,93 @@ fn random_universe(seed: u64) -> (Vec<(ComponentModel, usize)>, Vec<ConnectionRu
     (models, rules)
 }
 
-/// The instances of [`random_universe`]`(seed)`, connected or not by the
-/// seed's lowest bit, truncated at 2 000 candidates.
+/// The options [`random_universe`]`(seed)` is explored with: connected
+/// or not by the seed's lowest bit, truncated at 2 000 candidates.
+fn random_options(seed: u64) -> ExploreOptions {
+    ExploreOptions {
+        require_connected: seed & 1 == 0,
+        max_candidates: 2_000,
+        on_budget: BudgetPolicy::Truncate,
+        ..ExploreOptions::default()
+    }
+}
+
+/// The instances of [`random_universe`]`(seed)` under
+/// [`random_options`].
 fn random_instances(seed: u64) -> Vec<SosInstance> {
     let (models, rules) = random_universe(seed);
-    enumerate_instances(
-        &models,
-        &rules,
-        &ExploreOptions {
-            require_connected: seed & 1 == 0,
-            max_candidates: 2_000,
-            on_budget: BudgetPolicy::Truncate,
-            ..ExploreOptions::default()
-        },
-    )
-    .expect("random universe explores")
+    enumerate_instances(&models, &rules, &random_options(seed)).expect("random universe explores")
+}
+
+/// Interrupts the class engine on [`random_universe`]`(seed)` after 1,
+/// 2, 4, … cancellation checks (one candidate per batch) until a run
+/// completes. Each cancelled run's union must be the manual fold over
+/// exactly the classes it returns; each run cancelled mid-vector is
+/// resumed from the checkpoint it left, and the resumed union must be
+/// `oracle` with `cyclic` loop skips. Returns how many runs were
+/// cancelled mid-vector.
+fn check_interrupted_unions(seed: u64, oracle: &RequirementSet, cyclic: usize) -> usize {
+    let (models, rules) = random_universe(seed);
+    let options = random_options(seed);
+    let path = std::env::temp_dir().join(format!(
+        "fsa_explore_props_union_{}_{:?}.ckpt",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let mut mid_vector = 0;
+    for k in (0..40).map(|i| 1u64 << i) {
+        let exec = ExecOptions {
+            supervisor: Supervisor::new().with_cancel(CancelToken::countdown(k)),
+            batch: 1,
+            // Only the checkpoint written at the cancellation point.
+            checkpoint: Some(CheckpointSpec {
+                path: path.clone(),
+                every: usize::MAX,
+            }),
+            resume: None,
+        };
+        let partial = explore_universe(&models, &rules, &options, &exec).expect("explores");
+        if !partial.stats.cancelled {
+            break;
+        }
+        let returned = compose_accepted(&models, &rules, &partial.accepted()).expect("composes");
+        let (fold, skipped) = manual_union(&returned).expect("manual union");
+        assert_eq!(
+            &partial.requirements, &fold,
+            "seed {} cancelled at {}",
+            seed, k
+        );
+        assert_eq!(
+            partial.loop_skipped, skipped,
+            "seed {} cancelled at {}",
+            seed, k
+        );
+        if ExploreCheckpoint::read(&path)
+            .expect("checkpoint")
+            .pending_masks
+            .is_empty()
+        {
+            continue;
+        }
+        mid_vector += 1;
+        let resume = ExecOptions {
+            resume: Some(path.clone()),
+            ..ExecOptions::default()
+        };
+        let resumed = explore_universe(&models, &rules, &options, &resume).expect("resumes");
+        assert_eq!(
+            &resumed.requirements, oracle,
+            "seed {} resumed from {}",
+            seed, k
+        );
+        assert_eq!(
+            resumed.loop_skipped, cyclic,
+            "seed {} resumed from {}",
+            seed, k
+        );
+    }
+    let _ = std::fs::remove_file(&path);
+    mid_vector
 }
 
 /// The §4.4 union as the fold of the manual reports' requirement sets
@@ -184,6 +263,14 @@ fn random_universes_close_cycles_and_carry_policy_flows() {
     assert!(cyclic > 0, "no cyclic composition drawn");
     assert!(requirements > 0, "no requirement elicited");
     assert!(policy > 0, "no policy flow drawn");
+    // The interruption sweep of the union differential must reach
+    // runs cancelled mid-vector.
+    let mut mid_vector = 0;
+    for seed in 0..8u64 {
+        let (union, skipped) = manual_union(&random_instances(seed)).expect("manual union");
+        mid_vector += check_interrupted_unions(seed, &union, skipped);
+    }
+    assert!(mid_vector > 0, "no run was cancelled mid-vector");
 }
 
 /// FNV-1a-64 over the little-endian bytes of `certificates`, in order.
@@ -213,15 +300,21 @@ fn three_vehicle_certificates_are_pinned() {
     // deterministic counters `--stats` and fsabench report. A change to
     // colour refinement or to the certificate trace must not move a
     // single certificate.
-    let universe = explore_scenario(3, &ExploreOptions::default()).expect("explores");
-    assert_eq!(universe.instances.len(), 103);
+    let explored = explore_scenario(3, &ExploreOptions::default()).expect("explores");
+    assert_eq!(explored.instances.len(), 103);
     let digest = certificate_digest(
-        universe
+        explored
             .instances
             .iter()
             .map(|i| canonical_certificate(&i.shape_graph())),
     );
     assert_eq!(digest, PINNED_3V_DIGEST, "digest {digest:#018x}");
+    // No bucket is hit at 3 vehicles: every candidate's certificate is
+    // new, and every connected candidate founds a class.
+    let stats = &explored.universe.stats;
+    assert_eq!((stats.certificate_hits, stats.exact_iso_fallbacks), (0, 0));
+    assert_eq!(stats.classes, stats.candidates - stats.disconnected_skipped);
+    assert_eq!((stats.candidates, stats.disconnected_skipped), (137, 34));
 }
 
 #[test]
@@ -233,10 +326,10 @@ fn four_vehicle_certificates_are_pinned() {
             threads,
             ..ExploreOptions::default()
         };
-        let universe = explore_scenario(4, &options).expect("explores");
-        assert_eq!(universe.instances.len(), 3015, "threads {threads}");
+        let explored = explore_scenario(4, &options).expect("explores");
+        assert_eq!(explored.instances.len(), 3015, "threads {threads}");
         let digest = certificate_digest(
-            universe
+            explored
                 .instances
                 .iter()
                 .map(|i| canonical_certificate(&i.shape_graph())),
@@ -245,6 +338,17 @@ fn four_vehicle_certificates_are_pinned() {
             digest, PINNED_4V_DIGEST,
             "threads {threads}: digest {digest:#018x}"
         );
+        // Nine candidates hit a bucket, and none of the nine exact
+        // fallbacks finds a duplicate (3 399 − 384 = 3 015): all nine
+        // are 1-WL collisions between non-isomorphic compositions.
+        let stats = &explored.universe.stats;
+        assert_eq!(
+            (stats.certificate_hits, stats.exact_iso_fallbacks),
+            (9, 9),
+            "threads {threads}"
+        );
+        assert_eq!(stats.classes, stats.candidates - stats.disconnected_skipped);
+        assert_eq!((stats.candidates, stats.disconnected_skipped), (3399, 384));
     }
 }
 
@@ -350,9 +454,9 @@ proptest! {
             prop_assert_eq!(pu, su, "threads {}", threads);
             // Engine counters are deterministic too — the parallel scan
             // partitions the same canonical subset stream.
-            prop_assert_eq!(par.stats.candidates, seq.stats.candidates);
-            prop_assert_eq!(par.stats.orbits_skipped, seq.stats.orbits_skipped);
-            prop_assert_eq!(par.stats.classes, seq.stats.classes);
+            prop_assert_eq!(par.universe.stats.candidates, seq.universe.stats.candidates);
+            prop_assert_eq!(par.universe.stats.orbits_skipped, seq.universe.stats.orbits_skipped);
+            prop_assert_eq!(par.universe.stats.classes, seq.universe.stats.classes);
         }
     }
 }
@@ -364,12 +468,43 @@ proptest! {
     fn chi_pair_union_matches_the_manual_report_fold(seed in any::<u64>()) {
         let instances = random_instances(seed);
         let (oracle, cyclic) = manual_union(&instances).expect("manual union");
+        let (models, rules) = random_universe(seed);
         for threads in [1usize, 2, 3] {
             let union =
                 union_requirements(&instances, threads, &Supervisor::new()).expect("union");
             prop_assert!(union.is_complete(), "threads {}", threads);
             prop_assert_eq!(&union.requirements, &oracle, "seed {} threads {}", seed, threads);
             prop_assert_eq!(union.loop_skipped, cyclic, "seed {} threads {}", seed, threads);
+            // The class engine's own union, on adjacency rows.
+            let options = ExploreOptions { threads, ..random_options(seed) };
+            let universe = explore_universe(&models, &rules, &options, &ExecOptions::default())
+                .expect("explores");
+            prop_assert_eq!(&universe.requirements, &oracle, "seed {} threads {}", seed, threads);
+            prop_assert_eq!(universe.loop_skipped, cyclic, "seed {} threads {}", seed, threads);
+        }
+        check_interrupted_unions(seed, &oracle, cyclic);
+        // A sharded merge (shards cannot truncate, so only universes
+        // within the budget).
+        let options = random_options(seed);
+        let golden = explore_universe(&models, &rules, &options, &ExecOptions::default())
+            .expect("explores");
+        if !golden.stats.truncated {
+            let mut log = Vec::new();
+            for range in ShardRange::partition(vector_space(&models), 3) {
+                let shard = ExploreOptions {
+                    shard: Some(range),
+                    on_budget: BudgetPolicy::Error,
+                    ..options.clone()
+                };
+                log.extend(
+                    explore_universe(&models, &rules, &shard, &ExecOptions::default())
+                        .expect("shard explores")
+                        .accepted(),
+                );
+            }
+            let merged = merge_accepted(&models, &rules, &log).expect("merges").universe;
+            prop_assert_eq!(&merged.requirements, &oracle, "seed {} merged", seed);
+            prop_assert_eq!(merged.loop_skipped, cyclic, "seed {} merged", seed);
         }
     }
 }

@@ -207,3 +207,105 @@ proptest! {
         prop_assert_eq!(rebuilt, order.relation().clone());
     }
 }
+
+/// An SoS instance drawn from `seed`: 1–70 actions (1–2 words per
+/// adjacency row) over three stakeholders, with random functional and
+/// policy flows, self-loops and back edges, so cyclic and acyclic
+/// compositions both occur.
+fn random_flow_instance(seed: u64) -> fsa::core::SosInstance {
+    use fsa::core::action::Action;
+    use fsa::core::instance::SosInstanceBuilder;
+    let mut state = seed | 1;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        state >> 33
+    };
+    let n = 1 + (next() % 70) as usize;
+    let mut b = SosInstanceBuilder::new("random");
+    let ids: Vec<_> = (0..n)
+        .map(|i| {
+            b.action(
+                Action::parse(&format!("a{i}(C_{},v)", i % 5)),
+                &format!("P_{}", i % 3),
+            )
+        })
+        .collect();
+    // Expected out-degree 1/4 to 3; back edges in half the graphs.
+    let density = 1 + next() % 12;
+    let back_edges = next() % 2 == 0;
+    for (i, &x) in ids.iter().enumerate() {
+        for (j, &y) in ids.iter().enumerate() {
+            if next() % (4 * n as u64) >= density {
+                continue;
+            }
+            let roll = next();
+            let allowed = i < j || (i == j && roll % 4 == 0) || (back_edges && roll % 3 == 0);
+            if allowed && roll % 2 == 0 {
+                b.policy_flow(x, y);
+            } else if allowed {
+                b.flow(x, y);
+            }
+        }
+    }
+    b.build()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The adjacency-row χ kernel is `manual::chi_nodes` on graphs with
+    /// cycles, self-loops and policy flows: the same pairs, and `None`
+    /// exactly when `chi_nodes` rejects the flow as circular.
+    #[test]
+    fn row_chi_kernel_matches_chi_nodes(seed in any::<u64>()) {
+        use fsa::core::manual::chi_nodes;
+        use fsa::core::FsaError;
+        use fsa::graph::bitset::{set_bits, AdjacencyRows, ChiScratch};
+        let instance = random_flow_instance(seed);
+        let n = instance.action_count();
+        let mut rows = AdjacencyRows::new(n);
+        for (x, y) in instance.graph().edges() {
+            rows.add_edge(x.index(), y.index());
+        }
+        let mut scratch = ChiScratch::default();
+        match (chi_nodes(&instance), rows.chi(&mut scratch)) {
+            (Ok(mut want), Some(chi)) => {
+                want.sort();
+                let got: Vec<_> = chi
+                    .chunks(rows.words_per_row())
+                    .enumerate()
+                    .flat_map(|(x, row)| set_bits(row).map(move |y| (x, y)))
+                    .map(|(x, y)| (fsa::graph::NodeId::new(x), fsa::graph::NodeId::new(y)))
+                    .collect();
+                prop_assert_eq!(got, want, "seed {}", seed);
+            }
+            (Err(FsaError::CircularDependency { .. }), None) => {}
+            (want, got) => prop_assert!(false, "seed {}: chi_nodes {:?}, kernel {:?}", seed, want, got),
+        }
+    }
+}
+
+#[test]
+fn random_flow_instances_reach_cycles_self_loops_and_policy_flows() {
+    use fsa::core::instance::FlowKind;
+    let (mut cyclic, mut self_loops, mut policy, mut chi) = (0, 0, 0, 0);
+    for seed in 0..256u64 {
+        let instance = random_flow_instance(seed);
+        let g = instance.graph();
+        match fsa::core::manual::chi_nodes(&instance) {
+            Ok(pairs) => chi += usize::from(!pairs.is_empty()),
+            Err(_) => cyclic += 1,
+        }
+        self_loops += usize::from(g.edges().any(|(x, y)| x == y));
+        policy += usize::from(
+            g.edges()
+                .any(|(x, y)| instance.flow_kind(x, y) == Some(FlowKind::Policy)),
+        );
+    }
+    assert!(
+        cyclic > 10 && self_loops > 10 && policy > 10 && chi > 10,
+        "cyclic {cyclic}, self-loops {self_loops}, policy {policy}, with χ {chi}"
+    );
+}

@@ -18,7 +18,7 @@ fn fingerprint(e: &Exploration) -> String {
     for i in &e.instances {
         let _ = writeln!(out, "{} {:?}", i.name(), i.graph());
     }
-    let s = &e.stats;
+    let s = &e.universe.stats;
     let _ = writeln!(
         out,
         "v={} s={} o={} c={} b={} d={} cls={}",
@@ -53,8 +53,8 @@ fn supervised_exploration_is_thread_and_batch_invariant() {
                 golden_fp,
                 "threads {threads} batch {batch}"
             );
-            assert!(!sup.stats.cancelled);
-            assert_eq!(sup.stats.failures, 0);
+            assert!(!sup.universe.stats.cancelled);
+            assert_eq!(sup.universe.stats.failures, 0);
         }
     }
 }
@@ -80,10 +80,10 @@ fn interrupt_then_resume_across_thread_counts_is_bit_identical() {
             resume: None,
         };
         let partial = explore_scenario_supervised(2, &ExploreOptions::default(), &exec).unwrap();
-        if partial.stats.cancelled {
+        if partial.universe.stats.cancelled {
             interruptions += 1;
             assert!(
-                partial.stats.vectors_completed < partial.stats.vectors_total,
+                partial.universe.stats.vectors_completed < partial.universe.stats.vectors_total,
                 "k={k}: a cancelled run reports incomplete vector coverage"
             );
         }
@@ -99,7 +99,7 @@ fn interrupt_then_resume_across_thread_counts_is_bit_identical() {
             ..ExploreOptions::default()
         };
         let resumed = explore_scenario_supervised(2, &options, &exec).unwrap();
-        assert!(resumed.stats.resumed);
+        assert!(resumed.universe.stats.resumed);
         assert_eq!(fingerprint(&resumed), golden_fp, "k={k}");
     }
     assert!(interruptions > 0, "the countdown sweep must interrupt");
@@ -196,7 +196,7 @@ mod chaos {
             };
             let sup = explore_scenario_supervised(2, &options, &exec).unwrap();
             assert_eq!(fingerprint(&sup), golden_fp, "threads {threads}");
-            assert_eq!(sup.stats.failures, 0);
+            assert_eq!(sup.universe.stats.failures, 0);
         }
     }
 
@@ -295,7 +295,10 @@ fn resume_under_changed_flags_fails_closed_per_fingerprint_field() {
         resume: None,
     };
     let partial = explore_scenario_supervised(2, &ExploreOptions::default(), &exec).unwrap();
-    assert!(partial.stats.cancelled, "countdown(3) must interrupt");
+    assert!(
+        partial.universe.stats.cancelled,
+        "countdown(3) must interrupt"
+    );
 
     let resume_exec = || ExecOptions {
         resume: Some(path.clone()),
@@ -358,7 +361,7 @@ fn resume_under_changed_flags_fails_closed_per_fingerprint_field() {
             ..ExploreOptions::default()
         };
         let resumed = explore_scenario_supervised(2, &options, &resume_exec()).unwrap();
-        assert!(resumed.stats.resumed);
+        assert!(resumed.universe.stats.resumed);
         assert_eq!(fingerprint(&resumed), golden_fp, "threads {threads}");
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -410,7 +413,7 @@ fn cross_shard_resume_fails_closed() {
 
     // The matching shard resumes as an idempotent no-op.
     let resumed = explore_scenario_supervised(3, &sharded(Some(shard)), &resume_exec()).unwrap();
-    assert!(resumed.stats.resumed);
+    assert!(resumed.universe.stats.resumed);
     assert_eq!(fingerprint(&resumed), fingerprint(&own));
     let _ = std::fs::remove_dir_all(&dir);
 }
