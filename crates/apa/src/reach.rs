@@ -428,6 +428,33 @@ impl ReachGraph {
         v
     }
 
+    /// The automata that fire on some run from the initial state on
+    /// which `avoid` never fires, as a set of symbol indices
+    /// ([`Symbol::index`]). `avoid` itself is never in it.
+    ///
+    /// This decides §5.5 precedence on the graph itself: a maximum
+    /// functionally depends on a minimum iff it is not in
+    /// `fireable_avoiding(minimum)`, i.e. it cannot occur before the
+    /// minimum has occurred. One walk answers every maximum at once.
+    pub fn fireable_avoiding(&self, avoid: Symbol) -> fsa_graph::BitSet {
+        let mut fired = fsa_graph::BitSet::new(self.symbols.len());
+        let mut seen = fsa_graph::BitSet::new(self.n_states);
+        seen.insert(0);
+        let mut stack = vec![0usize];
+        while let Some(s) = stack.pop() {
+            for (_, label, t) in self.outgoing(s) {
+                if label.automaton == avoid {
+                    continue;
+                }
+                fired.insert(label.automaton.index());
+                if seen.insert(t) {
+                    stack.push(t);
+                }
+            }
+        }
+        fired
+    }
+
     /// `mask[i]` is `true` iff state `i` has no outgoing transition.
     fn dead_state_mask(&self) -> Vec<bool> {
         (0..self.n_states)
@@ -849,6 +876,84 @@ mod tests {
         assert_eq!(g.minima_syms().len(), 1);
         assert_eq!(g.maxima_syms().len(), 1);
         assert_eq!(g.name(g.minima_syms()[0]), "move");
+    }
+
+    /// The names [`ReachGraph::fireable_avoiding`] yields for `avoid`,
+    /// after checking the sweep against the NFA-level precedence oracle
+    /// for every other automaton.
+    fn fireable_names(g: &ReachGraph, avoid: &str) -> Vec<String> {
+        let avoid = g.symbols().get(avoid).expect("known automaton");
+        let fired = g.fireable_avoiding(avoid);
+        let nfa = g.to_nfa();
+        let automata: BTreeSet<Symbol> = g.edges().map(|(_, l, _)| l.automaton).collect();
+        for &b in automata.iter().filter(|&&b| b != avoid) {
+            assert_eq!(
+                !fired.contains(b.index()),
+                automata::temporal::precedes(&nfa, g.name(avoid), g.name(b)),
+                "({}, {})",
+                g.name(avoid),
+                g.name(b)
+            );
+        }
+        fired
+            .iter()
+            .map(|i| g.name(Symbol::new(i)).to_owned())
+            .collect()
+    }
+
+    #[test]
+    fn fireable_avoiding_sees_through_a_cycle_only_past_the_minimum() {
+        // serve ⇄ return, and finish leaves the cycle from the state
+        // only `serve` enters: the maximum is reached only round a
+        // cycle that contains the minimum.
+        let mut b = ApaBuilder::new();
+        let ping = b.component("ping", [Value::atom("t")]);
+        let pong = b.component("pong", []);
+        let done = b.component("done", []);
+        b.automaton("serve", [ping, pong], rule::move_any(0, 1));
+        b.automaton("return", [pong, ping], rule::move_any(0, 1));
+        b.automaton("finish", [pong, done], rule::move_any(0, 1));
+        let g = b
+            .build()
+            .unwrap()
+            .reachability(&ReachOptions::default())
+            .unwrap();
+        assert_eq!(g.minima(), vec!["serve"]);
+        assert_eq!(g.maxima(), vec!["finish"]);
+        assert!(fireable_names(&g, "serve").is_empty());
+        assert_eq!(fireable_names(&g, "return"), vec!["serve", "finish"]);
+        assert_eq!(fireable_names(&g, "finish"), vec!["serve", "return"]);
+    }
+
+    #[test]
+    fn fireable_avoiding_skips_every_interpretation_of_the_minimum() {
+        // `first` fires with two interpretations from M-1; avoiding it
+        // must skip both edges, or `second` would look independent.
+        let mut b = ApaBuilder::new();
+        let src = b.component("src", [Value::atom("x"), Value::atom("y")]);
+        let mid = b.component("mid", []);
+        let dst = b.component("dst", []);
+        b.automaton("first", [src, mid], rule::move_any(0, 1));
+        b.automaton("second", [mid, dst], rule::move_any(0, 1));
+        let g = b
+            .build()
+            .unwrap()
+            .reachability(&ReachOptions::default())
+            .unwrap();
+        assert_eq!(g.outgoing(0).count(), 2, "two interpretations fire");
+        assert!(fireable_names(&g, "first").is_empty());
+        assert_eq!(fireable_names(&g, "second"), vec!["first"]);
+    }
+
+    #[test]
+    fn fireable_avoiding_never_holds_the_avoided_automaton() {
+        // In the diamond both moves are minima and maxima.
+        let g = diamond_apa()
+            .reachability(&ReachOptions::default())
+            .unwrap();
+        assert_eq!(g.minima(), g.maxima());
+        assert_eq!(fireable_names(&g, "move_a"), vec!["move_b"]);
+        assert_eq!(fireable_names(&g, "move_b"), vec!["move_a"]);
     }
 
     #[test]

@@ -72,118 +72,10 @@ pub fn precedes(nfa: &Nfa, a: &str, b: &str) -> bool {
 
 /// Symbol-level variant of [`precedes`]: `a = None` means "`a` cannot
 /// occur" (the property then fails whenever `b` is reachable). Lets
-/// callers that already hold interned ids — the dependence-checking
-/// engine evaluating thousands of (max, min) pairs over one behaviour —
-/// skip the per-query name lookups.
+/// callers that already hold interned ids skip the name lookups.
 pub fn precedes_sym(nfa: &Nfa, a: Option<SymId>, b: SymId) -> bool {
     let adj = adjacency(nfa);
     precedes_in(nfa, &adj, a, b)
-}
-
-/// A reusable precedence-query index over one behaviour automaton.
-///
-/// Builds a CSR edge layout once (flat `offsets`/`targets`/`labels`
-/// arrays — no per-state `Vec`s) and runs every
-/// [`PrecedenceIndex::precedes`] call as a word-parallel
-/// [`fsa_graph::BitSet`] frontier sweep: the visited and frontier sets
-/// are bitsets, membership is one AND, and dead/frontier bookkeeping is
-/// `u64` popcounts instead of `BTreeSet` rebalancing. The
-/// dependence-checking engine holds one of these per behaviour and
-/// fires one query per (maximum, minimum) pair.
-///
-/// The legacy pointer-chasing path ([`precedes_sym`]) is retained as
-/// the oracle of the differential property suite.
-pub struct PrecedenceIndex<'a> {
-    nfa: &'a Nfa,
-    /// CSR offsets: state `s`'s edges are `offsets[s]..offsets[s + 1]`.
-    offsets: Vec<u32>,
-    /// Edge targets, parallel to `labels`.
-    targets: Vec<u32>,
-    /// Edge labels (`None` = ε), parallel to `targets`.
-    labels: Vec<Option<SymId>>,
-    /// Initial states as a bitset seed, reused by every query.
-    seeds: fsa_graph::BitSet,
-}
-
-impl<'a> PrecedenceIndex<'a> {
-    /// Indexes `nfa` for repeated precedence queries.
-    pub fn new(nfa: &'a Nfa) -> Self {
-        let n = nfa.state_count();
-        let mut degree = vec![0u32; n + 1];
-        for (from, _, _) in nfa.transitions() {
-            degree[from.index() + 1] += 1;
-        }
-        let mut offsets = degree;
-        for i in 1..offsets.len() {
-            offsets[i] += offsets[i - 1];
-        }
-        let mut cursor = offsets.clone();
-        let edge_count = offsets[n] as usize;
-        let mut targets = vec![0u32; edge_count];
-        let mut labels = vec![None; edge_count];
-        for (from, label, to) in nfa.transitions() {
-            let at = cursor[from.index()] as usize;
-            cursor[from.index()] += 1;
-            targets[at] = u32::try_from(to.index()).expect("state id exceeds u32");
-            labels[at] = label;
-        }
-        let mut seeds = fsa_graph::BitSet::new(n);
-        for s in nfa.initial_states() {
-            seeds.insert(s.index());
-        }
-        PrecedenceIndex {
-            nfa,
-            offsets,
-            targets,
-            labels,
-            seeds,
-        }
-    }
-
-    /// The states reachable from the initial states without traversing
-    /// an `avoid`-labelled edge, as a bitset frontier sweep.
-    fn avoid_reachable(&self, avoid: Option<SymId>) -> fsa_graph::BitSet {
-        let n = self.nfa.state_count();
-        let mut visited = self.seeds.clone();
-        let mut frontier = self.seeds.clone();
-        let mut next = fsa_graph::BitSet::new(n);
-        while !frontier.is_empty() {
-            next.clear();
-            for s in frontier.iter() {
-                for e in self.offsets[s] as usize..self.offsets[s + 1] as usize {
-                    let label = self.labels[e];
-                    if label.is_some() && label == avoid {
-                        continue;
-                    }
-                    let t = self.targets[e] as usize;
-                    if visited.insert(t) {
-                        next.insert(t);
-                    }
-                }
-            }
-            std::mem::swap(&mut frontier, &mut next);
-        }
-        visited
-    }
-
-    /// Symbol-level precedence query (see [`precedes_sym`]).
-    pub fn precedes(&self, a: Option<SymId>, b: SymId) -> bool {
-        let reach = self.avoid_reachable(a);
-        // Violated iff any a-free-reachable state can fire `b`.
-        !reach.iter().any(|s| {
-            (self.offsets[s] as usize..self.offsets[s + 1] as usize)
-                .any(|e| self.labels[e] == Some(b))
-        })
-    }
-
-    /// Name-level precedence query (see [`precedes`]).
-    pub fn precedes_names(&self, a: &str, b: &str) -> bool {
-        let sym_a = self.nfa.alphabet().get(a);
-        match self.nfa.alphabet().get(b) {
-            None => true,
-            Some(sym_b) => self.precedes(sym_a, sym_b),
-        }
-    }
 }
 
 /// [`precedes_sym`] over a prebuilt adjacency (shared across queries).
@@ -480,28 +372,6 @@ mod tests {
         assert_eq!(precedence_counterexample(&n, "sense", "absent"), None);
         let w = precedence_counterexample(&n, "absent", "sense").unwrap();
         assert_eq!(w, vec!["sense".to_owned()]);
-    }
-
-    #[test]
-    fn bitset_index_matches_legacy_path_on_all_pairs() {
-        // The CSR + bitset frontier index must agree with the legacy
-        // pointer-chasing `precedes_sym` on every (a, b) symbol pair,
-        // including the `a = None` (cannot occur) case.
-        let n = warning_behaviour();
-        let index = PrecedenceIndex::new(&n);
-        let syms: Vec<Option<SymId>> = std::iter::once(None)
-            .chain(n.alphabet().iter().map(|(id, _)| Some(id)))
-            .collect();
-        for &a in &syms {
-            for &b in &syms {
-                let Some(b) = b else { continue };
-                assert_eq!(
-                    index.precedes(a, b),
-                    precedes_sym(&n, a, b),
-                    "a={a:?} b={b:?}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -71,11 +71,11 @@ fn bench_dependence(c: &mut Criterion) {
 }
 
 /// The full §5.5 dependence-checking engine on the three-pair
-/// (six-vehicle) behaviour: naive sequential baseline vs. the
-/// shared-work engine (pruning + co-reach cache) vs. the parallel
-/// engine at 4 threads. Verdicts are bit-identical across all three
-/// configurations (see `tests/parallel_props.rs`); only the wall-clock
-/// differs.
+/// (six-vehicle) behaviour: the abstraction method sequentially vs.
+/// the precedence method (one walk per minimum) at 1 and 4 threads.
+/// Verdicts are bit-identical across thread counts and methods (see
+/// `tests/parallel_props.rs` and `tests/kernel_differential.rs`); only
+/// the wall-clock differs.
 fn bench_engine(c: &mut Criterion) {
     let graph = n_pair_apa(3, ApaSemantics::PAPER)
         .expect("valid model")
@@ -129,41 +129,10 @@ fn bench_engine(c: &mut Criterion) {
             ElicitOptions {
                 method: DependenceMethod::Abstraction,
                 threads: 1,
-                prune: false,
             },
         ),
-        (
-            "seq_pruned",
-            ElicitOptions {
-                method: DependenceMethod::Abstraction,
-                threads: 1,
-                prune: true,
-            },
-        ),
-        (
-            "par4_pruned",
-            ElicitOptions {
-                method: DependenceMethod::Abstraction,
-                threads: 4,
-                prune: true,
-            },
-        ),
-        (
-            "seq_precedence",
-            ElicitOptions {
-                method: DependenceMethod::Precedence,
-                threads: 1,
-                prune: true,
-            },
-        ),
-        (
-            "par4_precedence",
-            ElicitOptions {
-                method: DependenceMethod::Precedence,
-                threads: 4,
-                prune: true,
-            },
-        ),
+        ("seq_precedence", ElicitOptions::service(1)),
+        ("par4_precedence", ElicitOptions::service(4)),
     ] {
         group.bench_function(name, |b| {
             b.iter(|| {

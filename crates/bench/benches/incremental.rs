@@ -46,7 +46,6 @@ fn from_scratch(model: &EditModel) {
         &ElicitOptions {
             method: DependenceMethod::Precedence,
             threads: 1,
-            prune: false,
         },
         |max| model.stakeholder(max),
     ));

@@ -47,7 +47,7 @@ fn bench_probe_primitives(c: &mut Criterion) {
 }
 
 fn bench_elicit_overhead(c: &mut Criterion) {
-    use fsa_core::assisted::{elicit_observed, DependenceMethod, ElicitOptions};
+    use fsa_core::assisted::{elicit_observed, ElicitOptions};
     use fsa_core::dataflow::dataflow_apa;
     use fsa_core::Agent;
 
@@ -56,11 +56,7 @@ fn bench_elicit_overhead(c: &mut Criterion) {
         .expect("loop-free")
         .reachability(&apa::ReachOptions::default())
         .expect("bounded");
-    let options = ElicitOptions {
-        method: DependenceMethod::Precedence,
-        threads: 1,
-        prune: true,
-    };
+    let options = ElicitOptions::service(1);
 
     let mut group = c.benchmark_group("obs_elicit");
     group.sample_size(20);

@@ -49,11 +49,11 @@ fn bench_parameterise(c: &mut Criterion) {
 }
 
 /// The tool-assisted pipeline on the dataflow APA of a layered model:
-/// the full dependence-checking engine (behaviour NFA + shared
-/// precedence index + prune pass + grid evaluation), sequential vs.
-/// 4-thread grid. Verdicts are bit-identical across thread counts.
+/// the full dependence-checking engine (minima/maxima scan + one
+/// precedence walk per minimum over the reachability graph), sequential
+/// vs. 4-thread grid. Verdicts are bit-identical across thread counts.
 fn bench_assisted_engine(c: &mut Criterion) {
-    use fsa_core::assisted::{elicit_with_options, DependenceMethod, ElicitOptions};
+    use fsa_core::assisted::{elicit_with_options, ElicitOptions};
     use fsa_core::dataflow::dataflow_apa;
     use fsa_core::Agent;
 
@@ -86,11 +86,7 @@ fn bench_assisted_engine(c: &mut Criterion) {
     });
 
     for (name, threads) in [("threads_1", 1usize), ("threads_4", 4)] {
-        let options = ElicitOptions {
-            method: DependenceMethod::Precedence,
-            threads,
-            prune: true,
-        };
+        let options = ElicitOptions::service(threads);
         group.bench_function(name, |b| {
             b.iter(|| {
                 black_box(elicit_with_options(black_box(&graph), &options, |_| {

@@ -15,8 +15,11 @@
 //!   erases every other action, compute the minimal automaton of the
 //!   image, and check whether the maximum can occur without the minimum
 //!   (Figs. 10/11), or
-//! * by a direct **precedence check** on the behaviour — an equivalent
-//!   decision procedure offered for cross-validation and benchmarking.
+//! * by a direct **precedence check** on the graph itself — an
+//!   equivalent decision procedure: one walk per minimum
+//!   ([`ReachGraph::fireable_avoiding`]) finds every maximum that can
+//!   occur without it. This is the service configuration
+//!   ([`ElicitOptions::service`]).
 //!
 //! ### One analysis, one recomposition
 //!
@@ -47,8 +50,7 @@ use crate::action::{Action, Agent};
 use crate::requirements::{AuthRequirement, RequirementSet};
 use crate::FsaError;
 use apa::{Apa, ReachGraph, ReachOptions};
-use automata::temporal::PrecedenceIndex;
-use automata::{ops, shuffle::shuffle_product, temporal, Dfa, Homomorphism, Nfa, Symbol};
+use automata::{ops, shuffle::shuffle_product, temporal, Dfa, Homomorphism, Nfa};
 use fsa_obs::Obs;
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
@@ -59,7 +61,7 @@ use std::time::Duration;
 pub enum DependenceMethod {
     /// Homomorphic abstraction + minimal automaton (the paper's §5.5).
     Abstraction,
-    /// Direct precedence check on the full behaviour.
+    /// Direct precedence check on the reachability graph.
     Precedence,
 }
 
@@ -93,7 +95,7 @@ pub struct AssistedReport {
     pub verdicts: Vec<PairVerdict>,
     /// The elicited requirements.
     pub requirements: RequirementSet,
-    /// Per-stage timings and cache counters of this run.
+    /// Per-stage timings and work counters of this run.
     pub stats: PipelineStats,
 }
 
@@ -107,10 +109,6 @@ pub struct ElicitOptions {
     /// sequentially. The verdict vector is identical for every thread
     /// count (deterministic index-ordered merge).
     pub threads: usize,
-    /// Skip pairs whose minimum provably never occurs on any path to a
-    /// firing of the maximum (verdict `dependent = false`,
-    /// `minimal_automaton_states = None`, no automaton is built).
-    pub prune: bool,
 }
 
 impl Default for ElicitOptions {
@@ -118,7 +116,6 @@ impl Default for ElicitOptions {
         ElicitOptions {
             method: DependenceMethod::Abstraction,
             threads: 1,
-            prune: false,
         }
     }
 }
@@ -127,26 +124,23 @@ impl ElicitOptions {
     /// The one options constructor every serving surface uses — the
     /// resident service's `elicit` frames and the one-shot CLI
     /// cross-check build *these* options, so served and one-shot runs
-    /// are the same engine configuration by construction (they used to
-    /// diverge on `prune`, which preserves verdicts and rendered output
-    /// but skews the `pairs_pruned`/`prune_pass` stats between paths).
+    /// are the same engine configuration by construction.
     ///
-    /// Precedence method, co-reachability pruning on.
+    /// Precedence method.
     #[must_use]
     pub fn service(threads: usize) -> Self {
         ElicitOptions {
             method: DependenceMethod::Precedence,
             threads,
-            prune: true,
         }
     }
 }
 
 /// Per-stage timings and work counters of one elicitation run
-/// (§5.5 pipeline: reachability → behaviour → minima/maxima → pair
-/// grid). Stage durations are summed over the run's fragments; the pair
-/// counters describe the recomposed grid, so they do not depend on how
-/// the model split.
+/// (§5.5 pipeline: reachability → minima/maxima → pair grid). Stage
+/// durations are summed over the run's fragments; the pair counters
+/// describe the recomposed grid, so they do not depend on how the model
+/// split.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PipelineStats {
     /// Fragments recomposed: the independent sub-APAs of an
@@ -159,22 +153,13 @@ pub struct PipelineStats {
     /// States of the reachability graphs this run actually built — the
     /// sum over fragments, not the recomposed product.
     pub reach_states: usize,
-    /// Time to build the behaviour NFA from the reachability graph.
-    pub behaviour_nfa: Duration,
     /// Time to read the minima and maxima off the graph.
     pub min_max: Duration,
-    /// Time for the occurrence/co-reachability pruning pre-pass.
-    pub prune_pass: Duration,
-    /// Time to evaluate the (maxima × minima) grid.
+    /// Time to evaluate the (maxima × minima) grid, including the
+    /// behaviour NFA the abstraction method builds.
     pub pair_eval: Duration,
     /// Pairs in the grid (minimum ≠ maximum).
     pub pairs_total: usize,
-    /// Pairs decided by the pruning pre-pass alone.
-    pub pairs_pruned: usize,
-    /// Pairs of the grid that reuse their maximum's backward
-    /// reachability from an earlier pair instead of recomputing it
-    /// (with pruning on: every pair but the first of each maximum).
-    pub coreach_cache_hits: usize,
     /// Worker threads used for the pair grid (1 = sequential).
     pub threads: usize,
 }
@@ -193,7 +178,8 @@ pub fn dependence_by_abstraction(behaviour: &Nfa, minimum: &str, maximum: &str) 
 }
 
 /// Decides dependence of (`minimum`, `maximum`) by a precedence check on
-/// the full behaviour (no abstraction).
+/// the full behaviour (no abstraction) — the NFA-level oracle of the
+/// engine's [`ReachGraph::fireable_avoiding`] walk.
 pub fn dependence_by_precedence(behaviour: &Nfa, minimum: &str, maximum: &str) -> bool {
     temporal::precedes(behaviour, minimum, maximum)
 }
@@ -219,8 +205,8 @@ pub fn requirements_from_verdicts(
 }
 
 /// Runs the tool-assisted pipeline on a reachability graph with the
-/// default engine options (sequential, no pruning) — byte-identical to
-/// the original per-pair loop.
+/// default engine options (sequential) — byte-identical to the original
+/// per-pair loop.
 ///
 /// `stakeholder` assigns the responsible agent to each *maximum* action
 /// name (e.g. `V2_show ↦ D_2`).
@@ -239,15 +225,13 @@ pub fn elicit_from_graph(
     )
 }
 
-/// Runs the tool-assisted pipeline with explicit engine options:
-/// worker threads over the (maxima × minima) grid and the
-/// occurrence-set pruning pre-pass.
+/// Runs the tool-assisted pipeline with explicit engine options: the
+/// decision procedure and worker threads over the (maxima × minima)
+/// grid.
 ///
 /// For any fixed options, the verdict vector is deterministic; for any
-/// *thread count*, it is bit-identical to the sequential run (pairs are
-/// chunked, evaluated independently, and merged in index order).
-/// Pruned pairs report `dependent = false` with
-/// `minimal_automaton_states = None`.
+/// *thread count*, it is bit-identical to the sequential run (the work
+/// is chunked, evaluated independently, and merged in index order).
 pub fn elicit_with_options(
     graph: &ReachGraph,
     options: &ElicitOptions,
@@ -257,9 +241,9 @@ pub fn elicit_with_options(
 }
 
 /// [`elicit_with_options`] with an observability handle: the run is one
-/// `elicit` span over the stage spans `elicit.behaviour_nfa`,
-/// `elicit.min_max`, `elicit.prune_pass` and `elicit.pair_eval`, and
-/// the work counters are mirrored into `elicit.*` counters. With
+/// `elicit` span over the stage spans `elicit.min_max` and
+/// `elicit.pair_eval`, and the work counters are mirrored into
+/// `elicit.*` counters. With
 /// [`Obs::disabled`] (what [`elicit_with_options`] passes) nothing is
 /// recorded and the report — including [`PipelineStats`] — is identical
 /// to the unobserved run: the stats are filled from the very same span
@@ -363,8 +347,6 @@ pub fn elicit_apa(
 fn mirror_counters(obs: &Obs, stats: &PipelineStats) {
     if obs.is_enabled() {
         obs.counter_add("elicit.pairs_total", stats.pairs_total as u64);
-        obs.counter_add("elicit.pairs_pruned", stats.pairs_pruned as u64);
-        obs.counter_add("elicit.coreach_cache_hits", stats.coreach_cache_hits as u64);
         obs.counter_add("elicit.threads", stats.threads as u64);
         obs.counter_add("elicit.fragments", stats.fragments as u64);
         obs.counter_add("elicit.reach.states", stats.reach_states as u64);
@@ -392,8 +374,6 @@ pub(crate) type CrossCache = BTreeMap<(UnaryLang, UnaryLang), usize>;
 pub(crate) struct GridVerdict {
     dependent: bool,
     minimal_automaton_states: Option<usize>,
-    /// Decided by the pruning pre-pass alone.
-    pruned: bool,
 }
 
 /// The analysis of one reachability graph: everything the
@@ -424,12 +404,16 @@ pub(crate) struct FragmentAnalysis {
 }
 
 /// Analyses one reachability graph (a fragment): minima and maxima,
-/// dead states, the pair grid with the options' method, pruning and
-/// threads — chunked over the workers and merged in index order, so
-/// deterministic for every thread count — and, with `projections` under
-/// the abstraction method, the unary projection of every minimum and
+/// dead states, the pair grid with the options' method and threads —
+/// chunked over the workers and merged in index order, so deterministic
+/// for every thread count — and, with `projections` under the
+/// abstraction method, the unary projection of every minimum and
 /// maximum. Each stage runs under its `elicit.*` span and adds its
 /// duration to `stats`.
+///
+/// Under [`DependenceMethod::Precedence`] the grid is one
+/// [`ReachGraph::fireable_avoiding`] walk per minimum, and no automaton
+/// is built; only the abstraction method builds the behaviour NFA.
 ///
 /// # Errors
 ///
@@ -442,10 +426,6 @@ pub(crate) fn analyze(
     obs: &Obs,
     stats: &mut PipelineStats,
 ) -> Result<FragmentAnalysis, FsaError> {
-    let span = obs.span("elicit.behaviour_nfa");
-    let behaviour = graph.to_nfa();
-    stats.behaviour_nfa += span.finish();
-
     let span = obs.span("elicit.min_max");
     let minima_syms = graph.minima_syms();
     let maxima_syms = graph.maxima_syms();
@@ -470,63 +450,46 @@ pub(crate) fn analyze(
         }
     }
 
-    // Pruning pre-pass: one backward reachability per *maximum*,
-    // reused across all its minima.
-    let span = obs.span("elicit.prune_pass");
-    let pruned: Vec<bool> = if options.prune {
-        let index = PruneIndex::new(graph);
-        let mut coreach_cache: Vec<Option<fsa_graph::BitSet>> = vec![None; maxima_syms.len()];
-        pairs
-            .iter()
-            .map(|&(ma, mi)| {
-                let coreach =
-                    coreach_cache[ma].get_or_insert_with(|| index.coreach(maxima_syms[ma]));
-                !index.min_before_max_possible(minima_syms[mi], coreach)
-            })
-            .collect()
-    } else {
-        vec![false; pairs.len()]
-    };
-    stats.prune_pass += span.finish();
-
     let span = obs.span("elicit.pair_eval");
-    let precedence_index = match options.method {
-        DependenceMethod::Precedence => Some(PrecedenceIndex::new(&behaviour)),
-        DependenceMethod::Abstraction => None,
-    };
-    let items: Vec<(usize, usize, bool)> = pairs
-        .iter()
-        .zip(&pruned)
-        .map(|(&(ma, mi), &p)| (ma, mi, p))
-        .collect();
-    let eval = |&(ma, mi, pruned): &(usize, usize, bool)| -> GridVerdict {
-        let (minimum, maximum) = (minima[mi].as_str(), maxima[ma].as_str());
-        let (dependent, minimal_automaton_states) = if pruned {
-            (false, None)
-        } else if let Some(index) = &precedence_index {
-            (index.precedes_names(minimum, maximum), None)
-        } else {
-            let (dep, minimal) = dependence_by_abstraction(&behaviour, minimum, maximum);
-            (dep, Some(minimal.state_count()))
-        };
-        GridVerdict {
-            dependent,
-            minimal_automaton_states,
-            pruned,
+    let threads = options.threads.max(1);
+    let mut unary = BTreeMap::new();
+    let verdicts: Vec<GridVerdict> = match options.method {
+        DependenceMethod::Precedence => {
+            // One walk per minimum decides its whole column: a maximum
+            // depends on the minimum iff no run without it fires the
+            // maximum.
+            let fireable =
+                eval_chunked(&minima_syms, threads, |&min| graph.fireable_avoiding(min))?;
+            pairs
+                .iter()
+                .map(|&(ma, mi)| GridVerdict {
+                    dependent: !fireable[mi].contains(maxima_syms[ma].index()),
+                    minimal_automaton_states: None,
+                })
+                .collect()
+        }
+        DependenceMethod::Abstraction => {
+            let behaviour = graph.to_nfa();
+            let verdicts = eval_chunked(&pairs, threads, |&(ma, mi)| {
+                let (dependent, minimal) =
+                    dependence_by_abstraction(&behaviour, &minima[mi], &maxima[ma]);
+                GridVerdict {
+                    dependent,
+                    minimal_automaton_states: Some(minimal.state_count()),
+                }
+            })?;
+            if projections {
+                let actions: BTreeSet<&String> = minima.iter().chain(&maxima).collect();
+                for action in actions {
+                    unary.insert(action.clone(), unary_projection(&behaviour, action));
+                }
+            }
+            verdicts
         }
     };
-    let verdicts = eval_chunked(&items, options.threads.max(1), eval)?;
     let mut grid = vec![GridVerdict::default(); maxima.len() * minima.len()];
     for (&(ma, mi), verdict) in pairs.iter().zip(verdicts) {
         grid[ma * minima.len() + mi] = verdict;
-    }
-
-    let mut unary = BTreeMap::new();
-    if projections && options.method == DependenceMethod::Abstraction {
-        let actions: BTreeSet<&String> = minima.iter().chain(&maxima).collect();
-        for action in actions {
-            unary.insert(action.clone(), unary_projection(&behaviour, action));
-        }
     }
     stats.pair_eval += span.finish();
 
@@ -618,7 +581,6 @@ pub(crate) fn recompose(
 
     let mut verdicts = Vec::with_capacity(maxima.len() * minima.len());
     for &(maximum, fmax, ma) in &maxima {
-        let row = verdicts.len();
         for &(minimum, fmin, mi) in &minima {
             if minimum == maximum {
                 continue;
@@ -641,22 +603,16 @@ pub(crate) fn recompose(
                     DependenceMethod::Precedence => None,
                 };
                 GridVerdict {
+                    dependent: false,
                     minimal_automaton_states,
-                    ..GridVerdict::default()
                 }
             };
-            stats.pairs_pruned += usize::from(verdict.pruned);
             verdicts.push(PairVerdict {
                 minimum: minimum.to_owned(),
                 maximum: maximum.to_owned(),
                 dependent: verdict.dependent,
                 minimal_automaton_states: verdict.minimal_automaton_states,
             });
-        }
-        // The prune pass sweeps once per maximum and reuses the sweep
-        // for the rest of its row.
-        if options.prune && verdicts.len() > row {
-            stats.coreach_cache_hits += verdicts.len() - row - 1;
         }
     }
     stats.pairs_total = verdicts.len();
@@ -749,97 +705,6 @@ fn eval_chunked<T: Sync, R: Send>(
         }
     }
     Ok(out)
-}
-
-/// The per-maximum backward-reachability pruning index.
-///
-/// Shared work across the pair grid: the reversed graph (as one flat
-/// CSR) and the per-symbol edge occurrence sets are built once; for
-/// each *maximum* `m` the set of states that can still reach an
-/// `m`-firing state is computed once — by the word-parallel
-/// [`fsa_graph::bitset::bfs_reachable`] frontier kernel over the
-/// reversed CSR — and the resulting [`BitSet`] is reused for every
-/// minimum paired with `m`.
-struct PruneIndex {
-    /// State count (bitset capacity of every co-reachability sweep).
-    n: usize,
-    /// Reversed CSR: the predecessors of state `s` are
-    /// `rev_pred[rev_off[s] as usize..rev_off[s + 1] as usize]`
-    /// (deduplicated).
-    rev_off: Vec<u32>,
-    rev_pred: Vec<u32>,
-    /// Per-symbol CSR: states with an outgoing edge labelled `y` are
-    /// `fire_src[fire_off[y]..fire_off[y + 1]]` (as `usize` ranges).
-    fire_off: Vec<u32>,
-    fire_src: Vec<u32>,
-    /// Per-symbol CSR of edge *target* states, same shape.
-    tgt_off: Vec<u32>,
-    tgt_state: Vec<u32>,
-}
-
-impl PruneIndex {
-    fn new(graph: &ReachGraph) -> Self {
-        let n = graph.state_count();
-        let n_syms = graph.symbols().len();
-        let mut rev: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut fire_sources: Vec<Vec<u32>> = vec![Vec::new(); n_syms];
-        let mut edge_targets: Vec<Vec<u32>> = vec![Vec::new(); n_syms];
-        for (f, l, t) in graph.edges() {
-            rev[t].push(f as u32);
-            fire_sources[l.automaton.index()].push(f as u32);
-            edge_targets[l.automaton.index()].push(t as u32);
-        }
-        for preds in &mut rev {
-            preds.sort_unstable();
-            preds.dedup();
-        }
-        let flatten = |lists: Vec<Vec<u32>>| -> (Vec<u32>, Vec<u32>) {
-            let mut off = Vec::with_capacity(lists.len() + 1);
-            off.push(0u32);
-            let mut flat = Vec::with_capacity(lists.iter().map(Vec::len).sum());
-            for list in lists {
-                flat.extend_from_slice(&list);
-                off.push(u32::try_from(flat.len()).expect("CSR offset exceeds u32"));
-            }
-            (off, flat)
-        };
-        let (rev_off, rev_pred) = flatten(rev);
-        let (fire_off, fire_src) = flatten(fire_sources);
-        let (tgt_off, tgt_state) = flatten(edge_targets);
-        PruneIndex {
-            n,
-            rev_off,
-            rev_pred,
-            fire_off,
-            fire_src,
-            tgt_off,
-            tgt_state,
-        }
-    }
-
-    /// The states that can reach (in ≥ 0 steps) a state with an
-    /// outgoing `max`-labelled edge — one bitset frontier sweep over
-    /// the reversed CSR.
-    fn coreach(&self, max: Symbol) -> fsa_graph::BitSet {
-        let mut seeds = fsa_graph::BitSet::new(self.n);
-        let y = max.index();
-        for &s in &self.fire_src[self.fire_off[y] as usize..self.fire_off[y + 1] as usize] {
-            seeds.insert(s as usize);
-        }
-        fsa_graph::bitset::bfs_reachable(&self.rev_off, &self.rev_pred, &seeds)
-    }
-
-    /// `true` iff `min` can occur strictly before some later (or
-    /// immediate) firing of `max` on a path of the graph. When `false`,
-    /// the pair is independent without running a decision procedure:
-    /// every firing of the maximum happens on a run with no earlier
-    /// minimum, so the precedence property is violated.
-    fn min_before_max_possible(&self, min: Symbol, max_coreach: &fsa_graph::BitSet) -> bool {
-        let y = min.index();
-        self.tgt_state[self.tgt_off[y] as usize..self.tgt_off[y + 1] as usize]
-            .iter()
-            .any(|&v| max_coreach.contains(v as usize))
-    }
 }
 
 #[cfg(test)]
@@ -953,25 +818,13 @@ mod tests {
     fn parallel_grid_is_bit_identical_to_sequential() {
         let g = pipeline_graph();
         for method in [DependenceMethod::Abstraction, DependenceMethod::Precedence] {
-            let seq = elicit_with_options(
-                &g,
-                &ElicitOptions {
-                    method,
-                    threads: 1,
-                    prune: false,
-                },
-                |_| Agent::new("P"),
-            );
+            let seq = elicit_with_options(&g, &ElicitOptions { method, threads: 1 }, |_| {
+                Agent::new("P")
+            });
             for threads in [2, 4, 8] {
-                let par = elicit_with_options(
-                    &g,
-                    &ElicitOptions {
-                        method,
-                        threads,
-                        prune: false,
-                    },
-                    |_| Agent::new("P"),
-                );
+                let par = elicit_with_options(&g, &ElicitOptions { method, threads }, |_| {
+                    Agent::new("P")
+                });
                 assert_eq!(par.verdicts, seq.verdicts, "threads = {threads}");
                 assert_eq!(
                     par.requirements.iter().collect::<Vec<_>>(),
@@ -983,83 +836,10 @@ mod tests {
     }
 
     #[test]
-    fn pruning_agrees_with_full_evaluation() {
-        let g = pipeline_graph();
-        let full = elicit_with_options(&g, &ElicitOptions::default(), |_| Agent::new("P"));
-        let pruned = elicit_with_options(
-            &g,
-            &ElicitOptions {
-                prune: true,
-                ..ElicitOptions::default()
-            },
-            |_| Agent::new("P"),
-        );
-        // Pruning never changes a dependence verdict — only how it is
-        // reached (pruned pairs skip the minimal automaton).
-        for (f, p) in full.verdicts.iter().zip(pruned.verdicts.iter()) {
-            assert_eq!((&f.minimum, &f.maximum), (&p.minimum, &p.maximum));
-            assert_eq!(f.dependent, p.dependent, "({}, {})", f.minimum, f.maximum);
-            if p.minimal_automaton_states.is_none() {
-                assert!(!p.dependent, "only independent pairs are pruned");
-            }
-        }
-        assert_eq!(
-            full.requirements.iter().collect::<Vec<_>>(),
-            pruned.requirements.iter().collect::<Vec<_>>()
-        );
-        // (noise, out) is prunable: noise never occurs on a path that
-        // still reaches an `out` firing? It does interleave, so at
-        // minimum the counters must be consistent.
-        assert!(pruned.stats.pairs_pruned <= pruned.stats.pairs_total);
-        assert_eq!(pruned.stats.pairs_total, full.verdicts.len());
-    }
-
-    #[test]
-    fn prune_pass_skips_unreachable_minima() {
-        // Chain `first → second` plus a detached `late` automaton that
-        // can only fire after `second` — i.e. `late` never occurs
-        // before `second`'s own inputs. Build: src -first-> mid
-        // -second-> dst, and an independent `spare` that fires from a
-        // separate component only after dst is filled.
-        let mut b = ApaBuilder::new();
-        let c0 = b.component("c0", [Value::atom("x")]);
-        let c1 = b.component("c1", []);
-        let c2 = b.component("c2", []);
-        let c3 = b.component("c3", []);
-        b.automaton("first", [c0, c1], rule::move_any(0, 1));
-        b.automaton("second", [c1, c2], rule::move_any(0, 1));
-        b.automaton("third", [c2, c3], rule::move_any(0, 1));
-        let g = b
-            .build()
-            .unwrap()
-            .reachability(&ReachOptions::default())
-            .unwrap();
-        // Single minimum `first`, single maximum `third`: the pair is
-        // dependent, so nothing is pruned — but stats must show the
-        // cache was consulted once per pair beyond the first.
-        let report = elicit_with_options(
-            &g,
-            &ElicitOptions {
-                prune: true,
-                ..ElicitOptions::default()
-            },
-            |_| Agent::new("P"),
-        );
-        assert_eq!(report.stats.pairs_total, 1);
-        assert_eq!(report.stats.pairs_pruned, 0);
-        assert_eq!(report.stats.coreach_cache_hits, 0);
-        assert!(report.verdicts[0].dependent);
-    }
-
-    #[test]
     fn stats_are_populated() {
         let g = pipeline_graph();
         let report = elicit_from_graph(&g, DependenceMethod::Abstraction, |_| Agent::new("P"));
         assert_eq!(report.stats.pairs_total, report.verdicts.len());
-        assert_eq!(
-            report.stats.pairs_pruned, 0,
-            "legacy entry point never prunes"
-        );
         assert_eq!(report.stats.threads, 1);
         assert!(report.stats.pair_eval >= std::time::Duration::ZERO);
     }
@@ -1079,7 +859,6 @@ mod tests {
     fn observed_run_matches_unobserved_and_counters_mirror_live_stats() {
         let g = pipeline_graph();
         let options = ElicitOptions {
-            prune: true,
             threads: 2,
             ..ElicitOptions::default()
         };
@@ -1105,10 +884,12 @@ mod tests {
             0,
             "the graph was handed in"
         );
+        assert_eq!(
+            span_names(&snap),
+            BTreeSet::from(["elicit", "elicit.min_max", "elicit.pair_eval"])
+        );
         for (stage, live) in [
-            ("elicit.behaviour_nfa", stats.behaviour_nfa),
             ("elicit.min_max", stats.min_max),
-            ("elicit.prune_pass", stats.prune_pass),
             ("elicit.pair_eval", stats.pair_eval),
         ] {
             assert_eq!(snap.span_count(stage), 1, "{stage}");
@@ -1118,17 +899,25 @@ mod tests {
         }
     }
 
+    /// Asserts the snapshot holds exactly the `elicit.*` counters, each
+    /// equal to its live stats field.
     fn assert_counters_mirror(snap: &fsa_obs::Snapshot, stats: &PipelineStats) {
-        for (name, live) in [
+        let mirrored = [
             ("elicit.pairs_total", stats.pairs_total),
-            ("elicit.pairs_pruned", stats.pairs_pruned),
-            ("elicit.coreach_cache_hits", stats.coreach_cache_hits),
             ("elicit.threads", stats.threads),
             ("elicit.fragments", stats.fragments),
             ("elicit.reach.states", stats.reach_states),
-        ] {
+        ];
+        for (name, live) in mirrored {
             assert_eq!(snap.counter(name), Some(live as u64), "{name}");
         }
+        let names: BTreeSet<&str> = snap.counters.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, mirrored.iter().map(|&(name, _)| name).collect());
+    }
+
+    /// The distinct span names of a snapshot.
+    fn span_names(snap: &fsa_obs::Snapshot) -> BTreeSet<&str> {
+        snap.spans.iter().map(|s| s.name.as_str()).collect()
     }
 
     /// `copies` independent relays, each moving two tokens through
@@ -1159,11 +948,18 @@ mod tests {
         assert_eq!((report.state_count, stats.reach_states), (729, 27));
         assert_counters_mirror(&snap, stats);
         assert_eq!(snap.span_count("elicit"), 1);
+        assert_eq!(
+            span_names(&snap),
+            BTreeSet::from([
+                "elicit",
+                "elicit.reach",
+                "elicit.min_max",
+                "elicit.pair_eval"
+            ])
+        );
         for (stage, live) in [
             ("elicit.reach", stats.reach),
-            ("elicit.behaviour_nfa", stats.behaviour_nfa),
             ("elicit.min_max", stats.min_max),
-            ("elicit.prune_pass", stats.prune_pass),
             ("elicit.pair_eval", stats.pair_eval),
         ] {
             assert_eq!(snap.span_count(stage), 3, "{stage}");

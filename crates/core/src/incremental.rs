@@ -173,9 +173,9 @@ impl IncrementalElicitor {
     /// method on the compiled model's reachability graph.
     ///
     /// Each fragment missing from the memo is analysed and the report
-    /// recomposed by the shared calls of [`crate::assisted`], with
-    /// pruning off. They record nothing: the engine's own span and memo
-    /// counters describe the run.
+    /// recomposed by the shared calls of [`crate::assisted`]. They record
+    /// nothing: the engine's own span and memo counters describe the
+    /// run.
     pub fn elicit(&mut self, model: &EditModel, obs: &Obs) -> Result<AssistedReport, FsaError> {
         let run = obs.span("elicit.incremental");
         let evictions_before = self.store.counters().evictions;
@@ -184,7 +184,6 @@ impl IncrementalElicitor {
         let options = ElicitOptions {
             method: self.method,
             threads: self.threads,
-            prune: false,
         };
         let quiet = Obs::disabled();
         let mut stats = PipelineStats::default();
@@ -305,15 +304,9 @@ mod tests {
             .unwrap()
             .reachability(&ReachOptions::default())
             .unwrap();
-        elicit_with_options(
-            &graph,
-            &ElicitOptions {
-                method,
-                threads: 1,
-                prune: false,
-            },
-            |max| model.stakeholder(max),
-        )
+        elicit_with_options(&graph, &ElicitOptions { method, threads: 1 }, |max| {
+            model.stakeholder(max)
+        })
     }
 
     fn assert_report_eq(incremental: &AssistedReport, scratch: &AssistedReport) {

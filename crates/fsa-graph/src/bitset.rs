@@ -427,43 +427,6 @@ impl BitSet {
     }
 }
 
-/// Word-parallel frontier BFS over a CSR adjacency (`offsets` of length
-/// `n + 1`, `targets` holding node `i`'s successors at
-/// `targets[offsets[i]..offsets[i + 1]]`). Returns the set of nodes
-/// reachable from `seeds` (including the seeds themselves).
-///
-/// The frontier is itself a [`BitSet`], so each round scans only the
-/// words that gained bits and the membership test is one AND — no
-/// per-node hash sets or worklists.
-///
-/// # Panics
-///
-/// Panics if `offsets` is empty, if `seeds.capacity() != offsets.len() - 1`,
-/// or if a target index is out of range.
-pub fn bfs_reachable(offsets: &[u32], targets: &[u32], seeds: &BitSet) -> BitSet {
-    let n = offsets
-        .len()
-        .checked_sub(1)
-        .expect("CSR offsets must have length n + 1");
-    assert_eq!(seeds.capacity(), n, "seed capacity must match node count");
-    let mut visited = seeds.clone();
-    let mut frontier = seeds.clone();
-    let mut next = BitSet::new(n);
-    while !frontier.is_empty() {
-        next.clear();
-        for s in frontier.iter() {
-            let (lo, hi) = (offsets[s] as usize, offsets[s + 1] as usize);
-            for &t in &targets[lo..hi] {
-                if visited.insert(t as usize) {
-                    next.insert(t as usize);
-                }
-            }
-        }
-        std::mem::swap(&mut frontier, &mut next);
-    }
-    visited
-}
-
 impl fmt::Debug for BitSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_set().entries(self.iter()).finish()
@@ -621,22 +584,6 @@ mod tests {
         assert_eq!(s.words(), &[1, 2]);
     }
 
-    #[test]
-    fn bfs_reachable_follows_csr_edges() {
-        // 0 → 1 → 2, 3 isolated, 4 → 0 (unreached from seed {0}).
-        let offsets = [0u32, 1, 2, 2, 2, 3];
-        let targets = [1u32, 2, 0];
-        let mut seeds = BitSet::new(5);
-        seeds.insert(0);
-        let reach = bfs_reachable(&offsets, &targets, &seeds);
-        assert_eq!(reach.iter().collect::<Vec<_>>(), vec![0, 1, 2]);
-        // Seeding the back-edge node pulls in the whole cycle side.
-        let mut seeds = BitSet::new(5);
-        seeds.insert(4);
-        let reach = bfs_reachable(&offsets, &targets, &seeds);
-        assert_eq!(reach.iter().collect::<Vec<_>>(), vec![0, 1, 2, 4]);
-    }
-
     /// Undirected reachability from node 0 by a plain worklist: the
     /// oracle of [`AdjacencyRows::is_weakly_connected`].
     fn connected_oracle(g: &AdjacencyRows) -> bool {
@@ -720,13 +667,5 @@ mod tests {
         g.add_edge(2, 0);
         assert!(g.chi(&mut scratch).is_none());
         assert_eq!(AdjacencyRows::new(0).chi(&mut scratch), Some(&[][..]));
-    }
-
-    #[test]
-    fn bfs_reachable_empty_seed_is_empty() {
-        let offsets = [0u32, 1, 1];
-        let targets = [1u32];
-        let reach = bfs_reachable(&offsets, &targets, &BitSet::new(2));
-        assert!(reach.is_empty());
     }
 }

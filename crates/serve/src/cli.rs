@@ -32,7 +32,7 @@ pub(crate) const GLOBAL_USAGE: &str = "usage:
   fsa explore --distributed [--workers N] [--shards N] [--lease-ms N] [--state-dir D] [--max-vehicles N] ...
   fsa coordinate --listen HOST:PORT [--max-vehicles N] [--shards N] [--lease-ms N] [--state F]
   fsa work --connect ADDR [--state-dir D] [--threads N]
-  fsa simulate [--scenario two|chain|attacked] [--seed N] [--max-steps N] [--inject <fault>]
+  fsa simulate [--scenario two|chain|attacked|six] [--seed N] [--max-steps N] [--inject <fault>]
   fsa monitor [--scenario chain|six] [--streams N] [--events N] [--threads N] [--inject <fault>] [--seed N] [--stats]
               [--deadline-ms N] [--retries N]
   fsa serve [--addr HOST:PORT] [--queue N] [--max-frame BYTES]
@@ -81,12 +81,13 @@ Observability (never changes the printed report):
   --trace-json F         write a chrome://tracing view of the run to F";
 
 pub(crate) const SIMULATE_USAGE: &str = "usage:
-  fsa simulate [--scenario two|chain|attacked] [--seed N] [--max-steps N] [--inject <fault>]
+  fsa simulate [--scenario two|chain|attacked|six] [--seed N] [--max-steps N] [--inject <fault>]
 
 Run one seeded simulation of a scenario APA and print the trace.
   --scenario S     two (default): the paper's two-vehicle model;
                    chain: the V1→V2→V3 forwarding chain;
-                   attacked: the chain plus the cam-forging attacker
+                   attacked: the chain plus the cam-forging attacker;
+                   six: the three-pair (six-vehicle) model
   --seed N         simulation seed (default 1)
   --max-steps N    stop after N steps (default 100)
   --inject F       fault applied to the finished trace:
@@ -1306,7 +1307,7 @@ pub fn run_simulate(rest: &[String], model: Option<&ScenarioModel>, ctx: &Servic
             }
             Err(e) => {
                 return Rendered {
-                    stderr: format!("{e} (expected two, chain or attacked)\n"),
+                    stderr: format!("{e} (expected two, chain, attacked or six)\n"),
                     exit: 2,
                     ..Rendered::default()
                 }

@@ -149,9 +149,9 @@ impl ScenarioModel {
     /// APA ([`fsa_core::assisted::elicit_apa`]) for the rest. The latter
     /// runs the shared service configuration
     /// ([`fsa_core::assisted::ElicitOptions::service`] — precedence
-    /// method, co-reachability pruning on), the same options the
-    /// one-shot `fsa elicit` cross-check uses, so the report is
-    /// bit-identical whichever entry point answered.
+    /// method), the same options the one-shot `fsa elicit` cross-check
+    /// uses, so the report is bit-identical whichever entry point
+    /// answered.
     ///
     /// # Errors
     ///
@@ -438,46 +438,15 @@ mod tests {
 
     #[test]
     fn served_and_one_shot_paths_share_the_service_options() {
-        // Regression: the resident service used to run with pruning
-        // disabled while the one-shot cross-check pruned, leaving two
-        // silently diverging configurations. Both now construct
-        // `ElicitOptions::service`, and pruning is verdict-preserving:
-        // the rendered report is byte-identical either way.
+        // Regression: the resident service and the one-shot cross-check
+        // used to build diverging options. Both now construct
+        // `ElicitOptions::service`.
         let service = fsa_core::assisted::ElicitOptions::service(3);
         assert_eq!(
             service.method,
             fsa_core::assisted::DependenceMethod::Precedence
         );
         assert_eq!(service.threads, 3);
-        assert!(service.prune);
-
-        let graph = vanet::apa_model::two_vehicle_apa(vanet::semantics::ApaSemantics::PAPER)
-            .expect("two-vehicle APA builds")
-            .reachability(&apa::ReachOptions::default())
-            .expect("reachability");
-        let obs = Obs::disabled();
-        let pruned = fsa_core::assisted::elicit_observed(
-            &graph,
-            &fsa_core::assisted::ElicitOptions::service(1),
-            &obs,
-            vanet::apa_model::stakeholder_of,
-        );
-        let unpruned = fsa_core::assisted::elicit_observed(
-            &graph,
-            &fsa_core::assisted::ElicitOptions {
-                prune: false,
-                ..fsa_core::assisted::ElicitOptions::service(1)
-            },
-            &obs,
-            vanet::apa_model::stakeholder_of,
-        );
-        assert_eq!(pruned.requirements, unpruned.requirements);
-        assert_eq!(
-            render_elicited("two", &pruned),
-            render_elicited("two", &unpruned)
-        );
-        assert_eq!(pruned.stats.pairs_total, unpruned.stats.pairs_total);
-        assert!(pruned.stats.pairs_pruned <= pruned.stats.pairs_total);
     }
 
     #[test]

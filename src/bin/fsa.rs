@@ -5,7 +5,7 @@
 //! fsa check <spec-file>
 //! fsa explore [--max-vehicles N] [--threads N] [--stats] [--budget N] [--truncate] [--all]
 //!             [--deadline-ms N] [--retries N] [--checkpoint F [--checkpoint-every N]] [--resume F]
-//! fsa simulate [--scenario two|chain|attacked] [--seed N] [--max-steps N] [--inject <fault>]
+//! fsa simulate [--scenario two|chain|attacked|six] [--seed N] [--max-steps N] [--inject <fault>]
 //! fsa monitor [--scenario chain|six] [--streams N] [--events N] [--threads N]
 //!             [--inject <fault>] [--seed N] [--stats] [--deadline-ms N] [--retries N]
 //! fsa serve [--addr HOST:PORT] | fsa serve --connect ADDR [--request "CMD ARGS"]...

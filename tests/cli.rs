@@ -332,15 +332,17 @@ fn unknown_subcommand_and_bad_values_fail_consistently() {
 
 #[test]
 fn simulate_prints_seeded_trace() {
-    let out = fsa(&["simulate", "--scenario", "chain", "--seed", "7"]);
-    assert!(out.status.success(), "{out:?}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("scenario chain, seed 7"));
-    assert!(stdout.contains("trace:"), "{stdout}");
-    assert!(stdout.contains("V1_sense"), "{stdout}");
-    // Deterministic for the same seed.
-    let again = fsa(&["simulate", "--scenario", "chain", "--seed", "7"]);
-    assert_eq!(out.stdout, again.stdout);
+    for scenario in ["chain", "six"] {
+        let out = fsa(&["simulate", "--scenario", scenario, "--seed", "7"]);
+        assert!(out.status.success(), "{out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains(&format!("scenario {scenario}, seed 7")));
+        assert!(stdout.contains("trace:"), "{stdout}");
+        assert!(stdout.contains("V1_sense"), "{stdout}");
+        // Deterministic for the same seed.
+        let again = fsa(&["simulate", "--scenario", scenario, "--seed", "7"]);
+        assert_eq!(out.stdout, again.stdout);
+    }
 }
 
 #[test]
@@ -349,6 +351,9 @@ fn simulate_rejects_unknown_scenario() {
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown scenario"), "{stderr}");
+    for scenario in ["two", "chain", "attacked", "six"] {
+        assert!(stderr.contains(scenario), "{scenario} not named: {stderr}");
+    }
 }
 
 #[test]

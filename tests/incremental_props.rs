@@ -151,7 +151,6 @@ fn from_scratch(model: &EditModel, threads: usize) -> Option<AssistedReport> {
         &ElicitOptions {
             method: DependenceMethod::Precedence,
             threads,
-            prune: false,
         },
         |max| model.stakeholder(max),
     ))

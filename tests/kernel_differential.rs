@@ -2,7 +2,7 @@
 //! rewritten hot paths must be *bit-identical* to the retained legacy
 //! oracles on random inputs — same states, same edges, same interned
 //! symbols, same verdicts, same rendered requirements, same simulated
-//! walks, for every dependence method, prune setting and thread count.
+//! walks, for every dependence method and thread count.
 //! A faster kernel that disagrees with its oracle on one random APA is
 //! a bug, not an optimisation.
 
@@ -11,7 +11,9 @@ use fsa::apa::{
     rule, Apa, ApaBuilder, ApaError, GlobalState, ReachOptions, Simulator, TransitionLabel, Value,
 };
 use fsa::automata::{Symbol, SymbolTable};
-use fsa::core::assisted::{elicit_apa, elicit_with_options, DependenceMethod, ElicitOptions};
+use fsa::core::assisted::{
+    dependence_by_precedence, elicit_apa, elicit_with_options, DependenceMethod, ElicitOptions,
+};
 use fsa::core::Agent;
 use fsa::obs::Obs;
 use proptest::prelude::*;
@@ -320,19 +322,17 @@ proptest! {
         let arena = apa.reachability(&options).expect("arena");
         let oracle = apa.reachability_reference(&options).expect("reference");
         for method in [DependenceMethod::Abstraction, DependenceMethod::Precedence] {
-            for prune in [false, true] {
-                for threads in [1usize, 4] {
-                    let opts = ElicitOptions { method, threads, prune };
-                    let a = elicit_with_options(&arena, &opts, |_| Agent::new("P"));
-                    let o = elicit_with_options(&oracle, &opts, |_| Agent::new("P"));
-                    prop_assert_eq!(
-                        &a.verdicts, &o.verdicts,
-                        "method {:?} prune {} threads {}", method, prune, threads
-                    );
-                    let ar: Vec<String> = a.requirements.iter().map(ToString::to_string).collect();
-                    let or: Vec<String> = o.requirements.iter().map(ToString::to_string).collect();
-                    prop_assert_eq!(ar, or);
-                }
+            for threads in [1usize, 4] {
+                let opts = ElicitOptions { method, threads };
+                let a = elicit_with_options(&arena, &opts, |_| Agent::new("P"));
+                let o = elicit_with_options(&oracle, &opts, |_| Agent::new("P"));
+                prop_assert_eq!(
+                    &a.verdicts, &o.verdicts,
+                    "method {:?} threads {}", method, threads
+                );
+                let ar: Vec<String> = a.requirements.iter().map(ToString::to_string).collect();
+                let or: Vec<String> = o.requirements.iter().map(ToString::to_string).collect();
+                prop_assert_eq!(ar, or);
             }
         }
     }
@@ -382,27 +382,41 @@ proptest! {
     #[test]
     fn fragment_engine_matches_the_global_product_oracle(apa in arb_glued_apa()) {
         let global = apa.reachability(&ReachOptions::default()).expect("global");
+        let behaviour = global.to_nfa();
+        let mut by_abstraction = Vec::new();
         for method in [DependenceMethod::Abstraction, DependenceMethod::Precedence] {
-            for prune in [false, true] {
-                for threads in [1usize, 2] {
-                    let opts = ElicitOptions { method, threads, prune };
-                    let at = format!("method {method:?} prune {prune} threads {threads}");
-                    let split = elicit_apa(&apa, &opts, &Obs::disabled(), Agent::new)
-                        .expect("fragment engine");
-                    let oracle = elicit_with_options(&global, &opts, Agent::new);
-                    prop_assert_eq!(split.state_count, oracle.state_count, "{}", at);
-                    prop_assert_eq!(split.edge_count, oracle.edge_count, "{}", at);
-                    prop_assert_eq!(&split.minima, &oracle.minima, "{}", at);
-                    prop_assert_eq!(&split.maxima, &oracle.maxima, "{}", at);
-                    prop_assert_eq!(&split.verdicts, &oracle.verdicts, "{}", at);
-                    prop_assert_eq!(&split.requirements, &oracle.requirements, "{}", at);
-                    prop_assert_eq!(split.stats.pairs_total, oracle.stats.pairs_total, "{}", at);
-                    prop_assert_eq!(split.stats.pairs_pruned, oracle.stats.pairs_pruned, "{}", at);
-                    prop_assert_eq!(
-                        split.stats.coreach_cache_hits, oracle.stats.coreach_cache_hits, "{}", at
-                    );
-                    prop_assert_eq!(split.stats.threads, oracle.stats.threads, "{}", at);
-                    prop_assert_eq!(split.stats.fragments, apa.fragment_count(), "{}", at);
+            for threads in [1usize, 2] {
+                let opts = ElicitOptions { method, threads };
+                let at = format!("method {method:?} threads {threads}");
+                let split = elicit_apa(&apa, &opts, &Obs::disabled(), Agent::new)
+                    .expect("fragment engine");
+                let oracle = elicit_with_options(&global, &opts, Agent::new);
+                prop_assert_eq!(split.state_count, oracle.state_count, "{}", at);
+                prop_assert_eq!(split.edge_count, oracle.edge_count, "{}", at);
+                prop_assert_eq!(&split.minima, &oracle.minima, "{}", at);
+                prop_assert_eq!(&split.maxima, &oracle.maxima, "{}", at);
+                prop_assert_eq!(&split.verdicts, &oracle.verdicts, "{}", at);
+                prop_assert_eq!(&split.requirements, &oracle.requirements, "{}", at);
+                prop_assert_eq!(split.stats.pairs_total, oracle.stats.pairs_total, "{}", at);
+                prop_assert_eq!(split.stats.threads, oracle.stats.threads, "{}", at);
+                prop_assert_eq!(split.stats.fragments, apa.fragment_count(), "{}", at);
+                if method == DependenceMethod::Abstraction {
+                    by_abstraction.clone_from(&split.verdicts);
+                    continue;
+                }
+                // The graph walk against the NFA-level precedence oracle
+                // on the global behaviour, and against abstraction.
+                for verdicts in [&split.verdicts, &oracle.verdicts] {
+                    prop_assert_eq!(verdicts.len(), by_abstraction.len(), "{}", at);
+                    for (v, abstraction) in verdicts.iter().zip(&by_abstraction) {
+                        let pair = format!("{at} ({}, {})", v.minimum, v.maximum);
+                        prop_assert_eq!(
+                            v.dependent,
+                            dependence_by_precedence(&behaviour, &v.minimum, &v.maximum),
+                            "{}", pair
+                        );
+                        prop_assert_eq!(v.dependent, abstraction.dependent, "{}", pair);
+                    }
                 }
             }
         }

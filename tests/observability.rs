@@ -2,6 +2,7 @@
 //! the versioned schema is pinned (golden prefixes + field set), and
 //! enabling observability never changes what a subcommand prints.
 
+use std::collections::BTreeSet;
 use std::process::Command;
 
 fn fsa(args: &[&str]) -> std::process::Output {
@@ -133,19 +134,35 @@ fn elicit_exports_pipeline_series() {
     ]);
     assert!(out.status.success(), "{out:?}");
     let body = std::fs::read_to_string(&stats).unwrap();
-    for name in [
-        r#""name":"elicit""#,
-        r#""name":"elicit.reach""#,
-        r#""name":"elicit.behaviour_nfa""#,
-        r#""name":"elicit.min_max""#,
-        r#""name":"elicit.prune_pass""#,
-        r#""name":"elicit.pair_eval""#,
-        r#""name":"elicit.pairs_total""#,
-        r#""name":"elicit.fragments""#,
-        r#""name":"elicit.reach.states""#,
-    ] {
-        assert!(body.contains(name), "{name} missing: {body}");
-    }
+    let doc = fsa::serve::json::parse(&body).expect("valid JSON");
+    // The distinct `elicit*` names of one section of the document.
+    let names = |section: &str| -> BTreeSet<String> {
+        doc.get(section)
+            .and_then(|v| v.as_arr())
+            .unwrap_or_else(|| panic!("{section} is a list: {body}"))
+            .iter()
+            .filter_map(|record| record.get("name").and_then(|n| n.as_str()))
+            .filter(|name| name.starts_with("elicit"))
+            .map(str::to_owned)
+            .collect()
+    };
+    let spans = [
+        "elicit",
+        "elicit.reach",
+        "elicit.min_max",
+        "elicit.pair_eval",
+    ];
+    assert_eq!(names("spans"), BTreeSet::from(spans.map(String::from)));
+    let counters = [
+        "elicit.pairs_total",
+        "elicit.threads",
+        "elicit.fragments",
+        "elicit.reach.states",
+    ];
+    assert_eq!(
+        names("counters"),
+        BTreeSet::from(counters.map(String::from))
+    );
 }
 
 #[test]

@@ -59,52 +59,27 @@ proptest! {
     fn parallel_elicitation_matches_sequential_verdicts(apa in arb_apa()) {
         let graph = apa.reachability(&ReachOptions::default()).expect("graph");
         for method in [DependenceMethod::Abstraction, DependenceMethod::Precedence] {
-            for prune in [false, true] {
-                let seq = elicit_with_options(
+            let seq = elicit_with_options(
+                &graph,
+                &ElicitOptions { method, threads: 1 },
+                |_| Agent::new("P"),
+            );
+            for threads in [2usize, 4, 8] {
+                let par = elicit_with_options(
                     &graph,
-                    &ElicitOptions { method, threads: 1, prune },
+                    &ElicitOptions { method, threads },
                     |_| Agent::new("P"),
                 );
-                for threads in [2usize, 4, 8] {
-                    let par = elicit_with_options(
-                        &graph,
-                        &ElicitOptions { method, threads, prune },
-                        |_| Agent::new("P"),
-                    );
-                    prop_assert_eq!(
-                        &par.verdicts, &seq.verdicts,
-                        "threads {} method {:?} prune {}", threads, method, prune
-                    );
-                    let seq_reqs: Vec<String> =
-                        seq.requirements.iter().map(ToString::to_string).collect();
-                    let par_reqs: Vec<String> =
-                        par.requirements.iter().map(ToString::to_string).collect();
-                    prop_assert_eq!(par_reqs, seq_reqs);
-                }
+                prop_assert_eq!(
+                    &par.verdicts, &seq.verdicts,
+                    "threads {} method {:?}", threads, method
+                );
+                let seq_reqs: Vec<String> =
+                    seq.requirements.iter().map(ToString::to_string).collect();
+                let par_reqs: Vec<String> =
+                    par.requirements.iter().map(ToString::to_string).collect();
+                prop_assert_eq!(par_reqs, seq_reqs);
             }
-        }
-    }
-
-    #[test]
-    fn pruning_never_flips_a_verdict(apa in arb_apa()) {
-        let graph = apa.reachability(&ReachOptions::default()).expect("graph");
-        let full = elicit_with_options(
-            &graph,
-            &ElicitOptions { method: DependenceMethod::Precedence, threads: 1, prune: false },
-            |_| Agent::new("P"),
-        );
-        let pruned = elicit_with_options(
-            &graph,
-            &ElicitOptions { method: DependenceMethod::Precedence, threads: 1, prune: true },
-            |_| Agent::new("P"),
-        );
-        for (f, p) in full.verdicts.iter().zip(pruned.verdicts.iter()) {
-            prop_assert_eq!(&f.minimum, &p.minimum);
-            prop_assert_eq!(&f.maximum, &p.maximum);
-            prop_assert_eq!(
-                f.dependent, p.dependent,
-                "({}, {}) flipped by pruning", f.minimum, f.maximum
-            );
         }
     }
 }
