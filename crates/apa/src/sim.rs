@@ -16,7 +16,7 @@
 //! (`fsa-runtime`) relies on this determinism for bit-identical
 //! violation reports across thread counts.
 
-use crate::arena::{FireMemo, InterpSymbols};
+use crate::arena::{to_u32, FireMemo, InterpSymbols, RowTable};
 use crate::error::ApaError;
 use crate::model::{Apa, GlobalState};
 use crate::reach::TransitionLabel;
@@ -158,15 +158,31 @@ impl fmt::Display for Fault {
     }
 }
 
+/// The target of an edge not taken yet.
+const UNTAKEN: u32 = u32::MAX;
+
+/// One successor edge of an expanded state: the automaton that fires,
+/// its firing in the memo, and the target state ([`UNTAKEN`] until a
+/// step first takes the edge).
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    automaton: Symbol,
+    firing: u32,
+    target: u32,
+}
+
 /// A deterministic, seedable simulator over one APA.
 ///
-/// The simulator runs on the reachability kernel's arena (see
-/// [`crate::reach`]): the state is a row of interned cell ids, and each
-/// automaton's enabled firings come from the per-`(automaton, local cell
-/// row)` firing memo. After a step only the automata whose neighbourhood
-/// holds a changed component are looked up again. The memo outlives
-/// episodes: [`Simulator::restart`] starts a new run from q₀ on the same
-/// memo, so a fleet of episodes fires each rule once per distinct local
+/// The simulator walks a state graph it builds lazily on the
+/// reachability kernel's arena (see [`crate::reach`]). Each visited
+/// state is a row of interned cell ids, numbered in order of first
+/// visit; on its first visit a state is expanded once into its successor
+/// edges, in [`Apa::successors`] order, from the per-`(automaton, local
+/// cell row)` firing memo. An edge's target is interned the first time a
+/// step takes it. A step from an expanded state is a splitmix draw and
+/// an edge read. The graph outlives episodes: [`Simulator::restart`]
+/// starts a new run from q₀ on the same graph, so a fleet of episodes
+/// expands each state once and fires each rule once per distinct local
 /// state.
 #[derive(Debug)]
 pub struct Simulator<'a> {
@@ -175,12 +191,24 @@ pub struct Simulator<'a> {
     /// `readers[c]`: the automata whose neighbourhood contains component
     /// `c`.
     readers: Vec<Vec<usize>>,
-    /// The current state as a cell row.
-    row: Vec<u32>,
-    /// Per automaton: its memo firing range at the current state, or
-    /// `None` once a component of its neighbourhood has changed.
+    /// Every state visited so far, as cell rows; q₀ is state 0.
+    states: RowTable,
+    /// Per state: its edges' range in `edges`, or `None` until the state
+    /// is expanded.
+    expansions: Vec<Option<(u32, u32)>>,
+    edges: Vec<Edge>,
+    /// States expanded so far.
+    expanded: usize,
+    /// The current state.
+    current: u32,
+    /// The cell row `enabled` was computed for: that of the state
+    /// expanded last, or q₀.
+    enabled_row: Vec<u32>,
+    /// Per automaton: its memo firing range at `enabled_row`, or `None`
+    /// once a component of its neighbourhood has changed.
     enabled: Vec<Option<Range<usize>>>,
-    local: Vec<u32>,
+    /// Scratch: a local cell row, or a target state's row.
+    scratch: Vec<u32>,
     trace: Vec<TransitionLabel>,
     /// The episode's interner of trace labels, built on first use: the
     /// automaton names (unique, so automaton `k` is symbol `k`), then the
@@ -205,13 +233,22 @@ impl<'a> Simulator<'a> {
                 readers[c.index()].push(aut);
             }
         }
+        let mut states = RowTable::new(apa.component_count(), "states");
+        states
+            .intern(memo.initial())
+            .expect("an empty table has room for q0");
         Simulator {
             apa,
-            row: memo.initial().to_vec(),
+            enabled_row: memo.initial().to_vec(),
             memo,
             readers,
+            states,
+            expansions: vec![None],
+            edges: Vec::new(),
+            expanded: 0,
+            current: 0,
             enabled: vec![None; apa.automaton_count()],
-            local: Vec::new(),
+            scratch: Vec::new(),
             trace: Vec::new(),
             symbols: OnceLock::new(),
             first_seen: Vec::new(),
@@ -222,16 +259,22 @@ impl<'a> Simulator<'a> {
 
     /// Starts a new episode from q₀ under `seed`, with a fresh trace and
     /// symbol table: the run is the one [`Simulator::new`] with `seed`
-    /// makes. The firing memo is kept, so the episode replays the local
-    /// states earlier episodes visited instead of firing their rules.
+    /// makes. The state graph and the firing memo are kept, so the
+    /// episode replays the states earlier episodes expanded instead of
+    /// expanding them again.
     pub fn restart(&mut self, seed: u64) {
-        self.row.copy_from_slice(self.memo.initial());
-        self.enabled.fill(None);
+        self.current = 0;
         self.trace.clear();
         self.symbols = OnceLock::new();
         self.first_seen.clear();
         self.interp_syms.clear();
         self.rng_state = seed | 1;
+    }
+
+    /// The number of states this simulator has expanded into their
+    /// successor edges, over all its episodes: each state at most once.
+    pub fn states_expanded(&self) -> usize {
+        self.expanded
     }
 
     /// Builds the episode's symbol table from the labels numbered so far.
@@ -249,7 +292,11 @@ impl<'a> Simulator<'a> {
     /// The current global state, decoded from the cell row.
     pub fn state(&self) -> GlobalState {
         let cells = self.memo.cells();
-        self.row.iter().map(|&c| cells.get(c).clone()).collect()
+        self.states
+            .row(self.current as usize)
+            .iter()
+            .map(|&c| cells.get(c).clone())
+            .collect()
     }
 
     /// The labels of the transitions executed so far.
@@ -286,59 +333,43 @@ impl<'a> Simulator<'a> {
     ///
     /// The successors are ordered as [`Apa::successors`] orders them
     /// (by automaton, then by the rule's firing order), and the step
-    /// takes the one a splitmix draw picks.
+    /// takes the one a splitmix draw picks. A step that fails leaves the
+    /// walk where it was, so the next one fails alike.
     ///
     /// # Errors
     ///
     /// [`ApaError::MalformedSuccessor`] from rule execution (for the
     /// first automaton in declaration order whose rule misbehaves in the
     /// current state), and [`ApaError::IdSpaceExceeded`] if the kernel's
-    /// cell pool or memo runs out of `u32` ids.
+    /// cell pool, memo or state graph runs out of `u32` ids.
     pub fn step(&mut self) -> Result<Option<TransitionLabel>, ApaError> {
-        let apa = self.apa;
-        let mut total = 0;
-        for (aut, automaton) in apa.automata.iter().enumerate() {
-            if self.enabled[aut].is_none() {
-                self.local.clear();
-                self.local
-                    .extend(automaton.neighbourhood.iter().map(|c| self.row[c.index()]));
-                self.enabled[aut] = Some(self.memo.firings(apa, aut, &self.local)?);
-            }
-            total += self.enabled[aut].as_ref().map_or(0, Range::len);
-        }
-        if total == 0 {
-            return Ok(None);
-        }
-        let mut choice = (self.next_rand() as usize) % total;
-        // `choice < total` by the modulo above, but fail soft (treat as
-        // a dead state) rather than panic if the invariant ever breaks.
-        let Some((aut, firing)) = self.enabled.iter().enumerate().find_map(|(aut, firings)| {
-            let firings = firings.as_ref()?;
-            if choice < firings.len() {
-                Some((aut, firings.start + choice))
-            } else {
-                choice -= firings.len();
-                None
-            }
-        }) else {
-            return Ok(None);
+        let state = self.current as usize;
+        let (lo, hi) = match self.expansions[state] {
+            Some(edges) => edges,
+            None => self.expand(state)?,
         };
-        let (interp, next) = self.memo.firing(aut, firing);
-        for (slot, c) in apa.automata[aut].neighbourhood.iter().enumerate() {
-            let c = c.index();
-            if self.row[c] != next[slot] {
-                self.row[c] = next[slot];
-                for &reader in &self.readers[c] {
-                    self.enabled[reader] = None;
-                }
-            }
+        if lo == hi {
+            return Ok(None);
         }
+        let (rng_state, draw) = splitmix(self.rng_state);
+        let at = lo as usize + (draw as usize) % (hi - lo) as usize;
+        let Edge {
+            automaton,
+            firing,
+            target,
+        } = self.edges[at];
+        self.current = match target {
+            UNTAKEN => self.take(at)?,
+            target => target,
+        };
+        self.rng_state = rng_state;
+        let (interp, _) = self.memo.firing(automaton.index(), firing as usize);
         let interpretation = match self.symbols.get_mut() {
             Some(symbols) => self
                 .interp_syms
                 .get(&self.memo, interp, |name| symbols.intern(name)),
             None => {
-                let (automata, first_seen) = (apa.automaton_count(), &mut self.first_seen);
+                let (automata, first_seen) = (self.apa.automaton_count(), &mut self.first_seen);
                 self.interp_syms.get(&self.memo, interp, |_| {
                     if interp.index() < automata {
                         // Spells an automaton name (see `FireMemo`).
@@ -351,11 +382,95 @@ impl<'a> Simulator<'a> {
             }
         };
         let label = TransitionLabel {
-            automaton: Symbol::new(aut),
+            automaton,
             interpretation,
         };
         self.trace.push(label);
         Ok(Some(label))
+    }
+
+    /// Expands `state` into its successor edges, appended to `edges` in
+    /// [`Apa::successors`] order, and returns their range. Only the
+    /// automata whose neighbourhood holds a component that differs from
+    /// the last expanded state's are looked up in the memo again. A
+    /// failed expansion appends no edge and leaves `state` unexpanded.
+    fn expand(&mut self, state: usize) -> Result<(u32, u32), ApaError> {
+        let row = self.states.row(state);
+        for (c, (&cell, seen)) in row.iter().zip(&mut self.enabled_row).enumerate() {
+            if cell != *seen {
+                *seen = cell;
+                for &reader in &self.readers[c] {
+                    self.enabled[reader] = None;
+                }
+            }
+        }
+        let lo = self.edges.len();
+        match self.push_edges(lo) {
+            Ok(edges) => {
+                self.expansions[state] = Some(edges);
+                self.expanded += 1;
+                Ok(edges)
+            }
+            Err(e) => {
+                self.edges.truncate(lo);
+                Err(e)
+            }
+        }
+    }
+
+    /// Appends one edge per firing enabled at `enabled_row`, by
+    /// automaton, then by firing, to the `lo` edges stored so far;
+    /// returns the range of the new ones.
+    fn push_edges(&mut self, lo: usize) -> Result<(u32, u32), ApaError> {
+        let apa = self.apa;
+        for (aut, automaton) in apa.automata.iter().enumerate() {
+            let firings = match &self.enabled[aut] {
+                Some(firings) => firings.clone(),
+                None => {
+                    self.scratch.clear();
+                    self.scratch.extend(
+                        automaton
+                            .neighbourhood
+                            .iter()
+                            .map(|c| self.enabled_row[c.index()]),
+                    );
+                    let firings = self.memo.firings(apa, aut, &self.scratch)?;
+                    self.enabled[aut] = Some(firings.clone());
+                    firings
+                }
+            };
+            // Firing indices fit a `u32`: the memo checks its firing count.
+            self.edges.extend(firings.map(|firing| Edge {
+                automaton: Symbol::new(aut),
+                firing: firing as u32,
+                target: UNTAKEN,
+            }));
+        }
+        Ok((to_u32(lo, "edges")?, to_u32(self.edges.len(), "edges")?))
+    }
+
+    /// Takes edge `at` of the current state for the first time: interns
+    /// its target state and records it on the edge.
+    fn take(&mut self, at: usize) -> Result<u32, ApaError> {
+        let Edge {
+            automaton, firing, ..
+        } = self.edges[at];
+        let aut = automaton.index();
+        self.scratch.clear();
+        self.scratch
+            .extend_from_slice(self.states.row(self.current as usize));
+        let (_, next) = self.memo.firing(aut, firing as usize);
+        for (c, &cell) in self.apa.automata[aut].neighbourhood.iter().zip(next) {
+            self.scratch[c.index()] = cell;
+        }
+        let (target, fresh) = self.states.intern(&self.scratch)?;
+        if fresh {
+            self.expansions.push(None);
+        }
+        // The table stores `id + 1` as a `u32`, so `target < UNTAKEN`.
+        let target = target as u32;
+        self.edges[at].target = target;
+        Ok(target)
     }
 
     /// Runs until a dead state or `max_steps`, returning the number of
@@ -403,15 +518,16 @@ impl<'a> Simulator<'a> {
         );
         self.trace = trace;
     }
+}
 
-    /// A split-mix style PRNG step (deterministic, dependency-free).
-    fn next_rand(&mut self) -> u64 {
-        self.rng_state = self.rng_state.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = self.rng_state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
-    }
+/// A split-mix style PRNG step (deterministic, dependency-free): the
+/// advanced state and the draw.
+fn splitmix(state: u64) -> (u64, u64) {
+    let state = state.wrapping_add(0x9e3779b97f4a7c15);
+    let mut z = state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+    (state, z ^ (z >> 31))
 }
 
 #[cfg(test)]
@@ -430,6 +546,66 @@ mod tests {
         b.automaton("first", [c0, c1], rule::move_any(0, 1));
         b.automaton("second", [c1, c2], rule::move_any(0, 1));
         b.build().unwrap()
+    }
+
+    /// A token circling between `a` and `b` beside a mover from `src`
+    /// to `mid`, and a `check` rule on `mid` whose second firing is
+    /// malformed once the mover has fired. The state where that happens
+    /// first gets the circling automaton's edge, then fails.
+    fn malformed_after_a_move() -> Apa {
+        let mut b = ApaBuilder::new();
+        let a = b.component("a", [Value::atom("t")]);
+        let bb = b.component("b", []);
+        let src = b.component("src", [Value::atom("x")]);
+        let mid = b.component("mid", []);
+        b.automaton("ping", [a, bb], rule::move_any(0, 1));
+        b.automaton("pong", [bb, a], rule::move_any(0, 1));
+        b.automaton("move", [src, mid], rule::move_any(0, 1));
+        b.automaton(
+            "check",
+            [mid],
+            Box::new(rule::FnRule::new(|local: &rule::LocalState| {
+                if local[0].is_empty() {
+                    Vec::new()
+                } else {
+                    vec![
+                        ("ok".to_owned(), local.clone()),
+                        ("bad".to_owned(), Vec::new()),
+                    ]
+                }
+            })),
+        );
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn a_failed_expansion_leaves_the_state_graph_unchanged() {
+        let apa = malformed_after_a_move();
+        let mut sim = Simulator::new(&apa, 5);
+        let err = (0..1000)
+            .find_map(|_| {
+                let (edges, expansions) = (sim.edges.len(), sim.expansions.clone());
+                match sim.step() {
+                    Ok(Some(_)) => None,
+                    Ok(None) => panic!("no state of this APA is dead"),
+                    Err(e) => {
+                        assert!(sim.expansions[sim.current as usize].is_none());
+                        assert_eq!(sim.edges.len(), edges, "no edge left behind");
+                        assert_eq!(sim.expansions, expansions);
+                        Some(e)
+                    }
+                }
+            })
+            .expect("the mover fires within 1000 steps");
+        assert!(matches!(err, ApaError::MalformedSuccessor { .. }), "{err}");
+        let (current, steps, rng) = (sim.current, sim.trace.len(), sim.rng_state);
+        assert_eq!(sim.step(), Err(err));
+        assert_eq!(
+            (sim.current, sim.trace.len(), sim.rng_state),
+            (current, steps, rng)
+        );
+        assert!(sim.expansions[current as usize].is_none());
+        assert!(sim.states_expanded() > 0);
     }
 
     #[test]

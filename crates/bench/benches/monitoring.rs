@@ -1,5 +1,6 @@
-//! Experiment S6: runtime conformance monitoring (§2.7) — throughput
-//! of the fused monitor bank on streaming APA traces.
+//! Runtime conformance monitoring (DESIGN.md §2.7) — throughput of the
+//! fused monitor bank on streaming APA traces, and the cost of
+//! generating those traces (EXPERIMENTS.md S9).
 //!
 //! `bank_feed` is the acceptance-criterion bench: the six-vehicle
 //! requirement set (three warner/forwarder pairs, paper semantics)
@@ -12,16 +13,19 @@
 //! check) at 1/2/4 worker threads, whose reports are bit-identical by
 //! construction.
 //!
-//! `simulate` prices trace generation for one fleet stream of the
-//! six-vehicle scenario (114 episodes of 18 steps): a cold
-//! `Simulator::new` per episode against one simulator restarted per
-//! episode, which keeps its firing memo across the episodes.
+//! `simulate` prices trace generation for the six-vehicle scenario.
+//! `new_per_episode` and `restart_per_episode` run one fleet stream (114
+//! episodes of 18 steps): a cold `Simulator::new` per episode against one
+//! simulator restarted per episode, which keeps its state graph and
+//! firing memo across the episodes. `restart_per_stream` runs the 8
+//! streams of a one-thread fleet (8 × 114 episodes, seeded as the fleet
+//! seeds them) on one simulator, as the fleet does.
 
 use apa::{Apa, ReachOptions, Simulator};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fsa_core::assisted::{elicit_from_graph, DependenceMethod};
 use fsa_core::requirements::RequirementSet;
-use fsa_runtime::{monitor_apa, FleetConfig, MonitorBank};
+use fsa_runtime::{episode_seed, monitor_apa, FleetConfig, MonitorBank};
 use std::hint::black_box;
 use vanet::apa_model::{n_pair_apa, stakeholder_of};
 use vanet::semantics::ApaSemantics;
@@ -106,9 +110,10 @@ fn bench_monitoring(c: &mut Criterion) {
     }
     group.finish();
 
-    // Trace generation for one fleet stream: 114 episodes of the
-    // six-vehicle model, cold per episode or restarted on one memo.
+    // Trace generation: 114 episodes of the six-vehicle model per
+    // stream, cold per episode or restarted on one simulator.
     const EPISODES: u64 = 114;
+    const STREAMS: u64 = 8;
     let mut group = c.benchmark_group("simulate");
     group.bench_function("new_per_episode", |b| {
         b.iter(|| {
@@ -127,6 +132,19 @@ fn bench_monitoring(c: &mut Criterion) {
             for episode in 0..EPISODES {
                 sim.restart(black_box(episode));
                 steps += sim.run(4096).expect("honest run");
+            }
+            black_box(steps)
+        })
+    });
+    group.bench_function("restart_per_stream", |b| {
+        b.iter(|| {
+            let mut sim = Simulator::new(&apa, 0);
+            let mut steps = 0;
+            for stream in 0..STREAMS {
+                for episode in 0..EPISODES {
+                    sim.restart(black_box(episode_seed(1, stream, episode)));
+                    steps += sim.run(4096).expect("honest run");
+                }
             }
             black_box(steps)
         })

@@ -1,12 +1,14 @@
 //! Driving monitor banks from simulator fleets.
 //!
-//! A *fleet* is a set of independent event streams, each produced by
-//! one seeded [`apa::Simulator`] over the same APA (restarted
-//! episode-by-episode until the stream's event quota is met — the
-//! precedence monitors latch `SEEN`, so concatenating honest episodes
-//! never fabricates violations). A stream's simulator keeps its firing
-//! memo across its episodes; it belongs to the stream, not to a worker,
-//! so what the memo holds never depends on the thread count. Every
+//! A *fleet* is a set of independent event streams over the same APA,
+//! each a concatenation of seeded [`apa::Simulator`] episodes (until the
+//! stream's event quota is met — the precedence monitors latch `SEEN`,
+//! so concatenating honest episodes never fabricates violations). Each
+//! worker keeps one simulator and restarts it for every episode of every
+//! stream it takes, so its lazily built state graph and firing memo
+//! serve all of them. What that graph holds depends on which streams the
+//! worker ran, but an episode's walk is a function of its seed alone:
+//! [`apa::Simulator::restart`] walks exactly as a fresh simulator. Every
 //! stream is one chunk of a [`Supervisor`]'s `fleet:stream` stage
 //! (panic-isolated, retried, cancellable at stream boundaries), and the
 //! per-stream results are merged in stream order, so the violation
@@ -26,6 +28,7 @@ use apa::Apa;
 use fsa_exec::{ChunkFailure, Supervisor};
 use fsa_obs::Obs;
 use std::fmt;
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 /// Configuration of one fleet run.
@@ -34,7 +37,10 @@ pub struct FleetConfig {
     /// Number of independent event streams.
     pub streams: usize,
     /// Event quota per stream (episodes are concatenated until the
-    /// quota is met or the model goes quiet).
+    /// quota is met or the model goes quiet). The fleet checks up to
+    /// `streams × events_per_stream` events: `fsa monitor --events N`
+    /// sets the quota to ⌈N / streams⌉, so it checks N rounded up to a
+    /// multiple of the stream count.
     pub events_per_stream: usize,
     /// Base seed; stream `i`, episode `e` simulates with a splitmix of
     /// `(seed, i, e)`.
@@ -152,6 +158,12 @@ pub struct MonitorStats {
     pub shard_events: Vec<u64>,
     /// Worker threads used.
     pub threads: usize,
+    /// Simulator states expanded into their successor edges, summed over
+    /// the completed streams. A worker's simulator expands each state
+    /// once for all the streams it runs, so above one thread the sum
+    /// depends on which worker took which stream, and the `Display`
+    /// text leaves it out.
+    pub states_expanded: u64,
 }
 
 impl fmt::Display for MonitorStats {
@@ -189,6 +201,7 @@ impl MonitorStats {
         }
         obs.counter_add("fleet.events", self.events);
         obs.counter_add("fleet.threads", self.threads as u64);
+        obs.counter_add("fleet.states_expanded", self.states_expanded);
         for (w, &ev) in self.shard_events.iter().enumerate() {
             obs.counter_add(&format!("fleet.shard.{w:04}.events"), ev);
         }
@@ -278,6 +291,8 @@ struct StreamResult {
     violations: Vec<Violation>,
     simulate: Duration,
     check: Duration,
+    /// States the stream's simulator expanded while running it.
+    states_expanded: u64,
 }
 
 /// The simulator seed of episode `episode` of stream `stream` in a fleet
@@ -295,14 +310,14 @@ pub fn episode_seed(seed: u64, stream: u64, episode: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Runs one stream: simulate episodes, inject the fault, check.
+/// Runs one stream on `sim`: simulate episodes, inject the fault, check.
 ///
 /// `root` is the id of the fleet's root span, so per-stream spans on
 /// worker threads parent correctly across threads. The result's timings
 /// are the *same* measurements the spans record, which is what keeps
 /// [`MonitorStats`] identical whether or not observability is enabled.
 fn run_stream(
-    apa: &Apa,
+    sim: &mut Simulator<'_>,
     bank: &MonitorBank,
     apa_to_bank: &[u32],
     cfg: &FleetConfig,
@@ -311,7 +326,9 @@ fn run_stream(
 ) -> Result<StreamResult, RuntimeError> {
     // --- Simulate: assemble the event stream episode by episode. -----
     let span = cfg.obs.span_under("fleet.simulate", root);
-    let mut events = simulate_stream(apa, apa_to_bank, cfg, stream)?;
+    let expanded = sim.states_expanded();
+    let mut events = simulate_stream(sim, apa_to_bank, cfg, stream)?;
+    let states_expanded = (sim.states_expanded() - expanded) as u64;
     // --- Inject the fault (deterministic trace transform). -----------
     if let Some(fault) = &cfg.fault {
         let target = fault.action().map(|a| bank.event_symbol(a));
@@ -337,25 +354,25 @@ fn run_stream(
         violations,
         simulate,
         check,
+        states_expanded,
     })
 }
 
-/// Assembles stream `stream`'s honest event stream as bank symbols: one
-/// simulator, restarted per episode, until the event quota is met or
-/// the model is quiet from its initial state.
+/// Assembles stream `stream`'s honest event stream as bank symbols on
+/// `sim`, restarted per episode, until the event quota is met or the
+/// model is quiet from its initial state. Each episode walks as a fresh
+/// simulator would, so the stream does not depend on what `sim` ran
+/// before.
 fn simulate_stream(
-    apa: &Apa,
+    sim: &mut Simulator<'_>,
     apa_to_bank: &[u32],
     cfg: &FleetConfig,
     stream: usize,
 ) -> Result<Vec<u32>, RuntimeError> {
     let mut events: Vec<u32> = Vec::with_capacity(cfg.events_per_stream);
-    let mut sim = Simulator::new(apa, episode_seed(cfg.seed, stream as u64, 0));
     let mut episode = 0u64;
     while events.len() < cfg.events_per_stream {
-        if episode > 0 {
-            sim.restart(episode_seed(cfg.seed, stream as u64, episode));
-        }
+        sim.restart(episode_seed(cfg.seed, stream as u64, episode));
         let steps = sim
             .run(cfg.events_per_stream - events.len())
             .map_err(|e| RuntimeError::Simulation(e.to_string()))?;
@@ -454,8 +471,19 @@ pub fn run_fleet_supervised(
         .collect();
 
     let threads = cfg.threads.clamp(1, cfg.streams);
+    // One simulator per worker: a stream takes one from the pool (or
+    // builds it) and gives it back when it completes. A stream that
+    // errors or panics drops its simulator.
+    let simulators = Mutex::new(Vec::with_capacity(threads));
+    // A push or a pop leaves the pool valid, so a poisoned lock is safe
+    // to recover.
+    let pool = || simulators.lock().unwrap_or_else(PoisonError::into_inner);
     let outcome = supervisor.run_chunks("fleet:stream", threads, cfg.streams, |i| {
-        run_stream(apa, bank, &apa_to_bank, cfg, i, root)
+        let pooled = pool().pop();
+        let mut sim = pooled.unwrap_or_else(|| Simulator::new(apa, 0));
+        let result = run_stream(&mut sim, bank, &apa_to_bank, cfg, i, root)?;
+        pool().push(sim);
+        Ok(result)
     })?;
 
     // Deterministic merge in stream order over the completed streams
@@ -473,6 +501,7 @@ pub fn run_fleet_supervised(
         stats.check += sr.check;
         stats.events += sr.events;
         stats.shard_events.push(sr.events);
+        stats.states_expanded += sr.states_expanded;
         for (m, idx, prefix, truncated) in sr.violations {
             counts[m] += 1;
             if firsts[m].is_none() {
@@ -661,11 +690,12 @@ mod tests {
     }
 
     /// Pins the streams of the benchmark's `monitor` workload (`fsa
-    /// monitor --scenario six --streams 8 --events 16384 --seed 1`): the
-    /// 8 bank-symbol streams, concatenated in stream order, hash to the
-    /// digest the fleet produced when it built one simulator per
-    /// episode. A change to the simulator's walk, the episode seeding or
-    /// the bank's symbol numbering moves it.
+    /// monitor --scenario six --streams 8 --events 16384 --seed 1`), built
+    /// as a one-thread fleet builds them: one simulator carried across the
+    /// 8 streams. The bank-symbol streams, concatenated in stream order,
+    /// hash to the digest the fleet produced when it built one simulator
+    /// per episode. A change to the simulator's walk, the episode seeding
+    /// or the bank's symbol numbering moves it.
     #[test]
     fn monitor_workload_streams_are_pinned() {
         use fsa_core::assisted::{elicit_from_graph, DependenceMethod};
@@ -684,13 +714,47 @@ mod tests {
             seed: 1,
             ..FleetConfig::default()
         };
+        let mut sim = Simulator::new(&apa, 0);
         let mut all = Vec::new();
         for stream in 0..cfg.streams {
-            let events = simulate_stream(&apa, &apa_to_bank, &cfg, stream).unwrap();
+            let events = simulate_stream(&mut sim, &apa_to_bank, &cfg, stream).unwrap();
             assert_eq!(events.len(), cfg.events_per_stream, "stream {stream}");
             all.extend(events);
         }
         assert_eq!(fnv1a64(all), 0x31cb_526a_694a_2248);
+        assert!(sim.states_expanded() <= graph.state_count());
+    }
+
+    /// A simulator warmed by other streams yields the very streams a fresh
+    /// simulator per stream yields, whatever order the streams come in.
+    #[test]
+    fn warm_simulator_streams_equal_fresh_simulator_streams() {
+        use vanet::apa_model::n_pair_apa;
+        let scenarios = [
+            vanet::forwarding::forwarding_chain_apa().unwrap(),
+            n_pair_apa(3, vanet::semantics::ApaSemantics::PAPER).unwrap(),
+        ];
+        let cfg = FleetConfig {
+            streams: 6,
+            events_per_stream: 300,
+            seed: 7,
+            ..FleetConfig::default()
+        };
+        for apa in &scenarios {
+            let automata: Vec<u32> = (0..apa.automaton_count() as u32).collect();
+            let fresh: Vec<Vec<u32>> = (0..cfg.streams)
+                .map(|stream| {
+                    let mut sim = Simulator::new(apa, 0);
+                    simulate_stream(&mut sim, &automata, &cfg, stream).unwrap()
+                })
+                .collect();
+            let mut warm = Simulator::new(apa, 0);
+            for stream in (0..cfg.streams).rev().chain(0..cfg.streams) {
+                let events = simulate_stream(&mut warm, &automata, &cfg, stream).unwrap();
+                assert_eq!(events, fresh[stream], "stream {stream}");
+            }
+            assert!(warm.states_expanded() > 0);
+        }
     }
 
     #[test]
@@ -888,6 +952,37 @@ mod tests {
         let rendered = s.to_string();
         assert!(rendered.contains("events/sec"));
         assert!(rendered.contains("shard balance"));
+        // It varies with scheduling above one thread: not in the text.
+        assert!(s.states_expanded > 0);
+        assert!(!rendered.contains("expanded"), "{rendered}");
+    }
+
+    /// One worker keeps one simulator for every stream, so it expands
+    /// each reachable state once; each further worker at most once more.
+    #[test]
+    fn workers_expand_each_state_at_most_once() {
+        let apa = pipeline_apa();
+        let set = reqs(&[("first", "second")]);
+        let reachable = apa
+            .reachability(&apa::ReachOptions::default())
+            .unwrap()
+            .state_count() as u64;
+        for threads in [1u64, 2, 4] {
+            let cfg = FleetConfig {
+                threads: threads as usize,
+                ..FleetConfig::default()
+            };
+            let (_, report) = monitor_apa(&apa, &set, &cfg).unwrap();
+            let expanded = report.stats.states_expanded;
+            assert!(expanded >= reachable, "threads {threads}: {expanded}");
+            assert!(
+                expanded <= threads * reachable,
+                "threads {threads}: {expanded}"
+            );
+            if threads == 1 {
+                assert_eq!(expanded, reachable);
+            }
+        }
     }
 
     /// Every `fleet.*` counter of `snap` mirrors its live field of
@@ -895,6 +990,10 @@ mod tests {
     fn assert_counters_mirror(snap: &fsa_obs::Snapshot, stats: &MonitorStats) {
         assert_eq!(snap.counter("fleet.events"), Some(stats.events));
         assert_eq!(snap.counter("fleet.threads"), Some(stats.threads as u64));
+        assert_eq!(
+            snap.counter("fleet.states_expanded"),
+            Some(stats.states_expanded)
+        );
         let shard_events: Vec<u64> = snap
             .counters
             .iter()

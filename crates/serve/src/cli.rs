@@ -104,7 +104,9 @@ and check a sharded simulator fleet against it (exit 1 on violations).
   --scenario S     chain (default): V1→V2→V3 forwarding chain;
                    six: the three-pair (six-vehicle) model
   --streams N      independent event streams (default 8)
-  --events N       total event budget across the fleet (default 8192)
+  --events N       events to check, split over the streams: each stream
+                   runs N / streams rounded up, so the fleet checks N
+                   rounded up to a multiple of --streams (default 8192)
   --threads N      worker threads; reports are bit-identical for any
                    value (default 1)
   --inject F       fault injected into every stream:

@@ -386,6 +386,37 @@ fn monitor_clean_fleet_holds_and_exits_zero() {
     assert!(stdout.contains("shard balance"), "{stdout}");
 }
 
+/// `--events` is split over the streams, each rounded up: 3 streams of
+/// ⌈10 / 3⌉ = 4 events check 12 events, 8 streams of ⌈3 / 8⌉ = 1 check 8.
+#[test]
+fn monitor_events_round_up_to_a_multiple_of_the_stream_count() {
+    for (streams, events, summary) in [
+        (
+            "3",
+            "10",
+            "7 monitor(s), 3 stream(s), 12 event(s): 0 violated\n",
+        ),
+        (
+            "8",
+            "3",
+            "7 monitor(s), 8 stream(s), 8 event(s): 0 violated\n",
+        ),
+    ] {
+        let out = fsa(&[
+            "monitor",
+            "--scenario",
+            "chain",
+            "--streams",
+            streams,
+            "--events",
+            events,
+        ]);
+        assert!(out.status.success(), "{out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains(summary), "{stdout}");
+    }
+}
+
 #[test]
 fn monitor_injected_drop_violates_and_exits_nonzero() {
     let out = fsa(&[

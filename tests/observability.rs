@@ -115,6 +115,9 @@ fn monitor_exports_fleet_and_supervisor_series() {
         r#""name":"fleet.check""#,
         r#""name":"fleet.merge""#,
         r#""name":"fleet.events""#,
+        // One thread keeps one simulator for all 4 streams, so each state
+        // is expanded once: 31 of the chain's 32 reachable states.
+        r#"{"name":"fleet.states_expanded","value":31}"#,
         r#""name":"supervisor.chunks""#,
         r#""name":"supervisor.attempts""#,
     ] {
