@@ -1,15 +1,15 @@
 //! Pricing incremental elicitation (PR 7).
 //!
-//! The incremental engine memoises reachability fragments and
-//! dependence verdicts under content-hash keys, so a model edit only
-//! recomputes what the edit touches. These groups pin the headline
-//! claim: on the six-vehicle scenario, a single-component edit followed
-//! by re-elicitation is at least an order of magnitude cheaper than
+//! The incremental engine memoises each fragment's analysis under the
+//! fragment's content, so after a model edit only fragments with new
+//! content are analysed. These groups pin the headline claim: on the
+//! six-vehicle scenario, a single-component edit followed by
+//! re-elicitation is at least an order of magnitude cheaper than
 //! eliciting the edited model from scratch.
 //!
 //! * `incremental_edit/single_component_edit` — warm engine, apply
-//!   `set-initial gps5 20010`, re-elicit, undo (so every iteration
-//!   starts from the same memo state).
+//!   `set-initial gps5 20010`, re-elicit, undo, re-elicit: both model
+//!   states are memoised, so every iteration is two all-hit elicits.
 //! * `incremental_edit/from_scratch` — compile + reachability +
 //!   `elicit_with_options` on the same edited model, no memo.
 //! * `incremental_edit/warm_replay` — repeat elicitation with no edit:
@@ -58,9 +58,9 @@ fn bench_incremental_edit(c: &mut Criterion) {
     let mut group = c.benchmark_group("incremental_edit");
     group.sample_size(20);
 
-    // Warm engine: the base model and both edit states are memoised
-    // once up front, then every iteration pays only the edit path
-    // (invalidation + fragment re-analysis for the touched vehicle).
+    // Warm engine: the base model is memoised up front and the edited
+    // state on the first iteration, so every iteration pays the edit
+    // path of a warm session.
     let mut model = six_vehicle_model();
     let mut engine = IncrementalElicitor::new(MEMO_CAPACITY)
         .unwrap()
@@ -68,9 +68,9 @@ fn bench_incremental_edit(c: &mut Criterion) {
     engine.elicit(&model, &obs).expect("warm base");
     group.bench_function("single_component_edit", |b| {
         b.iter(|| {
-            engine.apply(&mut model, &edit, &obs).expect("edit");
+            model.apply(&edit).expect("edit");
             black_box(engine.elicit(&model, &obs).expect("re-elicit"));
-            engine.apply(&mut model, &undo, &obs).expect("undo");
+            model.apply(&undo).expect("undo");
             black_box(engine.elicit(&model, &obs).expect("re-elicit undone"));
         })
     });

@@ -1,4 +1,4 @@
-//! Typed model deltas over an *editable* scenario model (ROADMAP item 2).
+//! Typed model deltas over an *editable* scenario model.
 //!
 //! The paper's assisted method recomputes reachability and dependence
 //! from scratch for every component-model variant. This module gives
@@ -7,21 +7,23 @@
 //! closed [`FlowKind`] vocabulary, stakeholder tags) that compiles to
 //! exactly the same [`apa::Apa`] as the hand-built scenarios in
 //! `fsa-vanet`, plus a typed [`ModelDelta`] vocabulary describing edits
-//! to it. Applying a delta reports the set of *touched element names*,
-//! which drives memo invalidation in [`crate::incremental`].
+//! to it.
 //!
 //! The second half of the module is the *fragmentation analysis*: a
 //! value-footprint fixpoint that over-approximates which values each
 //! flow can ever read or write, partitioning the live flows into
 //! independent fragments whose reachability graphs compose by product.
-//! [`crate::incremental::IncrementalElicitor`] analyses each fragment
-//! once, memoises the result content-addressed, and recomposes the
-//! full report — bit-identical to a from-scratch run.
+//! A [`Fragment`] borrows its parent model and writes its memo key (the
+//! canonical encoding of its sub-model) without building that
+//! sub-model. [`crate::incremental::IncrementalElicitor`] analyses each
+//! fragment once, memoises the result under that key, and recomposes
+//! the full report — bit-identical to a from-scratch run.
 
 use crate::action::Agent;
 use apa::rule::{FnRule, LocalState, TransitionRule};
 use apa::{Apa, ApaBuilder, ApaError, Value};
-use std::collections::{BTreeMap, BTreeSet};
+use fsa_graph::bitset::set_bits;
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
 
@@ -546,16 +548,6 @@ impl EditModel {
         &self.flows
     }
 
-    /// All element names (components and flows) — the dependency
-    /// universe for memo invalidation.
-    pub fn element_names(&self) -> BTreeSet<String> {
-        self.components
-            .iter()
-            .map(|c| c.name.clone())
-            .chain(self.flows.iter().map(|f| f.name.clone()))
-            .collect()
-    }
-
     /// The stakeholder agent for an automaton: an explicit
     /// `retag-stakeholder` tag if present, else the
     /// [`default_stakeholder`] convention.
@@ -574,11 +566,9 @@ impl EditModel {
         self.flows.iter().position(|f| f.name == name)
     }
 
-    /// Applies one delta, returning the set of *touched element names*
-    /// (for memo invalidation). Validation happens before any mutation,
-    /// so a failed apply leaves the model unchanged.
-    pub fn apply(&mut self, delta: &ModelDelta) -> Result<BTreeSet<String>, DeltaError> {
-        let mut touched = BTreeSet::new();
+    /// Applies one delta. Validation happens before any mutation, so a
+    /// failed apply leaves the model unchanged.
+    pub fn apply(&mut self, delta: &ModelDelta) -> Result<(), DeltaError> {
         match delta {
             ModelDelta::AddComponent { name, initial } => {
                 if self.component_idx(name).is_some() {
@@ -588,7 +578,6 @@ impl EditModel {
                     name: name.clone(),
                     initial: initial.clone(),
                 });
-                touched.insert(name.clone());
             }
             ModelDelta::RemoveComponent { name } => {
                 let idx = self
@@ -601,14 +590,12 @@ impl EditModel {
                     });
                 }
                 self.components.remove(idx);
-                touched.insert(name.clone());
             }
             ModelDelta::SetInitial { name, initial } => {
                 let idx = self
                     .component_idx(name)
                     .ok_or_else(|| DeltaError::UnknownComponent(name.clone()))?;
                 self.components[idx].initial = initial.clone();
-                touched.insert(name.clone());
             }
             ModelDelta::AddFlow { flow } => {
                 if self.flow_idx(&flow.name).is_some() {
@@ -625,19 +612,13 @@ impl EditModel {
                         flow: flow.name.clone(),
                     });
                 }
-                touched.insert(flow.name.clone());
-                touched.insert(flow.from.clone());
-                touched.insert(flow.to.clone());
                 self.flows.push(flow.clone());
             }
             ModelDelta::RemoveFlow { name } => {
                 let idx = self
                     .flow_idx(name)
                     .ok_or_else(|| DeltaError::UnknownFlow(name.clone()))?;
-                let flow = self.flows.remove(idx);
-                touched.insert(flow.name);
-                touched.insert(flow.from);
-                touched.insert(flow.to);
+                self.flows.remove(idx);
             }
             ModelDelta::RewireFlow { name, from, to } => {
                 let idx = self
@@ -653,11 +634,6 @@ impl EditModel {
                     return Err(DeltaError::SelfLoop { flow: name.clone() });
                 }
                 let flow = &mut self.flows[idx];
-                touched.insert(flow.name.clone());
-                touched.insert(flow.from.clone());
-                touched.insert(flow.to.clone());
-                touched.insert(from.clone());
-                touched.insert(to.clone());
                 flow.from = from.clone();
                 flow.to = to.clone();
             }
@@ -666,12 +642,9 @@ impl EditModel {
                     return Err(DeltaError::UnknownFlow(automaton.clone()));
                 }
                 self.stakeholders.insert(automaton.clone(), agent.clone());
-                // Stakeholders only affect requirement attribution,
-                // which is recomputed on every elicitation — no memo
-                // entry depends on them.
             }
         }
-        Ok(touched)
+        Ok(())
     }
 
     /// Compiles to an [`apa::Apa`]: components in declaration order,
@@ -689,42 +662,549 @@ impl EditModel {
         builder.build()
     }
 
-    /// A canonical text encoding of the model (components sorted by
-    /// name with sorted initial values, flows sorted by name): the
-    /// content-hash payload for fragment memo keys. Sound because every
-    /// output the incremental engine extracts from a fragment is
-    /// invariant under declaration order.
+    /// The canonical text encoding of the model's components and flows:
+    /// the payload of the incremental memo's keys (see
+    /// [`Fragment::write_key`]). Two properties make such a key safe
+    /// without any invalidation:
+    ///
+    /// * it is injective: every name is length-prefixed and every value
+    ///   tagged with its kind, so the text decodes back to the model's
+    ///   components and flows;
+    /// * it leaves out only what no analysis of the model reads:
+    ///   declaration order (components and flows are sorted by name;
+    ///   counts are invariant under it, and minima, maxima and verdicts
+    ///   are kept by name) and stakeholder tags (requirements are
+    ///   attributed from the whole model at recomposition).
+    ///
+    /// One line per record, tokens separated by a space:
+    ///
+    /// ```text
+    /// c STR (a STR | iINT)*       a component and its initial values
+    /// f STR KIND STR STR          a flow: name, kind, from, to
+    /// KIND = move | move-atom STR | send-cam STR | recv-cam RANGE BOOL BOOL
+    /// STR  = LEN:BYTES
+    /// ```
     pub fn canonical_encoding(&self) -> String {
         let mut out = String::new();
-        let mut comps: Vec<&Component> = self.components.iter().collect();
-        comps.sort_by(|a, b| a.name.cmp(&b.name));
-        for c in comps {
-            out.push_str("c ");
-            out.push_str(&c.name);
-            for v in &c.initial {
-                out.push(' ');
-                out.push_str(&v.to_string());
-            }
-            out.push('\n');
-        }
-        let mut flows: Vec<&Flow> = self.flows.iter().collect();
-        flows.sort_by(|a, b| a.name.cmp(&b.name));
-        for f in flows {
-            out.push_str(&format!("f {} {} {} {}\n", f.name, f.kind, f.from, f.to));
-        }
+        write_canonical(
+            &mut out,
+            self.components
+                .iter()
+                .map(|c| (c.name.as_str(), c.initial.iter())),
+            self.flows.iter(),
+        );
         out
     }
 
     /// Partitions the live flows into independent fragments (see module
-    /// docs and DESIGN.md §2.11). Flows that can never fire under the
-    /// value-footprint over-approximation are dropped entirely: they
-    /// contribute no states, edges, minima, maxima, or verdicts.
-    pub fn fragments(&self) -> Vec<FragmentModel> {
-        let footprint = self.value_footprint();
+    /// docs and DESIGN.md §2.11), in the order of their first flows.
+    /// Flows that can never fire under the value-footprint
+    /// over-approximation are dropped entirely: they contribute no
+    /// states, edges, minima, maxima, or verdicts.
+    ///
+    /// Values are interned once per call. Two live flows share a
+    /// fragment when they touch a common value on a common component,
+    /// which a map from each (component, value) to the first flow that
+    /// touches it decides without comparing flows pairwise.
+    pub fn fragments(&self) -> Vec<Fragment<'_>> {
+        let mut values = Interner::default();
+        let sw = values.id(Val::Atom("sW"));
+        let warn = values.id(Val::Atom("warn"));
+        let index: HashMap<&str, usize> = self
+            .components
+            .iter()
+            .enumerate()
+            .map(|(i, c)| (c.name.as_str(), i))
+            .collect();
+        // Every flow's (from, to) as component indices; `apply` keeps
+        // both endpoints declared.
+        let ends: Vec<(usize, usize)> = self
+            .flows
+            .iter()
+            .map(|f| (index[f.from.as_str()], index[f.to.as_str()]))
+            .collect();
+        // Each component's initial value ids, in its set order.
+        let initial: Vec<Vec<usize>> = self
+            .components
+            .iter()
+            .map(|c| c.initial.iter().map(|v| values.id(Val::of(v))).collect())
+            .collect();
+        let footprint = self.value_footprint(&ends, &initial, &mut values, sw, warn);
+
+        // The values each live flow touches: (flow, on `from`, on `to`).
+        let mut live: Vec<(usize, ValSet, ValSet)> = Vec::new();
+        for (i, f) in self.flows.iter().enumerate() {
+            let (from, to) = ends[i];
+            let touched = touched_values(
+                &f.kind,
+                &footprint[from],
+                &footprint[to],
+                &mut values,
+                sw,
+                warn,
+            );
+            if let Some((on_from, on_to)) = touched {
+                live.push((i, on_from, on_to));
+            }
+        }
+
+        // Union-find over live flows, through the first flow seen
+        // touching each (component, value).
+        let mut parent: Vec<usize> = (0..live.len()).collect();
+        let mut first: HashMap<(usize, usize), usize> = HashMap::new();
+        for (a, (i, on_from, on_to)) in live.iter().enumerate() {
+            let (from, to) = ends[*i];
+            for (component, touched) in [(from, on_from), (to, on_to)] {
+                for value in touched.iter() {
+                    let b = *first.entry((component, value)).or_insert(a);
+                    let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
+                    if ra != rb {
+                        parent[ra] = rb;
+                    }
+                }
+            }
+        }
+        // Group live flows by root, in first-flow order.
+        let mut group_of: Vec<Option<usize>> = vec![None; live.len()];
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        for a in 0..live.len() {
+            let root = find(&mut parent, a);
+            let g = *group_of[root].get_or_insert_with(|| {
+                groups.push(Vec::new());
+                groups.len() - 1
+            });
+            groups[g].push(a);
+        }
+        // Each fragment: its adjacent components in declaration order
+        // with share-restricted initials, its flows in declaration
+        // order.
+        groups
+            .into_iter()
+            .map(|members| {
+                let mut share: BTreeMap<usize, ValSet> = BTreeMap::new();
+                for &m in &members {
+                    let (i, on_from, on_to) = &live[m];
+                    let (from, to) = ends[*i];
+                    share.entry(from).or_default().union_with(on_from);
+                    share.entry(to).or_default().union_with(on_to);
+                }
+                let components = share
+                    .iter()
+                    .map(|(&c, shared)| {
+                        let component = &self.components[c];
+                        let kept = component
+                            .initial
+                            .iter()
+                            .zip(&initial[c])
+                            .filter(|&(_, &id)| shared.contains(id))
+                            .map(|(value, _)| value)
+                            .collect();
+                        (component.name.as_str(), kept)
+                    })
+                    .collect();
+                let flows = members.iter().map(|&m| &self.flows[live[m].0]).collect();
+                Fragment { components, flows }
+            })
+            .collect()
+    }
+
+    /// The value-footprint fixpoint: for each component (by index), an
+    /// over-approximation of every value it can ever contain. A flow is
+    /// evaluated again whenever a component it reads gains a value.
+    fn value_footprint<'m>(
+        &'m self,
+        ends: &[(usize, usize)],
+        initial: &[Vec<usize>],
+        values: &mut Interner<'m>,
+        sw: usize,
+        warn: usize,
+    ) -> Vec<ValSet> {
+        let mut footprint: Vec<ValSet> = initial
+            .iter()
+            .map(|ids| ids.iter().copied().collect())
+            .collect();
+        // The flows that read each component: every flow reads its
+        // `from`, and a CAM reception also reads its own positions on
+        // its `to`.
+        let mut readers: Vec<Vec<usize>> = vec![Vec::new(); self.components.len()];
+        for (i, (f, &(from, to))) in self.flows.iter().zip(ends).enumerate() {
+            readers[from].push(i);
+            if matches!(f.kind, FlowKind::RecvCam { .. }) {
+                readers[to].push(i);
+            }
+        }
+        let mut queued = vec![true; self.flows.len()];
+        let mut work: VecDeque<usize> = (0..self.flows.len()).collect();
+        while let Some(i) = work.pop_front() {
+            queued[i] = false;
+            let (from, to) = ends[i];
+            // `apply` rejects self-loops, so `from != to`.
+            let mut target = std::mem::take(&mut footprint[to]);
+            let source = &footprint[from];
+            let changed = match &self.flows[i].kind {
+                FlowKind::Move => target.union_with(source),
+                FlowKind::MoveAtom(a) => values
+                    .get(Val::Atom(a))
+                    .is_some_and(|atom| source.contains(atom) && target.insert(atom)),
+                FlowKind::SendCam { vehicle } => {
+                    let mut changed = false;
+                    if source.contains(sw) {
+                        for id in source.iter() {
+                            if let Val::Int(coord) = values.val(id) {
+                                changed |= target.insert(values.id(Val::Cam(vehicle, coord)));
+                            }
+                        }
+                    }
+                    changed
+                }
+                FlowKind::RecvCam { range, .. } => {
+                    let in_range = source.iter().any(|msg| match values.val(msg) {
+                        Val::Cam(_, coord) => target.iter().any(|own| match values.val(own) {
+                            Val::Int(own) => coord.abs_diff(own) < *range,
+                            _ => false,
+                        }),
+                        _ => false,
+                    });
+                    in_range && target.insert(warn)
+                }
+            };
+            footprint[to] = target;
+            if changed {
+                for &r in &readers[to] {
+                    if !queued[r] {
+                        queued[r] = true;
+                        work.push_back(r);
+                    }
+                }
+            }
+        }
+        footprint
+    }
+}
+
+/// The values a flow of `kind` can read or write on its `from` and `to`
+/// components, whose footprints are `source` and `target`, or `None`
+/// when the flow can never fire (dead flow). The sets quantify over the
+/// *full* footprint of the adjacent components (not a
+/// fragment-restricted view) — this conservatism is what makes values
+/// outside a fragment's share provably inert for its flows.
+fn touched_values<'m>(
+    kind: &'m FlowKind,
+    source: &ValSet,
+    target: &ValSet,
+    values: &mut Interner<'m>,
+    sw: usize,
+    warn: usize,
+) -> Option<(ValSet, ValSet)> {
+    let ints = |set: &ValSet, values: &Interner<'m>| -> Vec<(usize, i64)> {
+        set.iter()
+            .filter_map(|id| match values.val(id) {
+                Val::Int(i) => Some((id, i)),
+                _ => None,
+            })
+            .collect()
+    };
+    match kind {
+        FlowKind::Move => (!source.is_empty()).then(|| (source.clone(), source.clone())),
+        FlowKind::MoveAtom(a) => {
+            let atom = values.get(Val::Atom(a)).filter(|&id| source.contains(id))?;
+            let only: ValSet = [atom].into_iter().collect();
+            Some((only.clone(), only))
+        }
+        FlowKind::SendCam { vehicle } => {
+            let positions = ints(source, values);
+            if !source.contains(sw) || positions.is_empty() {
+                return None;
+            }
+            let mut on_from: ValSet = positions.iter().map(|&(id, _)| id).collect();
+            on_from.insert(sw);
+            let on_to = positions
+                .iter()
+                .map(|&(_, coord)| values.id(Val::Cam(vehicle, coord)))
+                .collect();
+            Some((on_from, on_to))
+        }
+        FlowKind::RecvCam { range, .. } => {
+            let own = ints(target, values);
+            let cams: Vec<(usize, i64)> = source
+                .iter()
+                .filter_map(|id| match values.val(id) {
+                    Val::Cam(_, coord) if own.iter().any(|&(_, o)| coord.abs_diff(o) < *range) => {
+                        Some((id, coord))
+                    }
+                    _ => None,
+                })
+                .collect();
+            if cams.is_empty() {
+                return None;
+            }
+            let mut on_to: ValSet = own
+                .iter()
+                .filter(|&&(_, o)| cams.iter().any(|&(_, coord)| coord.abs_diff(o) < *range))
+                .map(|&(id, _)| id)
+                .collect();
+            on_to.insert(warn);
+            Some((cams.iter().map(|&(id, _)| id).collect(), on_to))
+        }
+    }
+}
+
+/// The root of `x` in a union-find forest, compressing the path.
+fn find(parent: &mut [usize], x: usize) -> usize {
+    let mut root = x;
+    while parent[root] != root {
+        root = parent[root];
+    }
+    let mut cur = x;
+    while parent[cur] != root {
+        let next = parent[cur];
+        parent[cur] = root;
+        cur = next;
+    }
+    root
+}
+
+/// Appends the canonical encoding of `components` (name, initial values
+/// in set order) and `flows`, given in any order (see
+/// [`EditModel::canonical_encoding`]).
+fn write_canonical<'a, V>(
+    out: &mut String,
+    components: impl Iterator<Item = (&'a str, V)>,
+    flows: impl Iterator<Item = &'a Flow>,
+) where
+    V: Iterator<Item = &'a ValueLit>,
+{
+    let mut components: Vec<(&str, V)> = components.collect();
+    components.sort_unstable_by_key(|(name, _)| *name);
+    for (name, initial) in components {
+        out.push('c');
+        write_str(out, name);
+        for value in initial {
+            match value {
+                ValueLit::Atom(a) => {
+                    out.push_str(" a");
+                    write_str(out, a);
+                }
+                ValueLit::Int(i) => {
+                    out.push_str(" i");
+                    if *i < 0 {
+                        out.push('-');
+                    }
+                    push_decimal(out, i.unsigned_abs());
+                }
+            }
+        }
+        out.push('\n');
+    }
+    let mut flows: Vec<&Flow> = flows.collect();
+    flows.sort_unstable_by(|a, b| a.name.cmp(&b.name));
+    for f in flows {
+        out.push('f');
+        write_str(out, &f.name);
+        match &f.kind {
+            FlowKind::Move => out.push_str(" move"),
+            FlowKind::MoveAtom(atom) => {
+                out.push_str(" move-atom");
+                write_str(out, atom);
+            }
+            FlowKind::SendCam { vehicle } => {
+                out.push_str(" send-cam");
+                write_str(out, vehicle);
+            }
+            FlowKind::RecvCam {
+                range,
+                consume_msg,
+                consume_gps,
+            } => {
+                out.push_str(" recv-cam ");
+                push_decimal(out, *range);
+                for consume in [consume_msg, consume_gps] {
+                    out.push_str(if *consume { " true" } else { " false" });
+                }
+            }
+        }
+        write_str(out, &f.from);
+        write_str(out, &f.to);
+        out.push('\n');
+    }
+}
+
+/// Appends ` LEN:BYTES`: a length-prefixed string, so no byte of `s`
+/// can be mistaken for a separator.
+fn write_str(out: &mut String, s: &str) {
+    out.push(' ');
+    push_decimal(out, s.len() as u64);
+    out.push(':');
+    out.push_str(s);
+}
+
+/// Appends the decimal digits of `n` (keys are written on every
+/// elicit, so without the formatting machinery).
+fn push_decimal(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend(digits[start..].iter().map(|&d| char::from(d)));
+}
+
+/// One fragment of an [`EditModel`] (see [`EditModel::fragments`]): the
+/// parent's components it touches, with their share-restricted initial
+/// values, and its flows, both in declaration order. It borrows the
+/// parent, so a fragment whose analysis is memoised never builds its
+/// sub-model.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Fragment<'m> {
+    components: Vec<(&'m str, Vec<&'m ValueLit>)>,
+    flows: Vec<&'m Flow>,
+}
+
+impl Fragment<'_> {
+    /// Appends the fragment's memo key: exactly
+    /// `self.model().canonical_encoding()`, written from the parent
+    /// model.
+    pub fn write_key(&self, out: &mut String) {
+        write_canonical(
+            out,
+            self.components
+                .iter()
+                .map(|(name, initial)| (*name, initial.iter().copied())),
+            self.flows.iter().copied(),
+        );
+    }
+
+    /// The fragment's sub-model, with no stakeholder tags; it compiles
+    /// and analyses on its own.
+    pub fn model(&self) -> EditModel {
+        EditModel {
+            components: self
+                .components
+                .iter()
+                .map(|(name, initial)| Component {
+                    name: (*name).to_owned(),
+                    initial: initial.iter().map(|&v| v.clone()).collect(),
+                })
+                .collect(),
+            flows: self.flows.iter().map(|&f| f.clone()).collect(),
+            stakeholders: BTreeMap::new(),
+        }
+    }
+}
+
+/// The abstract value domain of the footprint analysis: atoms,
+/// integers, and CAM tuples (the only structured values the
+/// [`FlowKind`] vocabulary can produce), borrowing names from the model.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Val<'m> {
+    Atom(&'m str),
+    Int(i64),
+    Cam(&'m str, i64),
+}
+
+impl<'m> Val<'m> {
+    fn of(lit: &'m ValueLit) -> Val<'m> {
+        match lit {
+            ValueLit::Atom(a) => Val::Atom(a),
+            ValueLit::Int(i) => Val::Int(*i),
+        }
+    }
+}
+
+/// The values of one fragmentation, interned to dense ids.
+#[derive(Default)]
+struct Interner<'m> {
+    ids: HashMap<Val<'m>, usize>,
+    values: Vec<Val<'m>>,
+}
+
+impl<'m> Interner<'m> {
+    fn id(&mut self, value: Val<'m>) -> usize {
+        *self.ids.entry(value).or_insert_with(|| {
+            self.values.push(value);
+            self.values.len() - 1
+        })
+    }
+
+    fn get(&self, value: Val<'m>) -> Option<usize> {
+        self.ids.get(&value).copied()
+    }
+
+    fn val(&self, id: usize) -> Val<'m> {
+        self.values[id]
+    }
+}
+
+/// A set of interned value ids, one bit each.
+#[derive(Debug, Clone, Default)]
+struct ValSet(Vec<u64>);
+
+impl ValSet {
+    fn insert(&mut self, id: usize) -> bool {
+        let (word, bit) = (id / 64, 1u64 << (id % 64));
+        if word >= self.0.len() {
+            self.0.resize(word + 1, 0);
+        }
+        let fresh = self.0[word] & bit == 0;
+        self.0[word] |= bit;
+        fresh
+    }
+
+    fn contains(&self, id: usize) -> bool {
+        self.0
+            .get(id / 64)
+            .is_some_and(|word| word & (1u64 << (id % 64)) != 0)
+    }
+
+    fn union_with(&mut self, other: &ValSet) -> bool {
+        if self.0.len() < other.0.len() {
+            self.0.resize(other.0.len(), 0);
+        }
+        let mut changed = false;
+        for (a, b) in self.0.iter_mut().zip(&other.0) {
+            changed |= *b & !*a != 0;
+            *a |= b;
+        }
+        changed
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.iter().all(|&word| word == 0)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        set_bits(&self.0)
+    }
+}
+
+impl FromIterator<usize> for ValSet {
+    fn from_iter<I: IntoIterator<Item = usize>>(ids: I) -> ValSet {
+        let mut set = ValSet::default();
+        for id in ids {
+            set.insert(id);
+        }
+        set
+    }
+}
+
+/// The fragmenter as it stood before values were interned: owned
+/// value sets, a round-robin fixpoint and a pairwise flow comparison.
+/// Kept as the oracle of the differential tests.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub(super) fn fragments(model: &EditModel) -> Vec<EditModel> {
+        let footprint = value_footprint(model);
         // Touched value sets per live flow: (on `from`, on `to`).
         let mut live: Vec<(usize, BTreeSet<Val>, BTreeSet<Val>)> = Vec::new();
-        for (i, f) in self.flows.iter().enumerate() {
-            if let Some((on_from, on_to)) = self.touched_values(f, &footprint) {
+        for (i, f) in model.flows.iter().enumerate() {
+            if let Some((on_from, on_to)) = touched_values(f, &footprint) {
                 live.push((i, on_from, on_to));
             }
         }
@@ -746,8 +1226,8 @@ impl EditModel {
         }
         for a in 0..live.len() {
             for b in (a + 1)..live.len() {
-                let fa = &self.flows[live[a].0];
-                let fb = &self.flows[live[b].0];
+                let fa = &model.flows[live[a].0];
+                let fb = &model.flows[live[b].0];
                 let mut interacts = false;
                 for (ca, va) in [(&fa.from, &live[a].1), (&fa.to, &live[a].2)] {
                     for (cb, vb) in [(&fb.from, &live[b].1), (&fb.to, &live[b].2)] {
@@ -784,7 +1264,7 @@ impl EditModel {
                 flow_idxs.sort_unstable();
                 for &m in &members {
                     let (i, on_from, on_to) = &live[m];
-                    let f = &self.flows[*i];
+                    let f = &model.flows[*i];
                     share
                         .entry(&f.from)
                         .or_default()
@@ -794,7 +1274,7 @@ impl EditModel {
                         .or_default()
                         .extend(on_to.iter().cloned());
                 }
-                let components: Vec<Component> = self
+                let components: Vec<Component> = model
                     .components
                     .iter()
                     .filter_map(|c| {
@@ -811,19 +1291,11 @@ impl EditModel {
                         })
                     })
                     .collect();
-                let flows: Vec<Flow> = flow_idxs.iter().map(|&i| self.flows[i].clone()).collect();
-                let deps = components
-                    .iter()
-                    .map(|c| c.name.clone())
-                    .chain(flows.iter().map(|f| f.name.clone()))
-                    .collect();
-                FragmentModel {
-                    model: EditModel {
-                        components,
-                        flows,
-                        stakeholders: BTreeMap::new(),
-                    },
-                    deps,
+                let flows: Vec<Flow> = flow_idxs.iter().map(|&i| model.flows[i].clone()).collect();
+                EditModel {
+                    components,
+                    flows,
+                    stakeholders: BTreeMap::new(),
                 }
             })
             .collect()
@@ -831,8 +1303,8 @@ impl EditModel {
 
     /// The value-footprint fixpoint: for each component, an
     /// over-approximation of every value it can ever contain.
-    fn value_footprint(&self) -> BTreeMap<String, BTreeSet<Val>> {
-        let mut v: BTreeMap<String, BTreeSet<Val>> = self
+    fn value_footprint(model: &EditModel) -> BTreeMap<String, BTreeSet<Val>> {
+        let mut v: BTreeMap<String, BTreeSet<Val>> = model
             .components
             .iter()
             .map(|c| {
@@ -844,7 +1316,7 @@ impl EditModel {
             .collect();
         loop {
             let mut changed = false;
-            for f in &self.flows {
+            for f in &model.flows {
                 let from = v.get(&f.from).cloned().unwrap_or_default();
                 let mut add: BTreeSet<Val> = BTreeSet::new();
                 match &f.kind {
@@ -901,7 +1373,6 @@ impl EditModel {
     /// view) — this conservatism is what makes values outside a
     /// fragment's share provably inert for its flows.
     fn touched_values(
-        &self,
         f: &Flow,
         footprint: &BTreeMap<String, BTreeSet<Val>>,
     ) -> Option<(BTreeSet<Val>, BTreeSet<Val>)> {
@@ -982,33 +1453,23 @@ impl EditModel {
             }
         }
     }
-}
 
-/// One fragment of an [`EditModel`]: an independent sub-model plus the
-/// element names it depends on (for memo invalidation).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FragmentModel {
-    /// The share-restricted sub-model; compiles and analyses on its own.
-    pub model: EditModel,
-    /// Names of the components and flows this fragment reads.
-    pub deps: BTreeSet<String>,
-}
+    /// The abstract value domain of the footprint analysis: atoms,
+    /// integers, and CAM tuples (the only structured values the
+    /// [`FlowKind`] vocabulary can produce).
+    #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+    enum Val {
+        Atom(String),
+        Int(i64),
+        Cam { vehicle: String, coord: i64 },
+    }
 
-/// The abstract value domain of the footprint analysis: atoms,
-/// integers, and CAM tuples (the only structured values the
-/// [`FlowKind`] vocabulary can produce).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-enum Val {
-    Atom(String),
-    Int(i64),
-    Cam { vehicle: String, coord: i64 },
-}
-
-impl Val {
-    fn from_lit(lit: &ValueLit) -> Val {
-        match lit {
-            ValueLit::Atom(a) => Val::Atom(a.clone()),
-            ValueLit::Int(i) => Val::Int(*i),
+    impl Val {
+        fn from_lit(lit: &ValueLit) -> Val {
+            match lit {
+                ValueLit::Atom(a) => Val::Atom(a.clone()),
+                ValueLit::Int(i) => Val::Int(*i),
+            }
         }
     }
 }
@@ -1024,35 +1485,70 @@ mod tests {
         }
     }
 
-    /// A single warner/receiver pair, in the same element order as
-    /// `fsa-vanet`'s `two_vehicle_apa`.
-    fn pair_model() -> EditModel {
+    /// `pairs` warner/receiver pairs 10 000 apart, in the same element
+    /// order as `fsa-vanet`'s `n_pair_model` (one pair is its
+    /// `two_vehicle_apa`).
+    fn n_pair_model(pairs: usize) -> EditModel {
+        let mut lines = Vec::new();
+        for k in 0..pairs {
+            let base = 10_000 * k;
+            for (tag, position, esp) in [(2 * k + 1, base, " sW"), (2 * k + 2, base + 50, "")] {
+                lines.push(format!("add-component esp{tag}{esp}"));
+                lines.push(format!("add-component gps{tag} {position}"));
+                lines.push(format!("add-component bus{tag}"));
+                lines.push(format!("add-component hmi{tag}"));
+                if tag == 1 {
+                    lines.push("add-component net".to_owned());
+                }
+                lines.extend(pair_flows(tag));
+            }
+        }
         let mut m = EditModel::new();
         apply_all(
             &mut m,
-            &[
-                "add-component esp1 sW",
-                "add-component gps1 0",
-                "add-component bus1",
-                "add-component hmi1",
-                "add-component net",
-                "add-flow V1_sense move esp1 bus1",
-                "add-flow V1_pos move gps1 bus1",
-                "add-flow V1_send send-cam:V1 bus1 net",
-                "add-flow V1_rec recv-cam:100 net bus1",
-                "add-flow V1_show move-atom:warn bus1 hmi1",
-                "add-component esp2",
-                "add-component gps2 50",
-                "add-component bus2",
-                "add-component hmi2",
-                "add-flow V2_sense move esp2 bus2",
-                "add-flow V2_pos move gps2 bus2",
-                "add-flow V2_send send-cam:V2 bus2 net",
-                "add-flow V2_rec recv-cam:100 net bus2",
-                "add-flow V2_show move-atom:warn bus2 hmi2",
-            ],
+            &lines.iter().map(String::as_str).collect::<Vec<_>>(),
         );
         m
+    }
+
+    /// The five flows of vehicle `tag`, as `n_pair_model` declares them.
+    fn pair_flows(tag: usize) -> [String; 5] {
+        [
+            format!("add-flow V{tag}_sense move esp{tag} bus{tag}"),
+            format!("add-flow V{tag}_pos move gps{tag} bus{tag}"),
+            format!("add-flow V{tag}_send send-cam:V{tag} bus{tag} net"),
+            format!("add-flow V{tag}_rec recv-cam:100 net bus{tag}"),
+            format!("add-flow V{tag}_show move-atom:warn bus{tag} hmi{tag}"),
+        ]
+    }
+
+    /// The 36 deltas by which a pair leaves the last zone of an
+    /// `n_pair_model(pairs)` and the pair tagged `arriving` (its
+    /// receiver is `arriving + 1`) takes its place, as the `serve-edit`
+    /// benchmark workload swaps them.
+    fn pair_swap(pairs: usize, leaving: usize, arriving: usize) -> Vec<String> {
+        let base = 10_000 * (pairs - 1);
+        let mut lines = Vec::new();
+        for tag in [leaving, leaving + 1] {
+            for flow in ["sense", "pos", "send", "rec", "show"] {
+                lines.push(format!("remove-flow V{tag}_{flow}"));
+            }
+            for component in ["esp", "gps", "bus", "hmi"] {
+                lines.push(format!("remove-component {component}{tag}"));
+            }
+        }
+        for (tag, position, esp) in [(arriving, base, " sW"), (arriving + 1, base + 50, "")] {
+            lines.push(format!("add-component esp{tag}{esp}"));
+            lines.push(format!("add-component gps{tag} {position}"));
+            lines.push(format!("add-component bus{tag}"));
+            lines.push(format!("add-component hmi{tag}"));
+            lines.extend(pair_flows(tag));
+        }
+        lines
+    }
+
+    fn pair_model() -> EditModel {
+        n_pair_model(1)
     }
 
     #[test]
@@ -1115,23 +1611,25 @@ mod tests {
     }
 
     #[test]
-    fn touched_sets_cover_the_edited_elements() {
+    fn edits_apply_in_place_and_a_retag_leaves_the_key_unchanged() {
         let mut m = pair_model();
-        let t = m
-            .apply(&ModelDelta::parse("set-initial gps1 0 30").unwrap())
-            .unwrap();
-        assert_eq!(t, BTreeSet::from(["gps1".to_owned()]));
-        let t = m
-            .apply(&ModelDelta::parse("rewire-flow V1_pos gps1 bus2").unwrap())
-            .unwrap();
-        for name in ["V1_pos", "gps1", "bus1", "bus2"] {
-            assert!(t.contains(name), "missing {name} in {t:?}");
-        }
-        let t = m
-            .apply(&ModelDelta::parse("retag-stakeholder V1_show D_9").unwrap())
-            .unwrap();
-        assert!(t.is_empty());
+        apply_all(
+            &mut m,
+            &["set-initial gps1 0 30", "rewire-flow V1_pos gps1 bus2"],
+        );
+        let gps1 = m.components().iter().find(|c| c.name == "gps1").unwrap();
+        assert_eq!(
+            gps1.initial,
+            BTreeSet::from([ValueLit::Int(0), ValueLit::Int(30)])
+        );
+        let pos = m.flows().iter().find(|f| f.name == "V1_pos").unwrap();
+        assert_eq!((pos.from.as_str(), pos.to.as_str()), ("gps1", "bus2"));
+        // Stakeholders only attribute requirements, which is done from
+        // the whole model at recomposition: no memo key depends on them.
+        let key = m.canonical_encoding();
+        apply_all(&mut m, &["retag-stakeholder V1_show D_9"]);
         assert_eq!(m.stakeholder("V1_show").to_string(), "D_9");
+        assert_eq!(m.canonical_encoding(), key);
     }
 
     #[test]
@@ -1191,9 +1689,9 @@ mod tests {
         );
         let frags = m.fragments();
         assert_eq!(frags.len(), 2, "{frags:#?}");
-        let names: Vec<BTreeSet<&str>> = frags
+        let names: Vec<BTreeSet<String>> = frags
             .iter()
-            .map(|f| f.model.flows().iter().map(|fl| fl.name.as_str()).collect())
+            .map(|f| f.model().flows().iter().map(|fl| fl.name.clone()).collect())
             .collect();
         assert!(names[0].contains("V1_send") && names[0].contains("V2_show"));
         assert!(names[1].contains("V3_send") && names[1].contains("V4_show"));
@@ -1204,15 +1702,23 @@ mod tests {
         // Each fragment analyses to the familiar 12-state pair graph.
         for frag in &frags {
             let g = frag
-                .model
+                .model()
                 .compile()
                 .unwrap()
                 .reachability(&apa::ReachOptions::default())
                 .unwrap();
             assert_eq!(g.state_count(), 12);
         }
-        // Deps name the fragment's own elements only.
-        assert!(frags[0].deps.contains("bus1") && !frags[0].deps.contains("bus3"));
+        // Each fragment holds its own pair's components only.
+        let components = |f: &Fragment<'_>| -> Vec<String> {
+            f.model()
+                .components()
+                .iter()
+                .map(|c| c.name.clone())
+                .collect()
+        };
+        assert!(components(&frags[0]).contains(&"bus1".to_owned()));
+        assert!(!components(&frags[0]).contains(&"bus3".to_owned()));
     }
 
     #[test]
@@ -1262,5 +1768,255 @@ mod tests {
         let mut c = b.clone();
         apply_all(&mut c, &["set-initial x 1"]);
         assert_ne!(a.canonical_encoding(), c.canonical_encoding());
+    }
+
+    #[test]
+    fn canonical_encoding_tells_every_field_apart() {
+        let component = |name: &str, initial: &[ValueLit]| Component {
+            name: name.to_owned(),
+            initial: initial.iter().cloned().collect(),
+        };
+        let flow = |name: &str, kind: FlowKind, from: &str, to: &str| Flow {
+            name: name.to_owned(),
+            from: from.to_owned(),
+            to: to.to_owned(),
+            kind,
+        };
+        let recv = |range, consume_msg, consume_gps| FlowKind::RecvCam {
+            range,
+            consume_msg,
+            consume_gps,
+        };
+        let model = |components, flows| EditModel {
+            components,
+            flows,
+            stakeholders: BTreeMap::new(),
+        };
+        let (atom, int) = (ValueLit::Atom("5".to_owned()), ValueLit::Int(5));
+        let xy = || vec![component("x", &[]), component("y", &[])];
+        let mut variants = vec![
+            // The atom `5` against the integer 5.
+            model(vec![component("a", &[atom])], vec![]),
+            model(vec![component("a", &[int])], vec![]),
+            // A component `a b` with no value against a component `a`
+            // holding the atom `b`.
+            model(vec![component("a b", &[])], vec![]),
+            model(
+                vec![component("a", &[ValueLit::Atom("b".to_owned())])],
+                vec![],
+            ),
+        ];
+        // Every field of a flow: its name, each kind with each of its
+        // parameters, and each endpoint.
+        for (name, kind, from, to) in [
+            ("f", FlowKind::Move, "x", "y"),
+            ("g", FlowKind::Move, "x", "y"),
+            ("f", FlowKind::Move, "y", "x"),
+            ("f", FlowKind::MoveAtom("sW".to_owned()), "x", "y"),
+            ("f", FlowKind::MoveAtom("warn".to_owned()), "x", "y"),
+            (
+                "f",
+                FlowKind::SendCam {
+                    vehicle: "V1".to_owned(),
+                },
+                "x",
+                "y",
+            ),
+            (
+                "f",
+                FlowKind::SendCam {
+                    vehicle: "V2".to_owned(),
+                },
+                "x",
+                "y",
+            ),
+            ("f", recv(100, true, true), "x", "y"),
+            ("f", recv(50, true, true), "x", "y"),
+            ("f", recv(100, false, true), "x", "y"),
+            ("f", recv(100, true, false), "x", "y"),
+        ] {
+            variants.push(model(xy(), vec![flow(name, kind, from, to)]));
+        }
+        let keys: BTreeSet<String> = variants.iter().map(EditModel::canonical_encoding).collect();
+        assert_eq!(keys.len(), variants.len(), "{keys:#?}");
+    }
+
+    /// A deterministic LCG, so each input draws its wiring from one
+    /// seed.
+    fn lcg(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed | 1;
+        move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            state >> 33
+        }
+    }
+
+    /// A random initial-value clause over a small vocabulary.
+    fn random_values(next: &mut impl FnMut() -> u64) -> String {
+        let atoms = ["x", "y", "sW"]
+            .into_iter()
+            .filter(|_| next().is_multiple_of(3));
+        let atoms: Vec<String> = atoms.map(str::to_owned).collect();
+        let ints = [0, 30, 120, 10_000]
+            .into_iter()
+            .filter(|_| next().is_multiple_of(4));
+        let ints: Vec<String> = ints.map(|i: u64| i.to_string()).collect();
+        [atoms, ints].concat().join(" ")
+    }
+
+    fn random_kind(next: &mut impl FnMut() -> u64) -> String {
+        match next() % 5 {
+            0 => "move-atom:x".to_owned(),
+            1 => format!("send-cam:V{}", 1 + next() % 2),
+            2 => format!("recv-cam:{}", [50, 100, 200][(next() % 3) as usize]),
+            _ => "move".to_owned(),
+        }
+    }
+
+    /// `n` components with random initial values and a forward chain of
+    /// random flows, as `tests/incremental_props.rs` builds its models.
+    fn random_model(n: usize, next: &mut impl FnMut() -> u64) -> EditModel {
+        let mut lines = Vec::new();
+        for i in 0..n {
+            lines.push(format!("add-component c{i} {}", random_values(next)));
+        }
+        for i in 0..n - 1 {
+            lines.push(format!(
+                "add-flow f{i} {} c{i} c{}",
+                random_kind(next),
+                i + 1
+            ));
+        }
+        let mut m = EditModel::new();
+        apply_all(
+            &mut m,
+            &lines.iter().map(String::as_str).collect::<Vec<_>>(),
+        );
+        m
+    }
+
+    /// A random edit of any kind against `m`; it may not apply.
+    fn random_delta(
+        m: &EditModel,
+        fresh: &mut usize,
+        next: &mut impl FnMut() -> u64,
+    ) -> ModelDelta {
+        let comps = m.components();
+        let flows = m.flows();
+        let mut comp = || match comps.len() {
+            0 => "none".to_owned(),
+            n => comps[(next() as usize) % n].name.clone(),
+        };
+        let (a, b) = (comp(), comp());
+        let flow = if flows.is_empty() {
+            "f0".to_owned()
+        } else {
+            flows[(next() as usize) % flows.len()].name.clone()
+        };
+        *fresh += 1;
+        let line = match next() % 8 {
+            0 => format!("add-component n{fresh} {}", random_values(next)),
+            1 => format!("remove-component {a}"),
+            2 | 3 => format!("set-initial {a} {}", random_values(next)),
+            4 => format!("add-flow g{fresh} {} {a} {b}", random_kind(next)),
+            5 => format!("remove-flow {flow}"),
+            6 => format!("rewire-flow {flow} {a} {b}"),
+            _ => format!("retag-stakeholder {flow} D_{}", next() % 3),
+        };
+        ModelDelta::parse(line.trim_end()).expect("generator emits parseable lines")
+    }
+
+    /// The interned fragmenter returns the reference's fragments — the
+    /// same order, components, share-restricted initials and flows —
+    /// and each key is its sub-model's canonical encoding.
+    fn assert_fragments_match_the_reference(m: &EditModel, when: &str) {
+        let fragments = m.fragments();
+        let built: Vec<EditModel> = fragments.iter().map(Fragment::model).collect();
+        assert_eq!(built, reference::fragments(m), "{when}");
+        for (fragment, sub) in fragments.iter().zip(&built) {
+            let mut key = String::new();
+            fragment.write_key(&mut key);
+            assert_eq!(key, sub.canonical_encoding(), "{when}");
+        }
+    }
+
+    /// Random edits, checking the fragmenter after each one that applies.
+    fn check_random_edits(m: &mut EditModel, seed: u64, edits: usize) {
+        let mut next = lcg(seed);
+        let mut fresh = 0;
+        for _ in 0..edits {
+            let delta = random_delta(m, &mut fresh, &mut next);
+            if m.apply(&delta).is_ok() {
+                assert_fragments_match_the_reference(m, &format!("seed {seed}, after {delta}"));
+            }
+        }
+    }
+
+    #[test]
+    fn the_interned_fragmenter_matches_the_reference_on_vehicle_pairs() {
+        for pairs in 1..=5 {
+            let mut m = n_pair_model(pairs);
+            assert_fragments_match_the_reference(&m, &format!("{pairs} pair(s)"));
+            // `serve-edit`'s receiver move, out of range and back, and
+            // its swap of the last zone's pair.
+            let mut last = 2 * pairs - 1;
+            for (round, position) in [300, 50, 300, 50].into_iter().enumerate() {
+                apply_all(&mut m, &[format!("set-initial gps2 {position}").as_str()]);
+                assert_fragments_match_the_reference(&m, &format!("gps2 at {position}"));
+                if pairs > 1 {
+                    let arriving = 2 * pairs + 1 + 2 * round;
+                    let swap = pair_swap(pairs, last, arriving);
+                    assert_eq!(swap.len(), 36);
+                    apply_all(&mut m, &swap.iter().map(String::as_str).collect::<Vec<_>>());
+                    assert_fragments_match_the_reference(&m, &format!("pair {arriving} arrived"));
+                    last = arriving;
+                }
+            }
+            check_random_edits(&mut m, pairs as u64, 40);
+        }
+    }
+
+    #[test]
+    fn a_reception_is_evaluated_again_when_its_receiver_gains_a_position() {
+        // The receiver's position reaches `bus2` only through `pos`,
+        // declared after `rec`: the fixpoint must evaluate `rec` again
+        // when `bus2` gains a value, though `rec` reads it on its `to`,
+        // or the `warn` that `show` moves never reaches `bus2`.
+        let mut m = EditModel::new();
+        apply_all(
+            &mut m,
+            &[
+                "add-component bus1 sW 0",
+                "add-component net",
+                "add-component bus2",
+                "add-component gps2 30",
+                "add-component hmi2",
+                "add-flow send send-cam:V1 bus1 net",
+                "add-flow rec recv-cam:100 net bus2",
+                "add-flow pos move gps2 bus2",
+                "add-flow show move-atom:warn bus2 hmi2",
+            ],
+        );
+        assert_fragments_match_the_reference(&m, "reception first");
+        let flows: Vec<String> = m.fragments()[0]
+            .model()
+            .flows()
+            .iter()
+            .map(|f| f.name.clone())
+            .collect();
+        assert_eq!(flows, ["send", "rec", "pos", "show"]);
+    }
+
+    #[test]
+    fn the_interned_fragmenter_matches_the_reference_on_random_models() {
+        for seed in 0..200u64 {
+            let mut next = lcg(seed);
+            let n = 2 + (next() % 4) as usize;
+            let mut m = random_model(n, &mut next);
+            assert_fragments_match_the_reference(&m, &format!("seed {seed}"));
+            check_random_edits(&mut m, seed, 12);
+        }
     }
 }

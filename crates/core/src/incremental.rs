@@ -1,5 +1,4 @@
-//! Incremental elicitation: delta recomputation on model edits
-//! (ROADMAP item 2).
+//! Incremental elicitation: delta recomputation on model edits.
 //!
 //! [`IncrementalElicitor`] runs the paper's §5 assisted pipeline over
 //! the *fragments* of an [`EditModel`] (see [`crate::delta`]) instead
@@ -14,85 +13,36 @@
 //! compiled model, which the property tests in
 //! `tests/incremental_props.rs` check over random edit sequences.
 //!
-//! Two memo namespaces are used (DESIGN.md §2.11):
-//!
-//! * `"frag"` — content-addressed: FNV over the fragment sub-model's
-//!   canonical encoding plus the dependence method. Invalidated by
-//!   edits through the fragment's element names.
-//! * `"cert"` — structure-addressed: FNV over the canonical
-//!   certificate of the fragment's *labeled reachability digraph*
-//!   (the `fsa_graph::iso` machinery), verified by an exact
-//!   isomorphism check on hit so a certificate collision degrades to
-//!   a miss. Entries have no dependencies and survive invalidation:
-//!   an edit-undo pair re-uses the pre-edit analysis even though the
-//!   frag entry was invalidated in between.
+//! The memo is content-addressed (DESIGN.md §2.11): a fragment's key is
+//! the dependence method plus the canonical encoding of the fragment's
+//! sub-model ([`crate::delta::Fragment::write_key`]), which is
+//! injective and leaves out nothing the analysis reads. An edit
+//! therefore never makes an entry wrong, only unused until the same
+//! content comes back: nothing is invalidated, an undone edit finds its
+//! pre-edit entries, and a hit costs the fragment search, one key and
+//! one lookup.
 
 use crate::assisted::{
     analyze, recompose, AssistedReport, CrossCache, DependenceMethod, ElicitOptions,
     FragmentAnalysis, PipelineStats,
 };
-use crate::delta::{DeltaError, EditModel, ModelDelta};
+use crate::delta::EditModel;
 use crate::memo::{MemoCounters, MemoStore};
 use crate::FsaError;
-use apa::{ReachGraph, ReachOptions};
-use fsa_graph::iso::canonical_certificate;
-use fsa_graph::{iso::find_isomorphism, DiGraph};
+use apa::ReachOptions;
 use fsa_obs::Obs;
-use std::collections::BTreeSet;
 use std::sync::Arc;
-
-/// A memo entry: the fragment's analysis plus its labeled reachability
-/// digraph (states labeled `s0`/`s`, one node per edge labeled with its
-/// automaton name) — the exact-verification witness behind the
-/// `"cert"` namespace. A `"frag"` entry shares the `"cert"` entry it
-/// was found or analysed through.
-struct Memoised {
-    analysis: FragmentAnalysis,
-    graph: DiGraph<String>,
-}
-
-/// Encodes a reachability graph as a labeled digraph for the
-/// certificate namespace: state `i` becomes a node labeled `s0` (the
-/// initial state) or `s`; every edge becomes its own node labeled with
-/// the firing automaton's *name*, arc'd source → edge-node → target.
-///
-/// A label-preserving isomorphism of two such digraphs guarantees equal
-/// state/edge counts, minima, maxima, and — because the NFA over
-/// automaton names is preserved — equal dependence verdicts, so a
-/// memoised fragment analysis transfers wholesale. Interpretations
-/// are deliberately dropped: no elicitation output depends on them.
-pub fn labeled_digraph(graph: &ReachGraph) -> DiGraph<String> {
-    let mut g = DiGraph::with_capacity(graph.state_count() + graph.edge_count());
-    let states: Vec<_> = (0..graph.state_count())
-        .map(|i| {
-            g.add_node(if i == 0 {
-                "s0".to_owned()
-            } else {
-                "s".to_owned()
-            })
-        })
-        .collect();
-    for (f, l, t) in graph.edges() {
-        let e = g.add_node(graph.name(l.automaton).to_owned());
-        g.add_edge(states[f], e);
-        g.add_edge(e, states[t]);
-    }
-    g
-}
 
 /// The incremental elicitation engine: an [`EditModel`] session's
 /// memo store plus the engine options. See the module docs.
 pub struct IncrementalElicitor {
-    store: MemoStore<Memoised>,
+    store: MemoStore<FragmentAnalysis>,
     /// Cross-fragment minimal-automaton sizes depend only on the two
     /// unary languages — a handful of entries, kept outside the
     /// bounded store.
     cross_cache: CrossCache,
     method: DependenceMethod,
     threads: usize,
-    hits: u64,
-    misses: u64,
-    invalidated: u64,
 }
 
 impl IncrementalElicitor {
@@ -110,9 +60,6 @@ impl IncrementalElicitor {
             cross_cache: CrossCache::new(),
             method: DependenceMethod::Abstraction,
             threads: 1,
-            hits: 0,
-            misses: 0,
-            invalidated: 0,
         })
     }
 
@@ -137,34 +84,10 @@ impl IncrementalElicitor {
     }
 
     /// Engine-level memo counters: `hits`/`misses` count *fragments*
-    /// served from / analysed into the store, `invalidated` the entries
-    /// dropped by edits, `evictions` the capacity-bound drops.
+    /// served from / analysed into the store, `evictions` the
+    /// capacity-bound drops.
     pub fn memo_counters(&self) -> MemoCounters {
-        MemoCounters {
-            hits: self.hits,
-            misses: self.misses,
-            evictions: self.store.counters().evictions,
-            invalidated: self.invalidated,
-        }
-    }
-
-    /// Applies one edit to `model`, invalidating exactly the memo
-    /// entries whose dependencies the edit touches, and returns the
-    /// touched element names. A failed apply changes neither the model
-    /// nor the store.
-    pub fn apply(
-        &mut self,
-        model: &mut EditModel,
-        delta: &ModelDelta,
-        obs: &Obs,
-    ) -> Result<BTreeSet<String>, DeltaError> {
-        let touched = model.apply(delta)?;
-        let dropped = self.store.invalidate_touching(&touched) as u64;
-        self.invalidated += dropped;
-        if obs.is_enabled() {
-            obs.counter_add("elicit.memo.invalidated", dropped);
-        }
-        Ok(touched)
+        self.store.counters()
     }
 
     /// Elicits the requirement set of `model` incrementally. The
@@ -178,9 +101,7 @@ impl IncrementalElicitor {
     /// run.
     pub fn elicit(&mut self, model: &EditModel, obs: &Obs) -> Result<AssistedReport, FsaError> {
         let run = obs.span("elicit.incremental");
-        let evictions_before = self.store.counters().evictions;
-        let mut run_hits = 0u64;
-        let mut run_misses = 0u64;
+        let before = self.store.counters();
         let options = ElicitOptions {
             method: self.method,
             threads: self.threads,
@@ -188,66 +109,42 @@ impl IncrementalElicitor {
         let quiet = Obs::disabled();
         let mut stats = PipelineStats::default();
 
-        let fragments = model.fragments();
         let method_tag = match self.method {
-            DependenceMethod::Abstraction => "abstraction",
-            DependenceMethod::Precedence => "precedence",
+            DependenceMethod::Abstraction => "abstraction\n",
+            DependenceMethod::Precedence => "precedence\n",
         };
-        let mut entries: Vec<Arc<Memoised>> = Vec::with_capacity(fragments.len());
-        for fragment in &fragments {
-            let payload = format!("{method_tag}\n{}", fragment.model.canonical_encoding());
-            if let Some(hit) = self.store.lookup("frag", &payload, |_| true) {
-                run_hits += 1;
+        let mut key = String::new();
+        let mut entries: Vec<Arc<FragmentAnalysis>> = Vec::new();
+        for fragment in model.fragments() {
+            key.clear();
+            key.push_str(method_tag);
+            fragment.write_key(&mut key);
+            if let Some(hit) = self.store.lookup(&key) {
                 entries.push(hit);
                 continue;
             }
             let span = quiet.span("elicit.reach");
             let graph = fragment
-                .model
+                .model()
                 .compile()?
                 .reachability(&ReachOptions::default())?;
             stats.reach += span.finish();
             stats.reach_states += graph.state_count();
-            let labeled = labeled_digraph(&graph);
-            let cert = canonical_certificate(&labeled);
-            let cert_payload = format!("{method_tag}/{cert:016x}");
-            let entry = match self.store.lookup("cert", &cert_payload, |stored| {
-                find_isomorphism(&stored.graph, &labeled).is_some()
-            }) {
-                Some(stored) => {
-                    run_hits += 1;
-                    stored
-                }
-                None => {
-                    run_misses += 1;
-                    let fresh = Arc::new(Memoised {
-                        analysis: analyze(&graph, &options, true, &quiet, &mut stats)?,
-                        graph: labeled,
-                    });
-                    self.store
-                        .insert("cert", cert_payload, BTreeSet::new(), Arc::clone(&fresh));
-                    fresh
-                }
-            };
-            self.store
-                .insert("frag", payload, fragment.deps.clone(), Arc::clone(&entry));
-            entries.push(entry);
+            let analysis = Arc::new(analyze(&graph, &options, true, &quiet, &mut stats)?);
+            self.store.insert(key.clone(), Arc::clone(&analysis));
+            entries.push(analysis);
         }
-        self.hits += run_hits;
-        self.misses += run_misses;
 
-        let analyses: Vec<&FragmentAnalysis> = entries.iter().map(|e| &e.analysis).collect();
+        let analyses: Vec<&FragmentAnalysis> = entries.iter().map(Arc::as_ref).collect();
         let report = recompose(&analyses, &options, &mut self.cross_cache, stats, |max| {
             model.stakeholder(max)
         })?;
 
         if obs.is_enabled() {
-            obs.counter_add("elicit.memo.hits", run_hits);
-            obs.counter_add("elicit.memo.misses", run_misses);
-            obs.counter_add(
-                "elicit.memo.evictions",
-                self.store.counters().evictions - evictions_before,
-            );
+            let after = self.store.counters();
+            obs.counter_add("elicit.memo.hits", after.hits - before.hits);
+            obs.counter_add("elicit.memo.misses", after.misses - before.misses);
+            obs.counter_add("elicit.memo.evictions", after.evictions - before.evictions);
         }
         drop(run);
         Ok(report)
@@ -258,6 +155,8 @@ impl IncrementalElicitor {
 mod tests {
     use super::*;
     use crate::assisted::{elicit_with_options, ElicitOptions};
+    use crate::delta::{ModelDelta, ValueLit};
+    use std::collections::BTreeSet;
 
     fn model_from(lines: &[&str]) -> EditModel {
         let mut m = EditModel::new();
@@ -347,7 +246,7 @@ mod tests {
     }
 
     #[test]
-    fn edits_invalidate_only_the_touched_fragment() {
+    fn an_edit_misses_only_the_fragments_whose_content_changed() {
         let mut model = two_zone_model();
         let mut engine = IncrementalElicitor::new(64).unwrap();
         let obs = Obs::disabled();
@@ -360,21 +259,15 @@ mod tests {
         let second = engine.memo_counters();
         assert_eq!((second.hits, second.misses), (2, 2));
 
-        // Move zone 2's receiver out of range: zone 1 still hits; the
-        // reshaped zone 2 (and the now-isolated V4_pos fragment) are
-        // fresh analyses — the certificate namespace cannot help
-        // because the fragment graphs genuinely changed shape.
-        engine
-            .apply(
-                &mut model,
-                &ModelDelta::parse("set-initial gps4 20000").unwrap(),
-                &obs,
-            )
+        // Move zone 2's receiver out of range: zone 1's content is
+        // unchanged and hits; the reshaped zone 2 (and the now-isolated
+        // V4_pos fragment) are new content, so fresh analyses.
+        model
+            .apply(&ModelDelta::parse("set-initial gps4 20000").unwrap())
             .unwrap();
         let report = engine.elicit(&model, &obs).unwrap();
         let third = engine.memo_counters();
         assert_eq!((third.hits, third.misses), (3, 4));
-        assert_eq!(third.invalidated, 1);
         assert_report_eq(
             &report,
             &from_scratch(&model, DependenceMethod::Abstraction),
@@ -382,38 +275,63 @@ mod tests {
     }
 
     #[test]
-    fn edit_undo_reuses_the_certificate_namespace() {
+    fn an_undone_edit_hits_the_pre_edit_content() {
         let mut model = two_zone_model();
         let mut engine = IncrementalElicitor::new(64).unwrap();
         let obs = Obs::disabled();
         engine.elicit(&model, &obs).unwrap();
-        engine
-            .apply(
-                &mut model,
-                &ModelDelta::parse("set-initial gps2 99").unwrap(),
-                &obs,
-            )
+        model
+            .apply(&ModelDelta::parse("set-initial gps2 99").unwrap())
             .unwrap();
         engine.elicit(&model, &obs).unwrap();
         let before_undo = engine.memo_counters();
-        engine
-            .apply(
-                &mut model,
-                &ModelDelta::parse("set-initial gps2 50").unwrap(),
-                &obs,
-            )
+        model
+            .apply(&ModelDelta::parse("set-initial gps2 50").unwrap())
             .unwrap();
-        // The frag entry for zone 1 was invalidated twice, but the
-        // cert entry survives: the undone model's fragment graph is
-        // isomorphic to the original's, so no fresh analysis runs.
+        // The undone model's fragments have the original content, whose
+        // entries are still in the store: no fresh analysis runs.
         let report = engine.elicit(&model, &obs).unwrap();
         let after = engine.memo_counters();
         assert_eq!(after.misses, before_undo.misses);
-        assert!(after.hits > before_undo.hits);
+        assert_eq!(after.hits, before_undo.hits + 2);
         assert_report_eq(
             &report,
             &from_scratch(&model, DependenceMethod::Abstraction),
         );
+    }
+
+    #[test]
+    fn an_atom_and_an_integer_of_the_same_text_are_different_content() {
+        // `a{5} bus{sW,7} net c`, flows m: a→bus, s: bus→net, m2: bus→c.
+        // With the atom `5` on `a`, the send consumes only the 7; with
+        // the integer it can also send a CAM at 5. A key that printed
+        // both values alike would answer the second model from the
+        // first model's analysis.
+        let mut model = model_from(&[
+            "add-component a",
+            "add-component bus sW 7",
+            "add-component net",
+            "add-component c",
+            "add-flow m move a bus",
+            "add-flow s send-cam:V1 bus net",
+            "add-flow m2 move bus c",
+        ]);
+        let mut engine = IncrementalElicitor::new(64)
+            .unwrap()
+            .method(DependenceMethod::Precedence);
+        let obs = Obs::disabled();
+        for value in [ValueLit::Atom("5".to_owned()), ValueLit::Int(5)] {
+            model
+                .apply(&ModelDelta::SetInitial {
+                    name: "a".to_owned(),
+                    initial: BTreeSet::from([value]),
+                })
+                .unwrap();
+            let report = engine.elicit(&model, &obs).unwrap();
+            assert_report_eq(&report, &from_scratch(&model, DependenceMethod::Precedence));
+        }
+        let report = engine.elicit(&model, &obs).unwrap();
+        assert_eq!((report.state_count, report.edge_count), (17, 28));
     }
 
     #[test]

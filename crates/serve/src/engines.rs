@@ -117,11 +117,13 @@ impl ScenarioModel {
 
     /// [`Self::apply_edit_lines`] for already-parsed deltas (the
     /// one-shot `--edit-script` runner applies script steps directly).
+    /// An edit records nothing and leaves the memo store alone: its keys
+    /// are content-addressed, so no entry can go stale.
     ///
     /// # Errors
     ///
     /// As [`Self::apply_edit_lines`], minus the parse stage.
-    pub fn apply_deltas(&mut self, deltas: &[ModelDelta], obs: &Obs) -> Result<(), String> {
+    pub fn apply_deltas(&mut self, deltas: &[ModelDelta], _obs: &Obs) -> Result<(), String> {
         let Some(ed) = self.editable.as_mut() else {
             return Err(format!(
                 "scenario `{}` is not editable (expected two or six)",
@@ -130,9 +132,7 @@ impl ScenarioModel {
         };
         let mut next = ed.model.clone();
         for d in deltas {
-            ed.elicitor
-                .apply(&mut next, d, obs)
-                .map_err(|e| e.to_string())?;
+            next.apply(d).map_err(|e| e.to_string())?;
         }
         let apa = next
             .compile()

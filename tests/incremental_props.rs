@@ -2,15 +2,19 @@
 //! sequence of model edits, [`IncrementalElicitor::elicit`] must be
 //! bit-identical (every report field except timings) to a from-scratch
 //! `elicit_with_options` run on the final model, for every thread
-//! count. Memoisation and delta invalidation are an implementation
-//! detail, never a semantics.
+//! count. Memoisation is an implementation detail, never a semantics:
+//! the memo keys are content-addressed and nothing is invalidated, so
+//! the engine here only ever sees the edited model.
 
 use fsa::apa::ReachOptions;
-use fsa::core::assisted::{elicit_with_options, AssistedReport, DependenceMethod, ElicitOptions};
-use fsa::core::delta::{EditModel, ModelDelta};
+use fsa::core::assisted::{
+    elicit_with_options, AssistedReport, DependenceMethod, ElicitOptions, PairVerdict,
+};
+use fsa::core::delta::{EditModel, Flow, ModelDelta};
 use fsa::core::incremental::IncrementalElicitor;
 use fsa::obs::Obs;
 use proptest::prelude::*;
+use std::collections::hash_map::{Entry, HashMap};
 
 /// A deterministic inline LCG so each proptest case draws its whole
 /// wiring from one `u64` seed (same idiom as `parallel_props.rs`).
@@ -140,6 +144,80 @@ fn random_delta(
     ModelDelta::parse(&line).expect("generator emits parseable lines")
 }
 
+/// Removes a random component together with the flows attached to it,
+/// then declares all of them again with the same content: the model is
+/// unchanged up to declaration order.
+fn redeclare(model: &EditModel, next: &mut impl FnMut() -> u64) -> Vec<ModelDelta> {
+    let comps = model.components();
+    if comps.is_empty() {
+        return Vec::new();
+    }
+    let component = comps[(next() as usize) % comps.len()].clone();
+    let attached: Vec<Flow> = model
+        .flows()
+        .iter()
+        .filter(|f| f.from == component.name || f.to == component.name)
+        .cloned()
+        .collect();
+    let mut deltas: Vec<ModelDelta> = attached
+        .iter()
+        .map(|f| ModelDelta::RemoveFlow {
+            name: f.name.clone(),
+        })
+        .collect();
+    deltas.push(ModelDelta::RemoveComponent {
+        name: component.name.clone(),
+    });
+    deltas.push(ModelDelta::AddComponent {
+        name: component.name,
+        initial: component.initial,
+    });
+    deltas.extend(
+        attached
+            .into_iter()
+            .map(|flow| ModelDelta::AddFlow { flow }),
+    );
+    deltas
+}
+
+/// Removes a random flow and adds it again under the same name and
+/// endpoints with a random kind: same names, possibly new content.
+fn rekind(model: &EditModel, next: &mut impl FnMut() -> u64) -> Vec<ModelDelta> {
+    let flows = model.flows();
+    if flows.is_empty() {
+        return Vec::new();
+    }
+    let flow = flows[(next() as usize) % flows.len()].clone();
+    let line = format!(
+        "add-flow {} {} {} {}",
+        flow.name,
+        random_kind(next),
+        flow.from,
+        flow.to
+    );
+    vec![
+        ModelDelta::RemoveFlow { name: flow.name },
+        ModelDelta::parse(&line).expect("generator emits parseable lines"),
+    ]
+}
+
+/// Everything a fragment's memo entry stands for: the outputs of its
+/// from-scratch analysis that stakeholder tags do not change (counts,
+/// minima, maxima, verdicts), or `None` when exploring it fails.
+type Analysis = Option<(usize, usize, Vec<String>, Vec<String>, Vec<PairVerdict>)>;
+
+fn analyse(model: &EditModel, method: DependenceMethod) -> Analysis {
+    let graph = model
+        .compile()
+        .ok()?
+        .reachability(&ReachOptions::default())
+        .ok()?;
+    let r = elicit_with_options(&graph, &ElicitOptions { method, threads: 1 }, |max| {
+        model.stakeholder(max)
+    });
+    Some((r.state_count, r.edge_count, r.minima, r.maxima, r.verdicts))
+}
+
 /// From-scratch reference run on the final model; `None` when the
 /// model has no behaviour worth comparing (compile/reachability
 /// failure — the incremental path must then fail too).
@@ -207,11 +285,13 @@ proptest! {
             // must reject without corrupting either path.
             let mut trial = model.clone();
             if trial.apply(&delta).is_err() {
+                let before = model.clone();
                 prop_assert!(
-                    engine.apply(&mut model, &delta, &obs).is_err(),
-                    "engine must reject what the model rejects: {}",
+                    model.apply(&delta).is_err(),
+                    "the model must reject what its clone rejects: {}",
                     delta
                 );
+                prop_assert_eq!(&model, &before, "a rejected delta changed the model");
                 continue;
             }
             // Occasionally turn a `set-initial` into an edit/undo pair:
@@ -229,10 +309,10 @@ proptest! {
             } else {
                 None
             };
-            engine.apply(&mut model, &delta, &obs).expect("trial-checked delta");
+            model.apply(&delta).expect("trial-checked delta");
             applied += 1;
             if let Some(undo) = undo {
-                engine.apply(&mut model, &undo, &obs).expect("undo of a set-initial");
+                model.apply(&undo).expect("undo of a set-initial");
             }
             if let Some(scratch) = from_scratch(&model, 1) {
                 let report = engine.elicit(&model, &obs).expect("incremental after edit");
@@ -247,6 +327,56 @@ proptest! {
                 engine.set_threads(threads);
                 let report = engine.elicit(&model, &obs).expect("incremental final");
                 assert_bit_identical(&report, &scratch, &format!("at {threads} threads"));
+            }
+        }
+    }
+
+    /// Key completeness, the guard that replaced memo invalidation:
+    /// along a random edit sequence (every delta kind; components
+    /// removed and declared again with their flows, same content in a
+    /// new declaration order; flows declared again under their old name
+    /// with a new kind), any two fragments with equal memo keys have
+    /// equal from-scratch analyses under both dependence methods.
+    #[test]
+    fn equal_memo_keys_mean_equal_fragment_analyses(
+        n in 2usize..5,
+        seed in any::<u64>(),
+        edits in 1usize..7,
+    ) {
+        let mut next = lcg(seed);
+        let mut model = random_model(n, &mut next);
+        let mut fresh = 0usize;
+        let mut seen: HashMap<String, [Analysis; 2]> = HashMap::new();
+        for step in 0..=edits {
+            if step > 0 {
+                let deltas = match next() % 4 {
+                    0 => redeclare(&model, &mut next),
+                    1 => rekind(&model, &mut next),
+                    _ => vec![random_delta(&model, &mut fresh, &mut next)],
+                };
+                let mut trial = model.clone();
+                if deltas.iter().any(|d| trial.apply(d).is_err()) {
+                    continue;
+                }
+                model = trial;
+            }
+            for fragment in model.fragments() {
+                let mut key = String::new();
+                fragment.write_key(&mut key);
+                let sub = fragment.model();
+                let analyses = [DependenceMethod::Abstraction, DependenceMethod::Precedence]
+                    .map(|method| analyse(&sub, method));
+                match seen.entry(key) {
+                    Entry::Vacant(e) => {
+                        e.insert(analyses);
+                    }
+                    Entry::Occupied(e) => prop_assert_eq!(
+                        e.get(),
+                        &analyses,
+                        "two fragments share the key {:?}",
+                        e.key()
+                    ),
+                }
             }
         }
     }
@@ -268,7 +398,7 @@ proptest! {
             name: model.components()[0].name.clone(),
             initial: model.components()[0].initial.clone(),
         };
-        engine.apply(&mut model, &noop, &obs).expect("no-op edit");
+        model.apply(&noop).expect("no-op edit");
         let again = engine.elicit(&model, &obs).expect("after no-op");
         assert_bit_identical(&again, &first, "after a no-op edit");
         let before = engine.memo_counters().misses;
