@@ -14,7 +14,7 @@
 //! stream in a single hash pass.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fsa_core::explore::{union_requirements, ExecOptions, ExploreOptions};
+use fsa_core::explore::{ExecOptions, ExploreOptions};
 use fsa_graph::iso::{
     canonical_certificate, dedup_isomorphic, dedup_isomorphic_certified,
     dedup_isomorphic_certified_parallel,
@@ -100,25 +100,6 @@ fn bench_exploration(c: &mut Criterion) {
             BenchmarkId::new("certificate_dedup_parallel", max_vehicles),
             &stream,
             |b, s| b.iter(|| black_box(dedup_isomorphic_certified_parallel(s.clone(), 4))),
-        );
-    }
-
-    // The §4.4 union over χ node pairs, on one thread: 2 vehicles, and
-    // the 3015 instances of 4 vehicles that `fsa explore` unions.
-    let supervisor = fsa_exec::Supervisor::new();
-    for max_vehicles in [2usize, 4] {
-        let instances = enumerate_scenario_instances(max_vehicles, &ExploreOptions::default())
-            .expect("bounded");
-        group.bench_with_input(
-            BenchmarkId::new("union_requirements", max_vehicles),
-            &instances,
-            |b, instances| {
-                b.iter(|| {
-                    black_box(
-                        union_requirements(black_box(instances), 1, &supervisor).expect("unions"),
-                    )
-                })
-            },
         );
     }
 

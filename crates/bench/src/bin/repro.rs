@@ -265,20 +265,19 @@ fn simplicity() {
 }
 
 fn explore() {
-    use fsa_core::explore::{union_requirements, ExploreOptions};
+    use fsa_core::explore::{ExecOptions, ExploreOptions};
     for max_vehicles in 1..=2usize {
-        let instances = vanet::exploration::enumerate_scenario_instances(
+        let universe = vanet::exploration::explore_scenario_universe(
             max_vehicles,
             &ExploreOptions::default(),
+            &ExecOptions::default(),
         )
         .expect("bounded enumeration");
-        let union = union_requirements(&instances, 1, &fsa_exec::Supervisor::new())
-            .expect("loop-free elicitation");
         println!(
             "1 RSU + up to {max_vehicles} vehicle(s): {} structurally different instances, union = {} requirements ({} cyclic skipped)",
-            instances.len(),
-            union.requirements.len(),
-            union.loop_skipped
+            universe.classes.len(),
+            universe.requirements.len(),
+            universe.loop_skipped
         );
     }
 }

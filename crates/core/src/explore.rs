@@ -13,8 +13,7 @@
 //! the results up to isomorphism of their shape graphs, optionally keeps
 //! only weakly connected compositions, and unions the requirements of
 //! the classes it keeps. [`enumerate_instances_supervised`] also
-//! composes each class's [`SosInstance`]; [`union_requirements`] elicits
-//! and unions the requirements of any instance list.
+//! composes each class's [`SosInstance`].
 //!
 //! # The streaming certificate engine
 //!
@@ -49,8 +48,7 @@
 //! Every run executes under the [`fsa_exec`] execution layer;
 //! [`ExecOptions`] only sets its policy, and [`ExecOptions::default`]
 //! is the policy of a run without supervision flags. Candidate builds
-//! (χ included) and the elicitations of [`union_requirements`] are
-//! panic-isolated and retried per
+//! (χ included) are panic-isolated and retried per
 //! [`fsa_exec::RetryPolicy`] (exhausted chunks are *quarantined*, not
 //! fatal), cooperative cancellation ([`fsa_exec::CancelToken`] —
 //! deadlines included) degrades the run to a partial result with
@@ -61,14 +59,12 @@
 //! resumed run is bit-identical to an uninterrupted one — for every
 //! interruption point and every thread count.
 
-use crate::action::{Action, Agent};
 use crate::checkpoint::{config_fingerprint, CheckpointCounters, ExploreCheckpoint};
 use crate::component_model::{ComponentModel, TemplateActionId};
 use crate::error::FsaError;
 use crate::instance::{SosInstance, SosInstanceBuilder};
-use crate::manual::chi_nodes;
 use crate::requirements::{AuthRequirement, RequirementSet};
-use fsa_exec::{CancelToken, ChunkFailure, Supervisor};
+use fsa_exec::{CancelToken, Supervisor};
 use fsa_graph::bitset::{set_bits, AdjacencyRows, ChiScratch};
 use fsa_graph::iso::{
     are_isomorphic, label_hash, row_certificate, Certificate, CertificateScratch, CertifiedClasses,
@@ -76,9 +72,8 @@ use fsa_graph::iso::{
 use fsa_graph::{DiGraph, NodeId};
 use fsa_obs::Obs;
 use std::cell::RefCell;
-use std::collections::BTreeSet;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// An allowed external flow: an output action of one component model
@@ -1960,151 +1955,12 @@ impl<'u> ClassMap<'u> {
     }
 }
 
-/// Instances per supervised union stage. Each window's new requirements
-/// are folded into the running union before the next window starts.
-const UNION_WINDOW: usize = 256;
-
-/// Result of [`union_requirements`]: the union plus its coverage
-/// accounting.
-#[derive(Debug, Clone)]
-pub struct UnionOutcome {
-    /// Union of the elicited requirement sets.
-    pub requirements: RequirementSet,
-    /// Instances skipped as cyclic (loop-freedom exclusion).
-    pub loop_skipped: usize,
-    /// Instances whose elicitation chunk completed (including cyclic
-    /// skips).
-    pub elicited: usize,
-    /// Instances in the input set.
-    pub total: usize,
-    /// Quarantined elicitation chunks (every retry panicked); the chunk
-    /// index is the instance index.
-    pub failures: Vec<ChunkFailure>,
-    /// Panicking chunk attempts that were retried.
-    pub retries: u64,
-    /// `true` if the union stopped early at a cancellation point and
-    /// covers only a prefix of the instance set.
-    pub cancelled: bool,
-}
-
-impl UnionOutcome {
-    /// `true` when every instance was elicited (nothing dropped,
-    /// nothing cancelled).
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        self.elicited == self.total
-    }
-}
-
-/// Elicits every instance and unions the requirement sets (§4.4),
-/// skipping instances whose composition is cyclic (bidirectional rules
-/// can produce `A sends to B sends to A` loops, which the paper's
-/// loop-freedom assumption excludes).
-///
-/// Each instance contributes its χ pairs ([`chi_nodes`]) as borrowed
-/// `(antecedent, consequent, stakeholder)` keys to one set shared by
-/// every window, so duplicates are eliminated by value before anything
-/// is cloned; only the distinct requirements are copied into the
-/// [`RequirementSet`], at the end. No per-instance
-/// [`ElicitationReport`](crate::manual::ElicitationReport) is built: the
-/// union of the reports' requirement sets is the same set.
-///
-/// Runs under `supervisor` as the `explore:union` stage, one chunk per
-/// instance on `threads` workers: a panicking elicitation is retried and
-/// then quarantined, and a cancellation (deadline) degrades to a prefix
-/// union with explicit coverage in [`UnionOutcome`]. The union is
-/// bit-identical for every thread count.
-///
-/// # Errors
-///
-/// *Only* [`FsaError::CircularDependency`] counts as a loop-skip; every
-/// other elicitation error propagates, smallest instance index first.
-pub fn union_requirements(
-    instances: &[SosInstance],
-    threads: usize,
-    supervisor: &Supervisor,
-) -> Result<UnionOutcome, FsaError> {
-    union_windows(instances, threads, supervisor, &chi_nodes)
-}
-
-/// A requirement `auth(antecedent, consequent, stakeholder)` borrowed
-/// from the instance that elicited it. Tuples order field by field, as
-/// [`AuthRequirement`] does.
-type RequirementKey<'a> = (&'a Action, &'a Action, &'a Agent);
-
-/// [`union_requirements`] over an arbitrary χ elicitor, window by window
-/// ([`UNION_WINDOW`] instances per supervised stage).
-fn union_windows<F>(
-    instances: &[SosInstance],
-    threads: usize,
-    supervisor: &Supervisor,
-    chi_fn: &F,
-) -> Result<UnionOutcome, FsaError>
-where
-    F: Fn(&SosInstance) -> Result<Vec<(NodeId, NodeId)>, FsaError> + Sync,
-{
-    let mut union = UnionOutcome {
-        requirements: RequirementSet::new(),
-        loop_skipped: 0,
-        elicited: 0,
-        total: instances.len(),
-        failures: Vec::new(),
-        retries: 0,
-        cancelled: false,
-    };
-    let seen: Mutex<BTreeSet<RequirementKey<'_>>> = Mutex::new(BTreeSet::new());
-    for (w, window) in instances.chunks(UNION_WINDOW).enumerate() {
-        let outcome = supervisor.run_chunks("explore:union", threads, window.len(), |i| {
-            let instance = &window[i];
-            let chi = match chi_fn(instance) {
-                Ok(chi) => chi,
-                Err(FsaError::CircularDependency { .. }) => return Ok(false),
-                Err(e) => return Err(e),
-            };
-            let mut seen = seen.lock().unwrap_or_else(PoisonError::into_inner);
-            seen.extend(chi.into_iter().map(|(x, y)| {
-                (
-                    instance.action(x),
-                    instance.action(y),
-                    instance.stakeholder(y),
-                )
-            }));
-            Ok(true)
-        })?;
-        union.elicited += outcome.results.len();
-        union.loop_skipped += outcome
-            .results
-            .iter()
-            .filter(|(_, elicited)| !elicited)
-            .count();
-        union.retries += outcome.retries;
-        let offset = w * UNION_WINDOW;
-        union
-            .failures
-            .extend(outcome.failures.into_iter().map(|f| ChunkFailure {
-                chunk: offset + f.chunk,
-                ..f
-            }));
-        if outcome.cancelled {
-            union.cancelled = true;
-            break;
-        }
-    }
-    union.requirements = seen
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-        .into_iter()
-        .map(|(a, c, s)| AuthRequirement::new(a.clone(), c.clone(), s.clone()))
-        .collect();
-    Ok(union)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::component_model::ComponentInstance;
     use crate::instance::FlowKind;
-    use crate::manual::elicit;
+    use crate::manual::{chi_nodes, elicit};
     use fsa_graph::iso::canonical_certificate;
 
     /// The per-candidate builder that [`Prototype`] replaced, kept as its
@@ -2448,15 +2304,17 @@ mod tests {
 
     #[test]
     fn union_covers_each_instance() {
-        let instances =
-            enumerate_instances(&sensor_and_display(), &rules(), &ExploreOptions::default())
-                .unwrap();
-        let union = union_requirements(&instances, 1, &Supervisor::new())
-            .unwrap()
-            .requirements;
-        for inst in &instances {
+        let exploration = enumerate_instances_supervised(
+            &sensor_and_display(),
+            &rules(),
+            &ExploreOptions::default(),
+            &ExecOptions::default(),
+        )
+        .unwrap();
+        let union = &exploration.universe.requirements;
+        for inst in &exploration.instances {
             let set = elicit(inst).unwrap().requirement_set();
-            assert!(set.is_subset(&union), "instance {}", inst.name());
+            assert!(set.is_subset(union), "instance {}", inst.name());
         }
         // The connected S→D composition contributes auth(emit, show, User).
         assert!(union
@@ -2465,62 +2323,38 @@ mod tests {
     }
 
     #[test]
-    fn union_dedups_by_value_not_by_node_id() {
-        // The same requirement elicited at different node ids in two
-        // instances is one requirement of the union.
-        let mut a = SosInstanceBuilder::new("a");
-        let emit = a.action(Action::parse("emit(S_1,val)"), "U_1");
-        let show = a.action(Action::parse("show(D_1,val)"), "U_2");
-        a.flow(emit, show);
-        let mut b = SosInstanceBuilder::new("b");
-        let show = b.action(Action::parse("show(D_1,val)"), "U_2");
-        let emit = b.action(Action::parse("emit(S_1,val)"), "U_1");
-        b.flow(emit, show);
-        let instances = vec![a.build(), b.build()];
-        assert_ne!(
-            chi_nodes(&instances[0]).unwrap(),
-            chi_nodes(&instances[1]).unwrap(),
-            "same pair, different node ids"
-        );
-        for threads in [1usize, 2] {
-            let union = union_requirements(&instances, threads, &Supervisor::new()).unwrap();
-            assert_eq!(union.requirements.len(), 1, "threads {threads}");
-            assert_eq!(
-                union.requirements,
-                elicit(&instances[1]).unwrap().requirement_set()
-            );
-        }
-    }
-
-    #[test]
     fn threaded_union_is_bit_identical() {
-        let instances = enumerate_instances(
-            &sensor_and_display(),
-            &rules(),
-            &ExploreOptions {
+        let explore = |threads| {
+            let options = ExploreOptions {
                 require_connected: false,
+                threads,
                 ..Default::default()
-            },
-        )
-        .unwrap();
-        // The first union window holds only copies of one instance, so
-        // every other instance's requirements arrive in a later window.
-        let mut many = vec![instances[0].clone(); 300];
-        many.extend(instances.iter().cloned());
-        let oracle: RequirementSet = instances
+            };
+            enumerate_instances_supervised(
+                &sensor_and_display(),
+                &rules(),
+                &options,
+                &ExecOptions::default(),
+            )
+            .unwrap()
+        };
+        let seq = explore(1);
+        let oracle: RequirementSet = seq
+            .instances
             .iter()
             .flat_map(|i| elicit(i).unwrap().requirements())
             .collect();
-        let first = elicit(&instances[0]).unwrap().requirement_set();
-        assert!(first.len() < oracle.len(), "later windows add requirements");
-        let union = |threads| union_requirements(&many, threads, &Supervisor::new()).unwrap();
-        let seq = union(1);
-        assert!(seq.is_complete());
-        assert_eq!(seq.requirements, oracle);
+        assert_eq!(seq.universe.requirements, oracle);
         for threads in [2usize, 4, 8] {
-            let par = union(threads);
-            assert_eq!(seq.requirements, par.requirements, "threads {threads}");
-            assert_eq!(seq.loop_skipped, par.loop_skipped, "threads {threads}");
+            let par = explore(threads).universe;
+            assert_eq!(
+                seq.universe.requirements, par.requirements,
+                "threads {threads}"
+            );
+            assert_eq!(
+                seq.universe.loop_skipped, par.loop_skipped,
+                "threads {threads}"
+            );
         }
     }
 
@@ -2670,93 +2504,24 @@ mod tests {
         let send = peer.action("send(P_i,msg)");
         peer.flow(rec, send);
         let rules = vec![ConnectionRule::new("P", 1, "P", 0)];
-        let instances = enumerate_instances(
+        let universe = explore_universe(
             &[(peer, 2)],
             &rules,
             &ExploreOptions {
                 require_connected: false,
                 ..Default::default()
             },
+            &ExecOptions::default(),
         )
         .unwrap();
-        let union = union_requirements(&instances, 1, &Supervisor::new()).unwrap();
         assert!(
-            union.loop_skipped > 0,
+            universe.loop_skipped > 0,
             "the mutual-send composition is cyclic"
         );
-        assert!(union.is_complete());
-        assert!(union
+        assert!(universe
             .requirements
             .iter()
             .any(|r| r.antecedent.name() == "rec" && r.consequent.name() == "send"));
-    }
-
-    #[test]
-    fn loop_free_union_propagates_non_cycle_errors() {
-        // Regression: the loop-free union used to count
-        // *every* error as a loop-skip, silently mislabelling real
-        // elicitation failures as cycle exclusions. A deliberately
-        // invalid instance (here: an elicitor that rejects it with a
-        // non-circular error) must propagate.
-        let instances =
-            enumerate_instances(&sensor_and_display(), &rules(), &ExploreOptions::default())
-                .unwrap();
-        let invalid_name = instances[0].name().to_owned();
-        let failing = |inst: &SosInstance| -> Result<Vec<(NodeId, NodeId)>, FsaError> {
-            if inst.name() == invalid_name {
-                Err(FsaError::UnknownAction("ghost(X,val)".to_owned()))
-            } else {
-                chi_nodes(inst)
-            }
-        };
-        for threads in [1usize, 4] {
-            let err = union_windows(&instances, threads, &Supervisor::new(), &failing).unwrap_err();
-            assert_eq!(
-                err,
-                FsaError::UnknownAction("ghost(X,val)".to_owned()),
-                "threads {threads}"
-            );
-        }
-        // Circular dependencies are still skipped, not propagated.
-        let cyclic = |_: &SosInstance| -> Result<Vec<(NodeId, NodeId)>, FsaError> {
-            Err(FsaError::CircularDependency {
-                first: crate::action::Action::parse("a"),
-                second: crate::action::Action::parse("b"),
-            })
-        };
-        let union = union_windows(&instances, 1, &Supervisor::new(), &cyclic).unwrap();
-        assert!(union.requirements.is_empty());
-        assert_eq!(union.loop_skipped, instances.len());
-        assert!(union.is_complete());
-    }
-
-    #[test]
-    fn union_worker_panic_is_quarantined_not_abort() {
-        // A panicking elicitor neither aborts the process nor fails the
-        // union: every retry panics, so each instance is quarantined
-        // under its own instance index.
-        let instances = enumerate_instances(
-            &sensor_and_display(),
-            &rules(),
-            &ExploreOptions {
-                require_connected: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let exploding = |_: &SosInstance| -> Result<Vec<(NodeId, NodeId)>, FsaError> {
-            panic!("elicitor exploded")
-        };
-        let supervisor = Supervisor::new().with_retry(fsa_exec::RetryPolicy {
-            max_retries: 0,
-            ..fsa_exec::RetryPolicy::default()
-        });
-        let union = union_windows(&instances, 4, &supervisor, &exploding).unwrap();
-        assert_eq!(union.elicited, 0);
-        assert!(!union.is_complete());
-        let chunks: Vec<usize> = union.failures.iter().map(|f| f.chunk).collect();
-        assert_eq!(chunks, (0..instances.len()).collect::<Vec<_>>());
-        assert!(union.failures.iter().all(|f| f.stage == "explore:union"));
     }
 
     #[test]

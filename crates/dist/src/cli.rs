@@ -12,11 +12,13 @@ use crate::local::{explore_distributed_universe, LocalConfig, WorkerMode};
 use crate::worker::{run_worker, WorkerConfig};
 use fsa_core::explore::{ExploreOptions, Universe};
 use fsa_core::service::{Rendered, ServiceCtx};
-use fsa_serve::cli::{emit, render_universe, Flag, Flags, ObsOutputs};
+use fsa_serve::cli::{emit, help, render_universe, ObsOutputs};
+use fsa_serve::flags::{Kind, Table};
 use std::path::PathBuf;
 
 const COORDINATE_USAGE: &str = "usage:
   fsa coordinate --listen HOST:PORT [--max-vehicles N] [--shards N] [--lease-ms N] [--state F]
+                 [--max-conns N] [--budget N] [--all] [--stats]
 
 Serve shard leases to `fsa work` processes until the instance universe
 is fully explored, then print the merged exploration — byte-identical
@@ -66,13 +68,6 @@ fn wants_help(args: &[String]) -> bool {
         .any(|a| matches!(a.as_str(), "--help" | "-h" | "help"))
 }
 
-fn help(usage: &str) -> Rendered {
-    Rendered {
-        stdout: format!("{usage}\n"),
-        ..Rendered::default()
-    }
-}
-
 /// The engine handed to [`fsa_serve::cli::register_distributed_engine`]:
 /// a local coordinator plus `fsa work` child processes re-invoking the
 /// current executable.
@@ -101,6 +96,38 @@ pub fn register() {
     fsa_serve::cli::register_distributed_engine(process_engine);
 }
 
+/// The flags of `fsa coordinate`.
+#[derive(Default)]
+struct CoordinateFlags {
+    listen: Option<String>,
+    max_vehicles: Option<usize>,
+    shards: Option<usize>,
+    lease_ms: Option<usize>,
+    state: Option<String>,
+    max_conns: Option<usize>,
+    budget: Option<usize>,
+    all: bool,
+    stats: bool,
+    outputs: ObsOutputs,
+}
+
+const COORDINATE: Table<CoordinateFlags> = Table::new(
+    COORDINATE_USAGE,
+    &[
+        ("listen", Kind::Text(|f| &mut f.listen)),
+        ("max-vehicles", Kind::Positive(|f| &mut f.max_vehicles)),
+        ("shards", Kind::Positive(|f| &mut f.shards)),
+        ("lease-ms", Kind::Positive(|f| &mut f.lease_ms)),
+        ("state", Kind::Text(|f| &mut f.state)),
+        ("max-conns", Kind::Positive(|f| &mut f.max_conns)),
+        ("budget", Kind::Positive(|f| &mut f.budget)),
+        ("all", Kind::Switch(|f| &mut f.all)),
+        ("stats", Kind::Switch(|f| &mut f.stats)),
+        ("stats-json", Kind::Text(|f| &mut f.outputs.stats_json)),
+        ("trace-json", Kind::Text(|f| &mut f.outputs.trace_json)),
+    ],
+);
+
 /// `fsa coordinate` — run a coordinator to completion and print the
 /// merged exploration. Returns the process exit code.
 #[must_use]
@@ -108,83 +135,26 @@ pub fn coordinate_command(args: &[String]) -> u8 {
     if wants_help(args) {
         return emit(&help(COORDINATE_USAGE));
     }
-    let mut listen: Option<String> = None;
-    let mut max_vehicles = 2usize;
-    let mut shards = 8usize;
-    let mut lease_ms = 2000u64;
-    let mut state: Option<String> = None;
-    let mut max_conns = 256usize;
-    let mut budget: Option<usize> = None;
-    let mut all = false;
-    let mut stats = false;
-    let mut outputs = ObsOutputs::default();
-    let mut flags = Flags::new(args, COORDINATE_USAGE);
-    while let Some(flag) = flags.next_flag() {
-        let flag = match flag {
-            Ok(f) => f,
-            Err(r) => return emit(&r),
-        };
-        let (name, inline) = match flag {
-            Flag::Named(n, v) => (n, v),
-            Flag::Positional(p) => return emit(&flags.positional(&p)),
-        };
-        match name.as_str() {
-            "listen" => match flags.value("listen", inline) {
-                Ok(v) => listen = Some(v),
-                Err(r) => return emit(&r),
-            },
-            "max-vehicles" => match flags.positive("max-vehicles", inline) {
-                Ok(n) => max_vehicles = n,
-                Err(r) => return emit(&r),
-            },
-            "shards" => match flags.positive("shards", inline) {
-                Ok(n) => shards = n,
-                Err(r) => return emit(&r),
-            },
-            "lease-ms" => match flags.positive("lease-ms", inline) {
-                Ok(n) => lease_ms = n as u64,
-                Err(r) => return emit(&r),
-            },
-            "state" => match flags.value("state", inline) {
-                Ok(v) => state = Some(v),
-                Err(r) => return emit(&r),
-            },
-            "max-conns" => match flags.positive("max-conns", inline) {
-                Ok(n) => max_conns = n,
-                Err(r) => return emit(&r),
-            },
-            "budget" => match flags.positive("budget", inline) {
-                Ok(n) => budget = Some(n),
-                Err(r) => return emit(&r),
-            },
-            "all" => all = true,
-            "stats" => stats = true,
-            "stats-json" => match flags.value("stats-json", inline) {
-                Ok(v) => outputs.stats_json = Some(v),
-                Err(r) => return emit(&r),
-            },
-            "trace-json" => match flags.value("trace-json", inline) {
-                Ok(v) => outputs.trace_json = Some(v),
-                Err(r) => return emit(&r),
-            },
-            other => return emit(&flags.unknown(other)),
-        }
+    let mut f = CoordinateFlags::default();
+    if let Err(r) = COORDINATE.parse(args, &[], &mut f) {
+        return emit(&r);
     }
-    let Some(listen) = listen else {
+    let max_vehicles = f.max_vehicles.unwrap_or(2);
+    let Some(listen) = f.listen else {
         return emit(&Rendered::usage_error(
             "--listen is required",
             COORDINATE_USAGE,
         ));
     };
-    let obs = outputs.obs(&ServiceCtx::one_shot());
+    let obs = f.outputs.obs(&ServiceCtx::one_shot());
     let config = CoordConfig {
         max_vehicles,
-        shards,
-        lease_ms,
-        max_candidates: budget.unwrap_or(ExploreOptions::default().max_candidates),
-        require_connected: !all,
-        state_path: state.map(PathBuf::from),
-        max_conns,
+        shards: f.shards.unwrap_or(8),
+        lease_ms: f.lease_ms.map_or(2000, |ms| ms as u64),
+        max_candidates: f.budget.unwrap_or(ExploreOptions::default().max_candidates),
+        require_connected: !f.all,
+        state_path: f.state.map(PathBuf::from),
+        max_conns: f.max_conns.unwrap_or(256),
         obs: obs.clone(),
     };
     let coordinator = match Coordinator::bind(&listen, config) {
@@ -204,13 +174,34 @@ pub fn coordinate_command(args: &[String]) -> u8 {
     }
     match coordinator.run() {
         Ok(universe) => {
-            let mut r = render_universe(&universe, max_vehicles, all, stats);
-            outputs.collect(&obs, &mut r);
+            let mut r = render_universe(&universe, max_vehicles, f.all, f.stats);
+            f.outputs.collect(&obs, &mut r);
             emit(&r)
         }
         Err(e) => emit(&Rendered::failure(&e.to_string())),
     }
 }
+
+/// The flags of `fsa work`.
+#[derive(Default)]
+struct WorkFlags {
+    connect: Option<String>,
+    state_dir: Option<String>,
+    threads: Option<usize>,
+    seed: Option<u64>,
+    reconnect: Option<usize>,
+}
+
+const WORK: Table<WorkFlags> = Table::new(
+    WORK_USAGE,
+    &[
+        ("connect", Kind::Text(|f| &mut f.connect)),
+        ("state-dir", Kind::Text(|f| &mut f.state_dir)),
+        ("threads", Kind::Positive(|f| &mut f.threads)),
+        ("seed", Kind::Unsigned(|f| &mut f.seed)),
+        ("reconnect", Kind::Positive(|f| &mut f.reconnect)),
+    ],
+);
 
 /// `fsa work` — connect to a coordinator and work shard leases until
 /// the universe is done. Returns the process exit code.
@@ -219,59 +210,62 @@ pub fn work_command(args: &[String]) -> u8 {
     if wants_help(args) {
         return emit(&help(WORK_USAGE));
     }
-    let mut connect: Option<String> = None;
-    let mut state_dir = String::from(".");
-    let mut threads = 1usize;
-    // Distinct default jitter seeds per process keep an un-configured
-    // fleet from re-synchronising its backoff sleeps.
-    let mut seed = u64::from(std::process::id());
-    let mut reconnect = 8usize;
-    let mut flags = Flags::new(args, WORK_USAGE);
-    while let Some(flag) = flags.next_flag() {
-        let flag = match flag {
-            Ok(f) => f,
-            Err(r) => return emit(&r),
-        };
-        let (name, inline) = match flag {
-            Flag::Named(n, v) => (n, v),
-            Flag::Positional(p) => return emit(&flags.positional(&p)),
-        };
-        match name.as_str() {
-            "connect" => match flags.value("connect", inline) {
-                Ok(v) => connect = Some(v),
-                Err(r) => return emit(&r),
-            },
-            "state-dir" => match flags.value("state-dir", inline) {
-                Ok(v) => state_dir = v,
-                Err(r) => return emit(&r),
-            },
-            "threads" => match flags.positive("threads", inline) {
-                Ok(n) => threads = n,
-                Err(r) => return emit(&r),
-            },
-            "seed" => match flags.seed("seed", inline) {
-                Ok(n) => seed = n,
-                Err(r) => return emit(&r),
-            },
-            "reconnect" => match flags.positive("reconnect", inline) {
-                Ok(n) => reconnect = n,
-                Err(r) => return emit(&r),
-            },
-            other => return emit(&flags.unknown(other)),
-        }
+    let mut f = WorkFlags::default();
+    if let Err(r) = WORK.parse(args, &[], &mut f) {
+        return emit(&r);
     }
-    let Some(connect) = connect else {
+    let Some(connect) = f.connect else {
         return emit(&Rendered::usage_error("--connect is required", WORK_USAGE));
     };
     let config = WorkerConfig {
-        state_dir: PathBuf::from(state_dir),
-        threads,
-        seed,
-        reconnect,
+        state_dir: PathBuf::from(f.state_dir.unwrap_or_else(|| ".".to_owned())),
+        threads: f.threads.unwrap_or(1),
+        // Distinct default jitter seeds per process keep an
+        // un-configured fleet from re-synchronising its backoff sleeps.
+        seed: f.seed.unwrap_or_else(|| u64::from(std::process::id())),
+        reconnect: f.reconnect.unwrap_or(8),
         ..WorkerConfig::default()
     };
     match run_worker(&connect, &config) {
         Ok(()) => 0,
         Err(e) => emit(&Rendered::failure(&e.to_string())),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fsa_serve::cli::GLOBAL_USAGE;
+    use fsa_serve::flags::usage_flags;
+    use std::collections::BTreeSet;
+
+    fn names<T>(table: &Table<T>) -> BTreeSet<&'static str> {
+        table.flags.iter().map(|(name, _)| *name).collect()
+    }
+
+    #[test]
+    fn every_table_matches_its_usage_text() {
+        let exports = BTreeSet::from(["stats-json", "trace-json"]);
+        for (names, usage, what) in [
+            (names(&COORDINATE), COORDINATE_USAGE, "coordinate"),
+            (names(&WORK), WORK_USAGE, "work"),
+        ] {
+            assert_eq!(names, usage_flags(usage), "{what}: table vs usage text");
+            // Its own synopsis and its global one list every flag but
+            // the exports.
+            let prefix = format!("  fsa {what} ");
+            let mut lines = GLOBAL_USAGE.lines().skip_while(|l| !l.starts_with(&prefix));
+            let first = lines.next().expect("global synopsis");
+            let global: Vec<&str> = std::iter::once(first)
+                .chain(lines.take_while(|l| l.starts_with("   ")))
+                .collect();
+            let own = usage.split("\n\n").next().unwrap_or(usage);
+            for synopsis in [own, &global.join("\n")] {
+                let listed = usage_flags(synopsis);
+                assert!(listed.is_subset(&names), "{what}: {listed:?}");
+                let missing: BTreeSet<_> = names.difference(&listed).copied().collect();
+                assert!(missing.is_subset(&exports), "{what}: omits {missing:?}");
+            }
+        }
     }
 }

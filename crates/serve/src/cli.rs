@@ -7,13 +7,15 @@
 //! models, so serving responses are byte-identical to one-shot output
 //! *by construction* — there is only one rendering path.
 //!
-//! The [`Flags`] cursor implements the shared CLI contract:
-//! `--flag value` and `--flag=value`, a following `--token` never
-//! consumed as a value, duplicate flag occurrences rejected with exit
-//! code 2, usage printed to stderr on every parse error.
+//! Every runner declares its flags in one [`Table`]; the table's parser
+//! ([`crate::flags`]) owns the CLI contract: `--flag value` and
+//! `--flag=value`, a following `--token` never consumed as a value,
+//! duplicate flag occurrences rejected with exit code 2, usage printed
+//! to stderr on every parse error.
 
 use crate::engines::scenario_apa;
 use crate::engines::ScenarioModel;
+use crate::flags::{Kind, Table};
 use fsa_core::dataflow::dataflow_apa;
 use fsa_core::manual::{elicit, explain};
 use fsa_core::param::parameterise;
@@ -23,7 +25,8 @@ use fsa_core::service::{LoadedModel, Rendered, ServiceCtx};
 use fsa_graph::dot::{to_dot, DotOptions};
 use std::fmt::Write as _;
 
-pub(crate) const GLOBAL_USAGE: &str = "usage:
+/// The usage text of `fsa` itself: one synopsis per subcommand.
+pub const GLOBAL_USAGE: &str = "usage:
   fsa elicit <spec-file> [--param] [--refine] [--prioritise] [--dot] [--markdown] [--verify-dataflow] [--stats] [--threads=N]
   fsa elicit --scenario two|chain|attacked|six [--edit-script F] [--threads N]
   fsa check <spec-file>
@@ -31,15 +34,17 @@ pub(crate) const GLOBAL_USAGE: &str = "usage:
               [--deadline-ms N] [--retries N] [--checkpoint F [--checkpoint-every N]] [--resume F]
   fsa explore --distributed [--workers N] [--shards N] [--lease-ms N] [--state-dir D] [--max-vehicles N] ...
   fsa coordinate --listen HOST:PORT [--max-vehicles N] [--shards N] [--lease-ms N] [--state F]
-  fsa work --connect ADDR [--state-dir D] [--threads N]
+                 [--max-conns N] [--budget N] [--all] [--stats]
+  fsa work --connect ADDR [--state-dir D] [--threads N] [--seed N] [--reconnect N]
   fsa simulate [--scenario two|chain|attacked|six] [--seed N] [--max-steps N] [--inject <fault>]
   fsa monitor [--scenario chain|six] [--streams N] [--events N] [--threads N] [--inject <fault>] [--seed N] [--stats]
               [--deadline-ms N] [--retries N]
-  fsa serve [--addr HOST:PORT] [--queue N] [--max-frame BYTES]
-  fsa serve --connect ADDR [--spec F] [--scenario S] [--request \"CMD ARGS\"]... [--deadline-ms N] [--drain]
+  fsa serve [--addr HOST:PORT] [--queue N] [--max-frame BYTES] ...
+  fsa serve --connect ADDR [--spec F] [--scenario S] [--request \"CMD ARGS\"]... [--edit \"DELTA\"]...
+            [--deadline-ms N] [--chaos-seed N] [--drain]
   fsa <subcommand> --help
 
-Every subcommand additionally accepts observability exports:
+Every subcommand but `work` and `serve --connect` also accepts observability exports:
   --stats-json F  write span/counter/histogram statistics (fsa-obs/v1 JSON) to F
   --trace-json F  write a chrome://tracing view of the run to F";
 
@@ -221,7 +226,8 @@ fn wants_help(rest: &[String]) -> bool {
 }
 
 /// Usage text on stdout, exit 0 (the `--help` path).
-fn help(usage: &str) -> Rendered {
+#[must_use]
+pub fn help(usage: &str) -> Rendered {
     Rendered {
         stdout: format!("{usage}\n"),
         ..Rendered::default()
@@ -234,139 +240,6 @@ fn usage() -> Rendered {
         stderr: format!("{GLOBAL_USAGE}\n"),
         exit: 2,
         ..Rendered::default()
-    }
-}
-
-/// A tiny flag cursor shared by the subcommand parsers: accepts both
-/// `--flag=value` and `--flag value`, and rejects duplicate occurrences
-/// of the same flag (`--threads 2 --threads 4` is a usage error, not a
-/// silent last-one-wins).
-pub struct Flags<'a> {
-    iter: std::slice::Iter<'a, String>,
-    usage: &'static str,
-    seen: std::collections::BTreeSet<String>,
-    repeatable: &'static [&'static str],
-}
-
-/// One parsed argument from a [`Flags`] cursor.
-pub enum Flag {
-    /// A parsed `--name` with an optional inline `=value`.
-    Named(String, Option<String>),
-    /// A positional argument (only `check`/`elicit` accept these, as
-    /// spec files).
-    Positional(String),
-}
-
-impl<'a> Flags<'a> {
-    /// A cursor over `rest` that renders parse errors against `usage`.
-    #[must_use]
-    pub fn new(rest: &'a [String], usage: &'static str) -> Self {
-        Flags::new_repeatable(rest, usage, &[])
-    }
-
-    /// A cursor that exempts the named flags from duplicate rejection
-    /// (`fsa serve --connect` accepts `--request` many times).
-    pub fn new_repeatable(
-        rest: &'a [String],
-        usage: &'static str,
-        repeatable: &'static [&'static str],
-    ) -> Self {
-        Flags {
-            iter: rest.iter(),
-            usage,
-            seen: std::collections::BTreeSet::new(),
-            repeatable,
-        }
-    }
-
-    /// The next argument; `Err` is the rendered duplicate-flag usage
-    /// error.
-    pub fn next_flag(&mut self) -> Option<Result<Flag, Rendered>> {
-        let a = self.iter.next()?;
-        Some(match a.strip_prefix("--") {
-            Some(flag) => {
-                let (name, inline) = match flag.split_once('=') {
-                    Some((n, v)) => (n.to_owned(), Some(v.to_owned())),
-                    None => (flag.to_owned(), None),
-                };
-                if !self.seen.insert(name.clone()) && !self.repeatable.contains(&name.as_str()) {
-                    return Some(Err(Rendered::usage_error(
-                        &format!("duplicate flag --{name}"),
-                        self.usage,
-                    )));
-                }
-                Ok(Flag::Named(name, inline))
-            }
-            None => Ok(Flag::Positional(a.clone())),
-        })
-    }
-
-    /// The value of a `--flag value` / `--flag=value` pair.
-    ///
-    /// A *separate* following token that itself starts with `--` is
-    /// **not** consumed: `--checkpoint --resume F` means the user
-    /// forgot the value, not that the value is `--resume` (an explicit
-    /// inline `--flag=--weird` still passes through verbatim).
-    /// Missing values render `--NAME expects a value` + usage, exit 2.
-    pub fn value(&mut self, name: &str, inline: Option<String>) -> Result<String, Rendered> {
-        if let Some(v) = inline {
-            return Ok(v);
-        }
-        match self.iter.clone().next() {
-            Some(next) if !next.starts_with("--") => {
-                self.iter.next();
-                Ok(next.clone())
-            }
-            _ => Err(self.fail(&format!("--{name} expects a value"))),
-        }
-    }
-
-    /// Parses a positive integer value for `name`.
-    pub fn positive(&mut self, name: &str, inline: Option<String>) -> Result<usize, Rendered> {
-        match self.value(name, inline)?.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err(self.fail(&format!("--{name} expects a positive integer"))),
-        }
-    }
-
-    /// Parses a `u64` value for `name` (seeds may be zero).
-    pub fn seed(&mut self, name: &str, inline: Option<String>) -> Result<u64, Rendered> {
-        match self.value(name, inline)?.parse::<u64>() {
-            Ok(n) => Ok(n),
-            Err(_) => Err(self.fail(&format!("--{name} expects an unsigned integer"))),
-        }
-    }
-
-    /// Parses a `u32` value for `name`. Out-of-range input (e.g.
-    /// `--retries 4294967296`) is rejected with a usage error rather
-    /// than silently clamped to `u32::MAX`.
-    pub fn small(&mut self, name: &str, inline: Option<String>) -> Result<u32, Rendered> {
-        match self.value(name, inline)?.parse::<u32>() {
-            Ok(n) => Ok(n),
-            Err(_) => Err(self.fail(&format!("--{name} expects an integer in 0..=4294967295"))),
-        }
-    }
-
-    /// Parses a fault spec for `--inject`.
-    pub fn fault(&mut self, inline: Option<String>) -> Result<apa::Fault, Rendered> {
-        let raw = self.value("inject", inline)?;
-        apa::Fault::parse(&raw).map_err(|e| self.fail(&format!("--inject: {e}")))
-    }
-
-    /// The rendered `unknown flag` usage error for `--what`.
-    #[must_use]
-    pub fn unknown(&self, what: &str) -> Rendered {
-        self.fail(&format!("unknown flag --{what}"))
-    }
-
-    /// The rendered `unexpected argument` usage error for `what`.
-    #[must_use]
-    pub fn positional(&self, what: &str) -> Rendered {
-        self.fail(&format!("unexpected argument `{what}`"))
-    }
-
-    fn fail(&self, message: &str) -> Rendered {
-        Rendered::usage_error(message, self.usage)
     }
 }
 
@@ -508,6 +381,53 @@ pub fn emit(r: &Rendered) -> u8 {
     r.exit
 }
 
+/// The flags of `fsa check` and `fsa elicit <spec-file>`.
+#[derive(Default)]
+struct SpecFlags {
+    files: Vec<String>,
+    param: bool,
+    refine: bool,
+    prioritise: bool,
+    dot: bool,
+    markdown: bool,
+    verify_dataflow: bool,
+    stats: bool,
+    threads: Option<usize>,
+    outputs: ObsOutputs,
+}
+
+const CHECK: Table<SpecFlags> = Table {
+    positionals: Some(|f| &mut f.files),
+    unknown_with_value: true,
+    ..Table::new(
+        CHECK_USAGE,
+        &[
+            ("stats-json", Kind::Text(|f| &mut f.outputs.stats_json)),
+            ("trace-json", Kind::Text(|f| &mut f.outputs.trace_json)),
+        ],
+    )
+};
+
+const ELICIT: Table<SpecFlags> = Table {
+    positionals: Some(|f| &mut f.files),
+    unknown_with_value: true,
+    ..Table::new(
+        ELICIT_USAGE,
+        &[
+            ("param", Kind::Switch(|f| &mut f.param)),
+            ("refine", Kind::Switch(|f| &mut f.refine)),
+            ("prioritise", Kind::Switch(|f| &mut f.prioritise)),
+            ("dot", Kind::Switch(|f| &mut f.dot)),
+            ("markdown", Kind::Switch(|f| &mut f.markdown)),
+            ("verify-dataflow", Kind::Switch(|f| &mut f.verify_dataflow)),
+            ("stats", Kind::Switch(|f| &mut f.stats)),
+            ("threads", Kind::Positive(|f| &mut f.threads)),
+            ("stats-json", Kind::Text(|f| &mut f.outputs.stats_json)),
+            ("trace-json", Kind::Text(|f| &mut f.outputs.trace_json)),
+        ],
+    )
+};
+
 /// `fsa check` / `fsa elicit` over a spec file (one-shot: parses
 /// `rest`'s positional file; session: answers from the preloaded
 /// [`LoadedModel`], skipping `speclang` entirely).
@@ -517,81 +437,19 @@ pub fn run_spec(
     model: Option<&LoadedModel>,
     ctx: &ServiceCtx,
 ) -> Rendered {
-    let usage_text = if command == "check" {
-        CHECK_USAGE
-    } else {
-        ELICIT_USAGE
-    };
+    let table = if command == "check" { &CHECK } else { &ELICIT };
+    let usage_text = table.usage;
     if wants_help(rest) {
         return help(usage_text);
     }
-    let mut files = Vec::new();
-    let mut set = std::collections::BTreeSet::new();
-    let mut threads = 1usize;
-    let mut outputs = ObsOutputs::default();
-    const KNOWN: [&str; 7] = [
-        "param",
-        "refine",
-        "dot",
-        "verify-dataflow",
-        "markdown",
-        "prioritise",
-        "stats",
-    ];
-    let mut flags = Flags::new(rest, usage_text);
-    while let Some(flag) = flags.next_flag() {
-        let flag = match flag {
-            Ok(f) => f,
-            Err(r) => return r,
-        };
-        let (name, inline) = match flag {
-            Flag::Named(n, v) => (n, v),
-            Flag::Positional(p) => {
-                files.push(p);
-                continue;
-            }
-        };
-        match name.as_str() {
-            "threads" => {
-                let raw = match flags.value("threads", inline) {
-                    Ok(v) => v,
-                    Err(r) => return r,
-                };
-                match raw.parse::<usize>() {
-                    Ok(n) if n >= 1 => threads = n,
-                    _ => {
-                        return Rendered::usage_error(
-                            &format!("--threads expects a positive integer, got `{raw}`"),
-                            usage_text,
-                        )
-                    }
-                }
-            }
-            "stats-json" => match flags.value("stats-json", inline) {
-                Ok(p) => outputs.stats_json = Some(p),
-                Err(r) => return r,
-            },
-            "trace-json" => match flags.value("trace-json", inline) {
-                Ok(p) => outputs.trace_json = Some(p),
-                Err(r) => return r,
-            },
-            other => {
-                // Boolean spec flags take no value; `--param=x` keeps
-                // the historical `unknown flag --param=x` shape.
-                if let Some(v) = inline {
-                    return flags.unknown(&format!("{other}={v}"));
-                }
-                if !KNOWN.contains(&other) {
-                    return flags.unknown(other);
-                }
-                set.insert(other.to_owned());
-            }
-        }
+    let mut f = SpecFlags::default();
+    if let Err(r) = table.parse(rest, &[], &mut f) {
+        return r;
     }
     let parsed: Vec<fsa_core::SosInstance>;
     let (label, instances): (String, &[fsa_core::SosInstance]) = match model {
         Some(m) => {
-            if let Some(extra) = files.first() {
+            if let Some(extra) = f.files.first() {
                 return Rendered::usage_error(
                     &format!("unexpected spec file `{extra}` (the session model is fixed at open)"),
                     usage_text,
@@ -600,7 +458,7 @@ pub fn run_spec(
             (m.name().to_owned(), m.instances())
         }
         None => {
-            let [file] = files.as_slice() else {
+            let [file] = f.files.as_slice() else {
                 return Rendered::usage_error("expected exactly one spec file", usage_text);
             };
             let source = match std::fs::read_to_string(file) {
@@ -614,7 +472,7 @@ pub fn run_spec(
             (file.clone(), parsed.as_slice())
         }
     };
-    let obs = outputs.obs(ctx);
+    let obs = f.outputs.obs(ctx);
     let mut r = Rendered::success();
     match command {
         "check" => {
@@ -635,12 +493,12 @@ pub fn run_spec(
                         return r;
                     }
                 };
-                if set.contains("markdown") {
+                if f.markdown {
                     let _ = write!(r.stdout, "{}", fsa_core::report::render_markdown(&report));
                 } else {
                     let _ = write!(r.stdout, "{}", render_manual(&report));
                 }
-                if set.contains("prioritise") {
+                if f.prioritise {
                     match fsa_core::prioritise::prioritise(instance, &report) {
                         Ok(ranked) => {
                             let _ = writeln!(r.stdout, "prioritised requirements:");
@@ -653,13 +511,13 @@ pub fn run_spec(
                         }
                     }
                 }
-                if set.contains("param") {
+                if f.param {
                     let _ = writeln!(r.stdout, "parameterised requirements:");
                     for form in parameterise(&report.requirement_set(), 2) {
                         let _ = writeln!(r.stdout, "  {form}");
                     }
                 }
-                if set.contains("refine") {
+                if f.refine {
                     let _ = writeln!(r.stdout, "hop refinements:");
                     for req in report.requirements() {
                         match refine(instance, &req) {
@@ -687,7 +545,7 @@ pub fn run_spec(
                         }
                     }
                 }
-                if set.contains("dot") {
+                if f.dot {
                     let _ = write!(
                         r.stdout,
                         "{}",
@@ -695,14 +553,14 @@ pub fn run_spec(
                             .to_string())
                     );
                 }
-                if set.contains("verify-dataflow") {
-                    match cross_check(instance, &report, threads, &obs) {
+                if f.verify_dataflow {
+                    match cross_check(instance, &report, f.threads.unwrap_or(1), &obs) {
                         Ok(stats) => {
                             let _ = writeln!(
                                 r.stdout,
                                 "tool-assisted cross-check: requirement sets match"
                             );
-                            if set.contains("stats") {
+                            if f.stats {
                                 let _ =
                                     write!(r.stdout, "{}", fsa_core::report::render_stats(&stats));
                             }
@@ -713,7 +571,7 @@ pub fn run_spec(
                             return r;
                         }
                     }
-                } else if set.contains("stats") && i == 0 {
+                } else if f.stats && i == 0 {
                     // Once per run, not once per instance.
                     let _ = writeln!(
                         r.stderr,
@@ -725,7 +583,7 @@ pub fn run_spec(
         }
         _ => unreachable!("dispatched above"),
     }
-    outputs.collect(&obs, &mut r);
+    f.outputs.collect(&obs, &mut r);
     r
 }
 
@@ -767,6 +625,39 @@ fn cross_check(
     }
 }
 
+/// The flags of `fsa elicit --scenario`.
+#[derive(Default)]
+struct ElicitScenarioFlags {
+    scenario: Option<String>,
+    edit_script: Option<String>,
+    threads: Option<usize>,
+    outputs: ObsOutputs,
+}
+
+const ELICIT_SCENARIO: Table<ElicitScenarioFlags> = Table::new(
+    ELICIT_SCENARIO_USAGE,
+    &[
+        ("scenario", Kind::Text(|f| &mut f.scenario)),
+        ("edit-script", Kind::Text(|f| &mut f.edit_script)),
+        ("threads", Kind::Positive(|f| &mut f.threads)),
+        ("stats-json", Kind::Text(|f| &mut f.outputs.stats_json)),
+        ("trace-json", Kind::Text(|f| &mut f.outputs.trace_json)),
+    ],
+);
+
+/// A session's scenario is fixed when it opens.
+const SCENARIO_FIXED: &[(&str, &str)] = &[("scenario", "--scenario is fixed at session open")];
+
+/// A session elicits under its fixed scenario and applies edits through
+/// `edit` frames.
+const ELICIT_SESSION_FIXED: &[(&str, &str)] = &[
+    SCENARIO_FIXED[0],
+    (
+        "edit-script",
+        "--edit-script is a one-shot flag (sessions apply edits through `edit` frames)",
+    ),
+];
+
 /// `fsa elicit --scenario` — the §5 tool-assisted pipeline over a named
 /// scenario APA, optionally driven through an `--edit-script` of typed
 /// model deltas (editable scenarios only). With a session model the
@@ -784,67 +675,22 @@ pub fn run_elicit_scenario(
     if wants_help(rest) {
         return help(ELICIT_SCENARIO_USAGE);
     }
-    let mut scenario: Option<String> = None;
-    let mut edit_script: Option<String> = None;
-    let mut threads = 1usize;
-    let mut outputs = ObsOutputs::default();
-    let mut flags = Flags::new(rest, ELICIT_SCENARIO_USAGE);
-    while let Some(flag) = flags.next_flag() {
-        let flag = match flag {
-            Ok(f) => f,
-            Err(r) => return r,
-        };
-        let (name, inline) = match flag {
-            Flag::Named(n, v) => (n, v),
-            Flag::Positional(p) => return flags.positional(&p),
-        };
-        match name.as_str() {
-            "scenario" => match flags.value("scenario", inline) {
-                Ok(s) => {
-                    if model.is_some() {
-                        return Rendered::usage_error(
-                            "--scenario is fixed at session open",
-                            ELICIT_SCENARIO_USAGE,
-                        );
-                    }
-                    scenario = Some(s);
-                }
-                Err(r) => return r,
-            },
-            "edit-script" => match flags.value("edit-script", inline) {
-                Ok(p) => {
-                    if model.is_some() {
-                        return Rendered::usage_error(
-                            "--edit-script is a one-shot flag (sessions apply edits through \
-                             `edit` frames)",
-                            ELICIT_SCENARIO_USAGE,
-                        );
-                    }
-                    edit_script = Some(p);
-                }
-                Err(r) => return r,
-            },
-            "threads" => match flags.positive("threads", inline) {
-                Ok(n) => threads = n,
-                Err(r) => return r,
-            },
-            "stats-json" => match flags.value("stats-json", inline) {
-                Ok(p) => outputs.stats_json = Some(p),
-                Err(r) => return r,
-            },
-            "trace-json" => match flags.value("trace-json", inline) {
-                Ok(p) => outputs.trace_json = Some(p),
-                Err(r) => return r,
-            },
-            other => return flags.unknown(other),
-        }
+    let fixed = if model.is_some() {
+        ELICIT_SESSION_FIXED
+    } else {
+        &[]
+    };
+    let mut f = ElicitScenarioFlags::default();
+    if let Err(r) = ELICIT_SCENARIO.parse(rest, fixed, &mut f) {
+        return r;
     }
+    let threads = f.threads.unwrap_or(1);
 
     let mut built;
     let model_ref: &mut ScenarioModel = match model {
         Some(m) => m,
         None => {
-            let Some(name) = scenario else {
+            let Some(name) = f.scenario else {
                 return Rendered::usage_error(
                     "--scenario expects a value (two|chain|attacked|six)",
                     ELICIT_SCENARIO_USAGE,
@@ -864,9 +710,9 @@ pub fn run_elicit_scenario(
         }
     };
 
-    let obs = outputs.obs(ctx);
+    let obs = f.outputs.obs(ctx);
     let mut r = Rendered::success();
-    match edit_script {
+    match f.edit_script {
         None => match model_ref.elicit_report(threads, &obs) {
             Ok(report) => r
                 .stdout
@@ -891,25 +737,34 @@ pub fn run_elicit_scenario(
                 Ok(s) => s,
                 Err(e) => return Rendered::failure(&format!("{path}: {e}")),
             };
+            // Each run of consecutive deltas is one batch, applied as a
+            // served `edit` frame applies its lines: one clone and one
+            // APA compile per run. A delta that applies always compiles,
+            // so a batch fails at the delta where one-by-one application
+            // would. `parse_script` ends every script with an `elicit`
+            // step, so no batch is left over.
+            let mut batch = Vec::new();
             for step in steps {
-                match step {
-                    ScriptStep::Delta(d) => {
-                        if let Err(e) = model_ref.apply_deltas(std::slice::from_ref(&d), &obs) {
-                            return Rendered::failure(&format!("edit failed: {e}"));
-                        }
+                if let ScriptStep::Delta(d) = step {
+                    batch.push(d);
+                    continue;
+                }
+                if !batch.is_empty() {
+                    if let Err(e) = model_ref.apply_deltas(&batch, &obs) {
+                        return Rendered::failure(&format!("edit failed: {e}"));
                     }
-                    ScriptStep::Elicit => match model_ref.elicit_report(threads, &obs) {
-                        Ok(report) => {
-                            r.stdout
-                                .push_str(&render_elicited(model_ref.name(), &report));
-                        }
-                        Err(e) => return Rendered::failure(&e),
-                    },
+                    batch.clear();
+                }
+                match model_ref.elicit_report(threads, &obs) {
+                    Ok(report) => r
+                        .stdout
+                        .push_str(&render_elicited(model_ref.name(), &report)),
+                    Err(e) => return Rendered::failure(&e),
                 }
             }
         }
     }
-    outputs.collect(&obs, &mut r);
+    f.outputs.collect(&obs, &mut r);
     r
 }
 
@@ -1040,6 +895,55 @@ pub fn render_universe(
     r
 }
 
+/// The flags of `fsa explore`.
+#[derive(Default)]
+struct ExploreFlags {
+    max_vehicles: Option<usize>,
+    threads: Option<usize>,
+    budget: Option<usize>,
+    truncate: bool,
+    all: bool,
+    stats: bool,
+    deadline_ms: Option<u64>,
+    retries: Option<u32>,
+    checkpoint: Option<String>,
+    checkpoint_every: Option<usize>,
+    resume: Option<String>,
+    distributed: bool,
+    workers: Option<usize>,
+    shards: Option<usize>,
+    lease_ms: Option<usize>,
+    state_dir: Option<String>,
+    outputs: ObsOutputs,
+}
+
+const EXPLORE: Table<ExploreFlags> = Table::new(
+    EXPLORE_USAGE,
+    &[
+        ("max-vehicles", Kind::Positive(|f| &mut f.max_vehicles)),
+        ("threads", Kind::Positive(|f| &mut f.threads)),
+        ("budget", Kind::Positive(|f| &mut f.budget)),
+        ("truncate", Kind::Switch(|f| &mut f.truncate)),
+        ("all", Kind::Switch(|f| &mut f.all)),
+        ("stats", Kind::Switch(|f| &mut f.stats)),
+        ("deadline-ms", Kind::Unsigned(|f| &mut f.deadline_ms)),
+        ("retries", Kind::U32(|f| &mut f.retries)),
+        ("checkpoint", Kind::Text(|f| &mut f.checkpoint)),
+        (
+            "checkpoint-every",
+            Kind::Positive(|f| &mut f.checkpoint_every),
+        ),
+        ("resume", Kind::Text(|f| &mut f.resume)),
+        ("distributed", Kind::Switch(|f| &mut f.distributed)),
+        ("workers", Kind::Positive(|f| &mut f.workers)),
+        ("shards", Kind::Positive(|f| &mut f.shards)),
+        ("lease-ms", Kind::Positive(|f| &mut f.lease_ms)),
+        ("state-dir", Kind::Text(|f| &mut f.state_dir)),
+        ("stats-json", Kind::Text(|f| &mut f.outputs.stats_json)),
+        ("trace-json", Kind::Text(|f| &mut f.outputs.trace_json)),
+    ],
+);
+
 /// `fsa explore` — enumerate the vehicular instance space (§4.2) and
 /// union the elicited requirements (§4.4) with the streaming
 /// certificate engine.
@@ -1049,118 +953,35 @@ pub fn run_explore(rest: &[String], ctx: &ServiceCtx) -> Rendered {
     if wants_help(rest) {
         return help(EXPLORE_USAGE);
     }
-    let mut max_vehicles = 2usize;
-    let mut threads = 1usize;
-    let mut budget: Option<usize> = None;
-    let mut truncate = false;
-    let mut all = false;
-    let mut stats = false;
-    let mut deadline_ms: Option<u64> = None;
-    let mut retries: Option<u32> = None;
-    let mut checkpoint: Option<String> = None;
-    let mut checkpoint_every: Option<usize> = None;
-    let mut resume: Option<String> = None;
-    let mut distributed = false;
-    let mut workers: Option<usize> = None;
-    let mut shards: Option<usize> = None;
-    let mut lease_ms: Option<u64> = None;
-    let mut state_dir: Option<String> = None;
-    let mut outputs = ObsOutputs::default();
-
-    let mut flags = Flags::new(rest, EXPLORE_USAGE);
-    while let Some(flag) = flags.next_flag() {
-        let flag = match flag {
-            Ok(f) => f,
-            Err(r) => return r,
-        };
-        let (name, inline) = match flag {
-            Flag::Named(n, v) => (n, v),
-            Flag::Positional(p) => return flags.positional(&p),
-        };
-        match name.as_str() {
-            "max-vehicles" => match flags.positive("max-vehicles", inline) {
-                Ok(n) => max_vehicles = n,
-                Err(r) => return r,
-            },
-            "threads" => match flags.positive("threads", inline) {
-                Ok(n) => threads = n,
-                Err(r) => return r,
-            },
-            "budget" => match flags.positive("budget", inline) {
-                Ok(n) => budget = Some(n),
-                Err(r) => return r,
-            },
-            "truncate" => truncate = true,
-            "all" => all = true,
-            "stats" => stats = true,
-            "deadline-ms" => match flags.seed("deadline-ms", inline) {
-                Ok(n) => deadline_ms = Some(n),
-                Err(r) => return r,
-            },
-            "retries" => match flags.small("retries", inline) {
-                Ok(n) => retries = Some(n),
-                Err(r) => return r,
-            },
-            "checkpoint" => match flags.value("checkpoint", inline) {
-                Ok(p) => checkpoint = Some(p),
-                Err(r) => return r,
-            },
-            "checkpoint-every" => match flags.positive("checkpoint-every", inline) {
-                Ok(n) => checkpoint_every = Some(n),
-                Err(r) => return r,
-            },
-            "resume" => match flags.value("resume", inline) {
-                Ok(p) => resume = Some(p),
-                Err(r) => return r,
-            },
-            "distributed" => distributed = true,
-            "workers" => match flags.positive("workers", inline) {
-                Ok(n) => workers = Some(n),
-                Err(r) => return r,
-            },
-            "shards" => match flags.positive("shards", inline) {
-                Ok(n) => shards = Some(n),
-                Err(r) => return r,
-            },
-            "lease-ms" => match flags.positive("lease-ms", inline) {
-                Ok(n) => lease_ms = Some(n as u64),
-                Err(r) => return r,
-            },
-            "state-dir" => match flags.value("state-dir", inline) {
-                Ok(p) => state_dir = Some(p),
-                Err(r) => return r,
-            },
-            "stats-json" => match flags.value("stats-json", inline) {
-                Ok(p) => outputs.stats_json = Some(p),
-                Err(r) => return r,
-            },
-            "trace-json" => match flags.value("trace-json", inline) {
-                Ok(p) => outputs.trace_json = Some(p),
-                Err(r) => return r,
-            },
-            other => return flags.unknown(other),
-        }
+    let mut f = ExploreFlags::default();
+    if let Err(r) = EXPLORE.parse(rest, &[], &mut f) {
+        return r;
     }
+    let max_vehicles = f.max_vehicles.unwrap_or(2);
+    let threads = f.threads.unwrap_or(1);
 
-    if !distributed
-        && (workers.is_some() || shards.is_some() || lease_ms.is_some() || state_dir.is_some())
+    if !f.distributed
+        && (f.workers.is_some()
+            || f.shards.is_some()
+            || f.lease_ms.is_some()
+            || f.state_dir.is_some())
     {
         return Rendered::usage_error(
             "--workers/--shards/--lease-ms/--state-dir require --distributed",
             EXPLORE_USAGE,
         );
     }
-    if checkpoint_every.is_some() && checkpoint.is_none() {
+    if f.checkpoint_every.is_some() && f.checkpoint.is_none() {
         return Rendered::usage_error("--checkpoint-every requires --checkpoint", EXPLORE_USAGE);
     }
-    let obs = outputs.obs(ctx);
-    let supervisor = build_supervisor(deadline_ms, retries, ctx).with_obs(obs.clone());
-    let universe = if distributed {
-        if truncate
-            || deadline_ms.is_some()
-            || retries.is_some()
-            || checkpoint.is_some()
-            || resume.is_some()
+    let obs = f.outputs.obs(ctx);
+    let supervisor = build_supervisor(f.deadline_ms, f.retries, ctx).with_obs(obs.clone());
+    let universe = if f.distributed {
+        if f.truncate
+            || f.deadline_ms.is_some()
+            || f.retries.is_some()
+            || f.checkpoint.is_some()
+            || f.resume.is_some()
         {
             return Rendered::usage_error(
                 "--distributed cannot be combined with --truncate, --deadline-ms, --retries, \
@@ -1175,13 +996,13 @@ pub fn run_explore(rest: &[String], ctx: &ServiceCtx) -> Rendered {
         };
         let request = DistributedRequest {
             max_vehicles,
-            workers: workers.unwrap_or(2),
-            shards,
-            lease_ms: lease_ms.unwrap_or(2000),
-            state_dir,
+            workers: f.workers.unwrap_or(2),
+            shards: f.shards,
+            lease_ms: f.lease_ms.map_or(2000, |ms| ms as u64),
+            state_dir: f.state_dir,
             threads,
-            budget,
-            require_connected: !all,
+            budget: f.budget,
+            require_connected: !f.all,
             obs: obs.clone(),
         };
         match engine(&request) {
@@ -1190,9 +1011,9 @@ pub fn run_explore(rest: &[String], ctx: &ServiceCtx) -> Rendered {
         }
     } else {
         let options = ExploreOptions {
-            require_connected: !all,
-            max_candidates: budget.unwrap_or(ExploreOptions::default().max_candidates),
-            on_budget: if truncate {
+            require_connected: !f.all,
+            max_candidates: f.budget.unwrap_or(ExploreOptions::default().max_candidates),
+            on_budget: if f.truncate {
                 BudgetPolicy::Truncate
             } else {
                 BudgetPolicy::Error
@@ -1203,11 +1024,11 @@ pub fn run_explore(rest: &[String], ctx: &ServiceCtx) -> Rendered {
         };
         let exec = ExecOptions {
             supervisor,
-            checkpoint: checkpoint.map(|p| CheckpointSpec {
+            checkpoint: f.checkpoint.map(|p| CheckpointSpec {
                 path: p.into(),
-                every: checkpoint_every.unwrap_or(256),
+                every: f.checkpoint_every.unwrap_or(256),
             }),
-            resume: resume.map(Into::into),
+            resume: f.resume.map(Into::into),
             ..ExecOptions::default()
         };
         match vanet::exploration::explore_scenario_universe(max_vehicles, &options, &exec) {
@@ -1215,8 +1036,8 @@ pub fn run_explore(rest: &[String], ctx: &ServiceCtx) -> Rendered {
             Err(e) => return Rendered::failure(&format!("exploration failed: {e}")),
         }
     };
-    let mut r = render_universe(&universe, max_vehicles, all, stats);
-    outputs.collect(&obs, &mut r);
+    let mut r = render_universe(&universe, max_vehicles, f.all, f.stats);
+    f.outputs.collect(&obs, &mut r);
     r
 }
 
@@ -1236,6 +1057,28 @@ fn warn_unmatched_fault(r: &mut Rendered, fault: Option<&apa::Fault>, apa: &apa:
     }
 }
 
+/// The flags of `fsa simulate`.
+#[derive(Default)]
+struct SimulateFlags {
+    scenario: Option<String>,
+    seed: Option<u64>,
+    max_steps: Option<usize>,
+    inject: Option<apa::Fault>,
+    outputs: ObsOutputs,
+}
+
+const SIMULATE: Table<SimulateFlags> = Table::new(
+    SIMULATE_USAGE,
+    &[
+        ("scenario", Kind::Text(|f| &mut f.scenario)),
+        ("seed", Kind::Unsigned(|f| &mut f.seed)),
+        ("max-steps", Kind::Positive(|f| &mut f.max_steps)),
+        ("inject", Kind::Fault(|f| &mut f.inject)),
+        ("stats-json", Kind::Text(|f| &mut f.outputs.stats_json)),
+        ("trace-json", Kind::Text(|f| &mut f.outputs.trace_json)),
+    ],
+);
+
 /// `fsa simulate` — one seeded simulator run with a trace printout.
 /// With a session model, the scenario APA is resolved once at open and
 /// `--scenario` is rejected.
@@ -1243,58 +1086,14 @@ pub fn run_simulate(rest: &[String], model: Option<&ScenarioModel>, ctx: &Servic
     if wants_help(rest) {
         return help(SIMULATE_USAGE);
     }
-    let mut scenario = "two".to_owned();
-    let mut seed = 1u64;
-    let mut max_steps = 100usize;
-    let mut fault: Option<apa::Fault> = None;
-    let mut outputs = ObsOutputs::default();
-
-    let mut flags = Flags::new(rest, SIMULATE_USAGE);
-    while let Some(flag) = flags.next_flag() {
-        let flag = match flag {
-            Ok(f) => f,
-            Err(r) => return r,
-        };
-        let (name, inline) = match flag {
-            Flag::Named(n, v) => (n, v),
-            Flag::Positional(p) => return flags.positional(&p),
-        };
-        match name.as_str() {
-            "scenario" => match flags.value("scenario", inline) {
-                Ok(s) => {
-                    if model.is_some() {
-                        return Rendered::usage_error(
-                            "--scenario is fixed at session open",
-                            SIMULATE_USAGE,
-                        );
-                    }
-                    scenario = s;
-                }
-                Err(r) => return r,
-            },
-            "seed" => match flags.seed("seed", inline) {
-                Ok(n) => seed = n,
-                Err(r) => return r,
-            },
-            "max-steps" => match flags.positive("max-steps", inline) {
-                Ok(n) => max_steps = n,
-                Err(r) => return r,
-            },
-            "inject" => match flags.fault(inline) {
-                Ok(f) => fault = Some(f),
-                Err(r) => return r,
-            },
-            "stats-json" => match flags.value("stats-json", inline) {
-                Ok(p) => outputs.stats_json = Some(p),
-                Err(r) => return r,
-            },
-            "trace-json" => match flags.value("trace-json", inline) {
-                Ok(p) => outputs.trace_json = Some(p),
-                Err(r) => return r,
-            },
-            other => return flags.unknown(other),
-        }
+    let mut f = SimulateFlags::default();
+    let fixed = if model.is_some() { SCENARIO_FIXED } else { &[] };
+    if let Err(r) = SIMULATE.parse(rest, fixed, &mut f) {
+        return r;
     }
+    let mut scenario = f.scenario.unwrap_or_else(|| "two".to_owned());
+    let seed = f.seed.unwrap_or(1);
+    let max_steps = f.max_steps.unwrap_or(100);
 
     let built;
     let apa_ref: &apa::Apa = match model {
@@ -1317,8 +1116,8 @@ pub fn run_simulate(rest: &[String], model: Option<&ScenarioModel>, ctx: &Servic
         },
     };
     let mut r = Rendered::success();
-    warn_unmatched_fault(&mut r, fault.as_ref(), apa_ref, &scenario);
-    let obs = outputs.obs(ctx);
+    warn_unmatched_fault(&mut r, f.inject.as_ref(), apa_ref, &scenario);
+    let obs = f.outputs.obs(ctx);
     let span = obs.span("simulate");
     let mut sim = apa::sim::Simulator::new(apa_ref, seed);
     let steps = match sim.run(max_steps) {
@@ -1331,7 +1130,7 @@ pub fn run_simulate(rest: &[String], model: Option<&ScenarioModel>, ctx: &Servic
     };
     drop(span);
     obs.counter_add("simulate.steps", steps as u64);
-    if let Some(fault) = &fault {
+    if let Some(fault) = &f.inject {
         sim.inject(fault);
         let _ = writeln!(
             r.stdout,
@@ -1345,9 +1144,41 @@ pub fn run_simulate(rest: &[String], model: Option<&ScenarioModel>, ctx: &Servic
     }
     let _ = writeln!(r.stdout, "trace: {}", sim.trace_names().join(" → "));
     obs.counter_add("simulate.trace_events", sim.trace_names().len() as u64);
-    outputs.collect(&obs, &mut r);
+    f.outputs.collect(&obs, &mut r);
     r
 }
+
+/// The flags of `fsa monitor`.
+#[derive(Default)]
+struct MonitorFlags {
+    scenario: Option<String>,
+    streams: Option<usize>,
+    events: Option<usize>,
+    threads: Option<usize>,
+    seed: Option<u64>,
+    inject: Option<apa::Fault>,
+    stats: bool,
+    deadline_ms: Option<u64>,
+    retries: Option<u32>,
+    outputs: ObsOutputs,
+}
+
+const MONITOR: Table<MonitorFlags> = Table::new(
+    MONITOR_USAGE,
+    &[
+        ("scenario", Kind::Text(|f| &mut f.scenario)),
+        ("streams", Kind::Positive(|f| &mut f.streams)),
+        ("events", Kind::Positive(|f| &mut f.events)),
+        ("threads", Kind::Positive(|f| &mut f.threads)),
+        ("seed", Kind::Unsigned(|f| &mut f.seed)),
+        ("inject", Kind::Fault(|f| &mut f.inject)),
+        ("stats", Kind::Switch(|f| &mut f.stats)),
+        ("deadline-ms", Kind::Unsigned(|f| &mut f.deadline_ms)),
+        ("retries", Kind::U32(|f| &mut f.retries)),
+        ("stats-json", Kind::Text(|f| &mut f.outputs.stats_json)),
+        ("trace-json", Kind::Text(|f| &mut f.outputs.trace_json)),
+    ],
+);
 
 /// `fsa monitor` — elicit, compile the monitor bank, check a fleet.
 /// With a session model, the scenario APA *and its elicited requirement
@@ -1361,80 +1192,13 @@ pub fn run_monitor(
     if wants_help(rest) {
         return help(MONITOR_USAGE);
     }
-    let mut scenario = "chain".to_owned();
-    let mut streams = 8usize;
-    let mut events = 8192usize;
-    let mut threads = 1usize;
-    let mut seed = 0xF5Au64;
-    let mut fault: Option<apa::Fault> = None;
-    let mut stats = false;
-    let mut deadline_ms: Option<u64> = None;
-    let mut retries: Option<u32> = None;
-    let mut outputs = ObsOutputs::default();
-
-    let mut flags = Flags::new(rest, MONITOR_USAGE);
-    while let Some(flag) = flags.next_flag() {
-        let flag = match flag {
-            Ok(f) => f,
-            Err(r) => return r,
-        };
-        let (name, inline) = match flag {
-            Flag::Named(n, v) => (n, v),
-            Flag::Positional(p) => return flags.positional(&p),
-        };
-        match name.as_str() {
-            "scenario" => match flags.value("scenario", inline) {
-                Ok(s) => {
-                    if model.is_some() {
-                        return Rendered::usage_error(
-                            "--scenario is fixed at session open",
-                            MONITOR_USAGE,
-                        );
-                    }
-                    scenario = s;
-                }
-                Err(r) => return r,
-            },
-            "streams" => match flags.positive("streams", inline) {
-                Ok(n) => streams = n,
-                Err(r) => return r,
-            },
-            "events" => match flags.positive("events", inline) {
-                Ok(n) => events = n,
-                Err(r) => return r,
-            },
-            "threads" => match flags.positive("threads", inline) {
-                Ok(n) => threads = n,
-                Err(r) => return r,
-            },
-            "seed" => match flags.seed("seed", inline) {
-                Ok(n) => seed = n,
-                Err(r) => return r,
-            },
-            "inject" => match flags.fault(inline) {
-                Ok(f) => fault = Some(f),
-                Err(r) => return r,
-            },
-            "stats" => stats = true,
-            "deadline-ms" => match flags.seed("deadline-ms", inline) {
-                Ok(n) => deadline_ms = Some(n),
-                Err(r) => return r,
-            },
-            "retries" => match flags.small("retries", inline) {
-                Ok(n) => retries = Some(n),
-                Err(r) => return r,
-            },
-            "stats-json" => match flags.value("stats-json", inline) {
-                Ok(p) => outputs.stats_json = Some(p),
-                Err(r) => return r,
-            },
-            "trace-json" => match flags.value("trace-json", inline) {
-                Ok(p) => outputs.trace_json = Some(p),
-                Err(r) => return r,
-            },
-            other => return flags.unknown(other),
-        }
+    let mut f = MonitorFlags::default();
+    let fixed = if model.is_some() { SCENARIO_FIXED } else { &[] };
+    if let Err(r) = MONITOR.parse(rest, fixed, &mut f) {
+        return r;
     }
+    let mut scenario = f.scenario.unwrap_or_else(|| "chain".to_owned());
+    let streams = f.streams.unwrap_or(8);
     if let Some(m) = &model {
         scenario = m.name().to_owned();
     }
@@ -1465,18 +1229,18 @@ pub fn run_monitor(
         Err(e) => return Rendered::failure(&e),
     };
     let mut r = Rendered::success();
-    warn_unmatched_fault(&mut r, fault.as_ref(), apa_ref, &scenario);
-    let obs = outputs.obs(ctx);
+    warn_unmatched_fault(&mut r, f.inject.as_ref(), apa_ref, &scenario);
+    let obs = f.outputs.obs(ctx);
     let cfg = fsa_runtime::FleetConfig {
         streams,
-        events_per_stream: events.div_ceil(streams),
-        seed,
-        threads,
-        fault,
+        events_per_stream: f.events.unwrap_or(8192).div_ceil(streams),
+        seed: f.seed.unwrap_or(0xF5A),
+        threads: f.threads.unwrap_or(1),
+        fault: f.inject,
         obs: obs.clone(),
         ..fsa_runtime::FleetConfig::default()
     };
-    let supervisor = build_supervisor(deadline_ms, retries, ctx).with_obs(obs.clone());
+    let supervisor = build_supervisor(f.deadline_ms, f.retries, ctx).with_obs(obs.clone());
     match fsa_runtime::monitor_apa_supervised(apa_ref, requirements, &cfg, &supervisor) {
         Ok((bank, report)) => {
             let _ = writeln!(
@@ -1487,10 +1251,10 @@ pub fn run_monitor(
                 bank.alphabet_len()
             );
             let _ = write!(r.stdout, "{}", report.render());
-            if stats {
+            if f.stats {
                 let _ = write!(r.stdout, "{}", report.stats);
             }
-            outputs.collect(&obs, &mut r);
+            f.outputs.collect(&obs, &mut r);
             if !report.is_clean() {
                 // A found violation always dominates a missed deadline.
                 r.exit = 1;
@@ -1510,6 +1274,10 @@ pub fn run_monitor(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::CONNECT;
+    use crate::flags::usage_flags;
+    use crate::server::SERVE;
+    use std::collections::BTreeSet;
 
     fn argv(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| (*s).to_owned()).collect()
@@ -1563,21 +1331,98 @@ mod tests {
         assert!(r.stderr.contains("duplicate flag --seed"));
     }
 
+    fn names<T>(table: &Table<T>) -> impl Iterator<Item = &'static str> + '_ {
+        table.flags.iter().map(|(name, _)| *name)
+    }
+
+    /// Asserts that `usage` mentions exactly the flags `names`, and that
+    /// its synopsis (the text up to its first blank line) lists every
+    /// one but the observability exports, unless a synopsis line ends
+    /// in `...`.
+    fn assert_documented(names: BTreeSet<&str>, usage: &str, what: &str) {
+        assert_eq!(names, usage_flags(usage), "{what}: table vs usage text");
+        assert_synopsis_lists(&names, usage.split("\n\n").next().unwrap_or(usage), what);
+    }
+
+    fn assert_synopsis_lists(names: &BTreeSet<&str>, synopsis: &str, what: &str) {
+        let listed = usage_flags(synopsis);
+        assert!(
+            listed.is_subset(names),
+            "{what}: {listed:?} not in {names:?}"
+        );
+        if !synopsis.lines().any(|line| line.ends_with("...")) {
+            let exports = BTreeSet::from(["stats-json", "trace-json"]);
+            let missing: Vec<_> = names.difference(&listed).collect();
+            assert!(
+                missing.iter().all(|name| exports.contains(**name)),
+                "{what}: synopsis omits {missing:?}"
+            );
+        }
+    }
+
     #[test]
-    fn repeatable_allowlist_suppresses_duplicate_rejection() {
-        let rest = argv(&["--request", "a", "--request", "b"]);
-        let mut flags = Flags::new_repeatable(&rest, GLOBAL_USAGE, &["request"]);
-        let mut values = Vec::new();
-        while let Some(flag) = flags.next_flag() {
-            match flag.expect("no duplicate error") {
-                Flag::Named(name, inline) => {
-                    assert_eq!(name, "request");
-                    values.push(flags.value("request", inline).expect("value"));
-                }
-                Flag::Positional(p) => panic!("unexpected positional {p}"),
+    fn every_table_matches_its_usage_text() {
+        for (names, usage, what) in [
+            (names(&ELICIT).collect(), ELICIT_USAGE, "elicit"),
+            (
+                names(&ELICIT_SCENARIO).collect(),
+                ELICIT_SCENARIO_USAGE,
+                "elicit --scenario",
+            ),
+            (names(&EXPLORE).collect(), EXPLORE_USAGE, "explore"),
+            (names(&SIMULATE).collect(), SIMULATE_USAGE, "simulate"),
+            (names(&MONITOR).collect(), MONITOR_USAGE, "monitor"),
+            (
+                names(&SERVE).chain(names(&CONNECT)).collect(),
+                SERVE_USAGE,
+                "serve",
+            ),
+        ] {
+            assert_documented(names, usage, what);
+        }
+        // `check` documents no flag of its own: the global usage text
+        // documents its two exports for every subcommand.
+        assert!(usage_flags(CHECK_USAGE).is_empty());
+        let (_, exports) = GLOBAL_USAGE
+            .split_once("observability exports:")
+            .expect("global exports");
+        let check = format!("{CHECK_USAGE}{exports}");
+        assert_documented(names(&CHECK).collect(), &check, "check");
+    }
+
+    #[test]
+    fn the_global_synopses_list_every_flag() {
+        for (sub, names) in [
+            (
+                "elicit",
+                names(&ELICIT).chain(names(&ELICIT_SCENARIO)).collect(),
+            ),
+            ("check", names(&CHECK).collect()),
+            ("explore", names(&EXPLORE).collect()),
+            ("simulate", names(&SIMULATE).collect()),
+            ("monitor", names(&MONITOR).collect()),
+            ("serve", names(&SERVE).chain(names(&CONNECT)).collect()),
+        ] {
+            assert_synopsis_lists(&names, &global_synopsis(sub), sub);
+        }
+    }
+
+    /// The lines of `GLOBAL_USAGE` that give `sub`'s synopses, with
+    /// their continuation lines.
+    fn global_synopsis(sub: &str) -> String {
+        let mut out = String::new();
+        let mut current = false;
+        for line in GLOBAL_USAGE.lines().take_while(|line| !line.is_empty()) {
+            if let Some(rest) = line.strip_prefix("  fsa ") {
+                current = rest.split(' ').next() == Some(sub);
+            }
+            if current {
+                out.push_str(line);
+                out.push('\n');
             }
         }
-        assert_eq!(values, ["a", "b"]);
+        assert!(!out.is_empty(), "no `fsa {sub}` synopsis");
+        out
     }
 
     #[test]
@@ -1689,6 +1534,79 @@ mod tests {
             plain.stdout,
             "the edit must change the second report"
         );
+    }
+
+    #[test]
+    fn an_edit_script_applies_each_run_of_deltas_as_one_batch() {
+        use crate::engines::render_elicited;
+        use fsa_core::delta::{parse_script, ScriptStep};
+        // Runs of deltas between elicit steps; a bad delta mid-run.
+        for (tag, script) in [
+            (
+                "runs",
+                "set-initial gps2 300\nset-initial gps2 50\nelicit\nset-initial gps2 300\n\
+                 elicit\nset-initial gps1 20000\nset-initial gps2 50\n",
+            ),
+            (
+                "bad",
+                "set-initial gps2 300\nelicit\nset-initial gps2 50\nremove-flow nope\n\
+                 set-initial gps1 0\nelicit\n",
+            ),
+        ] {
+            // The oracle applies one delta at a time, as a served `edit`
+            // frame of one line does.
+            let obs = fsa_obs::Obs::disabled();
+            let mut model = ScenarioModel::load("six").expect("six loads");
+            let mut want = Rendered::success();
+            for step in parse_script(script).expect("script parses") {
+                match step {
+                    ScriptStep::Delta(d) => {
+                        if let Err(e) = model.apply_deltas(&[d], &obs) {
+                            want = Rendered::failure(&format!("edit failed: {e}"));
+                            break;
+                        }
+                    }
+                    ScriptStep::Elicit => {
+                        let report = model.elicit_report(1, &obs).expect("elicits");
+                        want.stdout.push_str(&render_elicited("six", &report));
+                    }
+                }
+            }
+            let path = std::env::temp_dir().join(format!("fsa-cli-batch-{tag}.txt"));
+            std::fs::write(&path, script).expect("write script");
+            let got = dispatch(&argv(&[
+                "elicit",
+                "--scenario",
+                "six",
+                "--edit-script",
+                path.to_str().expect("utf8 path"),
+            ]));
+            let _ = std::fs::remove_file(&path);
+            assert_eq!(got.stdout, want.stdout, "{tag}");
+            assert_eq!((got.stderr, got.exit), (want.stderr, want.exit), "{tag}");
+        }
+    }
+
+    #[test]
+    fn sessions_reject_the_flags_they_fix_in_argv_order() {
+        let ctx = ServiceCtx::one_shot();
+        let mut model = ScenarioModel::load("two").expect("two loads");
+        let first_line = |r: Rendered| {
+            assert_eq!(r.exit, 2, "{}", r.stderr);
+            r.stderr.lines().next().unwrap_or_default().to_owned()
+        };
+        let fixed = "--scenario is fixed at session open";
+        let r = run_simulate(&argv(&["--scenario", "six", "--bogus"]), Some(&model), &ctx);
+        assert_eq!(first_line(r), fixed);
+        let r = run_simulate(&argv(&["--bogus", "--scenario", "six"]), Some(&model), &ctx);
+        assert_eq!(first_line(r), "unknown flag --bogus");
+        let r = run_monitor(&argv(&["--scenario=six"]), Some(&mut model), &ctx);
+        assert_eq!(first_line(r), fixed);
+        let r = run_elicit_scenario(&argv(&["--scenario"]), Some(&mut model), &ctx);
+        assert_eq!(first_line(r), "--scenario expects a value");
+        let rest = argv(&["--threads", "2", "--edit-script", "f", "--threads", "3"]);
+        let r = run_elicit_scenario(&rest, Some(&mut model), &ctx);
+        assert!(first_line(r).starts_with("--edit-script is a one-shot flag"));
     }
 
     #[test]

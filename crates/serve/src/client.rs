@@ -1,7 +1,8 @@
 //! A lockstep (optionally pipelining) `fsa-wire/v1` client, plus the
 //! `fsa serve --connect` command built on it.
 
-use crate::cli::{self, Flag, Flags, SERVE_USAGE};
+use crate::cli::{self, SERVE_USAGE};
+use crate::flags::{Kind, Table};
 use crate::proto::{ClientFrame, ServerFrame, SpecPayload};
 use crate::wire::{self, DEFAULT_MAX_FRAME, PROTOCOL};
 use std::io::{Read, Write};
@@ -190,14 +191,33 @@ impl<S: Read + Write> Client<S> {
     }
 }
 
-/// One scripted client operation, kept in flag order so edits
-/// interleave with requests exactly as written on the command line.
-enum Op {
-    /// `--request "CMD ARGS"`.
-    Request(String),
-    /// `--edit "DELTA"` — one model delta line.
-    Edit(String),
+/// The flags of `fsa serve --connect`. `--request` and `--edit` share
+/// one list, so edits interleave with requests exactly as written on
+/// the command line.
+#[derive(Default)]
+pub(crate) struct ConnectFlags {
+    connect: Option<String>,
+    spec: Option<String>,
+    scenario: Option<String>,
+    ops: Vec<(&'static str, String)>,
+    deadline_ms: Option<u64>,
+    chaos_seed: Option<u64>,
+    drain: bool,
 }
+
+pub(crate) const CONNECT: Table<ConnectFlags> = Table::new(
+    SERVE_USAGE,
+    &[
+        ("connect", Kind::Text(|f| &mut f.connect)),
+        ("spec", Kind::Text(|f| &mut f.spec)),
+        ("scenario", Kind::Text(|f| &mut f.scenario)),
+        ("request", Kind::Repeated(|f| &mut f.ops)),
+        ("edit", Kind::Repeated(|f| &mut f.ops)),
+        ("deadline-ms", Kind::Unsigned(|f| &mut f.deadline_ms)),
+        ("chaos-seed", Kind::Unsigned(|f| &mut f.chaos_seed)),
+        ("drain", Kind::Switch(|f| &mut f.drain)),
+    ],
+);
 
 /// `fsa serve --connect` — scripts a session against a running server:
 /// open (spec and/or scenario), run each `--request` / `--edit` in flag
@@ -205,63 +225,16 @@ enum Op {
 /// exit code is the first non-zero response exit (typed error frames
 /// exit 1).
 pub fn connect_command(rest: &[String]) -> u8 {
-    let mut connect: Option<String> = None;
-    let mut spec: Option<String> = None;
-    let mut scenario: Option<String> = None;
-    let mut ops: Vec<Op> = Vec::new();
-    let mut deadline_ms: Option<u64> = None;
-    let mut drain = false;
-    let mut chaos_seed: Option<u64> = None;
-
-    let mut flags = Flags::new_repeatable(rest, SERVE_USAGE, &["request", "edit"]);
-    while let Some(flag) = flags.next_flag() {
-        let flag = match flag {
-            Ok(f) => f,
-            Err(r) => return cli::emit(&r),
-        };
-        let (name, inline) = match flag {
-            Flag::Named(n, v) => (n, v),
-            Flag::Positional(p) => return cli::emit(&flags.positional(&p)),
-        };
-        match name.as_str() {
-            "connect" => match flags.value("connect", inline) {
-                Ok(a) => connect = Some(a),
-                Err(r) => return cli::emit(&r),
-            },
-            "spec" => match flags.value("spec", inline) {
-                Ok(p) => spec = Some(p),
-                Err(r) => return cli::emit(&r),
-            },
-            "scenario" => match flags.value("scenario", inline) {
-                Ok(s) => scenario = Some(s),
-                Err(r) => return cli::emit(&r),
-            },
-            "request" => match flags.value("request", inline) {
-                Ok(rq) => ops.push(Op::Request(rq)),
-                Err(r) => return cli::emit(&r),
-            },
-            "edit" => match flags.value("edit", inline) {
-                Ok(d) => ops.push(Op::Edit(d)),
-                Err(r) => return cli::emit(&r),
-            },
-            "deadline-ms" => match flags.seed("deadline-ms", inline) {
-                Ok(n) => deadline_ms = Some(n),
-                Err(r) => return cli::emit(&r),
-            },
-            "chaos-seed" => match flags.seed("chaos-seed", inline) {
-                Ok(n) => chaos_seed = Some(n),
-                Err(r) => return cli::emit(&r),
-            },
-            "drain" => drain = true,
-            other => return cli::emit(&flags.unknown(other)),
-        }
+    let mut f = ConnectFlags::default();
+    if let Err(r) = CONNECT.parse(rest, &[], &mut f) {
+        return cli::emit(&r);
     }
-    let Some(addr) = connect else {
+    let Some(addr) = f.connect else {
         eprintln!("--connect expects a value\n{SERVE_USAGE}");
         return 2;
     };
 
-    let payload = match spec {
+    let payload = match f.spec {
         None => None,
         Some(path) => match std::fs::read_to_string(&path) {
             Ok(source) => Some(SpecPayload { name: path, source }),
@@ -272,7 +245,7 @@ pub fn connect_command(rest: &[String]) -> u8 {
         },
     };
     #[cfg(feature = "chaos")]
-    if let Some(seed) = chaos_seed {
+    if let Some(seed) = f.chaos_seed {
         // A chaos-flagged session injects *benign* faults (stalls,
         // trickles, short reads) on the client's own socket: the
         // hardened peers ride them out and the session heals to the
@@ -294,10 +267,10 @@ pub fn connect_command(rest: &[String]) -> u8 {
                 return 1;
             }
         };
-        return drive_session(client, payload, scenario, &ops, deadline_ms, drain);
+        return drive_session(client, payload, f.scenario, &f.ops, f.deadline_ms, f.drain);
     }
     #[cfg(not(feature = "chaos"))]
-    if chaos_seed.is_some() {
+    if f.chaos_seed.is_some() {
         eprintln!(
             "--chaos-seed needs a build with the `chaos` feature (cargo build --features chaos)"
         );
@@ -310,7 +283,7 @@ pub fn connect_command(rest: &[String]) -> u8 {
             return 1;
         }
     };
-    drive_session(client, payload, scenario, &ops, deadline_ms, drain)
+    drive_session(client, payload, f.scenario, &f.ops, f.deadline_ms, f.drain)
 }
 
 /// Opens a session and runs the scripted ops over any transport.
@@ -318,7 +291,7 @@ fn drive_session<S: Read + Write>(
     mut client: Client<S>,
     payload: Option<SpecPayload>,
     scenario: Option<String>,
-    ops: &[Op],
+    ops: &[(&str, String)],
     deadline_ms: Option<u64>,
     drain: bool,
 ) -> u8 {
@@ -330,25 +303,22 @@ fn drive_session<S: Read + Write>(
         }
     };
     let mut exit = 0u8;
-    for (i, op) in ops.iter().enumerate() {
+    for (i, (flag, line)) in ops.iter().enumerate() {
         let id = i as u64 + 1;
-        let reply = match op {
-            Op::Request(line) => {
-                let mut words = line.split_whitespace().map(str::to_owned);
-                let Some(command) = words.next() else {
-                    eprintln!("--request expects `COMMAND [ARGS...]`, got an empty string");
-                    return 2;
-                };
-                let args: Vec<String> = words.collect();
-                client.request(session, id, &command, &args, deadline_ms)
+        let reply = if *flag == "edit" {
+            if line.trim().is_empty() {
+                eprintln!("--edit expects a model delta line, got an empty string");
+                return 2;
             }
-            Op::Edit(delta) => {
-                if delta.trim().is_empty() {
-                    eprintln!("--edit expects a model delta line, got an empty string");
-                    return 2;
-                }
-                client.edit(session, id, std::slice::from_ref(delta))
-            }
+            client.edit(session, id, std::slice::from_ref(line))
+        } else {
+            let mut words = line.split_whitespace().map(str::to_owned);
+            let Some(command) = words.next() else {
+                eprintln!("--request expects `COMMAND [ARGS...]`, got an empty string");
+                return 2;
+            };
+            let args: Vec<String> = words.collect();
+            client.request(session, id, &command, &args, deadline_ms)
         };
         match reply {
             Ok(ServerFrame::Response {
@@ -393,4 +363,42 @@ fn drive_session<S: Read + Write>(
         }
     }
     exit
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| (*s).to_owned()).collect()
+    }
+
+    #[test]
+    fn repeatable_allowlist_suppresses_duplicate_rejection() {
+        // `--request` and `--edit` repeat, and share one list in which
+        // they keep their interleaved argv order.
+        let rest = argv(&["--request", "a", "--edit=d", "--request=b", "--edit", "e"]);
+        let mut flags = ConnectFlags::default();
+        CONNECT
+            .parse(&rest, &[], &mut flags)
+            .expect("no duplicate error");
+        assert_eq!(
+            flags.ops,
+            [
+                ("request", "a"),
+                ("edit", "d"),
+                ("request", "b"),
+                ("edit", "e")
+            ]
+            .map(|(flag, value)| (flag, value.to_owned()))
+        );
+        let r = CONNECT
+            .parse(&argv(&["--drain", "--drain"]), &[], &mut flags)
+            .expect_err("other flags stay single-occurrence");
+        assert!(
+            r.stderr.starts_with("duplicate flag --drain\n"),
+            "{}",
+            r.stderr
+        );
+    }
 }

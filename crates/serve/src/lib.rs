@@ -20,6 +20,8 @@
 //!   returning [`fsa_core::service::Rendered`]; the one-shot binary and
 //!   the server share these, making serving responses byte-identical to
 //!   one-shot output by construction;
+//! * [`flags`] — the one flag parser: every subcommand declares its
+//!   flags in a [`flags::Table`], which owns the CLI contract;
 //! * [`engines`] — session-scoped [`fsa_core::service::Service`]
 //!   implementations over resident models;
 //! * [`session`] — one worker per session, bounded request queues
@@ -35,6 +37,7 @@
 pub mod cli;
 pub mod client;
 pub mod engines;
+pub mod flags;
 pub mod json;
 pub mod proto;
 pub mod server;

@@ -13,7 +13,8 @@
 //! their responses flush, *new* requests are answered with a typed
 //! `draining` error, and every connection ends with `bye`.
 
-use crate::cli::{self, Flag, Flags, SERVE_USAGE};
+use crate::cli::{self, SERVE_USAGE};
+use crate::flags::{Kind, Table};
 use crate::proto::{ClientFrame, ServerFrame};
 use crate::session::{FrameSink, SessionHandle, DEFAULT_CACHE_CAP};
 use crate::wire::{self, FrameEvent, ReadLimits, WireError, DEFAULT_MAX_FRAME, PROTOCOL};
@@ -551,6 +552,39 @@ fn draining_error(session: Option<u64>, id: Option<u64>) -> ServerFrame {
     }
 }
 
+/// The flags of `fsa serve` in server mode; each defaults to
+/// [`ServeConfig::default`].
+#[derive(Default)]
+pub(crate) struct ServeFlags {
+    addr: Option<String>,
+    queue: Option<usize>,
+    max_frame: Option<usize>,
+    cache_cap: Option<usize>,
+    frame_deadline_ms: Option<usize>,
+    idle_ms: Option<usize>,
+    max_conns: Option<usize>,
+    stats_json: Option<String>,
+    trace_json: Option<String>,
+}
+
+pub(crate) const SERVE: Table<ServeFlags> = Table::new(
+    SERVE_USAGE,
+    &[
+        ("addr", Kind::Text(|f| &mut f.addr)),
+        ("queue", Kind::Positive(|f| &mut f.queue)),
+        ("max-frame", Kind::Positive(|f| &mut f.max_frame)),
+        ("cache-cap", Kind::Positive(|f| &mut f.cache_cap)),
+        (
+            "frame-deadline-ms",
+            Kind::Positive(|f| &mut f.frame_deadline_ms),
+        ),
+        ("idle-ms", Kind::Positive(|f| &mut f.idle_ms)),
+        ("max-conns", Kind::Positive(|f| &mut f.max_conns)),
+        ("stats-json", Kind::Text(|f| &mut f.stats_json)),
+        ("trace-json", Kind::Text(|f| &mut f.trace_json)),
+    ],
+);
+
 /// `fsa serve` — dispatches between server mode and `--connect` client
 /// mode, runs live (long-running; output is printed, not buffered).
 pub fn serve_command(rest: &[String]) -> u8 {
@@ -565,79 +599,27 @@ pub fn serve_command(rest: &[String]) -> u8 {
         return crate::client::connect_command(rest);
     }
 
-    let mut addr = "127.0.0.1:0".to_owned();
-    let mut queue = 8usize;
-    let mut max_frame = DEFAULT_MAX_FRAME;
-    let mut cache_cap = DEFAULT_CACHE_CAP;
-    let mut frame_deadline_ms = DEFAULT_FRAME_DEADLINE_MS;
-    let mut idle_ms = DEFAULT_SESSION_IDLE_MS;
-    let mut max_conns = DEFAULT_MAX_CONNS;
-    let mut stats_json: Option<String> = None;
-    let mut trace_json: Option<String> = None;
-    let mut flags = Flags::new(rest, SERVE_USAGE);
-    while let Some(flag) = flags.next_flag() {
-        let flag = match flag {
-            Ok(f) => f,
-            Err(r) => return cli::emit(&r),
-        };
-        let (name, inline) = match flag {
-            Flag::Named(n, v) => (n, v),
-            Flag::Positional(p) => return cli::emit(&flags.positional(&p)),
-        };
-        match name.as_str() {
-            "addr" => match flags.value("addr", inline) {
-                Ok(a) => addr = a,
-                Err(r) => return cli::emit(&r),
-            },
-            "queue" => match flags.positive("queue", inline) {
-                Ok(n) => queue = n,
-                Err(r) => return cli::emit(&r),
-            },
-            "max-frame" => match flags.positive("max-frame", inline) {
-                Ok(n) => max_frame = n,
-                Err(r) => return cli::emit(&r),
-            },
-            "cache-cap" => match flags.positive("cache-cap", inline) {
-                Ok(n) => cache_cap = n,
-                Err(r) => return cli::emit(&r),
-            },
-            "frame-deadline-ms" => match flags.positive("frame-deadline-ms", inline) {
-                Ok(n) => frame_deadline_ms = n as u64,
-                Err(r) => return cli::emit(&r),
-            },
-            "idle-ms" => match flags.positive("idle-ms", inline) {
-                Ok(n) => idle_ms = n as u64,
-                Err(r) => return cli::emit(&r),
-            },
-            "max-conns" => match flags.positive("max-conns", inline) {
-                Ok(n) => max_conns = n,
-                Err(r) => return cli::emit(&r),
-            },
-            "stats-json" => match flags.value("stats-json", inline) {
-                Ok(p) => stats_json = Some(p),
-                Err(r) => return cli::emit(&r),
-            },
-            "trace-json" => match flags.value("trace-json", inline) {
-                Ok(p) => trace_json = Some(p),
-                Err(r) => return cli::emit(&r),
-            },
-            other => return cli::emit(&flags.unknown(other)),
-        }
+    let mut f = ServeFlags::default();
+    if let Err(r) = SERVE.parse(rest, &[], &mut f) {
+        return cli::emit(&r);
     }
-
-    let obs = if stats_json.is_some() || trace_json.is_some() {
+    let obs = if f.stats_json.is_some() || f.trace_json.is_some() {
         Obs::enabled()
     } else {
         Obs::disabled()
     };
+    let defaults = ServeConfig::default();
+    let millis = |ms: Option<usize>, default: Duration| {
+        ms.map_or(default, |ms| Duration::from_millis(ms as u64))
+    };
     let server = match Server::bind(ServeConfig {
-        addr,
-        queue,
-        max_frame,
-        cache_cap,
-        frame_deadline: Duration::from_millis(frame_deadline_ms),
-        session_idle: Duration::from_millis(idle_ms),
-        max_conns,
+        addr: f.addr.unwrap_or(defaults.addr),
+        queue: f.queue.unwrap_or(defaults.queue),
+        max_frame: f.max_frame.unwrap_or(defaults.max_frame),
+        cache_cap: f.cache_cap.unwrap_or(defaults.cache_cap),
+        frame_deadline: millis(f.frame_deadline_ms, defaults.frame_deadline),
+        session_idle: millis(f.idle_ms, defaults.session_idle),
+        max_conns: f.max_conns.unwrap_or(defaults.max_conns),
         obs: obs.clone(),
     }) {
         Ok(s) => s,
@@ -665,8 +647,8 @@ pub fn serve_command(rest: &[String]) -> u8 {
     );
     let snapshot = obs.snapshot();
     for (path, contents) in [
-        (stats_json, snapshot.to_stats_json()),
-        (trace_json, snapshot.to_trace_json()),
+        (f.stats_json, snapshot.to_stats_json()),
+        (f.trace_json, snapshot.to_trace_json()),
     ] {
         if let Some(path) = path {
             if let Err(e) = std::fs::write(&path, contents) {

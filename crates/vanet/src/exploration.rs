@@ -104,13 +104,12 @@ pub fn explore_scenario_universe(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fsa_core::explore::union_requirements;
     use fsa_graph::iso::are_isomorphic;
 
     #[test]
     fn two_vehicle_universe_contains_fig2_and_fig3_shapes() {
-        let instances = enumerate_scenario_instances(2, &ExploreOptions::default()).unwrap();
-        assert!(!instances.is_empty());
+        let exploration = explore_scenario(2, &ExploreOptions::default()).unwrap();
+        assert!(!exploration.instances.is_empty());
         let fig2 = crate::instances::rsu_warns_vehicle();
         let fig3 = crate::instances::two_vehicle_warning();
         // The enumerated universe contains instances whose flow graphs
@@ -119,9 +118,7 @@ mod tests {
         // vehicle's sensing. (Full-model instances carry extra unused
         // actions, so we check requirement-level coverage, plus exact
         // shape matches for the pruned figures if present.)
-        let union = union_requirements(&instances, 1, &ExecOptions::default().supervisor)
-            .unwrap()
-            .requirements;
+        let union = exploration.universe.requirements;
         for fig in [&fig2, &fig3] {
             let wanted = fsa_core::manual::elicit(fig).unwrap().requirement_set();
             for req in &wanted {

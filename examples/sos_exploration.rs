@@ -5,20 +5,20 @@
 //!
 //! Run with `cargo run --example sos_exploration`.
 
-use fsa::core::explore::{union_requirements, ExploreOptions};
+use fsa::core::explore::ExploreOptions;
 use fsa::core::manual::elicit;
-use fsa::exec::Supervisor;
-use fsa::vanet::exploration::enumerate_scenario_instances;
+use fsa::vanet::exploration::explore_scenario;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     for max_vehicles in 1..=2 {
-        let instances = enumerate_scenario_instances(max_vehicles, &ExploreOptions::default())?;
+        let exploration = explore_scenario(max_vehicles, &ExploreOptions::default())?;
+        let instances = &exploration.instances;
         println!(
             "universe with 1 RSU and up to {max_vehicles} vehicle(s): {} structurally \
              different connected instances",
             instances.len()
         );
-        for inst in &instances {
+        for inst in instances {
             let summary = match elicit(inst) {
                 Ok(report) => format!(
                     "{} actions, {} requirements",
@@ -29,13 +29,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             };
             println!("  {:24} {summary}", inst.name());
         }
-        let union = union_requirements(&instances, 1, &Supervisor::new())?;
+        // The engine unions the requirements of the classes it keeps.
+        let union = &exploration.universe.requirements;
         println!(
             "union over the universe: {} requirements ({} cyclic compositions skipped)\n",
-            union.requirements.len(),
-            union.loop_skipped
+            union.len(),
+            exploration.universe.loop_skipped
         );
-        let union = union.requirements;
         if max_vehicles == 2 {
             for r in union.iter().take(10) {
                 println!("  {r}");

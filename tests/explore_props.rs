@@ -7,11 +7,10 @@
 //!   `find_isomorphism` fallback can split the bucket.
 //! * Exploration is deterministic and *bit-identical* for every thread
 //!   count: parallelism is an implementation detail, never a semantics.
-//! * The §4.4 union over χ node pairs equals the union of the manual
-//!   reports' requirement sets on random component models and rules,
-//!   cycles and policy flows included, and skips exactly the instances
-//!   the manual method rejects as cyclic — both `union_requirements`
-//!   and the class engine's own per-vector union on adjacency rows, on
+//! * The class engine's §4.4 union over χ on adjacency rows equals the
+//!   union of the manual reports' requirement sets on random component
+//!   models and rules, cycles and policy flows included, and skips
+//!   exactly the instances the manual method rejects as cyclic — on
 //!   every thread count, after a mid-vector resume, across a sharded
 //!   merge, and for a run cancelled mid-vector (over exactly the
 //!   classes it returns).
@@ -23,9 +22,8 @@
 use fsa::core::checkpoint::ExploreCheckpoint;
 use fsa::core::component_model::ComponentModel;
 use fsa::core::explore::{
-    compose_accepted, enumerate_instances, explore_universe, merge_accepted, union_requirements,
-    vector_space, BudgetPolicy, CheckpointSpec, ConnectionRule, ExecOptions, ExploreOptions,
-    ShardRange,
+    compose_accepted, enumerate_instances, explore_universe, merge_accepted, vector_space,
+    BudgetPolicy, CheckpointSpec, ConnectionRule, ExecOptions, ExploreOptions, ShardRange,
 };
 use fsa::core::manual::elicit;
 use fsa::core::{FsaError, RequirementSet, SosInstance};
@@ -419,8 +417,6 @@ proptest! {
     #[test]
     fn scenario_exploration_is_bit_identical_across_threads(max_vehicles in 1usize..4) {
         let seq = explore_scenario(max_vehicles, &ExploreOptions::default()).expect("sequential");
-        let seq_union =
-            union_requirements(&seq.instances, 1, &Supervisor::new()).expect("union");
         for threads in [2usize, 4, 8] {
             let par = explore_scenario(
                 max_vehicles,
@@ -442,10 +438,8 @@ proptest! {
                 prop_assert_eq!(pa, sa, "threads {}", threads);
             }
             // Unions (and the skipped-cycle count) agree for every
-            // worker count on both sides.
-            let par_union =
-                union_requirements(&par.instances, threads, &Supervisor::new()).expect("union");
-            prop_assert!(par_union.is_complete(), "threads {}", threads);
+            // worker count.
+            let (par_union, seq_union) = (&par.universe, &seq.universe);
             prop_assert_eq!(par_union.loop_skipped, seq_union.loop_skipped, "threads {}", threads);
             let pu: Vec<String> =
                 par_union.requirements.iter().map(ToString::to_string).collect();
@@ -470,12 +464,7 @@ proptest! {
         let (oracle, cyclic) = manual_union(&instances).expect("manual union");
         let (models, rules) = random_universe(seed);
         for threads in [1usize, 2, 3] {
-            let union =
-                union_requirements(&instances, threads, &Supervisor::new()).expect("union");
-            prop_assert!(union.is_complete(), "threads {}", threads);
-            prop_assert_eq!(&union.requirements, &oracle, "seed {} threads {}", seed, threads);
-            prop_assert_eq!(union.loop_skipped, cyclic, "seed {} threads {}", seed, threads);
-            // The class engine's own union, on adjacency rows.
+            // The class engine's union, on adjacency rows.
             let options = ExploreOptions { threads, ..random_options(seed) };
             let universe = explore_universe(&models, &rules, &options, &ExecOptions::default())
                 .expect("explores");

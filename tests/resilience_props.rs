@@ -4,9 +4,7 @@
 //! (`fsa_runtime::fleet`) under deadlines, interruptions, resume, and
 //! (feature `chaos`) injected worker panics.
 
-use fsa::core::explore::{
-    union_requirements, CheckpointSpec, ExecOptions, Exploration, ExploreOptions,
-};
+use fsa::core::explore::{CheckpointSpec, ExecOptions, Exploration, ExploreOptions};
 use fsa::exec::{CancelToken, Supervisor};
 use fsa::vanet::exploration::{explore_scenario, explore_scenario_supervised};
 
@@ -109,29 +107,38 @@ fn interrupt_then_resume_across_thread_counts_is_bit_identical() {
 #[test]
 fn supervised_union_matches_threaded_union_and_degrades_cleanly() {
     use fsa::core::{FsaError, RequirementSet};
-    let instances = explore_scenario(2, &ExploreOptions::default())
-        .unwrap()
-        .instances;
+    let options = ExploreOptions {
+        threads: 2,
+        ..ExploreOptions::default()
+    };
+    let exploration = explore_scenario(2, &options).unwrap();
     // Oracle: a sequential fold of the per-instance §4 elicitations.
     let mut golden = RequirementSet::new();
     let mut skipped = 0usize;
-    for instance in &instances {
+    for instance in &exploration.instances {
         match fsa::core::manual::elicit(instance) {
             Ok(report) => golden.extend(report.requirements()),
             Err(FsaError::CircularDependency { .. }) => skipped += 1,
             Err(e) => panic!("{}: {e}", instance.name()),
         }
     }
-    let out = union_requirements(&instances, 2, &Supervisor::new()).unwrap();
-    assert!(out.is_complete());
+    let out = &exploration.universe;
+    assert!(!out.stats.cancelled);
     assert_eq!(out.requirements, golden);
     assert_eq!(out.loop_skipped, skipped);
 
-    // An expired deadline elicits nothing but does not error.
-    let sup = Supervisor::new().with_cancel(CancelToken::with_deadline(std::time::Duration::ZERO));
-    let out = union_requirements(&instances, 2, &sup).unwrap();
-    assert!(out.cancelled);
-    assert_eq!(out.elicited, 0);
+    // An expired deadline finds no class, so it unions nothing, but
+    // does not error.
+    let exec = ExecOptions {
+        supervisor: Supervisor::new()
+            .with_cancel(CancelToken::with_deadline(std::time::Duration::ZERO)),
+        ..ExecOptions::default()
+    };
+    let out = explore_scenario_supervised(2, &options, &exec)
+        .unwrap()
+        .universe;
+    assert!(out.stats.cancelled);
+    assert!(out.classes.is_empty());
     assert!(out.requirements.is_empty());
 }
 
@@ -197,43 +204,6 @@ mod chaos {
             let sup = explore_scenario_supervised(2, &options, &exec).unwrap();
             assert_eq!(fingerprint(&sup), golden_fp, "threads {threads}");
             assert_eq!(sup.universe.stats.failures, 0);
-        }
-    }
-
-    /// The union elicits in windows of 256 instances and chunk indices
-    /// are local to a window: 309 instances (the 3-vehicle universe's
-    /// 103, three times over) make two windows, so a fault on local
-    /// chunk 44 hits global instances 44 and 300, and failures report
-    /// the global index.
-    #[test]
-    fn union_windows_report_global_indices_and_heal() {
-        let once = explore_scenario(3, &ExploreOptions::default())
-            .unwrap()
-            .instances;
-        assert_eq!(once.len(), 103);
-        let instances: Vec<_> = once.iter().cycle().take(309).cloned().collect();
-        for threads in [1usize, 4] {
-            let golden = union_requirements(&instances, threads, &Supervisor::new()).unwrap();
-            assert!(golden.is_complete());
-
-            let sup = Supervisor::new()
-                .with_retry(fast_retry(1))
-                .with_fault_plan(FaultPlan::new().panic_on("explore:union", 44, u32::MAX));
-            let out = union_requirements(&instances, threads, &sup).unwrap();
-            let chunks: Vec<usize> = out.failures.iter().map(|f| f.chunk).collect();
-            assert_eq!(chunks, [44, 300], "threads {threads}");
-            assert_eq!(out.elicited, 307);
-            assert!(!out.is_complete());
-            // Both lost instances have copies elsewhere in the input.
-            assert_eq!(out.requirements, golden.requirements);
-
-            let sup = Supervisor::new()
-                .with_retry(fast_retry(2))
-                .with_fault_plan(FaultPlan::new().panic_on("explore:union", 44, 2));
-            let healed = union_requirements(&instances, threads, &sup).unwrap();
-            assert!(healed.is_complete() && healed.failures.is_empty());
-            assert_eq!(healed.requirements, golden.requirements);
-            assert_eq!(healed.loop_skipped, golden.loop_skipped);
         }
     }
 
