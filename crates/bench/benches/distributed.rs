@@ -21,7 +21,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fsa_core::checkpoint::CheckpointCounters;
-use fsa_core::explore::{ExecOptions, ExploreOptions};
+use fsa_core::explore::{Accepted, ExecOptions, ExploreOptions};
 use fsa_dist::local::{explore_distributed, LocalConfig, WorkerMode};
 use fsa_dist::proto::{
     decode_to_coordinator, decode_to_worker, encode_to_coordinator, encode_to_worker,
@@ -86,8 +86,14 @@ fn bench_lease_tax(c: &mut Criterion) {
         })
     });
     // A realistic shard result: the densest 3-vehicle shard carries a
-    // few hundred accepted pairs.
-    let accepted: Vec<(u64, u64)> = (0..512u64).map(|i| (3 + i / 128, i * 37 % 4096)).collect();
+    // few hundred accepted entries.
+    let accepted: Vec<Accepted> = (0..512u64)
+        .map(|i| Accepted {
+            ordinal: 3 + i / 128,
+            mask: i * 37 % 4096,
+            certificate: i.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+        })
+        .collect();
     let result = ToCoordinator::ShardResult {
         start: 3,
         end: 8,

@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fsa_core::checkpoint::{config_fingerprint, CheckpointCounters, ExploreCheckpoint};
-use fsa_core::explore::{ExecOptions, ExploreOptions};
+use fsa_core::explore::{Accepted, ExecOptions, ExploreOptions};
 use fsa_exec::Supervisor;
 use std::hint::black_box;
 use vanet::exploration::explore_scenario_supervised;
@@ -58,14 +58,20 @@ fn bench_supervised_fleet(c: &mut Criterion) {
 }
 
 fn bench_checkpoint_io(c: &mut Criterion) {
-    // A realistically-sized checkpoint: ~1k accepted (ordinal, mask)
-    // decisions — larger than any 3-vehicle run produces.
+    // A realistically-sized checkpoint: ~1k accepted (ordinal, mask,
+    // certificate) decisions — larger than any 3-vehicle run produces.
     let fingerprint = config_fingerprint(&[], &[], &ExploreOptions::default());
     let cp = ExploreCheckpoint {
         fingerprint,
         next_ordinal: 64,
         pending_masks: (0..256u64).collect(),
-        accepted: (0..1024u64).map(|i| (i / 16, i)).collect(),
+        accepted: (0..1024u64)
+            .map(|i| Accepted {
+                ordinal: i / 16,
+                mask: i,
+                certificate: i.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+            })
+            .collect(),
         counters: CheckpointCounters::default(),
     };
     let dir = std::env::temp_dir().join(format!("fsa-bench-ck-{}", std::process::id()));

@@ -2,18 +2,20 @@
 //!
 //! A checkpoint is a *decision log*, not a state dump: it records which
 //! `(multiplicity-vector ordinal, flow-subset mask)` pairs have been
-//! accepted as class representatives so far, plus the frontier (the
-//! next vector ordinal and the canonical masks of the current vector
-//! that are still unbuilt) and the deterministic counters. Resuming
-//! re-derives everything else — the certificate class map is rebuilt by
-//! re-instantiating the accepted pairs in their original discovery
-//! order, which is cheap (no scan, no dedup search space) and exactly
+//! accepted as class representatives so far, each with its certificate,
+//! plus the frontier (the next vector ordinal and the canonical masks
+//! of the current vector that are still unbuilt) and the deterministic
+//! counters. Resuming re-derives everything else — the certificate
+//! class map is rebuilt by offering the accepted pairs under their
+//! certificates in their original discovery order, which is cheap (no
+//! scan, no certificate, no dedup search space) and exactly
 //! deterministic.
 //!
 //! The on-disk envelope is [`fsa_exec::Snapshot`]: magic, schema
 //! version, length, FNV-1a checksum, atomic rename. Every corruption
 //! mode (truncation, bit flip, version skew, configuration skew)
-//! surfaces as a clean [`FsaError::CorruptCheckpoint`].
+//! surfaces as a clean [`FsaError::CorruptCheckpoint`]; a checkpoint
+//! that cannot be written is an [`FsaError::CheckpointWrite`].
 //!
 //! The configuration fingerprint covers the component models (names,
 //! stakeholder templates, multiplicity bounds, template actions,
@@ -24,12 +26,13 @@
 
 use crate::component_model::ComponentModel;
 use crate::error::FsaError;
-use crate::explore::{BudgetPolicy, ConnectionRule, ExploreOptions};
+use crate::explore::{Accepted, BudgetPolicy, ConnectionRule, ExploreOptions};
 use fsa_exec::{Snapshot, SnapshotError, SnapshotReader};
 use std::path::Path;
 
-/// Schema version of [`ExploreCheckpoint`] payloads.
-pub const EXPLORE_CHECKPOINT_VERSION: u32 = 1;
+/// Schema version of [`ExploreCheckpoint`] payloads. Version 2 added
+/// each accepted entry's certificate; a version-1 file is rejected.
+pub const EXPLORE_CHECKPOINT_VERSION: u32 = 2;
 
 /// Deterministic counters persisted with a checkpoint, so a resumed
 /// run reports the same statistics as an uninterrupted one.
@@ -74,9 +77,9 @@ pub struct ExploreCheckpoint {
     /// Canonical masks of vector `next_ordinal` not yet instantiated.
     /// Empty ⇔ the checkpoint sits at a vector boundary.
     pub pending_masks: Vec<u64>,
-    /// `(vector ordinal, mask)` of every accepted class representative,
-    /// in discovery order.
-    pub accepted: Vec<(u64, u64)>,
+    /// `(vector ordinal, mask)` and certificate of every accepted class
+    /// representative, in discovery order.
+    pub accepted: Vec<Accepted>,
     /// Deterministic counters at checkpoint time.
     pub counters: CheckpointCounters,
 }
@@ -92,7 +95,7 @@ impl ExploreCheckpoint {
     ///
     /// # Errors
     ///
-    /// [`FsaError::CorruptCheckpoint`] wrapping the filesystem failure.
+    /// [`FsaError::CheckpointWrite`] wrapping the filesystem failure.
     pub fn write(&self, path: &Path) -> Result<(), FsaError> {
         let mut s = Snapshot::new(EXPLORE_CHECKPOINT_VERSION);
         s.put_u64(self.fingerprint);
@@ -102,9 +105,10 @@ impl ExploreCheckpoint {
             s.put_u64(mask);
         }
         s.put_usize(self.accepted.len());
-        for &(ordinal, mask) in &self.accepted {
-            s.put_u64(ordinal);
-            s.put_u64(mask);
+        for entry in &self.accepted {
+            s.put_u64(entry.ordinal);
+            s.put_u64(entry.mask);
+            s.put_u64(entry.certificate);
         }
         let c = &self.counters;
         s.put_usize(c.multiplicity_vectors);
@@ -119,7 +123,9 @@ impl ExploreCheckpoint {
         s.put_usize(c.vectors_completed);
         s.put_usize(c.failures);
         s.put_u64(c.retries);
-        s.write_atomic(path).map_err(corrupt)
+        s.write_atomic(path).map_err(|e| FsaError::CheckpointWrite {
+            reason: e.to_string(),
+        })
     }
 
     /// Reads and validates the checkpoint at `path`.
@@ -142,9 +148,11 @@ impl ExploreCheckpoint {
             let accepted_len = r.usize()?;
             let mut accepted = Vec::new();
             for _ in 0..accepted_len {
-                let ordinal = r.u64()?;
-                let mask = r.u64()?;
-                accepted.push((ordinal, mask));
+                accepted.push(Accepted {
+                    ordinal: r.u64()?,
+                    mask: r.u64()?,
+                    certificate: r.u64()?,
+                });
             }
             let counters = CheckpointCounters {
                 multiplicity_vectors: r.usize()?,
@@ -286,7 +294,23 @@ mod tests {
             fingerprint: 0xFEED,
             next_ordinal: 3,
             pending_masks: vec![5, 9],
-            accepted: vec![(0, 0), (1, 3), (3, 1)],
+            accepted: vec![
+                Accepted {
+                    ordinal: 0,
+                    mask: 0,
+                    certificate: 0x0123_4567_89ab_cdef,
+                },
+                Accepted {
+                    ordinal: 1,
+                    mask: 3,
+                    certificate: u64::MAX,
+                },
+                Accepted {
+                    ordinal: 3,
+                    mask: 1,
+                    certificate: 7,
+                },
+            ],
             counters: CheckpointCounters {
                 multiplicity_vectors: 4,
                 subsets_total: 20,
@@ -349,6 +373,55 @@ mod tests {
         let err = ExploreCheckpoint::read(&path).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_version_1_checkpoint_is_rejected() {
+        // The version-1 layout: accepted entries without certificates.
+        let path = temp_path("v1");
+        let cp = sample();
+        let mut s = Snapshot::new(1);
+        s.put_u64(cp.fingerprint);
+        s.put_u64(cp.next_ordinal);
+        s.put_usize(cp.pending_masks.len());
+        for &mask in &cp.pending_masks {
+            s.put_u64(mask);
+        }
+        s.put_usize(cp.accepted.len());
+        for entry in &cp.accepted {
+            s.put_u64(entry.ordinal);
+            s.put_u64(entry.mask);
+        }
+        s.write_atomic(&path).unwrap();
+        let err = ExploreCheckpoint::read(&path).unwrap_err();
+        assert!(
+            matches!(&err, FsaError::CorruptCheckpoint { reason }
+                if reason.contains("version 1") && reason.contains("version 2")),
+            "{err}"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn an_unwritable_checkpoint_is_a_write_error_and_leaves_no_temp_file() {
+        let dir = temp_path("unwritable");
+        std::fs::create_dir_all(&dir).unwrap();
+        // The rename onto a directory fails after the temp file is written.
+        let err = sample().write(&dir).unwrap_err();
+        assert!(matches!(err, FsaError::CheckpointWrite { .. }), "{err}");
+        assert!(
+            err.to_string().starts_with("cannot write checkpoint"),
+            "{err}"
+        );
+        let mut tmp = dir.clone().into_os_string();
+        tmp.push(".tmp");
+        assert!(!std::path::Path::new(&tmp).exists());
+        // A missing directory fails before anything is written.
+        let err = sample()
+            .write(&dir.join("missing").join("c.fsas"))
+            .unwrap_err();
+        assert!(matches!(err, FsaError::CheckpointWrite { .. }), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

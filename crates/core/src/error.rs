@@ -50,6 +50,13 @@ pub enum FsaError {
         /// Explanation.
         reason: String,
     },
+    /// A checkpoint file could not be written (no such directory, disk
+    /// full, a failed rename). The previous checkpoint, if any, is left
+    /// as it was, and no temporary file is left behind.
+    CheckpointWrite {
+        /// Explanation.
+        reason: String,
+    },
     /// A shard range restriction was malformed or used with an engine
     /// that cannot honour it (see
     /// [`crate::explore::ExploreOptions::shard`]).
@@ -96,6 +103,9 @@ impl fmt::Display for FsaError {
             }
             FsaError::CorruptCheckpoint { reason } => {
                 write!(f, "corrupt checkpoint: {reason}")
+            }
+            FsaError::CheckpointWrite { reason } => {
+                write!(f, "cannot write checkpoint: {reason}")
             }
             FsaError::InvalidShard { reason } => {
                 write!(f, "invalid shard range: {reason}")
@@ -157,6 +167,10 @@ mod tests {
         };
         assert!(e.to_string().contains("corrupt checkpoint"));
         assert!(e.to_string().contains("checksum"));
+        let e = FsaError::CheckpointWrite {
+            reason: "disk full".into(),
+        };
+        assert!(e.to_string().contains("cannot write checkpoint: disk full"));
         let e = FsaError::InvalidShard {
             reason: "start beyond end".into(),
         };

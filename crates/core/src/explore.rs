@@ -119,18 +119,19 @@ pub enum BudgetPolicy {
     Truncate,
 }
 
-/// A contiguous, half-open range `start..end` of multiplicity-vector
-/// ordinals (the canonical odometer order of [`crate::checkpoint`]),
-/// restricting the supervised engine to one *shard* of the
-/// `(ordinal, mask)` lattice. Every flow-subset mask belongs to exactly
-/// one ordinal, so contiguous ordinal ranges partition the whole
-/// lattice: a family of ranges produced by [`ShardRange::partition`]
-/// covers every pair exactly once, with no gap and no overlap.
+/// A contiguous, half-open range `start..end` of *positions* in the
+/// flattened `(ordinal, mask)` lattice ([`Lattice`]), restricting the
+/// supervised engine to one *shard* of it. Vectors are laid out in the
+/// canonical odometer order of [`crate::checkpoint`], each taking one
+/// position per flow-subset mask, so a shard may start or end in the
+/// middle of a vector. A family of ranges produced by
+/// [`ShardRange::partition`] covers every position exactly once, with
+/// no gap and no overlap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ShardRange {
-    /// First vector ordinal of the shard (inclusive).
+    /// First position of the shard (inclusive).
     pub start: u64,
-    /// One past the last vector ordinal of the shard (exclusive).
+    /// One past the last position of the shard (exclusive).
     pub end: u64,
 }
 
@@ -141,21 +142,27 @@ impl ShardRange {
         ShardRange { start, end }
     }
 
-    /// Number of vector ordinals in the shard (0 when malformed).
+    /// Number of positions in the shard (0 when malformed).
     #[must_use]
     pub fn len(&self) -> u64 {
         self.end.saturating_sub(self.start)
     }
 
-    /// `true` when the shard covers no ordinal.
+    /// `true` when the shard covers no position.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.end <= self.start
     }
 
-    /// Partitions the ordinal space `0..total` into
+    /// `true` when `position` lies in the shard.
+    #[must_use]
+    pub fn contains(&self, position: u64) -> bool {
+        self.start <= position && position < self.end
+    }
+
+    /// Partitions the position space `0..total` into
     /// `shards.clamp(1, total.max(1))` contiguous ranges whose lengths
-    /// differ by at most one, in ascending order. Covers every ordinal
+    /// differ by at most one, in ascending order. Covers every position
     /// exactly once. When `total > 0` every range is non-empty, so no two
     /// ranges are equal and a range names its shard; an empty space is
     /// the single range `0..0`.
@@ -202,11 +209,11 @@ pub struct ExploreOptions {
     /// nothing; enabling it never changes the enumerated instances or
     /// the stats values.
     pub obs: Obs,
-    /// Restrict the run to one shard of the multiplicity space (`None`
-    /// = the whole universe). Sharded runs enumerate exactly the
-    /// `(ordinal, mask)` pairs whose ordinal lies in the range;
-    /// per-shard `accepted` logs merged in canonical order by
-    /// [`merge_accepted`] reproduce the unsharded result
+    /// Restrict the run to one shard of the `(ordinal, mask)` lattice
+    /// (`None` = the whole universe). Sharded runs scan and build
+    /// exactly the `(ordinal, mask)` pairs whose [`Lattice`] position
+    /// lies in the range; per-shard `accepted` logs merged in canonical
+    /// order by [`merge_accepted`] reproduce the unsharded result
     /// bit-identically. [`BudgetPolicy::Truncate`] rejects sharded
     /// options ([`FsaError::InvalidShard`]).
     pub shard: Option<ShardRange>,
@@ -267,7 +274,11 @@ impl Default for ExecOptions {
     }
 }
 
-/// Per-stage statistics of one enumeration run.
+/// Per-stage statistics of one enumeration run. A sharded run counts
+/// the masks, candidates and vectors of its own shard, so the counters
+/// of a partition's shards sum to the unsharded run's; it counts a
+/// vector in [`ExploreStats::multiplicity_vectors`] only if it holds
+/// the vector's mask 0.
 #[derive(Debug, Clone, Default)]
 pub struct ExploreStats {
     /// Non-empty multiplicity vectors visited.
@@ -293,11 +304,12 @@ pub struct ExploreStats {
     /// Worker threads used.
     pub threads: usize,
     /// Non-empty multiplicity vectors in the run's enumeration space
-    /// (its shard, when sharded). Together with
+    /// (those its shard holds masks of, when sharded). Together with
     /// [`ExploreStats::vectors_completed`] this is the coverage
     /// accounting of a partial (cancelled) run.
     pub vectors_total: usize,
-    /// Multiplicity vectors fully processed.
+    /// Multiplicity vectors fully processed (their masks in the shard,
+    /// when sharded).
     pub vectors_completed: usize,
     /// Candidate compositions actually built. Differs from
     /// [`ExploreStats::candidates`] on a cancelled run: `candidates`
@@ -441,6 +453,9 @@ pub struct ExploredClass {
     /// The representative's flow-subset mask (bit `k` = the vector's
     /// `k`-th candidate external flow).
     pub mask: u64,
+    /// The representative's [`row_certificate`]: its bucket in the
+    /// class map.
+    pub certificate: Certificate,
     /// The vector's name, e.g. `1xRSU+2xV`: the name of every
     /// composition of the vector.
     pub vector: Arc<str>,
@@ -468,21 +483,41 @@ pub struct Universe {
     pub stats: ExploreStats,
 }
 
+/// One entry of an accepted log: a class representative's
+/// `(vector ordinal, flow-subset mask)` with its certificate, so a log
+/// replays into a class map without recomputing a certificate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Accepted {
+    /// The representative's multiplicity-vector ordinal.
+    pub ordinal: u64,
+    /// The representative's flow-subset mask.
+    pub mask: u64,
+    /// The representative's [`row_certificate`].
+    pub certificate: Certificate,
+}
+
 impl Universe {
-    /// The accepted `(vector ordinal, flow-subset mask)` decision log in
-    /// discovery order — one entry per class. This is the log the
-    /// checkpoint format persists; a distributed coordinator merges
-    /// per-shard logs with [`merge_accepted`], and [`compose_accepted`]
-    /// composes its instances.
+    /// The accepted decision log in discovery order — one entry per
+    /// class. This is the log the checkpoint format persists; a
+    /// distributed coordinator merges per-shard logs with
+    /// [`merge_accepted`], and [`compose_accepted`] composes its
+    /// instances.
     #[must_use]
-    pub fn accepted(&self) -> Vec<(u64, u64)> {
+    pub fn accepted(&self) -> Vec<Accepted> {
         accepted_log(&self.classes)
     }
 }
 
-/// The `(ordinal, mask)` of each class, in class order.
-fn accepted_log(classes: &[ExploredClass]) -> Vec<(u64, u64)> {
-    classes.iter().map(|c| (c.ordinal, c.mask)).collect()
+/// The log entry of each class, in class order.
+fn accepted_log(classes: &[ExploredClass]) -> Vec<Accepted> {
+    classes
+        .iter()
+        .map(|c| Accepted {
+            ordinal: c.ordinal,
+            mask: c.mask,
+            certificate: c.certificate,
+        })
+        .collect()
 }
 
 /// Result of [`enumerate_instances_supervised`]: the explored universe
@@ -590,18 +625,95 @@ fn vector_count(maxes: &[usize]) -> usize {
         .map_or(usize::MAX, |p| p.saturating_sub(1))
 }
 
-/// Number of non-empty multiplicity vectors of a universe — the
-/// ordinal space that [`ShardRange`]s partition. A coordinator calls
-/// this once to size [`ShardRange::partition`].
-#[must_use]
-pub fn vector_space(models: &[(ComponentModel, usize)]) -> u64 {
-    let maxes: Vec<usize> = models.iter().map(|(_, max)| *max).collect();
-    vector_count(&maxes) as u64
+/// The flattened `(ordinal, mask)` lattice of a universe: its vectors in
+/// the canonical odometer order of [`crate::checkpoint`] (the first
+/// model's count changes fastest), vector `o` taking one *position* per
+/// flow-subset mask, `2^F` in all for its `F` candidate external flows.
+/// Position `p` of vector `o`'s mask `m` is the number of positions of
+/// the vectors before `o`, plus `m`. [`ShardRange`]s cut this space.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Lattice {
+    /// `bounds[o]` is vector `o`'s first position; the last entry is
+    /// the total.
+    bounds: Vec<u64>,
+}
+
+impl Lattice {
+    /// The lattice of the universe `models` under `rules`.
+    ///
+    /// # Errors
+    ///
+    /// [`FsaError::InvalidComponentModel`] if a rule fails to resolve,
+    /// and [`FsaError::InvalidShard`] if the lattice has more than
+    /// `u64::MAX` positions.
+    pub fn new(
+        models: &[(ComponentModel, usize)],
+        rules: &[ConnectionRule],
+    ) -> Result<Lattice, FsaError> {
+        let maxes: Vec<usize> = models.iter().map(|(_, max)| *max).collect();
+        Lattice::resolved(&resolve_rules(models, rules)?, &maxes)
+    }
+
+    fn resolved(rules: &[ResolvedRule], maxes: &[usize]) -> Result<Lattice, FsaError> {
+        let overflow = || FsaError::InvalidShard {
+            reason: "the (vector, mask) lattice has more than 2^64 positions".to_owned(),
+        };
+        let mut bounds = vec![0u64];
+        let mut total = 0u64;
+        for counts in VectorIter::new(maxes) {
+            let flows = u32::try_from(flow_candidates(rules, &counts).len()).unwrap_or(u32::MAX);
+            let span = 1u64.checked_shl(flows).ok_or_else(overflow)?;
+            total = total.checked_add(span).ok_or_else(overflow)?;
+            bounds.push(total);
+        }
+        Ok(Lattice { bounds })
+    }
+
+    /// Number of positions: the space [`ShardRange::partition`] cuts.
+    #[must_use]
+    pub fn positions(&self) -> u64 {
+        *self.bounds.last().expect("bounds end in the total")
+    }
+
+    /// Number of non-empty multiplicity vectors.
+    #[must_use]
+    pub fn vectors(&self) -> u64 {
+        self.bounds.len() as u64 - 1
+    }
+
+    /// The position of vector `ordinal`'s mask `mask`, or `None` when
+    /// the lattice has no such pair.
+    #[must_use]
+    pub fn position(&self, ordinal: u64, mask: u64) -> Option<u64> {
+        let o = usize::try_from(ordinal).ok()?;
+        let (&first, &next) = (self.bounds.get(o)?, self.bounds.get(o + 1)?);
+        (mask < next - first).then_some(first + mask)
+    }
+
+    /// The ordinals of the vectors `shard` holds masks of.
+    fn ordinals(&self, shard: ShardRange) -> std::ops::Range<u64> {
+        if shard.is_empty() {
+            return 0..0;
+        }
+        let starts = &self.bounds[..self.bounds.len() - 1];
+        let first = starts.partition_point(|&b| b <= shard.start) - 1;
+        first as u64..starts.partition_point(|&b| b < shard.end) as u64
+    }
+
+    /// The masks `lo..hi` of vector `ordinal` that `shard` holds, and
+    /// whether it holds the vector's mask 0 (and so counts the vector).
+    fn slice(&self, ordinal: u64, shard: ShardRange) -> ((u64, u64), bool) {
+        let first = self.bounds[ordinal as usize];
+        let span = self.bounds[ordinal as usize + 1] - first;
+        let lo = shard.start.saturating_sub(first).min(span);
+        let hi = shard.end.saturating_sub(first).min(span);
+        ((lo, hi), shard.contains(first))
+    }
 }
 
 /// A run of accepted-log entries that share a vector: `(ordinal,
 /// multiplicities, entries)`.
-type VectorRun<'a> = (u64, Vec<usize>, &'a [(u64, u64)]);
+type VectorRun<'a> = (u64, Vec<usize>, &'a [Accepted]);
 
 /// The runs of an accepted log that share a vector, in log order.
 ///
@@ -609,23 +721,23 @@ type VectorRun<'a> = (u64, Vec<usize>, &'a [(u64, u64)]);
 ///
 /// [`FsaError::CorruptCheckpoint`] unless the ordinals ascend and lie in
 /// the multiplicity space of `maxes`.
-fn vector_runs<'a>(maxes: &[usize], log: &'a [(u64, u64)]) -> Result<Vec<VectorRun<'a>>, FsaError> {
-    if !log.windows(2).all(|w| w[0].0 <= w[1].0) {
+fn vector_runs<'a>(maxes: &[usize], log: &'a [Accepted]) -> Result<Vec<VectorRun<'a>>, FsaError> {
+    if !log.windows(2).all(|w| w[0].ordinal <= w[1].ordinal) {
         return Err(FsaError::CorruptCheckpoint {
             reason: "accepted list is out of discovery order".to_owned(),
         });
     }
     if log
         .last()
-        .is_some_and(|&(o, _)| o >= vector_count(maxes) as u64)
+        .is_some_and(|a| a.ordinal >= vector_count(maxes) as u64)
     {
         return Err(FsaError::CorruptCheckpoint {
             reason: "accepted entries lie beyond the multiplicity space".to_owned(),
         });
     }
     Ok(log
-        .chunk_by(|a, b| a.0 == b.0)
-        .map(|run| (run[0].0, vector_of(run[0].0, maxes), run))
+        .chunk_by(|a, b| a.ordinal == b.ordinal)
+        .map(|run| (run[0].ordinal, vector_of(run[0].ordinal, maxes), run))
         .collect())
 }
 
@@ -768,32 +880,42 @@ pub fn explore_universe(
     let batch = exec.batch.max(1);
     let maxes: Vec<usize> = models.iter().map(|(_, max)| *max).collect();
     let fingerprint = config_fingerprint(models, rules, options);
-    let universe_total = vector_count(&maxes) as u64;
-    let shard = options
-        .shard
-        .unwrap_or_else(|| ShardRange::new(0, universe_total));
-    if shard.start > shard.end {
-        return Err(FsaError::InvalidShard {
-            reason: format!("shard {shard} has its start beyond its end"),
-        });
-    }
-    if shard.end > universe_total {
-        return Err(FsaError::InvalidShard {
-            reason: format!(
-                "shard {shard} lies beyond the {universe_total}-vector multiplicity space"
-            ),
-        });
-    }
-    if options.shard.is_some() && options.on_budget == BudgetPolicy::Truncate {
-        // A truncation point depends on global enumeration order, which
-        // no single shard can observe; a sharded truncated run could
-        // never merge bit-identically.
-        return Err(FsaError::InvalidShard {
-            reason: "budget truncation is not shard-deterministic; use BudgetPolicy::Error"
-                .to_owned(),
-        });
-    }
-    let vectors_total = shard.len() as usize;
+    // A sharded run's shard with its lattice; an unsharded run takes
+    // every mask of every vector and needs no positions.
+    let cut = match options.shard {
+        None => None,
+        Some(shard) => {
+            let lattice = Lattice::resolved(&resolved, &maxes)?;
+            if shard.start > shard.end {
+                return Err(FsaError::InvalidShard {
+                    reason: format!("shard {shard} has its start beyond its end"),
+                });
+            }
+            if shard.end > lattice.positions() {
+                return Err(FsaError::InvalidShard {
+                    reason: format!(
+                        "shard {shard} lies beyond the {}-position lattice",
+                        lattice.positions()
+                    ),
+                });
+            }
+            if options.on_budget == BudgetPolicy::Truncate {
+                // A truncation point depends on global enumeration
+                // order, which no single shard can observe; a sharded
+                // truncated run could never merge bit-identically.
+                return Err(FsaError::InvalidShard {
+                    reason: "budget truncation is not shard-deterministic; use BudgetPolicy::Error"
+                        .to_owned(),
+                });
+            }
+            Some((shard, lattice))
+        }
+    };
+    let ordinals = match &cut {
+        None => 0..vector_count(&maxes) as u64,
+        Some((shard, lattice)) => lattice.ordinals(*shard),
+    };
+    let vectors_total = (ordinals.end - ordinals.start) as usize;
 
     let mut stats = ExploreStats {
         threads,
@@ -804,12 +926,12 @@ pub fn explore_universe(
 
     // Frontier state: the vector being processed and, mid-vector, the
     // canonical masks not yet built. Ordinals are *global* (sharded
-    // runs carry the same ordinal space as unsharded ones, offset into
-    // their range), so accepted logs concatenate across shards.
-    let mut next_ordinal = shard.start;
+    // runs carry the same ordinal space as unsharded ones), so accepted
+    // logs concatenate across shards.
+    let mut next_ordinal = ordinals.start;
     let mut pending: Vec<usize> = Vec::new();
     // The resumed checkpoint's accepted log, replayed into the class map.
-    let mut log: Vec<(u64, u64)> = Vec::new();
+    let mut log: Vec<Accepted> = Vec::new();
     let mut cp_hits = 0usize;
     let mut cp_fallbacks = 0usize;
 
@@ -824,9 +946,9 @@ pub fn explore_universe(
                     .to_owned(),
             });
         }
-        if cp.next_ordinal < shard.start
-            || cp.next_ordinal > shard.end
-            || (cp.next_ordinal == shard.end && !cp.pending_masks.is_empty())
+        if cp.next_ordinal < ordinals.start
+            || cp.next_ordinal > ordinals.end
+            || (cp.next_ordinal == ordinals.end && !cp.pending_masks.is_empty())
         {
             return Err(FsaError::CorruptCheckpoint {
                 reason: "checkpoint frontier lies outside the run's shard of the multiplicity \
@@ -834,12 +956,12 @@ pub fn explore_universe(
                     .to_owned(),
             });
         }
-        if !cp.accepted.windows(2).all(|w| w[0].0 <= w[1].0) {
+        if !cp.accepted.windows(2).all(|w| w[0].ordinal <= w[1].ordinal) {
             return Err(FsaError::CorruptCheckpoint {
                 reason: "accepted list is out of discovery order".to_owned(),
             });
         }
-        if let Some(&(last, _)) = cp.accepted.last() {
+        if let Some(&Accepted { ordinal: last, .. }) = cp.accepted.last() {
             let within =
                 last < cp.next_ordinal || (last == cp.next_ordinal && !cp.pending_masks.is_empty());
             if !within {
@@ -879,16 +1001,16 @@ pub fn explore_universe(
 
     'vectors: for (ordinal, counts) in VectorIter::new(&maxes).enumerate() {
         let ordinal64 = ordinal as u64;
-        if ordinal64 < shard.start {
+        if ordinal64 < ordinals.start {
             continue;
         }
-        if ordinal64 >= shard.end {
+        if ordinal64 >= ordinals.end {
             break 'vectors;
         }
         if ordinal64 < next_ordinal {
             // Resume rebuild: replay the accepted decisions of an
             // already-completed vector.
-            if log.get(cursor).is_some_and(|&(o, _)| o == ordinal64) {
+            if log.get(cursor).is_some_and(|a| a.ordinal == ordinal64) {
                 classes.enter(ordinal64, &counts)?;
                 classes.replay(&log, &mut cursor)?;
             }
@@ -896,7 +1018,16 @@ pub fn explore_universe(
         }
 
         // ordinal == next_ordinal: the current vector, whose candidates
-        // are all built from one prototype.
+        // are all built from one prototype. A shard scans only its
+        // slice of the vector's masks, and counts the vector only if it
+        // holds its mask 0.
+        let (slice, owned) = match &cut {
+            None => (None, true),
+            Some((shard, lattice)) => {
+                let (slice, owned) = lattice.slice(ordinal64, *shard);
+                (Some(slice), owned)
+            }
+        };
         let span = obs.span("explore.build");
         let flow_count = classes.enter(ordinal64, &counts)?.flows.len();
         stats.build_time += span.finish();
@@ -907,8 +1038,9 @@ pub fn explore_universe(
         // already in the checkpoint).
         let resumed_mid_vector = !pending.is_empty();
         if resumed_mid_vector {
+            let (lo, hi) = slice.unwrap_or((0, 1u64.checked_shl(flow_count as u32).unwrap_or(0)));
             for &mask in &pending {
-                if mask >> flow_count != 0 {
+                if !(lo..hi).contains(&(mask as u64)) {
                     return Err(FsaError::CorruptCheckpoint {
                         reason: format!("pending mask {mask} out of range for vector {ordinal64}"),
                     });
@@ -964,6 +1096,7 @@ pub fn explore_universe(
             let scan = scan_vector(
                 &resolved,
                 &counts,
+                slice,
                 options,
                 threads,
                 stats.candidates,
@@ -987,7 +1120,7 @@ pub fn explore_universe(
                 }
                 break 'vectors;
             }
-            stats.multiplicity_vectors += 1;
+            stats.multiplicity_vectors += usize::from(owned);
             stats.subsets_total += scan.subsets;
             stats.orbits_skipped += scan.orbits_skipped;
             stats.candidates += scan.canonical.len();
@@ -1059,7 +1192,7 @@ pub fn explore_universe(
                 match item {
                     None => stats.disconnected_skipped += 1,
                     Some(built) => {
-                        classes.offer(slice[chunk] as u64, &built)?;
+                        classes.offer(slice[chunk] as u64, built.certificate, Some(built.class))?;
                     }
                 }
             }
@@ -1177,7 +1310,7 @@ pub fn explore_universe(
 pub fn compose_accepted(
     models: &[(ComponentModel, usize)],
     rules: &[ConnectionRule],
-    accepted: &[(u64, u64)],
+    accepted: &[Accepted],
 ) -> Result<Vec<SosInstance>, FsaError> {
     for (m, _) in models {
         m.validate()?;
@@ -1187,9 +1320,9 @@ pub fn compose_accepted(
     let mut instances = Vec::with_capacity(accepted.len());
     for (ordinal, counts, run) in vector_runs(&maxes, accepted)? {
         let prototype = Prototype::new(models, &resolved, &counts)?;
-        for &(_, mask) in run {
-            prototype.check_mask(ordinal, mask)?;
-            instances.push(prototype.compose(mask));
+        for entry in run {
+            prototype.check_mask(ordinal, entry.mask)?;
+            instances.push(prototype.compose(entry.mask));
         }
     }
     Ok(instances)
@@ -1211,16 +1344,17 @@ pub struct MergedExploration {
     pub duplicates: usize,
 }
 
-/// Rebuilds the global exploration result from per-shard accepted
-/// `(ordinal, mask)` logs, merged in ascending canonical order (shards
-/// are contiguous and disjoint, so concatenating their logs in range
-/// order *is* ascending order). Each entry is certified on its rows
-/// through the same class map and union as the live build, and nothing
-/// is composed. Classes rediscovered by later shards are dropped,
-/// keeping the first representative — because every globally-accepted
-/// pair is also accepted by its own shard, the kept classes and the
-/// union are bit-identical to an unsharded supervised run over the
-/// whole universe.
+/// Rebuilds the global exploration result from per-shard accepted logs,
+/// merged in ascending canonical order (shards are contiguous and
+/// disjoint, so concatenating their logs in range order *is* ascending
+/// order). Each entry is offered under the certificate it carries to the
+/// same class map and union as the live build: a bucket hit rebuilds
+/// shape graphs for the exact check, a founding entry rebuilds its rows
+/// for its flow count and χ, and no certificate is recomputed. Classes
+/// rediscovered by later shards are dropped, keeping the first
+/// representative — because every globally-accepted pair is also
+/// accepted by its own shard, the kept classes and the union are
+/// bit-identical to an unsharded supervised run over the whole universe.
 ///
 /// # Errors
 ///
@@ -1232,13 +1366,16 @@ pub struct MergedExploration {
 pub fn merge_accepted(
     models: &[(ComponentModel, usize)],
     rules: &[ConnectionRule],
-    accepted: &[(u64, u64)],
+    accepted: &[Accepted],
 ) -> Result<MergedExploration, FsaError> {
     for (m, _) in models {
         m.validate()?;
     }
     let resolved = resolve_rules(models, rules)?;
-    if !accepted.windows(2).all(|w| w[0] < w[1]) {
+    if !accepted
+        .windows(2)
+        .all(|w| (w[0].ordinal, w[0].mask) < (w[1].ordinal, w[1].mask))
+    {
         return Err(FsaError::CorruptCheckpoint {
             reason: "merged accepted list is not strictly ascending in (ordinal, mask)".to_owned(),
         });
@@ -1248,8 +1385,9 @@ pub fn merge_accepted(
     let mut duplicates = 0usize;
     for (ordinal, counts, run) in vector_runs(&maxes, accepted)? {
         classes.enter(ordinal, &counts)?;
-        for &(_, mask) in run {
-            if !classes.offer_mask(mask)? {
+        for entry in run {
+            classes.prototype().check_mask(ordinal, entry.mask)?;
+            if !classes.offer(entry.mask, entry.certificate, None)? {
                 duplicates += 1;
             }
         }
@@ -1352,24 +1490,28 @@ struct VectorScan {
 /// How often the sequential scan loops peek at the cancellation token.
 const SCAN_CANCEL_STRIDE: usize = 4096;
 
-/// Scans the flow subsets of one multiplicity vector for orbit-minimal
+/// Scans the flow subsets of one multiplicity vector — the masks
+/// `lo..hi` of `slice`, or all of them — for orbit-minimal
 /// representatives, applying the candidate budget; the sequential scans
 /// peek at `cancel` every [`SCAN_CANCEL_STRIDE`] masks.
 fn scan_vector(
     rules: &[ResolvedRule],
     counts: &[usize],
+    slice: Option<(u64, u64)>,
     options: &ExploreOptions,
     threads: usize,
     candidates_so_far: usize,
     cancel: &CancelToken,
 ) -> Result<VectorScan, FsaError> {
     let flows = flow_candidates(rules, counts);
-    let subsets: usize = 1usize
+    let all: usize = 1usize
         .checked_shl(flows.len() as u32)
         .filter(|&s| s <= SUBSET_SCAN_CAP)
         .ok_or_else(|| FsaError::InvalidComponentModel {
             reason: "too many candidate external flows to enumerate".to_owned(),
         })?;
+    let (lo, hi) = slice.map_or((0, all), |(lo, hi)| (lo as usize, hi as usize));
+    let subsets = hi - lo;
 
     // The copy-permutation symmetry group, as permutations of the flow
     // candidates (identity dropped, duplicates collapsed).
@@ -1387,11 +1529,13 @@ fn scan_vector(
 
     // Orbit-minimal flow subsets. Every canonical subset counts against
     // the candidate budget; a provably exceeded budget short-circuits
-    // the scan entirely.
+    // the scan of a whole vector (a slice of it may hold more orbit
+    // minima than its share).
     let remaining = options.max_candidates.saturating_sub(candidates_so_far);
     let mut truncated = false;
     let mut orbits_skipped = 0usize;
-    let mut canonical: Vec<usize> = if subsets.div_ceil(group_len) > remaining {
+    let whole = subsets == all;
+    let mut canonical: Vec<usize> = if whole && subsets.div_ceil(group_len) > remaining {
         match options.on_budget {
             BudgetPolicy::Error => {
                 return Err(FsaError::BudgetExceeded {
@@ -1403,7 +1547,7 @@ fn scan_vector(
                 // canonical subsets as the budget still allows.
                 truncated = true;
                 let mut picked = Vec::with_capacity(remaining);
-                for mask in 0..subsets {
+                for mask in lo..hi {
                     if peek(mask) {
                         return Ok(abandoned());
                     }
@@ -1425,7 +1569,7 @@ fn scan_vector(
         // second panicking chunk cannot double-panic the scope.
         let chunk = subsets.div_ceil(threads);
         let ranges: Vec<(usize, usize)> = (0..threads)
-            .map(|i| (i * chunk, ((i + 1) * chunk).min(subsets)))
+            .map(|i| (lo + i * chunk, (lo + (i + 1) * chunk).min(hi)))
             .filter(|(lo, hi)| lo < hi)
             .collect();
         let per_range: Vec<Result<Vec<usize>, usize>> = std::thread::scope(|scope| {
@@ -1461,7 +1605,7 @@ fn scan_vector(
         merged
     } else {
         let mut picked = Vec::new();
-        for mask in 0..subsets {
+        for mask in lo..hi {
             if peek(mask) {
                 return Ok(abandoned());
             }
@@ -1743,6 +1887,13 @@ impl Prototype {
 /// What the class map needs of one built candidate.
 struct Built {
     certificate: Certificate,
+    /// What the candidate adds if it founds a class.
+    class: ClassRows,
+}
+
+/// What a founding candidate adds to the class list and the union, read
+/// off its rows.
+struct ClassRows {
     /// Distinct flows: the population count of the candidate's rows.
     flows: usize,
     /// χ as rows over the prototype's nodes ([`AdjacencyRows::chi`]);
@@ -1775,10 +1926,28 @@ fn build_candidate(prototype: &Prototype, mask: u64, require_connected: bool) ->
         }
         Some(Built {
             certificate: row_certificate(&s.rows, &prototype.colours, &mut s.certificate),
-            flows: s.rows.edge_count(),
-            chi: s.rows.chi(&mut s.chi).map(<[u64]>::to_vec),
+            class: s.class_rows(),
         })
     })
+}
+
+/// The flow count and χ of candidate `mask` of `prototype`: what a
+/// founding entry of an accepted log adds, its certificate carried.
+fn class_rows(prototype: &Prototype, mask: u64) -> ClassRows {
+    SCRATCH.with_borrow_mut(|s| {
+        prototype.rows_into(mask, &mut s.rows);
+        s.class_rows()
+    })
+}
+
+impl CandidateScratch {
+    /// The flow count and χ of the candidate in `rows`.
+    fn class_rows(&mut self) -> ClassRows {
+        ClassRows {
+            flows: self.rows.edge_count(),
+            chi: self.rows.chi(&mut self.chi).map(<[u64]>::to_vec),
+        }
+    }
 }
 
 /// The class map and §4.4 union of one run. The live build, the resume
@@ -1838,9 +2007,16 @@ impl<'u> ClassMap<'u> {
         &self.current().1
     }
 
-    /// Offers candidate `mask` of the current vector; `Ok(true)` if it
-    /// founded a class.
-    fn offer(&mut self, mask: u64, built: &Built) -> Result<bool, FsaError> {
+    /// Offers candidate `mask` of the current vector under
+    /// `certificate`; `Ok(true)` if it founded a class. A founding
+    /// candidate adds `rows`, read off its rows here when the caller
+    /// built none (an accepted-log entry, whose certificate it carries).
+    fn offer(
+        &mut self,
+        mask: u64,
+        certificate: Certificate,
+        rows: Option<ClassRows>,
+    ) -> Result<bool, FsaError> {
         let (ordinal, prototype) = self.current.as_ref().expect("a vector was entered");
         let (models, rules) = (self.models, self.rules);
         let shape = |(o, m): (u64, u64)| -> Result<DiGraph<Arc<str>>, FsaError> {
@@ -1856,7 +2032,7 @@ impl<'u> ClassMap<'u> {
             .certified
             .insert_by(
                 (*ordinal, mask),
-                built.certificate,
+                certificate,
                 |&rep, &candidate| match shape(rep).and_then(|a| Ok((a, shape(candidate)?))) {
                     Ok((a, b)) => are_isomorphic(&a, &b),
                     Err(e) => {
@@ -1870,16 +2046,18 @@ impl<'u> ClassMap<'u> {
             return Err(e);
         }
         if founded {
+            let rows = rows.unwrap_or_else(|| class_rows(prototype, mask));
             self.classes.push(ExploredClass {
                 ordinal: *ordinal,
                 mask,
+                certificate,
                 vector: Arc::clone(&prototype.name),
                 actions: prototype.rows.node_count(),
-                flows: built.flows,
+                flows: rows.flows,
             });
-            match &built.chi {
-                Some(rows) => {
-                    for (into, from) in self.chi.iter_mut().zip(rows) {
+            match &rows.chi {
+                Some(chi) => {
+                    for (into, from) in self.chi.iter_mut().zip(chi) {
                         *into |= from;
                     }
                 }
@@ -1889,30 +2067,23 @@ impl<'u> ClassMap<'u> {
         Ok(founded)
     }
 
-    /// Builds candidate `mask` of the current vector, unfiltered, and
-    /// offers it: a decision replayed from an accepted log.
-    fn offer_mask(&mut self, mask: u64) -> Result<bool, FsaError> {
-        let (ordinal, prototype) = self.current();
-        prototype.check_mask(*ordinal, mask)?;
-        let built = build_candidate(prototype, mask, false).expect("unfiltered candidates build");
-        self.offer(mask, &built)
-    }
-
     /// Replays the checkpointed decisions of the current vector,
-    /// `log[*cursor..]` while they name its ordinal. The checkpoint
-    /// recorded only `(ordinal, mask)` decisions; replaying them in
-    /// discovery order leaves the class map and union bit-identical to
-    /// the checkpointed run's, so every entry must found a class again.
-    fn replay(&mut self, log: &[(u64, u64)], cursor: &mut usize) -> Result<(), FsaError> {
+    /// `log[*cursor..]` while they name its ordinal, under the
+    /// certificates they carry. Replaying them in discovery order leaves
+    /// the class map and union bit-identical to the checkpointed run's,
+    /// so every entry must found a class again.
+    fn replay(&mut self, log: &[Accepted], cursor: &mut usize) -> Result<(), FsaError> {
         let ordinal = self.current().0;
-        while let Some(&(entry_ordinal, mask)) = log.get(*cursor) {
-            if entry_ordinal != ordinal {
+        while let Some(entry) = log.get(*cursor) {
+            if entry.ordinal != ordinal {
                 break;
             }
-            if !self.offer_mask(mask)? {
+            self.prototype().check_mask(ordinal, entry.mask)?;
+            if !self.offer(entry.mask, entry.certificate, None)? {
                 return Err(FsaError::CorruptCheckpoint {
                     reason: format!(
-                        "accepted instance (vector {ordinal}, mask {mask}) duplicates an earlier class on rebuild"
+                        "accepted instance (vector {ordinal}, mask {}) duplicates an earlier class on rebuild",
+                        entry.mask
                     ),
                 });
             }
@@ -2242,15 +2413,15 @@ mod tests {
                     );
                     let built = build_candidate(&prototype, mask, false).expect("unfiltered");
                     assert_eq!(built.certificate, canonical_certificate(&formatted), "{at}");
-                    assert_eq!(built.flows, want.graph().edge_count(), "{at}");
+                    assert_eq!(built.class.flows, want.graph().edge_count(), "{at}");
                     match chi_nodes(&want) {
                         Ok(mut chi) => {
                             chi.sort();
-                            let rows = built.chi.as_deref().expect("acyclic composition");
+                            let rows = built.class.chi.as_deref().expect("acyclic composition");
                             assert_eq!(chi_pairs(rows, want.action_count()), chi, "{at}");
                         }
                         Err(FsaError::CircularDependency { .. }) => {
-                            assert!(built.chi.is_none(), "{at}");
+                            assert!(built.class.chi.is_none(), "{at}");
                             cyclic += 1;
                         }
                         Err(e) => panic!("{at}: {e}"),
@@ -2530,94 +2701,96 @@ mod tests {
         // token that trips after k boundary checks, for every k until
         // the run completes uninterrupted; resuming each partial run
         // must reproduce the golden result exactly. batch=1/every=1
-        // maximises checkpoint granularity.
-        let models = sensor_and_display();
+        // maximises checkpoint granularity. Run over the whole universe
+        // and over a shard that starts and ends mid-vector: three
+        // displays lay the vectors out at positions 0, 1, 2, 4, 5, 9, 10
+        // of 18, so `3..15` starts at mask 1 of `1xS+1xD` and ends
+        // before mask 5 of `1xS+3xD`.
+        let mut models = sensor_and_display();
+        models[1].1 = 3;
         let rules = rules();
-        let options = ExploreOptions {
-            threads: 2,
-            ..Default::default()
-        };
-        let golden =
-            enumerate_instances_supervised(&models, &rules, &options, &ExecOptions::default())
-                .unwrap();
-        let path = std::env::temp_dir().join(format!(
-            "fsa_explore_resume_{}_{:?}.ckpt",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let mut interruptions = 0usize;
-        for k in 1u64..200 {
-            let exec = ExecOptions {
-                supervisor: Supervisor::new().with_cancel(CancelToken::countdown(k)),
-                batch: 1,
-                checkpoint: Some(CheckpointSpec {
-                    path: path.clone(),
-                    every: 1,
-                }),
-                resume: None,
+        let lattice = Lattice::new(&models, &rules).unwrap();
+        assert_eq!(
+            (lattice.position(2, 1), lattice.position(6, 5)),
+            (Some(3), Some(15))
+        );
+        for shard in [None, Some(ShardRange::new(3, 15))] {
+            let options = ExploreOptions {
+                threads: 2,
+                shard,
+                ..Default::default()
             };
-            let partial = enumerate_instances_supervised(&models, &rules, &options, &exec).unwrap();
-            if !partial.universe.stats.cancelled {
-                break;
+            let golden =
+                enumerate_instances_supervised(&models, &rules, &options, &ExecOptions::default())
+                    .unwrap();
+            let path = std::env::temp_dir().join(format!(
+                "fsa_explore_resume_{}_{:?}.ckpt",
+                std::process::id(),
+                std::thread::current().id()
+            ));
+            let mut interruptions = 0usize;
+            for k in 1u64..200 {
+                let exec = ExecOptions {
+                    supervisor: Supervisor::new().with_cancel(CancelToken::countdown(k)),
+                    batch: 1,
+                    checkpoint: Some(CheckpointSpec {
+                        path: path.clone(),
+                        every: 1,
+                    }),
+                    resume: None,
+                };
+                let partial =
+                    enumerate_instances_supervised(&models, &rules, &options, &exec).unwrap();
+                if !partial.universe.stats.cancelled {
+                    break;
+                }
+                interruptions += 1;
+                let at = format!("shard {shard:?}, k = {k}");
+                assert!(
+                    partial.universe.stats.vectors_completed < partial.universe.stats.vectors_total
+                        || partial.universe.stats.candidates_built
+                            < partial.universe.stats.candidates,
+                    "{at}: a cancelled run must report incomplete coverage: {:?}",
+                    partial.universe.stats
+                );
+                let resumed = enumerate_instances_supervised(
+                    &models,
+                    &rules,
+                    &options,
+                    &ExecOptions {
+                        resume: Some(path.clone()),
+                        ..Default::default()
+                    },
+                )
+                .unwrap();
+                assert!(resumed.universe.stats.resumed, "{at}");
+                assert_eq!(golden.universe.classes, resumed.universe.classes, "{at}");
+                assert_eq!(golden.instances.len(), resumed.instances.len(), "{at}");
+                for (a, b) in golden.instances.iter().zip(&resumed.instances) {
+                    assert_eq!(a.name(), b.name(), "{at}");
+                    assert_eq!(a.graph(), b.graph(), "{at}");
+                }
+                let (g, r) = (&golden.universe.stats, &resumed.universe.stats);
+                assert_eq!(g.candidates, r.candidates, "{at}");
+                assert_eq!(g.subsets_total, r.subsets_total, "{at}");
+                assert_eq!(g.orbits_skipped, r.orbits_skipped, "{at}");
+                assert_eq!(g.multiplicity_vectors, r.multiplicity_vectors, "{at}");
+                assert_eq!(g.classes, r.classes, "{at}");
+                assert_eq!(g.certificate_hits, r.certificate_hits, "{at}");
+                assert_eq!(g.exact_iso_fallbacks, r.exact_iso_fallbacks, "{at}");
+                assert_eq!(g.disconnected_skipped, r.disconnected_skipped, "{at}");
+                assert_eq!(r.vectors_completed, r.vectors_total, "{at}");
+                assert_eq!(
+                    golden.universe.requirements, resumed.universe.requirements,
+                    "{at}"
+                );
             }
-            interruptions += 1;
             assert!(
-                partial.universe.stats.vectors_completed < partial.universe.stats.vectors_total
-                    || partial.universe.stats.candidates_built < partial.universe.stats.candidates,
-                "a cancelled run must report incomplete coverage: {:?}",
-                partial.universe.stats
+                interruptions > 1,
+                "shard {shard:?}: the countdown interrupted the run {interruptions} time(s)"
             );
-            let resumed = enumerate_instances_supervised(
-                &models,
-                &rules,
-                &options,
-                &ExecOptions {
-                    resume: Some(path.clone()),
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            assert!(resumed.universe.stats.resumed, "k = {k}");
-            assert_eq!(golden.instances.len(), resumed.instances.len(), "k = {k}");
-            for (a, b) in golden.instances.iter().zip(&resumed.instances) {
-                assert_eq!(a.name(), b.name(), "k = {k}");
-                assert_eq!(a.graph(), b.graph(), "k = {k}");
-            }
-            assert_eq!(
-                golden.universe.stats.candidates, resumed.universe.stats.candidates,
-                "k = {k}"
-            );
-            assert_eq!(
-                golden.universe.stats.subsets_total,
-                resumed.universe.stats.subsets_total
-            );
-            assert_eq!(
-                golden.universe.stats.orbits_skipped,
-                resumed.universe.stats.orbits_skipped
-            );
-            assert_eq!(
-                golden.universe.stats.classes,
-                resumed.universe.stats.classes
-            );
-            assert_eq!(
-                golden.universe.stats.certificate_hits,
-                resumed.universe.stats.certificate_hits
-            );
-            assert_eq!(
-                golden.universe.stats.exact_iso_fallbacks,
-                resumed.universe.stats.exact_iso_fallbacks
-            );
-            assert_eq!(
-                golden.universe.stats.disconnected_skipped,
-                resumed.universe.stats.disconnected_skipped
-            );
-            assert_eq!(
-                resumed.universe.stats.vectors_completed,
-                resumed.universe.stats.vectors_total
-            );
+            std::fs::remove_file(&path).ok();
         }
-        assert!(interruptions > 0, "the countdown never interrupted the run");
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -2954,7 +3127,7 @@ mod tests {
         assert_eq!(ShardRange::partition(9, 0), vec![ShardRange::new(0, 9)]);
         // An empty space is one empty shard, whatever was asked for.
         assert_eq!(ShardRange::partition(0, 8), vec![ShardRange::new(0, 0)]);
-        // The default 8 shards over the 2-vehicle universe's 5 vectors.
+        // More shards than positions: one position each.
         assert_eq!(
             ShardRange::partition(5, 8),
             (0..5)
@@ -2980,7 +3153,7 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, FsaError::InvalidShard { .. }), "{err}");
         // end beyond the universe.
-        let total = vector_space(&models);
+        let total = Lattice::new(&models, &rules()).unwrap().positions();
         let err = enumerate_instances_supervised(
             &models,
             &rules(),
@@ -3019,10 +3192,10 @@ mod tests {
             };
             let exec = ExecOptions::default();
             let golden = explore_universe(&models, &rules, &options, &exec).unwrap();
-            let total = vector_space(&models);
+            let total = Lattice::new(&models, &rules).unwrap().positions();
             for shards in [1usize, 2, 3, 5, 11] {
-                let mut log: Vec<(u64, u64)> = Vec::new();
-                let mut candidates = 0usize;
+                let mut log = Vec::new();
+                let (mut candidates, mut vectors) = (0usize, 0usize);
                 for range in ShardRange::partition(total, shards) {
                     let part = explore_universe(
                         &models,
@@ -3036,6 +3209,7 @@ mod tests {
                     .unwrap();
                     assert!(!part.stats.cancelled);
                     candidates += part.stats.candidates;
+                    vectors += part.stats.multiplicity_vectors;
                     log.extend(part.accepted());
                 }
                 let merged = merge_accepted(&models, &rules, &log).unwrap().universe;
@@ -3044,9 +3218,145 @@ mod tests {
                 assert_eq!(merged.requirements, golden.requirements, "{at}");
                 assert_eq!(merged.loop_skipped, golden.loop_skipped, "{at}");
                 // Every shard scans its own slice of the lattice, so the
-                // summed candidate count matches the unsharded run.
+                // summed counts match the unsharded run.
                 assert_eq!(candidates, golden.stats.candidates, "{at}");
+                assert_eq!(vectors, golden.stats.multiplicity_vectors, "{at}");
             }
+        }
+    }
+
+    /// The merge that recomputes every entry's certificate on its rows,
+    /// as it did before accepted logs carried certificates: the oracle
+    /// of [`merge_accepted`].
+    fn recomputing_merge(
+        models: &[(ComponentModel, usize)],
+        rules: &[ConnectionRule],
+        log: &[Accepted],
+    ) -> MergedExploration {
+        let resolved = resolve_rules(models, rules).unwrap();
+        let maxes: Vec<usize> = models.iter().map(|(_, max)| *max).collect();
+        let mut classes = ClassMap::new(models, &resolved);
+        let mut duplicates = 0usize;
+        for run in log.chunk_by(|a, b| a.ordinal == b.ordinal) {
+            let ordinal = run[0].ordinal;
+            classes.enter(ordinal, &vector_of(ordinal, &maxes)).unwrap();
+            for entry in run {
+                let built = build_candidate(classes.prototype(), entry.mask, false).unwrap();
+                if !classes
+                    .offer(entry.mask, built.certificate, Some(built.class))
+                    .unwrap()
+                {
+                    duplicates += 1;
+                }
+            }
+        }
+        let stats = ExploreStats {
+            classes: classes.classes.len(),
+            certificate_hits: classes.certified.certificate_hits(),
+            exact_iso_fallbacks: classes.certified.exact_fallbacks(),
+            ..ExploreStats::default()
+        };
+        MergedExploration {
+            universe: classes.finish(stats),
+            duplicates,
+        }
+    }
+
+    #[test]
+    fn carried_certificates_merge_like_the_recomputing_oracle() {
+        // Random universes cut at random positions, mid-vector included:
+        // every certificate a shard carries is its entry's row
+        // certificate, and merging under the carried certificates equals
+        // the merge that recomputes them.
+        let mut cut_mid_vector = 0;
+        for seed in 0..32u64 {
+            let (models, rules) = random_universe(seed);
+            let options = ExploreOptions {
+                require_connected: seed % 2 == 0,
+                max_candidates: usize::MAX,
+                ..Default::default()
+            };
+            let exec = ExecOptions::default();
+            let golden = explore_universe(&models, &rules, &options, &exec).unwrap();
+            let lattice = Lattice::new(&models, &rules).unwrap();
+            let total = lattice.positions();
+            let mut cuts: Vec<u64> = (1..4u64)
+                .map(|k| (seed.wrapping_mul(0x9e37_79b9) + k * 7919) % total.max(1))
+                .chain([0, total])
+                .collect();
+            cuts.sort_unstable();
+            cuts.dedup();
+            let resolved = resolve_rules(&models, &rules).unwrap();
+            let maxes: Vec<usize> = models.iter().map(|(_, max)| *max).collect();
+            let mut log = Vec::new();
+            for pair in cuts.windows(2) {
+                let shard = ShardRange::new(pair[0], pair[1]);
+                let part = explore_universe(
+                    &models,
+                    &rules,
+                    &ExploreOptions {
+                        shard: Some(shard),
+                        ..options.clone()
+                    },
+                    &exec,
+                )
+                .unwrap();
+                for entry in part.accepted() {
+                    let prototype =
+                        Prototype::new(&models, &resolved, &vector_of(entry.ordinal, &maxes))
+                            .unwrap();
+                    let built = build_candidate(&prototype, entry.mask, false).unwrap();
+                    assert_eq!(
+                        entry.certificate, built.certificate,
+                        "seed {seed} {entry:?}"
+                    );
+                }
+                log.extend(part.accepted());
+                cut_mid_vector +=
+                    usize::from(lattice.slice(lattice.ordinals(shard).start, shard).0 .0 > 0);
+            }
+            let carried = merge_accepted(&models, &rules, &log).unwrap();
+            let oracle = recomputing_merge(&models, &rules, &log);
+            assert_eq!(
+                carried.universe.classes, oracle.universe.classes,
+                "seed {seed}"
+            );
+            assert_eq!(carried.universe.classes, golden.classes, "seed {seed}");
+            assert_eq!(
+                carried.universe.requirements, oracle.universe.requirements,
+                "seed {seed}"
+            );
+            assert_eq!(
+                carried.universe.requirements, golden.requirements,
+                "seed {seed}"
+            );
+            assert_eq!(carried.universe.loop_skipped, oracle.universe.loop_skipped);
+            assert_eq!(carried.duplicates, oracle.duplicates, "seed {seed}");
+            let (c, o) = (&carried.universe.stats, &oracle.universe.stats);
+            assert_eq!(
+                (c.certificate_hits, c.exact_iso_fallbacks),
+                (o.certificate_hits, o.exact_iso_fallbacks),
+                "seed {seed}"
+            );
+        }
+        assert!(
+            cut_mid_vector > 10,
+            "{cut_mid_vector} shards start mid-vector"
+        );
+    }
+
+    /// The log entry of vector `ordinal`'s mask `mask`, certified on its
+    /// rows.
+    fn entry(models: &[(ComponentModel, usize)], ordinal: u64, mask: u64) -> Accepted {
+        let resolved = resolve_rules(models, &[]).unwrap();
+        let maxes: Vec<usize> = models.iter().map(|(_, max)| *max).collect();
+        let prototype = Prototype::new(models, &resolved, &vector_of(ordinal, &maxes)).unwrap();
+        Accepted {
+            ordinal,
+            mask,
+            certificate: build_candidate(&prototype, mask, false)
+                .unwrap()
+                .certificate,
         }
     }
 
@@ -3073,12 +3383,13 @@ mod tests {
         .unwrap();
         // 1xA founds the class, 1xB duplicates it, 1xA+1xB is not
         // connected.
-        assert_eq!(universe.accepted(), vec![(0, 0)]);
+        assert_eq!(universe.accepted(), vec![entry(&models, 0, 0)]);
         let stats = &universe.stats;
         assert_eq!((stats.certificate_hits, stats.exact_iso_fallbacks), (1, 1));
         assert_eq!(stats.disconnected_skipped, 1);
         assert_eq!(universe.requirements.len(), 1);
-        let merged = merge_accepted(&models, &[], &[(0, 0), (1, 0)]).unwrap();
+        let merged =
+            merge_accepted(&models, &[], &[entry(&models, 0, 0), entry(&models, 1, 0)]).unwrap();
         assert_eq!(merged.duplicates, 1);
         assert_eq!(merged.universe.classes, universe.classes);
         assert_eq!(merged.universe.requirements, universe.requirements);
@@ -3088,12 +3399,37 @@ mod tests {
     fn merge_rejects_unsorted_and_out_of_range_logs() {
         let models = sensor_and_display();
         let rules = rules();
-        let err = merge_accepted(&models, &rules, &[(1, 0), (0, 0)]).unwrap_err();
+        let at = |ordinal, mask| Accepted {
+            ordinal,
+            mask,
+            certificate: 0,
+        };
+        let err = merge_accepted(&models, &rules, &[at(1, 0), at(0, 0)]).unwrap_err();
         assert!(matches!(err, FsaError::CorruptCheckpoint { .. }), "{err}");
-        let total = vector_space(&models);
-        let err = merge_accepted(&models, &rules, &[(total, 0)]).unwrap_err();
+        let err = merge_accepted(&models, &rules, &[at(0, 0), at(0, 0)]).unwrap_err();
         assert!(matches!(err, FsaError::CorruptCheckpoint { .. }), "{err}");
-        let err = merge_accepted(&models, &rules, &[(0, u64::MAX)]).unwrap_err();
+        let total = Lattice::new(&models, &rules).unwrap().vectors();
+        let err = merge_accepted(&models, &rules, &[at(total, 0)]).unwrap_err();
         assert!(matches!(err, FsaError::CorruptCheckpoint { .. }), "{err}");
+        let err = merge_accepted(&models, &rules, &[at(0, u64::MAX)]).unwrap_err();
+        assert!(matches!(err, FsaError::CorruptCheckpoint { .. }), "{err}");
+    }
+
+    #[test]
+    fn lattice_positions_follow_the_vectors_masks() {
+        let models = sensor_and_display();
+        let lattice = Lattice::new(&models, &rules()).unwrap();
+        // 1xS, 1xD, 1xS+1xD (1 flow), 2xD, 1xS+2xD (2 flows).
+        assert_eq!((lattice.vectors(), lattice.positions()), (5, 9));
+        assert_eq!(lattice.position(2, 1), Some(3));
+        assert_eq!(lattice.position(2, 2), None);
+        assert_eq!(lattice.position(5, 0), None);
+        let shard = ShardRange::new(3, 6);
+        assert_eq!(lattice.ordinals(shard), 2..5);
+        assert_eq!(lattice.slice(2, shard), ((1, 2), false));
+        assert_eq!(lattice.slice(3, shard), ((0, 1), true));
+        assert_eq!(lattice.slice(4, shard), ((0, 1), true));
+        assert_eq!(lattice.ordinals(ShardRange::new(6, 9)), 4..5);
+        assert_eq!(lattice.ordinals(ShardRange::new(4, 4)), 0..0);
     }
 }

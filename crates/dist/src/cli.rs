@@ -26,10 +26,11 @@ to the single-process `fsa explore`. The first stdout line is
 `listening on HOST:PORT` (with the resolved port for `:0`).
   --listen HOST:PORT   bind address; port 0 picks an ephemeral port
   --max-vehicles N     universe bound (default 2)
-  --shards N           contiguous shards to partition the vector
-                       space into (default 8; at most one per vector)
-  --lease-ms N         shard lease before a silent worker's shard is
-                       re-issued (default 2000)
+  --shards N           contiguous shards to cut the (vector, mask)
+                       lattice into, evenly, mid-vector too (default 8)
+  --lease-ms N         shard lease, renewed by a working worker about
+                       every third of it, before a silent worker's
+                       shard is re-issued (default 2000)
   --state F            store-and-forward state file: completed shards
                        are persisted to F (atomic, checksummed,
                        fsynced before each shard is acknowledged) and
@@ -48,12 +49,12 @@ const WORK_USAGE: &str = "usage:
            [--seed N] [--reconnect N]
 
 Connect to an `fsa coordinate` process and work shard leases until the
-universe is done. Each shard checkpoints to its own file under the
-state directory, so a killed worker's successor resumes the shard
-instead of restarting it. A lost coordinator connection is retried
-with jittered backoff and a fresh handshake (the lease is re-acquired
-and the shard resumes from its checkpoint), so a coordinator restart
-costs a pause, not the run.
+universe is done, renewing each lease while its shard runs. Each shard
+checkpoints to its own file under the state directory, so a killed
+worker's successor resumes the shard instead of restarting it. A lost
+coordinator connection is retried with jittered backoff and a fresh
+handshake (the lease is re-acquired and the shard resumes from its
+checkpoint), so a coordinator restart costs a pause, not the run.
   --connect HOST:PORT  coordinator address
   --state-dir D        directory for shard checkpoint files (default .)
   --threads N          worker threads for candidate building (default 1)

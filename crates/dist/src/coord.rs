@@ -3,26 +3,32 @@
 //! A [`Coordinator`] owns a TCP listener and the shard ledger of one
 //! universe. Workers connect, handshake (`hello`), and then loop
 //! requesting *leases*: time-bounded exclusive claims on one
-//! contiguous [`ShardRange`] of the global multiplicity-vector
-//! ordinal space. A worker that goes silent past its lease deadline
-//! (killed, wedged, partitioned) simply stops renewing; the sweep at
-//! the next lease request expires the claim and the shard is
-//! re-issued to whoever asks next. A lease request that finds every
-//! unfinished shard leased out is held (up to the `retry` hint) until
-//! a shard frees up or the universe completes, so an idle worker hears
-//! `done` the moment the last result lands instead of after its
-//! backoff sleep. Completed shards are durably
-//! recorded through [`CoordState`] (store-and-forward: the accepted
-//! log travels worker → coordinator memory → checksummed state file
-//! before the shard is acknowledged), so a coordinator restarted
-//! mid-universe re-leases only the unfinished ranges.
+//! contiguous [`ShardRange`] of the universe's `(ordinal, mask)`
+//! [`Lattice`]. A worker renews its lease while it explores, with the
+//! same `lease` request: the holder is granted its own shard again. A
+//! worker that goes silent past its lease deadline (killed, wedged,
+//! partitioned) simply stops renewing; the sweep at the next lease
+//! request expires the claim and the shard is re-issued to whoever asks
+//! next. A lease request that finds every unfinished shard leased out
+//! is held (up to the `retry` hint) until a shard frees up or the
+//! universe completes, so an idle worker hears `done` the moment the
+//! last result lands instead of after its backoff sleep. Completed
+//! shards are durably recorded through [`CoordState`]
+//! (store-and-forward: the accepted log travels worker → coordinator
+//! memory → checksummed state file before the shard is acknowledged),
+//! so a coordinator restarted mid-universe re-leases only the
+//! unfinished ranges.
 //!
-//! Once every shard is done the accepted `(ordinal, mask)` logs are
-//! concatenated in shard order — which is ascending global ordinal
-//! order by construction — and replayed through
-//! [`fsa_core::explore::merge_accepted`], which certifies every entry
-//! on its adjacency rows and composes nothing, reproducing the
-//! single-process classes and union bit-identically.
+//! Connections are accepted on a thread of their own, blocked in
+//! `accept`; the run waits on the ledger's condition variable for the
+//! last result and for the connections to drain, and wakes the accept
+//! loop with a connection of its own when it is done.
+//!
+//! Once every shard is done the accepted logs are concatenated in shard
+//! order — which is ascending `(ordinal, mask)` order by construction —
+//! and merged through [`fsa_core::explore::merge_accepted`] under the
+//! certificates the workers computed, reproducing the single-process
+//! classes and union bit-identically.
 
 use crate::error::DistError;
 use crate::proto::{
@@ -31,16 +37,17 @@ use crate::proto::{
 use crate::state::{CoordState, ShardRecord};
 use fsa_core::checkpoint::{config_fingerprint, CheckpointCounters};
 use fsa_core::explore::{
-    merge_accepted, vector_space, ExploreOptions, ExploreStats, ShardRange, Universe,
+    merge_accepted, Accepted, ExploreOptions, ExploreStats, Lattice, ShardRange, Universe,
 };
 use fsa_core::FsaError;
 use fsa_obs::Obs;
 use fsa_serve::wire;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Configuration of a coordinator run.
@@ -48,8 +55,8 @@ use std::time::{Duration, Instant};
 pub struct CoordConfig {
     /// Universe size: one RSU plus up to this many vehicles.
     pub max_vehicles: usize,
-    /// How many contiguous shards to partition the vector space into;
-    /// capped at one per vector, so every shard is non-empty
+    /// How many contiguous shards to cut the lattice's positions into;
+    /// capped at one per position, so every shard is non-empty
     /// ([`ShardRange::partition`]).
     pub shards: usize,
     /// Lease validity in milliseconds; a worker must complete or renew
@@ -95,25 +102,33 @@ struct Lease {
 }
 
 /// Shared coordinator ledger: the durable state plus in-memory lease
-/// bookkeeping (leases are deliberately *not* persisted — after a
-/// restart every unfinished shard is simply pending again).
+/// and connection bookkeeping (leases are deliberately *not* persisted
+/// — after a restart every unfinished shard is simply pending again).
 struct Inner {
     state: CoordState,
     leases: Vec<Option<Lease>>,
     ever_leased: Vec<bool>,
     remaining: usize,
+    /// Connections with a running handler thread.
+    conns: usize,
+    /// Why the accept loop stopped, when it failed.
+    failure: Option<DistError>,
 }
 
 struct Shared {
     inner: Mutex<Inner>,
-    /// Notified whenever a held lease request may now be answered: a
-    /// result recorded or a lease released.
+    /// Notified whenever a waiter may have something to act on: a
+    /// result recorded, a lease released, a connection closed, the
+    /// accept loop failed.
     changed: Condvar,
     shutdown: AtomicBool,
     obs: Obs,
     lease_ms: u64,
     state_path: Option<PathBuf>,
     hello: HelloConfig,
+    /// The universe's lattice, to check that a result's entries lie in
+    /// its shard.
+    lattice: Lattice,
 }
 
 impl Shared {
@@ -171,12 +186,12 @@ impl Shared {
         let deadline = now + Duration::from_millis(self.lease_ms);
         self.sweep(inner, now);
         // Renewal: a worker that already holds a lease (it is mid-shard
-        // and checking in, or was deadline-cancelled and wants to
-        // resume from its checkpoint) gets the same shard back.
+        // and checking in) gets the same shard back.
         for (i, slot) in inner.leases.iter_mut().enumerate() {
             if let Some(lease) = slot {
                 if lease.conn == conn {
                     lease.deadline = deadline;
+                    self.obs.counter_add("dist.leases_renewed", 1);
                     let range = inner.state.shards[i].range;
                     return Some(ToWorker::Grant {
                         start: range.start,
@@ -207,10 +222,9 @@ impl Shared {
 
     fn record_result(
         &self,
-        conn: u64,
         start: u64,
         end: u64,
-        accepted: Vec<(u64, u64)>,
+        accepted: Vec<Accepted>,
         counters: CheckpointCounters,
     ) -> Result<ToWorker, DistError> {
         let mut inner = self.lock();
@@ -230,11 +244,16 @@ impl Shared {
             // late worker drops its checkpoint and moves on.
             return Ok(ToWorker::ShardDone { start, end });
         }
-        if let Some(bad) = accepted.iter().find(|(o, _)| *o < start || *o >= end) {
+        let range = ShardRange::new(start, end);
+        if let Some(bad) = accepted.iter().find(|a| {
+            self.lattice
+                .position(a.ordinal, a.mask)
+                .is_none_or(|p| !range.contains(p))
+        }) {
             return Ok(ToWorker::Error {
                 message: format!(
-                    "accepted ordinal {} lies outside the shard range [{start}, {end})",
-                    bad.0
+                    "accepted entry (vector {}, mask {}) lies outside the shard range [{start}, {end})",
+                    bad.ordinal, bad.mask
                 ),
             });
         }
@@ -252,24 +271,21 @@ impl Shared {
         }
         self.obs.counter_add("dist.shards_completed", 1);
         self.changed.notify_all();
-        let _ = conn;
         Ok(ToWorker::ShardDone { start, end })
     }
 
-    /// Releases every lease held by a disconnected worker.
-    fn release_conn(&self, conn: u64) {
+    /// Releases every lease held by a connection that closed, and
+    /// retires the connection.
+    fn close_conn(&self, conn: u64) {
         let mut inner = self.lock();
         for slot in &mut inner.leases {
             if slot.as_ref().is_some_and(|l| l.conn == conn) {
                 *slot = None;
                 self.obs.counter_add("dist.leases_expired", 1);
-                self.changed.notify_all();
             }
         }
-    }
-
-    fn remaining(&self) -> usize {
-        self.lock().remaining
+        inner.conns -= 1;
+        self.changed.notify_all();
     }
 
     fn lock(&self) -> MutexGuard<'_, Inner> {
@@ -326,7 +342,7 @@ fn handle_conn(stream: TcpStream, conn: u64, shared: &Shared) -> Result<(), Dist
                 accepted,
                 counters,
             } => {
-                let ack = shared.record_result(conn, start, end, accepted, counters)?;
+                let ack = shared.record_result(start, end, accepted, counters)?;
                 let fatal = matches!(ack, ToWorker::Error { .. });
                 reply(&ack)?;
                 if fatal {
@@ -341,6 +357,68 @@ fn handle_conn(stream: TcpStream, conn: u64, shared: &Shared) -> Result<(), Dist
         }
     }
     Ok(())
+}
+
+/// Accepts workers until shutdown, each on a handler thread of its
+/// own, and returns the handler threads. An accept error other than an
+/// interruption is recorded as the run's failure.
+fn accept_loop(
+    listener: &TcpListener,
+    shared: &Arc<Shared>,
+    max_conns: usize,
+) -> Vec<JoinHandle<()>> {
+    let mut handles = Vec::new();
+    let mut conn_id = 0u64;
+    loop {
+        let accepted = listener.accept();
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return handles;
+        }
+        let stream = match accepted {
+            Ok((stream, _)) => stream,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => {
+                shared.lock().failure = Some(DistError::Io(format!("accept: {e}")));
+                shared.changed.notify_all();
+                return handles;
+            }
+        };
+        {
+            let mut inner = shared.lock();
+            if inner.conns >= max_conns.max(1) {
+                drop(inner);
+                // Over the cap: a paced `retry` instead of a handler
+                // thread. The worker treats it like lease contention
+                // and comes back jittered.
+                shared.obs.counter_add("dist.conn_rejected", 1);
+                reject_busy(stream);
+                continue;
+            }
+            inner.conns += 1;
+        }
+        conn_id += 1;
+        let conn = conn_id;
+        let shared = Arc::clone(shared);
+        handles.push(std::thread::spawn(move || {
+            if handle_conn(stream, conn, &shared).is_err() {
+                shared.obs.counter_add("dist.conn_errors", 1);
+            }
+            shared.close_conn(conn);
+        }));
+    }
+}
+
+/// The address a connection of our own reaches `bound` at, to wake an
+/// accept blocked on it: the loopback address of its family when it is
+/// bound to the unspecified one.
+fn wake_addr(mut bound: SocketAddr) -> SocketAddr {
+    if bound.ip().is_unspecified() {
+        bound.set_ip(match bound {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    bound
 }
 
 /// A bound, not-yet-running coordinator.
@@ -398,8 +476,8 @@ impl Coordinator {
             ..ExploreOptions::default()
         };
         let fingerprint = config_fingerprint(&models, &rules, &options);
-        let total = vector_space(&models);
-        let ranges = ShardRange::partition(total, shards.max(1));
+        let lattice = Lattice::new(&models, &rules)?;
+        let ranges = ShardRange::partition(lattice.positions(), shards.max(1));
         let base = CoordState {
             fingerprint,
             max_vehicles: max_vehicles as u64,
@@ -426,12 +504,15 @@ impl Coordinator {
         let resumed = state.completed();
         let shard_count = state.shards.len();
         let remaining = shard_count - resumed;
+        let wake = wake_addr(self.listener.local_addr()?);
         let shared = Arc::new(Shared {
             inner: Mutex::new(Inner {
                 state,
                 leases: (0..shard_count).map(|_| None).collect(),
                 ever_leased: vec![false; shard_count],
                 remaining,
+                conns: 0,
+                failure: None,
             }),
             changed: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -443,62 +524,68 @@ impl Coordinator {
                 max_candidates: max_candidates as u64,
                 require_connected,
             },
+            lattice,
         });
-        self.listener.set_nonblocking(true)?;
-        let mut handles = Vec::new();
-        let mut conn_id = 0u64;
-        let active = Arc::new(AtomicUsize::new(0));
-        while shared.remaining() > 0 {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    if active.load(Ordering::Relaxed) >= max_conns.max(1) {
-                        // Over the cap: a paced `retry` instead of a
-                        // handler thread. The worker treats it like
-                        // lease contention and comes back jittered.
-                        obs.counter_add("dist.conn_rejected", 1);
-                        reject_busy(stream);
-                        continue;
-                    }
-                    conn_id += 1;
-                    let conn = conn_id;
-                    let shared = Arc::clone(&shared);
-                    active.fetch_add(1, Ordering::Relaxed);
-                    let conn_active = Arc::clone(&active);
-                    handles.push(std::thread::spawn(move || {
-                        let outcome = handle_conn(stream, conn, &shared);
-                        shared.release_conn(conn);
-                        if outcome.is_err() {
-                            shared.obs.counter_add("dist.conn_errors", 1);
-                        }
-                        conn_active.fetch_sub(1, Ordering::Relaxed);
-                    }));
+        let listener = self.listener;
+        let acceptor = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || accept_loop(&listener, &shared, max_conns))
+        };
+        // The last result, or the accept loop's failure.
+        let failure = {
+            let mut inner = shared.lock();
+            while inner.remaining > 0 && inner.failure.is_none() {
+                inner = shared
+                    .changed
+                    .wait(inner)
+                    .expect("coordinator ledger poisoned");
+            }
+            inner.failure.take()
+        };
+        if failure.is_none() {
+            // Drain: connected workers get `done` grants on their next
+            // lease request and say `bye`; give them one lease interval
+            // of grace so they exit on a clean frame instead of a cut
+            // connection (which would send them into reconnect
+            // purgatory against a closed listener). The stop flag then
+            // bounds how long a genuinely silent connection can hold
+            // its handler.
+            let grace = Instant::now() + Duration::from_millis(shared.lease_ms + 500);
+            let mut inner = shared.lock();
+            while inner.conns > 0 {
+                let now = Instant::now();
+                if now >= grace {
+                    break;
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(DistError::Io(format!("accept: {e}"))),
+                inner = shared
+                    .changed
+                    .wait_timeout(inner, grace - now)
+                    .expect("coordinator ledger poisoned")
+                    .0;
             }
         }
-        // Drain: connected workers get `done` grants on their next
-        // lease request and say `bye`; give them one lease interval
-        // of grace so they exit on a clean frame instead of a cut
-        // connection (which would send them into reconnect purgatory
-        // against a closed listener). The stop flag then bounds how
-        // long a genuinely silent connection can hold its handler.
-        let grace = Instant::now() + Duration::from_millis(shared.lease_ms + 500);
-        while active.load(Ordering::Relaxed) > 0 && Instant::now() < grace {
-            std::thread::sleep(Duration::from_millis(5));
+        shared.shutdown.store(true, Ordering::SeqCst);
+        // Wake the accept loop with a connection of our own; it sees
+        // the stop flag and returns its handlers, which see it too. An
+        // accept loop that already failed has dropped the listener. A
+        // wake that cannot connect leaves the loop blocked, unjoined.
+        let woken = TcpStream::connect_timeout(&wake, Duration::from_secs(1)).is_ok();
+        if woken || acceptor.is_finished() {
+            if let Ok(handlers) = acceptor.join() {
+                for handler in handlers {
+                    let _ = handler.join();
+                }
+            }
         }
-        shared.shutdown.store(true, Ordering::Relaxed);
-        for handle in handles {
-            let _ = handle.join();
+        if let Some(e) = failure {
+            return Err(e);
         }
         let inner = shared.lock();
         merge_state(
             &models,
             &rules,
-            &inner.state,
+            &inner.state.shards,
+            &shared.lattice,
             max_candidates,
             resumed > 0,
             &obs,
@@ -506,14 +593,16 @@ impl Coordinator {
     }
 }
 
-/// Merges a fully completed [`CoordState`] into the canonical
-/// [`Universe`], bit-identical to the single-process run. Its
-/// statistics are the shard counters' sums plus the merge time: a
-/// merged run has no thread count and no scan, build or dedup timings.
+/// Merges the shards of a fully completed [`CoordState`] into the
+/// canonical [`Universe`], bit-identical to the single-process run. Its
+/// statistics are the shard counters' sums plus the merge's own
+/// duplicates, exact checks and time: a merged run has no thread count
+/// and no scan, build or dedup timings.
 fn merge_state(
     models: &[(fsa_core::component_model::ComponentModel, usize)],
     rules: &[fsa_core::explore::ConnectionRule],
-    state: &CoordState,
+    shards: &[ShardRecord],
+    lattice: &Lattice,
     max_candidates: usize,
     resumed: bool,
     obs: &Obs,
@@ -522,7 +611,10 @@ fn merge_state(
     let merge_start = Instant::now();
     let mut all_accepted = Vec::new();
     let mut sum = CheckpointCounters::default();
-    for shard in &state.shards {
+    // Candidates the shards offered to their class maps without
+    // founding a class.
+    let mut shard_duplicates = 0usize;
+    for shard in shards {
         let Some((accepted, c)) = &shard.done else {
             return Err(DistError::State(format!(
                 "cannot merge: shard {} is not done",
@@ -530,15 +622,15 @@ fn merge_state(
             )));
         };
         all_accepted.extend_from_slice(accepted);
+        shard_duplicates +=
+            (c.candidates_built - c.disconnected_skipped).saturating_sub(accepted.len());
         sum.multiplicity_vectors += c.multiplicity_vectors;
         sum.subsets_total += c.subsets_total;
         sum.orbits_skipped += c.orbits_skipped;
         sum.candidates += c.candidates;
         sum.candidates_built += c.candidates_built;
         sum.disconnected_skipped += c.disconnected_skipped;
-        sum.certificate_hits += c.certificate_hits;
         sum.exact_iso_fallbacks += c.exact_iso_fallbacks;
-        sum.vectors_completed += c.vectors_completed;
         sum.failures += c.failures;
         sum.retries += c.retries;
     }
@@ -551,23 +643,28 @@ fn merge_state(
     let elapsed = merge_start.elapsed();
     span.finish();
     obs.counter_add("dist.merge_micros", elapsed.as_micros() as u64);
+    let vectors = usize::try_from(lattice.vectors()).unwrap_or(usize::MAX);
     let stats = ExploreStats {
         multiplicity_vectors: sum.multiplicity_vectors,
         subsets_total: sum.subsets_total,
         orbits_skipped: sum.orbits_skipped,
         candidates: sum.candidates,
         disconnected_skipped: sum.disconnected_skipped,
-        // Cross-shard duplicates surface at merge time; the identity
-        // `Σ shard hits + merge duplicates = single-process hits`
-        // holds exactly (property-tested in tests/dist_props.rs).
-        certificate_hits: sum.certificate_hits + merged.duplicates,
-        // Merge-time bucket collisions that needed an exact check are
-        // not attributable to a shard; this stays the shard sum.
-        exact_iso_fallbacks: sum.exact_iso_fallbacks,
+        // The single-process count: a shard's duplicate hit a bucket
+        // there too, and a shard's founding entries hit exactly the
+        // buckets that the merge finds non-empty. (Without certificate
+        // collisions this is `Σ shard hits + merge duplicates`,
+        // property-tested in tests/dist_props.rs.)
+        certificate_hits: shard_duplicates + merged.universe.stats.certificate_hits,
+        // Each cross-shard duplicate costs the merge an exact check.
+        // Equal to the single-process count unless certificates
+        // collide; then it depends on the cuts.
+        exact_iso_fallbacks: sum.exact_iso_fallbacks + merged.universe.stats.exact_iso_fallbacks,
         classes: merged.universe.classes.len(),
         truncated: false,
-        vectors_total: usize::try_from(vector_space(models)).unwrap_or(usize::MAX),
-        vectors_completed: sum.vectors_completed,
+        // Every shard completed, each vector's masks with it.
+        vectors_total: vectors,
+        vectors_completed: vectors,
         candidates_built: sum.candidates_built,
         failures: sum.failures,
         retries: sum.retries,
@@ -587,7 +684,8 @@ mod tests {
     use super::*;
     use std::thread::JoinHandle;
 
-    /// A ledger of `shards` one-vector shards, none leased or done.
+    /// A ledger of `shards` one-position shards, none leased or done,
+    /// with connections 1 and 2 open.
     fn ledger(shards: u64, lease_ms: u64, obs: &Obs) -> Arc<Shared> {
         let shards: Vec<ShardRecord> = (0..shards)
             .map(|i| ShardRecord {
@@ -611,6 +709,8 @@ mod tests {
                 leases: (0..n).map(|_| None).collect(),
                 ever_leased: vec![false; n],
                 remaining: n,
+                conns: 2,
+                failure: None,
             }),
             changed: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -621,6 +721,10 @@ mod tests {
                 max_vehicles: 1,
                 max_candidates: 1,
                 require_connected: true,
+            },
+            lattice: {
+                let (models, rules) = vanet::exploration::scenario_universe(1);
+                Lattice::new(&models, &rules).unwrap()
             },
         })
     }
@@ -659,7 +763,7 @@ mod tests {
         let waiter = ask(&shared, 2);
         until_held(&obs);
         let ack = shared
-            .record_result(1, 0, 1, Vec::new(), CheckpointCounters::default())
+            .record_result(0, 1, Vec::new(), CheckpointCounters::default())
             .unwrap();
         assert!(matches!(ack, ToWorker::ShardDone { start: 0, end: 1 }));
         let (reply, waited) = waiter.join().unwrap();
@@ -674,7 +778,7 @@ mod tests {
         assert!(matches!(shared.grant(1), ToWorker::Grant { start: 0, .. }));
         let waiter = ask(&shared, 2);
         until_held(&obs);
-        shared.release_conn(1);
+        shared.close_conn(1);
         let (reply, waited) = waiter.join().unwrap();
         assert!(
             matches!(

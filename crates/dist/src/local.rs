@@ -14,7 +14,8 @@ use fsa_obs::Obs;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::{Duration, Instant};
 
 /// How the driver runs its workers.
 #[derive(Debug, Clone)]
@@ -37,14 +38,14 @@ pub struct LocalConfig {
     /// Worker count.
     pub workers: usize,
     /// Shard count; defaults to `4 × workers` so slow shards
-    /// rebalance across workers. The coordinator caps it at one shard
-    /// per vector.
+    /// rebalance across workers. The coordinator cuts the lattice's
+    /// positions evenly, at most one shard per position.
     pub shards: Option<usize>,
     /// Lease validity in milliseconds.
     pub lease_ms: u64,
     /// Checkpoint/state directory; an ephemeral one is created (and
-    /// removed on success) when unset, and the coordinator then keeps
-    /// its ledger in memory only.
+    /// removed once the workers are reaped, whatever the outcome) when
+    /// unset, and the coordinator then keeps its ledger in memory only.
     pub state_dir: Option<PathBuf>,
     /// Global candidate budget.
     pub max_candidates: usize,
@@ -155,6 +156,14 @@ impl Workers {
     }
 }
 
+/// How often the driver looks at its workers while it waits for the
+/// coordinator's result (which wakes it at once).
+const WORKER_CHECK: Duration = Duration::from_millis(50);
+
+/// How long the driver waits for the coordinator once every worker
+/// has exited and at least one of them cleanly.
+const DRAINED_GRACE: Duration = Duration::from_secs(60);
+
 /// Runs a full distributed exploration on this machine and returns
 /// the merged result with each class's composed instance: the merged
 /// universe, then [`fsa_core::explore::compose_accepted`] over its
@@ -186,8 +195,6 @@ pub(crate) fn explore_distributed_universe(
     config: &LocalConfig,
     mode: &WorkerMode,
 ) -> Result<Universe, DistError> {
-    let workers = config.workers.max(1);
-    let shards = config.shards.unwrap_or(4 * workers).max(1);
     let (state_dir, ephemeral) = match &config.state_dir {
         Some(dir) => (dir.clone(), false),
         None => {
@@ -201,6 +208,31 @@ pub(crate) fn explore_distributed_universe(
     };
     std::fs::create_dir_all(&state_dir)
         .map_err(|e| DistError::Io(format!("state dir {}: {e}", state_dir.display())))?;
+    let mut pool = Workers::Handles(Vec::new());
+    let result = run_local(config, mode, &state_dir, ephemeral, &mut pool);
+    if result.is_err() {
+        pool.kill();
+    }
+    // Workers drain on their own `done` grants; reap them, then no
+    // process writes to the state directory any more.
+    let _ = pool.reap();
+    if ephemeral {
+        let _ = std::fs::remove_dir_all(&state_dir);
+    }
+    result
+}
+
+/// Runs the coordinator on a thread and the workers into `pool`, and
+/// waits for the merged universe.
+fn run_local(
+    config: &LocalConfig,
+    mode: &WorkerMode,
+    state_dir: &std::path::Path,
+    ephemeral: bool,
+    pool: &mut Workers,
+) -> Result<Universe, DistError> {
+    let workers = config.workers.max(1);
+    let shards = config.shards.unwrap_or(4 * workers).max(1);
     let coordinator = Coordinator::bind(
         "127.0.0.1:0",
         CoordConfig {
@@ -217,10 +249,13 @@ pub(crate) fn explore_distributed_universe(
         },
     )?;
     let addr = coordinator.addr()?.to_string();
-    let coord_handle = std::thread::spawn(move || coordinator.run());
-    let mut pool = match mode {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(coordinator.run());
+    });
+    match mode {
         WorkerMode::Processes { exe } => {
-            let mut children = Vec::with_capacity(workers);
+            *pool = Workers::Children(Vec::with_capacity(workers));
             for i in 0..workers {
                 let child = Command::new(exe)
                     .args([
@@ -239,16 +274,17 @@ pub(crate) fn explore_distributed_universe(
                     .stderr(Stdio::null())
                     .spawn()
                     .map_err(|e| DistError::Io(format!("spawn {}: {e}", exe.display())))?;
-                children.push(child);
+                if let Workers::Children(children) = pool {
+                    children.push(child);
+                }
             }
-            Workers::Children(children)
         }
         WorkerMode::Threads => {
             let handles = (0..workers)
                 .map(|i| {
                     let addr = addr.clone();
                     let worker = WorkerConfig {
-                        state_dir: state_dir.clone(),
+                        state_dir: state_dir.to_path_buf(),
                         threads: config.threads.max(1),
                         seed: worker_seed(config.seed, i),
                         ..WorkerConfig::default()
@@ -256,55 +292,43 @@ pub(crate) fn explore_distributed_universe(
                     std::thread::spawn(move || run_worker(&addr, &worker))
                 })
                 .collect();
-            Workers::Handles(handles)
+            *pool = Workers::Handles(handles);
         }
-    };
-    // Supervise: the coordinator finishes when every shard is merged.
-    // A worker that received its `done` grant exits cleanly *before*
-    // the coordinator finishes merging, so an empty pool is only fatal
+    }
+    // Supervise: the coordinator's result wakes the driver at once. A
+    // worker that received its `done` grant exits cleanly *before* the
+    // coordinator finishes merging, so an empty pool is only fatal
     // when every worker actually failed — otherwise the coordinator
     // already holds every result and just needs time. If no worker
     // exited cleanly, the run can never finish; abort rather than wait
-    // forever. (The coordinator thread is left parked on its listener;
+    // forever. (The coordinator thread is left waiting for results;
     // the process is about to exit anyway.)
-    let mut drained: Option<(usize, Option<String>)> = None;
-    let mut grace = Duration::ZERO;
-    while !coord_handle.is_finished() {
-        if drained.is_none() && pool.alive() == 0 {
-            drained = Some(pool.reap());
+    let mut drained: Option<Instant> = None;
+    loop {
+        match rx.recv_timeout(WORKER_CHECK) {
+            Ok(result) => return result,
+            Err(RecvTimeoutError::Disconnected) => {
+                return Err(DistError::Worker("coordinator panicked".to_owned()))
+            }
+            Err(RecvTimeoutError::Timeout) => {}
         }
-        if let Some((ok, failure)) = &drained {
-            if *ok == 0 {
-                let detail = failure
-                    .clone()
-                    .unwrap_or_else(|| "workers exited silently".to_owned());
+        if drained.is_none() && pool.alive() == 0 {
+            let (ok, failure) = pool.reap();
+            if ok == 0 {
+                let detail = failure.unwrap_or_else(|| "workers exited silently".to_owned());
                 return Err(DistError::Worker(format!(
                     "all {workers} workers exited before the universe completed: {detail}"
                 )));
             }
-            // Some workers believe the universe is done; bound the
-            // wait in case a clean exit raced a lost shard.
-            grace += Duration::from_millis(5);
-            if grace > Duration::from_secs(60) {
-                return Err(DistError::Worker(format!(
-                    "coordinator did not finish within 60s of all {workers} workers draining"
-                )));
-            }
+            drained = Some(Instant::now());
         }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    let result = coord_handle
-        .join()
-        .unwrap_or_else(|_| Err(DistError::Worker("coordinator panicked".to_owned())));
-    match &result {
-        Ok(_) => {
-            // Workers drain on their own `done` grants; reap them.
-            let _ = pool.reap();
-            if ephemeral {
-                let _ = std::fs::remove_dir_all(&state_dir);
-            }
+        // Some workers believe the universe is done; bound the wait in
+        // case a clean exit raced a lost shard.
+        if drained.is_some_and(|at| at.elapsed() > DRAINED_GRACE) {
+            return Err(DistError::Worker(format!(
+                "coordinator did not finish within {}s of all {workers} workers draining",
+                DRAINED_GRACE.as_secs()
+            )));
         }
-        Err(_) => pool.kill(),
     }
-    result
 }

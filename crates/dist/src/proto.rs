@@ -1,4 +1,4 @@
-//! The `fsa-dist/v1` protocol: JSON frames over `fsa-wire/v1` framing.
+//! The `fsa-dist/v2` protocol: JSON frames over `fsa-wire/v1` framing.
 //!
 //! The distributed layer reuses the serve subsystem's transport
 //! ([`fsa_serve::wire`]: 4-byte big-endian length prefix + UTF-8 JSON)
@@ -11,16 +11,24 @@
 //! | frame          | fields                                        |
 //! |----------------|-----------------------------------------------|
 //! | `hello`        | `protocol`                                    |
-//! | `lease`        | —                                             |
+//! | `lease`        | — (also renews the lease the worker holds)    |
 //! | `shard-result` | `start`, `end`, `accepted`, `counters`        |
 //! | `bye`          | —                                             |
+//!
+//! A `shard-result`'s `start` and `end` are positions of the flattened
+//! `(ordinal, mask)` lattice ([`fsa_core::explore::Lattice`]). Its
+//! `accepted` log is grouped by vector:
+//! `[[ordinal, [mask, …], "certificates"], …]`, the certificates of a
+//! group's masks in order, 16 lower-case hex digits each, in one string
+//! (the JSON parser holds numbers as `f64`, exact only up to 2^53, and a
+//! certificate is a full `u64`).
 //!
 //! Coordinator → worker:
 //!
 //! | frame         | fields                                              |
 //! |---------------|-----------------------------------------------------|
 //! | `hello`       | `protocol`, `max_vehicles`, `max_candidates`, `require_connected` |
-//! | `lease-grant` | `grant` (`"shard"` / `"retry"` / `"done"`) + fields |
+//! | `lease-grant` | `grant` (`"shard"` / `"retry"` / `"done"`) + fields; a holder's renewal is its own `shard` grant again |
 //! | `shard-done`  | `start`, `end`                                      |
 //! | `error`       | `message`                                           |
 //!
@@ -30,15 +38,19 @@
 
 use crate::error::DistError;
 use fsa_core::checkpoint::CheckpointCounters;
+use fsa_core::explore::Accepted;
 use fsa_obs::json::{write_key, write_str};
 use fsa_serve::json::{self, Value};
 
-/// Protocol identifier exchanged in both `hello` frames.
-pub const PROTOCOL: &str = "fsa-dist/v1";
+/// Protocol identifier exchanged in both `hello` frames. Version 2
+/// cut shards by lattice position and added each accepted entry's
+/// certificate.
+pub const PROTOCOL: &str = "fsa-dist/v2";
 
 /// Maximum accepted frame size. Shard results carry the full accepted
-/// `(ordinal, mask)` log of a shard, which can far exceed the serve
-/// default of 1 MiB on large universes.
+/// log of a shard, which can far exceed the serve default of 1 MiB on
+/// large universes: the largest of the default 5-vehicle run is pinned
+/// below this cap by `tests/distributed.rs`.
 pub const MAX_FRAME: usize = 8 << 20;
 
 /// The universe configuration the coordinator pushes to every worker
@@ -61,15 +73,15 @@ pub enum ToCoordinator {
     Hello,
     /// Request a shard lease (also used to renew the current lease).
     Lease,
-    /// A completed shard: its range, accepted `(ordinal, mask)` log
-    /// (strictly ascending by ordinal) and engine counters.
+    /// A completed shard: its range, accepted log (ascending by
+    /// ordinal) and engine counters.
     ShardResult {
-        /// First vector ordinal of the shard (inclusive).
+        /// First lattice position of the shard (inclusive).
         start: u64,
-        /// One past the last vector ordinal of the shard.
+        /// One past the last lattice position of the shard.
         end: u64,
-        /// Accepted `(ordinal, mask)` pairs in ascending ordinal order.
-        accepted: Vec<(u64, u64)>,
+        /// Accepted entries, with their certificates, in discovery order.
+        accepted: Vec<Accepted>,
         /// The shard run's engine counters.
         counters: CheckpointCounters,
     },
@@ -85,9 +97,9 @@ pub enum ToWorker {
     /// Lease grant: explore `[start, end)`; report back or renew
     /// within `lease_ms` or the lease expires and is re-issued.
     Grant {
-        /// First vector ordinal of the leased shard (inclusive).
+        /// First lattice position of the leased shard (inclusive).
         start: u64,
-        /// One past the last vector ordinal of the leased shard.
+        /// One past the last lattice position of the leased shard.
         end: u64,
         /// Lease validity in milliseconds.
         lease_ms: u64,
@@ -172,6 +184,32 @@ fn write_counters(out: &mut String, c: &CheckpointCounters) {
     out.push('}');
 }
 
+/// Writes an accepted log grouped by vector: `[[ordinal, [mask, …],
+/// "certificates"], …]`, the certificates of a group's masks in order,
+/// 16 lower-case hex digits each, in one string.
+fn write_accepted(out: &mut String, accepted: &[Accepted]) {
+    use std::fmt::Write as _;
+    out.push('[');
+    for (i, run) in accepted.chunk_by(|a, b| a.ordinal == b.ordinal).enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "[{},[", run[0].ordinal);
+        for (j, entry) in run.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "{}", entry.mask);
+        }
+        out.push_str("],\"");
+        for entry in run {
+            let _ = write!(out, "{:016x}", entry.certificate);
+        }
+        out.push_str("\"]");
+    }
+    out.push(']');
+}
+
 /// Encodes a worker → coordinator frame as one JSON payload.
 #[must_use]
 pub fn encode_to_coordinator(frame: &ToCoordinator) -> String {
@@ -202,18 +240,7 @@ pub fn encode_to_coordinator(frame: &ToCoordinator) -> String {
             write_u64_field(&mut out, "end", *end);
             out.push(',');
             write_key(&mut out, "accepted");
-            out.push('[');
-            for (i, (ordinal, mask)) in accepted.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('[');
-                out.push_str(&ordinal.to_string());
-                out.push(',');
-                out.push_str(&mask.to_string());
-                out.push(']');
-            }
-            out.push(']');
+            write_accepted(&mut out, accepted);
             out.push(',');
             write_counters(&mut out, counters);
         }
@@ -359,24 +386,41 @@ fn parse_counters(v: &Value) -> Result<CheckpointCounters, DistError> {
     })
 }
 
-fn parse_accepted(v: &Value) -> Result<Vec<(u64, u64)>, DistError> {
-    let arr = v
+fn parse_accepted(v: &Value) -> Result<Vec<Accepted>, DistError> {
+    let groups = v
         .get("accepted")
         .and_then(Value::as_arr)
         .ok_or_else(|| proto_err("`shard-result` frame lacks an `accepted` array"))?;
-    let mut out = Vec::with_capacity(arr.len());
-    for pair in arr {
-        let pair = pair
+    let mut out = Vec::new();
+    for group in groups {
+        let (ordinal, masks, certificates) = group
             .as_arr()
-            .filter(|p| p.len() == 2)
-            .ok_or_else(|| proto_err("`accepted` entries must be `[ordinal, mask]` pairs"))?;
-        let ordinal = pair[0]
-            .as_u64()
-            .ok_or_else(|| proto_err("`accepted` ordinal must be a non-negative integer"))?;
-        let mask = pair[1]
-            .as_u64()
-            .ok_or_else(|| proto_err("`accepted` mask must be a non-negative integer"))?;
-        out.push((ordinal, mask));
+            .filter(|g| g.len() == 3)
+            .and_then(|g| Some((g[0].as_u64()?, g[1].as_arr()?, g[2].as_str()?)))
+            .ok_or_else(|| {
+                proto_err("`accepted` groups must be `[ordinal, [mask, …], \"certificates\"]`")
+            })?;
+        let hex = certificates.as_bytes();
+        if masks.is_empty()
+            || hex.len() != 16 * masks.len()
+            || !hex.iter().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
+        {
+            return Err(proto_err(
+                "an `accepted` group needs one or more masks and 16 lower-case hex digits of \
+                 certificate per mask",
+            ));
+        }
+        for (mask, digits) in masks.iter().zip(certificates.as_bytes().chunks(16)) {
+            let mask = mask
+                .as_u64()
+                .ok_or_else(|| proto_err("`accepted` mask must be a non-negative integer"))?;
+            let digits = std::str::from_utf8(digits).expect("checked ASCII hex digits");
+            out.push(Accepted {
+                ordinal,
+                mask,
+                certificate: u64::from_str_radix(digits, 16).expect("checked hex digits"),
+            });
+        }
     }
     Ok(out)
 }
@@ -479,6 +523,14 @@ mod tests {
         }
     }
 
+    fn entry(ordinal: u64, mask: u64, certificate: u64) -> Accepted {
+        Accepted {
+            ordinal,
+            mask,
+            certificate,
+        }
+    }
+
     #[test]
     fn worker_frames_round_trip() {
         let frames = [
@@ -487,7 +539,18 @@ mod tests {
             ToCoordinator::ShardResult {
                 start: 4,
                 end: 9,
-                accepted: vec![(4, 0), (5, 3), (8, 17)],
+                accepted: vec![
+                    entry(4, 0, 0),
+                    entry(5, 3, u64::MAX),
+                    entry(5, 6, 1 << 53 | 1),
+                    entry(8, 17, 0xdead_beef),
+                ],
+                counters: counters(),
+            },
+            ToCoordinator::ShardResult {
+                start: 0,
+                end: 1,
+                accepted: Vec::new(),
                 counters: counters(),
             },
             ToCoordinator::Bye,
@@ -530,7 +593,7 @@ mod tests {
         // encoding; pin the exact bytes of representative frames.
         assert_eq!(
             encode_to_coordinator(&ToCoordinator::Hello),
-            r#"{"type":"hello","protocol":"fsa-dist/v1"}"#
+            r#"{"type":"hello","protocol":"fsa-dist/v2"}"#
         );
         assert_eq!(
             encode_to_worker(&ToWorker::Grant {
@@ -542,13 +605,35 @@ mod tests {
         );
         let result = encode_to_coordinator(&ToCoordinator::ShardResult {
             start: 1,
-            end: 2,
-            accepted: vec![(1, 3)],
+            end: 9,
+            accepted: vec![entry(1, 3, 0xabc), entry(1, 5, u64::MAX), entry(2, 0, 1)],
             counters: counters(),
         });
-        assert!(result.starts_with(r#"{"type":"shard-result","start":1,"end":2,"accepted":[[1,3]],"counters":{"multiplicity_vectors":3,"#));
+        assert!(result.starts_with(concat!(
+            r#"{"type":"shard-result","start":1,"end":9,"accepted":"#,
+            r#"[[1,[3,5],"0000000000000abcffffffffffffffff"],[2,[0],"0000000000000001"]],"#,
+            r#""counters":{"multiplicity_vectors":3,"#
+        )));
         assert!(result.contains(r#""truncated":false"#));
         assert!(result.ends_with(r#""retries":1}}"#));
+    }
+
+    #[test]
+    fn a_version_1_hello_is_a_protocol_skew() {
+        for payload in [
+            r#"{"type":"hello","protocol":"fsa-dist/v1"}"#,
+            r#"{"type":"hello","protocol":"fsa-dist/v1","max_vehicles":4,"max_candidates":9,"require_connected":true}"#,
+        ] {
+            let to_coordinator = decode_to_coordinator(payload);
+            let to_worker = decode_to_worker(payload);
+            for err in [to_coordinator.map(|_| ()), to_worker.map(|_| ())] {
+                assert!(
+                    matches!(&err, Err(DistError::Proto(m))
+                        if m.contains("protocol skew") && m.contains("fsa-dist/v1")),
+                    "{payload}: {err:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -558,10 +643,18 @@ mod tests {
             r#"{"no_type":1}"#,
             r#"{"type":"warp"}"#,
             r#"{"type":"hello"}"#,
-            r#"{"type":"hello","protocol":"fsa-dist/v2"}"#,
             r#"{"type":"shard-result","start":1}"#,
             r#"{"type":"shard-result","start":1,"end":2,"accepted":[[1]],"counters":{}}"#,
             r#"{"type":"shard-result","start":1,"end":2,"accepted":[[1,-3]],"counters":{}}"#,
+            // The v1 flat `[ordinal, mask]` pairs.
+            r#"{"type":"shard-result","start":1,"end":2,"accepted":[[1,3]],"counters":{}}"#,
+            r#"{"type":"shard-result","start":1,"end":2,"accepted":[[1,[],""]],"counters":{}}"#,
+            r#"{"type":"shard-result","start":1,"end":2,"accepted":[[1,[3],12]],"counters":{}}"#,
+            r#"{"type":"shard-result","start":1,"end":2,"accepted":[[1,[3],"abc"]],"counters":{}}"#,
+            r#"{"type":"shard-result","start":1,"end":2,"accepted":[[1,[3,4],"000000000000abcd"]],"counters":{}}"#,
+            r#"{"type":"shard-result","start":1,"end":2,"accepted":[[1,[3],"000000000000ABCD"]],"counters":{}}"#,
+            r#"{"type":"shard-result","start":1,"end":2,"accepted":[[1,[3],"+00000000000abcd"]],"counters":{}}"#,
+            r#"{"type":"shard-result","start":1,"end":2,"accepted":[[1,[-3],"000000000000abcd"]],"counters":{}}"#,
         ] {
             assert!(
                 matches!(decode_to_coordinator(payload), Err(DistError::Proto(_))),
@@ -569,7 +662,7 @@ mod tests {
             );
         }
         for payload in [
-            r#"{"type":"hello","protocol":"fsa-dist/v1"}"#, // missing config
+            r#"{"type":"hello","protocol":"fsa-dist/v2"}"#, // missing config
             r#"{"type":"lease-grant"}"#,
             r#"{"type":"lease-grant","grant":"maybe"}"#,
             r#"{"type":"lease-grant","grant":"shard","start":0}"#,

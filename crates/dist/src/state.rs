@@ -12,25 +12,27 @@
 //! The file embeds the `fsa-explore-config/v3` fingerprint of the
 //! *unsharded* configuration plus the shard layout, and loading fails
 //! closed with [`DistError::State`] when either disagrees with the
-//! coordinator's current configuration.
+//! coordinator's current configuration. Version 2 of the file holds
+//! lattice-position shard ranges and each accepted entry's certificate;
+//! a version-1 file is rejected.
 
 use crate::error::DistError;
 use fsa_core::checkpoint::CheckpointCounters;
-use fsa_core::explore::ShardRange;
+use fsa_core::explore::{Accepted, ShardRange};
 use fsa_exec::{Snapshot, SnapshotReader};
 use std::path::Path;
 
 /// Snapshot payload version of the coordinator state file.
-pub const STATE_VERSION: u32 = 1;
+pub const STATE_VERSION: u32 = 2;
 
 /// One shard's durable record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardRecord {
-    /// The shard's global ordinal range.
+    /// The shard's range of lattice positions.
     pub range: ShardRange,
     /// `Some((accepted, counters))` once the shard's result has been
     /// accepted; `None` while the shard is still outstanding.
-    pub done: Option<(Vec<(u64, u64)>, CheckpointCounters)>,
+    pub done: Option<(Vec<Accepted>, CheckpointCounters)>,
 }
 
 /// The coordinator's durable state: configuration header + per-shard
@@ -81,9 +83,10 @@ impl CoordState {
             snap.put_bool(shard.done.is_some());
             if let Some((accepted, c)) = &shard.done {
                 snap.put_usize(accepted.len());
-                for (ordinal, mask) in accepted {
-                    snap.put_u64(*ordinal);
-                    snap.put_u64(*mask);
+                for entry in accepted {
+                    snap.put_u64(entry.ordinal);
+                    snap.put_u64(entry.mask);
+                    snap.put_u64(entry.certificate);
                 }
                 snap.put_usize(c.multiplicity_vectors);
                 snap.put_usize(c.subsets_total);
@@ -129,9 +132,11 @@ impl CoordState {
                     let n = r.usize()?;
                     let mut accepted = Vec::with_capacity(n.min(1 << 20));
                     for _ in 0..n {
-                        let ordinal = r.u64()?;
-                        let mask = r.u64()?;
-                        accepted.push((ordinal, mask));
+                        accepted.push(Accepted {
+                            ordinal: r.u64()?,
+                            mask: r.u64()?,
+                            certificate: r.u64()?,
+                        });
                     }
                     let counters = CheckpointCounters {
                         multiplicity_vectors: r.usize()?,
@@ -181,10 +186,8 @@ impl CoordState {
     /// Verifies that a loaded state file belongs to this run's
     /// configuration and shard layout.
     ///
-    /// The layout is compared range by range, so a file written with more
-    /// shards than vectors (identical empty ranges, a run that could
-    /// never finish) is rejected: [`ShardRange::partition`] now yields at
-    /// most one shard per vector.
+    /// The layout is compared range by range, so a file written under
+    /// another shard count or another lattice is rejected.
     ///
     /// # Errors
     ///
@@ -237,7 +240,23 @@ mod tests {
                 ShardRecord {
                     range: ShardRange { start: 0, end: 4 },
                     done: Some((
-                        vec![(0, 0), (1, 2), (3, 5)],
+                        vec![
+                            Accepted {
+                                ordinal: 0,
+                                mask: 0,
+                                certificate: 1,
+                            },
+                            Accepted {
+                                ordinal: 1,
+                                mask: 2,
+                                certificate: u64::MAX,
+                            },
+                            Accepted {
+                                ordinal: 3,
+                                mask: 5,
+                                certificate: 0xfeed,
+                            },
+                        ],
                         CheckpointCounters {
                             multiplicity_vectors: 4,
                             subsets_total: 12,
@@ -271,6 +290,31 @@ mod tests {
         assert_eq!(loaded, state);
         assert_eq!(loaded.completed(), 1);
         loaded.check_compatible(&state).unwrap();
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_version_1_state_file_is_rejected() {
+        // The version-1 layout: accepted entries without certificates.
+        let path = temp_path("v1");
+        let state = sample();
+        let mut snap = Snapshot::new(1);
+        snap.put_u64(state.fingerprint);
+        snap.put_u64(state.max_vehicles);
+        snap.put_u64(state.max_candidates);
+        snap.put_bool(state.require_connected);
+        snap.put_usize(state.shards.len());
+        for shard in &state.shards {
+            snap.put_u64(shard.range.start);
+            snap.put_u64(shard.range.end);
+            snap.put_bool(false);
+        }
+        snap.write_atomic(&path).unwrap();
+        let err = CoordState::load(&path).unwrap_err();
+        assert!(
+            matches!(&err, DistError::State(m) if m.contains("version 1") && m.contains("version 2")),
+            "{err}"
+        );
         fs::remove_file(&path).unwrap();
     }
 

@@ -2,23 +2,24 @@
 //! and a reconnecting transport.
 //!
 //! A worker connects to a coordinator, handshakes, and then loops
-//! requesting shard leases. Each leased shard runs through the
+//! requesting shard leases. Each leased shard runs once through the
 //! supervised explore engine restricted to the shard's
-//! [`ShardRange`], with its own [`ExploreCheckpoint`] file under the
-//! worker's state directory — so a `SIGKILL`ed worker (or its
-//! replacement picking up the re-issued lease) resumes the shard
-//! from the last checkpoint instead of from scratch. Checkpoint
-//! files are pid-suffixed (`shard-<start>-<end>.<pid>.fsas`):
+//! [`ShardRange`], while a thread of the session renews the lease
+//! about every third of it with the `lease` request (the coordinator
+//! re-grants the holder its own shard). The engine is cancelled only
+//! when a renewal is not answered with that grant: the lease was lost,
+//! the coordinator is gone or the universe is done.
+//!
+//! Every shard checkpoints to its own [`ExploreCheckpoint`] file under
+//! the worker's state directory, for crash recovery only — so a
+//! `SIGKILL`ed worker's replacement, picking up the re-issued lease,
+//! resumes the shard from the last checkpoint instead of from scratch,
+//! and a cancelled engine resumes from its own. Checkpoint files are
+//! pid-suffixed (`shard-<start>-<end>.<pid>.fsas`):
 //! [`fsa_exec::Snapshot::write_atomic`] stages through a fixed
 //! `<path>.tmp`, so two workers sharing one file name could race on
 //! the staging file; distinct names keep every writer exclusive
 //! while resume still finds a predecessor's newest file by prefix.
-//!
-//! The exploration deadline is set to ¾ of the lease: the engine
-//! parks at a batch boundary before the lease expires, the worker
-//! renews (the coordinator re-grants the same shard to the holder),
-//! and the run resumes from its own checkpoint. Only a worker that
-//! stops renewing — dead, wedged, partitioned — loses its lease.
 //!
 //! **Connection loss is not the end of the run.** A dropped, stalled,
 //! or corrupted coordinator connection ends the *session*, not the
@@ -42,7 +43,7 @@ use crate::proto::{
 };
 use fsa_core::checkpoint::CheckpointCounters;
 use fsa_core::explore::{
-    explore_universe, CheckpointSpec, ExecOptions, ExploreOptions, ShardRange,
+    explore_universe, Accepted, CheckpointSpec, ExecOptions, ExploreOptions, ShardRange,
 };
 use fsa_core::FsaError;
 use fsa_exec::{CancelToken, Supervisor};
@@ -51,6 +52,7 @@ use fsa_serve::wire::{self, FrameEvent, ReadLimits, WireError};
 use std::fs;
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
 /// How long the worker waits for the coordinator's reply to any
@@ -60,13 +62,13 @@ use std::time::{Duration, Instant};
 const REPLY_DEADLINE_MS: u64 = 5_000;
 
 /// Candidates a shard builds between two of its checkpoints. Every
-/// checkpoint is a full snapshot, fsynced twice: one per 32-candidate
-/// batch cost a third of a large shard's time, at whatever latency
-/// the disk had at the moment. The successor of a `SIGKILL`ed worker
-/// first waits out the dead worker's lease (2 s by default), then
-/// re-builds at most this many candidates, about a tenth of that
-/// wait. Parking at the lease deadline still checkpoints at once.
-const CHECKPOINT_EVERY: usize = 4096;
+/// checkpoint is a full snapshot of the shard's accepted log, fsynced
+/// twice, so its cost grows with the shard: at 4096 the largest shard
+/// of the 5-vehicle universe wrote 58 of them, up to 5.4 MB each, for
+/// 1.4 of its 5.3 s. At 32768 it writes 7. The successor of a
+/// `SIGKILL`ed worker re-builds at most this many candidates, under
+/// half a second there. A cancelled engine still checkpoints at once.
+const CHECKPOINT_EVERY: usize = 32_768;
 
 /// Socket-level read/write timeout; the polling granularity under
 /// the frame deadlines, not a protocol timeout of its own.
@@ -189,19 +191,19 @@ fn newest_checkpoint(state_dir: &Path, shard: ShardRange) -> Option<PathBuf> {
     best.map(|(_, path)| path)
 }
 
-/// A fully explored shard: the accepted `(ordinal, mask)` log plus
-/// the engine counters to ship in the `shard-result` frame.
-type ShardOutcome = (Vec<(u64, u64)>, CheckpointCounters);
+/// A fully explored shard: the accepted log plus the engine counters
+/// to ship in the `shard-result` frame.
+type ShardOutcome = (Vec<Accepted>, CheckpointCounters);
 
-/// Runs one leased shard to completion or to the lease-renewal
-/// deadline. Returns `None` when the run parked at the deadline (the
-/// caller renews the lease and calls again) and `Some(result)` when
-/// the shard is fully explored.
+/// Runs one leased shard through the engine once, resuming from the
+/// newest checkpoint any worker left for it. Returns `None` when
+/// `cancel` stopped the run (its progress is in this worker's
+/// checkpoint) and `Some(result)` when the shard is fully explored.
 fn run_shard(
     cfg: &HelloConfig,
     worker: &WorkerConfig,
     shard: ShardRange,
-    lease_ms: u64,
+    cancel: &CancelToken,
 ) -> Result<Option<ShardOutcome>, DistError> {
     let (models, rules) = vanet::exploration::scenario_universe(cfg.max_vehicles as usize);
     let max_candidates = usize::try_from(cfg.max_candidates).unwrap_or(usize::MAX);
@@ -214,10 +216,10 @@ fn run_shard(
     };
     let own = own_checkpoint(&worker.state_dir, shard);
     let mut resume = newest_checkpoint(&worker.state_dir, shard);
+    let _span = worker.obs.span("dist.shard");
     loop {
-        let deadline = Duration::from_millis((lease_ms.saturating_mul(3) / 4).max(50));
         let exec = ExecOptions {
-            supervisor: Supervisor::new().with_cancel(CancelToken::with_deadline(deadline)),
+            supervisor: Supervisor::new().with_cancel(cancel.clone()),
             batch: 32,
             checkpoint: Some(CheckpointSpec {
                 path: own.clone(),
@@ -226,8 +228,13 @@ fn run_shard(
             resume: resume.clone(),
         };
         match explore_universe(&models, &rules, &options, &exec) {
-            Ok(universe) if universe.stats.cancelled => return Ok(None),
             Ok(universe) => {
+                if universe.stats.resumed {
+                    worker.obs.counter_add("dist.worker_resumes", 1);
+                }
+                if universe.stats.cancelled {
+                    return Ok(None);
+                }
                 let stats = &universe.stats;
                 let counters = CheckpointCounters {
                     multiplicity_vectors: stats.multiplicity_vectors,
@@ -256,6 +263,65 @@ fn run_shard(
             Err(e) => return Err(e.into()),
         }
     }
+}
+
+/// How working a granted shard ended.
+enum Worked {
+    /// The engine explored the whole shard.
+    Explored(ShardOutcome),
+    /// A renewal was not answered with the shard's own grant; the
+    /// engine was cancelled. Holds the answer, a reply to `lease`.
+    Lost(Step),
+}
+
+/// Works a granted shard: the engine runs on this thread while a
+/// thread of its own renews the lease about every third of `lease_ms`
+/// (it sleeps until then, so a short shard never waits for it), and
+/// cancels the engine when a renewal is answered with anything but the
+/// shard's own grant.
+fn work_shard(
+    reader: &mut TcpStream,
+    writer: &mut TcpStream,
+    cfg: &HelloConfig,
+    config: &WorkerConfig,
+    shard: ShardRange,
+    lease_ms: u64,
+) -> Result<Worked, DistError> {
+    let cancel = CancelToken::new();
+    let period = Duration::from_millis((lease_ms / 3).max(1));
+    std::thread::scope(|scope| {
+        // Dropped when the engine returns, or unwinds: the renewer stops.
+        let (stop, stopped) = mpsc::channel::<()>();
+        let canceller = cancel.clone();
+        let renewer = scope.spawn(move || {
+            while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(period) {
+                let reply = roundtrip(reader, writer, &ToCoordinator::Lease);
+                if let Ok(Step::Frame(ToWorker::Grant { start, end, .. })) = &reply {
+                    if ShardRange::new(*start, *end) == shard {
+                        config.obs.counter_add("dist.worker_renewals", 1);
+                        continue;
+                    }
+                }
+                // The lease is lost (or the coordinator is): stop the
+                // engine at its next batch boundary, where it
+                // checkpoints for the shard's next holder.
+                canceller.cancel();
+                return Some(reply);
+            }
+            None
+        });
+        let explored = run_shard(cfg, config, shard, &cancel);
+        drop(stop);
+        let lost = renewer.join().expect("the lease renewer does not panic");
+        match (explored, lost) {
+            (Err(e), _) => Err(e),
+            (Ok(_), Some(reply)) => reply.map(Worked::Lost),
+            (Ok(Some(outcome)), None) => Ok(Worked::Explored(outcome)),
+            (Ok(None), None) => Err(DistError::Worker(
+                "the shard's engine stopped without being cancelled".to_owned(),
+            )),
+        }
+    })
 }
 
 /// How one connected session ended.
@@ -314,12 +380,15 @@ fn work_session(
         Step::Gone => return Ok(SessionEnd::Unreachable),
     };
     config.obs.counter_add("dist.worker_sessions", 1);
+    // Every iteration handles one reply to a `lease` request: a grant
+    // (fresh, or answering a renewal that found the lease lost), a
+    // retry, or done.
+    let mut reply = roundtrip(&mut reader, &mut writer, &ToCoordinator::Lease)?;
     loop {
-        let grant = match roundtrip(&mut reader, &mut writer, &ToCoordinator::Lease)? {
-            Step::Frame(frame) => frame,
-            Step::Gone => return Ok(SessionEnd::Lost),
+        let Step::Frame(frame) = reply else {
+            return Ok(SessionEnd::Lost);
         };
-        match grant {
+        reply = match frame {
             ToWorker::Grant {
                 start,
                 end,
@@ -327,15 +396,14 @@ fn work_session(
             } => {
                 contention.reset();
                 let shard = ShardRange { start, end };
-                let span = config.obs.span("dist.shard");
-                let outcome = run_shard(&cfg, config, shard, lease_ms)?;
-                span.finish();
-                let Some((accepted, counters)) = outcome else {
-                    // Parked at the lease deadline: renew (the
-                    // coordinator re-grants the holder's shard) and
-                    // resume from our checkpoint.
-                    continue;
-                };
+                let (accepted, counters) =
+                    match work_shard(&mut reader, &mut writer, &cfg, config, shard, lease_ms)? {
+                        Worked::Explored(outcome) => outcome,
+                        Worked::Lost(step) => {
+                            reply = step;
+                            continue;
+                        }
+                    };
                 let ack = roundtrip(
                     &mut reader,
                     &mut writer,
@@ -370,9 +438,11 @@ fn work_session(
                     // reconnect) or a successor can resume cheaply.
                     Step::Gone => return Ok(SessionEnd::Lost),
                 }
+                roundtrip(&mut reader, &mut writer, &ToCoordinator::Lease)?
             }
             ToWorker::Retry { .. } => {
                 std::thread::sleep(contention.next_delay());
+                roundtrip(&mut reader, &mut writer, &ToCoordinator::Lease)?
             }
             ToWorker::Done => {
                 let _ = wire::write_frame_deadline(
@@ -392,7 +462,7 @@ fn work_session(
                 config.obs.counter_add("dist.worker_desync", 1);
                 return Ok(SessionEnd::Lost);
             }
-        }
+        };
     }
 }
 

@@ -1,7 +1,7 @@
 //! End-to-end distributed exploration over real TCP on loopback:
-//! bit-identity against the single-process engine, lease expiry and
-//! re-issue, and coordinator restart from the store-and-forward
-//! state file.
+//! bit-identity against the single-process engine, lease renewal,
+//! expiry and re-issue, coordinator restart from the store-and-forward
+//! state file, and the frame cap.
 
 use fsa_core::explore::{ExecOptions, ExploreOptions, Universe};
 use fsa_dist::coord::{CoordConfig, Coordinator};
@@ -16,7 +16,25 @@ use fsa_obs::Obs;
 use fsa_serve::wire;
 use std::net::TcpStream;
 use std::path::PathBuf;
+use std::sync::Mutex;
 use std::time::Duration;
+
+/// Held by the tests that let the driver create its ephemeral state
+/// directory, so one of them can tell which directories are its own.
+static EPHEMERAL_DIRS: Mutex<()> = Mutex::new(());
+
+/// This process's ephemeral driver directories (`fsa-dist-<pid>-<n>`).
+fn ephemeral_dirs() -> Vec<PathBuf> {
+    let prefix = format!("fsa-dist-{}-", std::process::id());
+    let mut dirs: Vec<PathBuf> = std::fs::read_dir(std::env::temp_dir())
+        .unwrap()
+        .flatten()
+        .filter(|e| e.file_name().to_string_lossy().starts_with(&prefix))
+        .map(|e| e.path())
+        .collect();
+    dirs.sort();
+    dirs
+}
 
 fn golden(max_vehicles: usize) -> Universe {
     vanet::exploration::explore_scenario_universe(
@@ -42,6 +60,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 #[test]
 fn three_vehicle_distributed_is_bit_identical() {
+    let _dirs = EPHEMERAL_DIRS.lock().unwrap_or_else(|e| e.into_inner());
     let obs = Obs::enabled();
     let config = LocalConfig {
         max_vehicles: 3,
@@ -202,7 +221,10 @@ fn coordinator_resumes_from_its_state_file() {
 #[test]
 fn exhausted_workers_abort_the_run() {
     // A candidate budget of 1 kills every worker on its first shard;
-    // the driver must abort instead of waiting forever.
+    // the driver must abort instead of waiting forever, and remove its
+    // ephemeral state directory on the way out.
+    let _dirs = EPHEMERAL_DIRS.lock().unwrap_or_else(|e| e.into_inner());
+    let before = ephemeral_dirs();
     let config = LocalConfig {
         max_vehicles: 2,
         workers: 1,
@@ -211,6 +233,101 @@ fn exhausted_workers_abort_the_run() {
     };
     let err = explore_distributed(&config, &WorkerMode::Threads).unwrap_err();
     assert!(matches!(err, DistError::Worker(_)), "{err}");
+    assert_eq!(
+        ephemeral_dirs(),
+        before,
+        "the state directory was left behind"
+    );
+}
+
+#[test]
+fn a_shard_outliving_several_leases_finishes_in_one_engine_run() {
+    // One shard holds the whole 4-vehicle universe and runs for many
+    // 150 ms leases: the worker renews mid-run instead of parking, so
+    // the engine runs once, never resumes, and no lease expires.
+    let obs = Obs::enabled();
+    let coordinator = Coordinator::bind(
+        "127.0.0.1:0",
+        CoordConfig {
+            max_vehicles: 4,
+            shards: 1,
+            lease_ms: 150,
+            obs: obs.clone(),
+            ..CoordConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = coordinator.addr().unwrap().to_string();
+    let coord = std::thread::spawn(move || coordinator.run());
+    let dir = temp_dir("renewal");
+    let worker_obs = Obs::enabled();
+    let worker = WorkerConfig {
+        state_dir: dir.clone(),
+        obs: worker_obs.clone(),
+        ..WorkerConfig::default()
+    };
+    let started = std::time::Instant::now();
+    run_worker(&addr, &worker).unwrap();
+    let took = started.elapsed();
+    let dist = coord.join().unwrap().unwrap();
+    assert_same_universe(&golden(4), &dist);
+    let worker_stats = worker_obs.snapshot();
+    assert_eq!(worker_stats.span_count("dist.shard"), 1);
+    assert_eq!(worker_stats.counter("dist.worker_resumes"), None);
+    assert_eq!(worker_stats.counter("dist.worker_shards"), Some(1));
+    let stats = obs.snapshot();
+    assert_eq!(stats.counter("dist.leases_expired"), None);
+    assert_eq!(stats.counter("dist.leases_granted"), Some(1));
+    let renewed = stats.counter("dist.leases_renewed").unwrap_or(0);
+    let renewals = worker_stats.counter("dist.worker_renewals").unwrap_or(0);
+    assert_eq!(renewals, renewed);
+    if took > Duration::from_millis(3 * 150) {
+        assert!(renewed >= 2, "{renewed} renewals in {took:?}");
+    }
+    println!("{renewed} renewals in {took:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The default 5-vehicle run: 8 shards (two workers) cut evenly over
+/// its 34 673 240 positions. Every `shard-result` frame must fit under
+/// `MAX_FRAME`. Explores the whole universe, about 6 s in a release
+/// build: run with `cargo test --release -p fsa-dist --test distributed
+/// -- --ignored`.
+#[test]
+#[ignore = "explores the 5-vehicle universe; run in release"]
+fn the_largest_five_vehicle_shard_result_fits_under_the_frame_cap() {
+    use fsa_core::checkpoint::CheckpointCounters;
+    use fsa_core::explore::{explore_universe, Lattice, ShardRange};
+
+    let (models, rules) = vanet::exploration::scenario_universe(5);
+    let lattice = Lattice::new(&models, &rules).unwrap();
+    assert_eq!(lattice.positions(), 34_673_240);
+    let mut largest = (0usize, 0usize);
+    for range in ShardRange::partition(lattice.positions(), 8) {
+        let options = ExploreOptions {
+            max_candidates: 100_000_000,
+            shard: Some(range),
+            ..ExploreOptions::default()
+        };
+        let part = explore_universe(&models, &rules, &options, &ExecOptions::default()).unwrap();
+        let frame = encode_to_coordinator(&ToCoordinator::ShardResult {
+            start: range.start,
+            end: range.end,
+            accepted: part.accepted(),
+            counters: CheckpointCounters::default(),
+        });
+        println!(
+            "shard {range}: {} entries, {} bytes",
+            part.classes.len(),
+            frame.len()
+        );
+        largest = largest.max((frame.len(), part.classes.len()));
+    }
+    println!(
+        "largest shard-result: {} bytes, {} entries",
+        largest.0, largest.1
+    );
+    assert!(largest.0 < MAX_FRAME, "{} bytes", largest.0);
 }
 
 #[test]

@@ -132,19 +132,25 @@ impl Snapshot {
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::Io`] on filesystem failure.
+    /// [`SnapshotError::Io`] on filesystem failure. A failed write,
+    /// sync or rename removes the tmp file, and leaves `path` as it was.
     pub fn write_atomic(&self, path: &Path) -> Result<(), SnapshotError> {
-        let io = |e: std::io::Error| SnapshotError::Io(format!("{}: {e}", path.display()));
+        let io = |e: std::io::Error| SnapshotError::Io(format!("{path:?}: {e}"));
         let mut tmp = path.as_os_str().to_owned();
         tmp.push(".tmp");
         let tmp = std::path::PathBuf::from(tmp);
-        {
-            let mut file = std::fs::File::create(&tmp).map_err(io)?;
-            std::io::Write::write_all(&mut file, &self.to_bytes()).map_err(io)?;
+        let mut file = std::fs::File::create(&tmp).map_err(io)?;
+        let staged = std::io::Write::write_all(&mut file, &self.to_bytes())
             // Data durable before the rename makes it visible.
-            file.sync_all().map_err(io)?;
+            .and_then(|()| file.sync_all())
+            .and_then(|()| {
+                drop(file);
+                std::fs::rename(&tmp, path)
+            });
+        if let Err(e) = staged {
+            let _ = std::fs::remove_file(&tmp);
+            return Err(io(e));
         }
-        std::fs::rename(&tmp, path).map_err(io)?;
         // Make the rename itself durable. Directory fsync is
         // best-effort: some platforms cannot open a directory as a
         // file, and a failure here never un-does the atomic rename.
@@ -400,6 +406,19 @@ mod tests {
             SnapshotReader::read(&path, 7),
             Err(SnapshotError::Io(_))
         ));
+    }
+
+    #[test]
+    fn a_failed_rename_removes_the_tmp_file() {
+        let dir = std::env::temp_dir().join(format!("fsa_exec_snap_dir_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let err = sample().write_atomic(&dir).unwrap_err();
+        assert!(matches!(err, SnapshotError::Io(_)), "{err:?}");
+        let mut tmp = dir.clone().into_os_string();
+        tmp.push(".tmp");
+        assert!(!Path::new(&tmp).exists(), "the tmp file was left behind");
+        assert!(dir.is_dir());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

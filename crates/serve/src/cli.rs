@@ -74,13 +74,15 @@ Distributed execution (coordinator + local worker processes; the class
 output is byte-identical to the single-process engine):
   --distributed          shard the universe across worker processes
   --workers N            local worker processes to spawn (default 2)
-  --shards N             shard count (default: 4 x workers; at most one
-                         per vector)
-  --lease-ms N           shard lease before a dead worker's shard is
-                         re-issued (default 2000)
+  --shards N             shard count (default: 4 x workers); shards cut
+                         the (vector, mask) lattice evenly, mid-vector
+                         too
+  --lease-ms N           shard lease, renewed while a worker runs,
+                         before a dead worker's shard is re-issued
+                         (default 2000)
   --state-dir D          directory for the coordinator state file and
                          per-worker shard checkpoints (default: a
-                         temporary directory, removed on success)
+                         temporary directory, removed when the run ends)
 Observability (never changes the printed report):
   --stats-json F         write span/counter/histogram statistics (fsa-obs/v1) to F
   --trace-json F         write a chrome://tracing view of the run to F";

@@ -512,6 +512,30 @@ fn explore_resume_from_corrupt_checkpoint_fails_cleanly() {
 }
 
 #[test]
+fn an_unwritable_checkpoint_fails_as_a_write_and_leaves_no_temp_file() {
+    // `--checkpoint=` names the empty path: the temp file `.tmp` is
+    // written in the working directory, and the rename onto "" fails.
+    let dir = std::env::temp_dir().join(format!("fsa-cli-unwritable-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_fsa"))
+        .args(["explore", "--checkpoint="])
+        .current_dir(&dir)
+        .output()
+        .expect("binary runs");
+    assert!(!out.status.success(), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("cannot write checkpoint"), "{stderr}");
+    assert!(!stderr.contains("corrupt checkpoint"), "{stderr}");
+    let left: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .flatten()
+        .map(|e| e.file_name())
+        .collect();
+    assert!(left.is_empty(), "left behind: {left:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn explore_rejects_bad_supervision_flag_values() {
     for args in [
         &["explore", "--deadline-ms", "soon"][..],

@@ -1,19 +1,20 @@
 //! Property tests for distributed sharding (the `fsa_dist` tentpole):
 //!
-//! * Shard partitioning is *complete*: for any universe size and any
+//! * Shard partitioning is *complete*: for any lattice size and any
 //!   shard count, the ranges tile `[0, total)` contiguously — no
-//!   ordinal is lost, none is enumerated twice.
+//!   position is lost, none is enumerated twice.
 //! * The distributed pipeline is *bit-identical*: running every shard
 //!   independently through the class engine, round-tripping each
-//!   result through the `fsa-dist/v1` `shard-result` frame, and
-//!   merging the accepted logs in canonical order reproduces the
-//!   unsharded exploration exactly — classes, requirement union,
-//!   accepted log, and the
-//!   `Σ shard hits + merge duplicates = single-process hits` identity.
+//!   result through the `fsa-dist/v2` `shard-result` frame, and
+//!   merging the accepted logs in canonical order under their carried
+//!   certificates reproduces the unsharded exploration exactly —
+//!   classes, requirement union, accepted log, the summed scan counters
+//!   and the `Σ shard hits + merge duplicates = single-process hits`
+//!   identity — for position cuts that split vectors mid-mask.
 
 use fsa::core::checkpoint::CheckpointCounters;
 use fsa::core::explore::{
-    explore_universe, merge_accepted, vector_space, ExecOptions, ExploreOptions, ShardRange,
+    explore_universe, merge_accepted, ExecOptions, ExploreOptions, Lattice, ShardRange,
 };
 use fsa::dist::proto::{decode_to_coordinator, encode_to_coordinator, ToCoordinator};
 use fsa::vanet::exploration::scenario_universe;
@@ -28,8 +29,9 @@ proptest! {
     fn shard_partition_tiles_the_ordinal_space(total in 0u64..10_000, shards in 0usize..64) {
         let ranges = ShardRange::partition(total, shards);
         prop_assert!(!ranges.is_empty());
-        // Never more shards than ordinals: the coordinator finds a shard
-        // by its range, so two equal (empty) ranges would be one shard.
+        // Never more shards than positions: the coordinator finds a
+        // shard by its range, so two equal (empty) ranges would be one
+        // shard.
         prop_assert_eq!(ranges.len(), shards.clamp(1, total.max(1) as usize));
         if total > 0 {
             prop_assert!(ranges.iter().all(|r| !r.is_empty()), "empty range: {:?}", ranges);
@@ -41,22 +43,45 @@ proptest! {
         }
         let sum: u64 = ranges.iter().map(ShardRange::len).sum();
         prop_assert_eq!(sum, total);
-        // Balance: contiguous ranges differ by at most one ordinal.
+        // Balance: contiguous ranges differ by at most one position.
         let lens: Vec<u64> = ranges.iter().map(ShardRange::len).collect();
         let (min, max) = (lens.iter().min().unwrap(), lens.iter().max().unwrap());
         prop_assert!(max - min <= 1, "unbalanced: {:?}", lens);
     }
 }
 
+/// The cut points of a shard layout: an even partition into `shards`,
+/// the last vector cut into `last_pieces` equal pieces, and one cut
+/// drawn from `seed` — so shards start and end mid-vector.
+fn cuts(lattice: &Lattice, shards: usize, last_pieces: u64, seed: u64) -> Vec<ShardRange> {
+    let total = lattice.positions();
+    let last = lattice
+        .position(lattice.vectors() - 1, 0)
+        .expect("the last vector has a mask 0");
+    let mut cuts: Vec<u64> = ShardRange::partition(total, shards)
+        .iter()
+        .map(|r| r.start)
+        .chain((1..last_pieces).map(|k| last + k * (total - last) / last_pieces))
+        .chain([seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) % total, total])
+        .collect();
+    cuts.sort_unstable();
+    cuts.dedup();
+    cuts.windows(2)
+        .map(|w| ShardRange::new(w[0], w[1]))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random universes × random shard counts: shard → frame
+    /// Random universes × random position cuts: shard → frame
     /// round-trip → merge is bit-identical to the unsharded run.
     #[test]
     fn sharded_merge_is_bit_identical_to_unsharded(
         max_vehicles in 1usize..4,
         shards in 1usize..13,
+        last_pieces in 1u64..9,
+        seed in any::<u64>(),
         require_connected in any::<bool>(),
     ) {
         let (models, rules) = scenario_universe(max_vehicles);
@@ -65,12 +90,17 @@ proptest! {
             ..ExploreOptions::default()
         };
         let golden = explore_universe(&models, &rules, &options, &ExecOptions::default()).unwrap();
+        let lattice = Lattice::new(&models, &rules).unwrap();
+        let ranges = cuts(&lattice, shards, last_pieces, seed);
+        let mid_vector = ranges
+            .iter()
+            .filter(|r| (0..lattice.vectors()).all(|o| lattice.position(o, 0) != Some(r.start)))
+            .count();
+        prop_assert!(last_pieces == 1 || mid_vector > 0, "{:?}", ranges);
 
-        let total = vector_space(&models);
         let mut all_accepted = Vec::new();
-        let mut hits = 0usize;
-        let mut candidates = 0usize;
-        for range in ShardRange::partition(total, shards) {
+        let mut sum = CheckpointCounters::default();
+        for range in ranges {
             let shard_options = ExploreOptions {
                 shard: Some(range),
                 ..options.clone()
@@ -84,20 +114,26 @@ proptest! {
                 end: range.end,
                 accepted: part.accepted(),
                 counters: CheckpointCounters {
-                    certificate_hits: part.stats.certificate_hits,
+                    multiplicity_vectors: part.stats.multiplicity_vectors,
+                    subsets_total: part.stats.subsets_total,
+                    orbits_skipped: part.stats.orbits_skipped,
                     candidates: part.stats.candidates,
+                    certificate_hits: part.stats.certificate_hits,
                     ..CheckpointCounters::default()
                 },
             };
             let decoded = decode_to_coordinator(&encode_to_coordinator(&frame)).unwrap();
-            let ToCoordinator::ShardResult { accepted, counters, .. } = decoded else {
+            prop_assert_eq!(&decoded, &frame);
+            let ToCoordinator::ShardResult { accepted, counters: c, .. } = decoded else {
                 prop_assert!(false, "frame round-trip changed the type");
                 unreachable!()
             };
-            prop_assert_eq!(&accepted, &part.accepted());
             all_accepted.extend(accepted);
-            hits += counters.certificate_hits;
-            candidates += counters.candidates;
+            sum.multiplicity_vectors += c.multiplicity_vectors;
+            sum.subsets_total += c.subsets_total;
+            sum.orbits_skipped += c.orbits_skipped;
+            sum.candidates += c.candidates;
+            sum.certificate_hits += c.certificate_hits;
         }
 
         let merged = merge_accepted(&models, &rules, &all_accepted).unwrap();
@@ -105,7 +141,11 @@ proptest! {
         prop_assert_eq!(&merged.universe.requirements, &golden.requirements);
         prop_assert_eq!(merged.universe.loop_skipped, golden.loop_skipped);
         prop_assert_eq!(merged.universe.accepted(), golden.accepted());
-        prop_assert_eq!(candidates, golden.stats.candidates);
-        prop_assert_eq!(hits + merged.duplicates, golden.stats.certificate_hits);
+        let g = &golden.stats;
+        prop_assert_eq!(sum.multiplicity_vectors, g.multiplicity_vectors);
+        prop_assert_eq!(sum.subsets_total, g.subsets_total);
+        prop_assert_eq!(sum.orbits_skipped, g.orbits_skipped);
+        prop_assert_eq!(sum.candidates, g.candidates);
+        prop_assert_eq!(sum.certificate_hits + merged.duplicates, g.certificate_hits);
     }
 }

@@ -22,8 +22,8 @@
 use fsa::core::checkpoint::ExploreCheckpoint;
 use fsa::core::component_model::ComponentModel;
 use fsa::core::explore::{
-    compose_accepted, enumerate_instances, explore_universe, merge_accepted, vector_space,
-    BudgetPolicy, CheckpointSpec, ConnectionRule, ExecOptions, ExploreOptions, ShardRange,
+    compose_accepted, enumerate_instances, explore_universe, merge_accepted, BudgetPolicy,
+    CheckpointSpec, ConnectionRule, ExecOptions, ExploreOptions, Lattice, ShardRange,
 };
 use fsa::core::manual::elicit;
 use fsa::core::{FsaError, RequirementSet, SosInstance};
@@ -479,7 +479,8 @@ proptest! {
             .expect("explores");
         if !golden.stats.truncated {
             let mut log = Vec::new();
-            for range in ShardRange::partition(vector_space(&models), 3) {
+            let positions = Lattice::new(&models, &rules).expect("lattice").positions();
+            for range in ShardRange::partition(positions, 3) {
                 let shard = ExploreOptions {
                     shard: Some(range),
                     on_budget: BudgetPolicy::Error,
