@@ -31,8 +31,12 @@ use fsa_exec::{Snapshot, SnapshotError, SnapshotReader};
 use std::path::Path;
 
 /// Schema version of [`ExploreCheckpoint`] payloads. Version 2 added
-/// each accepted entry's certificate; a version-1 file is rejected.
-pub const EXPLORE_CHECKPOINT_VERSION: u32 = 2;
+/// each accepted entry's certificate. Version 3 has the same layout, but
+/// its certificates come from the word-wise refinement kernel of
+/// [`fsa_graph::iso`]: a version-2 file's certificates would put
+/// isomorphic candidates in other buckets than a resumed run's, so
+/// version-1 and version-2 files are rejected.
+pub const EXPLORE_CHECKPOINT_VERSION: u32 = 3;
 
 /// Deterministic counters persisted with a checkpoint, so a resumed
 /// run reports the same statistics as an uninterrupted one.
@@ -97,7 +101,16 @@ impl ExploreCheckpoint {
     ///
     /// [`FsaError::CheckpointWrite`] wrapping the filesystem failure.
     pub fn write(&self, path: &Path) -> Result<(), FsaError> {
-        let mut s = Snapshot::new(EXPLORE_CHECKPOINT_VERSION);
+        self.snapshot(EXPLORE_CHECKPOINT_VERSION)
+            .write_atomic(path)
+            .map_err(|e| FsaError::CheckpointWrite {
+                reason: e.to_string(),
+            })
+    }
+
+    /// The checkpoint as a snapshot payload of version `version`.
+    fn snapshot(&self, version: u32) -> Snapshot {
+        let mut s = Snapshot::new(version);
         s.put_u64(self.fingerprint);
         s.put_u64(self.next_ordinal);
         s.put_usize(self.pending_masks.len());
@@ -123,9 +136,7 @@ impl ExploreCheckpoint {
         s.put_usize(c.vectors_completed);
         s.put_usize(c.failures);
         s.put_u64(c.retries);
-        s.write_atomic(path).map_err(|e| FsaError::CheckpointWrite {
-            reason: e.to_string(),
-        })
+        s
     }
 
     /// Reads and validates the checkpoint at `path`.
@@ -396,7 +407,22 @@ mod tests {
         let err = ExploreCheckpoint::read(&path).unwrap_err();
         assert!(
             matches!(&err, FsaError::CorruptCheckpoint { reason }
-                if reason.contains("version 1") && reason.contains("version 2")),
+                if reason.contains("version 1") && reason.contains("version 3")),
+            "{err}"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_version_2_checkpoint_is_rejected() {
+        // The version-2 layout is version 3's; its certificates came from
+        // the byte-wise FNV kernel.
+        let path = temp_path("v2");
+        sample().snapshot(2).write_atomic(&path).unwrap();
+        let err = ExploreCheckpoint::read(&path).unwrap_err();
+        assert!(
+            matches!(&err, FsaError::CorruptCheckpoint { reason }
+                if reason.contains("version 2") && reason.contains("version 3")),
             "{err}"
         );
         std::fs::remove_file(&path).ok();

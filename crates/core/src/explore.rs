@@ -1514,9 +1514,11 @@ fn scan_vector(
     let subsets = hi - lo;
 
     // The copy-permutation symmetry group, as permutations of the flow
-    // candidates (identity dropped, duplicates collapsed).
+    // candidates (identity dropped, duplicates collapsed), and their
+    // image tables.
     let flow_perms = flow_permutations(rules, counts, &flows);
     let group_len = flow_perms.len() + 1;
+    let orbit = OrbitTables::new(&flow_perms, flows.len());
 
     let abandoned = || VectorScan {
         subsets,
@@ -1551,7 +1553,7 @@ fn scan_vector(
                     if peek(mask) {
                         return Ok(abandoned());
                     }
-                    if is_orbit_minimal(mask, &flow_perms) {
+                    if orbit.is_minimal(mask) {
                         if picked.len() == remaining {
                             break;
                         }
@@ -1576,10 +1578,10 @@ fn scan_vector(
             let handles: Vec<_> = ranges
                 .iter()
                 .map(|&(lo, hi)| {
-                    let flow_perms = &flow_perms;
+                    let orbit = &orbit;
                     scope.spawn(move || {
                         (lo..hi)
-                            .filter(|&mask| is_orbit_minimal(mask, flow_perms))
+                            .filter(|&mask| orbit.is_minimal(mask))
                             .collect::<Vec<_>>()
                     })
                 })
@@ -1609,7 +1611,7 @@ fn scan_vector(
             if peek(mask) {
                 return Ok(abandoned());
             }
-            if is_orbit_minimal(mask, &flow_perms) {
+            if orbit.is_minimal(mask) {
                 picked.push(mask);
             }
         }
@@ -1645,7 +1647,10 @@ fn scan_vector(
 /// every flow subset to an isomorphic composition, so only the
 /// orbit-minimal subsets need instantiation. Returns the non-identity
 /// induced permutations (empty when the group exceeds
-/// [`ORBIT_GROUP_CAP`] — pruning is then skipped, not the candidates).
+/// [`ORBIT_GROUP_CAP`] — pruning is then skipped, not the candidates),
+/// those that move the fewest flows first: a swap of two copies maps
+/// most non-minimal masks lower, so the minimality test exits sooner.
+/// The order does not change which masks are minimal.
 fn flow_permutations(
     rules: &[ResolvedRule],
     counts: &[usize],
@@ -1693,6 +1698,8 @@ fn flow_permutations(
         let mut i = 0;
         loop {
             if i == per_model.len() {
+                result
+                    .sort_by_key(|perm| perm.iter().enumerate().filter(|&(k, &p)| k != p).count());
                 return result;
             }
             choice[i] += 1;
@@ -1728,22 +1735,57 @@ fn heap_permute(current: &mut Vec<usize>, k: usize, out: &mut Vec<Vec<usize>>) {
     }
 }
 
-/// Returns `true` if `mask` is the smallest element of its orbit under
-/// the induced flow permutations (early exit on the first witness).
-fn is_orbit_minimal(mask: usize, flow_perms: &[Vec<usize>]) -> bool {
-    for perm in flow_perms {
-        let mut image = 0usize;
-        let mut bits = mask;
-        while bits != 0 {
-            let k = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            image |= 1 << perm[k];
+/// The induced flow permutations of one vector as image tables, one
+/// 256-entry table per permutation and mask byte: entry `v` of table
+/// `(p, b)` is the image under permutation `p` of the flows that byte
+/// `b` of a mask holds when it reads `v`. A mask's image is then one
+/// lookup per mask byte, ORed. Images fit `u32`, because a vector has at
+/// most 26 flows ([`SUBSET_SCAN_CAP`]).
+struct OrbitTables {
+    /// Number of permutations.
+    perms: usize,
+    /// Bytes per mask: ⌈flows / 8⌉.
+    bytes: usize,
+    /// The tables, permutation-major: `images[(p * bytes + b) * 256 + v]`.
+    images: Vec<u32>,
+}
+
+impl OrbitTables {
+    /// The tables of `flow_perms`, permutations of `flows` flows.
+    fn new(flow_perms: &[Vec<usize>], flows: usize) -> Self {
+        let bytes = flows.div_ceil(8);
+        let mut images = vec![0u32; flow_perms.len() * bytes * 256];
+        for (p, perm) in flow_perms.iter().enumerate() {
+            for b in 0..bytes {
+                let table = &mut images[(p * bytes + b) * 256..][..256];
+                // The image of `v` adds its lowest flow's image to that
+                // of `v` without it. Bits past the last flow stay unset.
+                for v in 1..256usize {
+                    let flow = 8 * b + v.trailing_zeros() as usize;
+                    let image = perm.get(flow).map_or(0, |&to| 1u32 << to);
+                    table[v] = table[v & (v - 1)] | image;
+                }
+            }
         }
-        if image < mask {
-            return false;
+        OrbitTables {
+            perms: flow_perms.len(),
+            bytes,
+            images,
         }
     }
-    true
+
+    /// Returns `true` if `mask` is the smallest element of its orbit
+    /// (early exit on the first permutation that maps it lower).
+    fn is_minimal(&self, mask: usize) -> bool {
+        let stride = self.bytes * 256;
+        (0..self.perms).all(|p| {
+            let tables = &self.images[p * stride..][..stride];
+            let image = (0..self.bytes).fold(0u32, |image, b| {
+                image | tables[b * 256 + ((mask >> (8 * b)) & 0xff)]
+            });
+            image as usize >= mask
+        })
+    }
 }
 
 /// The flow-free composition of one multiplicity vector: every copy of
@@ -2125,6 +2167,10 @@ impl<'u> ClassMap<'u> {
         }
     }
 }
+
+#[cfg(test)]
+#[path = "../../fsa-graph/src/iso/fnv_kernel.rs"]
+mod fnv_kernel;
 
 #[cfg(test)]
 mod tests {
@@ -2611,6 +2657,153 @@ mod tests {
         );
         assert!(e.universe.stats.candidates < e.universe.stats.subsets_total);
         assert_eq!(e.universe.stats.classes, e.instances.len());
+    }
+
+    /// The bit-walk orbit test that [`OrbitTables`] replaced, kept as its
+    /// oracle: a permutation's image is built one set bit of the mask at
+    /// a time.
+    fn is_orbit_minimal_bitwalk(mask: usize, flow_perms: &[Vec<usize>]) -> bool {
+        for perm in flow_perms {
+            let mut image = 0usize;
+            for k in set_bits(&[mask as u64]) {
+                image |= 1 << perm[k];
+            }
+            if image < mask {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Checks the image tables of vector `counts` against the bit-walk
+    /// on every mask, or on [`masks_to_check`] beyond 2¹⁶ masks; returns
+    /// how many masks are orbit-minimal.
+    fn check_orbit_tables(rules: &[ResolvedRule], counts: &[usize], at: &str) -> usize {
+        let flows = flow_candidates(rules, counts);
+        let perms = flow_permutations(rules, counts, &flows);
+        let orbit = OrbitTables::new(&perms, flows.len());
+        let masks: Vec<usize> = if flows.len() <= 16 {
+            (0..1 << flows.len()).collect()
+        } else {
+            masks_to_check(flows.len())
+        };
+        let mut minimal = 0;
+        for mask in masks {
+            let want = is_orbit_minimal_bitwalk(mask, &perms);
+            assert_eq!(orbit.is_minimal(mask), want, "{at}, mask {mask:#x}");
+            minimal += usize::from(want);
+        }
+        minimal
+    }
+
+    #[test]
+    fn orbit_tables_agree_with_the_bit_walk() {
+        let (mut vectors, mut pruned) = (0, 0);
+        for seed in 0..24u64 {
+            let (models, rules) = random_universe(seed);
+            let resolved = resolve_rules(&models, &rules).expect("rules resolve");
+            let maxes: Vec<usize> = models.iter().map(|(_, max)| *max).collect();
+            for counts in VectorIter::new(&maxes) {
+                let at = format!("seed {seed}, vector {counts:?}");
+                let minimal = check_orbit_tables(&resolved, &counts, &at);
+                vectors += 1;
+                pruned += usize::from(minimal < 1 << flow_candidates(&resolved, &counts).len());
+            }
+        }
+        assert!(
+            vectors > 50 && pruned > 10,
+            "{vectors} vectors, {pruned} pruned"
+        );
+        // Six sensors feeding displays. With one display the sensors'
+        // 720 copy permutations are the largest group that prunes: one
+        // minimal mask per subset size of its 6 flows. With two the group
+        // exceeds `ORBIT_GROUP_CAP`, has no table, and every one of the
+        // 2¹² masks is minimal.
+        let resolved = resolve_rules(&sensor_and_display(), &rules()).expect("rules resolve");
+        assert_eq!(check_orbit_tables(&resolved, &[6, 1], "6 sensors"), 7);
+        let flows = flow_candidates(&resolved, &[6, 2]);
+        assert!(flow_permutations(&resolved, &[6, 2], &flows).is_empty());
+        assert_eq!(
+            check_orbit_tables(&resolved, &[6, 2], "6 sensors, 2 displays"),
+            1 << 12
+        );
+    }
+
+    /// The vehicular scenario's universe at `vehicles` vehicles, as
+    /// `vanet::exploration::scenario_universe` builds it (`fsa-core`
+    /// cannot depend on `vanet`): one RSU broadcasting to vehicles of the
+    /// reduced Fig. 1(b) model, which also warn each other.
+    fn vehicle_universe(vehicles: usize) -> (Vec<(ComponentModel, usize)>, Vec<ConnectionRule>) {
+        let mut rsu = ComponentModel::new("RSU", "RSU_operator");
+        let rsu_send = rsu.action("send(cam(pos))");
+        let mut vehicle = ComponentModel::new("V", "D_i");
+        let sense = vehicle.action("sense(ESP_i,sW)");
+        let pos = vehicle.action("pos(GPS_i,pos)");
+        let send = vehicle.action("send(CU_i,cam(pos))");
+        let rec = vehicle.action("rec(CU_i,cam(pos))");
+        let show = vehicle.action("show(HMI_i,warn)");
+        vehicle.flow(sense, send);
+        vehicle.flow(pos, send);
+        vehicle.flow(rec, show);
+        vehicle.flow(pos, show);
+        let rules = vec![
+            ConnectionRule::new("RSU", rsu_send, "V", rec),
+            ConnectionRule::new("V", send, "V", rec),
+        ];
+        (vec![(rsu, 1), (vehicle, vehicles)], rules)
+    }
+
+    #[test]
+    fn candidate_buckets_match_the_fnv_kernel_on_the_four_vehicle_universe() {
+        // Every candidate of the 4-vehicle universe, disconnected ones
+        // included: the word-wise row certificates put them in the
+        // buckets the byte-wise FNV kernel put their shape graphs in.
+        let (models, rules) = vehicle_universe(4);
+        let resolved = resolve_rules(&models, &rules).expect("rules resolve");
+        let maxes: Vec<usize> = models.iter().map(|(_, max)| *max).collect();
+        let options = ExploreOptions::default();
+        let mut all = Vec::new();
+        let mut connected = Vec::new();
+        for counts in VectorIter::new(&maxes) {
+            let prototype = Prototype::new(&models, &resolved, &counts).expect("prototype");
+            let scan = scan_vector(
+                &resolved,
+                &counts,
+                None,
+                &options,
+                1,
+                0,
+                &CancelToken::new(),
+            )
+            .expect("scans");
+            for mask in scan.canonical.into_iter().map(|m| m as u64) {
+                let built = build_candidate(&prototype, mask, false).expect("unfiltered");
+                let pair = (
+                    built.certificate,
+                    fnv_kernel::certificate(&prototype.shape_graph(mask)),
+                );
+                all.push(pair);
+                if build_candidate(&prototype, mask, true).is_some() {
+                    connected.push(pair);
+                }
+            }
+        }
+        assert_eq!((all.len(), connected.len()), (3399, 3015));
+        fnv_kernel::assert_same_buckets(&all);
+        // The nine colliding pairs: nine connected candidates land in a
+        // bucket an earlier one founded.
+        assert_eq!(fnv_kernel::assert_same_buckets(&connected), 3015 - 9);
+        let universe =
+            explore_universe(&models, &rules, &options, &ExecOptions::default()).expect("explores");
+        let stats = &universe.stats;
+        assert_eq!(
+            (
+                stats.certificate_hits,
+                stats.exact_iso_fallbacks,
+                stats.classes
+            ),
+            (9, 9, 3015)
+        );
     }
 
     #[test]

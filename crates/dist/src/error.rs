@@ -12,7 +12,7 @@ pub enum DistError {
     Io(String),
     /// Framing-layer failure on the `fsa-wire/v1` transport.
     Wire(WireError),
-    /// A syntactically valid frame that violates the `fsa-dist/v2`
+    /// A syntactically valid frame that violates the `fsa-dist/v3`
     /// protocol (wrong type, missing field, protocol skew).
     Proto(String),
     /// The coordinator's store-and-forward state file is unusable:

@@ -4,7 +4,7 @@
 //! flattened `(vector ordinal, mask)` lattice ([`Lattice`]) into
 //! contiguous, evenly sized [`ShardRange`]s of positions — a shard may
 //! start or end in the middle of a vector — and hands out time-bounded
-//! shard *leases* over the `fsa-wire/v1` transport (`fsa-dist/v2`
+//! shard *leases* over the `fsa-wire/v1` transport (`fsa-dist/v3`
 //! frames). Each worker runs the supervised explore engine over its
 //! range once, renewing its lease while the engine runs, with its own
 //! crash-safe checkpoint file; every accepted class it reports carries

@@ -1,4 +1,4 @@
-//! The `fsa-dist/v2` protocol: JSON frames over `fsa-wire/v1` framing.
+//! The `fsa-dist/v3` protocol: JSON frames over `fsa-wire/v1` framing.
 //!
 //! The distributed layer reuses the serve subsystem's transport
 //! ([`fsa_serve::wire`]: 4-byte big-endian length prefix + UTF-8 JSON)
@@ -44,8 +44,10 @@ use fsa_serve::json::{self, Value};
 
 /// Protocol identifier exchanged in both `hello` frames. Version 2
 /// cut shards by lattice position and added each accepted entry's
-/// certificate.
-pub const PROTOCOL: &str = "fsa-dist/v2";
+/// certificate. Version 3 has version 2's frames; its certificates come
+/// from the word-wise refinement kernel of `fsa_graph::iso`, so a
+/// merge never mixes them with a version-2 peer's.
+pub const PROTOCOL: &str = "fsa-dist/v3";
 
 /// Maximum accepted frame size. Shard results carry the full accepted
 /// log of a shard, which can far exceed the serve default of 1 MiB on
@@ -593,7 +595,7 @@ mod tests {
         // encoding; pin the exact bytes of representative frames.
         assert_eq!(
             encode_to_coordinator(&ToCoordinator::Hello),
-            r#"{"type":"hello","protocol":"fsa-dist/v2"}"#
+            r#"{"type":"hello","protocol":"fsa-dist/v3"}"#
         );
         assert_eq!(
             encode_to_worker(&ToWorker::Grant {
@@ -637,6 +639,26 @@ mod tests {
     }
 
     #[test]
+    fn a_version_2_hello_is_a_protocol_skew() {
+        // Version 2 frames have version 3's layout; their certificates
+        // came from the byte-wise FNV kernel.
+        for payload in [
+            r#"{"type":"hello","protocol":"fsa-dist/v2"}"#,
+            r#"{"type":"hello","protocol":"fsa-dist/v2","max_vehicles":4,"max_candidates":9,"require_connected":true}"#,
+        ] {
+            let to_coordinator = decode_to_coordinator(payload);
+            let to_worker = decode_to_worker(payload);
+            for err in [to_coordinator.map(|_| ()), to_worker.map(|_| ())] {
+                assert!(
+                    matches!(&err, Err(DistError::Proto(m))
+                        if m.contains("protocol skew") && m.contains("fsa-dist/v2")),
+                    "{payload}: {err:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn malformed_frames_are_rejected() {
         for payload in [
             "not json",
@@ -662,7 +684,7 @@ mod tests {
             );
         }
         for payload in [
-            r#"{"type":"hello","protocol":"fsa-dist/v2"}"#, // missing config
+            r#"{"type":"hello","protocol":"fsa-dist/v3"}"#, // missing config
             r#"{"type":"lease-grant"}"#,
             r#"{"type":"lease-grant","grant":"maybe"}"#,
             r#"{"type":"lease-grant","grant":"shard","start":0}"#,

@@ -13,8 +13,10 @@
 //! *unsharded* configuration plus the shard layout, and loading fails
 //! closed with [`DistError::State`] when either disagrees with the
 //! coordinator's current configuration. Version 2 of the file holds
-//! lattice-position shard ranges and each accepted entry's certificate;
-//! a version-1 file is rejected.
+//! lattice-position shard ranges and each accepted entry's certificate.
+//! Version 3 keeps that layout for the certificates of the word-wise
+//! refinement kernel ([`fsa_core::checkpoint::EXPLORE_CHECKPOINT_VERSION`]
+//! 3); version-1 and version-2 files are rejected.
 
 use crate::error::DistError;
 use fsa_core::checkpoint::CheckpointCounters;
@@ -23,7 +25,7 @@ use fsa_exec::{Snapshot, SnapshotReader};
 use std::path::Path;
 
 /// Snapshot payload version of the coordinator state file.
-pub const STATE_VERSION: u32 = 2;
+pub const STATE_VERSION: u32 = 3;
 
 /// One shard's durable record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,7 +73,14 @@ impl CoordState {
     ///
     /// [`DistError::State`] on I/O failure.
     pub fn save(&self, path: &Path) -> Result<(), DistError> {
-        let mut snap = Snapshot::new(STATE_VERSION);
+        self.snapshot(STATE_VERSION)
+            .write_atomic(path)
+            .map_err(|e| DistError::State(format!("cannot write {}: {e}", path.display())))
+    }
+
+    /// The state as a snapshot payload of version `version`.
+    fn snapshot(&self, version: u32) -> Snapshot {
+        let mut snap = Snapshot::new(version);
         snap.put_u64(self.fingerprint);
         snap.put_u64(self.max_vehicles);
         snap.put_u64(self.max_candidates);
@@ -102,8 +111,7 @@ impl CoordState {
                 snap.put_u64(c.retries);
             }
         }
-        snap.write_atomic(path)
-            .map_err(|e| DistError::State(format!("cannot write {}: {e}", path.display())))
+        snap
     }
 
     /// Loads and checksum-validates a state file.
@@ -312,7 +320,21 @@ mod tests {
         snap.write_atomic(&path).unwrap();
         let err = CoordState::load(&path).unwrap_err();
         assert!(
-            matches!(&err, DistError::State(m) if m.contains("version 1") && m.contains("version 2")),
+            matches!(&err, DistError::State(m) if m.contains("version 1") && m.contains("version 3")),
+            "{err}"
+        );
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_version_2_state_file_is_rejected() {
+        // The version-2 layout is version 3's; its certificates came from
+        // the byte-wise FNV kernel.
+        let path = temp_path("v2");
+        sample().snapshot(2).write_atomic(&path).unwrap();
+        let err = CoordState::load(&path).unwrap_err();
+        assert!(
+            matches!(&err, DistError::State(m) if m.contains("version 2") && m.contains("version 3")),
             "{err}"
         );
         fs::remove_file(&path).unwrap();

@@ -10,36 +10,29 @@
 //! (tens of actions), so this is fast in practice while remaining exact.
 //!
 //! Colour refinement and the certificate trace are one routine, generic
-//! over how a node's neighbours are enumerated: from the sorted
+//! over how a node's successors are enumerated: from the sorted
 //! adjacency lists of a [`DiGraph`] ([`canonical_certificate`]), or from
 //! fixed-width [`AdjacencyRows`] with caller-supplied initial colours
 //! ([`row_certificate`]). Both give the same certificate for the same
-//! labelled graph.
+//! labelled graph. The routine hashes whole 64-bit words: neighbour
+//! multisets are wrapping sums of finalised colours, and a signature
+//! absorbs one word per multiply-xorshift.
 
 use crate::bitset::{set_bits, AdjacencyRows};
 use crate::digraph::{DiGraph, NodeId};
 use std::collections::HashMap;
 use std::hash::Hash;
 
-/// The neighbourhoods colour refinement and the certificate trace read.
+/// The graphs colour refinement and the certificate trace read: their
+/// nodes and each node's successors.
 trait Neighbours {
     fn node_count(&self) -> usize;
-    fn edge_count(&self) -> usize;
-    fn predecessors_of(&self, v: usize) -> impl Iterator<Item = usize> + '_;
     fn successors_of(&self, v: usize) -> impl Iterator<Item = usize> + '_;
 }
 
 impl<L> Neighbours for DiGraph<L> {
     fn node_count(&self) -> usize {
         DiGraph::node_count(self)
-    }
-
-    fn edge_count(&self) -> usize {
-        DiGraph::edge_count(self)
-    }
-
-    fn predecessors_of(&self, v: usize) -> impl Iterator<Item = usize> + '_ {
-        self.predecessors(NodeId::new(v)).map(NodeId::index)
     }
 
     fn successors_of(&self, v: usize) -> impl Iterator<Item = usize> + '_ {
@@ -50,14 +43,6 @@ impl<L> Neighbours for DiGraph<L> {
 impl Neighbours for AdjacencyRows {
     fn node_count(&self) -> usize {
         AdjacencyRows::node_count(self)
-    }
-
-    fn edge_count(&self) -> usize {
-        AdjacencyRows::edge_count(self)
-    }
-
-    fn predecessors_of(&self, v: usize) -> impl Iterator<Item = usize> + '_ {
-        set_bits(self.predecessors(v))
     }
 
     fn successors_of(&self, v: usize) -> impl Iterator<Item = usize> + '_ {
@@ -154,109 +139,139 @@ pub fn find_isomorphism<L: Eq + Hash + Ord>(a: &DiGraph<L>, b: &DiGraph<L>) -> O
 }
 
 /// Reusable buffers of colour refinement and the certificate trace: the
-/// two colour vectors, the in/out signature buffers and the sorting
-/// buffers. One value serves any number of [`row_certificate`] calls.
+/// graph's edges, the two colour vectors, the finalised colours, the
+/// neighbour sums and the colour classes. One value serves any number of
+/// [`row_certificate`] calls.
 #[derive(Debug, Default)]
 pub struct CertificateScratch {
+    edges: Vec<(usize, usize)>,
     color: Vec<u64>,
     next: Vec<u64>,
-    ins: Vec<u64>,
-    outs: Vec<u64>,
-    sorted: Vec<u64>,
-    pairs: Vec<(u64, u64)>,
+    mixed: Vec<u64>,
+    /// Per node, the wrapping sums of its in- and out-neighbours'
+    /// finalised colours.
+    sums: Vec<(u64, u64)>,
+    /// The nodes, grouped by colour class.
+    order: Vec<usize>,
+    /// Whether position `i` of `order` starts a class.
+    starts: Vec<bool>,
 }
 
-/// Iterated colour refinement combining label, in/out colour multisets,
-/// from the initial colours in `s.color`; the refined colours are left
-/// there.
+/// Iterated colour refinement (1-WL) from the initial colours in
+/// `s.color`; the refined colours are left there, and the graph's edges
+/// in `s.edges`.
 ///
-/// The refined colours are signature hashes: equal signatures get equal
-/// colours, and the signature construction is identical for both graphs,
-/// so colours remain comparable across graphs.
+/// A round recolours every node from its own colour and the multisets of
+/// its in- and out-neighbours' colours. A multiset is hashed as the
+/// wrapping sum of its members' [`finalise`]d colours: each colour is
+/// finalised once per round and added to both ends' sums in one pass
+/// over the edges. The new colour [`absorb`]s the own colour and the two
+/// sums, one word at a time. A colour depends only on that signature, so
+/// colours stay comparable across graphs.
 ///
-/// A round recolours every node from its own colour and the sorted
-/// colours of its in- and out-neighbours. Refinement stops before the
-/// first round whose colouring induces the same partition as the one it
-/// was computed from, and after at most `n` rounds. The signature
-/// buffers and the second colour vector are reused across nodes and
-/// rounds.
+/// The colour classes are kept as runs of one node order. A round only
+/// splits them, because a new colour absorbs the old one, and only a
+/// class whose members got different colours is sorted. Refinement stops
+/// before the first round that splits no class, i.e. whose colouring
+/// induces the same partition as the one it was computed from, and after
+/// at most `n` rounds. The buffers are reused across nodes and rounds.
 fn refine_colors<G: Neighbours>(g: &G, s: &mut CertificateScratch) {
     let n = g.node_count();
     let CertificateScratch {
+        edges,
         color,
         next,
-        ins,
-        outs,
-        sorted,
-        pairs,
+        mixed,
+        sums,
+        order,
+        starts,
     } = s;
+    edges.clear();
+    edges.extend((0..n).flat_map(|v| g.successors_of(v).map(move |u| (v, u))));
     next.clear();
     next.resize(n, 0);
-    let mut classes = distinct_count(color, sorted);
+    order.clear();
+    order.extend(0..n);
+    starts.clear();
+    starts.resize(n, false);
+    if let Some(first) = starts.first_mut() {
+        *first = true;
+        split_classes(color, order, starts);
+    }
 
     for _round in 0..n {
-        // Signature of each node: (colour, sorted in-colours, sorted out-colours),
-        // hashed so that equal signatures yield equal colours in both graphs.
-        for v in 0..n {
-            ins.clear();
-            ins.extend(g.predecessors_of(v).map(|p| color[p]));
-            outs.clear();
-            outs.extend(g.successors_of(v).map(|u| color[u]));
-            ins.sort_unstable();
-            outs.sort_unstable();
-            next[v] = hash_signature(color[v], ins, outs);
+        finalise_all(color, mixed);
+        sums.clear();
+        sums.resize(n, (0, 0));
+        for &(x, y) in edges.iter() {
+            sums[y].0 = sums[y].0.wrapping_add(mixed[x]);
+            sums[x].1 = sums[x].1.wrapping_add(mixed[y]);
         }
-        let next_classes = distinct_count(next, sorted);
-        if next_classes == classes && same_partition(color, next, classes, pairs) {
+        for ((slot, &own), &(ins, outs)) in next.iter_mut().zip(color.iter()).zip(sums.iter()) {
+            *slot = absorb(absorb(absorb(SIGNATURE_SEED, own), ins), outs);
+        }
+        if !split_classes(next, order, starts) {
             break;
         }
         std::mem::swap(color, next);
-        classes = next_classes;
     }
 }
 
-/// Number of distinct values in `colors`, sorting a copy in `scratch`.
-fn distinct_count(colors: &[u64], scratch: &mut Vec<u64>) -> usize {
-    scratch.clear();
-    scratch.extend_from_slice(colors);
-    scratch.sort_unstable();
-    scratch.dedup();
-    scratch.len()
-}
-
-/// Whether colourings `a` and `b`, each with `classes` distinct values,
-/// induce the same partition of the nodes. The (a, b) pairs induce the
-/// coarsest common refinement of both partitions; it has exactly
-/// `classes` blocks iff it equals each of them.
-fn same_partition(a: &[u64], b: &[u64], classes: usize, scratch: &mut Vec<(u64, u64)>) -> bool {
-    scratch.clear();
-    scratch.extend(a.iter().copied().zip(b.iter().copied()));
-    scratch.sort_unstable();
-    scratch.dedup();
-    scratch.len() == classes
-}
-
-/// A deterministic (FNV-1a) hash of a refinement signature.
-fn hash_signature(own: u64, ins: &[u64], outs: &[u64]) -> u64 {
-    const OFFSET: u64 = 0xcbf29ce484222325;
-    const PRIME: u64 = 0x100000001b3;
-    let mut h = OFFSET;
-    let mut mix = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(PRIME);
+/// Splits the classes of `order` (the runs that `starts` opens) by the
+/// node values `by`: a class whose members disagree is sorted by value
+/// and opens a run at each change. Returns whether a class split.
+fn split_classes(by: &[u64], order: &mut [usize], starts: &mut [bool]) -> bool {
+    let n = order.len();
+    let mut split = false;
+    let mut lo = 0;
+    while lo < n {
+        let hi = (lo + 1..n).find(|&i| starts[i]).unwrap_or(n);
+        let class = &mut order[lo..hi];
+        let first = by[class[0]];
+        if class.iter().any(|&v| by[v] != first) {
+            class.sort_unstable_by_key(|&v| by[v]);
+            for i in lo + 1..hi {
+                starts[i] = by[order[i]] != by[order[i - 1]];
+            }
+            split = true;
         }
-    };
-    mix(own);
-    mix(0xa5a5);
-    for &v in ins {
-        mix(v);
+        lo = hi;
     }
-    mix(0x5a5a);
-    for &v in outs {
-        mix(v);
-    }
-    h
+    split
+}
+
+/// The first word a refinement signature absorbs.
+const SIGNATURE_SEED: u64 = 0x243f_6a88_85a3_08d3;
+
+/// The first word the certificate trace absorbs.
+const TRACE_SEED: u64 = 0x1319_8a2e_0370_7344;
+
+/// Absorbs `word` into the running hash `h` with one multiply-xorshift.
+/// For a fixed `h` it is a bijection of `word` (an odd multiplier, then
+/// an xorshift), so two signatures that differ only in their last word
+/// never collide.
+#[inline]
+fn absorb(h: u64, word: u64) -> u64 {
+    let x = (h ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    x ^ (x >> 32)
+}
+
+/// The splitmix64 finaliser: a bijection of `u64` whose every output bit
+/// depends on every input bit. Multisets are hashed as wrapping sums of
+/// finalised colours, so two different multisets collide only if an
+/// integer combination of such values vanishes modulo 2^64: no more
+/// likely than a collision of a 64-bit hash.
+#[inline]
+fn finalise(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Fills `mixed` with the [`finalise`]d `colors`.
+fn finalise_all(colors: &[u64], mixed: &mut Vec<u64>) {
+    mixed.clear();
+    mixed.extend(colors.iter().map(|&c| finalise(c)));
 }
 
 fn histogram(colors: &[u64]) -> HashMap<u64, usize> {
@@ -344,12 +359,14 @@ pub fn dedup_isomorphic<L: Eq + Hash + Ord>(graphs: Vec<DiGraph<L>>) -> Vec<DiGr
 /// graphs receive distinct certificates except for 1-WL-equivalent pairs
 /// (and the negligible chance of a 64-bit hash collision), so a
 /// certificate is a *bucket key*: equality must be confirmed with
-/// [`find_isomorphism`] inside a bucket, never across buckets.
+/// [`find_isomorphism`] inside a bucket, never across buckets. What a
+/// certificate promises is that bucket partition; its value is stable
+/// across runs and machines, but a new refinement kernel may change it.
 pub type Certificate = u64;
 
 /// Computes the [`Certificate`] of `g`: colour-refinement (1-WL)
-/// partition → canonical trace over the sorted node-colour multiset and
-/// the sorted edge colour pairs, plus the node and edge counts.
+/// partition → canonical trace over the node and edge counts, the
+/// node-colour multiset and the multiset of edge colour pairs.
 ///
 /// # Examples
 ///
@@ -369,11 +386,8 @@ pub type Certificate = u64;
 /// assert_eq!(canonical_certificate(&a), canonical_certificate(&b));
 /// ```
 pub fn canonical_certificate<L: Hash>(g: &DiGraph<L>) -> Certificate {
-    let n = g.node_count();
     let mut s = CertificateScratch {
         color: g.nodes().map(|(_, l)| label_hash(l)).collect(),
-        sorted: Vec::with_capacity(n),
-        pairs: Vec::with_capacity(g.edge_count().max(n)),
         ..CertificateScratch::default()
     };
     certificate_trace(g, &mut s)
@@ -424,46 +438,27 @@ pub fn row_certificate(
 }
 
 /// Refines the initial colours in `s.color` and hashes the certificate
-/// trace: node and edge counts, sorted node colours, sorted edge colour
-/// pairs.
+/// trace: the node and edge counts, the multiset of node colours and the
+/// multiset of edge colour pairs, each multiset as a wrapping sum.
 fn certificate_trace<G: Neighbours>(g: &G, s: &mut CertificateScratch) -> Certificate {
     refine_colors(g, s);
     let CertificateScratch {
+        edges,
         color,
-        sorted,
-        pairs,
+        mixed,
         ..
     } = s;
-    sorted.clear();
-    sorted.extend_from_slice(color);
-    sorted.sort_unstable();
-    pairs.clear();
-    for v in 0..g.node_count() {
-        pairs.extend(g.successors_of(v).map(|u| (color[v], color[u])));
-    }
-    pairs.sort_unstable();
-
-    const OFFSET: u64 = 0xcbf29ce484222325;
-    const PRIME: u64 = 0x100000001b3;
-    let mut h = OFFSET;
-    let mut mix = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    mix(g.node_count() as u64);
-    mix(g.edge_count() as u64);
-    mix(0xa5a5);
-    for &c in sorted.iter() {
-        mix(c);
-    }
-    mix(0x5a5a);
-    for &(x, y) in pairs.iter() {
-        mix(x);
-        mix(y);
-    }
-    h
+    finalise_all(color, mixed);
+    let nodes = mixed.iter().fold(0u64, |sum, &c| sum.wrapping_add(c));
+    // An odd multiplier on the source side keeps (x, y) and (y, x) apart.
+    let pairs = edges.iter().fold(0u64, |sum, &(x, y)| {
+        sum.wrapping_add(finalise(
+            mixed[x].wrapping_mul(0xd6e8_feb8_6659_fd93) ^ mixed[y],
+        ))
+    });
+    [g.node_count() as u64, edges.len() as u64, nodes, pairs]
+        .into_iter()
+        .fold(TRACE_SEED, absorb)
 }
 
 /// FNV-1a as a [`std::hash::Hasher`], so `#[derive(Hash)]` labels feed a
@@ -650,43 +645,14 @@ pub fn dedup_isomorphic_certified_parallel<L: Eq + Hash + Ord + Sync>(
 }
 
 #[cfg(test)]
+mod fnv_kernel;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Colour refinement with fresh signature vectors per node and
-    /// round, its fixpoint detected by comparing the two partitions as
-    /// sorted groups of node indices: the oracle for [`refine_colors`].
-    fn refine_colors_oracle<L>(g: &DiGraph<L>, initial: impl Fn(&L) -> u64) -> Vec<u64> {
-        let n = g.node_count();
-        let mut color: Vec<u64> = g.nodes().map(|(_, l)| initial(l)).collect();
-        for _round in 0..n {
-            let mut next: Vec<u64> = Vec::with_capacity(n);
-            for id in g.node_ids() {
-                let mut ins: Vec<u64> = g.predecessors(id).map(|p| color[p.index()]).collect();
-                let mut outs: Vec<u64> = g.successors(id).map(|s| color[s.index()]).collect();
-                ins.sort_unstable();
-                outs.sort_unstable();
-                next.push(hash_signature(color[id.index()], &ins, &outs));
-            }
-            if partition_of(&next) == partition_of(&color) {
-                break;
-            }
-            color = next;
-        }
-        color
-    }
-
-    /// The partition a colouring induces, as sorted groups of node indices.
-    fn partition_of(colors: &[u64]) -> Vec<Vec<usize>> {
-        let mut groups: HashMap<u64, Vec<usize>> = HashMap::new();
-        for (i, &c) in colors.iter().enumerate() {
-            groups.entry(c).or_default().push(i);
-        }
-        let mut out: Vec<Vec<usize>> = groups.into_values().collect();
-        out.sort();
-        out
-    }
+    use fnv_kernel::{assert_same_buckets, partition_of};
 
     /// A labelled digraph drawn from `seed`: 0–30 nodes over 1–3 labels,
     /// self-loops allowed, with an edge density of 1/2 to 1/32 drawn per
@@ -724,14 +690,131 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(2_000))]
 
+        /// The word-wise refinement induces the partition of the
+        /// byte-wise FNV kernel; the colour values differ.
         #[test]
         fn in_place_refinement_matches_the_partition_oracle(seed in any::<u64>()) {
             let g = random_digraph(seed);
             let mut s = CertificateScratch::default();
             s.color.extend(g.nodes().map(|(_, l)| label_hash(l)));
             refine_colors(&g, &mut s);
-            prop_assert_eq!(s.color, refine_colors_oracle(&g, label_hash), "seed {}", seed);
+            prop_assert_eq!(
+                partition_of(&s.color),
+                partition_of(&fnv_kernel::refine(&g, label_hash)),
+                "seed {}",
+                seed
+            );
         }
+    }
+
+    /// `g` with its nodes inserted in the order `order` (node `order[i]`
+    /// of `g` becomes node `i`) and the edge `toggle` flipped, if given.
+    fn rebuilt(g: &DiGraph<u8>, order: &[usize], toggle: Option<(usize, usize)>) -> DiGraph<u8> {
+        let mut place = vec![0; order.len()];
+        for (i, &v) in order.iter().enumerate() {
+            place[v] = i;
+        }
+        let mut h = DiGraph::new();
+        let ids: Vec<NodeId> = order
+            .iter()
+            .map(|&v| h.add_node(*g.payload(NodeId::new(v))))
+            .collect();
+        let mut edges: Vec<(usize, usize)> =
+            g.edges().map(|(x, y)| (x.index(), y.index())).collect();
+        if let Some(edge) = toggle {
+            match edges.iter().position(|&e| e == edge) {
+                Some(at) => {
+                    edges.remove(at);
+                }
+                None => edges.push(edge),
+            }
+        }
+        for (x, y) in edges {
+            h.add_edge(ids[place[x]], ids[place[y]]);
+        }
+        h
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(600))]
+
+        /// On a random labelled digraph of 0–150 nodes (self-loops
+        /// allowed) and a second graph that is a reordering of it, a copy
+        /// with one edge flipped, or another random graph, the word-wise
+        /// certificates are equal iff the byte-wise FNV ones are.
+        #[test]
+        fn word_kernel_buckets_match_the_fnv_kernel(seed in any::<u64>()) {
+            let a = random_digraph_up_to(seed, 150);
+            let n = a.node_count();
+            let mut order: Vec<usize> = (0..n).collect();
+            order.reverse();
+            order.rotate_left((seed as usize >> 8) % n.max(1));
+            let edge = n.checked_sub(1).map(|last| ((seed as usize >> 16) % n, last));
+            let (b, isomorphic) = match seed % 3 {
+                0 => (rebuilt(&a, &order, None), true),
+                1 => (rebuilt(&a, &order, edge), false),
+                _ => (random_digraph_up_to(seed.rotate_left(17), 150), false),
+            };
+            let new = (canonical_certificate(&a), canonical_certificate(&b));
+            let old = (fnv_kernel::certificate(&a), fnv_kernel::certificate(&b));
+            prop_assert_eq!(new.0 == new.1, old.0 == old.1, "seed {}", seed);
+            if isomorphic {
+                prop_assert_eq!(new.0, new.1, "seed {}", seed);
+            }
+        }
+    }
+
+    #[test]
+    fn word_kernel_buckets_match_the_fnv_kernel_on_small_graphs() {
+        // 2 000 graphs of 0–4 nodes fall into few buckets, so many pairs
+        // share one: both kernels must split them alike.
+        let certificates: Vec<(Certificate, u64)> = (0..2_000u64)
+            .map(|seed| random_digraph_up_to(seed, 4))
+            .map(|g| (canonical_certificate(&g), fnv_kernel::certificate(&g)))
+            .collect();
+        let buckets = assert_same_buckets(&certificates);
+        assert!((50..1_000).contains(&buckets), "{buckets} buckets");
+    }
+
+    /// Disjoint directed cycles of the given lengths, all labelled `v`;
+    /// a cycle of length 1 is a self-loop.
+    fn cycles(lengths: &[usize]) -> DiGraph<&'static str> {
+        let mut g = DiGraph::new();
+        for &len in lengths {
+            let ids: Vec<NodeId> = (0..len).map(|_| g.add_node("v")).collect();
+            for i in 0..len {
+                g.add_edge(ids[i], ids[(i + 1) % len]);
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn wl_equivalent_pairs_share_a_bucket_in_both_kernels() {
+        // Every node of a union of directed cycles has one in- and one
+        // out-neighbour of its own colour, so 1-WL cannot tell unions of
+        // the same total length apart.
+        let groups: [&[&[usize]]; 4] = [
+            &[&[6], &[3, 3], &[1, 2, 3], &[2, 2, 2]],
+            &[&[3], &[1, 2], &[1, 1, 1]],
+            &[&[4], &[2, 2], &[1, 3]],
+            &[&[9], &[4, 5], &[3, 3, 3]],
+        ];
+        let mut certificates = Vec::new();
+        for group in groups {
+            let first = cycles(group[0]);
+            for lengths in &group[1..] {
+                let g = cycles(lengths);
+                assert!(!are_isomorphic(&first, &g), "{lengths:?}");
+                assert_eq!(canonical_certificate(&first), canonical_certificate(&g));
+                assert_eq!(fnv_kernel::certificate(&first), fnv_kernel::certificate(&g));
+            }
+            certificates.extend(group.iter().map(|lengths| {
+                let g = cycles(lengths);
+                (canonical_certificate(&g), fnv_kernel::certificate(&g))
+            }));
+        }
+        assert_eq!(assert_same_buckets(&certificates), groups.len());
     }
 
     proptest! {
@@ -990,12 +1073,17 @@ mod tests {
     fn certificates_are_stable_across_runs() {
         // The initial colours come from a keyless FNV hasher, so the
         // certificate of a fixed graph is a cross-process constant. Pin
-        // it: certificates decide which candidates share a bucket, so a
-        // silent change to the hash would move the certificate-hit and
-        // exact-fallback counts that `--stats` reports.
+        // it: certificates are carried in checkpoints, coordinator state
+        // files and shard results, so a change to the kernel must come
+        // with new versions of all three.
         let cert = canonical_certificate(&triangle(["v", "v", "w"]));
         assert_eq!(cert, canonical_certificate(&triangle(["v", "v", "w"])));
-        assert_eq!(cert, 0xaae9_1e8a_9b29_0b1d);
+        assert_eq!(cert, 0xe33f_c34a_7e21_ad28);
+        // The oracle is the kernel the versions before 3 carried.
+        assert_eq!(
+            fnv_kernel::certificate(&triangle(["v", "v", "w"])),
+            0xaae9_1e8a_9b29_0b1d
+        );
     }
 
     #[test]

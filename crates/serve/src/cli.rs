@@ -367,20 +367,38 @@ pub fn dispatch(args: &[String]) -> Rendered {
 
 /// Prints a [`Rendered`] outcome exactly as the pre-serve CLI did:
 /// stdout, stderr, artefact writes (first failure reports
-/// `cannot write PATH` and exits 1), then the recorded exit code.
+/// `cannot write PATH` and exits 1), then the recorded exit code. A
+/// stdout whose reader has gone (`fsa … | head`) only ends the output:
+/// stderr and the artefacts are still written and the exit code is the
+/// report's. Any other stdout failure reports `cannot write stdout` and
+/// exits 1.
 pub fn emit(r: &Rendered) -> u8 {
-    use std::io::Write as _;
-    print!("{}", r.stdout);
-    let _ = std::io::stdout().flush();
-    eprint!("{}", r.stderr);
-    let _ = std::io::stderr().flush();
+    let mut exit = r.exit;
+    if let Err(e) = write_through(std::io::stdout().lock(), &r.stdout) {
+        let _ = write_through(
+            std::io::stderr().lock(),
+            &format!("cannot write stdout: {e}\n"),
+        );
+        exit = 1;
+    }
+    let _ = write_through(std::io::stderr().lock(), &r.stderr);
     for (path, contents) in &r.artefacts {
         if let Err(e) = std::fs::write(path, contents) {
             eprintln!("cannot write {path}: {e}");
             return 1;
         }
     }
-    r.exit
+    exit
+}
+
+/// Writes `text` to `out` and flushes it. A closed pipe
+/// ([`std::io::ErrorKind::BrokenPipe`]: the reader stopped early) is the
+/// end of the output, not an error.
+pub(crate) fn write_through(mut out: impl std::io::Write, text: &str) -> std::io::Result<()> {
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(()),
+        done => done,
+    }
 }
 
 /// The flags of `fsa check` and `fsa elicit <spec-file>`.

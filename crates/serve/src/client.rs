@@ -327,10 +327,11 @@ fn drive_session<S: Read + Write>(
                 stderr,
                 ..
             }) => {
-                use std::io::Write as _;
-                print!("{stdout}");
-                let _ = std::io::stdout().flush();
-                eprint!("{stderr}");
+                if let Err(e) = cli::write_through(std::io::stdout().lock(), &stdout) {
+                    eprintln!("cannot write stdout: {e}");
+                    return 1;
+                }
+                let _ = cli::write_through(std::io::stderr().lock(), &stderr);
                 if exit == 0 {
                     exit = e;
                 }

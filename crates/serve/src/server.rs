@@ -629,22 +629,28 @@ pub fn serve_command(rest: &[String]) -> u8 {
         }
     };
     crate::signal::install_sigterm();
-    match server.local_addr() {
-        Ok(addr) => {
-            use std::io::Write as _;
-            println!("listening on {addr}");
-            let _ = std::io::stdout().flush();
+    // A stdout whose reader has gone (`fsa serve … | head -1`) only
+    // ends the output: the server still runs, drains and writes its
+    // artefacts.
+    let mut exit = 0;
+    let mut print = |line: String| {
+        if let Err(e) = cli::write_through(io::stdout().lock(), &line) {
+            eprintln!("cannot write stdout: {e}");
+            exit = 1;
         }
+    };
+    match server.local_addr() {
+        Ok(addr) => print(format!("listening on {addr}\n")),
         Err(e) => {
             eprintln!("cannot resolve listen address: {e}");
             return 1;
         }
     }
     let summary = server.run();
-    println!(
-        "drained: {} connection(s), {} session(s), {} request(s)",
+    print(format!(
+        "drained: {} connection(s), {} session(s), {} request(s)\n",
         summary.connections, summary.sessions, summary.requests
-    );
+    ));
     let snapshot = obs.snapshot();
     for (path, contents) in [
         (f.stats_json, snapshot.to_stats_json()),
@@ -657,5 +663,5 @@ pub fn serve_command(rest: &[String]) -> u8 {
             }
         }
     }
-    0
+    exit
 }

@@ -4,6 +4,29 @@
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
+/// A fresh directory of its own for one test, removed on drop, so tests
+/// running in parallel never share one and no run leaves one behind.
+struct TempDir(std::path::PathBuf);
+
+impl TempDir {
+    fn new(tag: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("fsa-cli-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        TempDir(dir)
+    }
+
+    fn path(&self) -> &std::path::Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 fn fsa(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_fsa"))
         .args(args)
@@ -56,9 +79,8 @@ fn bad_file_fails_with_message() {
 
 #[test]
 fn syntax_error_reports_position() {
-    let dir = std::env::temp_dir().join("fsa-cli-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let bad = dir.join("bad.fsa");
+    let dir = TempDir::new("syntax-error");
+    let bad = dir.path().join("bad.fsa");
     std::fs::write(&bad, "instance \"x\" { action a = ; }").unwrap();
     let out = fsa(&["check", bad.to_str().unwrap()]);
     assert!(!out.status.success());
@@ -450,16 +472,10 @@ fn monitor_reports_bit_identical_across_threads() {
 
 // ---- Supervised execution layer (deadlines, checkpoint/resume) ------
 
-/// A unique temp path for a checkpoint file.
-fn temp_checkpoint(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("fsa-cli-resilience-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!("{tag}.fsas"))
-}
-
 #[test]
 fn explore_with_checkpoint_matches_plain_explore_and_resumes_idempotently() {
-    let ck = temp_checkpoint("full");
+    let dir = TempDir::new("checkpoint-full");
+    let ck = dir.path().join("full.fsas");
     let plain = fsa(&["explore", "--max-vehicles", "2"]);
     assert!(plain.status.success(), "{plain:?}");
     let supervised = fsa(&[
@@ -503,7 +519,8 @@ fn explore_expired_deadline_degrades_to_partial_exit_3() {
 
 #[test]
 fn explore_resume_from_corrupt_checkpoint_fails_cleanly() {
-    let ck = temp_checkpoint("corrupt");
+    let dir = TempDir::new("checkpoint-corrupt");
+    let ck = dir.path().join("corrupt.fsas");
     std::fs::write(&ck, b"this is not a snapshot").unwrap();
     let out = fsa(&["explore", "--resume", ck.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(1), "{out:?}");
@@ -515,24 +532,76 @@ fn explore_resume_from_corrupt_checkpoint_fails_cleanly() {
 fn an_unwritable_checkpoint_fails_as_a_write_and_leaves_no_temp_file() {
     // `--checkpoint=` names the empty path: the temp file `.tmp` is
     // written in the working directory, and the rename onto "" fails.
-    let dir = std::env::temp_dir().join(format!("fsa-cli-unwritable-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("unwritable");
     let out = Command::new(env!("CARGO_BIN_EXE_fsa"))
         .args(["explore", "--checkpoint="])
-        .current_dir(&dir)
+        .current_dir(dir.path())
         .output()
         .expect("binary runs");
     assert!(!out.status.success(), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("cannot write checkpoint"), "{stderr}");
     assert!(!stderr.contains("corrupt checkpoint"), "{stderr}");
-    let left: Vec<_> = std::fs::read_dir(&dir)
+    let left: Vec<_> = std::fs::read_dir(dir.path())
         .unwrap()
         .flatten()
         .map(|e| e.file_name())
         .collect();
     assert!(left.is_empty(), "left behind: {left:?}");
-    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_closed_stdout_still_writes_the_stats_artefact() {
+    // `fsa explore … | head`: the reader goes away before the report is
+    // written. The write fails with a broken pipe, which ends stdout but
+    // not the run: no panic, the `--stats-json` artefact, the report's
+    // exit code.
+    let dir = TempDir::new("closed-stdout");
+    let stats = dir.path().join("stats.json");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_fsa"))
+        .args(["explore", "--max-vehicles", "4", "--stats-json"])
+        .arg(&stats)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("binary exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stats.exists(), "no --stats-json artefact");
+}
+
+#[test]
+fn a_server_whose_stdout_closed_still_drains_and_writes_its_stats() {
+    // `fsa serve … | head -1`: the reader takes the `listening on` line
+    // and goes away, so the `drained:` line meets a broken pipe.
+    let dir = TempDir::new("closed-serve-stdout");
+    let stats = dir.path().join("serve.json");
+    let mut server = Command::new(env!("CARGO_BIN_EXE_fsa"))
+        .args(["serve", "--addr", "127.0.0.1:0", "--stats-json"])
+        .arg(&stats)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut stdout = std::io::BufReader::new(server.stdout.take().expect("piped stdout"));
+    let mut line = String::new();
+    std::io::BufRead::read_line(&mut stdout, &mut line).expect("reads the first line");
+    drop(stdout);
+    let addr = line.trim().strip_prefix("listening on ").map(str::to_owned);
+    let drained = addr.map(|addr| fsa(&["serve", "--connect", &addr, "--drain"]));
+    if !drained.as_ref().is_some_and(|d| d.status.success()) {
+        let _ = server.kill();
+        panic!("no drain: first line {line:?}, client {drained:?}");
+    }
+    let out = server.wait_with_output().expect("server exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stats.exists(), "no --stats-json artefact");
 }
 
 #[test]
@@ -772,19 +841,20 @@ fn independent_chains_spec(k: usize) -> String {
     spec
 }
 
-fn write_spec(name: &str, source: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("fsa-cli-specs-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(name);
+/// Writes `source` to a spec file `name` in a directory of its own,
+/// which lives as long as the returned guard.
+fn write_spec(name: &str, source: &str) -> (TempDir, std::path::PathBuf) {
+    let dir = TempDir::new(&format!("spec-{name}"));
+    let path = dir.path().join(name);
     std::fs::write(&path, source).unwrap();
-    path
+    (dir, path)
 }
 
 #[test]
 fn cross_check_explores_independent_chains_one_fragment_at_a_time() {
     // 29^6 ≈ 5.9e8 global states: over the default state limit, which
     // bounds each fragment (29 states) instead.
-    let spec = write_spec("six-chains.fsa", &independent_chains_spec(6));
+    let (_dir, spec) = write_spec("six-chains.fsa", &independent_chains_spec(6));
     let started = std::time::Instant::now();
     let out = fsa(&["elicit", spec.to_str().unwrap(), "--verify-dataflow"]);
     let took = started.elapsed();
@@ -804,7 +874,7 @@ fn cross_check_explores_independent_chains_one_fragment_at_a_time() {
 fn an_uncountable_product_is_a_typed_cross_check_failure() {
     // 29^14 ≈ 2.9e20 states do not fit usize: the recomposition must
     // say so, neither wrap nor panic nor try to build the product.
-    let spec = write_spec("fourteen-chains.fsa", &independent_chains_spec(14));
+    let (_dir, spec) = write_spec("fourteen-chains.fsa", &independent_chains_spec(14));
     let out = fsa(&["elicit", spec.to_str().unwrap(), "--verify-dataflow"]);
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -821,7 +891,7 @@ fn an_uncountable_product_is_a_typed_cross_check_failure() {
 fn stats_without_verify_dataflow_notes_once_per_run() {
     let one = independent_chains_spec(1);
     let two = format!("{one}{}", one.replace("1 independent chains", "again"));
-    let spec = write_spec("two-instances.fsa", &two);
+    let (_dir, spec) = write_spec("two-instances.fsa", &two);
     let out = fsa(&["elicit", spec.to_str().unwrap(), "--stats"]);
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);

@@ -5,7 +5,7 @@
 //!   position is lost, none is enumerated twice.
 //! * The distributed pipeline is *bit-identical*: running every shard
 //!   independently through the class engine, round-tripping each
-//!   result through the `fsa-dist/v2` `shard-result` frame, and
+//!   result through the `fsa-dist/v3` `shard-result` frame, and
 //!   merging the accepted logs in canonical order under their carried
 //!   certificates reproduces the unsharded exploration exactly —
 //!   classes, requirement union, accepted log, the summed scan counters
