@@ -8,7 +8,9 @@
 //! ids, never from outside input, so the fast non-keyed hash is safe.
 //!
 //! The [`FireMemo`] maps each `(automaton, local cell row)` to the
-//! rule's firings as `(interpretation, successor local cell row)`.
+//! rule's firings as `(interpretation, successor local cell row)`, the
+//! interpretation a symbol of a table the caller owns (see
+//! [`interpretations`]), so several memos can share one.
 //! Filling an entry is the only place a transition rule fires or a
 //! `BTreeSet<Value>` is touched; every replay is integer work. Rules
 //! are required to be pure functions of their local state, so an entry
@@ -181,17 +183,24 @@ struct AutomatonMemo {
     next: Vec<u32>,
 }
 
+/// A table of memo interpretation symbols, seeded with `apa`'s
+/// automaton names: an interpretation spelling automaton `k`'s name is
+/// symbol `k`, as in every table that interns the automaton names first.
+/// Callers translate the rest through [`InterpSymbols`].
+pub(crate) fn interpretations(apa: &Apa) -> SymbolTable {
+    let mut interps = SymbolTable::new();
+    for name in apa.automaton_names() {
+        interps.intern(name);
+    }
+    interps
+}
+
 /// The per-`(automaton, local cell row)` firing memo, with the cell pool
 /// its rows index (see the module docs).
 #[derive(Debug)]
 pub(crate) struct FireMemo {
     cells: CellInterner,
     automata: Vec<AutomatonMemo>,
-    /// The memo's own interner of interpretation strings, seeded with the
-    /// automaton names: an interpretation spelling automaton `k`'s name
-    /// is symbol `k`, as in every table that interns the automaton names
-    /// first. Callers translate the rest through [`InterpSymbols`].
-    interps: SymbolTable,
     /// q₀ as a cell row.
     initial: Vec<u32>,
 }
@@ -208,10 +217,6 @@ impl FireMemo {
             // q₀ holds one cell per component and components have u32
             // ids, so an empty pool cannot run out on it.
             .expect("q0 fits the cell id space");
-        let mut interps = SymbolTable::new();
-        for name in apa.automaton_names() {
-            interps.intern(name);
-        }
         FireMemo {
             cells,
             automata: apa
@@ -224,7 +229,6 @@ impl FireMemo {
                     next: Vec::new(),
                 })
                 .collect(),
-            interps,
             initial,
         }
     }
@@ -244,7 +248,8 @@ impl FireMemo {
 
     /// The firings of automaton `aut` at the local cell row `local`, as
     /// a range of firing indices for [`FireMemo::firing`]. On a miss the
-    /// rule fires once and the entry is stored.
+    /// rule fires once, its interpretations are interned into `interps`,
+    /// and the entry is stored.
     ///
     /// # Errors
     ///
@@ -257,13 +262,14 @@ impl FireMemo {
         apa: &Apa,
         aut: usize,
         local: &[u32],
+        interps: &mut SymbolTable,
     ) -> Result<Range<usize>, ApaError> {
         let memo = &mut self.automata[aut];
         let entry = match memo.keys.get(local) {
             Some(entry) => entry,
             None => {
                 let (fired, cells) = (memo.interp.len(), memo.next.len());
-                match Self::fill(apa, aut, local, memo, &mut self.cells, &mut self.interps) {
+                match Self::fill(apa, aut, local, memo, &mut self.cells, interps) {
                     Ok(entry) => entry,
                     Err(e) => {
                         memo.interp.truncate(fired);
@@ -307,13 +313,9 @@ impl FireMemo {
         Ok(entry)
     }
 
-    /// The name of a memo interpretation symbol.
-    pub(crate) fn interp_name(&self, interp: Symbol) -> &str {
-        self.interps.name(interp)
-    }
-
-    /// Firing `j` of automaton `aut`: its interpretation (a memo symbol,
-    /// see [`InterpSymbols`]) and its successor local cell row.
+    /// Firing `j` of automaton `aut`: its interpretation (a symbol of the
+    /// table [`FireMemo::firings`] filled) and its successor local cell
+    /// row.
     pub(crate) fn firing(&self, aut: usize, j: usize) -> (Symbol, &[u32]) {
         let memo = &self.automata[aut];
         let width = memo.keys.width;
@@ -321,24 +323,24 @@ impl FireMemo {
     }
 }
 
-/// Translates the memo's interpretation symbols into one caller's
-/// symbols, asking `intern` for each at its first use there — the point
-/// where [`Apa::successors`]-based engines intern it.
+/// Translates memo interpretation symbols (of a table `interps`) into
+/// one caller's symbols, asking `intern` for each at its first use there
+/// — the point where [`Apa::successors`]-based engines intern it.
 #[derive(Debug, Default)]
 pub(crate) struct InterpSymbols(Vec<Option<Symbol>>);
 
 impl InterpSymbols {
     pub(crate) fn get(
         &mut self,
-        memo: &FireMemo,
+        interps: &SymbolTable,
         interp: Symbol,
         intern: impl FnOnce(&str) -> Symbol,
     ) -> Symbol {
         let i = interp.index();
         if i >= self.0.len() {
-            self.0.resize(memo.interps.len(), None);
+            self.0.resize(interps.len(), None);
         }
-        *self.0[i].get_or_insert_with(|| intern(memo.interps.name(interp)))
+        *self.0[i].get_or_insert_with(|| intern(interps.name(interp)))
     }
 
     /// Forgets every translation (the caller's table was replaced).

@@ -49,6 +49,16 @@ pub enum ApaError {
         /// The id, count or limit that does not fit in a `u32`.
         requested: u64,
     },
+    /// A part given to [`Simulator::product`](crate::Simulator::product)
+    /// does not fit the APA: it names an automaton or a component the
+    /// APA lacks, repeats an automaton of an earlier part, or declares or
+    /// wires an automaton otherwise than the APA.
+    PartMismatch {
+        /// Index of the part.
+        part: usize,
+        /// The automaton or component at fault.
+        name: String,
+    },
 }
 
 impl fmt::Display for ApaError {
@@ -81,6 +91,11 @@ impl fmt::Display for ApaError {
                 f,
                 "{requested} {space} exceed the kernel's u32 id space (at most {})",
                 u32::MAX
+            ),
+            ApaError::PartMismatch { part, name } => write!(
+                f,
+                "part {part} does not fit the APA at `{name}` (missing, in an earlier part, \
+                 out of order or wired otherwise)"
             ),
         }
     }

@@ -116,6 +116,7 @@ impl Apa {
         check_max_states(options)?;
         let width = self.component_count();
         let mut memo = FireMemo::new(self);
+        let mut interps = arena::interpretations(self);
         let mut states = RowTable::new(width, "states");
         let mut symbols = SymbolTable::new();
         let aut_syms: Vec<Symbol> = self.automaton_names().map(|n| symbols.intern(n)).collect();
@@ -134,7 +135,7 @@ impl Apa {
             for (aut_idx, aut) in self.automata.iter().enumerate() {
                 local.clear();
                 local.extend(aut.neighbourhood.iter().map(|c| current[c.index()]));
-                for j in memo.firings(self, aut_idx, &local)? {
+                for j in memo.firings(self, aut_idx, &local, &mut interps)? {
                     let (interp, next_cells) = memo.firing(aut_idx, j);
                     next_row.copy_from_slice(&current);
                     for (slot, c) in aut.neighbourhood.iter().enumerate() {
@@ -150,7 +151,7 @@ impl Apa {
                     // as the reference engine interns them, so symbol
                     // numbering matches bit-for-bit.
                     let interpretation =
-                        interp_syms.get(&memo, interp, |name| symbols.intern(name));
+                        interp_syms.get(&interps, interp, |name| symbols.intern(name));
                     edges.push((
                         s,
                         TransitionLabel {

@@ -2,10 +2,12 @@
 //!
 //! A [`Simulator`] executes one concrete run of an APA: at each step it
 //! picks one of the activated elementary automata (deterministically
-//! from a seed) and applies the transition. Useful for demos, smoke
-//! tests and for generating sample traces that must be accepted by the
-//! behaviour automaton — a property tested against
-//! [`crate::ReachGraph::to_nfa`].
+//! from a seed) and applies the transition. It can walk the APA as the
+//! product of independent parts ([`Simulator::product`]), on their small
+//! state graphs instead of the global one, and walks exactly alike.
+//! Useful for demos, smoke tests, runtime-monitor fleets and for
+//! generating sample traces that must be accepted by the behaviour
+//! automaton — a property tested against [`crate::ReachGraph::to_nfa`].
 //!
 //! [`Fault`] models trace-level attacks on the event stream a simulator
 //! produces — dropped events, spoofed events injected before their
@@ -16,11 +18,12 @@
 //! (`fsa-runtime`) relies on this determinism for bit-identical
 //! violation reports across thread counts.
 
-use crate::arena::{to_u32, FireMemo, InterpSymbols, RowTable};
+use crate::arena::{self, to_u32, FireMemo, InterpSymbols, RowTable};
 use crate::error::ApaError;
 use crate::model::{Apa, GlobalState};
 use crate::reach::TransitionLabel;
 use automata::{Symbol, SymbolTable};
+use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -161,32 +164,35 @@ impl fmt::Display for Fault {
 /// The target of an edge not taken yet.
 const UNTAKEN: u32 = u32::MAX;
 
-/// One successor edge of an expanded state: the automaton that fires,
-/// its firing in the memo, and the target state ([`UNTAKEN`] until a
-/// step first takes the edge).
+/// One successor edge of an expanded part state: the automaton that
+/// fires, as its index in the walked APA and in the part, its firing in
+/// the part's memo and that firing's interpretation, and the target
+/// state ([`UNTAKEN`] until a step first takes the edge).
 #[derive(Debug, Clone, Copy)]
 struct Edge {
-    automaton: Symbol,
+    automaton: u32,
+    local: u32,
     firing: u32,
+    interp: Symbol,
     target: u32,
 }
 
-/// A deterministic, seedable simulator over one APA.
+/// One part of a walk: an APA over automata no other part has, and the
+/// state graph of it the walk has built so far.
 ///
-/// The simulator walks a state graph it builds lazily on the
-/// reachability kernel's arena (see [`crate::reach`]). Each visited
-/// state is a row of interned cell ids, numbered in order of first
-/// visit; on its first visit a state is expanded once into its successor
-/// edges, in [`Apa::successors`] order, from the per-`(automaton, local
-/// cell row)` firing memo. An edge's target is interned the first time a
-/// step takes it. A step from an expanded state is a splitmix draw and
-/// an edge read. The graph outlives episodes: [`Simulator::restart`]
-/// starts a new run from q₀ on the same graph, so a fleet of episodes
-/// expands each state once and fires each rule once per distinct local
-/// state.
+/// Each visited part state is a row of interned cell ids, numbered in
+/// order of first visit; on its first visit a state is expanded once
+/// into its successor edges, by automaton, then by firing, from the
+/// per-`(automaton, local cell row)` firing memo. An edge's target is
+/// interned the first time a step takes it.
 #[derive(Debug)]
-pub struct Simulator<'a> {
+struct Part<'a> {
     apa: &'a Apa,
+    /// `automata[k]`: the walked APA's index of automaton `k`, ascending
+    /// in `k`.
+    automata: Vec<u32>,
+    /// `components[c]`: the walked APA's index of component `c`.
+    components: Vec<usize>,
     memo: FireMemo,
     /// `readers[c]`: the automata whose neighbourhood contains component
     /// `c`.
@@ -201,31 +207,19 @@ pub struct Simulator<'a> {
     expanded: usize,
     /// The current state.
     current: u32,
+    /// The current state's edges that the step's merge has not passed
+    /// over yet (see [`Simulator::select`]).
+    out: (u32, u32),
     /// The cell row `enabled` was computed for: that of the state
     /// expanded last, or q₀.
     enabled_row: Vec<u32>,
     /// Per automaton: its memo firing range at `enabled_row`, or `None`
     /// once a component of its neighbourhood has changed.
     enabled: Vec<Option<Range<usize>>>,
-    /// Scratch: a local cell row, or a target state's row.
-    scratch: Vec<u32>,
-    trace: Vec<TransitionLabel>,
-    /// The episode's interner of trace labels, built on first use: the
-    /// automaton names (unique, so automaton `k` is symbol `k`), then the
-    /// interpretations in order of first appearance in the trace. A
-    /// fleet never asks for it, so restarts skip building it.
-    symbols: OnceLock<SymbolTable>,
-    /// While `symbols` is unbuilt: the trace's interpretations (memo
-    /// symbols) in order of first appearance, numbered after the
-    /// automaton names.
-    first_seen: Vec<Symbol>,
-    interp_syms: InterpSymbols,
-    rng_state: u64,
 }
 
-impl<'a> Simulator<'a> {
-    /// Starts a simulation in the APA's initial state.
-    pub fn new(apa: &'a Apa, seed: u64) -> Self {
+impl<'a> Part<'a> {
+    fn new(apa: &'a Apa, automata: Vec<u32>, components: Vec<usize>) -> Self {
         let memo = FireMemo::new(apa);
         let mut readers = vec![Vec::new(); apa.component_count()];
         for (aut, automaton) in apa.automata.iter().enumerate() {
@@ -237,8 +231,10 @@ impl<'a> Simulator<'a> {
         states
             .intern(memo.initial())
             .expect("an empty table has room for q0");
-        Simulator {
+        Part {
             apa,
+            automata,
+            components,
             enabled_row: memo.initial().to_vec(),
             memo,
             readers,
@@ -247,7 +243,268 @@ impl<'a> Simulator<'a> {
             edges: Vec::new(),
             expanded: 0,
             current: 0,
+            out: (0, 0),
             enabled: vec![None; apa.automaton_count()],
+        }
+    }
+
+    /// Expands `state` into its successor edges, appended to `edges`,
+    /// and returns their range. Only the automata whose neighbourhood
+    /// holds a component that differs from the last expanded state's
+    /// are looked up in the memo again. A failed expansion appends no
+    /// edge and leaves `state` unexpanded.
+    ///
+    /// # Errors
+    ///
+    /// The expansion's error, with the walked APA's index of the
+    /// automaton it failed at (`u32::MAX` past the last one).
+    #[inline(never)]
+    fn expand(
+        &mut self,
+        state: usize,
+        interps: &mut SymbolTable,
+        scratch: &mut Vec<u32>,
+    ) -> Result<(u32, u32), (u32, ApaError)> {
+        let row = self.states.row(state);
+        for (c, (&cell, seen)) in row.iter().zip(&mut self.enabled_row).enumerate() {
+            if cell != *seen {
+                *seen = cell;
+                for &reader in &self.readers[c] {
+                    self.enabled[reader] = None;
+                }
+            }
+        }
+        let lo = self.edges.len();
+        match self.push_edges(lo, interps, scratch) {
+            Ok(edges) => {
+                self.expansions[state] = Some(edges);
+                self.expanded += 1;
+                Ok(edges)
+            }
+            Err(e) => {
+                self.edges.truncate(lo);
+                Err(e)
+            }
+        }
+    }
+
+    /// Appends one edge per firing enabled at `enabled_row`, by
+    /// automaton, then by firing, to the `lo` edges stored so far;
+    /// returns the range of the new ones.
+    fn push_edges(
+        &mut self,
+        lo: usize,
+        interps: &mut SymbolTable,
+        scratch: &mut Vec<u32>,
+    ) -> Result<(u32, u32), (u32, ApaError)> {
+        let apa = self.apa;
+        for (aut, automaton) in apa.automata.iter().enumerate() {
+            let firings = match &self.enabled[aut] {
+                Some(firings) => firings.clone(),
+                None => {
+                    scratch.clear();
+                    scratch.extend(
+                        automaton
+                            .neighbourhood
+                            .iter()
+                            .map(|c| self.enabled_row[c.index()]),
+                    );
+                    let firings = self
+                        .memo
+                        .firings(apa, aut, scratch, interps)
+                        .map_err(|e| (self.automata[aut], e))?;
+                    self.enabled[aut] = Some(firings.clone());
+                    firings
+                }
+            };
+            // Automaton ids and firing indices fit a `u32`: the builder
+            // numbers automata in `u32` and the memo checks its firing
+            // count.
+            let (automaton, local) = (self.automata[aut], aut as u32);
+            let memo = &self.memo;
+            self.edges.extend(firings.map(|firing| Edge {
+                automaton,
+                local,
+                firing: firing as u32,
+                interp: memo.firing(aut, firing).0,
+                target: UNTAKEN,
+            }));
+        }
+        let id = |n| to_u32(n, "edges").map_err(|e| (u32::MAX, e));
+        Ok((id(lo)?, id(self.edges.len())?))
+    }
+
+    /// Takes edge `at` of the current state for the first time: interns
+    /// its target state and records it on the edge.
+    fn take(&mut self, at: usize, scratch: &mut Vec<u32>) -> Result<u32, ApaError> {
+        let Edge { local, firing, .. } = self.edges[at];
+        let aut = local as usize;
+        scratch.clear();
+        scratch.extend_from_slice(self.states.row(self.current as usize));
+        let (_, next) = self.memo.firing(aut, firing as usize);
+        for (c, &cell) in self.apa.automata[aut].neighbourhood.iter().zip(next) {
+            scratch[c.index()] = cell;
+        }
+        let (target, fresh) = self.states.intern(scratch)?;
+        if fresh {
+            self.expansions.push(None);
+        }
+        // The table stores `id + 1` as a `u32`, so `target < UNTAKEN`.
+        let target = target as u32;
+        self.edges[at].target = target;
+        Ok(target)
+    }
+}
+
+/// A deterministic, seedable simulator over one APA.
+///
+/// The simulator walks the APA as a product of *parts*, APAs over
+/// disjoint sets of its automata: [`Simulator::new`] walks the APA as
+/// its own only part, [`Simulator::product`] walks given parts. Each
+/// part builds its state graph lazily on the reachability kernel's arena
+/// (see [`crate::reach`]), expanding each of its states once. A step
+/// gathers every part's edges out of its current state, merged by
+/// automaton in the APA's declaration order (one automaton's edges keep
+/// their firing order, so the merge is the [`Apa::successors`] order),
+/// takes the one a splitmix draw picks and moves only that part. The
+/// graphs outlive episodes: [`Simulator::restart`] starts a new run from
+/// q₀ on the same graphs, so a fleet of episodes expands each part state
+/// once and fires each rule once per distinct local state.
+#[derive(Debug)]
+pub struct Simulator<'a> {
+    apa: &'a Apa,
+    parts: Vec<Part<'a>>,
+    /// The merge order of a step's edges: the parts' automata in the
+    /// APA's order, cut into maximal blocks of one part's, as `(part,
+    /// bound)`. A block holds the part's automata below `bound`, the
+    /// automaton that starts the next block; `u32::MAX` for the part's
+    /// last block.
+    blocks: Vec<(usize, u32)>,
+    /// The interpretations every part's memo has fired, seeded with the
+    /// APA's automaton names (so they are shared by name across parts).
+    interps: SymbolTable,
+    /// Scratch: a local cell row, or a target state's row.
+    scratch: Vec<u32>,
+    trace: Vec<TransitionLabel>,
+    /// The episode's interner of trace labels, built on first use: the
+    /// automaton names (unique, so automaton `k` is symbol `k`), then the
+    /// interpretations in order of first appearance in the trace. A
+    /// fleet never asks for it, so restarts skip building it.
+    symbols: OnceLock<SymbolTable>,
+    /// While `symbols` is unbuilt: the trace's interpretations (symbols
+    /// of `interps`) in order of first appearance, numbered after the
+    /// automaton names.
+    first_seen: Vec<Symbol>,
+    interp_syms: InterpSymbols,
+    rng_state: u64,
+}
+
+impl<'a> Simulator<'a> {
+    /// Starts a simulation in the APA's initial state.
+    pub fn new(apa: &'a Apa, seed: u64) -> Self {
+        let automata = (0..apa.automaton_count() as u32).collect();
+        let part = Part::new(apa, automata, (0..apa.component_count()).collect());
+        Self::walking(apa, vec![part], seed)
+    }
+
+    /// Starts a simulation in the APA's initial state that walks the
+    /// product of `parts` instead of the APA's own state graph: the walk
+    /// [`Simulator::new`] makes, on graphs as small as the parts'.
+    ///
+    /// Each part is an APA over some of `apa`'s automata and components,
+    /// named, declared in the order and wired as in `apa`; no automaton
+    /// is in two parts. The caller vouches that the parts are
+    /// independent: in every reachable state, each automaton fires as its
+    /// part's copy fires in the part's state (an automaton of no part
+    /// never fires), and a component holds the initial values that are
+    /// in no part's copy of it, plus what each part's copy holds.
+    /// [`Apa::fragments`] and the value-level fragments of an editable
+    /// model are such parts; `std::slice::from_ref(apa)` walks the APA as
+    /// its own only part.
+    ///
+    /// # Errors
+    ///
+    /// [`ApaError::PartMismatch`] if a part names an automaton or a
+    /// component `apa` lacks, repeats an automaton of an earlier part,
+    /// declares its automata in another order than `apa` or wires one
+    /// otherwise.
+    pub fn product(apa: &'a Apa, parts: &'a [Apa], seed: u64) -> Result<Self, ApaError> {
+        let automata: HashMap<&str, usize> = apa
+            .automaton_names()
+            .enumerate()
+            .map(|(i, name)| (name, i))
+            .collect();
+        let components: HashMap<&str, usize> = apa
+            .component_names
+            .iter()
+            .enumerate()
+            .map(|(i, name)| (name.as_str(), i))
+            .collect();
+        let mut claimed = vec![false; apa.automaton_count()];
+        let mut walk = Vec::with_capacity(parts.len());
+        for (p, part) in parts.iter().enumerate() {
+            let mismatch = |name: &str| ApaError::PartMismatch {
+                part: p,
+                name: name.to_owned(),
+            };
+            let comps = part
+                .component_names
+                .iter()
+                .map(|name| {
+                    components
+                        .get(name.as_str())
+                        .copied()
+                        .ok_or_else(|| mismatch(name))
+                })
+                .collect::<Result<Vec<usize>, ApaError>>()?;
+            let mut auts: Vec<u32> = Vec::with_capacity(part.automaton_count());
+            for aut in &part.automata {
+                let fits = |&g: &usize| {
+                    !claimed[g]
+                        && auts.last().is_none_or(|&last| (last as usize) < g)
+                        && aut
+                            .neighbourhood
+                            .iter()
+                            .map(|c| comps[c.index()])
+                            .eq(apa.automata[g].neighbourhood.iter().map(|c| c.index()))
+                };
+                let g = automata
+                    .get(aut.name.as_str())
+                    .copied()
+                    .filter(fits)
+                    .ok_or_else(|| mismatch(&aut.name))?;
+                claimed[g] = true;
+                // Automata are numbered in `u32` by the builder.
+                auts.push(g as u32);
+            }
+            walk.push(Part::new(part, auts, comps));
+        }
+        Ok(Self::walking(apa, walk, seed))
+    }
+
+    fn walking(apa: &'a Apa, parts: Vec<Part<'a>>, seed: u64) -> Self {
+        // Every automaton of a part with its part, in the APA's order,
+        // then each block's first automaton and part.
+        let mut starts: Vec<(u32, usize)> = parts
+            .iter()
+            .enumerate()
+            .flat_map(|(p, part)| part.automata.iter().map(move |&aut| (aut, p)))
+            .collect();
+        starts.sort_unstable();
+        starts.dedup_by_key(|&mut (_, p)| p);
+        let blocks = starts
+            .iter()
+            .enumerate()
+            .map(|(b, &(_, p))| {
+                let later = starts[b + 1..].iter().any(|&(_, q)| q == p);
+                (p, if later { starts[b + 1].0 } else { u32::MAX })
+            })
+            .collect();
+        Simulator {
+            apa,
+            parts,
+            blocks,
+            interps: arena::interpretations(apa),
             scratch: Vec::new(),
             trace: Vec::new(),
             symbols: OnceLock::new(),
@@ -258,12 +515,14 @@ impl<'a> Simulator<'a> {
     }
 
     /// Starts a new episode from q₀ under `seed`, with a fresh trace and
-    /// symbol table: the run is the one [`Simulator::new`] with `seed`
-    /// makes. The state graph and the firing memo are kept, so the
+    /// symbol table: the run is the one a new simulator with `seed`
+    /// makes. The state graphs and the firing memos are kept, so the
     /// episode replays the states earlier episodes expanded instead of
     /// expanding them again.
     pub fn restart(&mut self, seed: u64) {
-        self.current = 0;
+        for part in &mut self.parts {
+            part.current = 0;
+        }
         self.trace.clear();
         self.symbols = OnceLock::new();
         self.first_seen.clear();
@@ -271,10 +530,11 @@ impl<'a> Simulator<'a> {
         self.rng_state = seed | 1;
     }
 
-    /// The number of states this simulator has expanded into their
-    /// successor edges, over all its episodes: each state at most once.
+    /// The number of part states this simulator has expanded into their
+    /// successor edges, over all its episodes: each state of each part
+    /// at most once.
     pub fn states_expanded(&self) -> usize {
-        self.expanded
+        self.parts.iter().map(|part| part.expanded).sum()
     }
 
     /// Builds the episode's symbol table from the labels numbered so far.
@@ -284,19 +544,29 @@ impl<'a> Simulator<'a> {
             symbols.intern(name);
         }
         for &interp in &self.first_seen {
-            symbols.intern(self.memo.interp_name(interp));
+            symbols.intern(self.interps.name(interp));
         }
         symbols
     }
 
-    /// The current global state, decoded from the cell row.
+    /// The current global state, decoded from the parts' cell rows: each
+    /// component's initial values in no part's copy of it, plus what
+    /// each part's copy holds now.
     pub fn state(&self) -> GlobalState {
-        let cells = self.memo.cells();
-        self.states
-            .row(self.current as usize)
-            .iter()
-            .map(|&c| cells.get(c).clone())
-            .collect()
+        let mut state = self.apa.initial.clone();
+        for part in &self.parts {
+            for (&c, initial) in part.components.iter().zip(&part.apa.initial) {
+                state[c].retain(|value| !initial.contains(value));
+            }
+        }
+        for part in &self.parts {
+            let cells = part.memo.cells();
+            let row = part.states.row(part.current as usize);
+            for (&c, &cell) in part.components.iter().zip(row) {
+                state[c].extend(cells.get(cell).iter().cloned());
+            }
+        }
+        state
     }
 
     /// The labels of the transitions executed so far.
@@ -343,36 +613,57 @@ impl<'a> Simulator<'a> {
     /// current state), and [`ApaError::IdSpaceExceeded`] if the kernel's
     /// cell pool, memo or state graph runs out of `u32` ids.
     pub fn step(&mut self) -> Result<Option<TransitionLabel>, ApaError> {
-        let state = self.current as usize;
-        let (lo, hi) = match self.expansions[state] {
-            Some(edges) => edges,
-            None => self.expand(state)?,
-        };
-        if lo == hi {
+        // Every part's edges out of its current state, expanded on its
+        // first visit.
+        let mut edges = 0usize;
+        let mut failed: Option<(u32, ApaError)> = None;
+        for part in &mut self.parts {
+            let state = part.current as usize;
+            part.out = match part.expansions[state] {
+                Some(out) => out,
+                None => match part.expand(state, &mut self.interps, &mut self.scratch) {
+                    Ok(out) => out,
+                    // Each part fails at its first misbehaving automaton;
+                    // the APA fails at the first of those.
+                    Err((at, e)) => {
+                        if failed.as_ref().is_none_or(|(first, _)| at < *first) {
+                            failed = Some((at, e));
+                        }
+                        continue;
+                    }
+                },
+            };
+            edges += (part.out.1 - part.out.0) as usize;
+        }
+        if let Some((_, e)) = failed {
+            return Err(e);
+        }
+        if edges == 0 {
             return Ok(None);
         }
         let (rng_state, draw) = splitmix(self.rng_state);
-        let at = lo as usize + (draw as usize) % (hi - lo) as usize;
+        let (p, at) = self.select((draw as usize) % edges);
+        let part = &mut self.parts[p];
         let Edge {
             automaton,
-            firing,
+            interp,
             target,
-        } = self.edges[at];
-        self.current = match target {
-            UNTAKEN => self.take(at)?,
+            ..
+        } = part.edges[at];
+        part.current = match target {
+            UNTAKEN => part.take(at, &mut self.scratch)?,
             target => target,
         };
         self.rng_state = rng_state;
-        let (interp, _) = self.memo.firing(automaton.index(), firing as usize);
         let interpretation = match self.symbols.get_mut() {
             Some(symbols) => self
                 .interp_syms
-                .get(&self.memo, interp, |name| symbols.intern(name)),
+                .get(&self.interps, interp, |name| symbols.intern(name)),
             None => {
                 let (automata, first_seen) = (self.apa.automaton_count(), &mut self.first_seen);
-                self.interp_syms.get(&self.memo, interp, |_| {
+                self.interp_syms.get(&self.interps, interp, |_| {
                     if interp.index() < automata {
-                        // Spells an automaton name (see `FireMemo`).
+                        // Spells an automaton name (see `interps`).
                         interp
                     } else {
                         first_seen.push(interp);
@@ -382,95 +673,36 @@ impl<'a> Simulator<'a> {
             }
         };
         let label = TransitionLabel {
-            automaton,
+            automaton: Symbol::new(automaton as usize),
             interpretation,
         };
         self.trace.push(label);
         Ok(Some(label))
     }
 
-    /// Expands `state` into its successor edges, appended to `edges` in
-    /// [`Apa::successors`] order, and returns their range. Only the
-    /// automata whose neighbourhood holds a component that differs from
-    /// the last expanded state's are looked up in the memo again. A
-    /// failed expansion appends no edge and leaves `state` unexpanded.
-    fn expand(&mut self, state: usize) -> Result<(u32, u32), ApaError> {
-        let row = self.states.row(state);
-        for (c, (&cell, seen)) in row.iter().zip(&mut self.enabled_row).enumerate() {
-            if cell != *seen {
-                *seen = cell;
-                for &reader in &self.readers[c] {
-                    self.enabled[reader] = None;
-                }
-            }
-        }
-        let lo = self.edges.len();
-        match self.push_edges(lo) {
-            Ok(edges) => {
-                self.expansions[state] = Some(edges);
-                self.expanded += 1;
-                Ok(edges)
-            }
-            Err(e) => {
-                self.edges.truncate(lo);
-                Err(e)
-            }
-        }
-    }
-
-    /// Appends one edge per firing enabled at `enabled_row`, by
-    /// automaton, then by firing, to the `lo` edges stored so far;
-    /// returns the range of the new ones.
-    fn push_edges(&mut self, lo: usize) -> Result<(u32, u32), ApaError> {
-        let apa = self.apa;
-        for (aut, automaton) in apa.automata.iter().enumerate() {
-            let firings = match &self.enabled[aut] {
-                Some(firings) => firings.clone(),
-                None => {
-                    self.scratch.clear();
-                    self.scratch.extend(
-                        automaton
-                            .neighbourhood
-                            .iter()
-                            .map(|c| self.enabled_row[c.index()]),
-                    );
-                    let firings = self.memo.firings(apa, aut, &self.scratch)?;
-                    self.enabled[aut] = Some(firings.clone());
-                    firings
-                }
+    /// The part and the index in its `edges` of edge `idx` of the step's
+    /// edges merged by automaton. Each part's edges are ordered by
+    /// automaton, so the merge takes each block's edges in turn from its
+    /// part (see `blocks`). Consumes the parts' `out` ranges; `idx` is
+    /// below their total length.
+    fn select(&mut self, mut idx: usize) -> (usize, usize) {
+        for &(p, bound) in &self.blocks {
+            let part = &mut self.parts[p];
+            let (lo, hi) = part.out;
+            let run = match bound {
+                u32::MAX => (hi - lo) as usize,
+                bound => part.edges[lo as usize..hi as usize]
+                    .iter()
+                    .take_while(|e| e.automaton < bound)
+                    .count(),
             };
-            // Firing indices fit a `u32`: the memo checks its firing count.
-            self.edges.extend(firings.map(|firing| Edge {
-                automaton: Symbol::new(aut),
-                firing: firing as u32,
-                target: UNTAKEN,
-            }));
+            if idx < run {
+                return (p, lo as usize + idx);
+            }
+            idx -= run;
+            part.out.0 += run as u32;
         }
-        Ok((to_u32(lo, "edges")?, to_u32(self.edges.len(), "edges")?))
-    }
-
-    /// Takes edge `at` of the current state for the first time: interns
-    /// its target state and records it on the edge.
-    fn take(&mut self, at: usize) -> Result<u32, ApaError> {
-        let Edge {
-            automaton, firing, ..
-        } = self.edges[at];
-        let aut = automaton.index();
-        self.scratch.clear();
-        self.scratch
-            .extend_from_slice(self.states.row(self.current as usize));
-        let (_, next) = self.memo.firing(aut, firing as usize);
-        for (c, &cell) in self.apa.automata[aut].neighbourhood.iter().zip(next) {
-            self.scratch[c.index()] = cell;
-        }
-        let (target, fresh) = self.states.intern(&self.scratch)?;
-        if fresh {
-            self.expansions.push(None);
-        }
-        // The table stores `id + 1` as a `u32`, so `target < UNTAKEN`.
-        let target = target as u32;
-        self.edges[at].target = target;
-        Ok(target)
+        unreachable!("a step draws below its edge count")
     }
 
     /// Runs until a dead state or `max_steps`, returning the number of
@@ -584,28 +816,117 @@ mod tests {
         let mut sim = Simulator::new(&apa, 5);
         let err = (0..1000)
             .find_map(|_| {
-                let (edges, expansions) = (sim.edges.len(), sim.expansions.clone());
+                let part = &sim.parts[0];
+                let (edges, expansions) = (part.edges.len(), part.expansions.clone());
                 match sim.step() {
                     Ok(Some(_)) => None,
                     Ok(None) => panic!("no state of this APA is dead"),
                     Err(e) => {
-                        assert!(sim.expansions[sim.current as usize].is_none());
-                        assert_eq!(sim.edges.len(), edges, "no edge left behind");
-                        assert_eq!(sim.expansions, expansions);
+                        let part = &sim.parts[0];
+                        assert!(part.expansions[part.current as usize].is_none());
+                        assert_eq!(part.edges.len(), edges, "no edge left behind");
+                        assert_eq!(part.expansions, expansions);
                         Some(e)
                     }
                 }
             })
             .expect("the mover fires within 1000 steps");
         assert!(matches!(err, ApaError::MalformedSuccessor { .. }), "{err}");
-        let (current, steps, rng) = (sim.current, sim.trace.len(), sim.rng_state);
+        let (current, steps, rng) = (sim.parts[0].current, sim.trace.len(), sim.rng_state);
         assert_eq!(sim.step(), Err(err));
         assert_eq!(
-            (sim.current, sim.trace.len(), sim.rng_state),
+            (sim.parts[0].current, sim.trace.len(), sim.rng_state),
             (current, steps, rng)
         );
-        assert!(sim.expansions[current as usize].is_none());
+        assert!(sim.parts[0].expansions[current as usize].is_none());
         assert!(sim.states_expanded() > 0);
+    }
+
+    /// Two independent fragments whose automata interleave in
+    /// declaration order: a mover chain `x` and a ping-pong `y`.
+    fn interleaved() -> Apa {
+        let mut b = ApaBuilder::new();
+        let x0 = b.component("x0", [Value::atom("a"), Value::atom("b")]);
+        let y0 = b.component("y0", [Value::atom("t")]);
+        let x1 = b.component("x1", []);
+        let y1 = b.component("y1", []);
+        let x2 = b.component("x2", []);
+        b.automaton("x_first", [x0, x1], rule::move_any(0, 1));
+        b.automaton("y_there", [y0, y1], rule::move_any(0, 1));
+        b.automaton("x_second", [x1, x2], rule::move_any(0, 1));
+        b.automaton("y_back", [y1, y0], rule::move_any(0, 1));
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn a_product_of_interleaved_fragments_walks_as_the_whole() {
+        let apa = interleaved();
+        let parts = apa.fragments();
+        assert_eq!(parts.len(), 2);
+        let mut restarted = Simulator::product(&apa, &parts, 0).unwrap();
+        for seed in 0..64 {
+            let mut whole = Simulator::new(&apa, seed);
+            let steps = whole.run(40);
+            restarted.restart(seed);
+            for product in [
+                &mut Simulator::product(&apa, &parts, seed).unwrap(),
+                &mut restarted,
+            ] {
+                assert_eq!(product.run(40), steps, "seed {seed}");
+                assert_eq!(product.trace(), whole.trace(), "seed {seed}");
+                assert_eq!(product.trace_names(), whole.trace_names(), "seed {seed}");
+                assert_eq!(product.state(), whole.state(), "seed {seed}");
+            }
+        }
+        // Each of `x`'s two tokens in one of three places, `t` in one of
+        // two: 9 + 2 part states, against 18 states of the whole.
+        assert_eq!(restarted.states_expanded(), 9 + 2);
+    }
+
+    #[test]
+    fn parts_that_do_not_fit_are_typed_errors() {
+        let apa = interleaved();
+        let mismatch = |parts: &[Apa], part: usize, name: &str| {
+            let err = Simulator::product(&apa, parts, 1).map(|_| ()).unwrap_err();
+            assert_eq!(
+                err,
+                ApaError::PartMismatch {
+                    part,
+                    name: name.to_owned()
+                }
+            );
+        };
+        // The same parts twice.
+        let mut twice = apa.fragments();
+        twice.extend(apa.fragments());
+        mismatch(&twice, 2, "x_first");
+        // An automaton the APA lacks.
+        mismatch(&[pipeline()], 0, "c0");
+        // Automata out of the APA's order, and an automaton wired
+        // otherwise.
+        let part = |automata: &[(&str, bool)]| {
+            let mut b = ApaBuilder::new();
+            let y0 = b.component("y0", [Value::atom("t")]);
+            let y1 = b.component("y1", []);
+            for &(name, there) in automata {
+                let ends = if there { [y0, y1] } else { [y1, y0] };
+                b.automaton(name, ends, rule::move_any(0, 1));
+            }
+            b.build().unwrap()
+        };
+        mismatch(
+            &[part(&[("y_back", false), ("y_there", true)])],
+            0,
+            "y_there",
+        );
+        mismatch(&[part(&[("y_there", false)])], 0, "y_there");
+        assert!(Simulator::product(&apa, &[part(&[("y_there", true)])], 1).is_ok());
+        assert!(ApaError::PartMismatch {
+            part: 3,
+            name: "t".into()
+        }
+        .to_string()
+        .starts_with("part 3 does not fit the APA at `t`"));
     }
 
     #[test]

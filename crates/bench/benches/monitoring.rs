@@ -11,7 +11,9 @@
 //!
 //! `fleet_end_to_end` measures the full pipeline (simulate → inject →
 //! check) at 1/2/4 worker threads, whose reports are bit-identical by
-//! construction.
+//! construction; its simulators walk the global APA.
+//! `fleet_end_to_end_parts` runs the same fleets on the product of the
+//! scenario's three 12-state pairs, as `fsa monitor --scenario six` does.
 //!
 //! `simulate` prices trace generation for the six-vehicle scenario.
 //! `new_per_episode` and `restart_per_episode` run one fleet stream (114
@@ -19,13 +21,15 @@
 //! simulator restarted per episode, which keeps its state graph and
 //! firing memo across the episodes. `restart_per_stream` runs the 8
 //! streams of a one-thread fleet (8 × 114 episodes, seeded as the fleet
-//! seeds them) on one simulator, as the fleet does.
+//! seeds them) on one simulator, as the fleet does, and
+//! `restart_per_stream_parts` the same on the product of the pairs.
 
 use apa::{Apa, ReachOptions, Simulator};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fsa_core::assisted::{elicit_from_graph, DependenceMethod};
 use fsa_core::requirements::RequirementSet;
-use fsa_runtime::{episode_seed, monitor_apa, FleetConfig, MonitorBank};
+use fsa_exec::Supervisor;
+use fsa_runtime::{episode_seed, monitor_apa, monitor_apa_supervised, FleetConfig, MonitorBank};
 use std::hint::black_box;
 use vanet::apa_model::{n_pair_apa, stakeholder_of};
 use vanet::semantics::ApaSemantics;
@@ -40,6 +44,16 @@ fn six_vehicle() -> (Apa, RequirementSet) {
     let set = elicit_from_graph(&graph, DependenceMethod::Precedence, stakeholder_of).requirements;
     assert!(!set.is_empty(), "six-vehicle model elicits requirements");
     (apa, set)
+}
+
+/// The compiled sub-APAs of the six-vehicle model's value-level
+/// fragments: the three pairs `fsa monitor` simulates on.
+fn six_vehicle_parts() -> Vec<Apa> {
+    vanet::apa_model::n_pair_model(3)
+        .fragments()
+        .iter()
+        .map(|fragment| fragment.model().compile().expect("valid fragment"))
+        .collect()
 }
 
 /// A long honest event stream for the bank, pre-mapped to bank
@@ -64,6 +78,7 @@ fn honest_stream(apa: &Apa, bank: &MonitorBank, len: usize) -> Vec<u32> {
 
 fn bench_monitoring(c: &mut Criterion) {
     let (apa, set) = six_vehicle();
+    let parts = six_vehicle_parts();
     let bank = MonitorBank::for_apa(&set, &apa).expect("compiles");
 
     // Acceptance criterion: fused-bank throughput on a pre-generated
@@ -107,6 +122,19 @@ fn bench_monitoring(c: &mut Criterion) {
                 })
             },
         );
+        group.bench_with_input(
+            BenchmarkId::new("fleet_end_to_end_parts", threads),
+            &cfg,
+            |b, cfg| {
+                let supervisor = Supervisor::new();
+                b.iter(|| {
+                    let (_, report) = monitor_apa_supervised(&apa, &parts, &set, cfg, &supervisor)
+                        .expect("fleet runs");
+                    assert!(report.verdicts.iter().all(|v| v.holds()));
+                    black_box(report.events)
+                })
+            },
+        );
     }
     group.finish();
 
@@ -139,6 +167,19 @@ fn bench_monitoring(c: &mut Criterion) {
     group.bench_function("restart_per_stream", |b| {
         b.iter(|| {
             let mut sim = Simulator::new(&apa, 0);
+            let mut steps = 0;
+            for stream in 0..STREAMS {
+                for episode in 0..EPISODES {
+                    sim.restart(black_box(episode_seed(1, stream, episode)));
+                    steps += sim.run(4096).expect("honest run");
+                }
+            }
+            black_box(steps)
+        })
+    });
+    group.bench_function("restart_per_stream_parts", |b| {
+        b.iter(|| {
+            let mut sim = Simulator::product(&apa, &parts, 0).expect("the pairs fit");
             let mut steps = 0;
             for stream in 0..STREAMS {
                 for episode in 0..EPISODES {

@@ -49,10 +49,13 @@ fn bench_supervised_fleet(c: &mut Criterion) {
         threads: 4,
         ..FleetConfig::default()
     };
+    let parts = std::slice::from_ref(&apa);
     let mut group = c.benchmark_group("resilience");
     group.bench_function("fleet_supervised_8x512_t4", |b| {
         let sup = Supervisor::new();
-        b.iter(|| black_box(monitor_apa_supervised(&apa, &set, black_box(&cfg), &sup).unwrap()))
+        b.iter(|| {
+            black_box(monitor_apa_supervised(&apa, parts, &set, black_box(&cfg), &sup).unwrap())
+        })
     });
     group.finish();
 }

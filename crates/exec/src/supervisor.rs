@@ -181,7 +181,9 @@ impl Supervisor {
     }
 
     /// Runs `chunks` units of `stage` over `threads` workers, each unit
-    /// panic-isolated and retried per [`RetryPolicy`].
+    /// panic-isolated and retried per [`RetryPolicy`]. The calling thread
+    /// is one of the workers, so `threads` workers spawn `threads - 1`
+    /// threads.
     ///
     /// Chunk indices are handed out through a shared counter (work
     /// stealing), but results are merged in ascending chunk order, so
@@ -230,13 +232,16 @@ impl Supervisor {
             }
         };
 
-        let mut states: Vec<WorkerState<T, E>> = if threads <= 1 || chunks < 2 {
-            let mut state = WorkerState::default();
-            worker(&mut state);
-            vec![state]
+        let mut caller = WorkerState::default();
+        let mut states: Vec<WorkerState<T, E>> = if threads <= 1 {
+            worker(&mut caller);
+            vec![caller]
         } else {
+            // The caller is the first worker: it takes chunks at once,
+            // while the other `threads - 1` start (a thread can take
+            // longer to start than a short stage takes to run).
             std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
+                let helpers: Vec<_> = (1..threads)
                     .map(|_| {
                         let worker = &worker;
                         scope.spawn(move || {
@@ -246,12 +251,16 @@ impl Supervisor {
                         })
                     })
                     .collect();
-                handles
-                    .into_iter()
-                    // Unreachable in practice: the worker loop catches
-                    // chunk panics itself. Treat a harness-level panic
-                    // as an empty worker.
-                    .map(|h| h.join().unwrap_or_default())
+                worker(&mut caller);
+                std::iter::once(caller)
+                    .chain(
+                        helpers
+                            .into_iter()
+                            // Unreachable in practice: the worker loop
+                            // catches chunk panics itself. Treat a
+                            // harness-level panic as an empty worker.
+                            .map(|h| h.join().unwrap_or_default()),
+                    )
                     .collect()
             })
         };
@@ -413,6 +422,30 @@ mod tests {
     fn squares(sup: &Supervisor, threads: usize, chunks: usize) -> Outcome<usize> {
         sup.run_chunks::<usize, (), _>("test:squares", threads, chunks, |i| Ok(i * i))
             .expect("no app errors")
+    }
+
+    /// `threads` workers are the caller and `threads - 1` spawned
+    /// threads: no more than that many other threads run a chunk.
+    #[test]
+    fn the_caller_is_one_of_the_workers() {
+        let caller = std::thread::current().id();
+        let sup = Supervisor::new();
+        for threads in [1usize, 2, 3] {
+            let ran = std::sync::Mutex::new(std::collections::HashSet::new());
+            sup.run_chunks::<(), (), _>("test:who", threads, 256, |_| {
+                ran.lock()
+                    .expect("no chunk panics")
+                    .insert(std::thread::current().id());
+                Ok(())
+            })
+            .expect("no app errors");
+            let ran = ran.into_inner().expect("no chunk panics");
+            let others = ran.iter().filter(|&&id| id != caller).count();
+            assert!(
+                others < threads,
+                "{threads} workers, {others} other threads"
+            );
+        }
     }
 
     #[test]

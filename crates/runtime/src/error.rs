@@ -18,6 +18,14 @@ pub enum RuntimeError {
     EmptyRequirementSet,
     /// A fleet was configured with zero streams.
     NoStreams,
+    /// A fleet was configured with more events per stream than a stream
+    /// may hold ([`crate::MAX_EVENTS_PER_STREAM`]).
+    StreamTooLong {
+        /// The requested events per stream.
+        events: usize,
+        /// The most a stream may hold.
+        limit: usize,
+    },
     /// Simulation of a stream failed.
     Simulation(String),
     /// A monitor latched `VIOLATED` but recorded no violation position —
@@ -48,6 +56,10 @@ impl fmt::Display for RuntimeError {
                 )
             }
             RuntimeError::NoStreams => write!(f, "fleet configured with zero streams"),
+            RuntimeError::StreamTooLong { events, limit } => write!(
+                f,
+                "{events} events per stream exceed the limit of {limit} events per stream"
+            ),
             RuntimeError::Simulation(e) => write!(f, "stream simulation failed: {e}"),
             RuntimeError::MissingViolationPosition { monitor } => write!(
                 f,

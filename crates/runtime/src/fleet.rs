@@ -3,11 +3,15 @@
 //! A *fleet* is a set of independent event streams over the same APA,
 //! each a concatenation of seeded [`apa::Simulator`] episodes (until the
 //! stream's event quota is met — the precedence monitors latch `SEEN`,
-//! so concatenating honest episodes never fabricates violations). Each
-//! worker keeps one simulator and restarts it for every episode of every
-//! stream it takes, so its lazily built state graph and firing memo
-//! serve all of them. What that graph holds depends on which streams the
-//! worker ran, but an episode's walk is a function of its seed alone:
+//! so concatenating honest episodes never fabricates violations). The
+//! simulator walks the product of the APA's *parts* (see
+//! [`apa::Simulator::product`]): a scenario of independent fragments is
+//! simulated on their small state graphs, not on the global one their
+//! product spans, and walks exactly as the global APA does. Each worker
+//! keeps one simulator and restarts it for every episode of every stream
+//! it takes, so its lazily built part graphs and firing memos serve all
+//! of them. What those graphs hold depends on which streams the worker
+//! ran, but an episode's walk is a function of its seed alone:
 //! [`apa::Simulator::restart`] walks exactly as a fresh simulator. Every
 //! stream is one chunk of a [`Supervisor`]'s `fleet:stream` stage
 //! (panic-isolated, retried, cancellable at stream boundaries), and the
@@ -31,13 +35,19 @@ use std::fmt;
 use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
+/// The most events one stream may hold: 2^28 `u32` events, a 1 GiB
+/// buffer. A stream's events are reserved up front, so a larger quota
+/// is refused before anything is allocated.
+pub const MAX_EVENTS_PER_STREAM: usize = 1 << 28;
+
 /// Configuration of one fleet run.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Number of independent event streams.
     pub streams: usize,
     /// Event quota per stream (episodes are concatenated until the
-    /// quota is met or the model goes quiet). The fleet checks up to
+    /// quota is met or the model goes quiet), at most
+    /// [`MAX_EVENTS_PER_STREAM`]. The fleet checks up to
     /// `streams × events_per_stream` events: `fsa monitor --events N`
     /// sets the quota to ⌈N / streams⌉, so it checks N rounded up to a
     /// multiple of the stream count.
@@ -61,6 +71,28 @@ pub struct FleetConfig {
     /// handle records its `supervisor.*` series; point both at the same
     /// registry for a unified trace.
     pub obs: Obs,
+}
+
+impl FleetConfig {
+    /// Checks the fleet's shape, before a fleet run allocates anything.
+    ///
+    /// # Errors
+    ///
+    /// * [`RuntimeError::NoStreams`] if `streams` is zero.
+    /// * [`RuntimeError::StreamTooLong`] if `events_per_stream` exceeds
+    ///   [`MAX_EVENTS_PER_STREAM`].
+    pub fn validate(&self) -> Result<(), RuntimeError> {
+        if self.streams == 0 {
+            return Err(RuntimeError::NoStreams);
+        }
+        if self.events_per_stream > MAX_EVENTS_PER_STREAM {
+            return Err(RuntimeError::StreamTooLong {
+                events: self.events_per_stream,
+                limit: MAX_EVENTS_PER_STREAM,
+            });
+        }
+        Ok(())
+    }
 }
 
 impl Default for FleetConfig {
@@ -158,11 +190,11 @@ pub struct MonitorStats {
     pub shard_events: Vec<u64>,
     /// Worker threads used.
     pub threads: usize,
-    /// Simulator states expanded into their successor edges, summed over
-    /// the completed streams. A worker's simulator expands each state
-    /// once for all the streams it runs, so above one thread the sum
-    /// depends on which worker took which stream, and the `Display`
-    /// text leaves it out.
+    /// Simulator part states expanded into their successor edges, summed
+    /// over the completed streams. A worker's simulator expands each
+    /// state of each part once for all the streams it runs, so above one
+    /// thread the sum depends on which worker took which stream, and the
+    /// `Display` text leaves it out.
     pub states_expanded: u64,
 }
 
@@ -375,7 +407,7 @@ fn simulate_stream(
         sim.restart(episode_seed(cfg.seed, stream as u64, episode));
         let steps = sim
             .run(cfg.events_per_stream - events.len())
-            .map_err(|e| RuntimeError::Simulation(e.to_string()))?;
+            .map_err(simulation)?;
         if steps == 0 {
             break;
         }
@@ -385,6 +417,11 @@ fn simulate_stream(
         episode += 1;
     }
     Ok(events)
+}
+
+/// A simulator error as the fleet reports it.
+fn simulation(e: apa::ApaError) -> RuntimeError {
+    RuntimeError::Simulation(e.to_string())
 }
 
 /// Reads the violations off a finished [`BankRun`]: `(monitor,
@@ -421,7 +458,8 @@ fn extract_violations(
     Ok(violations)
 }
 
-/// [`run_fleet_supervised`] under the default [`Supervisor`].
+/// [`run_fleet_supervised`] under the default [`Supervisor`], with the
+/// APA as its own only part.
 ///
 /// # Errors
 ///
@@ -431,12 +469,22 @@ pub fn run_fleet(
     bank: &MonitorBank,
     cfg: &FleetConfig,
 ) -> Result<FleetReport, RuntimeError> {
-    run_fleet_supervised(apa, bank, cfg, &Supervisor::new())
+    run_fleet_supervised(
+        apa,
+        std::slice::from_ref(apa),
+        bank,
+        cfg,
+        &Supervisor::new(),
+    )
 }
 
 /// Checks a simulator fleet against a compiled bank under a
 /// [`Supervisor`]: each stream is one panic-isolated, retried chunk of
-/// the `fleet:stream` stage, run on `cfg.threads` workers.
+/// the `fleet:stream` stage, run on `cfg.threads` workers. The
+/// simulators walk the product of `parts` (see
+/// [`apa::Simulator::product`]); `std::slice::from_ref(apa)` walks the
+/// APA itself. The parts change no report, only how much state the
+/// simulators expand.
 ///
 /// * A stream that panics on every retry is quarantined as a
 ///   [`ChunkFailure`] in [`FleetReport::failures`] — the fleet carries
@@ -451,20 +499,23 @@ pub fn run_fleet(
 ///
 /// # Errors
 ///
-/// * [`RuntimeError::NoStreams`] if `cfg.streams == 0`.
-/// * [`RuntimeError::Simulation`] if an underlying APA step fails
-///   (application errors are deterministic and are not retried).
+/// * The [`FleetConfig::validate`] errors.
+/// * [`RuntimeError::Simulation`] if `parts` do not fit `apa` or an
+///   underlying APA step fails (application errors are deterministic and
+///   are not retried).
 pub fn run_fleet_supervised(
     apa: &Apa,
+    parts: &[Apa],
     bank: &MonitorBank,
     cfg: &FleetConfig,
     supervisor: &Supervisor,
 ) -> Result<FleetReport, RuntimeError> {
-    if cfg.streams == 0 {
-        return Err(RuntimeError::NoStreams);
-    }
+    cfg.validate()?;
     let run = cfg.obs.span("fleet");
     let root = Some(run.id()).filter(|&id| id != 0);
+    let simulator = || Simulator::product(apa, parts, 0).map_err(simulation);
+    // The first simulator checks the parts before any stream runs.
+    let first = simulator()?;
     let apa_to_bank: Vec<u32> = apa
         .automaton_names()
         .map(|n| bank.event_symbol(n))
@@ -474,17 +525,24 @@ pub fn run_fleet_supervised(
     // One simulator per worker: a stream takes one from the pool (or
     // builds it) and gives it back when it completes. A stream that
     // errors or panics drops its simulator.
-    let simulators = Mutex::new(Vec::with_capacity(threads));
+    let mut simulators = Vec::with_capacity(threads);
+    simulators.push(first);
+    let simulators = Mutex::new(simulators);
     // A push or a pop leaves the pool valid, so a poisoned lock is safe
     // to recover.
     let pool = || simulators.lock().unwrap_or_else(PoisonError::into_inner);
     let outcome = supervisor.run_chunks("fleet:stream", threads, cfg.streams, |i| {
         let pooled = pool().pop();
-        let mut sim = pooled.unwrap_or_else(|| Simulator::new(apa, 0));
+        let mut sim = match pooled {
+            Some(sim) => sim,
+            None => simulator()?,
+        };
         let result = run_stream(&mut sim, bank, &apa_to_bank, cfg, i, root)?;
         pool().push(sim);
         Ok(result)
     })?;
+    // Freeing the workers' graphs is the fleet's work too.
+    drop(simulators);
 
     // Deterministic merge in stream order over the completed streams
     // (outcome.results is sorted ascending by chunk = stream index).
@@ -526,9 +584,9 @@ pub fn run_fleet_supervised(
         })
         .collect();
     drop(merge);
+    stats.mirror_counters(&cfg.obs);
     stats.wall = run.finish();
     stats.events_per_sec = stats.events as f64 / stats.wall.as_secs_f64().max(f64::EPSILON);
-    stats.mirror_counters(&cfg.obs);
     Ok(FleetReport {
         verdicts,
         streams: cfg.streams,
@@ -540,7 +598,8 @@ pub fn run_fleet_supervised(
     })
 }
 
-/// [`monitor_apa_supervised`] under the default [`Supervisor`].
+/// [`monitor_apa_supervised`] under the default [`Supervisor`], with
+/// the APA as its own only part.
 ///
 /// # Errors
 ///
@@ -550,12 +609,13 @@ pub fn monitor_apa(
     set: &fsa_core::requirements::RequirementSet,
     cfg: &FleetConfig,
 ) -> Result<(MonitorBank, FleetReport), RuntimeError> {
-    monitor_apa_supervised(apa, set, cfg, &Supervisor::new())
+    monitor_apa_supervised(apa, std::slice::from_ref(apa), set, cfg, &Supervisor::new())
 }
 
 /// One-call pipeline: compile the bank for `apa` from `set`, run the
-/// fleet under `supervisor` (see [`run_fleet_supervised`]), and account
-/// the compile time in the report's stats.
+/// fleet on the product of `parts` under `supervisor` (see
+/// [`run_fleet_supervised`]), and account the compile time in the
+/// report's stats.
 ///
 /// # Errors
 ///
@@ -563,6 +623,7 @@ pub fn monitor_apa(
 /// errors.
 pub fn monitor_apa_supervised(
     apa: &Apa,
+    parts: &[Apa],
     set: &fsa_core::requirements::RequirementSet,
     cfg: &FleetConfig,
     supervisor: &Supervisor,
@@ -570,7 +631,7 @@ pub fn monitor_apa_supervised(
     let span = cfg.obs.span("fleet.compile");
     let bank = MonitorBank::for_apa(set, apa)?;
     let compile = span.finish();
-    let mut report = run_fleet_supervised(apa, &bank, cfg, supervisor)?;
+    let mut report = run_fleet_supervised(apa, parts, &bank, cfg, supervisor)?;
     report.stats.compile = compile;
     Ok((bank, report))
 }
@@ -689,18 +750,30 @@ mod tests {
         h
     }
 
+    /// The compiled sub-APAs of the value-level fragments of `six`'s
+    /// editable model: three 12-state vehicle pairs.
+    fn six_parts() -> Vec<Apa> {
+        vanet::apa_model::n_pair_model(3)
+            .fragments()
+            .iter()
+            .map(|fragment| fragment.model().compile().unwrap())
+            .collect()
+    }
+
     /// Pins the streams of the benchmark's `monitor` workload (`fsa
     /// monitor --scenario six --streams 8 --events 16384 --seed 1`), built
     /// as a one-thread fleet builds them: one simulator carried across the
     /// 8 streams. The bank-symbol streams, concatenated in stream order,
     /// hash to the digest the fleet produced when it built one simulator
-    /// per episode. A change to the simulator's walk, the episode seeding
-    /// or the bank's symbol numbering moves it.
+    /// per episode, whether the simulator walks the global APA or the
+    /// product of its three fragments. A change to the simulator's walk,
+    /// the episode seeding or the bank's symbol numbering moves it.
     #[test]
     fn monitor_workload_streams_are_pinned() {
         use fsa_core::assisted::{elicit_from_graph, DependenceMethod};
         use vanet::apa_model::{n_pair_apa, stakeholder_of};
         let apa = n_pair_apa(3, vanet::semantics::ApaSemantics::PAPER).unwrap();
+        let parts = six_parts();
         let graph = apa.reachability(&apa::ReachOptions::default()).unwrap();
         let set = elicit_from_graph(&graph, DependenceMethod::Precedence, stakeholder_of);
         let bank = MonitorBank::for_apa(&set.requirements, &apa).unwrap();
@@ -714,15 +787,23 @@ mod tests {
             seed: 1,
             ..FleetConfig::default()
         };
-        let mut sim = Simulator::new(&apa, 0);
-        let mut all = Vec::new();
-        for stream in 0..cfg.streams {
-            let events = simulate_stream(&mut sim, &apa_to_bank, &cfg, stream).unwrap();
-            assert_eq!(events.len(), cfg.events_per_stream, "stream {stream}");
-            all.extend(events);
+        let walks = [
+            Simulator::new(&apa, 0),
+            Simulator::product(&apa, &parts, 0).unwrap(),
+        ];
+        for (walk, mut sim) in walks.into_iter().enumerate() {
+            let mut all = Vec::new();
+            for stream in 0..cfg.streams {
+                let events = simulate_stream(&mut sim, &apa_to_bank, &cfg, stream).unwrap();
+                assert_eq!(events.len(), cfg.events_per_stream, "stream {stream}");
+                all.extend(events);
+            }
+            assert_eq!(fnv1a64(all), 0x31cb_526a_694a_2248, "walk {walk}");
+            assert!(sim.states_expanded() <= graph.state_count());
+            if walk == 1 {
+                assert_eq!(sim.states_expanded(), 3 * 12, "every state of every pair");
+            }
         }
-        assert_eq!(fnv1a64(all), 0x31cb_526a_694a_2248);
-        assert!(sim.states_expanded() <= graph.state_count());
     }
 
     /// A simulator warmed by other streams yields the very streams a fresh
@@ -754,6 +835,94 @@ mod tests {
                 assert_eq!(events, fresh[stream], "stream {stream}");
             }
             assert!(warm.states_expanded() > 0);
+        }
+    }
+
+    /// A stream's events are reserved up front, so the fleet refuses a
+    /// quota above the bound before it allocates anything: the bound
+    /// itself passes, one more event does not.
+    #[test]
+    fn the_stream_length_bound_is_pinned_at_its_boundary() {
+        assert_eq!(MAX_EVENTS_PER_STREAM, 1 << 28);
+        let quota = |events_per_stream| FleetConfig {
+            events_per_stream,
+            ..FleetConfig::default()
+        };
+        assert_eq!(quota(MAX_EVENTS_PER_STREAM).validate(), Ok(()));
+        let apa = pipeline_apa();
+        let set = reqs(&[("first", "second")]);
+        for events in [MAX_EVENTS_PER_STREAM + 1, usize::MAX] {
+            let err = RuntimeError::StreamTooLong {
+                events,
+                limit: MAX_EVENTS_PER_STREAM,
+            };
+            assert_eq!(quota(events).validate(), Err(err.clone()));
+            assert_eq!(monitor_apa(&apa, &set, &quota(events)).unwrap_err(), err);
+        }
+    }
+
+    /// Parts that do not fit the APA fail the fleet before any stream
+    /// runs.
+    #[test]
+    fn parts_that_do_not_fit_are_a_simulation_error() {
+        let apa = pipeline_apa();
+        let set = reqs(&[("first", "second")]);
+        let twice = [pipeline_apa(), pipeline_apa()];
+        let err = monitor_apa_supervised(
+            &apa,
+            &twice,
+            &set,
+            &FleetConfig::default(),
+            &Supervisor::new(),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(&err, RuntimeError::Simulation(e) if e.contains("part 1")),
+            "{err}"
+        );
+    }
+
+    /// On `six`, a fleet walking the product of the three pairs reports
+    /// what the global fleet reports, and one worker expands 36 states.
+    #[test]
+    fn a_fleet_on_six_parts_reports_as_the_global_fleet() {
+        use fsa_core::assisted::{elicit_from_graph, DependenceMethod};
+        use vanet::apa_model::{n_pair_apa, stakeholder_of};
+        let apa = n_pair_apa(3, vanet::semantics::ApaSemantics::PAPER).unwrap();
+        let graph = apa.reachability(&apa::ReachOptions::default()).unwrap();
+        let set = elicit_from_graph(&graph, DependenceMethod::Precedence, stakeholder_of);
+        let parts = six_parts();
+        for fault in [
+            None,
+            Some(Fault::Drop {
+                action: "V1_sense".into(),
+            }),
+        ] {
+            for threads in [1, 2, 3] {
+                let cfg = FleetConfig {
+                    streams: 8,
+                    events_per_stream: 512,
+                    seed: 41,
+                    threads,
+                    fault: fault.clone(),
+                    ..FleetConfig::default()
+                };
+                let (_, global) = monitor_apa(&apa, &set.requirements, &cfg).unwrap();
+                let (_, product) = monitor_apa_supervised(
+                    &apa,
+                    &parts,
+                    &set.requirements,
+                    &cfg,
+                    &Supervisor::new(),
+                )
+                .unwrap();
+                assert_eq!(product.render(), global.render(), "{fault:?} at {threads}");
+                let expanded = product.stats.states_expanded;
+                assert!(expanded <= threads as u64 * 36, "{expanded} at {threads}");
+                if threads == 1 {
+                    assert_eq!(expanded, 36);
+                }
+            }
         }
     }
 
@@ -836,7 +1005,8 @@ mod tests {
         };
         // Countdown token: exactly 3 stream boundaries pass the gate.
         let sup = Supervisor::new().with_cancel(CancelToken::countdown(3));
-        let (_, report) = monitor_apa_supervised(&apa, &set, &cfg, &sup).unwrap();
+        let (_, report) =
+            monitor_apa_supervised(&apa, std::slice::from_ref(&apa), &set, &cfg, &sup).unwrap();
         assert!(report.cancelled);
         assert!(!report.is_complete());
         assert_eq!(report.streams_completed, 3);
@@ -847,7 +1017,8 @@ mod tests {
         // An already-expired wall-clock deadline completes nothing.
         let sup =
             Supervisor::new().with_cancel(CancelToken::with_deadline(std::time::Duration::ZERO));
-        let (_, report) = monitor_apa_supervised(&apa, &set, &cfg, &sup).unwrap();
+        let (_, report) =
+            monitor_apa_supervised(&apa, std::slice::from_ref(&apa), &set, &cfg, &sup).unwrap();
         assert!(report.cancelled);
         assert_eq!(report.streams_completed, 0);
         assert_eq!(report.events, 0);
@@ -869,7 +1040,8 @@ mod tests {
         };
         use fsa_exec::CancelToken;
         let sup = Supervisor::new().with_cancel(CancelToken::countdown(4));
-        let (_, partial) = monitor_apa_supervised(&apa, &set, &cfg, &sup).unwrap();
+        let (_, partial) =
+            monitor_apa_supervised(&apa, std::slice::from_ref(&apa), &set, &cfg, &sup).unwrap();
         assert_eq!(partial.streams_completed, 4);
         let (_, full) = monitor_apa(&apa, &set, &cfg).unwrap();
         // Dropped antecedent violates on every stream, so the partial
@@ -900,7 +1072,8 @@ mod tests {
                 ..RetryPolicy::default()
             })
             .with_fault_plan(FaultPlan::new().panic_on("fleet:stream", 5, 2));
-        let (_, healed) = monitor_apa_supervised(&apa, &set, &cfg, &sup).unwrap();
+        let (_, healed) =
+            monitor_apa_supervised(&apa, std::slice::from_ref(&apa), &set, &cfg, &sup).unwrap();
         assert!(healed.is_complete());
         assert_eq!(healed.render(), golden.render());
     }
@@ -923,7 +1096,8 @@ mod tests {
                 ..RetryPolicy::default()
             })
             .with_fault_plan(FaultPlan::new().panic_on("fleet:stream", 2, u32::MAX));
-        let (_, report) = monitor_apa_supervised(&apa, &set, &cfg, &sup).unwrap();
+        let (_, report) =
+            monitor_apa_supervised(&apa, std::slice::from_ref(&apa), &set, &cfg, &sup).unwrap();
         assert_eq!(report.streams_completed, 7);
         assert_eq!(report.failures.len(), 1);
         assert_eq!(report.failures[0].chunk, 2);
@@ -1074,7 +1248,8 @@ mod tests {
         };
         // Same registry for the supervisor's own series: one trace.
         let sup = Supervisor::new().with_obs(obs.clone());
-        let (_, observed) = monitor_apa_supervised(&apa, &set, &cfg, &sup).unwrap();
+        let (_, observed) =
+            monitor_apa_supervised(&apa, std::slice::from_ref(&apa), &set, &cfg, &sup).unwrap();
         assert!(observed.is_complete());
         assert_eq!(observed.render(), plain.render());
 

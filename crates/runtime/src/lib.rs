@@ -18,7 +18,9 @@
 //!    (panic-isolated, retried, cancellable) with a deterministic
 //!    stream-order merge: violation reports are bit-identical for any
 //!    thread count. [`monitor_apa`] runs the default supervision
-//!    policy; [`monitor_apa_supervised`] takes an explicit one.
+//!    policy on the APA itself; [`monitor_apa_supervised`] takes an
+//!    explicit one and simulates on the product of the APA's
+//!    independent parts ([`apa::Simulator::product`]).
 //! 3. **Report**: per-requirement violation counts, the first
 //!    counterexample prefix per violation, and
 //!    [`fleet::MonitorStats`] (events/sec, per-stage timings, shard
@@ -62,7 +64,8 @@
 //! };
 //! let deadline = CancelToken::with_deadline(std::time::Duration::from_secs(600));
 //! let supervisor = Supervisor::new().with_cancel(deadline);
-//! let (_, attacked) = monitor_apa_supervised(&apa, &set, &cfg, &supervisor).unwrap();
+//! let parts = std::slice::from_ref(&apa);
+//! let (_, attacked) = monitor_apa_supervised(&apa, parts, &set, &cfg, &supervisor).unwrap();
 //! assert_eq!(attacked.violated(), 1);
 //! assert!(attacked.is_complete());
 //! ```
@@ -78,5 +81,5 @@ pub use bank::{BankRun, CompiledMonitor, MonitorBank, SEEN, VIOLATED, WAITING};
 pub use error::RuntimeError;
 pub use fleet::{
     episode_seed, monitor_apa, monitor_apa_supervised, run_fleet, run_fleet_supervised,
-    Counterexample, FleetConfig, FleetReport, MonitorStats, MonitorVerdict,
+    Counterexample, FleetConfig, FleetReport, MonitorStats, MonitorVerdict, MAX_EVENTS_PER_STREAM,
 };

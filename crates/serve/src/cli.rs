@@ -113,7 +113,8 @@ and check a sharded simulator fleet against it (exit 1 on violations).
   --streams N      independent event streams (default 8)
   --events N       events to check, split over the streams: each stream
                    runs N / streams rounded up, so the fleet checks N
-                   rounded up to a multiple of --streams (default 8192)
+                   rounded up to a multiple of --streams (default 8192);
+                   at most 268435456 (2^28) events per stream
   --threads N      worker threads; reports are bit-identical for any
                    value (default 1)
   --inject F       fault injected into every stream:
@@ -1201,9 +1202,11 @@ const MONITOR: Table<MonitorFlags> = Table::new(
 );
 
 /// `fsa monitor` — elicit, compile the monitor bank, check a fleet.
-/// With a session model, the scenario APA *and its elicited requirement
-/// set* persist across requests: the second monitor query skips
-/// reachability and elicitation entirely.
+/// With a session model, the scenario APA, *its elicited requirement
+/// set and the fleet's parts* persist across requests: the second
+/// monitor query skips reachability and elicitation entirely. The run
+/// is the `monitor` span, over `monitor.load` (one-shot only),
+/// `monitor.elicit`, `fleet.compile` and `fleet`.
 pub fn run_monitor(
     rest: &[String],
     model: Option<&mut ScenarioModel>,
@@ -1230,26 +1233,6 @@ pub fn run_monitor(
         };
     }
 
-    // Elicit the scenario's requirements from its honest behaviour
-    // (§5 tool-assisted pipeline), then compile and stream. A session
-    // model memoises the elicited set; one-shot loads the same model.
-    let mut built;
-    let model = match model {
-        Some(m) => m,
-        None => match ScenarioModel::load(&scenario) {
-            Ok(m) => {
-                built = m;
-                &mut built
-            }
-            Err(e) => return Rendered::failure(&e),
-        },
-    };
-    let (apa_ref, requirements) = match model.split_elicited() {
-        Ok(pair) => pair,
-        Err(e) => return Rendered::failure(&e),
-    };
-    let mut r = Rendered::success();
-    warn_unmatched_fault(&mut r, f.inject.as_ref(), apa_ref, &scenario);
     let obs = f.outputs.obs(ctx);
     let cfg = fsa_runtime::FleetConfig {
         streams,
@@ -1260,8 +1243,42 @@ pub fn run_monitor(
         obs: obs.clone(),
         ..fsa_runtime::FleetConfig::default()
     };
+    if let Err(e) = cfg.validate() {
+        return Rendered::usage_error(&format!("--events: {e}"), MONITOR_USAGE);
+    }
+
+    // Elicit the scenario's requirements from its honest behaviour
+    // (§5 tool-assisted pipeline), then compile and stream. A session
+    // model memoises the elicited set and the parts; one-shot loads the
+    // same model.
+    let run = obs.span("monitor");
+    let mut built;
+    let model = match model {
+        Some(m) => m,
+        None => {
+            let _load = obs.span("monitor.load");
+            match ScenarioModel::load(&scenario) {
+                Ok(m) => {
+                    built = m;
+                    &mut built
+                }
+                Err(e) => return Rendered::failure(&e),
+            }
+        }
+    };
+    let elicit = obs.span("monitor.elicit");
+    let (apa_ref, parts, requirements) = match model.split_elicited() {
+        Ok(split) => split,
+        Err(e) => return Rendered::failure(&e),
+    };
+    drop(elicit);
+    let mut r = Rendered::success();
+    warn_unmatched_fault(&mut r, cfg.fault.as_ref(), apa_ref, &scenario);
     let supervisor = build_supervisor(f.deadline_ms, f.retries, ctx).with_obs(obs.clone());
-    match fsa_runtime::monitor_apa_supervised(apa_ref, requirements, &cfg, &supervisor) {
+    let monitored =
+        fsa_runtime::monitor_apa_supervised(apa_ref, parts, requirements, &cfg, &supervisor);
+    drop(run);
+    match monitored {
         Ok((bank, report)) => {
             let _ = writeln!(
                 r.stdout,
@@ -1301,6 +1318,14 @@ mod tests {
 
     fn argv(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| (*s).to_owned()).collect()
+    }
+
+    #[test]
+    fn monitor_usage_states_the_event_bound() {
+        let bound = fsa_runtime::MAX_EVENTS_PER_STREAM;
+        assert_eq!(bound, 1 << 28);
+        let line = format!("at most {bound} (2^28) events per stream");
+        assert!(MONITOR_USAGE.contains(&line), "{MONITOR_USAGE}");
     }
 
     #[test]

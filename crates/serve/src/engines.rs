@@ -47,17 +47,28 @@ struct Editable {
     elicitor: IncrementalElicitor,
 }
 
+/// What a `monitor` request derives from a scenario, once per model
+/// version: the elicited requirement set the bank is compiled from, and
+/// the parts the fleet simulates on.
+struct Monitored {
+    requirements: RequirementSet,
+    /// The compiled sub-APAs of the editable model's independent
+    /// fragments; `None` when the APA itself is the only part.
+    parts: Option<Vec<apa::Apa>>,
+}
+
 /// A resident scenario: the APA built once at open, plus the §5
-/// elicitation memoised on first `monitor` request. The second monitor
-/// query against the same session skips reachability and elicitation
-/// entirely. The `two` and `six` scenarios additionally carry an
-/// editable component model: `edit` requests apply typed deltas
-/// atomically and `elicit` re-derives the requirement set
-/// incrementally, reusing every fragment the edit left untouched.
+/// elicitation and the fleet's parts, memoised on first `monitor`
+/// request. The second monitor query against the same session skips
+/// reachability and elicitation entirely. The `two` and `six` scenarios
+/// additionally carry an editable component model: `edit` requests
+/// apply typed deltas atomically and `elicit` re-derives the
+/// requirement set incrementally, reusing every fragment the edit left
+/// untouched.
 pub struct ScenarioModel {
     name: String,
     apa: apa::Apa,
-    elicited: Option<RequirementSet>,
+    monitored: Option<Monitored>,
     editable: Option<Editable>,
 }
 
@@ -83,7 +94,7 @@ impl ScenarioModel {
         Ok(ScenarioModel {
             name: name.to_owned(),
             apa: scenario_apa(name)?,
-            elicited: None,
+            monitored: None,
             editable,
         })
     }
@@ -98,9 +109,9 @@ impl ScenarioModel {
     /// Applies a batch of delta lines atomically: every line must parse
     /// and apply cleanly or the resident model (and its APA) is left
     /// untouched. On success the APA is recompiled from the edited
-    /// model and the memoised requirement set is dropped, so later
-    /// `simulate`/`monitor`/`elicit` requests answer against the edited
-    /// scenario.
+    /// model and the memoised requirement set and parts are dropped, so
+    /// later `simulate`/`monitor`/`elicit` requests answer against the
+    /// edited scenario.
     ///
     /// # Errors
     ///
@@ -139,7 +150,7 @@ impl ScenarioModel {
             .map_err(|e| format!("recompilation failed: {e}"))?;
         ed.model = next;
         self.apa = apa;
-        self.elicited = None;
+        self.monitored = None;
         Ok(())
     }
 
@@ -189,26 +200,48 @@ impl ScenarioModel {
     /// by tests asserting that repeated queries skip the derivation).
     #[must_use]
     pub fn is_elicited(&self) -> bool {
-        self.elicited.is_some()
+        self.monitored.is_some()
     }
 
-    /// The APA together with its elicited requirement set, deriving it
-    /// with [`Self::elicit_report`] (one thread, nothing recorded) and
-    /// memoising it on first call. Served and one-shot `monitor` both
-    /// compile their bank from this set.
+    /// The APA, the parts a fleet simulates it on, and its elicited
+    /// requirement set, derived on first call and memoised until an
+    /// edit. The set comes from [`Self::elicit_report`] (one thread,
+    /// nothing recorded). The parts of an editable scenario are the
+    /// compiled sub-APAs of its model's independent value-level
+    /// fragments ([`EditModel::fragments`]: three 12-state pairs for
+    /// `six`, where the global APA has 1 728 states); any other scenario
+    /// is its own only part. Served and one-shot `monitor` both compile
+    /// their bank from this set and walk these parts.
     ///
     /// # Errors
     ///
-    /// The elicitation failure of [`Self::elicit_report`].
-    pub fn split_elicited(&mut self) -> Result<(&apa::Apa, &RequirementSet), String> {
-        if self.elicited.is_none() {
-            let report = self.elicit_report(1, &Obs::disabled())?;
-            self.elicited = Some(report.requirements);
+    /// The elicitation failure of [`Self::elicit_report`], or a fragment
+    /// that does not compile.
+    pub fn split_elicited(&mut self) -> Result<(&apa::Apa, &[apa::Apa], &RequirementSet), String> {
+        if self.monitored.is_none() {
+            let requirements = self.elicit_report(1, &Obs::disabled())?.requirements;
+            let parts = match &self.editable {
+                Some(ed) => Some(
+                    ed.model
+                        .fragments()
+                        .iter()
+                        .map(|fragment| fragment.model().compile())
+                        .collect::<Result<Vec<_>, _>>()
+                        .map_err(|e| format!("fragment compilation failed: {e}"))?,
+                ),
+                None => None,
+            };
+            self.monitored = Some(Monitored {
+                requirements,
+                parts,
+            });
         }
-        Ok((
-            &self.apa,
-            self.elicited.as_ref().expect("memoised just above"),
-        ))
+        let monitored = self.monitored.as_ref().expect("memoised just above");
+        let parts = match &monitored.parts {
+            Some(parts) => parts.as_slice(),
+            None => std::slice::from_ref(&self.apa),
+        };
+        Ok((&self.apa, parts, &monitored.requirements))
     }
 }
 
@@ -407,11 +440,12 @@ mod tests {
         let mut m = ScenarioModel::load("chain").expect("chain scenario builds");
         assert!(!m.is_elicited());
         let first_len = {
-            let (_, reqs) = m.split_elicited().expect("reachability");
+            let (_, parts, reqs) = m.split_elicited().expect("reachability");
+            assert_eq!(parts.len(), 1, "chain is its own only part");
             reqs.len()
         };
         assert!(m.is_elicited());
-        let (_, reqs) = m.split_elicited().expect("memoised");
+        let (_, _, reqs) = m.split_elicited().expect("memoised");
         assert_eq!(reqs.len(), first_len);
     }
 
@@ -431,7 +465,7 @@ mod tests {
                 DependenceMethod::Precedence,
                 vanet::apa_model::stakeholder_of,
             );
-            let (_, split) = model.split_elicited().expect("elicitation");
+            let (_, _, split) = model.split_elicited().expect("elicitation");
             assert_eq!(split, &global.requirements, "{name}");
         }
     }
@@ -447,6 +481,33 @@ mod tests {
             fsa_core::assisted::DependenceMethod::Precedence
         );
         assert_eq!(service.threads, 3);
+    }
+
+    #[test]
+    fn six_is_monitored_on_three_pairs_and_an_edit_drops_them() {
+        let mut model = ScenarioModel::load("six").expect("six builds");
+        let states = |parts: &[apa::Apa]| -> Vec<usize> {
+            parts
+                .iter()
+                .map(|part| {
+                    part.reachability(&apa::ReachOptions::default())
+                        .expect("reach")
+                        .state_count()
+                })
+                .collect()
+        };
+        let (_, parts, _) = model.split_elicited().expect("elicitation");
+        assert_eq!(states(parts), [12, 12, 12]);
+        model
+            .apply_edit_lines(&["remove-flow V2_show".to_owned()], &Obs::disabled())
+            .expect("edit applies");
+        assert!(!model.is_elicited(), "an edit drops the parts too");
+        let (apa, parts, _) = model.split_elicited().expect("elicitation");
+        assert_eq!(parts.len(), 3);
+        assert!(parts
+            .iter()
+            .all(|part| part.automaton_count() < apa.automaton_count()));
+        assert!(states(parts)[0] < 12, "{:?}", states(parts));
     }
 
     #[test]

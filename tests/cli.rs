@@ -906,3 +906,229 @@ fn stats_without_verify_dataflow_notes_once_per_run() {
         "note: --stats requires --verify-dataflow (the §5 pipeline)\n"
     );
 }
+
+// ---- Pinned monitor and simulate outputs -----------------------------
+
+/// FNV-1a-64 over the runs of `fsa` with each argument list of `runs`,
+/// in order (see [`output_digest`]).
+fn runs_digest(runs: &[Vec<String>]) -> u64 {
+    runs.iter().fold(0xcbf2_9ce4_8422_2325, |h, args| {
+        let args: Vec<&str> = args.iter().map(String::as_str).collect();
+        output_digest(h, &fsa(&args))
+    })
+}
+
+/// Continues the FNV-1a-64 hash `h` over `out`'s exit code (as
+/// little-endian `i32` bytes, `-1` for a signal), then its stdout.
+fn output_digest(mut h: u64, out: &std::process::Output) -> u64 {
+    let code = out.status.code().unwrap_or(-1).to_le_bytes();
+    for &b in code.iter().chain(&out.stdout) {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// `fsa monitor` reports on `six` and `chain`, for seeds 1–3 at one and
+/// two threads, honest and under three faults: one digest per scenario
+/// and fault, over its six runs. The digests were recorded on the
+/// binary whose simulator walked the global reachability graph; walking
+/// the product of independent parts must print the very same reports.
+#[test]
+fn monitor_reports_are_pinned() {
+    let rows: [(&str, Option<&str>, u64); 8] = [
+        ("six", None, 0x285d_015d_3b48_673b),
+        ("six", Some("drop:V1_sense"), 0x5f12_7eb6_4bc1_d1d1),
+        ("six", Some("spoof:V2_show"), 0xc604_77d0_4af8_6979),
+        ("six", Some("reorder:3"), 0x11fd_dfae_15b3_8465),
+        ("chain", None, 0x8e6b_7484_67c3_b093),
+        ("chain", Some("drop:V1_sense"), 0x25e1_692a_c345_fd9d),
+        ("chain", Some("spoof:V2_show"), 0x86ec_c840_6a02_6549),
+        ("chain", Some("reorder:3"), 0x8e6b_7484_67c3_b093),
+    ];
+    let got: Vec<(&str, Option<&str>, u64)> = rows
+        .iter()
+        .map(|&(scenario, fault, _)| {
+            let mut runs = Vec::new();
+            for seed in ["1", "2", "3"] {
+                for threads in ["1", "2"] {
+                    let mut args = vec!["monitor", "--scenario", scenario, "--seed", seed];
+                    args.extend(["--threads", threads]);
+                    if let Some(fault) = fault {
+                        args.extend(["--inject", fault]);
+                    }
+                    runs.push(args.into_iter().map(str::to_owned).collect());
+                }
+            }
+            (scenario, fault, runs_digest(&runs))
+        })
+        .collect();
+    assert_eq!(got, rows, "left: this binary, right: the pins");
+}
+
+/// `fsa simulate` traces on every scenario, for seeds 1–3 at 100 and
+/// 1000 steps: one digest per scenario and step bound, over its three
+/// runs, recorded as for [`monitor_reports_are_pinned`].
+#[test]
+fn simulate_traces_are_pinned() {
+    let rows: [(&str, &str, u64); 8] = [
+        ("two", "100", 0x9907_bdd5_f2ca_ded5),
+        ("two", "1000", 0x9907_bdd5_f2ca_ded5),
+        ("chain", "100", 0x7ff6_aaa4_3424_e794),
+        ("chain", "1000", 0x7ff6_aaa4_3424_e794),
+        ("attacked", "100", 0x764a_18fc_986d_1495),
+        ("attacked", "1000", 0x764a_18fc_986d_1495),
+        ("six", "100", 0x8f9b_0386_64cb_f59e),
+        ("six", "1000", 0x8f9b_0386_64cb_f59e),
+    ];
+    let got: Vec<(&str, &str, u64)> = rows
+        .iter()
+        .map(|&(scenario, max_steps, _)| {
+            let runs: Vec<Vec<String>> = ["1", "2", "3"]
+                .iter()
+                .map(|seed| {
+                    ["simulate", "--scenario", scenario, "--seed", seed]
+                        .into_iter()
+                        .chain(["--max-steps", max_steps])
+                        .map(str::to_owned)
+                        .collect()
+                })
+                .collect();
+            (scenario, max_steps, runs_digest(&runs))
+        })
+        .collect();
+    assert_eq!(got, rows, "left: this binary, right: the pins");
+}
+
+/// A server on an ephemeral port, drained and reaped on drop.
+struct Server {
+    child: std::process::Child,
+    addr: String,
+}
+
+impl Server {
+    fn start() -> Server {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_fsa"))
+            .args(["serve", "--addr", "127.0.0.1:0"])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        let mut stdout = std::io::BufReader::new(child.stdout.take().expect("piped stdout"));
+        let mut line = String::new();
+        std::io::BufRead::read_line(&mut stdout, &mut line).expect("reads the first line");
+        match line.trim().strip_prefix("listening on ") {
+            Some(addr) => Server {
+                addr: addr.to_owned(),
+                child,
+            },
+            None => {
+                let _ = child.kill();
+                panic!("no listening line: {line:?}");
+            }
+        }
+    }
+
+    /// Drains the server and returns its exit code and stderr.
+    fn drain(mut self) -> (Option<i32>, String) {
+        let drained = fsa(&["serve", "--connect", &self.addr, "--drain"]);
+        if !drained.status.success() {
+            let _ = self.child.kill();
+        }
+        let out = self.child.wait_with_output().expect("server exits");
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    }
+}
+
+/// A per-stream event count above the fleet's bound (2^28 events, a
+/// 1 GiB buffer) is a usage error, refused before the stream's buffer
+/// is reserved: not an aborted allocation, not a capacity panic.
+#[test]
+fn monitor_refuses_streams_above_the_event_bound() {
+    for events in ["10000000000", "9223372036854775807"] {
+        let out = fsa(&["monitor", "--streams", "1", "--events", events]);
+        assert_eq!(out.status.code(), Some(2), "{events}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!(
+                "{events} events per stream exceed the limit of 268435456"
+            )),
+            "{stderr}"
+        );
+        // A panic prints `thread '…' panicked at`; the usage text itself
+        // mentions panicked streams.
+        assert!(!stderr.contains("panicked at"), "{stderr}");
+        assert!(!stderr.contains("memory allocation"), "{stderr}");
+    }
+    let help = fsa(&["monitor", "--help"]);
+    assert!(
+        String::from_utf8_lossy(&help.stdout)
+            .contains("at most 268435456 (2^28) events per stream"),
+        "{help:?}"
+    );
+}
+
+/// A served session answers an over-long monitor request with the
+/// usage error and goes on serving: the next monitor runs, and the
+/// server drains cleanly.
+#[test]
+fn a_served_session_refuses_an_over_long_monitor_and_serves_on() {
+    let server = Server::start();
+    let out = fsa(&[
+        "serve",
+        "--connect",
+        &server.addr,
+        "--scenario",
+        "six",
+        "--request",
+        "monitor --streams 1 --events 10000000000",
+        "--request",
+        "monitor --streams 2 --events 64",
+    ]);
+    let (code, server_stderr) = server.drain();
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("10000000000 events per stream exceed the limit"),
+        "{stderr}"
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("9 monitor(s), 2 stream(s), 64 event(s): 0 violated"),
+        "{stdout}"
+    );
+    assert_eq!(code, Some(0), "{server_stderr}");
+    assert!(!server_stderr.contains("panicked at"), "{server_stderr}");
+}
+
+/// A served `six` session edited and then monitored (its parts rebuilt
+/// from the edited model) prints what the binary that simulated the
+/// global graph printed: the digest of the client's exit code and
+/// stdout, recorded as for [`monitor_reports_are_pinned`].
+#[test]
+fn a_served_six_monitor_after_an_edit_is_pinned() {
+    let server = Server::start();
+    let out = fsa(&[
+        "serve",
+        "--connect",
+        &server.addr,
+        "--scenario",
+        "six",
+        "--edit",
+        "remove-flow V2_show",
+        "--request",
+        "monitor --streams 4 --events 4000 --seed 3",
+        "--request",
+        "monitor --streams 3 --events 999 --threads 2 --inject drop:V3_sense",
+    ]);
+    let (code, server_stderr) = server.drain();
+    assert_eq!(code, Some(0), "{server_stderr}");
+    assert_eq!(
+        output_digest(0xcbf2_9ce4_8422_2325, &out),
+        0x0f8f_c9a7_3b49_10f3,
+        "{out:?}"
+    );
+}

@@ -10,196 +10,16 @@ use fsa::apa::ReachOptions;
 use fsa::core::assisted::{
     elicit_with_options, AssistedReport, DependenceMethod, ElicitOptions, PairVerdict,
 };
-use fsa::core::delta::{EditModel, Flow, ModelDelta};
+use fsa::core::delta::{EditModel, ModelDelta};
 use fsa::core::incremental::IncrementalElicitor;
 use fsa::obs::Obs;
 use proptest::prelude::*;
 use std::collections::hash_map::{Entry, HashMap};
 
-/// A deterministic inline LCG so each proptest case draws its whole
-/// wiring from one `u64` seed (same idiom as `parallel_props.rs`).
-fn lcg(seed: u64) -> impl FnMut() -> u64 {
-    let mut state = seed | 1;
-    move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        state >> 33
-    }
-}
+#[path = "support/edit_models.rs"]
+mod edit_models;
 
-const ATOMS: [&str; 3] = ["x", "y", "sW"];
-const INTS: [u64; 4] = [0, 30, 120, 10000];
-
-/// A random initial-value clause: a space-joined subset of the small
-/// atom/int vocabulary (possibly empty).
-fn random_values(next: &mut impl FnMut() -> u64) -> String {
-    let mut vals = Vec::new();
-    for a in ATOMS {
-        if next().is_multiple_of(3) {
-            vals.push(a.to_owned());
-        }
-    }
-    for i in INTS {
-        if next().is_multiple_of(4) {
-            vals.push(i.to_string());
-        }
-    }
-    vals.join(" ")
-}
-
-/// A random flow-kind token. Send/recv CAM flows exercise the tuple
-/// machinery; movers keep fragments connected.
-fn random_kind(next: &mut impl FnMut() -> u64) -> String {
-    match next() % 5 {
-        0 => "move-atom:x".to_owned(),
-        1 => format!("send-cam:V{}", 1 + next() % 2),
-        2 => format!("recv-cam:{}", [50, 100, 200][(next() % 3) as usize]),
-        _ => "move".to_owned(),
-    }
-}
-
-/// Builds a random base model: `n` components with random initial
-/// values and a forward chain of random flows (every value-moving rule
-/// conserves or shrinks the token multiset, so reachability is finite).
-fn random_model(n: usize, next: &mut impl FnMut() -> u64) -> EditModel {
-    let mut model = EditModel::new();
-    let mut lines = Vec::new();
-    for i in 0..n {
-        lines.push(
-            format!("add-component c{i} {}", random_values(next))
-                .trim_end()
-                .to_owned(),
-        );
-    }
-    for i in 0..n - 1 {
-        lines.push(format!(
-            "add-flow f{i} {} c{i} c{}",
-            random_kind(next),
-            i + 1
-        ));
-    }
-    for line in lines {
-        let delta = ModelDelta::parse(&line).expect("generator emits valid lines");
-        model
-            .apply(&delta)
-            .expect("generator emits applicable deltas");
-    }
-    model
-}
-
-/// Draws one candidate edit against the current model. May be
-/// inapplicable (e.g. removing a component with attached flows) — the
-/// caller filters by trial application, which is itself part of the
-/// property: rejected deltas must leave both paths untouched.
-fn random_delta(
-    model: &EditModel,
-    fresh: &mut usize,
-    next: &mut impl FnMut() -> u64,
-) -> ModelDelta {
-    let comps = model.components();
-    let flows = model.flows();
-    let comp = |next: &mut dyn FnMut() -> u64| -> String {
-        comps[(next() as usize) % comps.len()].name.clone()
-    };
-    let line = match next() % 8 {
-        0 => {
-            *fresh += 1;
-            format!("add-component n{fresh} {}", random_values(next))
-                .trim_end()
-                .to_owned()
-        }
-        1 => format!("remove-component {}", comp(next)),
-        2 | 3 => format!("set-initial {} {}", comp(next), random_values(next))
-            .trim_end()
-            .to_owned(),
-        4 => {
-            *fresh += 1;
-            format!(
-                "add-flow g{fresh} {} {} {}",
-                random_kind(next),
-                comp(next),
-                comp(next)
-            )
-        }
-        5 if !flows.is_empty() => format!(
-            "remove-flow {}",
-            flows[(next() as usize) % flows.len()].name
-        ),
-        6 if !flows.is_empty() => format!(
-            "rewire-flow {} {} {}",
-            flows[(next() as usize) % flows.len()].name,
-            comp(next),
-            comp(next)
-        ),
-        _ => {
-            let auto = if flows.is_empty() {
-                "f0".to_owned()
-            } else {
-                flows[(next() as usize) % flows.len()].name.clone()
-            };
-            format!("retag-stakeholder {auto} D_{}", next() % 3)
-        }
-    };
-    ModelDelta::parse(&line).expect("generator emits parseable lines")
-}
-
-/// Removes a random component together with the flows attached to it,
-/// then declares all of them again with the same content: the model is
-/// unchanged up to declaration order.
-fn redeclare(model: &EditModel, next: &mut impl FnMut() -> u64) -> Vec<ModelDelta> {
-    let comps = model.components();
-    if comps.is_empty() {
-        return Vec::new();
-    }
-    let component = comps[(next() as usize) % comps.len()].clone();
-    let attached: Vec<Flow> = model
-        .flows()
-        .iter()
-        .filter(|f| f.from == component.name || f.to == component.name)
-        .cloned()
-        .collect();
-    let mut deltas: Vec<ModelDelta> = attached
-        .iter()
-        .map(|f| ModelDelta::RemoveFlow {
-            name: f.name.clone(),
-        })
-        .collect();
-    deltas.push(ModelDelta::RemoveComponent {
-        name: component.name.clone(),
-    });
-    deltas.push(ModelDelta::AddComponent {
-        name: component.name,
-        initial: component.initial,
-    });
-    deltas.extend(
-        attached
-            .into_iter()
-            .map(|flow| ModelDelta::AddFlow { flow }),
-    );
-    deltas
-}
-
-/// Removes a random flow and adds it again under the same name and
-/// endpoints with a random kind: same names, possibly new content.
-fn rekind(model: &EditModel, next: &mut impl FnMut() -> u64) -> Vec<ModelDelta> {
-    let flows = model.flows();
-    if flows.is_empty() {
-        return Vec::new();
-    }
-    let flow = flows[(next() as usize) % flows.len()].clone();
-    let line = format!(
-        "add-flow {} {} {} {}",
-        flow.name,
-        random_kind(next),
-        flow.from,
-        flow.to
-    );
-    vec![
-        ModelDelta::RemoveFlow { name: flow.name },
-        ModelDelta::parse(&line).expect("generator emits parseable lines"),
-    ]
-}
+use edit_models::{lcg, random_delta, random_model, redeclare, rekind};
 
 /// Everything a fragment's memo entry stands for: the outputs of its
 /// from-scratch analysis that stakeholder tags do not change (counts,

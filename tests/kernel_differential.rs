@@ -2,7 +2,9 @@
 //! rewritten hot paths must be *bit-identical* to the retained legacy
 //! oracles on random inputs — same states, same edges, same interned
 //! symbols, same verdicts, same rendered requirements, same simulated
-//! walks, for every dependence method and thread count.
+//! walks, for every dependence method and thread count. The simulator
+//! is checked walking both an APA itself and the product of its
+//! independent fragments, and so is the monitor fleet built on it.
 //! A faster kernel that disagrees with its oracle on one random APA is
 //! a bug, not an optimisation.
 
@@ -14,9 +16,15 @@ use fsa::automata::{Symbol, SymbolTable};
 use fsa::core::assisted::{
     dependence_by_precedence, elicit_apa, elicit_with_options, DependenceMethod, ElicitOptions,
 };
-use fsa::core::Agent;
+use fsa::core::delta::{EditModel, Flow, ModelDelta};
+use fsa::core::requirements::{AuthRequirement, RequirementSet};
+use fsa::core::{Action, Agent};
 use fsa::obs::Obs;
+use fsa::runtime::{run_fleet, run_fleet_supervised, FleetConfig, MonitorBank};
 use proptest::prelude::*;
+
+#[path = "support/edit_models.rs"]
+mod edit_models;
 
 /// A random token-mover APA (same shape as `parallel_props`): `n`
 /// chained/branching components wired pseudo-randomly from `seed`,
@@ -169,6 +177,131 @@ fn assert_simulator_matches_oracle(apa: &Apa, seeds: &[u64], max_steps: usize) {
     }
 }
 
+/// The compiled sub-APAs of `model`'s independent value-level
+/// fragments: the parts `fsa monitor` walks an editable scenario on.
+fn fragment_parts(model: &EditModel) -> Vec<Apa> {
+    model
+        .fragments()
+        .iter()
+        .map(|fragment| {
+            fragment
+                .model()
+                .compile()
+                .expect("a fragment of a valid model compiles")
+        })
+        .collect()
+}
+
+/// Checks the walk over the product of `parts` against the oracle's
+/// walk of `apa`, as [`assert_simulator_matches_oracle`] checks the
+/// walk of `apa` itself.
+fn assert_product_matches_oracle(apa: &Apa, parts: &[Apa], seeds: &[u64], max_steps: usize) {
+    let product = |seed| Simulator::product(apa, parts, seed).expect("the parts fit the APA");
+    let mut restarted = product(seeds[0]);
+    for (i, &seed) in seeds.iter().enumerate() {
+        assert_walks_like_the_oracle(apa, &mut product(seed), seed, max_steps);
+        if i > 0 {
+            restarted.restart(seed);
+        }
+        assert_walks_like_the_oracle(apa, &mut restarted, seed, max_steps);
+    }
+}
+
+/// Two sender/receiver chains through one shared `net`, their flows
+/// declared alternately: the chains are separate value-level fragments
+/// (`x` and `y` never meet) whose automata interleave in declaration
+/// order, and which share a component.
+fn interleaved_chains() -> EditModel {
+    let mut model = EditModel::new();
+    for line in [
+        "add-component src_a x",
+        "add-component src_b y",
+        "add-component net",
+        "add-component dst_a",
+        "add-component dst_b",
+        "add-component idle z",
+        "add-flow send_a move-atom:x src_a net",
+        "add-flow send_b move-atom:y src_b net",
+        "add-flow recv_a move-atom:x net dst_a",
+        "add-flow recv_b move-atom:y net dst_b",
+        "add-flow back_b move-atom:y dst_b src_b",
+    ] {
+        let delta = ModelDelta::parse(line).expect("valid delta");
+        model.apply(&delta).expect("applicable delta");
+    }
+    model
+}
+
+/// `a` and `b` side by side, `b`'s names prefixed with `b_`, their flows
+/// declared alternately: the fragments of `a` and of `b` interleave in
+/// declaration order.
+fn side_by_side(a: &EditModel, b: &EditModel) -> EditModel {
+    let rename = |name: &str| format!("b_{name}");
+    let mut deltas: Vec<ModelDelta> = a
+        .components()
+        .iter()
+        .map(|c| (c.name.clone(), c))
+        .chain(b.components().iter().map(|c| (rename(&c.name), c)))
+        .map(|(name, c)| ModelDelta::AddComponent {
+            name,
+            initial: c.initial.clone(),
+        })
+        .collect();
+    let b_flows: Vec<Flow> = b
+        .flows()
+        .iter()
+        .map(|f| Flow {
+            name: rename(&f.name),
+            from: rename(&f.from),
+            to: rename(&f.to),
+            kind: f.kind.clone(),
+        })
+        .collect();
+    for i in 0..a.flows().len().max(b_flows.len()) {
+        for flow in [a.flows().get(i), b_flows.get(i)].into_iter().flatten() {
+            deltas.push(ModelDelta::AddFlow { flow: flow.clone() });
+        }
+    }
+    let mut model = EditModel::new();
+    for delta in &deltas {
+        model.apply(delta).expect("disjoint names apply");
+    }
+    model
+}
+
+/// Checks that a fleet walking the product of `parts` reports exactly
+/// what the one-part fleet on `apa` reports, at 1, 2 and 3 threads,
+/// honest and under a drop and a reorder fault.
+fn assert_product_fleet_matches(apa: &Apa, parts: &[Apa], set: &RequirementSet, seed: u64) {
+    let bank = MonitorBank::for_apa(set, apa).expect("the bank compiles");
+    let dropped = apa
+        .automaton_names()
+        .next()
+        .expect("an automaton")
+        .to_owned();
+    for fault in [
+        None,
+        Some(fsa::apa::Fault::Drop { action: dropped }),
+        Some(fsa::apa::Fault::Reorder { window: 3 }),
+    ] {
+        for threads in [1, 2, 3] {
+            let cfg = FleetConfig {
+                streams: 5,
+                events_per_stream: 300,
+                seed,
+                threads,
+                fault: fault.clone(),
+                ..FleetConfig::default()
+            };
+            let one = run_fleet(apa, &bank, &cfg).expect("one-part fleet");
+            let product = run_fleet_supervised(apa, parts, &bank, &cfg, &Default::default())
+                .expect("product fleet");
+            assert_eq!(product.render(), one.render(), "{fault:?} at {threads}");
+            assert_eq!(product.stats.shard_events, one.stats.shard_events);
+        }
+    }
+}
+
 /// Tokens circling between two components: every run is infinite.
 fn ping_pong_apa() -> Apa {
     let mut b = ApaBuilder::new();
@@ -233,8 +366,92 @@ fn simulator_matches_the_oracle_on_the_scenarios() {
     assert_simulator_matches_oracle(&ping_pong_apa(), &seeds, 200);
 }
 
+#[test]
+fn product_walks_match_the_oracle_on_the_editable_scenarios_and_interleaved_chains() {
+    use fsa::vanet::apa_model::n_pair_model;
+    let seeds: Vec<u64> = (0..24).chain([0xF5A, u64::MAX]).collect();
+    for (model, fragments) in [
+        (n_pair_model(1), 1),
+        (n_pair_model(3), 3),
+        (interleaved_chains(), 2),
+    ] {
+        let apa = model.compile().expect("valid model");
+        let parts = fragment_parts(&model);
+        assert_eq!(parts.len(), fragments, "{model:?}");
+        assert_product_matches_oracle(&apa, &parts, &seeds, 1000);
+        assert_product_matches_oracle(&apa, &parts, &seeds, 7);
+    }
+    // `six` is three contiguous blocks of automata; the chains interleave.
+    let chains = fragment_parts(&interleaved_chains());
+    let names: Vec<Vec<&str>> = chains
+        .iter()
+        .map(|p| p.automaton_names().collect())
+        .collect();
+    assert_eq!(
+        names,
+        [vec!["send_a", "recv_a"], vec!["send_b", "recv_b", "back_b"]]
+    );
+}
+
+#[test]
+fn product_fleets_report_as_the_global_fleet_on_two_and_six() {
+    use fsa::serve::engines::ScenarioModel;
+    for name in ["two", "six"] {
+        let mut model = ScenarioModel::load(name).expect("scenario loads");
+        let (apa, parts, set) = model.split_elicited().expect("elicitation");
+        assert_eq!(parts.len(), 2 * usize::from(name == "six") + 1, "{name}");
+        assert_product_fleet_matches(apa, parts, set, 41);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A random edit model after a random edit sequence, alone and side
+    /// by side with a second one (their fragments interleaving): the
+    /// walk over its fragments' sub-APAs is the oracle's walk of the
+    /// compiled model, step for step, label for label, state for state.
+    #[test]
+    fn product_walks_of_edited_models_match_the_oracle(
+        n in 2usize..6,
+        seed in any::<u64>(),
+        edits in 0usize..7,
+        first in any::<u64>(),
+        max_steps in 1usize..60,
+    ) {
+        let model = edit_models::edited_model(n, seed, edits);
+        let other = edit_models::edited_model(2 + n % 3, seed ^ first, edits / 2);
+        let seeds = [first, first ^ 0x5555, first.wrapping_add(1)];
+        for model in [side_by_side(&model, &other), model] {
+            let apa = model.compile().expect("an edited model compiles");
+            assert_product_matches_oracle(&apa, &fragment_parts(&model), &seeds, max_steps);
+        }
+    }
+
+    /// On two such models side by side, a fleet on the fragments reports
+    /// what the one-part fleet reports, at every thread count.
+    #[test]
+    fn product_fleets_of_edited_models_report_as_the_global_fleet(
+        n in 2usize..6,
+        seed in any::<u64>(),
+        edits in 0usize..7,
+    ) {
+        let model = side_by_side(
+            &edit_models::edited_model(n, seed, edits),
+            &edit_models::edited_model(n, !seed, edits),
+        );
+        let apa = model.compile().expect("an edited model compiles");
+        let flows: Vec<&str> = apa.automaton_names().collect();
+        // Precedence monitors between consecutive flows: some hold, some
+        // trip, and a dropped first flow trips more.
+        let set: RequirementSet = flows
+            .windows(2)
+            .map(|w| AuthRequirement::new(Action::parse(w[0]), Action::parse(w[1]), Agent::new("P")))
+            .collect();
+        if !set.is_empty() {
+            assert_product_fleet_matches(&apa, &fragment_parts(&model), &set, seed);
+        }
+    }
 
     #[test]
     fn simulator_walks_are_bit_identical_to_the_successor_oracle(

@@ -125,6 +125,73 @@ fn monitor_exports_fleet_and_supervisor_series() {
     }
 }
 
+/// The product spans of `fsa monitor`: the `monitor` root covers the
+/// run, and scenario load, elicitation, bank compile and the fleet are
+/// its children. On `six` the fleet walks the product of three 12-state
+/// pairs, so one thread expands 36 part states.
+#[test]
+fn monitor_spans_cover_load_elicit_compile_and_fleet() {
+    let stats = temp("monitor-six-stats.json");
+    let out = fsa(&[
+        "monitor",
+        "--scenario",
+        "six",
+        "--streams",
+        "8",
+        "--events",
+        "16384",
+        "--seed",
+        "41",
+        "--stats-json",
+        stats.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    let body = std::fs::read_to_string(&stats).unwrap();
+    let doc = fsa::serve::json::parse(&body).expect("valid JSON");
+    let spans = doc
+        .get("spans")
+        .and_then(|v| v.as_arr())
+        .unwrap_or_else(|| panic!("spans is a list: {body}"));
+    let field = |span: &fsa::serve::json::Value, key: &str| span.get(key).cloned();
+    let named = |name: &str| -> Vec<&fsa::serve::json::Value> {
+        spans
+            .iter()
+            .filter(|s| s.get("name").and_then(|n| n.as_str()) == Some(name))
+            .collect()
+    };
+    let names: BTreeSet<&str> = spans
+        .iter()
+        .filter_map(|s| s.get("name").and_then(|n| n.as_str()))
+        .filter(|n| n.starts_with("monitor") || n.starts_with("fleet"))
+        .collect();
+    assert_eq!(
+        names,
+        BTreeSet::from([
+            "monitor",
+            "monitor.load",
+            "monitor.elicit",
+            "fleet.compile",
+            "fleet",
+            "fleet.simulate",
+            "fleet.check",
+            "fleet.merge",
+        ]),
+        "{body}"
+    );
+    let root = named("monitor");
+    assert_eq!(root.len(), 1, "{body}");
+    let root_id = field(root[0], "id");
+    for child in ["monitor.load", "monitor.elicit", "fleet.compile", "fleet"] {
+        let spans = named(child);
+        assert_eq!(spans.len(), 1, "{child}: {body}");
+        assert_eq!(field(spans[0], "parent"), root_id, "{child}: {body}");
+    }
+    assert!(
+        body.contains(r#"{"name":"fleet.states_expanded","value":36}"#),
+        "{body}"
+    );
+}
+
 #[test]
 fn elicit_exports_pipeline_series() {
     let stats = temp("elicit-stats.json");

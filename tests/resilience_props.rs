@@ -161,7 +161,8 @@ fn fleet_deadline_yields_partial_coverage_not_an_error() {
         ..FleetConfig::default()
     };
     let sup = Supervisor::new().with_cancel(CancelToken::countdown(2));
-    let (_, report) = monitor_apa_supervised(&apa, &set, &cfg, &sup).unwrap();
+    let (_, report) =
+        monitor_apa_supervised(&apa, std::slice::from_ref(&apa), &set, &cfg, &sup).unwrap();
     assert!(report.cancelled);
     assert_eq!(report.streams_completed, 2);
     assert!(!report.is_complete());
@@ -229,7 +230,8 @@ mod chaos {
         let sup = Supervisor::new()
             .with_retry(fast_retry(1))
             .with_fault_plan(FaultPlan::new().panic_on("fleet:stream", 4, u32::MAX));
-        let (_, report) = monitor_apa_supervised(&apa, &set, &cfg, &sup).unwrap();
+        let (_, report) =
+            monitor_apa_supervised(&apa, std::slice::from_ref(&apa), &set, &cfg, &sup).unwrap();
         assert_eq!(report.streams_completed, 5);
         assert_eq!(report.failures.len(), 1);
         assert_eq!(report.failures[0].chunk, 4);
