@@ -23,18 +23,34 @@ fn bench_elicit_scaling(c: &mut Criterion) {
 fn bench_random_traffic(c: &mut Criterion) {
     // Experiment S7: elicitation on randomly generated V2V topologies.
     use vanet::generator::{random_traffic_instance, TrafficConfig};
-    let mut group = c.benchmark_group("elicit_random_traffic");
-    group.sample_size(10);
-    for vehicles in [50usize, 200, 500] {
-        let inst = random_traffic_instance(
+    let topology = |vehicles| {
+        random_traffic_instance(
             &TrafficConfig {
                 vehicles,
                 ..Default::default()
             },
             42,
-        );
+        )
+    };
+    let mut group = c.benchmark_group("elicit_random_traffic");
+    group.sample_size(10);
+    for vehicles in [50usize, 200, 500] {
+        let inst = topology(vehicles);
         group.bench_with_input(BenchmarkId::new("vehicles", vehicles), &inst, |b, inst| {
             b.iter(|| black_box(elicit(black_box(inst)).expect("loop-free")))
+        });
+    }
+    // The whole of `fsa elicit SPEC` but file and terminal I/O, on the
+    // sizes of fsabench's `elicit` topologies: parse the rendered spec,
+    // run §4, render the report.
+    for vehicles in [110usize, 290] {
+        let source = speclang::pretty::render(&topology(vehicles));
+        group.bench_with_input(BenchmarkId::new("spec", vehicles), &source, |b, source| {
+            b.iter(|| {
+                let instances = speclang::parse(black_box(source)).expect("a rendered spec parses");
+                let report = elicit(&instances[0]).expect("loop-free");
+                black_box(fsa_core::report::render_manual(&report))
+            })
         });
     }
     group.finish();

@@ -12,6 +12,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// An agent / stakeholder, e.g. the driver `D_w` of vehicle `w`.
@@ -36,13 +37,13 @@ impl Agent {
 
 impl fmt::Debug for Agent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
+        f.write_str(&self.0)
     }
 }
 
 impl fmt::Display for Agent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
+        f.write_str(&self.0)
     }
 }
 
@@ -122,6 +123,22 @@ impl fmt::Display for Param {
     }
 }
 
+impl Param {
+    /// The length of the parameter's text.
+    fn rendered_len(&self) -> usize {
+        self.base.len() + self.index.as_ref().map_or(0, |i| i.len() + 1)
+    }
+
+    /// Appends the parameter's text, as [`fmt::Display`] writes it.
+    fn push_to(&self, text: &mut String) {
+        text.push_str(&self.base);
+        if let Some(i) = &self.index {
+            text.push('_');
+            text.push_str(i);
+        }
+    }
+}
+
 /// An atomic action of the functional model, e.g. `sense(ESP_1,sW)`.
 ///
 /// A reference-counted handle on one shared term: cloning an action
@@ -132,22 +149,80 @@ impl fmt::Display for Param {
 #[serde(transparent)]
 pub struct Action(Arc<Term>);
 
-/// The shared term behind an [`Action`].
-#[derive(PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+/// The shared term behind an [`Action`]: its parameters and its
+/// rendered text `name(p1,p2,…)`, built once when the term is made, so
+/// displaying an action copies one string. The name is the text's
+/// prefix. Equality, order and hash are those of (name, parameters):
+/// two terms may render alike (`a_b` is a plain parameter or `a`
+/// indexed by `b`) and still differ.
+#[derive(Serialize, Deserialize)]
 struct Term {
-    name: String,
+    text: String,
+    name_len: usize,
     params: Vec<Param>,
+}
+
+impl Term {
+    fn name(&self) -> &str {
+        &self.text[..self.name_len]
+    }
+
+    fn key(&self) -> (&str, &[Param]) {
+        (self.name(), &self.params)
+    }
+}
+
+impl PartialEq for Term {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for Term {}
+
+impl PartialOrd for Term {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Term {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.key().cmp(&other.key())
+    }
+}
+
+impl Hash for Term {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.name().hash(state);
+        self.params.hash(state);
+    }
 }
 
 impl Action {
     /// Creates an action from its name and parameters.
     pub fn new(name: &str, params: impl IntoIterator<Item = Param>) -> Self {
-        Action::from_parts(name.to_owned(), params.into_iter().collect())
+        Action::from_parts(name, params.into_iter().collect())
     }
 
-    /// A handle on a new term.
-    fn from_parts(name: String, params: Vec<Param>) -> Self {
-        Action(Arc::new(Term { name, params }))
+    /// A handle on a new term, rendered here once.
+    fn from_parts(name: &str, params: Vec<Param>) -> Self {
+        let mut text = String::with_capacity(
+            name.len() + params.iter().map(|p| p.rendered_len() + 1).sum::<usize>() + 1,
+        );
+        text.push_str(name);
+        for (i, p) in params.iter().enumerate() {
+            text.push(if i == 0 { '(' } else { ',' });
+            p.push_to(&mut text);
+        }
+        if !params.is_empty() {
+            text.push(')');
+        }
+        Action(Arc::new(Term {
+            text,
+            name_len: name.len(),
+            params,
+        }))
     }
 
     /// Parses the `name(p1,p2,…)` notation of Table 1, e.g.
@@ -186,7 +261,13 @@ impl Action {
 
     /// The action's name (e.g. `sense`).
     pub fn name(&self) -> &str {
-        &self.0.name
+        self.0.name()
+    }
+
+    /// The action's text, `name(p1,p2,…)`, as [`fmt::Display`] writes
+    /// it.
+    pub fn as_str(&self) -> &str {
+        &self.0.text
     }
 
     /// The action's parameters.
@@ -213,7 +294,7 @@ impl Action {
     /// abstract indices into first-order variables (`2 ↦ x`).
     pub fn rename_index(&self, from: &str, to: &str) -> Action {
         Action::from_parts(
-            self.name().to_owned(),
+            self.name(),
             self.params()
                 .iter()
                 .map(|p| {
@@ -231,14 +312,14 @@ impl Action {
     /// label, e.g. `V1_sense` for `sense(ESP_1, sW)` would instead be
     /// rendered as `sense(ESP_1,sW)`; this method just formats the term.
     pub fn label(&self) -> String {
-        self.to_string()
+        self.as_str().to_owned()
     }
 
     /// The action with all indices erased — its *shape*, used when
     /// de-duplicating isomorphic SoS instances.
     pub fn shape(&self) -> Action {
         Action::from_parts(
-            self.name().to_owned(),
+            self.name(),
             self.params()
                 .iter()
                 .map(|p| Param::plain(p.base()))
@@ -255,18 +336,7 @@ impl fmt::Debug for Action {
 
 impl fmt::Display for Action {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.name())?;
-        if !self.params().is_empty() {
-            write!(f, "(")?;
-            for (i, p) in self.params().iter().enumerate() {
-                if i > 0 {
-                    write!(f, ",")?;
-                }
-                write!(f, "{p}")?;
-            }
-            write!(f, ")")?;
-        }
-        Ok(())
+        f.write_str(self.as_str())
     }
 }
 
@@ -369,6 +439,25 @@ mod tests {
         assert!(
             Agent::new("D_10") < Agent::new("D_2"),
             "agents order as strings"
+        );
+    }
+
+    #[test]
+    fn the_stored_text_is_the_terms_rendering() {
+        let a = Action::new("f", [Param::indexed("a", "b"), Param::plain("c")]);
+        assert_eq!(a.as_str(), "f(a_b,c)");
+        assert_eq!(format!("[{a}]"), "[f(a_b,c)]");
+        assert_eq!(a.label(), "f(a_b,c)");
+        assert_eq!(Action::new("tick", []).as_str(), "tick");
+        assert_eq!(a.rename_index("b", "9").as_str(), "f(a_9,c)");
+        assert_eq!(a.shape().as_str(), "f(a,c)");
+        // Equal text, different terms: identity is (name, parameters).
+        let b = Action::new("f", [Param::plain("a_b"), Param::plain("c")]);
+        assert_eq!(a.as_str(), b.as_str());
+        assert_ne!(a, b);
+        assert_eq!(
+            a.cmp(&b),
+            (a.name(), a.params()).cmp(&(b.name(), b.params()))
         );
     }
 

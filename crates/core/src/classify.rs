@@ -16,9 +16,10 @@
 //! [`Relevance::Availability`].
 
 use crate::error::FsaError;
-use crate::instance::SosInstance;
+use crate::instance::{FlowKind, SosInstance};
 use crate::requirements::{AuthRequirement, Relevance};
 use fsa_graph::closure::reflexive_transitive_closure;
+use fsa_graph::DiGraph;
 
 /// Classifies one requirement against its instance.
 ///
@@ -41,10 +42,21 @@ pub struct Classifier {
 }
 
 impl Classifier {
-    /// Precomputes the functional closure of `instance`.
+    /// Precomputes the functional closure of `instance`: the closure of
+    /// its non-policy flows, over node ids alone.
     pub fn new(instance: &SosInstance) -> Self {
+        let g = instance.graph();
+        let mut functional = DiGraph::with_capacity(g.node_count());
+        for _ in g.node_ids() {
+            functional.add_node(());
+        }
+        for (x, y) in g.edges() {
+            if instance.flow_kind(x, y) == Some(FlowKind::Functional) {
+                functional.add_edge(x, y);
+            }
+        }
         Classifier {
-            closure: reflexive_transitive_closure(&instance.functional_subgraph()),
+            closure: reflexive_transitive_closure(&functional),
         }
     }
 

@@ -52,7 +52,13 @@ impl ComponentModel {
     /// Adds a template action (use index `i` in parameters, e.g.
     /// `sense(ESP_i,sW)`), returning its template id.
     pub fn action(&mut self, template: &str) -> TemplateActionId {
-        self.actions.push(Action::parse(template));
+        self.add_action(Action::parse(template))
+    }
+
+    /// Adds a template action already built as an [`Action`], returning
+    /// its template id.
+    pub fn add_action(&mut self, template: Action) -> TemplateActionId {
+        self.actions.push(template);
         self.actions.len() - 1
     }
 

@@ -18,7 +18,7 @@ use crate::classify::Classifier;
 use crate::error::FsaError;
 use crate::instance::SosInstance;
 use crate::requirements::{AuthRequirement, Relevance, RequirementSet};
-use fsa_graph::closure::reflexive_transitive_closure;
+use fsa_graph::closure::{closure_acyclic, reflexive_transitive_closure, Relation};
 use fsa_graph::{GraphError, NodeId, PartialOrder};
 
 /// A requirement together with its safety evaluation.
@@ -112,9 +112,9 @@ impl ElicitationReport {
 }
 
 /// The relation `χ` of `instance` as node pairs (steps 2–4 above):
-/// `ζ*` → partial order → (minimal, maximal) restriction, ordered by
-/// maximal element first (requirements grouped per output action, as the
-/// paper lists them), then by antecedent node.
+/// `ζ*` → (minimal, maximal) restriction, ordered by maximal element
+/// first (requirements grouped per output action, as the paper lists
+/// them), then by antecedent node.
 ///
 /// Every `(x, y)` yields `auth(action(x), action(y), stakeholder(y))`;
 /// this is all the §4.4 union needs of an instance, so it never builds an
@@ -125,13 +125,51 @@ impl ElicitationReport {
 /// * [`FsaError::CircularDependency`] if the functional flow has a
 ///   cycle (the paper's loop-freedom assumption is violated).
 pub fn chi_nodes(instance: &SosInstance) -> Result<Vec<(NodeId, NodeId)>, FsaError> {
-    flow_order(instance).map(|order| chi_of(&order))
+    flow_order(instance).map(|order| order.chi())
+}
+
+/// `ζ*` of an instance's functional flow with its minimal and maximal
+/// elements, each list in node order.
+struct FlowOrder {
+    closure: Relation,
+    minima: Vec<NodeId>,
+    maxima: Vec<NodeId>,
+}
+
+impl FlowOrder {
+    /// `χ` in report order (see [`chi_nodes`]): for each maximum `y`,
+    /// the minima `x ≠ y` below it.
+    fn chi(&self) -> Vec<(NodeId, NodeId)> {
+        let mut chi = Vec::new();
+        for &y in &self.maxima {
+            for &x in &self.minima {
+                if x != y && self.closure.contains(x, y) {
+                    chi.push((x, y));
+                }
+            }
+        }
+        chi
+    }
 }
 
 /// `ζ*` of the instance's functional flow as a partial order.
-fn flow_order(instance: &SosInstance) -> Result<PartialOrder, FsaError> {
-    let closure = reflexive_transitive_closure(instance.graph());
-    PartialOrder::try_new(closure).map_err(|e| match e {
+///
+/// A loop-free flow — the paper's assumption — is read off its DAG: the
+/// topological sort that builds the closure proves it a partial order,
+/// whose minima are the flow's sources and maxima its sinks. A flow
+/// with a cycle goes through [`PartialOrder::try_new`], which names a
+/// pair on a cycle and accepts a self-loop alone.
+fn flow_order(instance: &SosInstance) -> Result<FlowOrder, FsaError> {
+    let g = instance.graph();
+    if let Ok(mut closure) = closure_acyclic(g) {
+        closure.make_reflexive();
+        return Ok(FlowOrder {
+            closure,
+            minima: g.sources(),
+            maxima: g.sinks(),
+        });
+    }
+    let order = PartialOrder::try_new(reflexive_transitive_closure(g)).map_err(|e| match e {
         GraphError::NotAntisymmetric(a, b) => FsaError::CircularDependency {
             first: instance.action(a).clone(),
             second: instance.action(b).clone(),
@@ -139,14 +177,12 @@ fn flow_order(instance: &SosInstance) -> Result<PartialOrder, FsaError> {
         other => FsaError::InvalidComponentModel {
             reason: other.to_string(),
         },
+    })?;
+    Ok(FlowOrder {
+        minima: order.minimal_elements(),
+        maxima: order.maximal_elements(),
+        closure: order.relation().clone(),
     })
-}
-
-/// `χ` of `order` in report order (see [`chi_nodes`]).
-fn chi_of(order: &PartialOrder) -> Vec<(NodeId, NodeId)> {
-    let mut chi = order.min_max_restriction();
-    chi.sort_by_key(|&(x, y)| (y, x));
-    chi
 }
 
 /// Runs the manual pipeline on one instance.
@@ -160,7 +196,7 @@ pub fn elicit(instance: &SosInstance) -> Result<ElicitationReport, FsaError> {
     // The report also lists |ζ*|, the minima and the maxima, so it keeps
     // the order [`chi_nodes`] would drop.
     let order = flow_order(instance)?;
-    let chi_nodes = chi_of(&order);
+    let chi_nodes = order.chi();
 
     let classifier = Classifier::new(instance);
     let mut requirements = Vec::with_capacity(chi_nodes.len());
@@ -183,16 +219,16 @@ pub fn elicit(instance: &SosInstance) -> Result<ElicitationReport, FsaError> {
             .edges()
             .map(|(a, b)| (instance.action(a).clone(), instance.action(b).clone()))
             .collect(),
-        closure_size: order.relation().len(),
+        closure_size: order.closure.len(),
         minima: order
-            .minimal_elements()
-            .into_iter()
-            .map(|n| instance.action(n).clone())
+            .minima
+            .iter()
+            .map(|&n| instance.action(n).clone())
             .collect(),
         maxima: order
-            .maximal_elements()
-            .into_iter()
-            .map(|n| instance.action(n).clone())
+            .maxima
+            .iter()
+            .map(|&n| instance.action(n).clone())
             .collect(),
         chi: chi_nodes
             .iter()
@@ -305,6 +341,23 @@ mod tests {
             chi_nodes(&instance),
             Err(FsaError::CircularDependency { .. })
         ));
+    }
+
+    #[test]
+    fn a_self_loop_is_no_circular_dependency() {
+        // The looped action has itself as a predecessor, so it is no
+        // source of the flow graph, yet it is minimal in ζ*.
+        let mut b = SosInstanceBuilder::new("looped");
+        let a = b.action(Action::parse("tick(CLK_1)"), "D_1");
+        let c = b.action(Action::parse("show(HMI_1,warn)"), "D_1");
+        b.flow(a, a);
+        b.flow(a, c);
+        let instance = b.build();
+        let report = elicit(&instance).unwrap();
+        assert_eq!(report.closure_size(), 3);
+        assert_eq!(report.minima(), &[Action::parse("tick(CLK_1)")]);
+        assert_eq!(report.maxima(), &[Action::parse("show(HMI_1,warn)")]);
+        assert_eq!(chi_nodes(&instance).unwrap(), vec![(a, c)]);
     }
 
     #[test]

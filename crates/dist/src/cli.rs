@@ -57,7 +57,8 @@ handshake (the lease is re-acquired and the shard resumes from its
 checkpoint), so a coordinator restart costs a pause, not the run.
   --connect HOST:PORT  coordinator address
   --state-dir D        directory for shard checkpoint files (default .)
-  --threads N          worker threads for candidate building (default 1)
+  --threads N          worker threads for candidate building (default 1,
+                       at most 256)
   --seed N             backoff jitter seed (default: derived from the
                        process id; give fleet members distinct seeds)
   --reconnect N        consecutive failed connection attempts before
@@ -198,7 +199,10 @@ const WORK: Table<WorkFlags> = Table::new(
     &[
         ("connect", Kind::Text(|f| &mut f.connect)),
         ("state-dir", Kind::Text(|f| &mut f.state_dir)),
-        ("threads", Kind::Positive(|f| &mut f.threads)),
+        (
+            "threads",
+            Kind::Capped(|f| &mut f.threads, fsa_exec::MAX_THREADS),
+        ),
         ("seed", Kind::Unsigned(|f| &mut f.seed)),
         ("reconnect", Kind::Positive(|f| &mut f.reconnect)),
     ],
@@ -242,6 +246,23 @@ mod tests {
 
     fn names<T>(table: &Table<T>) -> BTreeSet<&'static str> {
         table.flags.iter().map(|(name, _)| *name).collect()
+    }
+
+    /// `fsa work --threads` is capped like every other thread count:
+    /// the cap parses, one more is a usage error, and `--help` states
+    /// the cap. Only the table parses; no thread starts.
+    #[test]
+    fn work_threads_are_capped_at_their_boundary() {
+        let cap = fsa_exec::MAX_THREADS;
+        let parse =
+            |n: usize| WORK.parse(&[format!("--threads={n}")], &[], &mut WorkFlags::default());
+        assert!(parse(cap).is_ok());
+        let err = parse(cap + 1).expect_err("one above the cap is refused");
+        assert_eq!(err.exit, 2);
+        assert!(err
+            .stderr
+            .starts_with(&format!("--threads expects at most {cap}\n")));
+        assert!(WORK_USAGE.contains(&format!("at most {cap}")));
     }
 
     #[test]

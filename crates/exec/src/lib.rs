@@ -43,4 +43,4 @@ pub use cancel::CancelToken;
 #[cfg(feature = "chaos")]
 pub use chaos::{FaultKind, FaultPlan};
 pub use snapshot::{Snapshot, SnapshotError, SnapshotReader};
-pub use supervisor::{ChunkFailure, Outcome, RetryPolicy, Supervisor};
+pub use supervisor::{ChunkFailure, Outcome, RetryPolicy, Supervisor, MAX_THREADS};

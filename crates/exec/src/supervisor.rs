@@ -125,6 +125,11 @@ impl<T> Outcome<T> {
     }
 }
 
+/// The most worker threads one stage may be asked for: every `--threads`
+/// flag of the `fsa` CLI refuses a larger count as a usage error, before
+/// any thread starts.
+pub const MAX_THREADS: usize = 256;
+
 /// Supervision *policy*: retry discipline, cancellation, and (under the
 /// `chaos` feature) a deterministic fault plan. Thread counts are
 /// passed per stage — the supervisor owns behaviour, not resources.

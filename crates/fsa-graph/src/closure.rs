@@ -6,14 +6,17 @@
 //! * [`closure_warshall`] — classic Floyd–Warshall on a bit matrix,
 //!   `O(n³/64)`; works on any graph.
 //! * [`closure_dag`] — reverse-topological accumulation of descendant
-//!   bit sets, `O(n·e/64)`; requires a DAG and is the default for
-//!   functional flow graphs (which the paper assumes loop-free). For a
-//!   cyclic input it falls back to SCC condensation.
+//!   bit sets, `O(n·e/64)`; the default for functional flow graphs
+//!   (which the paper assumes loop-free). For a cyclic input it falls
+//!   back to SCC condensation. [`closure_acyclic`] is its DAG half: it
+//!   reports a cycle instead, so a caller that needs loop-freedom learns
+//!   it from the same topological sort.
 //!
 //! Both produce a [`Relation`], a dense boolean matrix over node ids.
 
 use crate::bitset::BitSet;
 use crate::digraph::{DiGraph, NodeId};
+use crate::error::GraphError;
 use crate::scc::tarjan_scc;
 use crate::topo::topological_sort;
 
@@ -177,24 +180,37 @@ pub fn closure_warshall<N>(g: &DiGraph<N>) -> Relation {
 /// Tarjan SCC first and expands the component closure back to nodes, so
 /// the result always equals [`closure_warshall`].
 pub fn closure_dag<N>(g: &DiGraph<N>) -> Relation {
-    match topological_sort(g) {
-        Ok(order) => {
-            let n = g.node_count();
-            let mut r = Relation::empty(n);
-            for &v in order.iter().rev() {
-                // descendants(v) = ∪_{s ∈ succ(v)} ({s} ∪ descendants(s))
-                let mut acc = BitSet::new(n);
-                for s in g.successors(v) {
-                    acc.insert(s.index());
-                    let row = r.rows[s.index()].clone();
-                    acc.union_with(&row);
-                }
-                r.rows[v.index()] = acc;
-            }
-            r
+    closure_acyclic(g).unwrap_or_else(|_| closure_via_condensation(g))
+}
+
+/// Transitive closure (not reflexive) of an acyclic graph: the DAG half
+/// of [`closure_dag`], `O(n·e/64)`.
+///
+/// On success the graph is loop-free, so the closure is antisymmetric
+/// and irreflexive, and it is transitive by construction: with the
+/// identity added it is a partial order whose minimal elements are the
+/// graph's sources and whose maximal elements are its sinks.
+///
+/// # Errors
+///
+/// Returns [`GraphError::CycleDetected`] if `g` has a directed cycle,
+/// self-loops included.
+pub fn closure_acyclic<N>(g: &DiGraph<N>) -> Result<Relation, GraphError> {
+    let order = topological_sort(g)?;
+    let n = g.node_count();
+    let mut r = Relation::empty(n);
+    for &v in order.iter().rev() {
+        // descendants(v) = ∪_{s ∈ succ(v)} ({s} ∪ descendants(s)); every
+        // successor's row is final, as it comes later in the order. The
+        // row is filled in place: it is empty until now.
+        let mut acc = std::mem::replace(&mut r.rows[v.index()], BitSet::new(0));
+        for s in g.successors(v) {
+            acc.insert(s.index());
+            acc.union_with(&r.rows[s.index()]);
         }
-        Err(_) => closure_via_condensation(g),
+        r.rows[v.index()] = acc;
     }
+    Ok(r)
 }
 
 /// Closure of a cyclic graph via SCC condensation.
@@ -393,6 +409,25 @@ mod tests {
         assert_eq!(r.len(), 3);
         assert!(!r.is_empty());
         assert!(Relation::empty(3).is_empty());
+    }
+
+    #[test]
+    fn acyclic_closure_reports_cycles_and_self_loops() {
+        let g = chain(4);
+        assert_eq!(closure_acyclic(&g), Ok(closure_warshall(&g)));
+        let mut looped = chain(3);
+        looped.add_edge(NodeId::new(1), NodeId::new(1));
+        assert_eq!(
+            closure_acyclic(&looped),
+            Err(GraphError::CycleDetected(NodeId::new(1)))
+        );
+        let mut cyclic = chain(3);
+        cyclic.add_edge(NodeId::new(2), NodeId::new(0));
+        assert!(matches!(
+            closure_acyclic(&cyclic),
+            Err(GraphError::CycleDetected(_))
+        ));
+        assert_eq!(closure_dag(&cyclic), closure_warshall(&cyclic));
     }
 
     #[test]

@@ -18,6 +18,14 @@ pub enum RuntimeError {
     EmptyRequirementSet,
     /// A fleet was configured with zero streams.
     NoStreams,
+    /// A fleet was configured with more streams than it may run
+    /// ([`crate::MAX_STREAMS`]).
+    TooManyStreams {
+        /// The requested stream count.
+        streams: usize,
+        /// The most streams a fleet may run.
+        limit: usize,
+    },
     /// A fleet was configured with more events per stream than a stream
     /// may hold ([`crate::MAX_EVENTS_PER_STREAM`]).
     StreamTooLong {
@@ -56,6 +64,9 @@ impl fmt::Display for RuntimeError {
                 )
             }
             RuntimeError::NoStreams => write!(f, "fleet configured with zero streams"),
+            RuntimeError::TooManyStreams { streams, limit } => {
+                write!(f, "{streams} streams exceed the limit of {limit} streams")
+            }
             RuntimeError::StreamTooLong { events, limit } => write!(
                 f,
                 "{events} events per stream exceed the limit of {limit} events per stream"

@@ -40,10 +40,15 @@ use std::time::Duration;
 /// is refused before anything is allocated.
 pub const MAX_EVENTS_PER_STREAM: usize = 1 << 28;
 
+/// The most streams one fleet may run: 2^16. The fleet keeps per-stream
+/// state for every stream, so a larger count is refused before anything
+/// is allocated.
+pub const MAX_STREAMS: usize = 1 << 16;
+
 /// Configuration of one fleet run.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// Number of independent event streams.
+    /// Number of independent event streams, at most [`MAX_STREAMS`].
     pub streams: usize,
     /// Event quota per stream (episodes are concatenated until the
     /// quota is met or the model goes quiet), at most
@@ -79,11 +84,19 @@ impl FleetConfig {
     /// # Errors
     ///
     /// * [`RuntimeError::NoStreams`] if `streams` is zero.
+    /// * [`RuntimeError::TooManyStreams`] if `streams` exceeds
+    ///   [`MAX_STREAMS`].
     /// * [`RuntimeError::StreamTooLong`] if `events_per_stream` exceeds
     ///   [`MAX_EVENTS_PER_STREAM`].
     pub fn validate(&self) -> Result<(), RuntimeError> {
         if self.streams == 0 {
             return Err(RuntimeError::NoStreams);
+        }
+        if self.streams > MAX_STREAMS {
+            return Err(RuntimeError::TooManyStreams {
+                streams: self.streams,
+                limit: MAX_STREAMS,
+            });
         }
         if self.events_per_stream > MAX_EVENTS_PER_STREAM {
             return Err(RuntimeError::StreamTooLong {
@@ -858,6 +871,29 @@ mod tests {
             };
             assert_eq!(quota(events).validate(), Err(err.clone()));
             assert_eq!(monitor_apa(&apa, &set, &quota(events)).unwrap_err(), err);
+        }
+    }
+
+    /// Per-stream state is kept for every stream, so the fleet refuses a
+    /// stream count above the bound before it allocates anything: the
+    /// bound itself passes, one more stream does not. Only the
+    /// configuration is checked; no stream runs.
+    #[test]
+    fn the_stream_count_bound_is_pinned_at_its_boundary() {
+        assert_eq!(MAX_STREAMS, 1 << 16);
+        let fleet = |streams| FleetConfig {
+            streams,
+            ..FleetConfig::default()
+        };
+        assert_eq!(fleet(MAX_STREAMS).validate(), Ok(()));
+        for streams in [MAX_STREAMS + 1, usize::MAX] {
+            assert_eq!(
+                fleet(streams).validate(),
+                Err(RuntimeError::TooManyStreams {
+                    streams,
+                    limit: MAX_STREAMS
+                })
+            );
         }
     }
 

@@ -82,4 +82,5 @@ pub use error::RuntimeError;
 pub use fleet::{
     episode_seed, monitor_apa, monitor_apa_supervised, run_fleet, run_fleet_supervised,
     Counterexample, FleetConfig, FleetReport, MonitorStats, MonitorVerdict, MAX_EVENTS_PER_STREAM,
+    MAX_STREAMS,
 };

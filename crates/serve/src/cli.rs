@@ -22,6 +22,7 @@ use fsa_core::param::parameterise;
 use fsa_core::refine::refine;
 use fsa_core::report::render_manual;
 use fsa_core::service::{LoadedModel, Rendered, ServiceCtx};
+use fsa_exec::MAX_THREADS;
 use fsa_graph::dot::{to_dot, DotOptions};
 use std::fmt::Write as _;
 
@@ -57,7 +58,8 @@ pub(crate) const EXPLORE_USAGE: &str = "usage:
 Enumerate the structurally different SoS instances of the vehicular
 scenario (§4.2) and union their elicited requirements (§4.4).
   --max-vehicles N  universe bound (default 2)
-  --threads N       worker threads (deterministic output, default 1)
+  --threads N       worker threads (deterministic output, default 1,
+                    at most 256)
   --budget N        candidate budget (error when exceeded)
   --truncate        return the deduped partial universe at budget
   --all             keep disconnected compositions
@@ -73,7 +75,8 @@ policy, and the output is unchanged when nothing is cut):
 Distributed execution (coordinator + local worker processes; the class
 output is byte-identical to the single-process engine):
   --distributed          shard the universe across worker processes
-  --workers N            local worker processes to spawn (default 2)
+  --workers N            local worker processes to spawn (default 2,
+                         at most 64)
   --shards N             shard count (default: 4 x workers); shards cut
                          the (vector, mask) lattice evenly, mid-vector
                          too
@@ -110,13 +113,14 @@ Compile the scenario's elicited requirements into a fused monitor bank
 and check a sharded simulator fleet against it (exit 1 on violations).
   --scenario S     chain (default): V1→V2→V3 forwarding chain;
                    six: the three-pair (six-vehicle) model
-  --streams N      independent event streams (default 8)
+  --streams N      independent event streams (default 8, at most
+                   65536)
   --events N       events to check, split over the streams: each stream
                    runs N / streams rounded up, so the fleet checks N
                    rounded up to a multiple of --streams (default 8192);
                    at most 268435456 (2^28) events per stream
   --threads N      worker threads; reports are bit-identical for any
-                   value (default 1)
+                   value (default 1, at most 256)
   --inject F       fault injected into every stream:
                    drop:<action> | spoof:<action> | reorder:<window>
   --seed N         base fleet seed (default 3930)
@@ -138,7 +142,7 @@ Run the §4 manual elicitation pipeline on every instance of the spec.
   --markdown         render the report as a markdown table
   --verify-dataflow  cross-check against the §5 tool-assisted pipeline
   --stats            print §5 engine statistics (with --verify-dataflow)
-  --threads=N        worker threads for the dependence grid
+  --threads=N        worker threads for the dependence grid (at most 256)
   --stats-json F     write span/counter statistics (fsa-obs/v1 JSON) to F
   --trace-json F     write a chrome://tracing view of the run to F";
 
@@ -162,8 +166,8 @@ edit reusing every untouched fragment's memoised analysis.
                      remove-flow NAME
                      rewire-flow NAME FROM TO
                      retag-stakeholder AUTOMATON AGENT
-  --threads N      worker threads for the dependence grids (the report
-                   is bit-identical for any value; default 1)
+  --threads N      worker threads for the dependence grids, at most 256
+                   (the report is bit-identical for any value; default 1)
   --stats-json F   write span/counter statistics (fsa-obs/v1 JSON) to F
                    (includes the elicit.memo.* incremental counters)
   --trace-json F   write a chrome://tracing view of the run to F";
@@ -442,7 +446,7 @@ const ELICIT: Table<SpecFlags> = Table {
             ("markdown", Kind::Switch(|f| &mut f.markdown)),
             ("verify-dataflow", Kind::Switch(|f| &mut f.verify_dataflow)),
             ("stats", Kind::Switch(|f| &mut f.stats)),
-            ("threads", Kind::Positive(|f| &mut f.threads)),
+            ("threads", Kind::Capped(|f| &mut f.threads, MAX_THREADS)),
             ("stats-json", Kind::Text(|f| &mut f.outputs.stats_json)),
             ("trace-json", Kind::Text(|f| &mut f.outputs.trace_json)),
         ],
@@ -452,6 +456,13 @@ const ELICIT: Table<SpecFlags> = Table {
 /// `fsa check` / `fsa elicit` over a spec file (one-shot: parses
 /// `rest`'s positional file; session: answers from the preloaded
 /// [`LoadedModel`], skipping `speclang` entirely).
+///
+/// The run is the `spec` span, over `spec.parse` (reading and parsing
+/// the file; one-shot only) and, for `elicit`, one `spec.manual` (the §4
+/// pass) and one `spec.render` (everything printed, and freeing the §4
+/// report) per instance. `--verify-dataflow` adds one `spec.dataflow`
+/// (deriving the dataflow APA) and the §5 `elicit` spans per instance,
+/// under `spec` too.
 pub fn run_spec(
     command: &str,
     rest: &[String],
@@ -467,7 +478,9 @@ pub fn run_spec(
     if let Err(r) = table.parse(rest, &[], &mut f) {
         return r;
     }
+    let obs = f.outputs.obs(ctx);
     let parsed: Vec<fsa_core::SosInstance>;
+    let run = obs.span("spec");
     let (label, instances): (String, &[fsa_core::SosInstance]) = match model {
         Some(m) => {
             if let Some(extra) = f.files.first() {
@@ -482,6 +495,7 @@ pub fn run_spec(
             let [file] = f.files.as_slice() else {
                 return Rendered::usage_error("expected exactly one spec file", usage_text);
             };
+            let _parse = obs.span("spec.parse");
             let source = match std::fs::read_to_string(file) {
                 Ok(s) => s,
                 Err(e) => return Rendered::failure(&format!("cannot read {file}: {e}")),
@@ -493,7 +507,6 @@ pub fn run_spec(
             (file.clone(), parsed.as_slice())
         }
     };
-    let obs = f.outputs.obs(ctx);
     let mut r = Rendered::success();
     match command {
         "check" => {
@@ -506,6 +519,7 @@ pub fn run_spec(
         }
         "elicit" => {
             for (i, instance) in instances.iter().enumerate() {
+                let manual = obs.span("spec.manual");
                 let report = match elicit(instance) {
                     Ok(rep) => rep,
                     Err(e) => {
@@ -514,6 +528,14 @@ pub fn run_spec(
                         return r;
                     }
                 };
+                drop(manual);
+                // The §5 cross-check runs before the report prints, so
+                // that the report is printed and freed in `spec.render`;
+                // its verdict prints after the report.
+                let verified = f
+                    .verify_dataflow
+                    .then(|| cross_check(instance, &report, f.threads.unwrap_or(1), &obs));
+                let render = obs.span("spec.render");
                 if f.markdown {
                     let _ = write!(r.stdout, "{}", fsa_core::report::render_markdown(&report));
                 } else {
@@ -574,49 +596,54 @@ pub fn run_spec(
                             .to_string())
                     );
                 }
-                if f.verify_dataflow {
-                    match cross_check(instance, &report, f.threads.unwrap_or(1), &obs) {
-                        Ok(stats) => {
-                            let _ = writeln!(
-                                r.stdout,
-                                "tool-assisted cross-check: requirement sets match"
-                            );
-                            if f.stats {
-                                let _ =
-                                    write!(r.stdout, "{}", fsa_core::report::render_stats(&stats));
-                            }
-                        }
-                        Err(e) => {
-                            let _ = writeln!(r.stderr, "tool-assisted cross-check FAILED: {e}");
-                            r.exit = 1;
-                            return r;
+                match verified {
+                    Some(Ok(stats)) => {
+                        let _ = writeln!(
+                            r.stdout,
+                            "tool-assisted cross-check: requirement sets match"
+                        );
+                        if f.stats {
+                            let _ = write!(r.stdout, "{}", fsa_core::report::render_stats(&stats));
                         }
                     }
-                } else if f.stats && i == 0 {
-                    // Once per run, not once per instance.
-                    let _ = writeln!(
-                        r.stderr,
-                        "note: --stats requires --verify-dataflow (the §5 pipeline)"
-                    );
+                    Some(Err(e)) => {
+                        let _ = writeln!(r.stderr, "tool-assisted cross-check FAILED: {e}");
+                        r.exit = 1;
+                        return r;
+                    }
+                    None if f.stats && i == 0 => {
+                        // Once per run, not once per instance.
+                        let _ = writeln!(
+                            r.stderr,
+                            "note: --stats requires --verify-dataflow (the §5 pipeline)"
+                        );
+                    }
+                    None => {}
                 }
                 r.stdout.push('\n');
+                drop(report);
+                drop(render);
             }
         }
         _ => unreachable!("dispatched above"),
     }
+    drop(run);
     f.outputs.collect(&obs, &mut r);
     r
 }
 
-/// Derives the dataflow APA, runs the §5 pipeline fragment by fragment
-/// and compares. Returns the engine's per-stage statistics on success.
+/// Derives the dataflow APA (the `spec.dataflow` span), runs the §5
+/// pipeline fragment by fragment and compares. Returns the engine's
+/// per-stage statistics on success.
 fn cross_check(
     instance: &fsa_core::SosInstance,
     report: &fsa_core::manual::ElicitationReport,
     threads: usize,
     obs: &fsa_obs::Obs,
 ) -> Result<fsa_core::assisted::PipelineStats, String> {
+    let derive = obs.span("spec.dataflow");
     let apa = dataflow_apa(instance).map_err(|e| e.to_string())?;
+    drop(derive);
     let assisted = fsa_core::assisted::elicit_apa(
         &apa,
         &fsa_core::assisted::ElicitOptions::service(threads),
@@ -660,7 +687,7 @@ const ELICIT_SCENARIO: Table<ElicitScenarioFlags> = Table::new(
     &[
         ("scenario", Kind::Text(|f| &mut f.scenario)),
         ("edit-script", Kind::Text(|f| &mut f.edit_script)),
-        ("threads", Kind::Positive(|f| &mut f.threads)),
+        ("threads", Kind::Capped(|f| &mut f.threads, MAX_THREADS)),
         ("stats-json", Kind::Text(|f| &mut f.outputs.stats_json)),
         ("trace-json", Kind::Text(|f| &mut f.outputs.trace_json)),
     ],
@@ -789,12 +816,18 @@ pub fn run_elicit_scenario(
     r
 }
 
+/// The most local worker processes `fsa explore --distributed
+/// --workers N` may spawn; a larger count is a usage error, refused
+/// before any process starts.
+pub const MAX_WORKERS: usize = 64;
+
 /// One `fsa explore --distributed` invocation, handed to the engine
 /// registered with [`register_distributed_engine`].
 pub struct DistributedRequest {
     /// Universe bound (`--max-vehicles`).
     pub max_vehicles: usize,
-    /// Local worker processes to spawn (`--workers`).
+    /// Local worker processes to spawn (`--workers`), at most
+    /// [`MAX_WORKERS`].
     pub workers: usize,
     /// Shard count (`--shards`; `None` selects the engine default).
     pub shards: Option<usize>,
@@ -942,7 +975,7 @@ const EXPLORE: Table<ExploreFlags> = Table::new(
     EXPLORE_USAGE,
     &[
         ("max-vehicles", Kind::Positive(|f| &mut f.max_vehicles)),
-        ("threads", Kind::Positive(|f| &mut f.threads)),
+        ("threads", Kind::Capped(|f| &mut f.threads, MAX_THREADS)),
         ("budget", Kind::Positive(|f| &mut f.budget)),
         ("truncate", Kind::Switch(|f| &mut f.truncate)),
         ("all", Kind::Switch(|f| &mut f.all)),
@@ -956,7 +989,7 @@ const EXPLORE: Table<ExploreFlags> = Table::new(
         ),
         ("resume", Kind::Text(|f| &mut f.resume)),
         ("distributed", Kind::Switch(|f| &mut f.distributed)),
-        ("workers", Kind::Positive(|f| &mut f.workers)),
+        ("workers", Kind::Capped(|f| &mut f.workers, MAX_WORKERS)),
         ("shards", Kind::Positive(|f| &mut f.shards)),
         ("lease-ms", Kind::Positive(|f| &mut f.lease_ms)),
         ("state-dir", Kind::Text(|f| &mut f.state_dir)),
@@ -1190,7 +1223,7 @@ const MONITOR: Table<MonitorFlags> = Table::new(
         ("scenario", Kind::Text(|f| &mut f.scenario)),
         ("streams", Kind::Positive(|f| &mut f.streams)),
         ("events", Kind::Positive(|f| &mut f.events)),
-        ("threads", Kind::Positive(|f| &mut f.threads)),
+        ("threads", Kind::Capped(|f| &mut f.threads, MAX_THREADS)),
         ("seed", Kind::Unsigned(|f| &mut f.seed)),
         ("inject", Kind::Fault(|f| &mut f.inject)),
         ("stats", Kind::Switch(|f| &mut f.stats)),
@@ -1244,7 +1277,11 @@ pub fn run_monitor(
         ..fsa_runtime::FleetConfig::default()
     };
     if let Err(e) = cfg.validate() {
-        return Rendered::usage_error(&format!("--events: {e}"), MONITOR_USAGE);
+        let flag = match e {
+            fsa_runtime::RuntimeError::TooManyStreams { .. } => "--streams",
+            _ => "--events",
+        };
+        return Rendered::usage_error(&format!("{flag}: {e}"), MONITOR_USAGE);
     }
 
     // Elicit the scenario's requirements from its honest behaviour
@@ -1326,6 +1363,39 @@ mod tests {
         assert_eq!(bound, 1 << 28);
         let line = format!("at most {bound} (2^28) events per stream");
         assert!(MONITOR_USAGE.contains(&line), "{MONITOR_USAGE}");
+    }
+
+    /// Every count that starts threads or processes is capped in its
+    /// flag table: the cap parses, one more is a usage error (exit 2),
+    /// and the subcommand's usage text states the cap. Only the tables
+    /// parse here; no thread or process starts.
+    #[test]
+    fn thread_and_worker_counts_are_capped_at_their_boundary() {
+        fn bound<T: Default>(table: &Table<T>, flag: &str, cap: usize) {
+            let parse =
+                |n: usize| table.parse(&argv(&[&format!("--{flag}={n}")]), &[], &mut T::default());
+            assert!(parse(cap).is_ok(), "--{flag} {cap}");
+            let err = parse(cap + 1).expect_err("one above the cap is refused");
+            assert_eq!(err.exit, 2);
+            let message = format!("--{flag} expects at most {cap}\n");
+            assert!(err.stderr.starts_with(&message), "{}", err.stderr);
+            let zero = parse(0).expect_err("zero is refused").stderr;
+            let message = format!("--{flag} expects a positive integer\n");
+            assert!(zero.starts_with(&message), "{zero}");
+            assert!(
+                table.usage.contains(&format!("at most {cap}")),
+                "{}",
+                table.usage
+            );
+        }
+        assert_eq!((MAX_THREADS, MAX_WORKERS), (256, 64));
+        bound(&ELICIT, "threads", MAX_THREADS);
+        bound(&ELICIT_SCENARIO, "threads", MAX_THREADS);
+        bound(&EXPLORE, "threads", MAX_THREADS);
+        bound(&EXPLORE, "workers", MAX_WORKERS);
+        bound(&MONITOR, "threads", MAX_THREADS);
+        let streams = format!("at most\n                   {}", fsa_runtime::MAX_STREAMS);
+        assert!(MONITOR_USAGE.contains(&streams), "{MONITOR_USAGE}");
     }
 
     #[test]

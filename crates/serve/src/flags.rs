@@ -27,6 +27,9 @@ pub enum Kind<T> {
     Text(fn(&mut T) -> &mut Option<String>),
     /// `--name N`, `N ≥ 1`.
     Positive(fn(&mut T) -> &mut Option<usize>),
+    /// `--name N`, `1 ≤ N ≤ cap`: a count of threads or processes to
+    /// start, refused above its cap before anything starts.
+    Capped(fn(&mut T) -> &mut Option<usize>, usize),
     /// `--name N`, any `u64` (seeds and millisecond deadlines may be 0).
     Unsigned(fn(&mut T) -> &mut Option<u64>),
     /// `--name N`, any `u32`; out-of-range input is an error, not
@@ -76,8 +79,9 @@ impl<T> Table<T> {
     ///
     /// The first usage error in argv order, rendered with the table's
     /// usage text: `duplicate flag --F`, `--F expects a value`,
-    /// `--F expects a positive integer`, `--F expects an unsigned
-    /// integer`, `--F expects an integer in 0..=4294967295`, `--F: …`
+    /// `--F expects a positive integer`, `--F expects at most CAP`,
+    /// `--F expects an unsigned integer`, `--F expects an integer in
+    /// 0..=4294967295`, `--F: …`
     /// (a bad fault spec), `unknown flag --F` or ``unexpected argument
     /// `X` ``.
     pub fn parse(
@@ -131,6 +135,14 @@ impl<T> Table<T> {
                 Kind::Positive(field) => {
                     let n = value()?.parse().ok().filter(|&n| n >= 1);
                     *field(into) = Some(n.ok_or_else(|| expects("a positive integer"))?);
+                }
+                Kind::Capped(field, cap) => {
+                    let n = value()?.parse().ok().filter(|&n| n >= 1);
+                    let n = n.ok_or_else(|| expects("a positive integer"))?;
+                    if n > *cap {
+                        return Err(expects(&format!("at most {cap}")));
+                    }
+                    *field(into) = Some(n);
                 }
                 Kind::Unsigned(field) => {
                     let n = value()?.parse();

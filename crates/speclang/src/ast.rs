@@ -1,4 +1,5 @@
-//! Abstract syntax of specification files.
+//! Abstract syntax of specification files. Every name borrows its text
+//! from the source.
 
 use crate::token::Span;
 use std::fmt;
@@ -6,54 +7,54 @@ use std::fmt;
 /// A whole specification file: component-model declarations followed by
 /// instance declarations.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct File {
+pub struct File<'a> {
     /// The declared component models.
-    pub models: Vec<ModelDecl>,
+    pub models: Vec<ModelDecl<'a>>,
     /// The declared instances.
-    pub instances: Vec<InstanceDecl>,
+    pub instances: Vec<InstanceDecl<'a>>,
 }
 
 /// `model <name> stakeholder <agent> { action…; flow…; }` — a
 /// functional component model template (Fig. 1 style); the index `i` in
 /// action parameters is substituted at `use` time.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ModelDecl {
+pub struct ModelDecl<'a> {
     /// The model name (referenced by `use`).
-    pub name: String,
+    pub name: &'a str,
     /// The stakeholder template, e.g. `D_i`.
-    pub stakeholder: String,
+    pub stakeholder: &'a str,
     /// Template actions.
-    pub actions: Vec<ActionDecl>,
+    pub actions: Vec<ActionDecl<'a>>,
     /// Internal flows.
-    pub flows: Vec<FlowDecl>,
+    pub flows: Vec<FlowDecl<'a>>,
     /// Where the declaration starts.
     pub span: Span,
 }
 
 /// `use <model> as <alias> index <idx>;`
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UseDecl {
+pub struct UseDecl<'a> {
     /// The model to instantiate.
-    pub model: String,
+    pub model: &'a str,
     /// The local alias for `connect` references.
-    pub alias: String,
+    pub alias: &'a str,
     /// The instance index substituted for `i` (may be empty).
-    pub index: String,
+    pub index: &'a str,
     /// Where the declaration starts.
     pub span: Span,
 }
 
 /// `[policy] connect <alias>.<action> -> <alias>.<action>;`
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConnectDecl {
+pub struct ConnectDecl<'a> {
     /// Source component alias.
-    pub from_alias: String,
+    pub from_alias: &'a str,
     /// Source action identifier within the model.
-    pub from_action: String,
+    pub from_action: &'a str,
     /// Target component alias.
-    pub to_alias: String,
+    pub to_alias: &'a str,
     /// Target action identifier within the model.
-    pub to_action: String,
+    pub to_action: &'a str,
     /// `true` for `policy connect`.
     pub policy: bool,
     /// Where the declaration starts.
@@ -62,43 +63,43 @@ pub struct ConnectDecl {
 
 /// `instance "name" { … }`
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InstanceDecl {
+pub struct InstanceDecl<'a> {
     /// The quoted instance name.
-    pub name: String,
+    pub name: &'a str,
     /// Declared (free-standing) actions.
-    pub actions: Vec<ActionDecl>,
+    pub actions: Vec<ActionDecl<'a>>,
     /// Declared flows between free-standing actions.
-    pub flows: Vec<FlowDecl>,
+    pub flows: Vec<FlowDecl<'a>>,
     /// Component-model instantiations.
-    pub uses: Vec<UseDecl>,
+    pub uses: Vec<UseDecl<'a>>,
     /// External flows between instantiated components.
-    pub connects: Vec<ConnectDecl>,
+    pub connects: Vec<ConnectDecl<'a>>,
     /// Where the declaration starts.
     pub span: Span,
 }
 
 /// `action <id> = <term> [owner <id>] [stakeholder <id>];`
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ActionDecl {
+pub struct ActionDecl<'a> {
     /// The local identifier used by flows.
-    pub id: String,
+    pub id: &'a str,
     /// The action term.
-    pub term: Term,
+    pub term: Term<'a>,
     /// Optional owning component instance (defaults to the stakeholder).
-    pub owner: Option<String>,
+    pub owner: Option<&'a str>,
     /// Optional stakeholder (defaults to `"env"`).
-    pub stakeholder: Option<String>,
+    pub stakeholder: Option<&'a str>,
     /// Where the declaration starts.
     pub span: Span,
 }
 
 /// `[policy] flow <id> -> <id>;`
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlowDecl {
+pub struct FlowDecl<'a> {
     /// Source action identifier.
-    pub from: String,
+    pub from: &'a str,
     /// Target action identifier.
-    pub to: String,
+    pub to: &'a str,
     /// `true` for `policy flow`.
     pub policy: bool,
     /// Where the declaration starts.
@@ -107,24 +108,24 @@ pub struct FlowDecl {
 
 /// A term: `name` or `name(arg, …)` with nested terms as arguments.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Term {
+pub struct Term<'a> {
     /// The head identifier.
-    pub head: String,
+    pub head: &'a str,
     /// The argument terms.
-    pub args: Vec<Term>,
+    pub args: Vec<Term<'a>>,
 }
 
-impl Term {
+impl<'a> Term<'a> {
     /// A bare identifier term.
-    pub fn leaf(head: &str) -> Term {
+    pub fn leaf(head: &'a str) -> Term<'a> {
         Term {
-            head: head.to_owned(),
+            head,
             args: Vec::new(),
         }
     }
 }
 
-impl fmt::Display for Term {
+impl fmt::Display for Term<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.head)?;
         if !self.args.is_empty() {
@@ -148,11 +149,11 @@ mod tests {
     #[test]
     fn term_display() {
         let t = Term {
-            head: "send".into(),
+            head: "send",
             args: vec![
                 Term::leaf("CU_1"),
                 Term {
-                    head: "cam".into(),
+                    head: "cam",
                     args: vec![Term::leaf("pos")],
                 },
             ],

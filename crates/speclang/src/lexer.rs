@@ -12,7 +12,7 @@ use crate::token::{Span, Token, TokenKind};
 ///
 /// Returns [`ParseError`] on unterminated strings or unexpected
 /// characters.
-pub fn lex(source: &str) -> Result<Vec<Token>, ParseError> {
+pub fn lex(source: &str) -> Result<Vec<Token<'_>>, ParseError> {
     let bytes = source.as_bytes();
     let mut tokens = Vec::new();
     let mut i = 0usize;
@@ -81,9 +81,8 @@ pub fn lex(source: &str) -> Result<Vec<Token>, ParseError> {
                         "unterminated string literal",
                     ));
                 }
-                let text = source[i + 1..j].to_owned();
                 tokens.push(Token {
-                    kind: TokenKind::Str(text),
+                    kind: TokenKind::Str(&source[i + 1..j]),
                     span: span_at(start, j + 1, start_line, start_col),
                 });
                 column += (j + 1 - i) as u32;
@@ -112,7 +111,7 @@ pub fn lex(source: &str) -> Result<Vec<Token>, ParseError> {
                     "as" => TokenKind::KwAs,
                     "index" => TokenKind::KwIndex,
                     "connect" => TokenKind::KwConnect,
-                    _ => TokenKind::Ident(word.to_owned()),
+                    _ => TokenKind::Ident(word),
                 };
                 tokens.push(Token {
                     kind,
@@ -140,7 +139,7 @@ pub fn lex(source: &str) -> Result<Vec<Token>, ParseError> {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -151,22 +150,22 @@ mod tests {
             k,
             vec![
                 TokenKind::KwInstance,
-                TokenKind::Str("x".into()),
+                TokenKind::Str("x"),
                 TokenKind::LBrace,
                 TokenKind::KwAction,
-                TokenKind::Ident("a".into()),
+                TokenKind::Ident("a"),
                 TokenKind::Eq,
-                TokenKind::Ident("f".into()),
+                TokenKind::Ident("f"),
                 TokenKind::LParen,
-                TokenKind::Ident("b".into()),
+                TokenKind::Ident("b"),
                 TokenKind::Comma,
-                TokenKind::Ident("c".into()),
+                TokenKind::Ident("c"),
                 TokenKind::RParen,
                 TokenKind::Semi,
                 TokenKind::KwFlow,
-                TokenKind::Ident("a".into()),
+                TokenKind::Ident("a"),
                 TokenKind::Arrow,
-                TokenKind::Ident("a".into()),
+                TokenKind::Ident("a"),
                 TokenKind::Semi,
                 TokenKind::RBrace,
                 TokenKind::Eof,
@@ -208,9 +207,9 @@ mod tests {
         assert_eq!(
             k,
             vec![
-                TokenKind::Ident("GPS_1".into()),
-                TokenKind::Ident("pos_w".into()),
-                TokenKind::Ident("x2".into()),
+                TokenKind::Ident("GPS_1"),
+                TokenKind::Ident("pos_w"),
+                TokenKind::Ident("x2"),
                 TokenKind::Eof,
             ]
         );

@@ -2,7 +2,7 @@
 
 use crate::ast::{File, InstanceDecl, ModelDecl, Term};
 use crate::error::ParseError;
-use fsa_core::action::Action;
+use fsa_core::action::{Action, Param};
 use fsa_core::component_model::ComponentModel;
 use fsa_core::instance::{SosInstance, SosInstanceBuilder};
 use std::collections::HashMap;
@@ -14,16 +14,16 @@ use std::collections::HashMap;
 /// Returns [`ParseError`] on duplicate action identifiers, flows
 /// referencing undeclared actions, `use` of unknown models, or
 /// `connect` endpoints that do not resolve.
-pub fn lower(file: &File) -> Result<Vec<SosInstance>, ParseError> {
+pub fn lower(file: &File<'_>) -> Result<Vec<SosInstance>, ParseError> {
     let mut models: HashMap<&str, (ComponentModel, HashMap<&str, usize>)> = HashMap::new();
     for m in &file.models {
-        if models.contains_key(m.name.as_str()) {
+        if models.contains_key(m.name) {
             return Err(ParseError::new(
                 m.span,
                 format!("duplicate model `{}`", m.name),
             ));
         }
-        models.insert(m.name.as_str(), lower_model(m)?);
+        models.insert(m.name, lower_model(m)?);
     }
     file.instances
         .iter()
@@ -32,11 +32,13 @@ pub fn lower(file: &File) -> Result<Vec<SosInstance>, ParseError> {
 }
 
 /// Builds a [`ComponentModel`] plus the action-id lookup table.
-fn lower_model(decl: &ModelDecl) -> Result<(ComponentModel, HashMap<&str, usize>), ParseError> {
-    let mut model = ComponentModel::new(&decl.name, &decl.stakeholder);
+fn lower_model<'a>(
+    decl: &ModelDecl<'a>,
+) -> Result<(ComponentModel, HashMap<&'a str, usize>), ParseError> {
+    let mut model = ComponentModel::new(decl.name, decl.stakeholder);
     let mut ids: HashMap<&str, usize> = HashMap::new();
     for a in &decl.actions {
-        if ids.contains_key(a.id.as_str()) {
+        if ids.contains_key(a.id) {
             return Err(ParseError::new(
                 a.span,
                 format!(
@@ -45,17 +47,17 @@ fn lower_model(decl: &ModelDecl) -> Result<(ComponentModel, HashMap<&str, usize>
                 ),
             ));
         }
-        let template = model.action(&a.term.to_string());
-        ids.insert(a.id.as_str(), template);
+        let template = model.add_action(term_to_action(&a.term));
+        ids.insert(a.id, template);
     }
     for f in &decl.flows {
-        let from = *ids.get(f.from.as_str()).ok_or_else(|| {
+        let from = *ids.get(f.from).ok_or_else(|| {
             ParseError::new(
                 f.span,
                 format!("flow references undeclared action `{}`", f.from),
             )
         })?;
-        let to = *ids.get(f.to.as_str()).ok_or_else(|| {
+        let to = *ids.get(f.to).ok_or_else(|| {
             ParseError::new(
                 f.span,
                 format!("flow references undeclared action `{}`", f.to),
@@ -71,22 +73,22 @@ fn lower_model(decl: &ModelDecl) -> Result<(ComponentModel, HashMap<&str, usize>
 }
 
 fn lower_instance(
-    decl: &InstanceDecl,
+    decl: &InstanceDecl<'_>,
     models: &HashMap<&str, (ComponentModel, HashMap<&str, usize>)>,
 ) -> Result<SosInstance, ParseError> {
-    let mut builder = SosInstanceBuilder::new(&decl.name);
-    let mut by_id = HashMap::new();
+    let mut builder = SosInstanceBuilder::new(decl.name);
+    let mut by_id = HashMap::with_capacity(decl.actions.len());
     for a in &decl.actions {
-        if by_id.contains_key(a.id.as_str()) {
+        if by_id.contains_key(a.id) {
             return Err(ParseError::new(
                 a.span,
                 format!("duplicate action identifier `{}`", a.id),
             ));
         }
-        let stakeholder = a.stakeholder.as_deref().unwrap_or("env");
-        let owner = a.owner.as_deref().unwrap_or(stakeholder);
+        let stakeholder = a.stakeholder.unwrap_or("env");
+        let owner = a.owner.unwrap_or(stakeholder);
         let node = builder.action_owned(term_to_action(&a.term), stakeholder, owner);
-        by_id.insert(a.id.as_str(), node);
+        by_id.insert(a.id, node);
     }
 
     // Instantiate used component models.
@@ -98,29 +100,29 @@ fn lower_instance(
         ),
     > = HashMap::new();
     for u in &decl.uses {
-        let (model, ids) = models.get(u.model.as_str()).ok_or_else(|| {
+        let (model, ids) = models.get(u.model).ok_or_else(|| {
             ParseError::new(u.span, format!("use of unknown model `{}`", u.model))
         })?;
-        if components.contains_key(u.alias.as_str()) {
+        if components.contains_key(u.alias) {
             return Err(ParseError::new(
                 u.span,
                 format!("duplicate component alias `{}`", u.alias),
             ));
         }
         let handle = model
-            .instantiate(&u.index, &mut builder)
+            .instantiate(u.index, &mut builder)
             .map_err(|e| ParseError::new(u.span, e.to_string()))?;
-        components.insert(u.alias.as_str(), (handle, ids));
+        components.insert(u.alias, (handle, ids));
     }
 
     for f in &decl.flows {
-        let from = *by_id.get(f.from.as_str()).ok_or_else(|| {
+        let from = *by_id.get(f.from).ok_or_else(|| {
             ParseError::new(
                 f.span,
                 format!("flow references undeclared action `{}`", f.from),
             )
         })?;
-        let to = *by_id.get(f.to.as_str()).ok_or_else(|| {
+        let to = *by_id.get(f.to).ok_or_else(|| {
             ParseError::new(
                 f.span,
                 format!("flow references undeclared action `{}`", f.to),
@@ -149,8 +151,8 @@ fn lower_instance(
             })?;
             Ok(handle.node(template))
         };
-        let from = resolve(&c.from_alias, &c.from_action)?;
-        let to = resolve(&c.to_alias, &c.to_action)?;
+        let from = resolve(c.from_alias, c.from_action)?;
+        let to = resolve(c.to_alias, c.to_action)?;
         if c.policy {
             builder.policy_flow(from, to);
         } else {
@@ -160,10 +162,21 @@ fn lower_instance(
     Ok(builder.build())
 }
 
-/// Converts a parsed term into an [`Action`] (head = action name,
-/// arguments rendered as parameters).
-fn term_to_action(term: &Term) -> Action {
-    Action::parse(&term.to_string())
+/// Converts a parsed term into an [`Action`]: the head is the action's
+/// name, and each top-level argument's text is one parameter, so a
+/// nested argument such as `cam(pos)` is a parameter of that base name,
+/// as [`Action::parse`] reads the term's text.
+fn term_to_action(term: &Term<'_>) -> Action {
+    Action::new(
+        term.head,
+        term.args.iter().map(|arg| {
+            if arg.args.is_empty() {
+                Param::parse(arg.head)
+            } else {
+                Param::parse(&arg.to_string())
+            }
+        }),
+    )
 }
 
 #[cfg(test)]
@@ -200,6 +213,28 @@ mod tests {
         assert_eq!(inst.stakeholder(c).name(), "env");
         assert_eq!(inst.flow_kind(a, b), Some(FlowKind::Functional));
         assert_eq!(inst.flow_kind(c, b), Some(FlowKind::Policy));
+    }
+
+    /// Lowering builds each action from its term; `Action::parse` of the
+    /// term's text is the oracle: same name, parameters and text, for
+    /// plain, indexed, nested, spaced and empty argument lists.
+    #[test]
+    fn actions_lower_as_their_terms_text_parses() {
+        let src = r#"instance "t" {
+            action a = tick;
+            action b = f();
+            action c = sense(ESP_1, sW);
+            action d = send( CU_w , cam( pos ) );
+            action e = fwd(cam(pos_2, x_y), _x, a_b_c, g(h(i)));
+        }"#;
+        let file = parse_file(src).unwrap();
+        let inst = &lower(&file).unwrap()[0];
+        for (decl, (_, got)) in file.instances[0].actions.iter().zip(inst.graph().nodes()) {
+            let want = Action::parse(&decl.term.to_string());
+            assert_eq!(got, &want, "{}", decl.term);
+            assert_eq!(got.params(), want.params(), "{}", decl.term);
+            assert_eq!(got.as_str(), decl.term.to_string(), "{}", decl.term);
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::token::{Token, TokenKind};
 /// # Errors
 ///
 /// Returns [`ParseError`] with the position of the first syntax error.
-pub fn parse_file(source: &str) -> Result<File, ParseError> {
+pub fn parse_file(source: &str) -> Result<File<'_>, ParseError> {
     let tokens = lex(source)?;
     let mut p = Parser { tokens, pos: 0 };
     let mut models = Vec::new();
@@ -25,29 +25,31 @@ pub fn parse_file(source: &str) -> Result<File, ParseError> {
     Ok(File { models, instances })
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+/// Tokens are `Copy` (names borrow the source), so taking one copies a
+/// kind and a span and allocates nothing.
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> &Token {
+impl<'a> Parser<'a> {
+    fn peek(&self) -> &Token<'a> {
         &self.tokens[self.pos]
     }
 
-    fn at(&self, kind: &TokenKind) -> bool {
+    fn at(&self, kind: &TokenKind<'_>) -> bool {
         &self.peek().kind == kind
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
+    fn bump(&mut self) -> Token<'a> {
+        let t = self.tokens[self.pos];
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
         t
     }
 
-    fn expect(&mut self, kind: TokenKind) -> Result<Token, ParseError> {
+    fn expect(&mut self, kind: TokenKind<'_>) -> Result<Token<'a>, ParseError> {
         if self.at(&kind) {
             Ok(self.bump())
         } else {
@@ -59,11 +61,11 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self) -> Result<(String, crate::token::Span), ParseError> {
-        match self.peek().kind.clone() {
+    fn ident(&mut self) -> Result<&'a str, ParseError> {
+        match self.peek().kind {
             TokenKind::Ident(name) => {
-                let t = self.bump();
-                Ok((name, t.span))
+                self.bump();
+                Ok(name)
             }
             other => Err(ParseError::new(
                 self.peek().span,
@@ -72,11 +74,11 @@ impl Parser {
         }
     }
 
-    fn model(&mut self) -> Result<ModelDecl, ParseError> {
+    fn model(&mut self) -> Result<ModelDecl<'a>, ParseError> {
         let kw = self.expect(TokenKind::KwModel)?;
-        let (name, _) = self.ident()?;
+        let name = self.ident()?;
         self.expect(TokenKind::KwStakeholder)?;
-        let (stakeholder, _) = self.ident()?;
+        let stakeholder = self.ident()?;
         self.expect(TokenKind::LBrace)?;
         let mut actions = Vec::new();
         let mut flows = Vec::new();
@@ -105,9 +107,9 @@ impl Parser {
         })
     }
 
-    fn instance(&mut self) -> Result<InstanceDecl, ParseError> {
+    fn instance(&mut self) -> Result<InstanceDecl<'a>, ParseError> {
         let kw = self.expect(TokenKind::KwInstance)?;
-        let name = match self.peek().kind.clone() {
+        let name = match self.peek().kind {
             TokenKind::Str(s) => {
                 self.bump();
                 s
@@ -176,16 +178,16 @@ impl Parser {
         })
     }
 
-    fn use_decl(&mut self) -> Result<UseDecl, ParseError> {
+    fn use_decl(&mut self) -> Result<UseDecl<'a>, ParseError> {
         let kw = self.expect(TokenKind::KwUse)?;
-        let (model, _) = self.ident()?;
+        let model = self.ident()?;
         self.expect(TokenKind::KwAs)?;
-        let (alias, _) = self.ident()?;
+        let alias = self.ident()?;
         let index = if self.at(&TokenKind::KwIndex) {
             self.bump();
-            self.ident()?.0
+            self.ident()?
         } else {
-            String::new()
+            ""
         };
         self.expect(TokenKind::Semi)?;
         Ok(UseDecl {
@@ -196,15 +198,15 @@ impl Parser {
         })
     }
 
-    fn connect_decl(&mut self, policy: bool) -> Result<ConnectDecl, ParseError> {
+    fn connect_decl(&mut self, policy: bool) -> Result<ConnectDecl<'a>, ParseError> {
         let kw = self.expect(TokenKind::KwConnect)?;
-        let (from_alias, _) = self.ident()?;
+        let from_alias = self.ident()?;
         self.expect(TokenKind::Dot)?;
-        let (from_action, _) = self.ident()?;
+        let from_action = self.ident()?;
         self.expect(TokenKind::Arrow)?;
-        let (to_alias, _) = self.ident()?;
+        let to_alias = self.ident()?;
         self.expect(TokenKind::Dot)?;
-        let (to_action, _) = self.ident()?;
+        let to_action = self.ident()?;
         self.expect(TokenKind::Semi)?;
         Ok(ConnectDecl {
             from_alias,
@@ -216,9 +218,9 @@ impl Parser {
         })
     }
 
-    fn action_decl(&mut self) -> Result<ActionDecl, ParseError> {
+    fn action_decl(&mut self) -> Result<ActionDecl<'a>, ParseError> {
         let kw = self.expect(TokenKind::KwAction)?;
-        let (id, _) = self.ident()?;
+        let id = self.ident()?;
         self.expect(TokenKind::Eq)?;
         let term = self.term()?;
         let mut owner = None;
@@ -227,11 +229,11 @@ impl Parser {
             match &self.peek().kind {
                 TokenKind::KwOwner => {
                     self.bump();
-                    owner = Some(self.ident()?.0);
+                    owner = Some(self.ident()?);
                 }
                 TokenKind::KwStakeholder => {
                     self.bump();
-                    stakeholder = Some(self.ident()?.0);
+                    stakeholder = Some(self.ident()?);
                 }
                 _ => break,
             }
@@ -246,7 +248,7 @@ impl Parser {
         })
     }
 
-    fn flow_decl(&mut self) -> Result<FlowDecl, ParseError> {
+    fn flow_decl(&mut self) -> Result<FlowDecl<'a>, ParseError> {
         let policy = if self.at(&TokenKind::KwPolicy) {
             self.bump();
             true
@@ -254,9 +256,9 @@ impl Parser {
             false
         };
         let kw = self.expect(TokenKind::KwFlow)?;
-        let (from, _) = self.ident()?;
+        let from = self.ident()?;
         self.expect(TokenKind::Arrow)?;
-        let (to, _) = self.ident()?;
+        let to = self.ident()?;
         self.expect(TokenKind::Semi)?;
         Ok(FlowDecl {
             from,
@@ -266,8 +268,8 @@ impl Parser {
         })
     }
 
-    fn term(&mut self) -> Result<Term, ParseError> {
-        let (head, _) = self.ident()?;
+    fn term(&mut self) -> Result<Term<'a>, ParseError> {
+        let head = self.ident()?;
         let mut args = Vec::new();
         if self.at(&TokenKind::LParen) {
             self.bump();
@@ -311,8 +313,8 @@ mod tests {
         assert_eq!(inst.actions.len(), 4);
         assert_eq!(inst.flows.len(), 4);
         assert_eq!(inst.actions[1].term.to_string(), "send(CU_1,cam(pos))");
-        assert_eq!(inst.actions[0].owner.as_deref(), Some("V1"));
-        assert_eq!(inst.actions[0].stakeholder.as_deref(), Some("D_1"));
+        assert_eq!(inst.actions[0].owner, Some("V1"));
+        assert_eq!(inst.actions[0].stakeholder, Some("D_1"));
         assert!(inst.flows[3].policy);
         assert!(!inst.flows[0].policy);
     }

@@ -33,9 +33,10 @@ impl fmt::Display for Span {
     }
 }
 
-/// The kinds of token the lexer produces.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TokenKind {
+/// The kinds of token the lexer produces. Identifiers and string
+/// literals borrow their text from the source.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TokenKind<'a> {
     /// `instance`
     KwInstance,
     /// `action`
@@ -61,9 +62,9 @@ pub enum TokenKind {
     /// `.`
     Dot,
     /// An identifier (action names, owners, term heads).
-    Ident(String),
-    /// A double-quoted string literal (instance names).
-    Str(String),
+    Ident(&'a str),
+    /// A double-quoted string literal (instance names), without quotes.
+    Str(&'a str),
     /// `{`
     LBrace,
     /// `}`
@@ -84,7 +85,7 @@ pub enum TokenKind {
     Eof,
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TokenKind::KwInstance => write!(f, "`instance`"),
@@ -115,10 +116,10 @@ impl fmt::Display for TokenKind {
 }
 
 /// A token with its span.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Token<'a> {
     /// What was lexed.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'a>,
     /// Where it was lexed.
     pub span: Span,
 }
@@ -130,8 +131,8 @@ mod tests {
     #[test]
     fn display_kinds() {
         assert_eq!(TokenKind::Arrow.to_string(), "`->`");
-        assert_eq!(TokenKind::Ident("x".into()).to_string(), "identifier `x`");
-        assert_eq!(TokenKind::Str("s".into()).to_string(), "string \"s\"");
+        assert_eq!(TokenKind::Ident("x").to_string(), "identifier `x`");
+        assert_eq!(TokenKind::Str("s").to_string(), "string \"s\"");
         assert_eq!(TokenKind::Eof.to_string(), "end of input");
     }
 

@@ -4,28 +4,10 @@
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
-/// A fresh directory of its own for one test, removed on drop, so tests
-/// running in parallel never share one and no run leaves one behind.
-struct TempDir(std::path::PathBuf);
+#[path = "support/temp_dir.rs"]
+mod temp_dir;
 
-impl TempDir {
-    fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!("fsa-cli-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        TempDir(dir)
-    }
-
-    fn path(&self) -> &std::path::Path {
-        &self.0
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
+use temp_dir::TempDir;
 
 fn fsa(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_fsa"))
@@ -79,7 +61,7 @@ fn bad_file_fails_with_message() {
 
 #[test]
 fn syntax_error_reports_position() {
-    let dir = TempDir::new("syntax-error");
+    let dir = TempDir::new("cli-syntax-error");
     let bad = dir.path().join("bad.fsa");
     std::fs::write(&bad, "instance \"x\" { action a = ; }").unwrap();
     let out = fsa(&["check", bad.to_str().unwrap()]);
@@ -474,7 +456,7 @@ fn monitor_reports_bit_identical_across_threads() {
 
 #[test]
 fn explore_with_checkpoint_matches_plain_explore_and_resumes_idempotently() {
-    let dir = TempDir::new("checkpoint-full");
+    let dir = TempDir::new("cli-checkpoint-full");
     let ck = dir.path().join("full.fsas");
     let plain = fsa(&["explore", "--max-vehicles", "2"]);
     assert!(plain.status.success(), "{plain:?}");
@@ -519,7 +501,7 @@ fn explore_expired_deadline_degrades_to_partial_exit_3() {
 
 #[test]
 fn explore_resume_from_corrupt_checkpoint_fails_cleanly() {
-    let dir = TempDir::new("checkpoint-corrupt");
+    let dir = TempDir::new("cli-checkpoint-corrupt");
     let ck = dir.path().join("corrupt.fsas");
     std::fs::write(&ck, b"this is not a snapshot").unwrap();
     let out = fsa(&["explore", "--resume", ck.to_str().unwrap()]);
@@ -532,7 +514,7 @@ fn explore_resume_from_corrupt_checkpoint_fails_cleanly() {
 fn an_unwritable_checkpoint_fails_as_a_write_and_leaves_no_temp_file() {
     // `--checkpoint=` names the empty path: the temp file `.tmp` is
     // written in the working directory, and the rename onto "" fails.
-    let dir = TempDir::new("unwritable");
+    let dir = TempDir::new("cli-unwritable");
     let out = Command::new(env!("CARGO_BIN_EXE_fsa"))
         .args(["explore", "--checkpoint="])
         .current_dir(dir.path())
@@ -556,7 +538,7 @@ fn a_closed_stdout_still_writes_the_stats_artefact() {
     // written. The write fails with a broken pipe, which ends stdout but
     // not the run: no panic, the `--stats-json` artefact, the report's
     // exit code.
-    let dir = TempDir::new("closed-stdout");
+    let dir = TempDir::new("cli-closed-stdout");
     let stats = dir.path().join("stats.json");
     let mut child = Command::new(env!("CARGO_BIN_EXE_fsa"))
         .args(["explore", "--max-vehicles", "4", "--stats-json"])
@@ -578,7 +560,7 @@ fn a_closed_stdout_still_writes_the_stats_artefact() {
 fn a_server_whose_stdout_closed_still_drains_and_writes_its_stats() {
     // `fsa serve … | head -1`: the reader takes the `listening on` line
     // and goes away, so the `drained:` line meets a broken pipe.
-    let dir = TempDir::new("closed-serve-stdout");
+    let dir = TempDir::new("cli-closed-serve-stdout");
     let stats = dir.path().join("serve.json");
     let mut server = Command::new(env!("CARGO_BIN_EXE_fsa"))
         .args(["serve", "--addr", "127.0.0.1:0", "--stats-json"])
@@ -844,7 +826,7 @@ fn independent_chains_spec(k: usize) -> String {
 /// Writes `source` to a spec file `name` in a directory of its own,
 /// which lives as long as the returned guard.
 fn write_spec(name: &str, source: &str) -> (TempDir, std::path::PathBuf) {
-    let dir = TempDir::new(&format!("spec-{name}"));
+    let dir = TempDir::new(&format!("cli-spec-{name}"));
     let path = dir.path().join(name);
     std::fs::write(&path, source).unwrap();
     (dir, path)
@@ -920,13 +902,16 @@ fn runs_digest(runs: &[Vec<String>]) -> u64 {
 
 /// Continues the FNV-1a-64 hash `h` over `out`'s exit code (as
 /// little-endian `i32` bytes, `-1` for a signal), then its stdout.
-fn output_digest(mut h: u64, out: &std::process::Output) -> u64 {
+fn output_digest(h: u64, out: &std::process::Output) -> u64 {
     let code = out.status.code().unwrap_or(-1).to_le_bytes();
-    for &b in code.iter().chain(&out.stdout) {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a(fnv1a(h, &code), &out.stdout)
+}
+
+/// Continues the FNV-1a-64 hash `h` over `bytes`.
+fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// `fsa monitor` reports on `six` and `chain`, for seeds 1–3 at one and
@@ -996,6 +981,103 @@ fn simulate_traces_are_pinned() {
                 .collect();
             (scenario, max_steps, runs_digest(&runs))
         })
+        .collect();
+    assert_eq!(got, rows, "left: this binary, right: the pins");
+}
+
+/// `fsa elicit` and `fsa check` on the shipped specs under every report
+/// flag, on two rendered random-traffic topologies (110 and 290
+/// vehicles), on a cyclic spec and on one malformed spec per
+/// `ParseError` kind: one FNV-1a-64 digest per input set and flag over
+/// the exit code, stdout and stderr of its runs, with the scratch
+/// directory's path masked. The digests were recorded on the binary
+/// whose spec front end copied every identifier, whose lowering parsed
+/// each action's rendered text again and whose §4 order went through
+/// `PartialOrder::try_new`; this one must print the very same bytes.
+#[test]
+fn elicit_and_check_reports_are_pinned() {
+    use fsa::vanet::generator::{random_traffic_instance, TrafficConfig};
+    let dir = TempDir::new("cli-spec-pins");
+    let write = |name: &str, source: &str| {
+        let path = dir.path().join(name);
+        std::fs::write(&path, source).unwrap();
+        path.to_str().unwrap().to_owned()
+    };
+    let traffic: Vec<String> = [(110, 11), (290, 29)]
+        .iter()
+        .map(|&(vehicles, seed)| {
+            let config = TrafficConfig {
+                vehicles,
+                ..TrafficConfig::default()
+            };
+            let source = fsa::speclang::pretty::render(&random_traffic_instance(&config, seed));
+            write(&format!("traffic-{vehicles}.fsa"), &source)
+        })
+        .collect();
+    // A self-loop is no circular dependency; the 3-cycle after it is.
+    let cyclic = write(
+        "cyclic.fsa",
+        "instance \"self loop\" {\n    action a = tick(CLK_1) stakeholder D_1;\n    \
+         action b = show(HMI_1, warn) stakeholder D_1;\n    flow a -> a;\n    flow a -> b;\n}\n\
+         instance \"cycle\" {\n    action a = f(X_1);\n    action b = g(Y_2);\n    \
+         action c = h;\n    flow a -> b;\n    flow b -> c;\n    flow c -> a;\n}\n",
+    );
+    let malformed = vec![
+        write("lexer.fsa", "instance \"x\" {\n  action a = f(@);\n}\n"),
+        write("parser.fsa", "instance \"x\" {\n  action a = tick\n}\n"),
+        write(
+            "lowering.fsa",
+            "instance \"x\" {\n  action a = tick;\n  flow a -> ghost;\n}\n",
+        ),
+    ];
+    let shipped = vec!["specs/fig3.fsa".to_owned(), "specs/fig4.fsa".to_owned()];
+    let sets = [
+        ("specs", shipped),
+        ("traffic", traffic),
+        ("cyclic", vec![cyclic]),
+        ("malformed", malformed),
+    ];
+    let mask = dir.path().to_str().unwrap().to_owned();
+    let digest = |set: &str, flag: &str| -> u64 {
+        let (_, files) = sets.iter().find(|(name, _)| *name == set).unwrap();
+        files.iter().fold(0xcbf2_9ce4_8422_2325, |h, file| {
+            let out = match flag {
+                "check" => fsa(&["check", file]),
+                "" => fsa(&["elicit", file]),
+                flag => fsa(&["elicit", file, flag]),
+            };
+            let code = out.status.code().unwrap_or(-1).to_le_bytes();
+            let text = |bytes: &[u8]| String::from_utf8_lossy(bytes).replace(&mask, "<dir>");
+            [
+                &code[..],
+                text(&out.stdout).as_bytes(),
+                text(&out.stderr).as_bytes(),
+            ]
+            .iter()
+            .fold(h, |h, bytes| fnv1a(h, bytes))
+        })
+    };
+    let rows: [(&str, &str, u64); 16] = [
+        ("specs", "", 0x6b87_1496_fba4_bbbc),
+        ("specs", "--markdown", 0x3abc_6338_4727_73ac),
+        ("specs", "--param", 0x585e_83c4_f25f_1e4c),
+        ("specs", "--refine", 0x3ce9_9b12_343f_da67),
+        ("specs", "--prioritise", 0x19a7_93fd_3e21_ce3a),
+        ("specs", "--dot", 0xc031_fa18_a89c_a1f2),
+        ("specs", "--verify-dataflow", 0x2e81_45a9_cb7c_39c0),
+        ("specs", "check", 0x2956_5d44_3d9a_8c5c),
+        ("traffic", "", 0xb4c8_e0a4_e87c_0f7d),
+        ("traffic", "--markdown", 0xf3ba_be5f_8ca8_ea21),
+        ("traffic", "check", 0xb876_e3f7_fcd4_2b27),
+        ("cyclic", "", 0x7968_6d47_9799_949c),
+        ("cyclic", "check", 0xd3ac_c458_ffcb_64e3),
+        ("malformed", "", 0x52a6_ad74_9803_6a3d),
+        ("malformed", "--markdown", 0x52a6_ad74_9803_6a3d),
+        ("malformed", "check", 0x52a6_ad74_9803_6a3d),
+    ];
+    let got: Vec<(&str, &str, u64)> = rows
+        .iter()
+        .map(|&(set, flag, _)| (set, flag, digest(set, flag)))
         .collect();
     assert_eq!(got, rows, "left: this binary, right: the pins");
 }
@@ -1073,7 +1155,8 @@ fn monitor_refuses_streams_above_the_event_bound() {
 
 /// A served session answers an over-long monitor request with the
 /// usage error and goes on serving: the next monitor runs, and the
-/// server drains cleanly.
+/// server drains cleanly. So do a stream count and thread counts one
+/// above their caps, refused before any stream or thread starts.
 #[test]
 fn a_served_session_refuses_an_over_long_monitor_and_serves_on() {
     let server = Server::start();
@@ -1086,13 +1169,27 @@ fn a_served_session_refuses_an_over_long_monitor_and_serves_on() {
         "--request",
         "monitor --streams 1 --events 10000000000",
         "--request",
+        "monitor --streams 65537 --events 65537",
+        "--request",
+        "monitor --threads 257",
+        "--request",
+        "elicit --threads 257",
+        "--request",
         "monitor --streams 2 --events 64",
     ]);
     let (code, server_stderr) = server.drain();
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("10000000000 events per stream exceed the limit"),
+    for refusal in [
+        "10000000000 events per stream exceed the limit",
+        "--streams: 65537 streams exceed the limit of 65536 streams",
+        "--threads expects at most 256",
+    ] {
+        assert!(stderr.contains(refusal), "{refusal}: {stderr}");
+    }
+    assert_eq!(
+        stderr.matches("--threads expects at most 256").count(),
+        2,
         "{stderr}"
     );
     let stdout = String::from_utf8_lossy(&out.stdout);

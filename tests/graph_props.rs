@@ -213,6 +213,16 @@ proptest! {
 /// policy flows, self-loops and back edges, so cyclic and acyclic
 /// compositions both occur.
 fn random_flow_instance(seed: u64) -> fsa::core::SosInstance {
+    random_flow_instance_of(seed, 1..=70)
+}
+
+/// [`random_flow_instance`] with its action count drawn from `sizes`.
+/// Half the graphs have no back edge, and a self-loop is rare, so DAGs
+/// occur as well as cycles; sparse graphs leave actions isolated.
+fn random_flow_instance_of(
+    seed: u64,
+    sizes: std::ops::RangeInclusive<usize>,
+) -> fsa::core::SosInstance {
     use fsa::core::action::Action;
     use fsa::core::instance::SosInstanceBuilder;
     let mut state = seed | 1;
@@ -222,7 +232,7 @@ fn random_flow_instance(seed: u64) -> fsa::core::SosInstance {
             .wrapping_add(1442695040888963407);
         state >> 33
     };
-    let n = 1 + (next() % 70) as usize;
+    let n = sizes.start() + (next() % (sizes.end() - sizes.start() + 1) as u64) as usize;
     let mut b = SosInstanceBuilder::new("random");
     let ids: Vec<_> = (0..n)
         .map(|i| {
@@ -285,6 +295,90 @@ proptest! {
             (want, got) => prop_assert!(false, "seed {}: chi_nodes {:?}, kernel {:?}", seed, want, got),
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `manual::elicit` reads §4's order off the DAG (sources, sinks and
+    /// the closure's rows) and classifies on the non-policy closure; on
+    /// random flows of 0–40 actions it reports what the reference does:
+    /// `closure_warshall` → `PartialOrder::try_new` → the (min, max)
+    /// restriction, with relevance from the closure of
+    /// `functional_subgraph()`. A cycle names the reference's pair.
+    #[test]
+    fn manual_elicitation_matches_the_reference_order(seed in any::<u64>()) {
+        use fsa::core::manual::{chi_nodes, elicit};
+        use fsa::core::requirements::Relevance;
+        use fsa::core::{Action, FsaError};
+        use fsa::graph::{GraphError, NodeId};
+        let instance = random_flow_instance_of(seed, 0..=40);
+        let action = |n: NodeId| instance.action(n).clone();
+        match (elicit(&instance), PartialOrder::try_new(closure_warshall(instance.graph()))) {
+            (Ok(report), Ok(order)) => {
+                prop_assert_eq!(report.closure_size(), order.relation().len(), "seed {}", seed);
+                let minima: Vec<Action> = order.minimal_elements().into_iter().map(action).collect();
+                let maxima: Vec<Action> = order.maximal_elements().into_iter().map(action).collect();
+                prop_assert_eq!(report.minima(), &minima[..], "seed {}", seed);
+                prop_assert_eq!(report.maxima(), &maxima[..], "seed {}", seed);
+                let mut chi = order.min_max_restriction();
+                chi.sort_by_key(|&(x, y)| (y, x));
+                prop_assert_eq!(chi_nodes(&instance).unwrap(), chi.clone(), "seed {}", seed);
+                let pairs: Vec<(Action, Action)> = chi.iter().map(|&(x, y)| (action(x), action(y))).collect();
+                prop_assert_eq!(report.chi(), &pairs[..], "seed {}", seed);
+                let functional = closure_warshall(&instance.functional_subgraph());
+                let want: Vec<Relevance> = chi
+                    .iter()
+                    .map(|&(x, y)| if functional.contains(x, y) { Relevance::Safety } else { Relevance::Availability })
+                    .collect();
+                let got: Vec<Relevance> = report.classified_requirements().iter().map(|c| c.relevance).collect();
+                prop_assert_eq!(got, want, "seed {}", seed);
+            }
+            (Err(FsaError::CircularDependency { first, second }), Err(GraphError::NotAntisymmetric(a, b))) => {
+                prop_assert_eq!((first, second), (action(a), action(b)), "seed {}", seed);
+            }
+            (got, want) => prop_assert!(false, "seed {}: elicit {:?}, reference {:?}", seed, got.map(|r| r.closure_size()), want.map(|o| o.relation().len())),
+        }
+    }
+}
+
+/// The 0–40-action flows of
+/// [`manual_elicitation_matches_the_reference_order`] reach every shape
+/// it is meant to compare on.
+#[test]
+fn small_random_flows_reach_dags_cycles_self_loops_isolated_actions_and_policy() {
+    use fsa::core::instance::FlowKind;
+    use fsa::graph::topo::is_acyclic;
+    let (mut empty, mut dags, mut cyclic, mut looped_orders) = (0, 0, 0, 0);
+    let (mut self_loops, mut isolated, mut policy) = (0, 0, 0);
+    for seed in 0..512u64 {
+        let instance = random_flow_instance_of(seed, 0..=40);
+        let g = instance.graph();
+        empty += usize::from(g.node_count() == 0);
+        let acyclic = is_acyclic(g);
+        dags += usize::from(acyclic && g.edge_count() > 0);
+        let circular = fsa::core::manual::chi_nodes(&instance).is_err();
+        cyclic += usize::from(circular);
+        // Self-loops without a longer cycle: an order, but no DAG.
+        looped_orders += usize::from(!acyclic && !circular);
+        self_loops += usize::from(g.edges().any(|(x, y)| x == y));
+        isolated += usize::from(g.node_ids().any(|n| g.in_degree(n) + g.out_degree(n) == 0));
+        policy += usize::from(
+            g.edges()
+                .any(|(x, y)| instance.flow_kind(x, y) == Some(FlowKind::Policy)),
+        );
+    }
+    assert!(
+        empty > 0
+            && dags > 50
+            && cyclic > 50
+            && looped_orders > 10
+            && self_loops > 50
+            && isolated > 50
+            && policy > 50,
+        "empty {empty}, DAGs {dags}, cyclic {cyclic}, looped orders {looped_orders}, \
+         self-loops {self_loops}, isolated {isolated}, policy {policy}"
+    );
 }
 
 #[test]

@@ -5,6 +5,11 @@
 use std::collections::BTreeSet;
 use std::process::Command;
 
+#[path = "support/temp_dir.rs"]
+mod temp_dir;
+
+use temp_dir::TempDir;
+
 fn fsa(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_fsa"))
         .args(args)
@@ -12,18 +17,12 @@ fn fsa(args: &[&str]) -> std::process::Output {
         .expect("binary runs")
 }
 
-/// A unique temp path for an export artefact.
-fn temp(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("fsa-obs-cli-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(tag)
-}
-
 // ---- Golden schema --------------------------------------------------
 
 #[test]
 fn stats_json_schema_is_versioned_and_key_ordered() {
-    let stats = temp("explore-stats.json");
+    let dir = TempDir::new("obs-explore-stats");
+    let stats = dir.path().join("explore-stats.json");
     let out = fsa(&[
         "explore",
         "--max-vehicles",
@@ -72,7 +71,8 @@ fn stats_json_schema_is_versioned_and_key_ordered() {
 
 #[test]
 fn trace_json_is_chrome_tracing_with_schema_version() {
-    let trace = temp("explore-trace.json");
+    let dir = TempDir::new("obs-explore-trace");
+    let trace = dir.path().join("explore-trace.json");
     let out = fsa(&[
         "explore",
         "--max-vehicles",
@@ -94,7 +94,8 @@ fn trace_json_is_chrome_tracing_with_schema_version() {
 
 #[test]
 fn monitor_exports_fleet_and_supervisor_series() {
-    let stats = temp("monitor-stats.json");
+    let dir = TempDir::new("obs-monitor-stats");
+    let stats = dir.path().join("monitor-stats.json");
     let out = fsa(&[
         "monitor",
         "--streams",
@@ -131,7 +132,8 @@ fn monitor_exports_fleet_and_supervisor_series() {
 /// pairs, so one thread expands 36 part states.
 #[test]
 fn monitor_spans_cover_load_elicit_compile_and_fleet() {
-    let stats = temp("monitor-six-stats.json");
+    let dir = TempDir::new("obs-monitor-six-stats");
+    let stats = dir.path().join("monitor-six-stats.json");
     let out = fsa(&[
         "monitor",
         "--scenario",
@@ -194,7 +196,8 @@ fn monitor_spans_cover_load_elicit_compile_and_fleet() {
 
 #[test]
 fn elicit_exports_pipeline_series() {
-    let stats = temp("elicit-stats.json");
+    let dir = TempDir::new("obs-elicit-stats");
+    let stats = dir.path().join("elicit-stats.json");
     let out = fsa(&[
         "elicit",
         "specs/fig4.fsa",
@@ -235,9 +238,83 @@ fn elicit_exports_pipeline_series() {
     );
 }
 
+/// The product spans of `fsa check` and `fsa elicit SPEC`: a `spec` root
+/// over `spec.parse` and, per instance, `spec.manual` and `spec.render`;
+/// `--verify-dataflow` adds `spec.dataflow` and the §5 `elicit` root of
+/// the pipeline's own spans, both under `spec` too. Each case maps a span
+/// name to its parent's name.
+#[test]
+fn spec_runs_export_spans_for_parse_manual_and_render() {
+    let dir = TempDir::new("obs-spec-spans");
+    let stats = dir.path().join("stats.json");
+    let stats_arg = stats.to_str().unwrap();
+    // (arguments, each span's name and its parent's name)
+    type Case<'a> = (&'a [&'a str], &'a [(&'a str, Option<&'a str>)]);
+    let cases: [Case; 3] = [
+        (
+            &["check", "specs/fig4.fsa"],
+            &[("spec", None), ("spec.parse", Some("spec"))],
+        ),
+        (
+            &["elicit", "specs/fig3.fsa", "--markdown"],
+            &[
+                ("spec", None),
+                ("spec.parse", Some("spec")),
+                ("spec.manual", Some("spec")),
+                ("spec.render", Some("spec")),
+            ],
+        ),
+        (
+            &["elicit", "specs/fig4.fsa", "--verify-dataflow"],
+            &[
+                ("spec", None),
+                ("spec.parse", Some("spec")),
+                ("spec.manual", Some("spec")),
+                ("spec.dataflow", Some("spec")),
+                ("elicit", Some("spec")),
+                ("elicit.reach", Some("elicit")),
+                ("elicit.min_max", Some("elicit")),
+                ("elicit.pair_eval", Some("elicit")),
+                ("spec.render", Some("spec")),
+            ],
+        ),
+    ];
+    for (args, want) in cases {
+        let out = fsa(&[args, &["--stats-json", stats_arg]].concat());
+        assert!(out.status.success(), "{args:?}: {out:?}");
+        let body = std::fs::read_to_string(&stats).unwrap();
+        let doc = fsa::serve::json::parse(&body).expect("valid JSON");
+        let spans = doc.get("spans").and_then(|v| v.as_arr()).expect("spans");
+        let name_of = |id: u64| -> &str {
+            spans
+                .iter()
+                .find(|s| s.get("id").and_then(|v| v.as_u64()) == Some(id))
+                .and_then(|s| s.get("name")?.as_str())
+                .expect("a parent is a recorded span")
+        };
+        let got: BTreeSet<(&str, Option<&str>)> = spans
+            .iter()
+            .map(|s| {
+                let name = s.get("name").and_then(|n| n.as_str()).expect("name");
+                (name, s.get("parent").and_then(|p| p.as_u64()).map(name_of))
+            })
+            .collect();
+        assert_eq!(
+            got,
+            want.iter().copied().collect::<BTreeSet<_>>(),
+            "{args:?}: {body}"
+        );
+        let roots = spans
+            .iter()
+            .filter(|s| s.get("parent").and_then(|p| p.as_u64()).is_none());
+        assert_eq!(roots.count(), 1, "{args:?}: one root: {body}");
+    }
+}
+
 #[test]
 fn simulate_exports_a_root_span_and_counters() {
-    let stats = temp("simulate-stats.json");
+    let dir = TempDir::new("obs-simulate-stats");
+    let stats = dir.path().join("simulate-stats.json");
     let out = fsa(&[
         "simulate",
         "--scenario",
@@ -280,10 +357,11 @@ fn enabling_observability_never_changes_stdout_or_exit_code() {
             "drop:V1_sense",
         ],
     ];
+    let dir = TempDir::new("obs-invariance");
     for (i, base) in cases.iter().enumerate() {
         let plain = fsa(base);
-        let stats = temp(&format!("invariance-{i}-stats.json"));
-        let trace = temp(&format!("invariance-{i}-trace.json"));
+        let stats = dir.path().join(format!("invariance-{i}-stats.json"));
+        let trace = dir.path().join(format!("invariance-{i}-trace.json"));
         let mut observed_args = base.clone();
         let stats_s = stats.to_str().unwrap().to_owned();
         let trace_s = trace.to_str().unwrap().to_owned();
