@@ -99,6 +99,7 @@ fn bench_lease_tax(c: &mut Criterion) {
         end: 8,
         accepted,
         counters: CheckpointCounters::default(),
+        chi: None,
     };
     group.bench_function("shard_result_roundtrip", |b| {
         b.iter(|| {

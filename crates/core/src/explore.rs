@@ -242,6 +242,12 @@ pub struct CheckpointSpec {
     /// built since the last one (aligned to batch boundaries; `1`
     /// checkpoints after every batch).
     pub every: usize,
+    /// Also write a final boundary checkpoint when the run completes, so
+    /// that resuming from the file is an idempotent no-op. A caller that
+    /// keeps the finished result itself (a distributed worker) leaves it
+    /// unset: a run that builds fewer than `every` candidates then writes
+    /// no file at all. A cancelled run checkpoints either way.
+    pub at_end: bool,
 }
 
 /// Execution policy of [`enumerate_instances_supervised`]: supervision
@@ -479,8 +485,66 @@ pub struct Universe {
     pub requirements: RequirementSet,
     /// Classes whose composition is cyclic (loop-freedom exclusion).
     pub loop_skipped: usize,
+    /// The χ union of each vector that founded a class, in ordinal order:
+    /// what a shard ships with its accepted log so that the merge need
+    /// not rebuild it ([`ShardLog::unions`]).
+    pub unions: Vec<VectorChi>,
     /// Per-stage statistics.
     pub stats: ExploreStats,
+}
+
+/// The OR of the χ rows of one vector's founding classes, as the class
+/// map builds it before it maps χ to requirements, with the number of
+/// those classes that are cyclic (they add no χ).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct VectorChi {
+    /// The vector's ordinal.
+    pub ordinal: u64,
+    /// Nodes of the vector's composition: the number of rows.
+    pub nodes: usize,
+    /// Founding classes of the vector whose composition is cyclic.
+    pub cyclic: usize,
+    /// `nodes` rows of ⌈nodes/64⌉ words each; row `x` holds every `y`
+    /// with `(x, y)` in some founding class's χ.
+    pub rows: Vec<u64>,
+}
+
+impl VectorChi {
+    /// Checks the union's shape on its own: `rows` holds `nodes` rows of
+    /// ⌈nodes/64⌉ words, no bit names a node beyond `nodes`, and at most
+    /// `entries` (the founding classes it covers) are cyclic.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first fault.
+    pub fn check(&self, entries: usize) -> Result<(), String> {
+        let (ordinal, nodes) = (self.ordinal, self.nodes);
+        let words = nodes.div_ceil(64);
+        if nodes.checked_mul(words) != Some(self.rows.len()) {
+            return Err(format!(
+                "the χ union of vector {ordinal} has {} words, not {nodes} rows of {words}",
+                self.rows.len()
+            ));
+        }
+        let spare = !0u64 << (nodes % 64);
+        if nodes % 64 != 0
+            && self
+                .rows
+                .chunks(words)
+                .any(|row| row[words - 1] & spare != 0)
+        {
+            return Err(format!(
+                "the χ union of vector {ordinal} names a node beyond its {nodes} nodes"
+            ));
+        }
+        if self.cyclic > entries {
+            return Err(format!(
+                "the χ union of vector {ordinal} counts {} cyclic classes among {entries}",
+                self.cyclic
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// One entry of an accepted log: a class representative's
@@ -1192,7 +1256,8 @@ pub fn explore_universe(
                 match item {
                     None => stats.disconnected_skipped += 1,
                     Some(built) => {
-                        classes.offer(slice[chunk] as u64, built.certificate, Some(built.class))?;
+                        let founder = Founder::Built(built.class);
+                        classes.offer(slice[chunk] as u64, built.certificate, founder)?;
                     }
                 }
             }
@@ -1265,7 +1330,7 @@ pub fn explore_universe(
     if !stats.cancelled {
         // Completed (or truncated) run: leave a final boundary
         // checkpoint so resuming from it is an idempotent no-op.
-        if let Some(spec) = &exec.checkpoint {
+        if let Some(spec) = exec.checkpoint.as_ref().filter(|spec| spec.at_end) {
             write_explore_checkpoint(
                 spec,
                 fingerprint,
@@ -1344,52 +1409,109 @@ pub struct MergedExploration {
     pub duplicates: usize,
 }
 
+/// One shard's part of a merge: its accepted log and, when the shard
+/// shipped them, the χ unions of the vectors it holds entries of
+/// ([`Universe::unions`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ShardLog<'a> {
+    /// The shard's accepted entries, in discovery order.
+    pub accepted: &'a [Accepted],
+    /// The shard's χ unions, one per vector it holds entries of, in
+    /// ordinal order; `None` has every founding entry's χ rebuilt.
+    pub unions: Option<&'a [VectorChi]>,
+}
+
 /// Rebuilds the global exploration result from per-shard accepted logs,
 /// merged in ascending canonical order (shards are contiguous and
 /// disjoint, so concatenating their logs in range order *is* ascending
 /// order). Each entry is offered under the certificate it carries to the
 /// same class map and union as the live build: a bucket hit rebuilds
 /// shape graphs for the exact check, a founding entry rebuilds its rows
-/// for its flow count and χ, and no certificate is recomputed. Classes
-/// rediscovered by later shards are dropped, keeping the first
-/// representative — because every globally-accepted pair is also
-/// accepted by its own shard, the kept classes and the union are
-/// bit-identical to an unsharded supervised run over the whole universe.
+/// for its flow count, and no certificate is recomputed. A shard's
+/// entries of one vector add the χ union the shard shipped for it when
+/// every one of them founds a class; otherwise (a cross-shard duplicate
+/// among them, or no union shipped) each founding entry's χ is rebuilt
+/// from its rows. Classes rediscovered by later shards are dropped,
+/// keeping the first representative — because every globally-accepted
+/// pair is also accepted by its own shard, the kept classes and the
+/// union are bit-identical to an unsharded supervised run over the whole
+/// universe.
 ///
 /// # Errors
 ///
 /// * [`FsaError::InvalidComponentModel`] if a model or rule fails
 ///   validation.
 /// * [`FsaError::CorruptCheckpoint`] if the merged log is not strictly
-///   ascending or references ordinals/masks outside the universe —
-///   shard results that cannot have come from this configuration.
+///   ascending or references ordinals/masks outside the universe, or a
+///   union is malformed (see [`VectorChi::check`]), has another node
+///   count than its vector or names a vector its shard holds no entry
+///   of — shard results that cannot have come from this configuration.
 pub fn merge_accepted(
     models: &[(ComponentModel, usize)],
     rules: &[ConnectionRule],
-    accepted: &[Accepted],
+    shards: &[ShardLog<'_>],
 ) -> Result<MergedExploration, FsaError> {
     for (m, _) in models {
         m.validate()?;
     }
     let resolved = resolve_rules(models, rules)?;
-    if !accepted
-        .windows(2)
-        .all(|w| (w[0].ordinal, w[0].mask) < (w[1].ordinal, w[1].mask))
+    if !shards
+        .iter()
+        .flat_map(|shard| shard.accepted)
+        .map(|entry| (entry.ordinal, entry.mask))
+        .is_sorted_by(|a, b| a < b)
     {
         return Err(FsaError::CorruptCheckpoint {
             reason: "merged accepted list is not strictly ascending in (ordinal, mask)".to_owned(),
         });
     }
+    let corrupt = |reason: String| FsaError::CorruptCheckpoint { reason };
     let maxes: Vec<usize> = models.iter().map(|(_, max)| *max).collect();
     let mut classes = ClassMap::new(models, &resolved);
     let mut duplicates = 0usize;
-    for (ordinal, counts, run) in vector_runs(&maxes, accepted)? {
-        classes.enter(ordinal, &counts)?;
-        for entry in run {
-            classes.prototype().check_mask(ordinal, entry.mask)?;
-            if !classes.offer(entry.mask, entry.certificate, None)? {
-                duplicates += 1;
+    let mut founders = Vec::new();
+    for shard in shards {
+        let runs = vector_runs(&maxes, shard.accepted)?;
+        let mut unions = shard.unions.unwrap_or_default().iter().peekable();
+        for (ordinal, counts, run) in runs {
+            if classes.current.as_ref().map(|(o, _)| *o) != Some(ordinal) {
+                classes.enter(ordinal, &counts)?;
             }
+            let union = unions.next_if(|u| u.ordinal == ordinal);
+            if let Some(union) = union {
+                union.check(run.len()).map_err(corrupt)?;
+                let nodes = classes.prototype().rows.node_count();
+                if union.nodes != nodes {
+                    return Err(corrupt(format!(
+                        "the χ union of vector {ordinal} has {} rows, the vector {nodes} nodes",
+                        union.nodes
+                    )));
+                }
+            }
+            founders.clear();
+            for entry in run {
+                classes.prototype().check_mask(ordinal, entry.mask)?;
+                if classes.offer(entry.mask, entry.certificate, Founder::Shipped)? {
+                    founders.push(entry.mask);
+                } else {
+                    duplicates += 1;
+                }
+            }
+            match union {
+                Some(union) if founders.len() == run.len() => classes.or_union(union),
+                _ => {
+                    for &mask in &founders {
+                        let rows = class_rows(classes.prototype(), mask);
+                        classes.add_chi(rows.chi.as_deref());
+                    }
+                }
+            }
+        }
+        if let Some(stray) = unions.next() {
+            return Err(corrupt(format!(
+                "the χ union of vector {} has no entry in its shard",
+                stray.ordinal
+            )));
         }
     }
     let stats = ExploreStats {
@@ -1982,6 +2104,15 @@ fn class_rows(prototype: &Prototype, mask: u64) -> ClassRows {
     })
 }
 
+/// The flow count of candidate `mask` of `prototype`: the population
+/// count of its rows.
+fn class_flows(prototype: &Prototype, mask: u64) -> usize {
+    SCRATCH.with_borrow_mut(|s| {
+        prototype.rows_into(mask, &mut s.rows);
+        s.rows.edge_count()
+    })
+}
+
 impl CandidateScratch {
     /// The flow count and χ of the candidate in `rows`.
     fn class_rows(&mut self) -> ClassRows {
@@ -1990,6 +2121,19 @@ impl CandidateScratch {
             chi: self.rows.chi(&mut self.chi).map(<[u64]>::to_vec),
         }
     }
+}
+
+/// What a founding candidate adds to the class list and its vector's χ.
+enum Founder {
+    /// The live build's flow count and χ.
+    Built(ClassRows),
+    /// Both read off its rows: an accepted-log entry, whose certificate
+    /// it carries.
+    Rebuilt,
+    /// Its flow count, read off its rows; its χ arrives with its shard's
+    /// union of the vector ([`ClassMap::or_union`]) or is added later
+    /// ([`ClassMap::add_chi`]).
+    Shipped,
 }
 
 /// The class map and §4.4 union of one run. The live build, the resume
@@ -2012,6 +2156,11 @@ struct ClassMap<'u> {
     current: Option<(u64, Prototype)>,
     /// χ of the current vector's classes, one row per prototype node.
     chi: Vec<u64>,
+    /// Classes the current vector founded, and how many are cyclic.
+    founded: usize,
+    cyclic: usize,
+    /// The χ union of every vector flushed so far that founded a class.
+    unions: Vec<VectorChi>,
 }
 
 impl<'u> ClassMap<'u> {
@@ -2025,6 +2174,9 @@ impl<'u> ClassMap<'u> {
             loop_skipped: 0,
             current: None,
             chi: Vec::new(),
+            founded: 0,
+            cyclic: 0,
+            unions: Vec::new(),
         }
     }
 
@@ -2050,14 +2202,13 @@ impl<'u> ClassMap<'u> {
     }
 
     /// Offers candidate `mask` of the current vector under
-    /// `certificate`; `Ok(true)` if it founded a class. A founding
-    /// candidate adds `rows`, read off its rows here when the caller
-    /// built none (an accepted-log entry, whose certificate it carries).
+    /// `certificate`; `Ok(true)` if it founded a class, which then adds
+    /// what `founder` says.
     fn offer(
         &mut self,
         mask: u64,
         certificate: Certificate,
-        rows: Option<ClassRows>,
+        founder: Founder,
     ) -> Result<bool, FsaError> {
         let (ordinal, prototype) = self.current.as_ref().expect("a vector was entered");
         let (models, rules) = (self.models, self.rules);
@@ -2087,26 +2238,56 @@ impl<'u> ClassMap<'u> {
         if let Some(e) = failure {
             return Err(e);
         }
-        if founded {
-            let rows = rows.unwrap_or_else(|| class_rows(prototype, mask));
-            self.classes.push(ExploredClass {
-                ordinal: *ordinal,
-                mask,
-                certificate,
-                vector: Arc::clone(&prototype.name),
-                actions: prototype.rows.node_count(),
-                flows: rows.flows,
-            });
-            match &rows.chi {
-                Some(chi) => {
-                    for (into, from) in self.chi.iter_mut().zip(chi) {
-                        *into |= from;
-                    }
+        if !founded {
+            return Ok(false);
+        }
+        let (flows, chi) = match founder {
+            Founder::Built(rows) => (rows.flows, Some(rows.chi)),
+            Founder::Rebuilt => {
+                let rows = class_rows(prototype, mask);
+                (rows.flows, Some(rows.chi))
+            }
+            Founder::Shipped => (class_flows(prototype, mask), None),
+        };
+        self.classes.push(ExploredClass {
+            ordinal: *ordinal,
+            mask,
+            certificate,
+            vector: Arc::clone(&prototype.name),
+            actions: prototype.rows.node_count(),
+            flows,
+        });
+        self.founded += 1;
+        if let Some(chi) = chi {
+            self.add_chi(chi.as_deref());
+        }
+        Ok(true)
+    }
+
+    /// Adds one founding class's χ to the current vector: its rows, or
+    /// `None` for a cyclic composition.
+    fn add_chi(&mut self, chi: Option<&[u64]>) {
+        match chi {
+            Some(chi) => {
+                for (into, from) in self.chi.iter_mut().zip(chi) {
+                    *into |= from;
                 }
-                None => self.loop_skipped += 1,
+            }
+            None => {
+                self.loop_skipped += 1;
+                self.cyclic += 1;
             }
         }
-        Ok(founded)
+    }
+
+    /// Adds a shard's χ union of the current vector, whose shape the
+    /// caller checked, for the classes it founded from that shard.
+    fn or_union(&mut self, union: &VectorChi) {
+        for (into, from) in self.chi.iter_mut().zip(&union.rows) {
+            *into |= from;
+        }
+        self.loop_skipped += union.cyclic;
+        self.cyclic += union.cyclic;
     }
 
     /// Replays the checkpointed decisions of the current vector,
@@ -2121,7 +2302,7 @@ impl<'u> ClassMap<'u> {
                 break;
             }
             self.prototype().check_mask(ordinal, entry.mask)?;
-            if !self.offer(entry.mask, entry.certificate, None)? {
+            if !self.offer(entry.mask, entry.certificate, Founder::Rebuilt)? {
                 return Err(FsaError::CorruptCheckpoint {
                     reason: format!(
                         "accepted instance (vector {ordinal}, mask {}) duplicates an earlier class on rebuild",
@@ -2135,11 +2316,21 @@ impl<'u> ClassMap<'u> {
     }
 
     /// Maps the current vector's χ rows to `auth(x, y, stakeholder(y))`
-    /// requirements through its prototype, into the union.
+    /// requirements through its prototype, into the union, and keeps
+    /// them as the vector's [`VectorChi`] if it founded a class.
     fn flush(&mut self) {
-        let Some((_, prototype)) = &self.current else {
+        let Some((ordinal, prototype)) = &self.current else {
             return;
         };
+        if self.founded > 0 {
+            self.unions.push(VectorChi {
+                ordinal: *ordinal,
+                nodes: prototype.rows.node_count(),
+                cyclic: self.cyclic,
+                rows: self.chi.clone(),
+            });
+        }
+        (self.founded, self.cyclic) = (0, 0);
         let base = &prototype.base;
         let words = prototype.rows.words_per_row();
         for (x, row) in self.chi.chunks(words.max(1)).enumerate() {
@@ -2163,6 +2354,7 @@ impl<'u> ClassMap<'u> {
             classes: self.classes,
             requirements: self.requirements,
             loop_skipped: self.loop_skipped,
+            unions: self.unions,
             stats,
         }
     }
@@ -2929,6 +3121,7 @@ mod tests {
                     checkpoint: Some(CheckpointSpec {
                         path: path.clone(),
                         every: 1,
+                        at_end: true,
                     }),
                     resume: None,
                 };
@@ -2999,6 +3192,7 @@ mod tests {
             checkpoint: Some(CheckpointSpec {
                 path: path.clone(),
                 every: 1,
+                at_end: true,
             }),
             ..Default::default()
         };
@@ -3055,6 +3249,7 @@ mod tests {
             checkpoint: Some(CheckpointSpec {
                 path: path.clone(),
                 every: 1,
+                at_end: true,
             }),
             ..Default::default()
         };
@@ -3164,6 +3359,7 @@ mod tests {
             checkpoint: Some(CheckpointSpec {
                 path: path.clone(),
                 every: 1,
+                at_end: true,
             }),
             ..Default::default()
         };
@@ -3219,6 +3415,7 @@ mod tests {
             checkpoint: Some(CheckpointSpec {
                 path: path.clone(),
                 every: 1,
+                at_end: true,
             }),
             ..Default::default()
         };
@@ -3387,7 +3584,7 @@ mod tests {
             let golden = explore_universe(&models, &rules, &options, &exec).unwrap();
             let total = Lattice::new(&models, &rules).unwrap().positions();
             for shards in [1usize, 2, 3, 5, 11] {
-                let mut log = Vec::new();
+                let mut parts = Vec::new();
                 let (mut candidates, mut vectors) = (0usize, 0usize);
                 for range in ShardRange::partition(total, shards) {
                     let part = explore_universe(
@@ -3403,13 +3600,23 @@ mod tests {
                     assert!(!part.stats.cancelled);
                     candidates += part.stats.candidates;
                     vectors += part.stats.multiplicity_vectors;
-                    log.extend(part.accepted());
+                    parts.push((part.accepted(), part.unions));
                 }
-                let merged = merge_accepted(&models, &rules, &log).unwrap().universe;
                 let at = format!("shards {shards} connected {require_connected}");
-                assert_eq!(merged.classes, golden.classes, "{at}");
-                assert_eq!(merged.requirements, golden.requirements, "{at}");
-                assert_eq!(merged.loop_skipped, golden.loop_skipped, "{at}");
+                for shipped in [false, true] {
+                    let logs: Vec<ShardLog> = parts
+                        .iter()
+                        .map(|(accepted, unions)| ShardLog {
+                            accepted,
+                            unions: shipped.then_some(unions.as_slice()),
+                        })
+                        .collect();
+                    let merged = merge_accepted(&models, &rules, &logs).unwrap().universe;
+                    assert_eq!(merged.classes, golden.classes, "{at} {shipped}");
+                    assert_eq!(merged.requirements, golden.requirements, "{at} {shipped}");
+                    assert_eq!(merged.loop_skipped, golden.loop_skipped, "{at} {shipped}");
+                    assert_eq!(merged.unions, golden.unions, "{at} {shipped}");
+                }
                 // Every shard scans its own slice of the lattice, so the
                 // summed counts match the unsharded run.
                 assert_eq!(candidates, golden.stats.candidates, "{at}");
@@ -3436,7 +3643,7 @@ mod tests {
             for entry in run {
                 let built = build_candidate(classes.prototype(), entry.mask, false).unwrap();
                 if !classes
-                    .offer(entry.mask, built.certificate, Some(built.class))
+                    .offer(entry.mask, built.certificate, Founder::Built(built.class))
                     .unwrap()
                 {
                     duplicates += 1;
@@ -3482,6 +3689,7 @@ mod tests {
             let resolved = resolve_rules(&models, &rules).unwrap();
             let maxes: Vec<usize> = models.iter().map(|(_, max)| *max).collect();
             let mut log = Vec::new();
+            let mut parts = Vec::new();
             for pair in cuts.windows(2) {
                 let shard = ShardRange::new(pair[0], pair[1]);
                 let part = explore_universe(
@@ -3505,11 +3713,38 @@ mod tests {
                     );
                 }
                 log.extend(part.accepted());
+                parts.push((part.accepted(), part.unions));
                 cut_mid_vector +=
                     usize::from(lattice.slice(lattice.ordinals(shard).start, shard).0 .0 > 0);
             }
-            let carried = merge_accepted(&models, &rules, &log).unwrap();
+            let carried = merge_accepted(
+                &models,
+                &rules,
+                &[ShardLog {
+                    accepted: &log,
+                    unions: None,
+                }],
+            )
+            .unwrap();
             let oracle = recomputing_merge(&models, &rules, &log);
+            // The shards' shipped unions stand in for the χ of every
+            // shard and vector whose entries all found a class.
+            let logs: Vec<ShardLog> = parts
+                .iter()
+                .map(|(accepted, unions)| ShardLog {
+                    accepted,
+                    unions: Some(unions),
+                })
+                .collect();
+            let shipped = merge_accepted(&models, &rules, &logs).unwrap();
+            assert_eq!(shipped.universe.classes, golden.classes, "seed {seed}");
+            assert_eq!(
+                shipped.universe.requirements, golden.requirements,
+                "seed {seed}"
+            );
+            assert_eq!(shipped.universe.loop_skipped, golden.loop_skipped);
+            assert_eq!(shipped.universe.unions, golden.unions, "seed {seed}");
+            assert_eq!(shipped.duplicates, oracle.duplicates, "seed {seed}");
             assert_eq!(
                 carried.universe.classes, oracle.universe.classes,
                 "seed {seed}"
@@ -3581,8 +3816,16 @@ mod tests {
         assert_eq!((stats.certificate_hits, stats.exact_iso_fallbacks), (1, 1));
         assert_eq!(stats.disconnected_skipped, 1);
         assert_eq!(universe.requirements.len(), 1);
-        let merged =
-            merge_accepted(&models, &[], &[entry(&models, 0, 0), entry(&models, 1, 0)]).unwrap();
+        let log = [entry(&models, 0, 0), entry(&models, 1, 0)];
+        let merged = merge_accepted(
+            &models,
+            &[],
+            &[ShardLog {
+                accepted: &log,
+                unions: None,
+            }],
+        )
+        .unwrap();
         assert_eq!(merged.duplicates, 1);
         assert_eq!(merged.universe.classes, universe.classes);
         assert_eq!(merged.universe.requirements, universe.requirements);
@@ -3597,15 +3840,156 @@ mod tests {
             mask,
             certificate: 0,
         };
-        let err = merge_accepted(&models, &rules, &[at(1, 0), at(0, 0)]).unwrap_err();
-        assert!(matches!(err, FsaError::CorruptCheckpoint { .. }), "{err}");
-        let err = merge_accepted(&models, &rules, &[at(0, 0), at(0, 0)]).unwrap_err();
-        assert!(matches!(err, FsaError::CorruptCheckpoint { .. }), "{err}");
+        let merge = |log: &[Accepted]| {
+            merge_accepted(
+                &models,
+                &rules,
+                &[ShardLog {
+                    accepted: log,
+                    unions: None,
+                }],
+            )
+        };
         let total = Lattice::new(&models, &rules).unwrap().vectors();
-        let err = merge_accepted(&models, &rules, &[at(total, 0)]).unwrap_err();
+        for log in [
+            &[at(1, 0), at(0, 0)][..],
+            &[at(0, 0), at(0, 0)],
+            &[at(total, 0)],
+            &[at(0, u64::MAX)],
+        ] {
+            let err = merge(log).unwrap_err();
+            assert!(matches!(err, FsaError::CorruptCheckpoint { .. }), "{err}");
+        }
+        // Two shards whose logs overlap.
+        let (first, second) = ([at(1, 0)], [at(0, 0)]);
+        let err = merge_accepted(
+            &models,
+            &rules,
+            &[
+                ShardLog {
+                    accepted: &first,
+                    unions: None,
+                },
+                ShardLog {
+                    accepted: &second,
+                    unions: None,
+                },
+            ],
+        )
+        .unwrap_err();
         assert!(matches!(err, FsaError::CorruptCheckpoint { .. }), "{err}");
-        let err = merge_accepted(&models, &rules, &[at(0, u64::MAX)]).unwrap_err();
-        assert!(matches!(err, FsaError::CorruptCheckpoint { .. }), "{err}");
+    }
+
+    #[test]
+    fn malformed_unions_are_rejected() {
+        // 1xS, one node, founds the first class.
+        let models = sensor_and_display();
+        let rules = rules();
+        let golden = explore_universe(
+            &models,
+            &rules,
+            &ExploreOptions::default(),
+            &ExecOptions::default(),
+        )
+        .unwrap();
+        let log = golden.accepted();
+        let good = golden.unions[0].clone();
+        assert_eq!(
+            good,
+            VectorChi {
+                ordinal: 0,
+                nodes: 1,
+                cyclic: 0,
+                rows: vec![0],
+            }
+        );
+        let merge = |union: VectorChi| {
+            let unions = [union];
+            merge_accepted(
+                &models,
+                &rules,
+                &[ShardLog {
+                    accepted: &log[..1],
+                    unions: Some(&unions),
+                }],
+            )
+            .map(|_| ())
+        };
+        merge(good.clone()).unwrap();
+        let bad = [
+            (
+                "words",
+                VectorChi {
+                    rows: vec![0; 2],
+                    ..good.clone()
+                },
+            ),
+            (
+                "beyond",
+                VectorChi {
+                    rows: vec![0b10],
+                    ..good.clone()
+                },
+            ),
+            (
+                "rows",
+                VectorChi {
+                    nodes: 2,
+                    rows: vec![0; 2],
+                    ..good.clone()
+                },
+            ),
+            (
+                "entry",
+                VectorChi {
+                    ordinal: 1,
+                    ..good.clone()
+                },
+            ),
+            (
+                "cyclic",
+                VectorChi {
+                    cyclic: 2,
+                    ..good.clone()
+                },
+            ),
+        ];
+        for (what, union) in bad {
+            let err = merge(union).unwrap_err();
+            assert!(
+                matches!(&err, FsaError::CorruptCheckpoint { reason } if reason.contains("χ union")),
+                "{what}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn only_a_checkpoint_at_end_writes_a_completed_run() {
+        // Fewer candidates than `every`: the run writes its final
+        // boundary checkpoint only when asked for it.
+        let models = sensor_and_display();
+        let rules = rules();
+        let path = std::env::temp_dir().join(format!(
+            "fsa_explore_at_end_{}_{:?}.ckpt",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        for at_end in [false, true] {
+            std::fs::remove_file(&path).ok();
+            let exec = ExecOptions {
+                checkpoint: Some(CheckpointSpec {
+                    path: path.clone(),
+                    every: 1 << 20,
+                    at_end,
+                }),
+                ..Default::default()
+            };
+            let universe =
+                explore_universe(&models, &rules, &ExploreOptions::default(), &exec).unwrap();
+            assert_eq!(universe.stats.checkpoints_written, usize::from(at_end));
+            assert_eq!(path.exists(), at_end);
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

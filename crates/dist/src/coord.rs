@@ -24,11 +24,13 @@
 //! last result and for the connections to drain, and wakes the accept
 //! loop with a connection of its own when it is done.
 //!
-//! Once every shard is done the accepted logs are concatenated in shard
-//! order — which is ascending `(ordinal, mask)` order by construction —
-//! and merged through [`fsa_core::explore::merge_accepted`] under the
-//! certificates the workers computed, reproducing the single-process
-//! classes and union bit-identically.
+//! Once every shard is done the accepted logs are merged in shard order
+//! — which is ascending `(ordinal, mask)` order by construction —
+//! through [`fsa_core::explore::merge_accepted`], under the certificates
+//! and with the χ unions the workers computed, reproducing the
+//! single-process classes and union bit-identically. The unions are
+//! kept in memory only: a shard resumed from the state file has its χ
+//! rebuilt.
 
 use crate::error::DistError;
 use crate::proto::{
@@ -37,7 +39,8 @@ use crate::proto::{
 use crate::state::{CoordState, ShardRecord};
 use fsa_core::checkpoint::{config_fingerprint, CheckpointCounters};
 use fsa_core::explore::{
-    merge_accepted, Accepted, ExploreOptions, ExploreStats, Lattice, ShardRange, Universe,
+    merge_accepted, Accepted, ExploreOptions, ExploreStats, Lattice, ShardLog, ShardRange,
+    Universe, VectorChi,
 };
 use fsa_core::FsaError;
 use fsa_obs::Obs;
@@ -106,6 +109,8 @@ struct Lease {
 /// — after a restart every unfinished shard is simply pending again).
 struct Inner {
     state: CoordState,
+    /// The χ unions each completed shard shipped (not persisted).
+    unions: Vec<Option<Vec<VectorChi>>>,
     leases: Vec<Option<Lease>>,
     ever_leased: Vec<bool>,
     remaining: usize,
@@ -226,6 +231,7 @@ impl Shared {
         end: u64,
         accepted: Vec<Accepted>,
         counters: CheckpointCounters,
+        chi: Option<Vec<VectorChi>>,
     ) -> Result<ToWorker, DistError> {
         let mut inner = self.lock();
         let Some(i) = inner
@@ -258,6 +264,7 @@ impl Shared {
             });
         }
         inner.state.shards[i].done = Some((accepted, counters));
+        inner.unions[i] = chi;
         inner.leases[i] = None;
         inner.remaining -= 1;
         // Store-and-forward: the result must be durable before the
@@ -341,8 +348,9 @@ fn handle_conn(stream: TcpStream, conn: u64, shared: &Shared) -> Result<(), Dist
                 end,
                 accepted,
                 counters,
+                chi,
             } => {
-                let ack = shared.record_result(start, end, accepted, counters)?;
+                let ack = shared.record_result(start, end, accepted, counters, chi)?;
                 let fatal = matches!(ack, ToWorker::Error { .. });
                 reply(&ack)?;
                 if fatal {
@@ -449,8 +457,9 @@ impl Coordinator {
         self.listener.local_addr().map_err(DistError::from)
     }
 
-    /// Serves workers until the universe is fully explored, then
-    /// merges all shard results into the canonical exploration.
+    /// Serves workers until the universe is fully explored (the
+    /// `dist.wait` span), then merges all shard results into the
+    /// canonical exploration (`dist.merge`).
     ///
     /// # Errors
     ///
@@ -459,6 +468,22 @@ impl Coordinator {
     /// [`DistError::Fsa`] when the merge or the global candidate
     /// budget fails.
     pub fn run(self) -> Result<Universe, DistError> {
+        let served = {
+            let _wait = self.config.obs.span("dist.wait");
+            self.serve()?
+        };
+        served.merge()
+    }
+
+    /// Serves workers until every shard's result is recorded and the
+    /// workers have said goodbye, and returns the results to merge.
+    ///
+    /// # Errors
+    ///
+    /// [`DistError::State`] for an incompatible or corrupt state
+    /// file, [`DistError::Io`] for transport failures, and
+    /// [`DistError::Fsa`] when the universe's lattice cannot be built.
+    pub fn serve(self) -> Result<Served, DistError> {
         let CoordConfig {
             max_vehicles,
             shards,
@@ -508,6 +533,7 @@ impl Coordinator {
         let shared = Arc::new(Shared {
             inner: Mutex::new(Inner {
                 state,
+                unions: vec![None; shard_count],
                 leases: (0..shard_count).map(|_| None).collect(),
                 ever_leased: vec![false; shard_count],
                 remaining,
@@ -580,103 +606,120 @@ impl Coordinator {
         if let Some(e) = failure {
             return Err(e);
         }
-        let inner = shared.lock();
-        merge_state(
-            &models,
-            &rules,
-            &inner.state.shards,
-            &shared.lattice,
+        let mut inner = shared.lock();
+        Ok(Served {
+            models,
+            rules,
+            shards: std::mem::take(&mut inner.state.shards),
+            unions: std::mem::take(&mut inner.unions),
+            lattice: shared.lattice.clone(),
             max_candidates,
-            resumed > 0,
-            &obs,
-        )
+            resumed: resumed > 0,
+            obs,
+        })
     }
 }
 
-/// Merges the shards of a fully completed [`CoordState`] into the
-/// canonical [`Universe`], bit-identical to the single-process run. Its
-/// statistics are the shard counters' sums plus the merge's own
-/// duplicates, exact checks and time: a merged run has no thread count
-/// and no scan, build or dedup timings.
-fn merge_state(
-    models: &[(fsa_core::component_model::ComponentModel, usize)],
-    rules: &[fsa_core::explore::ConnectionRule],
-    shards: &[ShardRecord],
-    lattice: &Lattice,
+/// A coordinator that served every shard: the results to merge.
+pub struct Served {
+    models: Vec<(fsa_core::component_model::ComponentModel, usize)>,
+    rules: Vec<fsa_core::explore::ConnectionRule>,
+    shards: Vec<ShardRecord>,
+    unions: Vec<Option<Vec<VectorChi>>>,
+    lattice: Lattice,
     max_candidates: usize,
     resumed: bool,
-    obs: &Obs,
-) -> Result<Universe, DistError> {
-    let span = obs.span("dist.merge");
-    let merge_start = Instant::now();
-    let mut all_accepted = Vec::new();
-    let mut sum = CheckpointCounters::default();
-    // Candidates the shards offered to their class maps without
-    // founding a class.
-    let mut shard_duplicates = 0usize;
-    for shard in shards {
-        let Some((accepted, c)) = &shard.done else {
-            return Err(DistError::State(format!(
-                "cannot merge: shard {} is not done",
-                shard.range
-            )));
+    obs: Obs,
+}
+
+impl Served {
+    /// Merges the shards, with the χ unions they shipped, into the
+    /// canonical [`Universe`], bit-identical to the single-process run
+    /// (the `dist.merge` span). Its statistics are the shard counters'
+    /// sums plus the merge's own duplicates, exact checks and time: a
+    /// merged run has no thread count and no scan, build or dedup
+    /// timings.
+    ///
+    /// # Errors
+    ///
+    /// [`DistError::Fsa`] when the merge or the global candidate budget
+    /// fails.
+    pub fn merge(self) -> Result<Universe, DistError> {
+        let _span = self.obs.span("dist.merge");
+        let merge_start = Instant::now();
+        let mut logs = Vec::with_capacity(self.shards.len());
+        let mut sum = CheckpointCounters::default();
+        // Candidates the shards offered to their class maps without
+        // founding a class.
+        let mut shard_duplicates = 0usize;
+        for (shard, unions) in self.shards.iter().zip(&self.unions) {
+            let Some((accepted, c)) = &shard.done else {
+                return Err(DistError::State(format!(
+                    "cannot merge: shard {} is not done",
+                    shard.range
+                )));
+            };
+            logs.push(ShardLog {
+                accepted,
+                unions: unions.as_deref(),
+            });
+            shard_duplicates +=
+                (c.candidates_built - c.disconnected_skipped).saturating_sub(accepted.len());
+            sum.multiplicity_vectors += c.multiplicity_vectors;
+            sum.subsets_total += c.subsets_total;
+            sum.orbits_skipped += c.orbits_skipped;
+            sum.candidates += c.candidates;
+            sum.candidates_built += c.candidates_built;
+            sum.disconnected_skipped += c.disconnected_skipped;
+            sum.exact_iso_fallbacks += c.exact_iso_fallbacks;
+            sum.failures += c.failures;
+            sum.retries += c.retries;
+        }
+        if sum.candidates > self.max_candidates {
+            return Err(DistError::Fsa(FsaError::BudgetExceeded {
+                limit: self.max_candidates,
+            }));
+        }
+        let merged = merge_accepted(&self.models, &self.rules, &logs)?;
+        let elapsed = merge_start.elapsed();
+        self.obs
+            .counter_add("dist.merge_micros", elapsed.as_micros() as u64);
+        let vectors = usize::try_from(self.lattice.vectors()).unwrap_or(usize::MAX);
+        let stats = ExploreStats {
+            multiplicity_vectors: sum.multiplicity_vectors,
+            subsets_total: sum.subsets_total,
+            orbits_skipped: sum.orbits_skipped,
+            candidates: sum.candidates,
+            disconnected_skipped: sum.disconnected_skipped,
+            // The single-process count: a shard's duplicate hit a bucket
+            // there too, and a shard's founding entries hit exactly the
+            // buckets that the merge finds non-empty. (Without certificate
+            // collisions this is `Σ shard hits + merge duplicates`,
+            // property-tested in tests/dist_props.rs.)
+            certificate_hits: shard_duplicates + merged.universe.stats.certificate_hits,
+            // Each cross-shard duplicate costs the merge an exact check.
+            // Equal to the single-process count unless certificates
+            // collide; then it depends on the cuts.
+            exact_iso_fallbacks: sum.exact_iso_fallbacks
+                + merged.universe.stats.exact_iso_fallbacks,
+            classes: merged.universe.classes.len(),
+            truncated: false,
+            // Every shard completed, each vector's masks with it.
+            vectors_total: vectors,
+            vectors_completed: vectors,
+            candidates_built: sum.candidates_built,
+            failures: sum.failures,
+            retries: sum.retries,
+            resumed: self.resumed,
+            merge_time: Some(elapsed),
+            ..ExploreStats::default()
         };
-        all_accepted.extend_from_slice(accepted);
-        shard_duplicates +=
-            (c.candidates_built - c.disconnected_skipped).saturating_sub(accepted.len());
-        sum.multiplicity_vectors += c.multiplicity_vectors;
-        sum.subsets_total += c.subsets_total;
-        sum.orbits_skipped += c.orbits_skipped;
-        sum.candidates += c.candidates;
-        sum.candidates_built += c.candidates_built;
-        sum.disconnected_skipped += c.disconnected_skipped;
-        sum.exact_iso_fallbacks += c.exact_iso_fallbacks;
-        sum.failures += c.failures;
-        sum.retries += c.retries;
+        stats.mirror_counters(&self.obs);
+        Ok(Universe {
+            stats,
+            ..merged.universe
+        })
     }
-    if sum.candidates > max_candidates {
-        return Err(DistError::Fsa(FsaError::BudgetExceeded {
-            limit: max_candidates,
-        }));
-    }
-    let merged = merge_accepted(models, rules, &all_accepted)?;
-    let elapsed = merge_start.elapsed();
-    span.finish();
-    obs.counter_add("dist.merge_micros", elapsed.as_micros() as u64);
-    let vectors = usize::try_from(lattice.vectors()).unwrap_or(usize::MAX);
-    let stats = ExploreStats {
-        multiplicity_vectors: sum.multiplicity_vectors,
-        subsets_total: sum.subsets_total,
-        orbits_skipped: sum.orbits_skipped,
-        candidates: sum.candidates,
-        disconnected_skipped: sum.disconnected_skipped,
-        // The single-process count: a shard's duplicate hit a bucket
-        // there too, and a shard's founding entries hit exactly the
-        // buckets that the merge finds non-empty. (Without certificate
-        // collisions this is `Σ shard hits + merge duplicates`,
-        // property-tested in tests/dist_props.rs.)
-        certificate_hits: shard_duplicates + merged.universe.stats.certificate_hits,
-        // Each cross-shard duplicate costs the merge an exact check.
-        // Equal to the single-process count unless certificates
-        // collide; then it depends on the cuts.
-        exact_iso_fallbacks: sum.exact_iso_fallbacks + merged.universe.stats.exact_iso_fallbacks,
-        classes: merged.universe.classes.len(),
-        truncated: false,
-        // Every shard completed, each vector's masks with it.
-        vectors_total: vectors,
-        vectors_completed: vectors,
-        candidates_built: sum.candidates_built,
-        failures: sum.failures,
-        retries: sum.retries,
-        resumed,
-        merge_time: Some(elapsed),
-        ..ExploreStats::default()
-    };
-    stats.mirror_counters(obs);
-    Ok(Universe {
-        stats,
-        ..merged.universe
-    })
 }
 
 #[cfg(test)]
@@ -706,6 +749,7 @@ mod tests {
                     require_connected: true,
                     shards,
                 },
+                unions: vec![None; n],
                 leases: (0..n).map(|_| None).collect(),
                 ever_leased: vec![false; n],
                 remaining: n,
@@ -763,7 +807,7 @@ mod tests {
         let waiter = ask(&shared, 2);
         until_held(&obs);
         let ack = shared
-            .record_result(0, 1, Vec::new(), CheckpointCounters::default())
+            .record_result(0, 1, Vec::new(), CheckpointCounters::default(), None)
             .unwrap();
         assert!(matches!(ack, ToWorker::ShardDone { start: 0, end: 1 }));
         let (reply, waited) = waiter.join().unwrap();

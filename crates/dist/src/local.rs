@@ -5,8 +5,14 @@
 //! as in-process threads (tests, library use) — and returns the
 //! merged exploration. The result is bit-identical to the
 //! single-process engine; only the execution is distributed.
+//!
+//! The run is the `dist` span, over `dist.spawn` (state directory,
+//! coordinator and workers), `dist.wait` (until the coordinator holds
+//! every result and the workers said goodbye), `dist.merge` and
+//! `dist.drain` (reaping the workers and removing an ephemeral state
+//! directory), all on the calling thread.
 
-use crate::coord::{CoordConfig, Coordinator};
+use crate::coord::{CoordConfig, Coordinator, Served};
 use crate::error::DistError;
 use crate::worker::{run_worker, WorkerConfig};
 use fsa_core::explore::{compose_accepted, Exploration, ExploreOptions, Universe};
@@ -195,6 +201,8 @@ pub(crate) fn explore_distributed_universe(
     config: &LocalConfig,
     mode: &WorkerMode,
 ) -> Result<Universe, DistError> {
+    let _run = config.obs.span("dist");
+    let spawn = config.obs.span("dist.spawn");
     let (state_dir, ephemeral) = match &config.state_dir {
         Some(dir) => (dir.clone(), false),
         None => {
@@ -209,7 +217,9 @@ pub(crate) fn explore_distributed_universe(
     std::fs::create_dir_all(&state_dir)
         .map_err(|e| DistError::Io(format!("state dir {}: {e}", state_dir.display())))?;
     let mut pool = Workers::Handles(Vec::new());
-    let result = run_local(config, mode, &state_dir, ephemeral, &mut pool);
+    let result = run_local(config, mode, &state_dir, ephemeral, &mut pool, spawn)
+        .and_then(|served| served.merge());
+    let _drain = config.obs.span("dist.drain");
     if result.is_err() {
         pool.kill();
     }
@@ -222,15 +232,16 @@ pub(crate) fn explore_distributed_universe(
     result
 }
 
-/// Runs the coordinator on a thread and the workers into `pool`, and
-/// waits for the merged universe.
+/// Runs the coordinator on a thread and the workers into `pool`, ends
+/// `spawn`, and waits for the coordinator to hold every result.
 fn run_local(
     config: &LocalConfig,
     mode: &WorkerMode,
     state_dir: &std::path::Path,
     ephemeral: bool,
     pool: &mut Workers,
-) -> Result<Universe, DistError> {
+    spawn: fsa_obs::Span,
+) -> Result<Served, DistError> {
     let workers = config.workers.max(1);
     let shards = config.shards.unwrap_or(4 * workers).max(1);
     let coordinator = Coordinator::bind(
@@ -251,7 +262,7 @@ fn run_local(
     let addr = coordinator.addr()?.to_string();
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
-        let _ = tx.send(coordinator.run());
+        let _ = tx.send(coordinator.serve());
     });
     match mode {
         WorkerMode::Processes { exe } => {
@@ -295,9 +306,11 @@ fn run_local(
             *pool = Workers::Handles(handles);
         }
     }
+    spawn.finish();
+    let _wait = config.obs.span("dist.wait");
     // Supervise: the coordinator's result wakes the driver at once. A
     // worker that received its `done` grant exits cleanly *before* the
-    // coordinator finishes merging, so an empty pool is only fatal
+    // coordinator has served, so an empty pool is only fatal
     // when every worker actually failed — otherwise the coordinator
     // already holds every result and just needs time. If no worker
     // exited cleanly, the run can never finish; abort rather than wait

@@ -12,7 +12,7 @@
 //! |----------------|-----------------------------------------------|
 //! | `hello`        | `protocol`                                    |
 //! | `lease`        | — (also renews the lease the worker holds)    |
-//! | `shard-result` | `start`, `end`, `accepted`, `counters`        |
+//! | `shard-result` | `start`, `end`, `accepted`, `counters`, `chi`? |
 //! | `bye`          | —                                             |
 //!
 //! A `shard-result`'s `start` and `end` are positions of the flattened
@@ -21,7 +21,11 @@
 //! `[[ordinal, [mask, …], "certificates"], …]`, the certificates of a
 //! group's masks in order, 16 lower-case hex digits each, in one string
 //! (the JSON parser holds numbers as `f64`, exact only up to 2^53, and a
-//! certificate is a full `u64`).
+//! certificate is a full `u64`). The optional `chi` member carries the χ
+//! union of each vector the log holds entries of
+//! ([`fsa_core::explore::VectorChi`]), in ordinal order:
+//! `[[ordinal, nodes, cyclic, "rows"], …]`, the rows as 16 lower-case hex
+//! digits per word. A frame without it has its χ rebuilt by the merge.
 //!
 //! Coordinator → worker:
 //!
@@ -38,7 +42,7 @@
 
 use crate::error::DistError;
 use fsa_core::checkpoint::CheckpointCounters;
-use fsa_core::explore::Accepted;
+use fsa_core::explore::{Accepted, VectorChi};
 use fsa_obs::json::{write_key, write_str};
 use fsa_serve::json::{self, Value};
 
@@ -76,7 +80,7 @@ pub enum ToCoordinator {
     /// Request a shard lease (also used to renew the current lease).
     Lease,
     /// A completed shard: its range, accepted log (ascending by
-    /// ordinal) and engine counters.
+    /// ordinal), engine counters and, optionally, χ unions.
     ShardResult {
         /// First lattice position of the shard (inclusive).
         start: u64,
@@ -86,6 +90,9 @@ pub enum ToCoordinator {
         accepted: Vec<Accepted>,
         /// The shard run's engine counters.
         counters: CheckpointCounters,
+        /// The χ union of each vector `accepted` holds entries of, in
+        /// ordinal order; `None` leaves them to the merge.
+        chi: Option<Vec<VectorChi>>,
     },
     /// Clean goodbye before closing the connection.
     Bye,
@@ -212,6 +219,28 @@ fn write_accepted(out: &mut String, accepted: &[Accepted]) {
     out.push(']');
 }
 
+/// Writes χ unions: `[[ordinal, nodes, cyclic, "rows"], …]`, the rows
+/// as 16 lower-case hex digits per word, in one string.
+fn write_chi(out: &mut String, unions: &[VectorChi]) {
+    use std::fmt::Write as _;
+    out.push('[');
+    for (i, union) in unions.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(
+            out,
+            "[{},{},{},\"",
+            union.ordinal, union.nodes, union.cyclic
+        );
+        for word in &union.rows {
+            let _ = write!(out, "{word:016x}");
+        }
+        out.push_str("\"]");
+    }
+    out.push(']');
+}
+
 /// Encodes a worker → coordinator frame as one JSON payload.
 #[must_use]
 pub fn encode_to_coordinator(frame: &ToCoordinator) -> String {
@@ -233,6 +262,7 @@ pub fn encode_to_coordinator(frame: &ToCoordinator) -> String {
             end,
             accepted,
             counters,
+            chi,
         } => {
             write_key(&mut out, "type");
             write_str(&mut out, "shard-result");
@@ -245,6 +275,11 @@ pub fn encode_to_coordinator(frame: &ToCoordinator) -> String {
             write_accepted(&mut out, accepted);
             out.push(',');
             write_counters(&mut out, counters);
+            if let Some(unions) = chi {
+                out.push(',');
+                write_key(&mut out, "chi");
+                write_chi(&mut out, unions);
+            }
         }
         ToCoordinator::Bye => {
             write_key(&mut out, "type");
@@ -402,29 +437,97 @@ fn parse_accepted(v: &Value) -> Result<Vec<Accepted>, DistError> {
             .ok_or_else(|| {
                 proto_err("`accepted` groups must be `[ordinal, [mask, …], \"certificates\"]`")
             })?;
-        let hex = certificates.as_bytes();
-        if masks.is_empty()
-            || hex.len() != 16 * masks.len()
-            || !hex.iter().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
-        {
-            return Err(proto_err(
-                "an `accepted` group needs one or more masks and 16 lower-case hex digits of \
-                 certificate per mask",
-            ));
-        }
-        for (mask, digits) in masks.iter().zip(certificates.as_bytes().chunks(16)) {
+        let certificates = hex_words(certificates)
+            .filter(|words| !masks.is_empty() && words.len() == masks.len())
+            .ok_or_else(|| {
+                proto_err(
+                    "an `accepted` group needs one or more masks and 16 lower-case hex digits \
+                     of certificate per mask",
+                )
+            })?;
+        for (mask, certificate) in masks.iter().zip(certificates) {
             let mask = mask
                 .as_u64()
                 .ok_or_else(|| proto_err("`accepted` mask must be a non-negative integer"))?;
-            let digits = std::str::from_utf8(digits).expect("checked ASCII hex digits");
             out.push(Accepted {
                 ordinal,
                 mask,
-                certificate: u64::from_str_radix(digits, 16).expect("checked hex digits"),
+                certificate,
             });
         }
     }
     Ok(out)
+}
+
+/// The words of a string of 16 lower-case hex digits each, or `None`
+/// when it is anything else.
+fn hex_words(hex: &str) -> Option<Vec<u64>> {
+    let bytes = hex.as_bytes();
+    if !bytes.len().is_multiple_of(16)
+        || !bytes.iter().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
+    {
+        return None;
+    }
+    Some(
+        bytes
+            .chunks(16)
+            .map(|digits| {
+                let digits = std::str::from_utf8(digits).expect("checked ASCII hex digits");
+                u64::from_str_radix(digits, 16).expect("checked hex digits")
+            })
+            .collect(),
+    )
+}
+
+/// Parses the optional `chi` member against the frame's own `accepted`
+/// log: each union must be well formed ([`VectorChi::check`]) and name a
+/// vector the log holds entries of, in ascending order.
+fn parse_chi(v: &Value, accepted: &[Accepted]) -> Result<Option<Vec<VectorChi>>, DistError> {
+    let Some(unions) = v.get("chi") else {
+        return Ok(None);
+    };
+    let unions = unions
+        .as_arr()
+        .ok_or_else(|| proto_err("`shard-result` member `chi` must be an array"))?;
+    let mut groups = accepted.chunk_by(|a, b| a.ordinal == b.ordinal).peekable();
+    let mut out = Vec::with_capacity(unions.len());
+    for union in unions {
+        let (ordinal, nodes, cyclic, rows) = union
+            .as_arr()
+            .filter(|u| u.len() == 4)
+            .and_then(|u| {
+                Some((
+                    u[0].as_u64()?,
+                    u[1].as_u64()?,
+                    u[2].as_u64()?,
+                    u[3].as_str()?,
+                ))
+            })
+            .ok_or_else(|| {
+                proto_err("`chi` unions must be `[ordinal, nodes, cyclic, \"rows\"]`")
+            })?;
+        let rows = hex_words(rows)
+            .ok_or_else(|| proto_err("`chi` rows must be 16 lower-case hex digits per word"))?;
+        while groups.next_if(|g| g[0].ordinal < ordinal).is_some() {}
+        let entries = groups
+            .next_if(|g| g[0].ordinal == ordinal)
+            .ok_or_else(|| {
+                proto_err(&format!(
+                    "the χ union of vector {ordinal} has no entry in the shard, or is out of order"
+                ))
+            })?
+            .len();
+        let union = VectorChi {
+            ordinal,
+            nodes: usize::try_from(nodes).map_err(|_| proto_err("`chi` nodes overflow usize"))?,
+            cyclic: usize::try_from(cyclic)
+                .map_err(|_| proto_err("`chi` cyclic count overflows usize"))?,
+            rows,
+        };
+        union.check(entries).map_err(|e| proto_err(&e))?;
+        out.push(union);
+    }
+    Ok(Some(out))
 }
 
 /// Decodes a worker → coordinator frame.
@@ -441,12 +544,16 @@ pub fn decode_to_coordinator(payload: &str) -> Result<ToCoordinator, DistError> 
             Ok(ToCoordinator::Hello)
         }
         "lease" => Ok(ToCoordinator::Lease),
-        "shard-result" => Ok(ToCoordinator::ShardResult {
-            start: field_u64(&v, "start", "shard-result")?,
-            end: field_u64(&v, "end", "shard-result")?,
-            accepted: parse_accepted(&v)?,
-            counters: parse_counters(&v)?,
-        }),
+        "shard-result" => {
+            let accepted = parse_accepted(&v)?;
+            Ok(ToCoordinator::ShardResult {
+                start: field_u64(&v, "start", "shard-result")?,
+                end: field_u64(&v, "end", "shard-result")?,
+                chi: parse_chi(&v, &accepted)?,
+                counters: parse_counters(&v)?,
+                accepted,
+            })
+        }
         "bye" => Ok(ToCoordinator::Bye),
         other => Err(proto_err(&format!("unknown worker frame type `{other}`"))),
     }
@@ -533,6 +640,15 @@ mod tests {
         }
     }
 
+    fn union(ordinal: u64, nodes: usize, cyclic: usize, rows: Vec<u64>) -> VectorChi {
+        VectorChi {
+            ordinal,
+            nodes,
+            cyclic,
+            rows,
+        }
+    }
+
     #[test]
     fn worker_frames_round_trip() {
         let frames = [
@@ -548,12 +664,24 @@ mod tests {
                     entry(8, 17, 0xdead_beef),
                 ],
                 counters: counters(),
+                chi: None,
+            },
+            ToCoordinator::ShardResult {
+                start: 4,
+                end: 9,
+                accepted: vec![entry(4, 0, 0), entry(5, 3, 1), entry(5, 6, 2)],
+                counters: counters(),
+                chi: Some(vec![
+                    union(4, 2, 0, vec![0b10, 0]),
+                    union(5, 65, 1, [u64::MAX, 1].repeat(65)),
+                ]),
             },
             ToCoordinator::ShardResult {
                 start: 0,
                 end: 1,
                 accepted: Vec::new(),
                 counters: counters(),
+                chi: Some(Vec::new()),
             },
             ToCoordinator::Bye,
         ];
@@ -605,19 +733,107 @@ mod tests {
             }),
             r#"{"type":"lease-grant","grant":"shard","start":2,"end":5,"lease_ms":100}"#
         );
-        let result = encode_to_coordinator(&ToCoordinator::ShardResult {
+        let frame = |chi| ToCoordinator::ShardResult {
             start: 1,
             end: 9,
             accepted: vec![entry(1, 3, 0xabc), entry(1, 5, u64::MAX), entry(2, 0, 1)],
             counters: counters(),
-        });
-        assert!(result.starts_with(concat!(
+            chi,
+        };
+        let counters = concat!(
+            r#""counters":{"multiplicity_vectors":3,"subsets_total":24,"orbits_skipped":10,"#,
+            r#""candidates":14,"candidates_built":13,"disconnected_skipped":1,"#,
+            r#""certificate_hits":5,"exact_iso_fallbacks":2,"truncated":false,"#,
+            r#""vectors_completed":3,"failures":0,"retries":1}"#
+        );
+        let head = concat!(
             r#"{"type":"shard-result","start":1,"end":9,"accepted":"#,
             r#"[[1,[3,5],"0000000000000abcffffffffffffffff"],[2,[0],"0000000000000001"]],"#,
-            r#""counters":{"multiplicity_vectors":3,"#
-        )));
-        assert!(result.contains(r#""truncated":false"#));
-        assert!(result.ends_with(r#""retries":1}}"#));
+        );
+        // Without `chi`, the frame of a worker that ships no unions.
+        assert_eq!(
+            encode_to_coordinator(&frame(None)),
+            format!("{head}{counters}}}")
+        );
+        // With it: vector 1's union of 3 nodes (1 → 2, one cyclic
+        // class) and vector 2's of 1 node.
+        assert_eq!(
+            encode_to_coordinator(&frame(Some(vec![
+                union(1, 3, 1, vec![0, 0b100, 0]),
+                union(2, 1, 0, vec![0]),
+            ]))),
+            format!(
+                "{head}{counters},{}}}",
+                concat!(
+                    r#""chi":[[1,3,1,"000000000000000000000000000000040000000000000000"],"#,
+                    r#"[2,1,0,"0000000000000000"]]"#
+                )
+            )
+        );
+    }
+
+    #[test]
+    fn malformed_unions_are_rejected_with_typed_errors() {
+        // A frame with entries of vectors 1 (two) and 2 (one), and the
+        // `chi` member `chi`.
+        let base = encode_to_coordinator(&ToCoordinator::ShardResult {
+            start: 1,
+            end: 9,
+            accepted: vec![entry(1, 3, 1), entry(1, 5, 2), entry(2, 0, 3)],
+            counters: counters(),
+            chi: None,
+        });
+        let with_counters = |chi: &str| format!(r#"{},"chi":{chi}}}"#, &base[..base.len() - 1]);
+        let good = with_counters(r#"[[1,3,0,"000000000000000000000000000000040000000000000000"]]"#);
+        assert!(
+            matches!(
+                decode_to_coordinator(&good),
+                Ok(ToCoordinator::ShardResult { chi: Some(ref u), .. }) if u.len() == 1
+            ),
+            "{good}"
+        );
+        for (what, chi, needle) in [
+            ("not an array", r#"{}"#, "must be an array"),
+            ("bad shape", r#"[[1,3,0]]"#, "must be `[ordinal"),
+            ("bad hex", r#"[[1,1,0,"000000000000000G"]]"#, "hex digits"),
+            (
+                "upper-case hex",
+                r#"[[1,1,0,"000000000000000A"]]"#,
+                "hex digits",
+            ),
+            ("a partial word", r#"[[1,1,0,"0000"]]"#, "hex digits"),
+            (
+                "the wrong row count",
+                r#"[[1,3,0,"00000000000000000000000000000000"]]"#,
+                "not 3 rows of 1",
+            ),
+            (
+                "a bit that names no node",
+                r#"[[1,3,0,"000000000000000000000000000000080000000000000000"]]"#,
+                "beyond its 3 nodes",
+            ),
+            (
+                "a vector with no entry",
+                r#"[[4,1,0,"0000000000000000"]]"#,
+                "no entry",
+            ),
+            (
+                "out of order",
+                r#"[[2,1,0,"0000000000000000"],[1,1,0,"0000000000000000"]]"#,
+                "no entry",
+            ),
+            (
+                "more cyclic classes than entries",
+                r#"[[2,1,2,"0000000000000000"]]"#,
+                "cyclic",
+            ),
+        ] {
+            let payload = with_counters(chi);
+            match decode_to_coordinator(&payload) {
+                Err(DistError::Proto(m)) => assert!(m.contains(needle), "{what}: {m}"),
+                other => panic!("{what}: {other:?} for {payload}"),
+            }
+        }
     }
 
     #[test]

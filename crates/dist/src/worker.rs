@@ -10,12 +10,18 @@
 //! when a renewal is not answered with that grant: the lease was lost,
 //! the coordinator is gone or the universe is done.
 //!
-//! Every shard checkpoints to its own [`ExploreCheckpoint`] file under
-//! the worker's state directory, for crash recovery only — so a
-//! `SIGKILL`ed worker's replacement, picking up the re-issued lease,
-//! resumes the shard from the last checkpoint instead of from scratch,
-//! and a cancelled engine resumes from its own. Checkpoint files are
-//! pid-suffixed (`shard-<start>-<end>.<pid>.fsas`):
+//! A shard checkpoints to its own [`ExploreCheckpoint`] file under the
+//! worker's state directory, for crash recovery only: every
+//! `CHECKPOINT_EVERY` (32 768) built candidates and when its engine is
+//! cancelled, so a `SIGKILL`ed worker's replacement, picking up the
+//! re-issued lease, resumes the shard from the last checkpoint instead
+//! of from scratch, and a cancelled engine resumes from its own. A
+//! finished shard writes no final checkpoint: the worker keeps its
+//! result in memory until the coordinator acknowledges it, and resends
+//! it at the start of its next session when the ack was lost — to a
+//! coordinator of the same configuration only, without re-running the
+//! engine. A shard of fewer candidates writes no file at all.
+//! Checkpoint files are pid-suffixed (`shard-<start>-<end>.<pid>.fsas`):
 //! [`fsa_exec::Snapshot::write_atomic`] stages through a fixed
 //! `<path>.tmp`, so two workers sharing one file name could race on
 //! the staging file; distinct names keep every writer exclusive
@@ -28,11 +34,12 @@
 //! lease again — the coordinator re-grants an interrupted shard to
 //! whoever asks (the durable checkpoint makes resumption cheap), so a
 //! restarted coordinator or a flaky link costs one backoff, not the
-//! shard. Only after [`WorkerConfig::reconnect`] consecutive failed
-//! *connection attempts* does the worker give up — cleanly when it
-//! ever worked a session (its checkpoints are safe on disk and the
-//! coordinator is simply gone, presumably finished), with an error
-//! when the coordinator was never reachable at all.
+//! shard; a finished result waiting for its ack costs one resend. Only
+//! after [`WorkerConfig::reconnect`] consecutive failed *connection
+//! attempts* does the worker give up — cleanly when it ever worked a
+//! session (its checkpoints are safe on disk and the coordinator is
+//! simply gone, presumably finished), with an error when the
+//! coordinator was never reachable at all.
 //!
 //! [`ExploreCheckpoint`]: fsa_core::checkpoint::ExploreCheckpoint
 
@@ -43,7 +50,7 @@ use crate::proto::{
 };
 use fsa_core::checkpoint::CheckpointCounters;
 use fsa_core::explore::{
-    explore_universe, Accepted, CheckpointSpec, ExecOptions, ExploreOptions, ShardRange,
+    explore_universe, CheckpointSpec, ExecOptions, ExploreOptions, ShardRange,
 };
 use fsa_core::FsaError;
 use fsa_exec::{CancelToken, Supervisor};
@@ -67,7 +74,8 @@ const REPLY_DEADLINE_MS: u64 = 5_000;
 /// of the 5-vehicle universe wrote 58 of them, up to 5.4 MB each, for
 /// 1.4 of its 5.3 s. At 32768 it writes 7. The successor of a
 /// `SIGKILL`ed worker re-builds at most this many candidates, under
-/// half a second there. A cancelled engine still checkpoints at once.
+/// half a second there. A cancelled engine still checkpoints at once; a
+/// finished one does not (its result stays in memory until acked).
 const CHECKPOINT_EVERY: usize = 32_768;
 
 /// Socket-level read/write timeout; the polling granularity under
@@ -101,8 +109,10 @@ pub struct WorkerConfig {
     /// worker. Any session that reaches a handshake refills the
     /// budget, so a long run tolerates any number of transient drops.
     pub reconnect: usize,
-    /// Observability handle (workers run with it disabled by default;
-    /// the coordinator owns the run's `dist.*` counters).
+    /// Observability handle for the worker's `dist.worker_*` counters,
+    /// its `dist.shard` spans and each shard engine's `explore.*` series
+    /// (workers run with it disabled by default; the coordinator owns
+    /// the run's `dist.*` counters).
     pub obs: Obs,
 }
 
@@ -191,26 +201,32 @@ fn newest_checkpoint(state_dir: &Path, shard: ShardRange) -> Option<PathBuf> {
     best.map(|(_, path)| path)
 }
 
-/// A fully explored shard: the accepted log plus the engine counters
-/// to ship in the `shard-result` frame.
-type ShardOutcome = (Vec<Accepted>, CheckpointCounters);
+/// A fully explored shard whose `shard-result` the coordinator has not
+/// acknowledged yet, with the configuration it was explored under.
+struct Finished {
+    config: HelloConfig,
+    shard: ShardRange,
+    frame: ToCoordinator,
+}
 
 /// Runs one leased shard through the engine once, resuming from the
 /// newest checkpoint any worker left for it. Returns `None` when
 /// `cancel` stopped the run (its progress is in this worker's
-/// checkpoint) and `Some(result)` when the shard is fully explored.
+/// checkpoint) and the shard's `shard-result` frame, with its χ
+/// unions, when the shard is fully explored.
 fn run_shard(
     cfg: &HelloConfig,
     worker: &WorkerConfig,
     shard: ShardRange,
     cancel: &CancelToken,
-) -> Result<Option<ShardOutcome>, DistError> {
+) -> Result<Option<ToCoordinator>, DistError> {
     let (models, rules) = vanet::exploration::scenario_universe(cfg.max_vehicles as usize);
     let max_candidates = usize::try_from(cfg.max_candidates).unwrap_or(usize::MAX);
     let options = ExploreOptions {
         require_connected: cfg.require_connected,
         max_candidates,
         threads: worker.threads.max(1),
+        obs: worker.obs.clone(),
         shard: Some(shard),
         ..ExploreOptions::default()
     };
@@ -224,6 +240,7 @@ fn run_shard(
             checkpoint: Some(CheckpointSpec {
                 path: own.clone(),
                 every: CHECKPOINT_EVERY,
+                at_end: false,
             }),
             resume: resume.clone(),
         };
@@ -250,7 +267,13 @@ fn run_shard(
                     failures: stats.failures,
                     retries: stats.retries,
                 };
-                return Ok(Some((universe.accepted(), counters)));
+                return Ok(Some(ToCoordinator::ShardResult {
+                    start: shard.start,
+                    end: shard.end,
+                    accepted: universe.accepted(),
+                    counters,
+                    chi: Some(universe.unions),
+                }));
             }
             // A stale or foreign checkpoint (e.g. written under a
             // different configuration) fails closed; drop it and run
@@ -267,8 +290,8 @@ fn run_shard(
 
 /// How working a granted shard ended.
 enum Worked {
-    /// The engine explored the whole shard.
-    Explored(ShardOutcome),
+    /// The engine explored the whole shard: its `shard-result`.
+    Explored(ToCoordinator),
     /// A renewal was not answered with the shard's own grant; the
     /// engine was cancelled. Holds the answer, a reply to `lease`.
     Lost(Step),
@@ -316,7 +339,7 @@ fn work_shard(
         match (explored, lost) {
             (Err(e), _) => Err(e),
             (Ok(_), Some(reply)) => reply.map(Worked::Lost),
-            (Ok(Some(outcome)), None) => Ok(Worked::Explored(outcome)),
+            (Ok(Some(frame)), None) => Ok(Worked::Explored(frame)),
             (Ok(None), None) => Err(DistError::Worker(
                 "the shard's engine stopped without being cancelled".to_owned(),
             )),
@@ -338,13 +361,47 @@ enum SessionEnd {
     Unreachable,
 }
 
-/// Runs one connection's worth of work: connect, handshake, then
-/// lease → explore → report until the universe is done or the
-/// connection dies.
+/// Sends the finished shard in `pending` and reads the ack. `Ok(None)`:
+/// acknowledged, so the result and this worker's checkpoint for the
+/// shard (an intermediate one, if it wrote any) are dropped;
+/// `Ok(Some(end))`: the session ended first, and the result is kept for
+/// the next session.
+fn deliver(
+    reader: &mut TcpStream,
+    writer: &mut TcpStream,
+    config: &WorkerConfig,
+    pending: &mut Option<Finished>,
+) -> Result<Option<SessionEnd>, DistError> {
+    let finished = pending.as_ref().expect("a finished shard to deliver");
+    match roundtrip(reader, writer, &finished.frame)? {
+        Step::Frame(ToWorker::ShardDone { .. }) => {
+            config.obs.counter_add("dist.worker_shards", 1);
+            // The coordinator acks only a recorded result (one it keeps
+            // a state file for is fsynced there first).
+            let _ = fs::remove_file(own_checkpoint(&config.state_dir, finished.shard));
+            *pending = None;
+            Ok(None)
+        }
+        Step::Frame(ToWorker::Error { message }) => Err(DistError::Worker(message)),
+        // Desynchronised pairing (a duplicated reply): reconnect and
+        // resend — the ack path is idempotent.
+        Step::Frame(_) => {
+            config.obs.counter_add("dist.worker_desync", 1);
+            Ok(Some(SessionEnd::Lost))
+        }
+        // The result may or may not have landed; resend it.
+        Step::Gone => Ok(Some(SessionEnd::Lost)),
+    }
+}
+
+/// Runs one connection's worth of work: connect, handshake, resend a
+/// finished shard whose ack was lost, then lease → explore → report
+/// until the universe is done or the connection dies.
 fn work_session(
     addr: &str,
     config: &WorkerConfig,
     contention: &mut Backoff,
+    pending: &mut Option<Finished>,
 ) -> Result<SessionEnd, DistError> {
     let Ok(stream) = TcpStream::connect(addr) else {
         return Ok(SessionEnd::Unreachable);
@@ -380,6 +437,19 @@ fn work_session(
         Step::Gone => return Ok(SessionEnd::Unreachable),
     };
     config.obs.counter_add("dist.worker_sessions", 1);
+    // A result explored under another configuration is no use here.
+    if pending
+        .as_ref()
+        .is_some_and(|finished| finished.config != cfg)
+    {
+        *pending = None;
+    }
+    if pending.is_some() {
+        config.obs.counter_add("dist.worker_resends", 1);
+        if let Some(end) = deliver(&mut reader, &mut writer, config, pending)? {
+            return Ok(end);
+        }
+    }
     // Every iteration handles one reply to a `lease` request: a grant
     // (fresh, or answering a renewal that found the lease lost), a
     // retry, or done.
@@ -396,47 +466,21 @@ fn work_session(
             } => {
                 contention.reset();
                 let shard = ShardRange { start, end };
-                let (accepted, counters) =
+                let frame =
                     match work_shard(&mut reader, &mut writer, &cfg, config, shard, lease_ms)? {
-                        Worked::Explored(outcome) => outcome,
+                        Worked::Explored(frame) => frame,
                         Worked::Lost(step) => {
                             reply = step;
                             continue;
                         }
                     };
-                let ack = roundtrip(
-                    &mut reader,
-                    &mut writer,
-                    &ToCoordinator::ShardResult {
-                        start,
-                        end,
-                        accepted,
-                        counters,
-                    },
-                )?;
-                match ack {
-                    Step::Frame(ToWorker::ShardDone { .. }) => {
-                        config.obs.counter_add("dist.worker_shards", 1);
-                        // Acknowledged — and the ack is only sent
-                        // after the coordinator fsynced the result
-                        // into its state file — so our checkpoint for
-                        // the range is garbage now.
-                        let _ = fs::remove_file(own_checkpoint(&config.state_dir, shard));
-                    }
-                    Step::Frame(ToWorker::Error { message }) => {
-                        return Err(DistError::Worker(message))
-                    }
-                    // Desynchronised pairing (a duplicated reply):
-                    // reconnect and resubmit — the checkpoint is
-                    // still on disk and the ack path is idempotent.
-                    Step::Frame(_) => {
-                        config.obs.counter_add("dist.worker_desync", 1);
-                        return Ok(SessionEnd::Lost);
-                    }
-                    // The result may or may not have landed; the
-                    // checkpoint stays so this worker (after its
-                    // reconnect) or a successor can resume cheaply.
-                    Step::Gone => return Ok(SessionEnd::Lost),
+                *pending = Some(Finished {
+                    config: cfg,
+                    shard,
+                    frame,
+                });
+                if let Some(end) = deliver(&mut reader, &mut writer, config, pending)? {
+                    return Ok(end);
                 }
                 roundtrip(&mut reader, &mut writer, &ToCoordinator::Lease)?
             }
@@ -470,9 +514,10 @@ fn work_session(
 /// reports the universe done, reconnecting through transient drops.
 ///
 /// A lost connection (including a coordinator restart — its state
-/// file preserves completed shards, and re-leasing the interrupted
-/// one is cheap thanks to the worker's checkpoint) costs a jittered
-/// backoff and a new handshake. The worker only stops on
+/// file preserves completed shards, re-leasing the interrupted one is
+/// cheap thanks to the worker's checkpoint, and a finished result whose
+/// ack was lost is resent) costs a jittered backoff and a new
+/// handshake. The worker only stops on
 /// [`WorkerConfig::reconnect`] *consecutive* failed attempts: that is
 /// a clean exit when some session was worked before (the coordinator
 /// has presumably finished and gone away), and an error when the
@@ -504,8 +549,9 @@ pub fn run_worker(addr: &str, config: &WorkerConfig) -> Result<(), DistError> {
         RETRY_CAP_MS,
         config.seed ^ 0xE703_7ED1_A0B4_28DB,
     );
+    let mut pending = None;
     loop {
-        match work_session(addr, config, &mut contention)? {
+        match work_session(addr, config, &mut contention, &mut pending)? {
             SessionEnd::Done => return Ok(()),
             SessionEnd::Lost => {
                 connected_once = true;
@@ -521,10 +567,11 @@ pub fn run_worker(addr: &str, config: &WorkerConfig) -> Result<(), DistError> {
                 // We worked at least one session and now the
                 // coordinator is gone for good — it finished (our
                 // `done` grant was lost with the connection) or an
-                // operator took it down. Every result we hold is
-                // either acked or durable in a checkpoint; this is a
-                // clean exit, mirroring the pre-reconnect contract
-                // that a vanished coordinator is not a worker error.
+                // operator took it down. A result still waiting for its
+                // ack goes with us (a successor resumes its shard from
+                // our last checkpoint, if any); this is a clean exit,
+                // mirroring the pre-reconnect contract that a vanished
+                // coordinator is not a worker error.
                 return Ok(());
             }
             return Err(DistError::Io(format!(

@@ -19,6 +19,11 @@ use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::Duration;
 
+#[path = "../../../tests/support/temp_dir.rs"]
+mod temp_dir;
+
+use temp_dir::TempDir;
+
 /// Held by the tests that let the driver create its ephemeral state
 /// directory, so one of them can tell which directories are its own.
 static EPHEMERAL_DIRS: Mutex<()> = Mutex::new(());
@@ -49,13 +54,6 @@ fn assert_same_universe(a: &Universe, b: &Universe) {
     assert_eq!(a.classes, b.classes);
     assert_eq!(a.requirements, b.requirements);
     assert_eq!(a.loop_skipped, b.loop_skipped);
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("fsa-dist-it-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
 }
 
 #[test]
@@ -137,7 +135,8 @@ fn expired_lease_is_reissued_and_the_result_still_matches() {
 
     // Give the dead worker a head start so it owns a lease first.
     std::thread::sleep(Duration::from_millis(150));
-    let dir = temp_dir("expiry");
+    let guard = TempDir::new("dist-it-expiry");
+    let dir = guard.path().to_path_buf();
     let worker = WorkerConfig {
         state_dir: dir.clone(),
         ..WorkerConfig::default()
@@ -148,12 +147,12 @@ fn expired_lease_is_reissued_and_the_result_still_matches() {
     let snapshot = obs.snapshot();
     assert!(snapshot.counter("dist.leases_expired").unwrap_or(0) >= 1);
     assert!(snapshot.counter("dist.leases_reissued").unwrap_or(0) >= 1);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn coordinator_resumes_from_its_state_file() {
-    let dir = temp_dir("resume");
+    let guard = TempDir::new("dist-it-resume");
+    let dir = guard.path().to_path_buf();
     let state_path = dir.join("coordinator.fsas");
     let obs = Obs::enabled();
     let config = LocalConfig {
@@ -215,7 +214,6 @@ fn coordinator_resumes_from_its_state_file() {
     )
     .unwrap();
     assert!(matches!(coordinator.run(), Err(DistError::State(_))));
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -259,7 +257,8 @@ fn a_shard_outliving_several_leases_finishes_in_one_engine_run() {
     .unwrap();
     let addr = coordinator.addr().unwrap().to_string();
     let coord = std::thread::spawn(move || coordinator.run());
-    let dir = temp_dir("renewal");
+    let guard = TempDir::new("dist-it-renewal");
+    let dir = guard.path().to_path_buf();
     let worker_obs = Obs::enabled();
     let worker = WorkerConfig {
         state_dir: dir.clone(),
@@ -285,7 +284,6 @@ fn a_shard_outliving_several_leases_finishes_in_one_engine_run() {
         assert!(renewed >= 2, "{renewed} renewals in {took:?}");
     }
     println!("{renewed} renewals in {took:?}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The default 5-vehicle run: 8 shards (two workers) cut evenly over
@@ -315,6 +313,7 @@ fn the_largest_five_vehicle_shard_result_fits_under_the_frame_cap() {
             end: range.end,
             accepted: part.accepted(),
             counters: CheckpointCounters::default(),
+            chi: Some(part.unions),
         });
         println!(
             "shard {range}: {} entries, {} bytes",
@@ -385,7 +384,8 @@ fn a_worker_survives_a_dropped_coordinator_connection_and_reacquires_its_lease()
             let _ = wire::read_frame(&mut reader, MAX_FRAME);
         }
     });
-    let dir = temp_dir("reconnect");
+    let guard = TempDir::new("dist-it-reconnect");
+    let dir = guard.path().to_path_buf();
     let obs = Obs::enabled();
     let worker = WorkerConfig {
         state_dir: dir.clone(),
@@ -402,7 +402,6 @@ fn a_worker_survives_a_dropped_coordinator_connection_and_reacquires_its_lease()
     let snapshot = obs.snapshot();
     assert_eq!(snapshot.counter("dist.worker_sessions"), Some(2));
     assert_eq!(snapshot.counter("dist.worker_reconnects"), Some(1));
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -412,7 +411,8 @@ fn a_worker_that_never_reaches_a_coordinator_reports_an_error() {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     drop(listener);
-    let dir = temp_dir("unreachable");
+    let guard = TempDir::new("dist-it-unreachable");
+    let dir = guard.path().to_path_buf();
     let worker = WorkerConfig {
         state_dir: dir.clone(),
         reconnect: 3,
@@ -421,7 +421,6 @@ fn a_worker_that_never_reaches_a_coordinator_reports_an_error() {
     let err = run_worker(&addr, &worker).unwrap_err();
     assert!(matches!(err, DistError::Io(_)), "{err}");
     assert!(err.to_string().contains("3 attempts"), "{err}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -470,7 +469,8 @@ fn connections_beyond_the_coordinator_cap_are_paced_with_retry_not_threads() {
     // A real worker started while the slot is taken keeps retrying
     // (retry-at-handshake is contention, not failure) and completes
     // the universe once the squatter leaves.
-    let dir = temp_dir("cap");
+    let guard = TempDir::new("dist-it-cap");
+    let dir = guard.path().to_path_buf();
     let w_addr = addr.clone();
     let w_dir = dir.clone();
     let worker = std::thread::spawn(move || {
@@ -490,5 +490,111 @@ fn connections_beyond_the_coordinator_cap_are_paced_with_retry_not_threads() {
     let dist = coord.join().unwrap().unwrap();
     assert_same_universe(&golden(1), &dist);
     assert!(obs.snapshot().counter("dist.conn_rejected").unwrap_or(0) >= 1);
-    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_worker_resends_a_finished_result_whose_ack_was_lost() {
+    use fsa_core::explore::Lattice;
+    use fsa_dist::proto::{decode_to_coordinator as dec, encode_to_worker as enc, HelloConfig};
+    use std::net::TcpListener;
+
+    // A scripted coordinator leases the whole 2-vehicle universe, reads
+    // the `shard-result` and drops the connection without an ack. The
+    // worker's next session must open with the identical frame, from
+    // memory: its engine runs once and writes no checkpoint.
+    let (models, rules) = vanet::exploration::scenario_universe(2);
+    let positions = Lattice::new(&models, &rules).unwrap().positions();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let fake = std::thread::spawn(move || {
+        let hello = HelloConfig {
+            max_vehicles: 2,
+            max_candidates: 1_000_000,
+            require_connected: true,
+        };
+        let mut results = Vec::new();
+        for conn in 0..2 {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = stream.try_clone().unwrap();
+            let mut writer = stream;
+            let mut read = || wire::read_frame(&mut reader, MAX_FRAME).unwrap().unwrap();
+            assert_eq!(dec(&read()).unwrap(), ToCoordinator::Hello);
+            wire::write_frame(&mut writer, &enc(&ToWorker::Hello(hello))).unwrap();
+            if conn == 0 {
+                assert_eq!(dec(&read()).unwrap(), ToCoordinator::Lease);
+                let grant = ToWorker::Grant {
+                    start: 0,
+                    end: positions,
+                    lease_ms: 60_000,
+                };
+                wire::write_frame(&mut writer, &enc(&grant)).unwrap();
+                results.push(read());
+                continue; // dropped before the ack
+            }
+            results.push(read());
+            let done = ToWorker::ShardDone {
+                start: 0,
+                end: positions,
+            };
+            wire::write_frame(&mut writer, &enc(&done)).unwrap();
+            assert_eq!(dec(&read()).unwrap(), ToCoordinator::Lease);
+            wire::write_frame(&mut writer, &enc(&ToWorker::Done)).unwrap();
+            let _ = wire::read_frame(&mut reader, MAX_FRAME); // bye
+        }
+        results
+    });
+    let dir = TempDir::new("dist-it-resend");
+    let obs = Obs::enabled();
+    let worker = WorkerConfig {
+        state_dir: dir.path().to_path_buf(),
+        obs: obs.clone(),
+        ..WorkerConfig::default()
+    };
+    run_worker(&addr, &worker).unwrap();
+    let results = fake.join().unwrap();
+    assert_eq!(results[0], results[1], "the resent frame differs");
+    let ToCoordinator::ShardResult { accepted, chi, .. } = dec(&results[0]).unwrap() else {
+        panic!("not a shard-result: {}", results[0]);
+    };
+    assert_eq!(accepted, golden(2).accepted());
+    assert_eq!(chi, Some(golden(2).unions));
+    let snapshot = obs.snapshot();
+    assert_eq!(snapshot.span_count("dist.shard"), 1, "the engine ran again");
+    assert_eq!(snapshot.counter("dist.worker_sessions"), Some(2));
+    assert_eq!(snapshot.counter("dist.worker_resends"), Some(1));
+    assert_eq!(snapshot.counter("dist.worker_shards"), Some(1));
+    assert_eq!(snapshot.counter("explore.checkpoints_written"), Some(0));
+    assert_eq!(std::fs::read_dir(dir.path()).unwrap().count(), 0);
+}
+
+#[test]
+fn four_vehicle_shards_write_no_checkpoint() {
+    // Every shard of the default 8 holds fewer than `CHECKPOINT_EVERY`
+    // candidates, and a finished shard writes no final checkpoint: the
+    // worker keeps its result until the ack.
+    let coordinator = Coordinator::bind(
+        "127.0.0.1:0",
+        CoordConfig {
+            max_vehicles: 4,
+            shards: 8,
+            ..CoordConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = coordinator.addr().unwrap().to_string();
+    let coord = std::thread::spawn(move || coordinator.run());
+    let dir = TempDir::new("dist-it-no-checkpoint");
+    let obs = Obs::enabled();
+    let worker = WorkerConfig {
+        state_dir: dir.path().to_path_buf(),
+        obs: obs.clone(),
+        ..WorkerConfig::default()
+    };
+    run_worker(&addr, &worker).unwrap();
+    let dist = coord.join().unwrap().unwrap();
+    assert_same_universe(&golden(4), &dist);
+    let snapshot = obs.snapshot();
+    assert_eq!(snapshot.counter("dist.worker_shards"), Some(8));
+    assert_eq!(snapshot.counter("explore.checkpoints_written"), Some(0));
+    assert_eq!(std::fs::read_dir(dir.path()).unwrap().count(), 0);
 }

@@ -1081,6 +1081,8 @@ pub fn run_explore(rest: &[String], ctx: &ServiceCtx) -> Rendered {
             checkpoint: f.checkpoint.map(|p| CheckpointSpec {
                 path: p.into(),
                 every: f.checkpoint_every.unwrap_or(256),
+                // `--resume F` of the finished run is a no-op.
+                at_end: true,
             }),
             resume: f.resume.map(Into::into),
             ..ExecOptions::default()
@@ -1090,7 +1092,10 @@ pub fn run_explore(rest: &[String], ctx: &ServiceCtx) -> Rendered {
             Err(e) => return Rendered::failure(&format!("exploration failed: {e}")),
         }
     };
+    let render = obs.span("explore.render");
     let mut r = render_universe(&universe, max_vehicles, f.all, f.stats);
+    drop(universe);
+    render.finish();
     f.outputs.collect(&obs, &mut r);
     r
 }

@@ -23,7 +23,7 @@ use fsa::core::checkpoint::ExploreCheckpoint;
 use fsa::core::component_model::ComponentModel;
 use fsa::core::explore::{
     compose_accepted, enumerate_instances, explore_universe, merge_accepted, BudgetPolicy,
-    CheckpointSpec, ConnectionRule, ExecOptions, ExploreOptions, Lattice, ShardRange,
+    CheckpointSpec, ConnectionRule, ExecOptions, ExploreOptions, Lattice, ShardLog, ShardRange,
 };
 use fsa::core::manual::elicit;
 use fsa::core::{FsaError, RequirementSet, SosInstance};
@@ -176,6 +176,7 @@ fn check_interrupted_unions(seed: u64, oracle: &RequirementSet, cyclic: usize) -
             checkpoint: Some(CheckpointSpec {
                 path: path.clone(),
                 every: usize::MAX,
+                at_end: true,
             }),
             resume: None,
         };
@@ -480,21 +481,29 @@ proptest! {
         let golden = explore_universe(&models, &rules, &options, &ExecOptions::default())
             .expect("explores");
         if !golden.stats.truncated {
-            let mut log = Vec::new();
             let positions = Lattice::new(&models, &rules).expect("lattice").positions();
-            for range in ShardRange::partition(positions, 3) {
-                let shard = ExploreOptions {
-                    shard: Some(range),
-                    on_budget: BudgetPolicy::Error,
-                    ..options.clone()
-                };
-                log.extend(
-                    explore_universe(&models, &rules, &shard, &ExecOptions::default())
-                        .expect("shard explores")
-                        .accepted(),
-                );
-            }
-            let merged = merge_accepted(&models, &rules, &log).expect("merges").universe;
+            let parts: Vec<_> = ShardRange::partition(positions, 3)
+                .into_iter()
+                .map(|range| {
+                    let shard = ExploreOptions {
+                        shard: Some(range),
+                        on_budget: BudgetPolicy::Error,
+                        ..options.clone()
+                    };
+                    let part = explore_universe(&models, &rules, &shard, &ExecOptions::default())
+                        .expect("shard explores");
+                    (part.accepted(), part.unions)
+                })
+                .collect();
+            // The shards ship their χ unions, as distributed workers do.
+            let logs: Vec<ShardLog> = parts
+                .iter()
+                .map(|(accepted, unions)| ShardLog {
+                    accepted,
+                    unions: Some(unions),
+                })
+                .collect();
+            let merged = merge_accepted(&models, &rules, &logs).expect("merges").universe;
             prop_assert_eq!(&merged.requirements, &oracle, "seed {} merged", seed);
             prop_assert_eq!(merged.loop_skipped, cyclic, "seed {} merged", seed);
         }

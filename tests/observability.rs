@@ -283,31 +283,94 @@ fn spec_runs_export_spans_for_parse_manual_and_render() {
         let out = fsa(&[args, &["--stats-json", stats_arg]].concat());
         assert!(out.status.success(), "{args:?}: {out:?}");
         let body = std::fs::read_to_string(&stats).unwrap();
-        let doc = fsa::serve::json::parse(&body).expect("valid JSON");
-        let spans = doc.get("spans").and_then(|v| v.as_arr()).expect("spans");
-        let name_of = |id: u64| -> &str {
-            spans
-                .iter()
-                .find(|s| s.get("id").and_then(|v| v.as_u64()) == Some(id))
-                .and_then(|s| s.get("name")?.as_str())
-                .expect("a parent is a recorded span")
-        };
-        let got: BTreeSet<(&str, Option<&str>)> = spans
+        let (tree, roots) = span_tree(&body);
+        assert_eq!(tree, owned(want), "{args:?}: {body}");
+        assert_eq!(roots, 1, "{args:?}: one root: {body}");
+    }
+}
+
+/// Each span's name with its parent's name, and the number of roots, of
+/// a `--stats-json` document.
+fn span_tree(body: &str) -> (BTreeSet<(String, Option<String>)>, usize) {
+    let doc = fsa::serve::json::parse(body).expect("valid JSON");
+    let spans = doc.get("spans").and_then(|v| v.as_arr()).expect("spans");
+    let name_of = |id: u64| -> String {
+        spans
             .iter()
-            .map(|s| {
-                let name = s.get("name").and_then(|n| n.as_str()).expect("name");
-                (name, s.get("parent").and_then(|p| p.as_u64()).map(name_of))
-            })
-            .collect();
-        assert_eq!(
-            got,
-            want.iter().copied().collect::<BTreeSet<_>>(),
-            "{args:?}: {body}"
-        );
-        let roots = spans
-            .iter()
-            .filter(|s| s.get("parent").and_then(|p| p.as_u64()).is_none());
-        assert_eq!(roots.count(), 1, "{args:?}: one root: {body}");
+            .find(|s| s.get("id").and_then(|v| v.as_u64()) == Some(id))
+            .and_then(|s| s.get("name")?.as_str())
+            .expect("a parent is a recorded span")
+            .to_owned()
+    };
+    let tree = spans
+        .iter()
+        .map(|s| {
+            let name = s.get("name").and_then(|n| n.as_str()).expect("name");
+            let parent = s.get("parent").and_then(|p| p.as_u64()).map(name_of);
+            (name.to_owned(), parent)
+        })
+        .collect();
+    let roots = spans
+        .iter()
+        .filter(|s| s.get("parent").and_then(|p| p.as_u64()).is_none())
+        .count();
+    (tree, roots)
+}
+
+fn owned(pairs: &[(&str, Option<&str>)]) -> BTreeSet<(String, Option<String>)> {
+    pairs
+        .iter()
+        .map(|(name, parent)| (name.to_string(), parent.map(str::to_owned)))
+        .collect()
+}
+
+/// The product spans of `fsa explore`: the engine's `explore` root over
+/// scan, build and dedup, or with `--distributed` the `dist` root over
+/// `dist.spawn`, `dist.wait`, `dist.merge` and `dist.drain`; either way
+/// the report renders in an `explore.render` root.
+#[test]
+fn explore_runs_export_spans_for_the_run_and_its_render() {
+    let dir = TempDir::new("obs-explore-spans");
+    let stats = dir.path().join("stats.json");
+    let stats_arg = stats.to_str().unwrap();
+    type Case<'a> = (&'a [&'a str], &'a [(&'a str, Option<&'a str>)]);
+    let cases: [Case; 2] = [
+        (
+            &["explore", "--max-vehicles", "2"],
+            &[
+                ("explore", None),
+                ("explore.scan", Some("explore")),
+                ("explore.build", Some("explore")),
+                ("explore.dedup", Some("explore")),
+                ("explore.render", None),
+            ],
+        ),
+        (
+            &[
+                "explore",
+                "--max-vehicles",
+                "2",
+                "--distributed",
+                "--workers",
+                "2",
+            ],
+            &[
+                ("dist", None),
+                ("dist.spawn", Some("dist")),
+                ("dist.wait", Some("dist")),
+                ("dist.merge", Some("dist")),
+                ("dist.drain", Some("dist")),
+                ("explore.render", None),
+            ],
+        ),
+    ];
+    for (args, want) in cases {
+        let out = fsa(&[args, &["--stats-json", stats_arg]].concat());
+        assert!(out.status.success(), "{args:?}: {out:?}");
+        let body = std::fs::read_to_string(&stats).unwrap();
+        let (tree, roots) = span_tree(&body);
+        assert_eq!(tree, owned(want), "{args:?}: {body}");
+        assert_eq!(roots, 2, "{args:?}: the run and its render: {body}");
     }
 }
 

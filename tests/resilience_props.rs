@@ -74,6 +74,7 @@ fn interrupt_then_resume_across_thread_counts_is_bit_identical() {
             checkpoint: Some(CheckpointSpec {
                 path: path.clone(),
                 every: 1,
+                at_end: true,
             }),
             resume: None,
         };
@@ -263,6 +264,7 @@ fn resume_under_changed_flags_fails_closed_per_fingerprint_field() {
         checkpoint: Some(CheckpointSpec {
             path: path.clone(),
             every: 1,
+            at_end: true,
         }),
         resume: None,
     };
@@ -359,6 +361,7 @@ fn cross_shard_resume_fails_closed() {
         checkpoint: Some(CheckpointSpec {
             path: path.clone(),
             every: 1,
+            at_end: true,
         }),
         ..ExecOptions::default()
     };
