@@ -24,9 +24,9 @@
 //! confined to certificate buckets. Memory is proportional to the number
 //! of *equivalence classes*, never to the `2^flows` candidate space.
 //! Flow subsets are additionally enumerated up to *copy-permutation
-//! symmetry* — copies of one component model are interchangeable, so a
-//! whole orbit of subsets is skipped once its minimal representative has
-//! been instantiated.
+//! symmetry*: copies of one component model are interchangeable, so only
+//! the minimal subset of each orbit is generated, by a walk over the
+//! orbit-maximal complements, and the rest of the orbit is never visited.
 //!
 //! Each vector's copies are instantiated once, into a flow-free
 //! prototype that also holds the composition as fixed-width adjacency
@@ -68,10 +68,12 @@ use fsa_exec::{CancelToken, Supervisor};
 use fsa_graph::bitset::{set_bits, AdjacencyRows, ChiScratch};
 use fsa_graph::iso::{
     are_isomorphic, label_hash, row_certificate, Certificate, CertificateScratch, CertifiedClasses,
+    InitialColouring,
 };
 use fsa_graph::{DiGraph, NodeId};
 use fsa_obs::Obs;
 use std::cell::RefCell;
+use std::ops::ControlFlow;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -336,8 +338,7 @@ pub struct ExploreStats {
     pub checkpoints_written: usize,
     /// `true` if the run was resumed from a checkpoint.
     pub resumed: bool,
-    /// Time spent scanning flow subsets for orbit-minimal
-    /// representatives.
+    /// Time spent generating the orbit-minimal flow subsets.
     pub scan_time: Duration,
     /// Time spent instantiating candidates and computing certificates
     /// (parallel phase).
@@ -609,9 +610,11 @@ pub fn enumerate_instances(
         .map(|e| e.instances)
 }
 
-/// Hard cap on the flow-subset space of one multiplicity vector: beyond
-/// this even *scanning* the subsets is infeasible.
-const SUBSET_SCAN_CAP: usize = 1 << 26;
+/// Most candidate external flows one multiplicity vector may have: its
+/// flow subsets are `u64` masks, and their number `2^F` a `u64`. The
+/// orbit walk generates only the minima, so the candidate budget, not
+/// `F`, bounds the work.
+const MAX_FLOWS: usize = 63;
 
 /// Copy-permutation groups larger than this are not used for orbit
 /// pruning (correctness is unaffected — the certificate dedup still
@@ -842,7 +845,7 @@ fn write_explore_checkpoint(
     spec: &CheckpointSpec,
     fingerprint: u64,
     next_ordinal: u64,
-    pending: &[usize],
+    pending: &[u64],
     stats: &mut ExploreStats,
     classes: &ClassMap<'_>,
     hits_offset: i64,
@@ -875,7 +878,7 @@ fn write_explore_checkpoint(
     ExploreCheckpoint {
         fingerprint,
         next_ordinal,
-        pending_masks: pending.iter().map(|&m| m as u64).collect(),
+        pending_masks: pending.to_vec(),
         accepted: accepted_log(&classes.classes),
         counters,
     }
@@ -921,8 +924,8 @@ pub fn enumerate_instances_supervised(
 /// # Errors
 ///
 /// * [`FsaError::InvalidComponentModel`] if a model fails validation, a
-///   rule references an unknown model/action, or the flow-subset space
-///   of one multiplicity vector is too large to scan.
+///   rule references an unknown model/action, or a multiplicity vector
+///   has more than 63 candidate external flows.
 /// * [`FsaError::BudgetExceeded`] if the enumeration exceeds
 ///   `options.max_candidates` under [`BudgetPolicy::Error`].
 /// * [`FsaError::InvalidShard`] for a malformed or truncating shard.
@@ -993,7 +996,7 @@ pub fn explore_universe(
     // runs carry the same ordinal space as unsharded ones), so accepted
     // logs concatenate across shards.
     let mut next_ordinal = ordinals.start;
-    let mut pending: Vec<usize> = Vec::new();
+    let mut pending: Vec<u64> = Vec::new();
     // The resumed checkpoint's accepted log, replayed into the class map.
     let mut log: Vec<Accepted> = Vec::new();
     let mut cp_hits = 0usize;
@@ -1035,7 +1038,7 @@ pub fn explore_universe(
             }
         }
         next_ordinal = cp.next_ordinal;
-        pending = cp.pending_masks.iter().map(|&m| m as usize).collect();
+        pending = cp.pending_masks;
         log = cp.accepted;
         let c = cp.counters;
         stats.multiplicity_vectors = c.multiplicity_vectors;
@@ -1104,7 +1107,7 @@ pub fn explore_universe(
         if resumed_mid_vector {
             let (lo, hi) = slice.unwrap_or((0, 1u64.checked_shl(flow_count as u32).unwrap_or(0)));
             for &mask in &pending {
-                if !(lo..hi).contains(&(mask as u64)) {
+                if !(lo..hi).contains(&mask) {
                     return Err(FsaError::CorruptCheckpoint {
                         reason: format!("pending mask {mask} out of range for vector {ordinal64}"),
                     });
@@ -1162,7 +1165,6 @@ pub fn explore_universe(
                 &counts,
                 slice,
                 options,
-                threads,
                 stats.candidates,
                 &cancel,
             )?;
@@ -1185,8 +1187,9 @@ pub fn explore_universe(
                 break 'vectors;
             }
             stats.multiplicity_vectors += usize::from(owned);
-            stats.subsets_total += scan.subsets;
-            stats.orbits_skipped += scan.orbits_skipped;
+            // Saturating: a vector of 63 flows alone has 2^63 subsets.
+            stats.subsets_total = stats.subsets_total.saturating_add(scan.subsets);
+            stats.orbits_skipped = stats.orbits_skipped.saturating_add(scan.orbits_skipped);
             stats.candidates += scan.canonical.len();
             stats.truncated |= scan.truncated;
             scan.canonical
@@ -1223,7 +1226,7 @@ pub fn explore_universe(
                 |i| {
                     Ok(build_candidate(
                         prototype,
-                        slice[i] as u64,
+                        slice[i],
                         options.require_connected,
                     ))
                 },
@@ -1257,7 +1260,7 @@ pub fn explore_universe(
                     None => stats.disconnected_skipped += 1,
                     Some(built) => {
                         let founder = Founder::Built(built.class);
-                        classes.offer(slice[chunk] as u64, built.certificate, founder)?;
+                        classes.offer(slice[chunk], built.certificate, founder)?;
                     }
                 }
             }
@@ -1601,7 +1604,7 @@ fn flow_candidates(rules: &[ResolvedRule], counts: &[usize]) -> Vec<FlowCandidat
 /// subset masks to instantiate.
 struct VectorScan {
     subsets: usize,
-    canonical: Vec<usize>,
+    canonical: Vec<u64>,
     orbits_skipped: usize,
     truncated: bool,
     /// The scan was abandoned at a cancellation point; nothing is
@@ -1609,152 +1612,86 @@ struct VectorScan {
     cancelled: bool,
 }
 
-/// How often the sequential scan loops peek at the cancellation token.
+/// How often the orbit walk peeks at the cancellation token, in tested
+/// masks.
 const SCAN_CANCEL_STRIDE: usize = 4096;
 
-/// Scans the flow subsets of one multiplicity vector — the masks
-/// `lo..hi` of `slice`, or all of them — for orbit-minimal
-/// representatives, applying the candidate budget; the sequential scans
-/// peek at `cancel` every [`SCAN_CANCEL_STRIDE`] masks.
+/// Generates the orbit-minimal flow subsets of one multiplicity vector —
+/// those among the masks `lo..hi` of `slice`, or all of them — in
+/// ascending order ([`walk_orbit_minima`]), applying the candidate
+/// budget.
+///
+/// The counts are those of a scan that tests every mask in turn. A whole
+/// vector with more orbits than the budget allows (at least `2^F / |G|`
+/// of them) fails at once under [`BudgetPolicy::Error`]; under
+/// [`BudgetPolicy::Truncate`] its scan stops at the first minimum past
+/// the budget and counts the masks before it as skipped. Any other scan
+/// counts every mask of the slice, and under `Error` fails as soon as a
+/// minimum passes the budget.
 fn scan_vector(
     rules: &[ResolvedRule],
     counts: &[usize],
     slice: Option<(u64, u64)>,
     options: &ExploreOptions,
-    threads: usize,
     candidates_so_far: usize,
     cancel: &CancelToken,
 ) -> Result<VectorScan, FsaError> {
     let flows = flow_candidates(rules, counts);
-    let all: usize = 1usize
-        .checked_shl(flows.len() as u32)
-        .filter(|&s| s <= SUBSET_SCAN_CAP)
-        .ok_or_else(|| FsaError::InvalidComponentModel {
+    if flows.len() > MAX_FLOWS {
+        return Err(FsaError::InvalidComponentModel {
             reason: "too many candidate external flows to enumerate".to_owned(),
-        })?;
-    let (lo, hi) = slice.map_or((0, all), |(lo, hi)| (lo as usize, hi as usize));
-    let subsets = hi - lo;
-
-    // The copy-permutation symmetry group, as permutations of the flow
-    // candidates (identity dropped, duplicates collapsed), and their
-    // image tables.
-    let flow_perms = flow_permutations(rules, counts, &flows);
-    let group_len = flow_perms.len() + 1;
-    let orbit = OrbitTables::new(&flow_perms, flows.len());
-
-    let abandoned = || VectorScan {
-        subsets,
-        canonical: Vec::new(),
-        orbits_skipped: 0,
-        truncated: false,
-        cancelled: true,
-    };
-    let peek = |mask: usize| mask.is_multiple_of(SCAN_CANCEL_STRIDE) && cancel.is_cancelled_peek();
-
-    // Orbit-minimal flow subsets. Every canonical subset counts against
-    // the candidate budget; a provably exceeded budget short-circuits
-    // the scan of a whole vector (a slice of it may hold more orbit
-    // minima than its share).
-    let remaining = options.max_candidates.saturating_sub(candidates_so_far);
-    let mut truncated = false;
-    let mut orbits_skipped = 0usize;
-    let whole = subsets == all;
-    let mut canonical: Vec<usize> = if whole && subsets.div_ceil(group_len) > remaining {
-        match options.on_budget {
-            BudgetPolicy::Error => {
-                return Err(FsaError::BudgetExceeded {
-                    limit: options.max_candidates,
-                })
-            }
-            BudgetPolicy::Truncate => {
-                // Early-stop sequential scan: collect only as many
-                // canonical subsets as the budget still allows.
-                truncated = true;
-                let mut picked = Vec::with_capacity(remaining);
-                for mask in lo..hi {
-                    if peek(mask) {
-                        return Ok(abandoned());
-                    }
-                    if orbit.is_minimal(mask) {
-                        if picked.len() == remaining {
-                            break;
-                        }
-                        picked.push(mask);
-                    } else {
-                        orbits_skipped += 1;
-                    }
-                }
-                picked
-            }
-        }
-    } else if threads > 1 && subsets >= 4096 {
-        // Chunked parallel scan, merged in ascending mask order. Every
-        // worker is joined before the first panic is reported, so a
-        // second panicking chunk cannot double-panic the scope.
-        let chunk = subsets.div_ceil(threads);
-        let ranges: Vec<(usize, usize)> = (0..threads)
-            .map(|i| (lo + i * chunk, (lo + (i + 1) * chunk).min(hi)))
-            .filter(|(lo, hi)| lo < hi)
-            .collect();
-        let per_range: Vec<Result<Vec<usize>, usize>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .iter()
-                .map(|&(lo, hi)| {
-                    let orbit = &orbit;
-                    scope.spawn(move || {
-                        (lo..hi)
-                            .filter(|&mask| orbit.is_minimal(mask))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .enumerate()
-                .map(|(i, h)| h.join().map_err(|_| i))
-                .collect()
         });
-        let mut merged = Vec::new();
-        for range in per_range {
-            match range {
-                Ok(masks) => merged.extend(masks),
-                Err(chunk) => {
-                    return Err(FsaError::WorkerPanicked {
-                        stage: "explore:scan",
-                        chunk,
-                    })
-                }
-            }
-        }
-        merged
-    } else {
-        let mut picked = Vec::new();
-        for mask in lo..hi {
-            if peek(mask) {
-                return Ok(abandoned());
-            }
-            if orbit.is_minimal(mask) {
-                picked.push(mask);
-            }
-        }
-        picked
-    };
-    if !truncated {
-        orbits_skipped += subsets - canonical.len();
-        if canonical.len() > remaining {
-            match options.on_budget {
-                BudgetPolicy::Error => {
-                    return Err(FsaError::BudgetExceeded {
-                        limit: options.max_candidates,
-                    })
-                }
-                BudgetPolicy::Truncate => {
-                    truncated = true;
-                    canonical.truncate(remaining);
-                }
-            }
-        }
     }
+    let all = 1u64 << flows.len();
+    let (lo, hi) = slice.unwrap_or((0, all));
+    let subsets = (hi - lo) as usize;
+    let flow_perms = flow_permutations(rules, counts, &flows);
+    let remaining = options.max_candidates.saturating_sub(candidates_so_far);
+    let provably_over =
+        subsets as u64 == all && all.div_ceil(flow_perms.len() as u64 + 1) > remaining as u64;
+    let over_budget = FsaError::BudgetExceeded {
+        limit: options.max_candidates,
+    };
+    if provably_over && options.on_budget == BudgetPolicy::Error {
+        return Err(over_budget);
+    }
+    let mut canonical = Vec::new();
+    let mut minima = 0usize;
+    // The first minimum past the budget, where a provably exceeded
+    // budget stops the scan.
+    let mut past = None;
+    let finished = walk_orbit_minima(&flow_perms, flows.len(), (lo, hi), cancel, |mask| {
+        minima += 1;
+        if canonical.len() < remaining {
+            canonical.push(mask);
+            return ControlFlow::Continue(());
+        }
+        match options.on_budget {
+            BudgetPolicy::Error => ControlFlow::Break(()),
+            BudgetPolicy::Truncate if provably_over => {
+                past = Some(mask);
+                ControlFlow::Break(())
+            }
+            BudgetPolicy::Truncate => ControlFlow::Continue(()),
+        }
+    });
+    if !finished {
+        return Ok(VectorScan {
+            subsets,
+            canonical: Vec::new(),
+            orbits_skipped: 0,
+            truncated: false,
+            cancelled: true,
+        });
+    }
+    let truncated = minima > remaining;
+    if truncated && options.on_budget == BudgetPolicy::Error {
+        return Err(over_budget);
+    }
+    let orbits_skipped = match past {
+        Some(mask) => (mask - lo) as usize - remaining,
+        None => subsets - minima,
+    };
     Ok(VectorScan {
         subsets,
         canonical,
@@ -1762,6 +1699,92 @@ fn scan_vector(
         truncated,
         cancelled: false,
     })
+}
+
+/// Calls `visit` on every orbit-minimal mask in `lo..hi` of one vector's
+/// flow subsets, in ascending order, until it breaks, and peeks at
+/// `cancel` every [`SCAN_CANCEL_STRIDE`] tested masks: `false` if it
+/// fired. `flow_perms` are the non-identity permutations of the group
+/// `G` on the `flows` flows (none: every mask is minimal). The minima
+/// are generated (orderly generation: Read 1978; McKay, J. Algorithms
+/// 1998), not found by testing all `2^F` masks.
+///
+/// Every `g ∈ G` permutes the `F` flow bits, so `g(¬m) = ¬g(m)`, and `¬`
+/// reverses integer order: `m` is orbit-minimal (`g(m) ≥ m` for every
+/// `g`) exactly when its complement `t = ¬m` is orbit-*maximal*
+/// (`g(t) ≤ t` for every `g`). Maximal masks stay maximal when their
+/// lowest set bit `l` is cleared. Suppose `t` is maximal, `t' = t − 2^l`
+/// and `g(t') > t'`, and let `p` be the highest bit where the two
+/// differ. Then `p > l`, or else `g(t') ⊇ t'` with the same population
+/// count. If `g(l) > p`, `g(t)` has bit `g(l)` where `t` has none and
+/// agrees with it above; if `g(l) < p`, they agree above `p` and `g(t)`
+/// has bit `p`. Either way `g(t) > t`, a contradiction.
+///
+/// So the maximal masks form a tree rooted at 0, the children of `t`
+/// being the maximal masks among `t | 2^i` for `i` below `t`'s lowest
+/// bit, and the subtree of `t | 2^i` lies in `[t + 2^i, t + 2^(i+1))`. A
+/// post-order walk that visits the children in descending `i` meets the
+/// maximal masks in descending order, so their complements come out
+/// ascending. Each node keeps its image under every `g`: a child's image
+/// is its parent's ORed with the image of the one flow it adds, and the
+/// child is kept iff no image exceeds it. A subtree whose complements
+/// miss `lo..hi` is pruned.
+fn walk_orbit_minima(
+    flow_perms: &[Vec<usize>],
+    flows: usize,
+    (lo, hi): (u64, u64),
+    cancel: &CancelToken,
+    mut visit: impl FnMut(u64) -> ControlFlow<()>,
+) -> bool {
+    assert!(flows <= MAX_FLOWS, "{flows} flows exceed the mask width");
+    if lo >= hi {
+        return true;
+    }
+    let p = flow_perms.len();
+    // `added[i * p + g]`: the image of flow `i` under permutation `g`.
+    let added: Vec<u64> = (0..flows)
+        .flat_map(|i| flow_perms.iter().map(move |perm| 1u64 << perm[i]))
+        .collect();
+    let full = (1u64 << flows) - 1;
+    // The complements of `lo..hi`.
+    let (first, last) = (full - (hi - 1), full - lo);
+    // Per depth, the node's images under every permutation; the root 0
+    // is its own image.
+    let mut images = vec![0u64; (flows + 1) * p];
+    // The path: each node with the bits below which children remain.
+    let mut path: Vec<(u64, usize)> = vec![(0, flows)];
+    let mut tested = 0usize;
+    while let Some(top) = path.last_mut() {
+        let (t, below) = *top;
+        if below == 0 {
+            path.pop();
+            if (first..=last).contains(&t) && visit(full ^ t).is_break() {
+                return true;
+            }
+            continue;
+        }
+        let i = below - 1;
+        top.1 = i;
+        let child = t | 1 << i;
+        if child > last || child + ((1 << i) - 1) < first {
+            continue;
+        }
+        tested += 1;
+        if tested.is_multiple_of(SCAN_CANCEL_STRIDE) && cancel.is_cancelled_peek() {
+            return false;
+        }
+        let depth = path.len();
+        let (parent, rest) = images.split_at_mut(depth * p);
+        let parent = &parent[(depth - 1) * p..];
+        let mut own = rest[..p].iter_mut().zip(parent).zip(&added[i * p..]);
+        if own.all(|((image, &from), &bit)| {
+            *image = from | bit;
+            *image <= child
+        }) {
+            path.push((child, i));
+        }
+    }
+    true
 }
 
 /// The copy-permutation group of one multiplicity vector, induced on the
@@ -1857,59 +1880,6 @@ fn heap_permute(current: &mut Vec<usize>, k: usize, out: &mut Vec<Vec<usize>>) {
     }
 }
 
-/// The induced flow permutations of one vector as image tables, one
-/// 256-entry table per permutation and mask byte: entry `v` of table
-/// `(p, b)` is the image under permutation `p` of the flows that byte
-/// `b` of a mask holds when it reads `v`. A mask's image is then one
-/// lookup per mask byte, ORed. Images fit `u32`, because a vector has at
-/// most 26 flows ([`SUBSET_SCAN_CAP`]).
-struct OrbitTables {
-    /// Number of permutations.
-    perms: usize,
-    /// Bytes per mask: ⌈flows / 8⌉.
-    bytes: usize,
-    /// The tables, permutation-major: `images[(p * bytes + b) * 256 + v]`.
-    images: Vec<u32>,
-}
-
-impl OrbitTables {
-    /// The tables of `flow_perms`, permutations of `flows` flows.
-    fn new(flow_perms: &[Vec<usize>], flows: usize) -> Self {
-        let bytes = flows.div_ceil(8);
-        let mut images = vec![0u32; flow_perms.len() * bytes * 256];
-        for (p, perm) in flow_perms.iter().enumerate() {
-            for b in 0..bytes {
-                let table = &mut images[(p * bytes + b) * 256..][..256];
-                // The image of `v` adds its lowest flow's image to that
-                // of `v` without it. Bits past the last flow stay unset.
-                for v in 1..256usize {
-                    let flow = 8 * b + v.trailing_zeros() as usize;
-                    let image = perm.get(flow).map_or(0, |&to| 1u32 << to);
-                    table[v] = table[v & (v - 1)] | image;
-                }
-            }
-        }
-        OrbitTables {
-            perms: flow_perms.len(),
-            bytes,
-            images,
-        }
-    }
-
-    /// Returns `true` if `mask` is the smallest element of its orbit
-    /// (early exit on the first permutation that maps it lower).
-    fn is_minimal(&self, mask: usize) -> bool {
-        let stride = self.bytes * 256;
-        (0..self.perms).all(|p| {
-            let tables = &self.images[p * stride..][..stride];
-            let image = (0..self.bytes).fold(0u32, |image, b| {
-                image | tables[b * 256 + ((mask >> (8 * b)) & 0xff)]
-            });
-            image as usize >= mask
-        })
-    }
-}
-
 /// The flow-free composition of one multiplicity vector: every copy of
 /// every model instantiated once, with its internal flows, as an
 /// instance and as adjacency rows, plus each node's shape label and
@@ -1926,9 +1896,10 @@ struct Prototype {
     base: SosInstance,
     /// Node `n`'s label in [`SosInstance::shape_graph`].
     shapes: Vec<Arc<str>>,
-    /// [`label_hash`] of each shape label: the initial colours of
-    /// [`row_certificate`], computed once per vector.
-    colours: Vec<u64>,
+    /// [`label_hash`] of each shape label, split into classes: the
+    /// initial colouring of [`row_certificate`], computed once per
+    /// vector.
+    colours: InitialColouring,
     /// The flow-free composition's adjacency rows.
     rows: AdjacencyRows,
     /// The `(from, to)` nodes of each candidate external flow, in
@@ -1989,7 +1960,7 @@ impl Prototype {
         }
         Ok(Prototype {
             name: Arc::from(name),
-            colours: shapes.iter().map(label_hash).collect(),
+            colours: InitialColouring::new(shapes.iter().map(label_hash)),
             base,
             shapes,
             rows,
@@ -2000,7 +1971,7 @@ impl Prototype {
     /// Fails as [`FsaError::CorruptCheckpoint`] unless `mask` names only
     /// flows of this vector (ordinal `ordinal`).
     fn check_mask(&self, ordinal: u64, mask: u64) -> Result<(), FsaError> {
-        if mask >> self.flows.len() == 0 {
+        if mask.checked_shr(self.flows.len() as u32).unwrap_or(0) == 0 {
             Ok(())
         } else {
             Err(FsaError::CorruptCheckpoint {
@@ -2851,9 +2822,8 @@ mod tests {
         assert_eq!(e.universe.stats.classes, e.instances.len());
     }
 
-    /// The bit-walk orbit test that [`OrbitTables`] replaced, kept as its
-    /// oracle: a permutation's image is built one set bit of the mask at
-    /// a time.
+    /// The bit-walk orbit test, kept as the oracle of [`walk_orbit_minima`]: a
+    /// permutation's image is built one set bit of the mask at a time.
     fn is_orbit_minimal_bitwalk(mask: usize, flow_perms: &[Vec<usize>]) -> bool {
         for perm in flow_perms {
             let mut image = 0usize;
@@ -2867,58 +2837,199 @@ mod tests {
         true
     }
 
-    /// Checks the image tables of vector `counts` against the bit-walk
-    /// on every mask, or on [`masks_to_check`] beyond 2¹⁶ masks; returns
-    /// how many masks are orbit-minimal.
-    fn check_orbit_tables(rules: &[ResolvedRule], counts: &[usize], at: &str) -> usize {
+    /// What a scan returns: `(subsets, canonical, orbits_skipped,
+    /// truncated)`, or its error.
+    type ScanResult = Result<(usize, Vec<u64>, usize, bool), FsaError>;
+
+    /// The scan the engine ran before it generated the minima, kept as
+    /// the oracle of [`scan_vector`]: every mask of the slice tested in
+    /// turn (`minimal[mask]`, from the bit-walk), a provably exceeded
+    /// budget failing at once or, truncating, stopping at the first
+    /// minimum past it.
+    fn scan_oracle(
+        minimal: &[bool],
+        group_len: usize,
+        slice: Option<(u64, u64)>,
+        options: &ExploreOptions,
+    ) -> ScanResult {
+        let all = minimal.len();
+        let (lo, hi) = slice.map_or((0, all), |(lo, hi)| (lo as usize, hi as usize));
+        let subsets = hi - lo;
+        let remaining = options.max_candidates;
+        let over = FsaError::BudgetExceeded { limit: remaining };
+        if subsets == all && all.div_ceil(group_len) > remaining {
+            if options.on_budget == BudgetPolicy::Error {
+                return Err(over);
+            }
+            let (mut picked, mut skipped) = (Vec::new(), 0);
+            for (mask, &is_minimal) in minimal.iter().enumerate().take(hi).skip(lo) {
+                if !is_minimal {
+                    skipped += 1;
+                } else if picked.len() == remaining {
+                    break;
+                } else {
+                    picked.push(mask as u64);
+                }
+            }
+            return Ok((subsets, picked, skipped, true));
+        }
+        let mut canonical: Vec<u64> = (lo..hi).filter(|&m| minimal[m]).map(|m| m as u64).collect();
+        let skipped = subsets - canonical.len();
+        let truncated = canonical.len() > remaining;
+        if truncated {
+            if options.on_budget == BudgetPolicy::Error {
+                return Err(over);
+            }
+            canonical.truncate(remaining);
+        }
+        Ok((subsets, canonical, skipped, truncated))
+    }
+
+    /// Checks [`scan_vector`] against [`scan_oracle`] on vector `counts`:
+    /// the whole vector under budgets below, at and above its minima,
+    /// each truncating and failing, and slices drawn from `seed`.
+    /// Returns the number of minima.
+    fn check_walk(rules: &[ResolvedRule], counts: &[usize], seed: u64, at: &str) -> usize {
         let flows = flow_candidates(rules, counts);
         let perms = flow_permutations(rules, counts, &flows);
-        let orbit = OrbitTables::new(&perms, flows.len());
-        let masks: Vec<usize> = if flows.len() <= 16 {
-            (0..1 << flows.len()).collect()
-        } else {
-            masks_to_check(flows.len())
+        let minimal: Vec<bool> = (0..1usize << flows.len())
+            .map(|mask| is_orbit_minimal_bitwalk(mask, &perms))
+            .collect();
+        let minima = minimal.iter().filter(|&&m| m).count();
+        let scan = |slice: Option<(u64, u64)>, budget: usize, on_budget: BudgetPolicy| {
+            let options = ExploreOptions {
+                max_candidates: budget,
+                on_budget,
+                ..ExploreOptions::default()
+            };
+            let want = scan_oracle(&minimal, perms.len() + 1, slice, &options);
+            // The budget left is what it is, whatever was spent before.
+            let got = scan_vector(rules, counts, slice, &options, 0, &CancelToken::new())
+                .map(|s| (s.subsets, s.canonical, s.orbits_skipped, s.truncated));
+            let spent = ExploreOptions {
+                max_candidates: budget + 7,
+                ..options.clone()
+            };
+            let offset = scan_vector(rules, counts, slice, &spent, 7, &CancelToken::new())
+                .map(|s| (s.subsets, s.canonical, s.orbits_skipped, s.truncated))
+                .map_err(|_| FsaError::BudgetExceeded { limit: budget });
+            assert_eq!(
+                got, want,
+                "{at}, slice {slice:?}, budget {budget} {on_budget:?}"
+            );
+            assert_eq!(offset, want, "{at}, slice {slice:?}, budget {budget}+7");
         };
-        let mut minimal = 0;
-        for mask in masks {
-            let want = is_orbit_minimal_bitwalk(mask, &perms);
-            assert_eq!(orbit.is_minimal(mask), want, "{at}, mask {mask:#x}");
-            minimal += usize::from(want);
+        for budget in [0, 1, 2, minima / 2, minima - 1, minima, minima + 1, 1 << 30] {
+            for policy in [BudgetPolicy::Error, BudgetPolicy::Truncate] {
+                scan(None, budget, policy);
+            }
         }
-        minimal
+        let mut state = seed | 1;
+        let mut next = move |bound: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        let all = 1u64 << flows.len();
+        for _ in 0..3 {
+            let (a, b) = (next(all + 1), next(all + 1));
+            let slice = Some((a.min(b), a.max(b)));
+            scan(slice, 1 << 30, BudgetPolicy::Error);
+            scan(slice, minima / 3, BudgetPolicy::Error);
+        }
+        minima
     }
 
     #[test]
-    fn orbit_tables_agree_with_the_bit_walk() {
+    fn the_orbit_walk_generates_what_the_bit_walk_scan_finds() {
         let (mut vectors, mut pruned) = (0, 0);
-        for seed in 0..24u64 {
-            let (models, rules) = random_universe(seed);
+        let universes = (1..=4)
+            .map(vehicle_universe)
+            .chain((0..50u64).map(random_universe));
+        for (u, (models, rules)) in universes.enumerate() {
             let resolved = resolve_rules(&models, &rules).expect("rules resolve");
             let maxes: Vec<usize> = models.iter().map(|(_, max)| *max).collect();
             for counts in VectorIter::new(&maxes) {
-                let at = format!("seed {seed}, vector {counts:?}");
-                let minimal = check_orbit_tables(&resolved, &counts, &at);
+                let at = format!("universe {u}, vector {counts:?}");
+                let minima = check_walk(&resolved, &counts, u as u64 ^ vectors, &at);
                 vectors += 1;
-                pruned += usize::from(minimal < 1 << flow_candidates(&resolved, &counts).len());
+                pruned += u64::from(minima < 1 << flow_candidates(&resolved, &counts).len());
             }
         }
         assert!(
-            vectors > 50 && pruned > 10,
+            vectors > 150 && pruned > 40,
             "{vectors} vectors, {pruned} pruned"
         );
+        // The (1, 4) vector of the 4-vehicle universe: 3 044 minima of
+        // 2^16 masks.
+        let (models, vehicle_rules) = vehicle_universe(4);
+        let resolved = resolve_rules(&models, &vehicle_rules).expect("rules resolve");
+        assert_eq!(check_walk(&resolved, &[1, 4], 1, "(1, 4)"), 3044);
         // Six sensors feeding displays. With one display the sensors'
         // 720 copy permutations are the largest group that prunes: one
         // minimal mask per subset size of its 6 flows. With two the group
-        // exceeds `ORBIT_GROUP_CAP`, has no table, and every one of the
-        // 2¹² masks is minimal.
+        // exceeds `ORBIT_GROUP_CAP`, is empty, and every one of the 2¹²
+        // masks is minimal. A lone sensor has no flow: its one mask is 0.
         let resolved = resolve_rules(&sensor_and_display(), &rules()).expect("rules resolve");
-        assert_eq!(check_orbit_tables(&resolved, &[6, 1], "6 sensors"), 7);
+        assert_eq!(check_walk(&resolved, &[6, 1], 2, "6 sensors"), 7);
         let flows = flow_candidates(&resolved, &[6, 2]);
         assert!(flow_permutations(&resolved, &[6, 2], &flows).is_empty());
         assert_eq!(
-            check_orbit_tables(&resolved, &[6, 2], "6 sensors, 2 displays"),
+            check_walk(&resolved, &[6, 2], 3, "6 sensors, 2 displays"),
             1 << 12
         );
+        assert_eq!(check_walk(&resolved, &[1, 0], 4, "no flow"), 1);
+    }
+
+    #[test]
+    fn a_cancelled_walk_stops_mid_vector_at_any_thread_count() {
+        // Five vehicles without the RSU: 20 flows, 9 608 minima. A token
+        // cancelled at the tenth minimum stops the walk at its next peek,
+        // after 4 096 tested masks: mid-vector, before the last minimum.
+        let (models, rules) = vehicle_universe(4);
+        let resolved = resolve_rules(&models, &rules).expect("rules resolve");
+        let flows = flow_candidates(&resolved, &[0, 5]);
+        let perms = flow_permutations(&resolved, &[0, 5], &flows);
+        let all = 1u64 << flows.len();
+        let cancel = CancelToken::new();
+        let mut seen = 0;
+        let finished = walk_orbit_minima(&perms, flows.len(), (0, all), &cancel, |_| {
+            seen += 1;
+            if seen == 10 {
+                cancel.cancel();
+            }
+            ControlFlow::Continue(())
+        });
+        assert!(!finished);
+        let mut minima = 0;
+        let finished =
+            walk_orbit_minima(&perms, flows.len(), (0, all), &CancelToken::new(), |_| {
+                minima += 1;
+                ControlFlow::Continue(())
+            });
+        assert!(finished);
+        assert!(10 <= seen && seen < minima, "{seen} of {minima}");
+        // The scan of a vector reports the cancellation and counts
+        // nothing, at one thread or two: there is one scan path.
+        for threads in [1, 2] {
+            let options = ExploreOptions {
+                threads,
+                max_candidates: usize::MAX,
+                ..ExploreOptions::default()
+            };
+            let scan = scan_vector(&resolved, &[0, 5], None, &options, 0, &cancel).expect("scans");
+            assert!(
+                scan.cancelled && scan.canonical.is_empty(),
+                "threads {threads}"
+            );
+            let scan = scan_vector(&resolved, &[0, 5], None, &options, 0, &CancelToken::new())
+                .expect("scans");
+            assert!(
+                !scan.cancelled && scan.canonical.len() == minima,
+                "threads {threads}"
+            );
+        }
     }
 
     /// The vehicular scenario's universe at `vehicles` vehicles, as
@@ -2958,17 +3069,9 @@ mod tests {
         let mut connected = Vec::new();
         for counts in VectorIter::new(&maxes) {
             let prototype = Prototype::new(&models, &resolved, &counts).expect("prototype");
-            let scan = scan_vector(
-                &resolved,
-                &counts,
-                None,
-                &options,
-                1,
-                0,
-                &CancelToken::new(),
-            )
-            .expect("scans");
-            for mask in scan.canonical.into_iter().map(|m| m as u64) {
+            let scan = scan_vector(&resolved, &counts, None, &options, 0, &CancelToken::new())
+                .expect("scans");
+            for mask in scan.canonical {
                 let built = build_candidate(&prototype, mask, false).expect("unfiltered");
                 let pair = (
                     built.certificate,

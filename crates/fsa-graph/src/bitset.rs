@@ -16,11 +16,6 @@ fn popcount(words: &[u64]) -> usize {
     words.iter().map(|w| w.count_ones() as usize).sum()
 }
 
-/// Number of set bits in `row` other than node `v`'s own.
-fn others(v: usize, row: &[u64]) -> usize {
-    popcount(row) - (row[v / WORD_BITS] >> (v % WORD_BITS) & 1) as usize
-}
-
 /// The indices of the set bits of `words`, lowest first: bit `b` of
 /// word `i` is index `64·i + b`.
 ///
@@ -189,67 +184,133 @@ impl AdjacencyRows {
     /// Self-loops are ignored throughout: a node's own bit never makes it
     /// a predecessor, a successor or a descendant of itself.
     ///
-    /// Runs a Kahn order, ORs descendant rows in reverse order, and
-    /// intersects each minimal node's row with the maxima. Returns
-    /// `None` on a cycle of length ≥ 2, where the reflexive transitive
-    /// closure is no partial order.
+    /// One depth-first search from the minimal nodes closes the rows: a
+    /// node's row, once all its successors are closed, is the OR of their
+    /// rows and bits. A successor still on the search path closes a cycle
+    /// of length ≥ 2, and so does a node no search reaches (in an acyclic
+    /// graph every node lies below a minimal one); either returns `None`,
+    /// where the reflexive transitive closure is no partial order. The
+    /// minimal nodes' rows are then intersected with the maxima.
     pub fn chi<'s>(&self, scratch: &'s mut ChiScratch) -> Option<&'s [u64]> {
         let (n, w) = (self.nodes, self.words);
+        let (successors, predecessors) = self.bits.split_at(n * w);
         let ChiScratch {
-            indegree,
-            order,
+            state,
+            stack,
             rows,
+            minima,
             maxima,
         } = scratch;
-        indegree.clear();
-        indegree.extend((0..n).map(|v| others(v, self.predecessors(v))));
-        order.clear();
-        order.extend((0..n).filter(|&v| indegree[v] == 0));
-        let mut head = 0;
-        while let Some(&v) = order.get(head) {
-            head += 1;
-            for u in set_bits(self.successors(v)).filter(|&u| u != v) {
-                indegree[u] -= 1;
-                if indegree[u] == 0 {
-                    order.push(u);
-                }
-            }
-        }
-        if order.len() < n {
-            return None;
-        }
-        rows.clear();
-        rows.resize(n * w, 0);
-        for &v in order.iter().rev() {
-            for u in set_bits(self.successors(v)).filter(|&u| u != v) {
-                rows[v * w + u / WORD_BITS] |= 1 << (u % WORD_BITS);
-                for k in 0..w {
-                    let below = rows[u * w + k];
-                    rows[v * w + k] |= below;
-                }
-            }
-        }
+        minima.clear();
+        minima.resize(w, 0);
         maxima.clear();
         maxima.resize(w, 0);
-        for v in (0..n).filter(|&v| others(v, self.successors(v)) == 0) {
-            maxima[v / WORD_BITS] |= 1 << (v % WORD_BITS);
-        }
         for v in 0..n {
-            let minimal = others(v, self.predecessors(v)) == 0;
-            for k in 0..w {
-                rows[v * w + k] &= if minimal { maxima[k] } else { 0 };
+            let (word, bit) = (v / WORD_BITS, 1 << (v % WORD_BITS));
+            let alone = |row: &[u64]| {
+                row.iter()
+                    .zip(0..)
+                    .all(|(&x, k)| x & !own(k, word, bit) == 0)
+            };
+            if alone(&predecessors[v * w..(v + 1) * w]) {
+                minima[word] |= bit;
+            }
+            if alone(&successors[v * w..(v + 1) * w]) {
+                maxima[word] |= bit;
+            }
+        }
+        state.clear();
+        state.resize(n, Visit::New);
+        rows.clear();
+        rows.resize(n * w, 0);
+        // The successors of `v` in word `k`, its own bit cleared.
+        let next = |v: usize, k: usize| {
+            successors[v * w + k] & !own(k, v / WORD_BITS, 1 << (v % WORD_BITS))
+        };
+        let mut closed = 0;
+        for root in set_bits(minima) {
+            state[root] = Visit::Open;
+            stack.push((root, 0, next(root, 0)));
+            while let Some(top) = stack.last_mut() {
+                let (v, word, bits) = *top;
+                if bits == 0 {
+                    if word + 1 < w {
+                        *top = (v, word + 1, next(v, word + 1));
+                        continue;
+                    }
+                    stack.pop();
+                    state[v] = Visit::Closed;
+                    closed += 1;
+                    if let Some(&(parent, _, _)) = stack.last() {
+                        close_under(rows, w, parent, v);
+                    }
+                    continue;
+                }
+                top.2 &= bits - 1;
+                let u = word * WORD_BITS + bits.trailing_zeros() as usize;
+                match state[u] {
+                    Visit::Closed => close_under(rows, w, v, u),
+                    Visit::Open => {
+                        stack.clear();
+                        return None;
+                    }
+                    Visit::New => {
+                        state[u] = Visit::Open;
+                        stack.push((u, 0, next(u, 0)));
+                    }
+                }
+            }
+        }
+        if closed < n {
+            return None;
+        }
+        for (v, row) in rows.chunks_mut(w.max(1)).enumerate() {
+            let minimal = minima[v / WORD_BITS] >> (v % WORD_BITS) & 1 == 1;
+            for (word, &max) in row.iter_mut().zip(maxima.iter()) {
+                *word &= if minimal { max } else { 0 };
             }
         }
         Some(rows)
     }
 }
 
+/// `bit` if word `k` is `word`, the word that holds it, else 0.
+fn own(k: usize, word: usize, bit: u64) -> u64 {
+    if k == word {
+        bit
+    } else {
+        0
+    }
+}
+
+/// Adds closed node `u` and its row to node `v`'s row.
+fn close_under(rows: &mut [u64], w: usize, v: usize, u: usize) {
+    rows[v * w + u / WORD_BITS] |= 1 << (u % WORD_BITS);
+    for k in 0..w {
+        let below = rows[u * w + k];
+        rows[v * w + k] |= below;
+    }
+}
+
+/// Where the χ search stands at a node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Visit {
+    New,
+    /// On the search path.
+    Open,
+    /// Its row is complete.
+    Closed,
+}
+
 /// Reusable buffers of [`AdjacencyRows::chi`].
 #[derive(Debug, Default)]
 pub struct ChiScratch {
-    indegree: Vec<usize>,
-    order: Vec<usize>,
+    state: Vec<Visit>,
+    /// The search path: each node with the word of its successor row
+    /// being read and that word's successors not yet taken.
+    stack: Vec<(usize, usize, u64)>,
     rows: Vec<u64>,
+    minima: Vec<u64>,
     maxima: Vec<u64>,
 }
 
@@ -667,5 +728,33 @@ mod tests {
         g.add_edge(2, 0);
         assert!(g.chi(&mut scratch).is_none());
         assert_eq!(AdjacencyRows::new(0).chi(&mut scratch), Some(&[][..]));
+        // A cycle below no minimal node: 0 → 1, and 2 ⇄ 3 on their own.
+        let mut g = AdjacencyRows::new(4);
+        for (x, y) in [(0, 1), (2, 3), (3, 2)] {
+            g.add_edge(x, y);
+        }
+        assert!(g.chi(&mut scratch).is_none());
+    }
+
+    #[test]
+    fn chi_closes_rows_across_words() {
+        // 130 nodes, three words per row: a chain 0 → 65 → 129 → 64 with
+        // a self-loop on 65, and 1 → 65. χ pairs both minima with the one
+        // maximum 64; nodes 2–63 and 66–128 are isolated.
+        let mut g = AdjacencyRows::new(130);
+        for (x, y) in [(0, 65), (65, 129), (129, 64), (65, 65), (1, 65)] {
+            g.add_edge(x, y);
+        }
+        let mut scratch = ChiScratch::default();
+        let chi = g.chi(&mut scratch).expect("acyclic").to_vec();
+        let pairs: Vec<(usize, usize)> = chi
+            .chunks(3)
+            .enumerate()
+            .flat_map(|(x, row)| set_bits(row).map(move |y| (x, y)))
+            .collect();
+        assert_eq!(pairs, vec![(0, 64), (1, 64)]);
+        // Closing the chain into a cycle through three words.
+        g.add_edge(64, 0);
+        assert!(g.chi(&mut scratch).is_none());
     }
 }

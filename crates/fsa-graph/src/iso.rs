@@ -102,9 +102,9 @@ pub fn find_isomorphism<L: Eq + Hash + Ord>(a: &DiGraph<L>, b: &DiGraph<L>) -> O
         .collect();
     let refined = |g: &DiGraph<L>| {
         let mut s = CertificateScratch::default();
-        s.color.extend(g.nodes().map(|(_, l)| rank[l]));
+        s.classes.reset(g.nodes().map(|(_, l)| rank[l]));
         refine_colors(g, &mut s);
-        s.color
+        s.classes.color
     };
     let ca = refined(a);
     let cb = refined(b);
@@ -141,25 +141,83 @@ pub fn find_isomorphism<L: Eq + Hash + Ord>(a: &DiGraph<L>, b: &DiGraph<L>) -> O
 /// Reusable buffers of colour refinement and the certificate trace: the
 /// graph's edges, the two colour vectors, the finalised colours, the
 /// neighbour sums and the colour classes. One value serves any number of
-/// [`row_certificate`] calls.
+/// [`row_certificate`] calls, on any graphs.
 #[derive(Debug, Default)]
 pub struct CertificateScratch {
     edges: Vec<(usize, usize)>,
-    color: Vec<u64>,
     next: Vec<u64>,
-    mixed: Vec<u64>,
     /// Per node, the wrapping sums of its in- and out-neighbours'
     /// finalised colours.
     sums: Vec<(u64, u64)>,
+    /// The current colouring and its partition.
+    classes: Colouring,
+}
+
+/// A colouring of the nodes with the partition it induces: each node's
+/// colour and [`finalise`]d colour, and the nodes grouped by colour
+/// class.
+#[derive(Debug, Clone, Default)]
+struct Colouring {
+    color: Vec<u64>,
+    mixed: Vec<u64>,
     /// The nodes, grouped by colour class.
     order: Vec<usize>,
     /// Whether position `i` of `order` starts a class.
     starts: Vec<bool>,
+    /// Number of classes: the `true` entries of `starts`.
+    count: usize,
 }
 
-/// Iterated colour refinement (1-WL) from the initial colours in
-/// `s.color`; the refined colours are left there, and the graph's edges
-/// in `s.edges`.
+impl Colouring {
+    /// Sets `color` to `initial`, finalises it and splits the nodes into
+    /// its classes.
+    fn reset(&mut self, initial: impl IntoIterator<Item = u64>) {
+        self.color.clear();
+        self.color.extend(initial);
+        finalise_all(&self.color, &mut self.mixed);
+        let n = self.color.len();
+        self.order.clear();
+        self.order.extend(0..n);
+        self.starts.clear();
+        self.starts.resize(n, false);
+        self.count = usize::from(n > 0);
+        if let Some(first) = self.starts.first_mut() {
+            *first = true;
+            self.count += split_classes(&self.color, &mut self.order, &mut self.starts);
+        }
+    }
+
+    /// Copies `source` into `self`, reusing its buffers.
+    fn copy_from(&mut self, source: &Colouring) {
+        self.color.clone_from(&source.color);
+        self.mixed.clone_from(&source.mixed);
+        self.order.clone_from(&source.order);
+        self.starts.clone_from(&source.starts);
+        self.count = source.count;
+    }
+}
+
+/// The initial colours of [`row_certificate`], one per node, split into
+/// their classes and finalised once: the first steps of every
+/// refinement from these colours, shared by every graph on the same
+/// labelled nodes (every candidate composition of one multiplicity
+/// vector).
+#[derive(Debug, Clone)]
+pub struct InitialColouring(Colouring);
+
+impl InitialColouring {
+    /// The colouring that gives node `v` the colour `colours[v]`, i.e.
+    /// [`label_hash`] of its label.
+    pub fn new(colours: impl IntoIterator<Item = u64>) -> Self {
+        let mut colouring = Colouring::default();
+        colouring.reset(colours);
+        InitialColouring(colouring)
+    }
+}
+
+/// Iterated colour refinement (1-WL) from the colouring in `s.classes`;
+/// the refined colouring is left there, with its finalised colours, and
+/// the graph's edges in `s.edges`.
 ///
 /// A round recolours every node from its own colour and the multisets of
 /// its in- and out-neighbours' colours. A multiset is hashed as the
@@ -174,33 +232,34 @@ pub struct CertificateScratch {
 /// class whose members got different colours is sorted. Refinement stops
 /// before the first round that splits no class, i.e. whose colouring
 /// induces the same partition as the one it was computed from, and after
-/// at most `n` rounds. The buffers are reused across nodes and rounds.
+/// at most `n` rounds. A discrete partition (every class one node) can
+/// split no further, so refinement stops as soon as it is reached, with
+/// the colouring the round that would split nothing keeps. The buffers
+/// are reused across nodes and rounds.
 fn refine_colors<G: Neighbours>(g: &G, s: &mut CertificateScratch) {
     let n = g.node_count();
     let CertificateScratch {
         edges,
-        color,
         next,
-        mixed,
         sums,
-        order,
-        starts,
+        classes,
     } = s;
     edges.clear();
     edges.extend((0..n).flat_map(|v| g.successors_of(v).map(move |u| (v, u))));
     next.clear();
     next.resize(n, 0);
-    order.clear();
-    order.extend(0..n);
-    starts.clear();
-    starts.resize(n, false);
-    if let Some(first) = starts.first_mut() {
-        *first = true;
-        split_classes(color, order, starts);
-    }
 
     for _round in 0..n {
-        finalise_all(color, mixed);
+        if classes.count == n {
+            break;
+        }
+        let Colouring {
+            color,
+            mixed,
+            order,
+            starts,
+            count,
+        } = classes;
         sums.clear();
         sums.resize(n, (0, 0));
         for &(x, y) in edges.iter() {
@@ -210,19 +269,22 @@ fn refine_colors<G: Neighbours>(g: &G, s: &mut CertificateScratch) {
         for ((slot, &own), &(ins, outs)) in next.iter_mut().zip(color.iter()).zip(sums.iter()) {
             *slot = absorb(absorb(absorb(SIGNATURE_SEED, own), ins), outs);
         }
-        if !split_classes(next, order, starts) {
+        let opened = split_classes(next, order, starts);
+        if opened == 0 {
             break;
         }
+        *count += opened;
         std::mem::swap(color, next);
+        finalise_all(color, mixed);
     }
 }
 
 /// Splits the classes of `order` (the runs that `starts` opens) by the
 /// node values `by`: a class whose members disagree is sorted by value
-/// and opens a run at each change. Returns whether a class split.
-fn split_classes(by: &[u64], order: &mut [usize], starts: &mut [bool]) -> bool {
+/// and opens a run at each change. Returns the number of runs opened.
+fn split_classes(by: &[u64], order: &mut [usize], starts: &mut [bool]) -> usize {
     let n = order.len();
-    let mut split = false;
+    let mut opened = 0;
     let mut lo = 0;
     while lo < n {
         let hi = (lo + 1..n).find(|&i| starts[i]).unwrap_or(n);
@@ -232,12 +294,12 @@ fn split_classes(by: &[u64], order: &mut [usize], starts: &mut [bool]) -> bool {
             class.sort_unstable_by_key(|&v| by[v]);
             for i in lo + 1..hi {
                 starts[i] = by[order[i]] != by[order[i - 1]];
+                opened += usize::from(starts[i]);
             }
-            split = true;
         }
         lo = hi;
     }
-    split
+    opened
 }
 
 /// The first word a refinement signature absorbs.
@@ -386,27 +448,27 @@ pub type Certificate = u64;
 /// assert_eq!(canonical_certificate(&a), canonical_certificate(&b));
 /// ```
 pub fn canonical_certificate<L: Hash>(g: &DiGraph<L>) -> Certificate {
-    let mut s = CertificateScratch {
-        color: g.nodes().map(|(_, l)| label_hash(l)).collect(),
-        ..CertificateScratch::default()
-    };
+    let mut s = CertificateScratch::default();
+    s.classes.reset(g.nodes().map(|(_, l)| label_hash(l)));
     certificate_trace(g, &mut s)
 }
 
 /// The [`canonical_certificate`] of the graph `rows` with node `v`
-/// labelled `ℓ(v)`, given `initial[v] = label_hash(ℓ(v))`: the same
-/// refinement and trace, reading neighbours from the rows, in the
-/// reused buffers of `scratch`.
+/// labelled `ℓ(v)`, given the [`InitialColouring`] of the colours
+/// `label_hash(ℓ(v))`: the same refinement and trace, reading
+/// neighbours from the rows, in the reused buffers of `scratch`.
 ///
 /// # Panics
 ///
-/// Panics if `initial` does not hold one colour per node.
+/// Panics if `initial` does not colour one node per row.
 ///
 /// # Examples
 ///
 /// ```
 /// use fsa_graph::bitset::AdjacencyRows;
-/// use fsa_graph::iso::{canonical_certificate, label_hash, row_certificate, CertificateScratch};
+/// use fsa_graph::iso::{
+///     canonical_certificate, label_hash, row_certificate, CertificateScratch, InitialColouring,
+/// };
 /// use fsa_graph::DiGraph;
 ///
 /// let mut g = DiGraph::new();
@@ -415,7 +477,7 @@ pub fn canonical_certificate<L: Hash>(g: &DiGraph<L>) -> Certificate {
 /// g.add_edge(x, y);
 /// let mut rows = AdjacencyRows::new(2);
 /// rows.add_edge(0, 1);
-/// let initial = [label_hash(&"x"), label_hash(&"y")];
+/// let initial = InitialColouring::new([label_hash(&"x"), label_hash(&"y")]);
 /// let mut scratch = CertificateScratch::default();
 /// assert_eq!(
 ///     row_certificate(&rows, &initial, &mut scratch),
@@ -424,39 +486,32 @@ pub fn canonical_certificate<L: Hash>(g: &DiGraph<L>) -> Certificate {
 /// ```
 pub fn row_certificate(
     rows: &AdjacencyRows,
-    initial: &[u64],
+    initial: &InitialColouring,
     scratch: &mut CertificateScratch,
 ) -> Certificate {
     assert_eq!(
-        initial.len(),
+        initial.0.color.len(),
         rows.node_count(),
         "one initial colour per node"
     );
-    scratch.color.clear();
-    scratch.color.extend_from_slice(initial);
+    scratch.classes.copy_from(&initial.0);
     certificate_trace(rows, scratch)
 }
 
-/// Refines the initial colours in `s.color` and hashes the certificate
+/// Refines the colouring in `s.classes` and hashes the certificate
 /// trace: the node and edge counts, the multiset of node colours and the
 /// multiset of edge colour pairs, each multiset as a wrapping sum.
 fn certificate_trace<G: Neighbours>(g: &G, s: &mut CertificateScratch) -> Certificate {
     refine_colors(g, s);
-    let CertificateScratch {
-        edges,
-        color,
-        mixed,
-        ..
-    } = s;
-    finalise_all(color, mixed);
+    let mixed = &s.classes.mixed;
     let nodes = mixed.iter().fold(0u64, |sum, &c| sum.wrapping_add(c));
     // An odd multiplier on the source side keeps (x, y) and (y, x) apart.
-    let pairs = edges.iter().fold(0u64, |sum, &(x, y)| {
+    let pairs = s.edges.iter().fold(0u64, |sum, &(x, y)| {
         sum.wrapping_add(finalise(
             mixed[x].wrapping_mul(0xd6e8_feb8_6659_fd93) ^ mixed[y],
         ))
     });
-    [g.node_count() as u64, edges.len() as u64, nodes, pairs]
+    [g.node_count() as u64, s.edges.len() as u64, nodes, pairs]
         .into_iter()
         .fold(TRACE_SEED, absorb)
 }
@@ -506,17 +561,25 @@ pub fn label_hash<L: Hash + ?Sized>(label: &L) -> u64 {
 /// ([`CertifiedClasses::insert_by`]).
 #[derive(Debug, Clone)]
 pub struct CertifiedClasses<R> {
-    /// Per certificate, the classes founded under it.
-    buckets: HashMap<Certificate, Vec<usize>>,
+    /// Per certificate, the first class founded under it.
+    buckets: HashMap<Certificate, usize>,
+    /// Per class, the next class founded under its certificate
+    /// ([`NO_CLASS`] for the last): each bucket is a chain in founding
+    /// order, with no allocation of its own.
+    next: Vec<usize>,
     reps: Vec<R>,
     certificate_hits: usize,
     exact_fallbacks: usize,
 }
 
+/// The end of a bucket's chain.
+const NO_CLASS: usize = usize::MAX;
+
 impl<R> Default for CertifiedClasses<R> {
     fn default() -> Self {
         CertifiedClasses {
             buckets: HashMap::new(),
+            next: Vec::new(),
             reps: Vec::new(),
             certificate_hits: 0,
             exact_fallbacks: 0,
@@ -541,18 +604,23 @@ impl<R> CertifiedClasses<R> {
         certificate: Certificate,
         mut same: impl FnMut(&R, &R) -> bool,
     ) -> Option<usize> {
-        let bucket = self.buckets.entry(certificate).or_default();
-        if !bucket.is_empty() {
-            self.certificate_hits += 1;
-        }
-        for &idx in bucket.iter() {
-            self.exact_fallbacks += 1;
-            if same(&self.reps[idx], &rep) {
-                return None;
-            }
-        }
         let idx = self.reps.len();
-        bucket.push(idx);
+        let mut at = *self.buckets.entry(certificate).or_insert(idx);
+        if at != idx {
+            self.certificate_hits += 1;
+            loop {
+                self.exact_fallbacks += 1;
+                if same(&self.reps[at], &rep) {
+                    return None;
+                }
+                match self.next[at] {
+                    NO_CLASS => break,
+                    later => at = later,
+                }
+            }
+            self.next[at] = idx;
+        }
+        self.next.push(NO_CLASS);
         self.reps.push(rep);
         Some(idx)
     }
@@ -696,10 +764,10 @@ mod tests {
         fn in_place_refinement_matches_the_partition_oracle(seed in any::<u64>()) {
             let g = random_digraph(seed);
             let mut s = CertificateScratch::default();
-            s.color.extend(g.nodes().map(|(_, l)| label_hash(l)));
+            s.classes.reset(g.nodes().map(|(_, l)| label_hash(l)));
             refine_colors(&g, &mut s);
             prop_assert_eq!(
-                partition_of(&s.color),
+                partition_of(&s.classes.color),
                 partition_of(&fnv_kernel::refine(&g, label_hash)),
                 "seed {}",
                 seed
@@ -831,13 +899,87 @@ mod tests {
                 rows.add_edge(x.index(), y.index());
             }
             prop_assert_eq!(rows.edge_count(), g.edge_count());
-            let initial: Vec<u64> = g.nodes().map(|(_, l)| label_hash(l)).collect();
+            let initial = InitialColouring::new(g.nodes().map(|(_, l)| label_hash(l)));
             let mut scratch = CertificateScratch::default();
             let certificate = row_certificate(&rows, &initial, &mut scratch);
             prop_assert_eq!(certificate, canonical_certificate(&g), "seed {}", seed);
             // A reused scratch gives the same certificate.
             prop_assert_eq!(row_certificate(&rows, &initial, &mut scratch), certificate);
         }
+    }
+
+    /// `g` as adjacency rows with the initial colouring of its labels.
+    fn rows_of(g: &DiGraph<u8>) -> (AdjacencyRows, InitialColouring) {
+        let mut rows = AdjacencyRows::new(g.node_count());
+        for (x, y) in g.edges() {
+            rows.add_edge(x.index(), y.index());
+        }
+        (
+            rows,
+            InitialColouring::new(g.nodes().map(|(_, l)| label_hash(l))),
+        )
+    }
+
+    #[test]
+    fn a_scratch_shared_across_initial_colourings_gives_fresh_certificates() {
+        // Three "vectors", each a family of graphs on one labelled node
+        // set (10, 70 and 3 nodes), certified in turn with one scratch:
+        // every certificate is that of a fresh scratch, and of the
+        // adjacency lists.
+        let families: Vec<Vec<DiGraph<u8>>> = [10u64, 70, 3]
+            .iter()
+            .map(|&n| {
+                let base = labelled_nodes(n);
+                (0..12u64)
+                    .map(|seed| with_random_edges(&base, seed))
+                    .collect()
+            })
+            .collect();
+        let mut shared = CertificateScratch::default();
+        let mut checked = 0;
+        for k in 0..12 {
+            for family in &families {
+                let g = &family[k];
+                let (rows, initial) = rows_of(g);
+                let fresh = row_certificate(&rows, &initial, &mut CertificateScratch::default());
+                assert_eq!(
+                    row_certificate(&rows, &initial, &mut shared),
+                    fresh,
+                    "graph {k}"
+                );
+                assert_eq!(fresh, canonical_certificate(g), "graph {k}");
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 36);
+    }
+
+    /// `n` edgeless nodes labelled 0, 1, 2, 0, 1, …
+    fn labelled_nodes(n: u64) -> DiGraph<u8> {
+        let mut g = DiGraph::new();
+        for v in 0..n {
+            g.add_node((v % 3) as u8);
+        }
+        g
+    }
+
+    /// `base`'s nodes with about `n` random edges drawn from `seed`,
+    /// self-loops allowed.
+    fn with_random_edges(base: &DiGraph<u8>, seed: u64) -> DiGraph<u8> {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        };
+        let n = base.node_count();
+        let mut g = base.clone();
+        for _ in 0..n {
+            let (x, y) = (next() % n, next() % n);
+            g.add_edge(NodeId::new(x), NodeId::new(y));
+        }
+        g
     }
 
     fn triangle(labels: [&'static str; 3]) -> DiGraph<&'static str> {

@@ -509,3 +509,77 @@ proptest! {
         }
     }
 }
+
+/// One model `A` of at most two copies, with `outputs` output and
+/// `inputs` input actions and a connection rule from every output to
+/// every input: one copy has no candidate flow, two have
+/// `2 · outputs · inputs`, permuted by swapping the copies.
+fn wide_universe(
+    outputs: usize,
+    inputs: usize,
+) -> (Vec<(ComponentModel, usize)>, Vec<ConnectionRule>) {
+    let mut model = ComponentModel::new("A", "U_i");
+    let ins: Vec<usize> = (0..inputs)
+        .map(|k| model.action(&format!("in{k}(A_i,v)")))
+        .collect();
+    let outs: Vec<usize> = (0..outputs)
+        .map(|k| model.action(&format!("out{k}(A_i,v)")))
+        .collect();
+    for (&i, &o) in ins.iter().zip(outs.iter().cycle()) {
+        model.flow(i, o);
+    }
+    let rules = outs
+        .iter()
+        .flat_map(|&o| {
+            ins.iter()
+                .map(move |&i| ConnectionRule::new("A", o, "A", i))
+        })
+        .collect();
+    (vec![(model, 2)], rules)
+}
+
+#[test]
+fn a_thirty_flow_vector_stops_at_the_budget_not_at_a_flow_cap() {
+    // Two copies with 30 candidate flows: 2^30 subsets, of which only
+    // the orbit minima the budget admits are generated.
+    let (models, rules) = wide_universe(3, 5);
+    let truncating = ExploreOptions {
+        max_candidates: 200,
+        on_budget: BudgetPolicy::Truncate,
+        ..ExploreOptions::default()
+    };
+    let universe =
+        explore_universe(&models, &rules, &truncating, &ExecOptions::default()).expect("explores");
+    let stats = &universe.stats;
+    assert!(stats.truncated);
+    assert_eq!(
+        (
+            stats.multiplicity_vectors,
+            stats.candidates,
+            stats.subsets_total
+        ),
+        (2, 200, 1 + (1 << 30))
+    );
+    // The one-copy vector has one candidate. The two-copy vector's scan
+    // stops at its 200th minimum, mask 319, and counts the 120 masks
+    // below it that the copy swap maps lower.
+    assert_eq!(stats.orbits_skipped, 120);
+    assert!(universe
+        .classes
+        .iter()
+        .all(|c| c.ordinal < 2 && c.mask < 1 << 30));
+    // Under the failing policy the budget, not the flow count, ends it.
+    let failing = ExploreOptions {
+        max_candidates: 1_000_000,
+        ..ExploreOptions::default()
+    };
+    let err = explore_universe(&models, &rules, &failing, &ExecOptions::default()).unwrap_err();
+    assert_eq!(err, FsaError::BudgetExceeded { limit: 1_000_000 });
+    // A mask has 63 bits: 64 flows are a typed error.
+    let (models, rules) = wide_universe(4, 8);
+    let err = explore_universe(&models, &rules, &failing, &ExecOptions::default()).unwrap_err();
+    assert!(
+        matches!(&err, FsaError::InvalidComponentModel { reason } if reason.contains("too many candidate external flows")),
+        "{err:?}"
+    );
+}
