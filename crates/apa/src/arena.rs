@@ -1,5 +1,6 @@
-//! The arena kernel shared by [`Apa::reachability`] and
-//! [`crate::Simulator`].
+//! The arena kernel of [`Apa::reachability`] and [`crate::Simulator`]:
+//! one state graph that both build, expanding states through one
+//! routine.
 //!
 //! Component-local value sets are deduplicated into a *cell pool*, and
 //! states and local states are fixed-width rows of `u32` cell ids held
@@ -15,6 +16,12 @@
 //! `BTreeSet<Value>` is touched; every replay is integer work. Rules
 //! are required to be pure functions of their local state, so an entry
 //! never goes stale.
+//!
+//! The [`StateGraph`] is the reachability graph (Definition 3) as far as
+//! it has been built: its states are interned cell rows, and
+//! [`StateGraph::expand`] turns a state into its edges, one per memo
+//! firing. Reachability expands every state; a simulator part expands
+//! the states its walks visit.
 //!
 //! Every id space here is `u32`; running past it is
 //! [`ApaError::IdSpaceExceeded`], never a panic.
@@ -323,28 +330,138 @@ impl FireMemo {
     }
 }
 
-/// Translates memo interpretation symbols (of a table `interps`) into
-/// one caller's symbols, asking `intern` for each at its first use there
-/// — the point where [`Apa::successors`]-based engines intern it.
-#[derive(Debug, Default)]
-pub(crate) struct InterpSymbols(Vec<Option<Symbol>>);
+/// The target of an edge that has not been taken yet.
+pub(crate) const UNTAKEN: u32 = u32::MAX;
 
-impl InterpSymbols {
-    pub(crate) fn get(
-        &mut self,
-        interps: &SymbolTable,
-        interp: Symbol,
-        intern: impl FnOnce(&str) -> Symbol,
-    ) -> Symbol {
-        let i = interp.index();
-        if i >= self.0.len() {
-            self.0.resize(interps.len(), None);
+/// One edge of a [`StateGraph`]: automaton `automaton` of the graph's
+/// APA fires its memo firing `firing`, whose interpretation is `interp`,
+/// into state `target` ([`UNTAKEN`] until [`StateGraph::take`] interns
+/// it).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Edge {
+    pub(crate) automaton: u32,
+    pub(crate) firing: u32,
+    pub(crate) interp: Symbol,
+    pub(crate) target: u32,
+}
+
+/// The state graph of an APA as far as it has been built: the states
+/// visited so far, as cell rows, q₀ as state 0 and the rest in discovery
+/// order, and the edges of the states expanded so far. Only
+/// [`StateGraph::expand`] and [`StateGraph::take`] change it.
+#[derive(Debug)]
+pub(crate) struct StateGraph<'a> {
+    pub(crate) apa: &'a Apa,
+    pub(crate) memo: FireMemo,
+    pub(crate) states: RowTable,
+    /// Per state: its edges' range in `edges`, or `None` until the state
+    /// is expanded.
+    pub(crate) ranges: Vec<Option<(u32, u32)>>,
+    /// Each expanded state's edges, by automaton, then by firing.
+    pub(crate) edges: Vec<Edge>,
+    /// States expanded so far.
+    pub(crate) expanded: usize,
+    /// Scratch: a local cell row, or a target state's row.
+    scratch: Vec<u32>,
+}
+
+impl<'a> StateGraph<'a> {
+    /// The graph of `apa` before anything is expanded: q₀ alone.
+    pub(crate) fn new(apa: &'a Apa) -> Self {
+        let memo = FireMemo::new(apa);
+        let mut states = RowTable::new(apa.component_count(), "states");
+        states
+            .intern(memo.initial())
+            .expect("an empty table has room for q0");
+        StateGraph {
+            apa,
+            memo,
+            states,
+            ranges: vec![None],
+            edges: Vec::new(),
+            expanded: 0,
+            scratch: Vec::new(),
         }
-        *self.0[i].get_or_insert_with(|| intern(interps.name(interp)))
     }
 
-    /// Forgets every translation (the caller's table was replaced).
-    pub(crate) fn clear(&mut self) {
-        self.0.clear();
+    /// Expands `state`, which is not expanded yet: fires each automaton
+    /// at it through the memo, appends one edge per firing, by automaton,
+    /// then by firing, with interpretations interned into `interps`, and
+    /// returns the new edges' range. A failed expansion appends no edge
+    /// and leaves `state` unexpanded.
+    ///
+    /// # Errors
+    ///
+    /// The memo's error, with the index of the automaton it failed at
+    /// (`u32::MAX` if the edges run out of `u32` ids).
+    #[inline(never)]
+    pub(crate) fn expand(
+        &mut self,
+        state: usize,
+        interps: &mut SymbolTable,
+    ) -> Result<(u32, u32), (u32, ApaError)> {
+        let lo = self.edges.len();
+        let row = self.states.row(state);
+        for (aut, automaton) in self.apa.automata.iter().enumerate() {
+            self.scratch.clear();
+            self.scratch
+                .extend(automaton.neighbourhood.iter().map(|c| row[c.index()]));
+            let firings = match self.memo.firings(self.apa, aut, &self.scratch, interps) {
+                Ok(firings) => firings,
+                Err(e) => {
+                    self.edges.truncate(lo);
+                    // Automata are numbered in `u32` by the builder.
+                    return Err((aut as u32, e));
+                }
+            };
+            // The memo checks that its firing indices fit a `u32`.
+            let memo = &self.memo;
+            self.edges.extend(firings.map(|firing| Edge {
+                automaton: aut as u32,
+                firing: firing as u32,
+                interp: memo.firing(aut, firing).0,
+                target: UNTAKEN,
+            }));
+        }
+        let hi = match to_u32(self.edges.len(), "edges") {
+            Ok(hi) => hi,
+            Err(e) => {
+                self.edges.truncate(lo);
+                return Err((u32::MAX, e));
+            }
+        };
+        // `lo` is where the last expansion's checked range ended.
+        let range = (lo as u32, hi);
+        self.ranges[state] = Some(range);
+        self.expanded += 1;
+        Ok(range)
+    }
+
+    /// Takes edge `at`, one of state `from`'s: interns its target state,
+    /// records it on the edge and returns it, with whether it is new.
+    ///
+    /// # Errors
+    ///
+    /// [`ApaError::IdSpaceExceeded`] if the states run out of `u32` ids.
+    #[inline]
+    pub(crate) fn take(&mut self, from: usize, at: usize) -> Result<(u32, bool), ApaError> {
+        let Edge {
+            automaton, firing, ..
+        } = self.edges[at];
+        let aut = automaton as usize;
+        self.scratch.clear();
+        self.scratch.extend_from_slice(self.states.row(from));
+        let (_, next) = self.memo.firing(aut, firing as usize);
+        for (c, &cell) in self.apa.automata[aut].neighbourhood.iter().zip(next) {
+            self.scratch[c.index()] = cell;
+        }
+        let (target, fresh) = self.states.intern(&self.scratch)?;
+        if fresh {
+            self.ranges.push(None);
+        }
+        // The table stores `id + 1` as a `u32`, so `target < UNTAKEN`.
+        let target = target as u32;
+        self.edges[at].target = target;
+        Ok((target, fresh))
     }
 }

@@ -46,7 +46,6 @@
 #![warn(missing_docs)]
 
 pub(crate) mod arena;
-pub mod compose;
 pub mod error;
 pub mod model;
 pub mod reach;

@@ -11,28 +11,29 @@
 //! Component-local value sets are deduplicated into a *cell pool*
 //! (`cells`), and every state is a fixed-width row of `u32` cell ids
 //! packed into one contiguous bump arena (`rows`). Breadth-first
-//! exploration runs on the crate's arena kernel, which
-//! [`crate::Simulator`] shares: states are interned rows, and
+//! exploration builds the crate's arena state graph, which
+//! [`crate::Simulator`] builds too: states are interned rows, and
 //! successors come from the per-`(automaton, local cell row)` firing
 //! memo, so a transition rule fires at most once per distinct local
 //! state and replays are `u32` row copies — no per-state heap graph, no
 //! `GlobalState` clones on the hot path.
 //!
-//! Outgoing edges use a CSR encoding: `edges` is sorted by source (BFS
-//! emits it that way), and `out_off[i]..out_off[i + 1]` delimits state
-//! `i`'s slice — one flat offsets array instead of a `Vec<Vec<usize>>`.
+//! Outgoing edges use a CSR encoding: the explored graph's edge array,
+//! sorted by source (states are expanded in id order), and
+//! `out_off[i]..out_off[i + 1]` delimits state `i`'s slice — one flat
+//! offsets array instead of a `Vec<Vec<usize>>`.
 //!
-//! [`Apa::reachability_reference`] keeps the original
-//! `HashMap<GlobalState, usize>` engine; the differential property
-//! suite proves the arena kernel bit-identical to it (states in
-//! discovery order, edges, labels, symbol numbering).
+//! The tests check every graph against a reference engine kept as an
+//! oracle (`reach/reference.rs`): the original `HashMap<GlobalState,
+//! usize>` search over [`Apa::successors`], which must give the same
+//! states in discovery order, edges, labels and symbol numbering.
 
-use crate::arena::{self, CellInterner, FireMemo, InterpSymbols, RowTable};
+use crate::arena::{self, Edge, StateGraph};
 use crate::error::ApaError;
 use crate::model::{Apa, GlobalState};
 use crate::value::Value;
 use automata::{Symbol, SymbolTable};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 /// Options for [`Apa::reachability`].
@@ -83,22 +84,14 @@ pub struct ReachGraph {
     rows: Vec<u32>,
     /// Row width = number of state components.
     width: usize,
-    /// Number of states (tracked separately so zero-component models
-    /// keep a meaningful count despite an empty arena).
-    n_states: usize,
-    /// Edges `(from, label, to)`, in discovery order (sorted by `from`).
-    edges: Vec<(usize, TransitionLabel, usize)>,
+    /// The explored graph's edges, by source. An edge's automaton `k` is
+    /// symbol `k` of `symbols`, and its interpretation a symbol there.
+    edges: Vec<Edge>,
     /// CSR offsets: state `i`'s outgoing edges are
     /// `edges[out_off[i] as usize..out_off[i + 1] as usize]`.
     out_off: Vec<u32>,
-    component_names: Vec<String>,
     /// Interner shared by every edge label of this graph.
     symbols: SymbolTable,
-}
-
-/// Rejects a `max_states` the `u32` state ids cannot reach.
-fn check_max_states(options: &ReachOptions) -> Result<(), ApaError> {
-    arena::to_u32(options.max_states, "states").map(|_| ())
 }
 
 impl Apa {
@@ -113,192 +106,51 @@ impl Apa {
     /// * [`ApaError::MalformedSuccessor`] if a transition rule
     ///   misbehaves.
     pub fn reachability(&self, options: &ReachOptions) -> Result<ReachGraph, ApaError> {
-        check_max_states(options)?;
-        let width = self.component_count();
-        let mut memo = FireMemo::new(self);
-        let mut interps = arena::interpretations(self);
-        let mut states = RowTable::new(width, "states");
-        let mut symbols = SymbolTable::new();
-        let aut_syms: Vec<Symbol> = self.automaton_names().map(|n| symbols.intern(n)).collect();
-        let mut interp_syms = InterpSymbols::default();
-        let mut edges: Vec<(usize, TransitionLabel, usize)> = Vec::new();
-        states.intern(memo.initial())?;
-
-        let mut current = vec![0u32; width];
-        let mut next_row = vec![0u32; width];
-        let mut local: Vec<u32> = Vec::new();
-
+        arena::to_u32(options.max_states, "states")?;
+        // The memo's table is the graph's label table: the automaton
+        // names first, then interpretations in order of first firing,
+        // which is the order of their first edges, since every firing of
+        // a new memo entry becomes an edge of the state being expanded.
+        let mut symbols = arena::interpretations(self);
+        let mut graph = StateGraph::new(self);
+        // States are expanded in id order, so each one's edges start
+        // where the last one's end.
+        let mut out_off = vec![0];
         // States indexed in discovery order *are* the BFS queue.
         let mut s = 0usize;
-        while s < states.len() {
-            current.copy_from_slice(states.row(s));
-            for (aut_idx, aut) in self.automata.iter().enumerate() {
-                local.clear();
-                local.extend(aut.neighbourhood.iter().map(|c| current[c.index()]));
-                for j in memo.firings(self, aut_idx, &local, &mut interps)? {
-                    let (interp, next_cells) = memo.firing(aut_idx, j);
-                    next_row.copy_from_slice(&current);
-                    for (slot, c) in aut.neighbourhood.iter().enumerate() {
-                        next_row[c.index()] = next_cells[slot];
-                    }
-                    let (t, fresh) = states.intern(&next_row)?;
-                    if fresh && states.len() > options.max_states {
-                        return Err(ApaError::StateLimitExceeded {
-                            limit: options.max_states,
-                        });
-                    }
-                    // Interpretations are interned at their first edge,
-                    // as the reference engine interns them, so symbol
-                    // numbering matches bit-for-bit.
-                    let interpretation =
-                        interp_syms.get(&interps, interp, |name| symbols.intern(name));
-                    edges.push((
-                        s,
-                        TransitionLabel {
-                            automaton: aut_syms[aut_idx],
-                            interpretation,
-                        },
-                        t,
-                    ));
+        while s < graph.states.len() {
+            let (lo, hi) = graph.expand(s, &mut symbols).map_err(|(_, e)| e)?;
+            out_off.push(hi);
+            for at in lo as usize..hi as usize {
+                let (_, fresh) = graph.take(s, at)?;
+                if fresh && graph.states.len() > options.max_states {
+                    return Err(ApaError::StateLimitExceeded {
+                        limit: options.max_states,
+                    });
                 }
             }
             s += 1;
         }
-        let n_states = states.len();
-        ReachGraph::assemble(
-            memo.into_cells().into_pool(),
-            states.into_rows(),
-            width,
-            n_states,
-            edges,
-            self.component_names.clone(),
+        Ok(ReachGraph {
+            width: self.component_count(),
+            cells: graph.memo.into_cells().into_pool(),
+            rows: graph.states.into_rows(),
+            edges: graph.edges,
+            out_off,
             symbols,
-        )
+        })
     }
+}
 
-    /// Reference implementation: the original `HashMap<GlobalState,
-    /// usize>` BFS with per-state clones. Kept (and exercised by the
-    /// differential property suite and `crates/bench`) as the oracle the
-    /// arena kernel must match bit-for-bit — states in discovery order,
-    /// edges, labels and symbol numbering.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Apa::reachability`], with identical boundary semantics
-    /// for `max_states`.
-    pub fn reachability_reference(&self, options: &ReachOptions) -> Result<ReachGraph, ApaError> {
-        check_max_states(options)?;
-        let mut index: HashMap<GlobalState, usize> = HashMap::new();
-        let mut states: Vec<GlobalState> = Vec::new();
-        let mut edges: Vec<(usize, TransitionLabel, usize)> = Vec::new();
-        let mut queue = VecDeque::new();
-        let mut symbols = SymbolTable::new();
-        let aut_syms: Vec<Symbol> = self.automaton_names().map(|n| symbols.intern(n)).collect();
-
-        let q0 = self.initial_state().clone();
-        index.insert(q0.clone(), 0);
-        states.push(q0);
-        queue.push_back(0usize);
-
-        while let Some(s) = queue.pop_front() {
-            let succs = self.successors(&states[s])?;
-            for (aut, interp, next) in succs {
-                let t = match index.get(&next) {
-                    Some(&t) => t,
-                    None => {
-                        if states.len() >= options.max_states {
-                            return Err(ApaError::StateLimitExceeded {
-                                limit: options.max_states,
-                            });
-                        }
-                        let t = states.len();
-                        index.insert(next.clone(), t);
-                        states.push(next);
-                        queue.push_back(t);
-                        t
-                    }
-                };
-                let label = TransitionLabel {
-                    automaton: aut_syms[aut.index()],
-                    interpretation: symbols.intern(&interp),
-                };
-                edges.push((s, label, t));
-            }
-        }
-        ReachGraph::from_decoded(states, edges, self.component_names.clone(), symbols)
+/// The label of a graph edge: automaton `k` is symbol `k`.
+fn label(edge: &Edge) -> TransitionLabel {
+    TransitionLabel {
+        automaton: Symbol::new(edge.automaton as usize),
+        interpretation: edge.interp,
     }
 }
 
 impl ReachGraph {
-    /// Builds the final graph from arena parts, deriving the CSR
-    /// offsets. `edges` must be sorted by source — BFS discovery order
-    /// guarantees it; the counting pass below does not reorder.
-    ///
-    /// # Errors
-    ///
-    /// [`ApaError::IdSpaceExceeded`] if the edges overflow the `u32` CSR
-    /// offsets.
-    fn assemble(
-        cells: Vec<BTreeSet<Value>>,
-        rows: Vec<u32>,
-        width: usize,
-        n_states: usize,
-        edges: Vec<(usize, TransitionLabel, usize)>,
-        component_names: Vec<String>,
-        symbols: SymbolTable,
-    ) -> Result<Self, ApaError> {
-        debug_assert!(
-            edges.windows(2).all(|w| w[0].0 <= w[1].0),
-            "edges by source"
-        );
-        arena::to_u32(edges.len(), "edges")?;
-        let mut out_off = vec![0u32; n_states + 1];
-        for &(f, _, _) in &edges {
-            out_off[f + 1] += 1;
-        }
-        for i in 1..out_off.len() {
-            out_off[i] += out_off[i - 1];
-        }
-        Ok(ReachGraph {
-            cells,
-            rows,
-            width,
-            n_states,
-            edges,
-            out_off,
-            component_names,
-            symbols,
-        })
-    }
-
-    /// Encodes fully decoded states into the arena representation (used
-    /// by [`Apa::reachability_reference`]).
-    fn from_decoded(
-        states: Vec<GlobalState>,
-        edges: Vec<(usize, TransitionLabel, usize)>,
-        component_names: Vec<String>,
-        symbols: SymbolTable,
-    ) -> Result<Self, ApaError> {
-        let width = component_names.len();
-        let n_states = states.len();
-        let mut cells = CellInterner::default();
-        let mut rows = Vec::with_capacity(n_states * width);
-        for state in &states {
-            for set in state {
-                rows.push(cells.intern(set)?);
-            }
-        }
-        ReachGraph::assemble(
-            cells.into_pool(),
-            rows,
-            width,
-            n_states,
-            edges,
-            component_names,
-            symbols,
-        )
-    }
-
     /// The packed cell-id row of state `i`.
     fn row(&self, i: usize) -> &[u32] {
         &self.rows[i * self.width..][..self.width]
@@ -306,7 +158,7 @@ impl ReachGraph {
 
     /// Number of reachable states.
     pub fn state_count(&self) -> usize {
-        self.n_states
+        self.out_off.len() - 1
     }
 
     /// Number of transitions.
@@ -321,7 +173,7 @@ impl ReachGraph {
     ///
     /// Panics if `i` is out of range.
     pub fn state(&self, i: usize) -> GlobalState {
-        assert!(i < self.n_states, "state out of range");
+        assert!(i < self.state_count(), "state out of range");
         self.row(i)
             .iter()
             .map(|&cid| self.cells[cid as usize].clone())
@@ -350,7 +202,7 @@ impl ReachGraph {
 
     /// Iterates over all edges `(from, label, to)`.
     pub fn edges(&self) -> impl Iterator<Item = (usize, TransitionLabel, usize)> + '_ {
-        self.edges.iter().map(|(f, l, t)| (*f, *l, *t))
+        (0..self.state_count()).flat_map(|i| self.outgoing(i))
     }
 
     /// Outgoing edges of state `i` — one contiguous CSR slice, no
@@ -358,27 +210,12 @@ impl ReachGraph {
     pub fn outgoing(&self, i: usize) -> impl Iterator<Item = (usize, TransitionLabel, usize)> + '_ {
         self.edges[self.out_off[i] as usize..self.out_off[i + 1] as usize]
             .iter()
-            .map(|(f, l, t)| (*f, *l, *t))
-    }
-
-    /// The CSR successor layout: `(offsets, targets)` with state `i`'s
-    /// successor states at `targets[offsets[i] as usize..offsets[i + 1]
-    /// as usize]` (one entry per edge, parallel to edge order). The
-    /// offsets borrow; the targets are materialised on demand.
-    pub fn csr_successors(&self) -> (&[u32], Vec<u32>) {
-        let targets = self
-            .edges
-            .iter()
-            // Construction keeps every state id within u32 (see
-            // `ReachOptions::max_states`), so the cast is exact.
-            .map(|&(_, _, t)| t as u32)
-            .collect();
-        (&self.out_off, targets)
+            .map(move |e| (i, label(e), e.target as usize))
     }
 
     /// States without outgoing transitions — the SH tool's *dead* states.
     pub fn dead_states(&self) -> Vec<usize> {
-        (0..self.n_states)
+        (0..self.state_count())
             .filter(|&i| self.out_off[i] == self.out_off[i + 1])
             .collect()
     }
@@ -439,7 +276,7 @@ impl ReachGraph {
     /// minimum has occurred. One walk answers every maximum at once.
     pub fn fireable_avoiding(&self, avoid: Symbol) -> fsa_graph::BitSet {
         let mut fired = fsa_graph::BitSet::new(self.symbols.len());
-        let mut seen = fsa_graph::BitSet::new(self.n_states);
+        let mut seen = fsa_graph::BitSet::new(self.state_count());
         seen.insert(0);
         let mut stack = vec![0usize];
         while let Some(s) = stack.pop() {
@@ -458,7 +295,7 @@ impl ReachGraph {
 
     /// `mask[i]` is `true` iff state `i` has no outgoing transition.
     fn dead_state_mask(&self) -> Vec<bool> {
-        (0..self.n_states)
+        (0..self.state_count())
             .map(|i| self.out_off[i] == self.out_off[i + 1])
             .collect()
     }
@@ -523,19 +360,6 @@ impl ReachGraph {
         b.build()
     }
 
-    /// Converts the graph structure to a [`fsa_graph::DiGraph`] whose
-    /// payloads are the `M-i` state labels (edge labels are dropped).
-    pub fn to_digraph(&self) -> fsa_graph::DiGraph<String> {
-        let mut g = fsa_graph::DiGraph::with_capacity(self.state_count());
-        let ids: Vec<_> = (0..self.state_count())
-            .map(|i| g.add_node(self.state_label(i)))
-            .collect();
-        for (f, _, t) in self.edges() {
-            g.add_edge(ids[f], ids[t]);
-        }
-        g
-    }
-
     /// Renders the reachability graph to Graphviz DOT with `(t, i)` edge
     /// labels — the analogue of the paper's Figs. 7 and 9.
     pub fn to_dot(&self, name: &str) -> String {
@@ -590,7 +414,7 @@ impl ReachGraph {
     pub fn trace_to(&self, target: usize) -> Vec<TransitionLabel> {
         assert!(target < self.state_count(), "state out of range");
         // BFS with parent edges.
-        let mut parent: Vec<Option<usize>> = vec![None; self.state_count()]; // edge index
+        let mut parent: Vec<Option<(usize, TransitionLabel)>> = vec![None; self.state_count()];
         let mut seen = vec![false; self.state_count()];
         seen[0] = true;
         let mut queue = std::collections::VecDeque::new();
@@ -599,21 +423,19 @@ impl ReachGraph {
             if s == target {
                 break;
             }
-            for e in self.out_off[s] as usize..self.out_off[s + 1] as usize {
-                let (_, _, t) = &self.edges[e];
-                if !seen[*t] {
-                    seen[*t] = true;
-                    parent[*t] = Some(e);
-                    queue.push_back(*t);
+            for (_, label, t) in self.outgoing(s) {
+                if !seen[t] {
+                    seen[t] = true;
+                    parent[t] = Some((s, label));
+                    queue.push_back(t);
                 }
             }
         }
         let mut trace = Vec::new();
         let mut cur = target;
-        while let Some(e) = parent[cur] {
-            let (f, label, _) = &self.edges[e];
-            trace.push(*label);
-            cur = *f;
+        while let Some((f, label)) = parent[cur] {
+            trace.push(label);
+            cur = f;
         }
         trace.reverse();
         trace
@@ -625,29 +447,16 @@ impl ReachGraph {
     pub fn trace_names(&self, trace: &[TransitionLabel]) -> Vec<&str> {
         trace.iter().map(|l| self.name(l.automaton)).collect()
     }
-
-    /// Pretty-prints one global state, e.g. for inspecting the tool's
-    /// `M-k` states.
-    pub fn format_state(&self, i: usize) -> String {
-        let mut s = String::new();
-        let _ = write!(s, "{}:", self.state_label(i));
-        for (c, &cid) in self.row(i).iter().enumerate() {
-            let set = &self.cells[cid as usize];
-            if set.is_empty() {
-                continue;
-            }
-            let items: Vec<String> = set.iter().map(|v| v.to_string()).collect();
-            let _ = write!(s, " {}={{{}}}", self.component_names[c], items.join(","));
-        }
-        s
-    }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::ApaBuilder;
-    use crate::rule;
+    use crate::rule::{self, LocalState, TransitionRule};
     use crate::value::Value;
 
     /// Two independent one-shot moves: a 4-state diamond.
@@ -662,49 +471,41 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// Asserts two graphs are bit-identical observationally: states in
-    /// discovery order, edges with resolved label names, listings.
-    fn assert_graphs_identical(a: &ReachGraph, b: &ReachGraph) {
-        assert_eq!(a.state_count(), b.state_count());
-        assert_eq!(a.edge_count(), b.edge_count());
-        for i in 0..a.state_count() {
-            assert_eq!(a.state(i), b.state(i), "state {i}");
+    /// The graph of `apa`, after checking it against the reference
+    /// engine: the states in discovery order, the raw edge stream and the
+    /// symbol table.
+    fn reach(apa: &Apa) -> ReachGraph {
+        let g = apa.reachability(&ReachOptions::default()).unwrap();
+        let oracle = reference::reachability(apa, &ReachOptions::default()).unwrap();
+        let states: Vec<GlobalState> = (0..g.state_count()).map(|i| g.state(i)).collect();
+        assert_eq!(states, oracle.states);
+        assert_eq!(g.edges().collect::<Vec<_>>(), oracle.edges);
+        let table = |t: &SymbolTable| t.iter().map(|(s, n)| (s, n.to_owned())).collect::<Vec<_>>();
+        assert_eq!(table(g.symbols()), table(&oracle.symbols));
+        g
+    }
+
+    /// Both engines' state counts, or their errors, under `max_states`.
+    fn outcomes(apa: &Apa, max_states: usize) -> [Result<usize, ApaError>; 2] {
+        let opts = ReachOptions { max_states };
+        [
+            apa.reachability(&opts).map(|g| g.state_count()),
+            reference::reachability(apa, &opts).map(|r| r.states.len()),
+        ]
+    }
+
+    /// A rule whose one firing has no local state at all.
+    struct Bad;
+
+    impl TransitionRule for Bad {
+        fn fire(&self, _local: &LocalState) -> Vec<(String, LocalState)> {
+            vec![("bad".into(), vec![])]
         }
-        let ae: Vec<_> = a
-            .edges()
-            .map(|(f, l, t)| {
-                (
-                    f,
-                    a.name(l.automaton).to_owned(),
-                    a.name(l.interpretation).to_owned(),
-                    t,
-                )
-            })
-            .collect();
-        let be: Vec<_> = b
-            .edges()
-            .map(|(f, l, t)| {
-                (
-                    f,
-                    b.name(l.automaton).to_owned(),
-                    b.name(l.interpretation).to_owned(),
-                    t,
-                )
-            })
-            .collect();
-        assert_eq!(ae, be);
-        // Raw symbol ids must match too (labels are compared as ints
-        // downstream), not just resolved names.
-        assert_eq!(a.edges().collect::<Vec<_>>(), b.edges().collect::<Vec<_>>());
-        assert_eq!(a.min_max_listing(), b.min_max_listing());
-        assert_eq!(a.dead_states(), b.dead_states());
     }
 
     #[test]
     fn diamond_reachability() {
-        let g = diamond_apa()
-            .reachability(&ReachOptions::default())
-            .unwrap();
+        let g = reach(&diamond_apa());
         assert_eq!(g.state_count(), 4);
         assert_eq!(g.edge_count(), 4);
         assert_eq!(g.dead_states().len(), 1);
@@ -720,41 +521,21 @@ mod tests {
         let c2 = b.component("c2", []);
         b.automaton("first", [c0, c1], rule::move_any(0, 1));
         b.automaton("second", [c1, c2], rule::move_any(0, 1));
-        let g = b
-            .build()
-            .unwrap()
-            .reachability(&ReachOptions::default())
-            .unwrap();
+        let g = reach(&b.build().unwrap());
         assert_eq!(g.state_count(), 3);
         assert_eq!(g.minima(), vec!["first".to_owned()]);
         assert_eq!(g.maxima(), vec!["second".to_owned()]);
         assert_eq!(g.state_label(0), "M-1");
-        assert!(g.format_state(0).contains("c0={x}"));
     }
 
     #[test]
-    fn arena_kernel_matches_reference() {
-        let apa = diamond_apa();
-        let arena = apa.reachability(&ReachOptions::default()).unwrap();
-        let reference = apa
-            .reachability_reference(&ReachOptions::default())
-            .unwrap();
-        assert_graphs_identical(&arena, &reference);
-    }
-
-    #[test]
-    fn arena_kernel_matches_reference_on_cycles() {
+    fn cycles_match_the_reference() {
         let mut b = ApaBuilder::new();
         let ping = b.component("ping", [Value::atom("t")]);
         let pong = b.component("pong", []);
         b.automaton("serve", [ping, pong], rule::move_any(0, 1));
         b.automaton("return", [pong, ping], rule::move_any(0, 1));
-        let apa = b.build().unwrap();
-        let arena = apa.reachability(&ReachOptions::default()).unwrap();
-        let reference = apa
-            .reachability_reference(&ReachOptions::default())
-            .unwrap();
-        assert_graphs_identical(&arena, &reference);
+        assert_eq!(reach(&b.build().unwrap()).edge_count(), 2);
     }
 
     #[test]
@@ -772,35 +553,13 @@ mod tests {
         // succeed and a limit of 3 must fail, identically on the arena
         // kernel and the reference engine.
         let apa = diamond_apa();
-        for (limit, ok) in [(4usize, true), (3, false)] {
-            let opts = ReachOptions { max_states: limit };
-            let outcomes = [
-                apa.reachability(&opts).map(|g| g.state_count()),
-                apa.reachability_reference(&opts).map(|g| g.state_count()),
-            ];
-            for (i, got) in outcomes.into_iter().enumerate() {
-                if ok {
-                    assert_eq!(got, Ok(4), "engine {i} at limit {limit}");
-                } else {
-                    assert_eq!(
-                        got,
-                        Err(ApaError::StateLimitExceeded { limit }),
-                        "engine {i} at limit {limit}"
-                    );
-                }
-            }
-        }
+        assert_eq!(outcomes(&apa, 4), [Ok(4), Ok(4)]);
+        let over = Err(ApaError::StateLimitExceeded { limit: 3 });
+        assert_eq!(outcomes(&apa, 3), [over.clone(), over]);
     }
 
     #[test]
     fn malformed_rule_reported_by_arena_kernel() {
-        use crate::rule::{LocalState, TransitionRule};
-        struct Bad;
-        impl TransitionRule for Bad {
-            fn fire(&self, _local: &LocalState) -> Vec<(String, LocalState)> {
-                vec![("bad".into(), vec![])]
-            }
-        }
         let mut b = ApaBuilder::new();
         let c = b.component("c", [Value::atom("x")]);
         b.automaton("t", [c], Box::new(Bad));
@@ -812,10 +571,30 @@ mod tests {
     }
 
     #[test]
+    fn a_malformed_rule_beats_the_state_limit_on_both_engines() {
+        // At q₀ `move` finds a second state, one past the limit, and
+        // `bad`, declared after it, misbehaves. Both engines fire every
+        // automaton at a state before they intern any of its targets, so
+        // both report the rule.
+        let mut b = ApaBuilder::new();
+        let src = b.component("src", [Value::atom("x")]);
+        let dst = b.component("dst", []);
+        b.automaton("move", [src, dst], rule::move_any(0, 1));
+        b.automaton("bad", [src], Box::new(Bad));
+        let malformed = Err(ApaError::MalformedSuccessor {
+            automaton: "bad".into(),
+            expected: 1,
+            got: 0,
+        });
+        assert_eq!(
+            outcomes(&b.build().unwrap(), 1),
+            [malformed.clone(), malformed]
+        );
+    }
+
+    #[test]
     fn to_nfa_language() {
-        let g = diamond_apa()
-            .reachability(&ReachOptions::default())
-            .unwrap();
+        let g = reach(&diamond_apa());
         let nfa = g.to_nfa();
         assert!(nfa.all_accepting());
         assert!(nfa.accepts(["move_a", "move_b"]));
@@ -825,23 +604,8 @@ mod tests {
     }
 
     #[test]
-    fn to_digraph_shape() {
-        let g = diamond_apa()
-            .reachability(&ReachOptions::default())
-            .unwrap();
-        let dg = g.to_digraph();
-        assert_eq!(dg.node_count(), 4);
-        assert_eq!(dg.edge_count(), 4);
-        assert_eq!(dg.sources().len(), 1);
-        assert_eq!(dg.sinks().len(), 1);
-        assert_eq!(dg.payload(dg.sources()[0]), "M-1");
-    }
-
-    #[test]
     fn dot_and_listing_render() {
-        let g = diamond_apa()
-            .reachability(&ReachOptions::default())
-            .unwrap();
+        let g = reach(&diamond_apa());
         let dot = g.to_dot("fig 7");
         assert!(dot.starts_with("digraph fig7 {"));
         assert!(dot.contains("move_a"));
@@ -860,11 +624,7 @@ mod tests {
         let src = b.component("src", [Value::atom("x"), Value::atom("y")]);
         let dst = b.component("dst", []);
         b.automaton("move", [src, dst], rule::move_any(0, 1));
-        let g = b
-            .build()
-            .unwrap()
-            .reachability(&ReachOptions::default())
-            .unwrap();
+        let g = reach(&b.build().unwrap());
         assert_eq!(g.outgoing(0).count(), 2, "two interpretations fire");
         let listing = g.min_max_listing();
         let move_lines = listing.lines().filter(|l| l.contains("move")).count();
@@ -914,11 +674,7 @@ mod tests {
         b.automaton("serve", [ping, pong], rule::move_any(0, 1));
         b.automaton("return", [pong, ping], rule::move_any(0, 1));
         b.automaton("finish", [pong, done], rule::move_any(0, 1));
-        let g = b
-            .build()
-            .unwrap()
-            .reachability(&ReachOptions::default())
-            .unwrap();
+        let g = reach(&b.build().unwrap());
         assert_eq!(g.minima(), vec!["serve"]);
         assert_eq!(g.maxima(), vec!["finish"]);
         assert!(fireable_names(&g, "serve").is_empty());
@@ -936,11 +692,7 @@ mod tests {
         let dst = b.component("dst", []);
         b.automaton("first", [src, mid], rule::move_any(0, 1));
         b.automaton("second", [mid, dst], rule::move_any(0, 1));
-        let g = b
-            .build()
-            .unwrap()
-            .reachability(&ReachOptions::default())
-            .unwrap();
+        let g = reach(&b.build().unwrap());
         assert_eq!(g.outgoing(0).count(), 2, "two interpretations fire");
         assert!(fireable_names(&g, "first").is_empty());
         assert_eq!(fireable_names(&g, "second"), vec!["first"]);
@@ -949,9 +701,7 @@ mod tests {
     #[test]
     fn fireable_avoiding_never_holds_the_avoided_automaton() {
         // In the diamond both moves are minima and maxima.
-        let g = diamond_apa()
-            .reachability(&ReachOptions::default())
-            .unwrap();
+        let g = reach(&diamond_apa());
         assert_eq!(g.minima(), g.maxima());
         assert_eq!(fireable_names(&g, "move_a"), vec!["move_b"]);
         assert_eq!(fireable_names(&g, "move_b"), vec!["move_a"]);
@@ -959,9 +709,7 @@ mod tests {
 
     #[test]
     fn invariant_holding_everywhere() {
-        let g = diamond_apa()
-            .reachability(&ReachOptions::default())
-            .unwrap();
+        let g = reach(&diamond_apa());
         // Total token count is conserved (always 2).
         let verdict =
             g.check_invariant(|state| state.iter().map(|set| set.len()).sum::<usize>() == 2);
@@ -970,9 +718,7 @@ mod tests {
 
     #[test]
     fn invariant_violation_with_shortest_trace() {
-        let g = diamond_apa()
-            .reachability(&ReachOptions::default())
-            .unwrap();
+        let g = reach(&diamond_apa());
         // "a_dst never filled" is violated; shortest witness is one step.
         let (state, trace) = g
             .check_invariant(|s| s[1].is_empty()) // a_dst is component 1
@@ -984,17 +730,13 @@ mod tests {
 
     #[test]
     fn trace_to_initial_is_empty() {
-        let g = diamond_apa()
-            .reachability(&ReachOptions::default())
-            .unwrap();
+        let g = reach(&diamond_apa());
         assert!(g.trace_to(0).is_empty());
     }
 
     #[test]
     fn trace_to_dead_state_has_all_moves() {
-        let g = diamond_apa()
-            .reachability(&ReachOptions::default())
-            .unwrap();
+        let g = reach(&diamond_apa());
         let dead = g.dead_states()[0];
         let trace = g.trace_to(dead);
         assert_eq!(trace.len(), 2);
@@ -1004,40 +746,11 @@ mod tests {
     }
 
     #[test]
-    fn csr_successors_parallel_to_edges() {
-        let g = diamond_apa()
-            .reachability(&ReachOptions::default())
-            .unwrap();
-        let (offsets, targets) = g.csr_successors();
-        assert_eq!(offsets.len(), g.state_count() + 1);
-        assert_eq!(targets.len(), g.edge_count());
-        for i in 0..g.state_count() {
-            let via_csr: Vec<usize> = targets[offsets[i] as usize..offsets[i + 1] as usize]
-                .iter()
-                .map(|&t| t as usize)
-                .collect();
-            let via_iter: Vec<usize> = g.outgoing(i).map(|(_, _, t)| t).collect();
-            assert_eq!(via_csr, via_iter, "state {i}");
-        }
-    }
-
-    #[test]
     fn max_states_beyond_u32_state_ids_is_rejected_up_front() {
         // u32::MAX is the largest limit the state ids can honour; one
         // more is a typed error on both engines, before any exploration.
         let apa = diamond_apa();
-        let at_ceiling = ReachOptions {
-            max_states: u32::MAX as usize,
-        };
-        assert_eq!(
-            apa.reachability(&at_ceiling).map(|g| g.state_count()),
-            Ok(4)
-        );
-        assert_eq!(
-            apa.reachability_reference(&at_ceiling)
-                .map(|g| g.state_count()),
-            Ok(4)
-        );
+        assert_eq!(outcomes(&apa, u32::MAX as usize), [Ok(4), Ok(4)]);
         let Ok(beyond) = usize::try_from(u64::from(u32::MAX) + 1) else {
             return; // a 32-bit usize cannot express the limit at all
         };
@@ -1045,12 +758,7 @@ mod tests {
             space: "states",
             requested: u64::from(u32::MAX) + 1,
         });
-        let opts = ReachOptions { max_states: beyond };
-        assert_eq!(apa.reachability(&opts).map(|g| g.state_count()), expected);
-        assert_eq!(
-            apa.reachability_reference(&opts).map(|g| g.state_count()),
-            expected
-        );
+        assert_eq!(outcomes(&apa, beyond), [expected.clone(), expected]);
     }
 
     #[test]
@@ -1060,11 +768,7 @@ mod tests {
         let pong = b.component("pong", []);
         b.automaton("serve", [ping, pong], rule::move_any(0, 1));
         b.automaton("return", [pong, ping], rule::move_any(0, 1));
-        let g = b
-            .build()
-            .unwrap()
-            .reachability(&ReachOptions::default())
-            .unwrap();
+        let g = reach(&b.build().unwrap());
         assert_eq!(g.state_count(), 2);
         assert!(g.dead_states().is_empty());
         assert!(g.maxima().is_empty());

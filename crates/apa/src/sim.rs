@@ -18,14 +18,13 @@
 //! (`fsa-runtime`) relies on this determinism for bit-identical
 //! violation reports across thread counts.
 
-use crate::arena::{self, to_u32, FireMemo, InterpSymbols, RowTable};
+use crate::arena::{self, Edge, StateGraph, UNTAKEN};
 use crate::error::ApaError;
 use crate::model::{Apa, GlobalState};
 use crate::reach::TransitionLabel;
 use automata::{Symbol, SymbolTable};
 use std::collections::HashMap;
 use std::fmt;
-use std::ops::Range;
 use std::sync::OnceLock;
 
 /// A deterministic fault / attack injected into a simulated event
@@ -161,198 +160,61 @@ impl fmt::Display for Fault {
     }
 }
 
-/// The target of an edge not taken yet.
-const UNTAKEN: u32 = u32::MAX;
-
-/// One successor edge of an expanded part state: the automaton that
-/// fires, as its index in the walked APA and in the part, its firing in
-/// the part's memo and that firing's interpretation, and the target
-/// state ([`UNTAKEN`] until a step first takes the edge).
-#[derive(Debug, Clone, Copy)]
-struct Edge {
-    automaton: u32,
-    local: u32,
-    firing: u32,
-    interp: Symbol,
-    target: u32,
-}
-
-/// One part of a walk: an APA over automata no other part has, and the
-/// state graph of it the walk has built so far.
+/// One part of a walk: an APA over automata no other part has, the state
+/// graph of it the walk has built so far, and the walk's place in it.
 ///
-/// Each visited part state is a row of interned cell ids, numbered in
-/// order of first visit; on its first visit a state is expanded once
-/// into its successor edges, by automaton, then by firing, from the
-/// per-`(automaton, local cell row)` firing memo. An edge's target is
-/// interned the first time a step takes it.
+/// A state is expanded into its edges on its first visit, and an edge's
+/// target is interned the first time a step takes it.
 #[derive(Debug)]
 struct Part<'a> {
-    apa: &'a Apa,
+    graph: StateGraph<'a>,
     /// `automata[k]`: the walked APA's index of automaton `k`, ascending
     /// in `k`.
     automata: Vec<u32>,
     /// `components[c]`: the walked APA's index of component `c`.
     components: Vec<usize>,
-    memo: FireMemo,
-    /// `readers[c]`: the automata whose neighbourhood contains component
-    /// `c`.
-    readers: Vec<Vec<usize>>,
-    /// Every state visited so far, as cell rows; q₀ is state 0.
-    states: RowTable,
-    /// Per state: its edges' range in `edges`, or `None` until the state
-    /// is expanded.
-    expansions: Vec<Option<(u32, u32)>>,
-    edges: Vec<Edge>,
-    /// States expanded so far.
-    expanded: usize,
     /// The current state.
     current: u32,
     /// The current state's edges that the step's merge has not passed
     /// over yet (see [`Simulator::select`]).
     out: (u32, u32),
-    /// The cell row `enabled` was computed for: that of the state
-    /// expanded last, or q₀.
-    enabled_row: Vec<u32>,
-    /// Per automaton: its memo firing range at `enabled_row`, or `None`
-    /// once a component of its neighbourhood has changed.
-    enabled: Vec<Option<Range<usize>>>,
 }
 
 impl<'a> Part<'a> {
     fn new(apa: &'a Apa, automata: Vec<u32>, components: Vec<usize>) -> Self {
-        let memo = FireMemo::new(apa);
-        let mut readers = vec![Vec::new(); apa.component_count()];
-        for (aut, automaton) in apa.automata.iter().enumerate() {
-            for c in &automaton.neighbourhood {
-                readers[c.index()].push(aut);
-            }
-        }
-        let mut states = RowTable::new(apa.component_count(), "states");
-        states
-            .intern(memo.initial())
-            .expect("an empty table has room for q0");
         Part {
-            apa,
+            graph: StateGraph::new(apa),
             automata,
             components,
-            enabled_row: memo.initial().to_vec(),
-            memo,
-            readers,
-            states,
-            expansions: vec![None],
-            edges: Vec::new(),
-            expanded: 0,
             current: 0,
             out: (0, 0),
-            enabled: vec![None; apa.automaton_count()],
         }
     }
+}
 
-    /// Expands `state` into its successor edges, appended to `edges`,
-    /// and returns their range. Only the automata whose neighbourhood
-    /// holds a component that differs from the last expanded state's
-    /// are looked up in the memo again. A failed expansion appends no
-    /// edge and leaves `state` unexpanded.
-    ///
-    /// # Errors
-    ///
-    /// The expansion's error, with the walked APA's index of the
-    /// automaton it failed at (`u32::MAX` past the last one).
-    #[inline(never)]
-    fn expand(
+/// Translates memo interpretation symbols (of a table `interps`) into
+/// one trace's symbols, asking `intern` for each at its first use there
+/// — the point where an [`Apa::successors`]-based walk interns it.
+#[derive(Debug, Default)]
+struct InterpSymbols(Vec<Option<Symbol>>);
+
+impl InterpSymbols {
+    fn get(
         &mut self,
-        state: usize,
-        interps: &mut SymbolTable,
-        scratch: &mut Vec<u32>,
-    ) -> Result<(u32, u32), (u32, ApaError)> {
-        let row = self.states.row(state);
-        for (c, (&cell, seen)) in row.iter().zip(&mut self.enabled_row).enumerate() {
-            if cell != *seen {
-                *seen = cell;
-                for &reader in &self.readers[c] {
-                    self.enabled[reader] = None;
-                }
-            }
+        interps: &SymbolTable,
+        interp: Symbol,
+        intern: impl FnOnce(&str) -> Symbol,
+    ) -> Symbol {
+        let i = interp.index();
+        if i >= self.0.len() {
+            self.0.resize(interps.len(), None);
         }
-        let lo = self.edges.len();
-        match self.push_edges(lo, interps, scratch) {
-            Ok(edges) => {
-                self.expansions[state] = Some(edges);
-                self.expanded += 1;
-                Ok(edges)
-            }
-            Err(e) => {
-                self.edges.truncate(lo);
-                Err(e)
-            }
-        }
+        *self.0[i].get_or_insert_with(|| intern(interps.name(interp)))
     }
 
-    /// Appends one edge per firing enabled at `enabled_row`, by
-    /// automaton, then by firing, to the `lo` edges stored so far;
-    /// returns the range of the new ones.
-    fn push_edges(
-        &mut self,
-        lo: usize,
-        interps: &mut SymbolTable,
-        scratch: &mut Vec<u32>,
-    ) -> Result<(u32, u32), (u32, ApaError)> {
-        let apa = self.apa;
-        for (aut, automaton) in apa.automata.iter().enumerate() {
-            let firings = match &self.enabled[aut] {
-                Some(firings) => firings.clone(),
-                None => {
-                    scratch.clear();
-                    scratch.extend(
-                        automaton
-                            .neighbourhood
-                            .iter()
-                            .map(|c| self.enabled_row[c.index()]),
-                    );
-                    let firings = self
-                        .memo
-                        .firings(apa, aut, scratch, interps)
-                        .map_err(|e| (self.automata[aut], e))?;
-                    self.enabled[aut] = Some(firings.clone());
-                    firings
-                }
-            };
-            // Automaton ids and firing indices fit a `u32`: the builder
-            // numbers automata in `u32` and the memo checks its firing
-            // count.
-            let (automaton, local) = (self.automata[aut], aut as u32);
-            let memo = &self.memo;
-            self.edges.extend(firings.map(|firing| Edge {
-                automaton,
-                local,
-                firing: firing as u32,
-                interp: memo.firing(aut, firing).0,
-                target: UNTAKEN,
-            }));
-        }
-        let id = |n| to_u32(n, "edges").map_err(|e| (u32::MAX, e));
-        Ok((id(lo)?, id(self.edges.len())?))
-    }
-
-    /// Takes edge `at` of the current state for the first time: interns
-    /// its target state and records it on the edge.
-    fn take(&mut self, at: usize, scratch: &mut Vec<u32>) -> Result<u32, ApaError> {
-        let Edge { local, firing, .. } = self.edges[at];
-        let aut = local as usize;
-        scratch.clear();
-        scratch.extend_from_slice(self.states.row(self.current as usize));
-        let (_, next) = self.memo.firing(aut, firing as usize);
-        for (c, &cell) in self.apa.automata[aut].neighbourhood.iter().zip(next) {
-            scratch[c.index()] = cell;
-        }
-        let (target, fresh) = self.states.intern(scratch)?;
-        if fresh {
-            self.expansions.push(None);
-        }
-        // The table stores `id + 1` as a `u32`, so `target < UNTAKEN`.
-        let target = target as u32;
-        self.edges[at].target = target;
-        Ok(target)
+    /// Forgets every translation (the trace's table was replaced).
+    fn clear(&mut self) {
+        self.0.clear();
     }
 }
 
@@ -361,8 +223,9 @@ impl<'a> Part<'a> {
 /// The simulator walks the APA as a product of *parts*, APAs over
 /// disjoint sets of its automata: [`Simulator::new`] walks the APA as
 /// its own only part, [`Simulator::product`] walks given parts. Each
-/// part builds its state graph lazily on the reachability kernel's arena
-/// (see [`crate::reach`]), expanding each of its states once. A step
+/// part builds its state graph lazily, on the arena state graph that
+/// [`Apa::reachability`] builds in full, expanding each of its states
+/// once. A step
 /// gathers every part's edges out of its current state, merged by
 /// automaton in the APA's declaration order (one automaton's edges keep
 /// their firing order, so the merge is the [`Apa::successors`] order),
@@ -376,15 +239,13 @@ pub struct Simulator<'a> {
     parts: Vec<Part<'a>>,
     /// The merge order of a step's edges: the parts' automata in the
     /// APA's order, cut into maximal blocks of one part's, as `(part,
-    /// bound)`. A block holds the part's automata below `bound`, the
-    /// automaton that starts the next block; `u32::MAX` for the part's
-    /// last block.
+    /// bound)`. A block holds the part's automata, by their index in the
+    /// part, below `bound`: those before the next block's; `u32::MAX` for
+    /// the part's last block.
     blocks: Vec<(usize, u32)>,
     /// The interpretations every part's memo has fired, seeded with the
     /// APA's automaton names (so they are shared by name across parts).
     interps: SymbolTable,
-    /// Scratch: a local cell row, or a target state's row.
-    scratch: Vec<u32>,
     trace: Vec<TransitionLabel>,
     /// The episode's interner of trace labels, built on first use: the
     /// automaton names (unique, so automaton `k` is symbol `k`), then the
@@ -497,7 +358,14 @@ impl<'a> Simulator<'a> {
             .enumerate()
             .map(|(b, &(_, p))| {
                 let later = starts[b + 1..].iter().any(|&(_, q)| q == p);
-                (p, if later { starts[b + 1].0 } else { u32::MAX })
+                // The part's automata before the next block's first one
+                // (a part has at most the APA's `u32` automata).
+                let bound = || {
+                    parts[p]
+                        .automata
+                        .partition_point(|&aut| aut < starts[b + 1].0)
+                };
+                (p, if later { bound() as u32 } else { u32::MAX })
             })
             .collect();
         Simulator {
@@ -505,7 +373,6 @@ impl<'a> Simulator<'a> {
             parts,
             blocks,
             interps: arena::interpretations(apa),
-            scratch: Vec::new(),
             trace: Vec::new(),
             symbols: OnceLock::new(),
             first_seen: Vec::new(),
@@ -534,7 +401,7 @@ impl<'a> Simulator<'a> {
     /// successor edges, over all its episodes: each state of each part
     /// at most once.
     pub fn states_expanded(&self) -> usize {
-        self.parts.iter().map(|part| part.expanded).sum()
+        self.parts.iter().map(|part| part.graph.expanded).sum()
     }
 
     /// Builds the episode's symbol table from the labels numbered so far.
@@ -555,13 +422,13 @@ impl<'a> Simulator<'a> {
     pub fn state(&self) -> GlobalState {
         let mut state = self.apa.initial.clone();
         for part in &self.parts {
-            for (&c, initial) in part.components.iter().zip(&part.apa.initial) {
+            for (&c, initial) in part.components.iter().zip(&part.graph.apa.initial) {
                 state[c].retain(|value| !initial.contains(value));
             }
         }
         for part in &self.parts {
-            let cells = part.memo.cells();
-            let row = part.states.row(part.current as usize);
+            let cells = part.graph.memo.cells();
+            let row = part.graph.states.row(part.current as usize);
             for (&c, &cell) in part.components.iter().zip(row) {
                 state[c].extend(cells.get(cell).iter().cloned());
             }
@@ -619,13 +486,14 @@ impl<'a> Simulator<'a> {
         let mut failed: Option<(u32, ApaError)> = None;
         for part in &mut self.parts {
             let state = part.current as usize;
-            part.out = match part.expansions[state] {
+            part.out = match part.graph.ranges[state] {
                 Some(out) => out,
-                None => match part.expand(state, &mut self.interps, &mut self.scratch) {
+                None => match part.graph.expand(state, &mut self.interps) {
                     Ok(out) => out,
                     // Each part fails at its first misbehaving automaton;
                     // the APA fails at the first of those.
                     Err((at, e)) => {
+                        let at = part.automata.get(at as usize).copied().unwrap_or(u32::MAX);
                         if failed.as_ref().is_none_or(|(first, _)| at < *first) {
                             failed = Some((at, e));
                         }
@@ -649,9 +517,10 @@ impl<'a> Simulator<'a> {
             interp,
             target,
             ..
-        } = part.edges[at];
+        } = part.graph.edges[at];
+        let automaton = part.automata[automaton as usize];
         part.current = match target {
-            UNTAKEN => part.take(at, &mut self.scratch)?,
+            UNTAKEN => part.graph.take(part.current as usize, at)?.0,
             target => target,
         };
         self.rng_state = rng_state;
@@ -691,7 +560,7 @@ impl<'a> Simulator<'a> {
             let (lo, hi) = part.out;
             let run = match bound {
                 u32::MAX => (hi - lo) as usize,
-                bound => part.edges[lo as usize..hi as usize]
+                bound => part.graph.edges[lo as usize..hi as usize]
                     .iter()
                     .take_while(|e| e.automaton < bound)
                     .count(),
@@ -816,16 +685,16 @@ mod tests {
         let mut sim = Simulator::new(&apa, 5);
         let err = (0..1000)
             .find_map(|_| {
-                let part = &sim.parts[0];
-                let (edges, expansions) = (part.edges.len(), part.expansions.clone());
+                let graph = &sim.parts[0].graph;
+                let (edges, ranges) = (graph.edges.len(), graph.ranges.clone());
                 match sim.step() {
                     Ok(Some(_)) => None,
                     Ok(None) => panic!("no state of this APA is dead"),
                     Err(e) => {
                         let part = &sim.parts[0];
-                        assert!(part.expansions[part.current as usize].is_none());
-                        assert_eq!(part.edges.len(), edges, "no edge left behind");
-                        assert_eq!(part.expansions, expansions);
+                        assert!(part.graph.ranges[part.current as usize].is_none());
+                        assert_eq!(part.graph.edges.len(), edges, "no edge left behind");
+                        assert_eq!(part.graph.ranges, ranges);
                         Some(e)
                     }
                 }
@@ -838,7 +707,7 @@ mod tests {
             (sim.parts[0].current, sim.trace.len(), sim.rng_state),
             (current, steps, rng)
         );
-        assert!(sim.parts[0].expansions[current as usize].is_none());
+        assert!(sim.parts[0].graph.ranges[current as usize].is_none());
         assert!(sim.states_expanded() > 0);
     }
 

@@ -6,11 +6,10 @@
 //! directly: a `cam` message is `Value::tuple([atom("cam"), atom("V1"),
 //! atom("pos1")])`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A structured value: an atom, an integer, or a tuple of values.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Value {
     /// A named constant, e.g. `sW`, `pos1`, `warn`.
     Atom(String),

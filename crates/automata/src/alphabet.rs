@@ -5,12 +5,11 @@
 //! equivalence, homomorphism application) align symbols *by name*, so
 //! two automata never need to share an alphabet instance.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// Identifier of a symbol within one [`Alphabet`].
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SymId(u32);
 
 impl SymId {
@@ -45,10 +44,9 @@ impl fmt::Debug for SymId {
 /// assert_eq!(a.get("sense"), Some(x));
 /// assert_eq!(a.get("nope"), None);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Alphabet {
     names: Vec<String>,
-    #[serde(skip)]
     index: HashMap<String, SymId>,
 }
 
@@ -71,10 +69,6 @@ impl Alphabet {
 
     /// Looks up the id of `name` without interning.
     pub fn get(&self, name: &str) -> Option<SymId> {
-        if self.index.is_empty() && !self.names.is_empty() {
-            // Deserialized alphabets skip the index; fall back to scan.
-            return self.names.iter().position(|n| n == name).map(SymId::new);
-        }
         self.index.get(name).copied()
     }
 
@@ -139,22 +133,5 @@ mod tests {
         let names: Vec<&str> = a.iter().map(|(_, n)| n).collect();
         assert_eq!(names, vec!["b", "a"]);
         assert_eq!(a.sorted_names(), vec!["a", "b"]);
-    }
-
-    #[test]
-    fn serde_round_trip_preserves_lookup() {
-        let mut a = Alphabet::new();
-        a.intern("x");
-        a.intern("y");
-        let json = serde_json_like(&a);
-        // We don't depend on serde_json; emulate by clone-with-empty-index.
-        let mut b = a.clone();
-        b.index.clear();
-        assert_eq!(b.get("y"), Some(SymId::new(1)), "scan fallback works");
-        let _ = json;
-    }
-
-    fn serde_json_like(a: &Alphabet) -> usize {
-        a.len()
     }
 }

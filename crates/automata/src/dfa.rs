@@ -7,11 +7,10 @@
 
 use crate::alphabet::{Alphabet, SymId};
 use crate::nfa::StateId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A deterministic finite automaton.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Dfa {
     pub(crate) alphabet: Alphabet,
     pub(crate) accepting: Vec<bool>,

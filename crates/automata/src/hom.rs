@@ -8,11 +8,10 @@
 //! (possibly to itself) or erased.
 
 use crate::nfa::Nfa;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// What happens to a symbol not explicitly mapped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DefaultRule {
     /// Unmapped symbols keep their name.
     Keep,
@@ -34,7 +33,7 @@ pub enum DefaultRule {
 /// assert_eq!(h.map_name("V1_sense"), Some("V1_sense".to_owned()));
 /// assert_eq!(h.map_name("V1_pos"), None); // erased
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Homomorphism {
     /// Explicit mappings: name → Some(new name) or None (erase).
     map: BTreeMap<String, Option<String>>,

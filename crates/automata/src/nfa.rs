@@ -5,12 +5,11 @@
 //! ε-transitions when actions are erased.
 
 use crate::alphabet::{Alphabet, SymId};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Identifier of a state within one automaton.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StateId(u32);
 
 impl StateId {
@@ -34,7 +33,7 @@ impl fmt::Debug for StateId {
 /// A nondeterministic finite automaton; `None` labels are ε-transitions.
 ///
 /// Construct with [`Nfa::builder`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Nfa {
     alphabet: Alphabet,
     accepting: Vec<bool>,

@@ -10,7 +10,6 @@
 //! shares the term or name instead of copying it, so the many SoS
 //! instances composed from one component template share its actions.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -19,8 +18,7 @@ use std::sync::Arc;
 ///
 /// A reference-counted handle on the name: cloning an agent increments
 /// a count. Equality, order and hash are those of the name.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Agent(Arc<str>);
 
 impl Agent {
@@ -55,7 +53,7 @@ impl From<&str> for Agent {
 
 /// One action parameter: a base name with an optional instance index,
 /// e.g. `GPS_1` = base `GPS`, index `1`; plain `warn` has no index.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Param {
     base: String,
     index: Option<String>,
@@ -145,8 +143,7 @@ impl Param {
 /// increments a count and copies neither the name nor the parameters.
 /// Equality, order and hash are the term's, name first, then the
 /// parameters.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Action(Arc<Term>);
 
 /// The shared term behind an [`Action`]: its parameters and its
@@ -155,7 +152,6 @@ pub struct Action(Arc<Term>);
 /// prefix. Equality, order and hash are those of (name, parameters):
 /// two terms may render alike (`a_b` is a plain parameter or `a`
 /// indexed by `b`) and still differ.
-#[derive(Serialize, Deserialize)]
 struct Term {
     text: String,
     name_len: usize,

@@ -20,12 +20,11 @@
 use crate::action::Action;
 use crate::instance::SosInstance;
 use fsa_graph::closure::reflexive_transitive_closure;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// A linear sensitivity/clearance level (higher = more sensitive).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Level(pub u8);
 
 impl Level {

@@ -5,13 +5,12 @@
 //! events that seem possible to him, a certain action `a` has happened."
 
 use crate::action::{Action, Agent};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// How a requirement relates to the system's function (§4.4's
 /// evaluation of the elicited requirements).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Relevance {
     /// Breaking the requirement can cause unsafe behaviour (e.g. warning
     /// a driver who should not be warned).
@@ -31,7 +30,7 @@ impl fmt::Display for Relevance {
 }
 
 /// One authenticity requirement `auth(antecedent, consequent, stakeholder)`.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AuthRequirement {
     /// The action whose prior occurrence must be authentic (`a`).
     pub antecedent: Action,
@@ -73,7 +72,7 @@ impl fmt::Display for AuthRequirement {
 /// §4.4: "the union of all these requirements for the different
 /// instances poses the set of requirements for the whole system. This
 /// set can be reduced by eliminating duplicate requirements …".
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RequirementSet {
     items: BTreeSet<AuthRequirement>,
 }

@@ -17,10 +17,12 @@ use crate::error::DistError;
 use crate::worker::{run_worker, WorkerConfig};
 use fsa_core::explore::{compose_accepted, Exploration, ExploreOptions, Universe};
 use fsa_obs::Obs;
+use std::io::{BufRead, BufReader, Read};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How the driver runs its workers.
@@ -96,8 +98,29 @@ fn worker_seed(base: u64, index: usize) -> u64 {
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
 enum Workers {
-    Children(Vec<Child>),
-    Handles(Vec<std::thread::JoinHandle<Result<(), DistError>>>),
+    /// Worker processes, each with the thread that drains its stderr
+    /// and returns the last line the worker wrote there.
+    Children(Vec<(Child, JoinHandle<Option<String>>)>),
+    Handles(Vec<JoinHandle<Result<(), DistError>>>),
+}
+
+/// Reads `pipe` to its end and returns its last non-blank line. Reading
+/// all of it keeps a chatty worker from blocking on a full pipe.
+fn last_line(pipe: impl Read) -> Option<String> {
+    let mut reader = BufReader::new(pipe);
+    let (mut line, mut last) = (Vec::new(), None);
+    loop {
+        line.clear();
+        match reader.read_until(b'\n', &mut line) {
+            Ok(0) | Err(_) => return last,
+            Ok(_) => {
+                let text = String::from_utf8_lossy(&line);
+                if !text.trim().is_empty() {
+                    last = Some(text.trim_end().to_owned());
+                }
+            }
+        }
+    }
 }
 
 impl Workers {
@@ -106,7 +129,7 @@ impl Workers {
         match self {
             Workers::Children(children) => {
                 let mut running = 0;
-                for child in children.iter_mut() {
+                for (child, _) in children.iter_mut() {
                     if matches!(child.try_wait(), Ok(None)) {
                         running += 1;
                     }
@@ -124,10 +147,16 @@ impl Workers {
         let mut first = None;
         match self {
             Workers::Children(children) => {
-                for mut child in children.drain(..) {
-                    match child.wait() {
+                for (mut child, drain) in children.drain(..) {
+                    let status = child.wait();
+                    // The worker's exit closes the pipe, so the drain ends.
+                    let said = drain.join().ok().flatten();
+                    match status {
                         Ok(status) if !status.success() => {
-                            first.get_or_insert(format!("worker exited with {status}"));
+                            first.get_or_insert(match said {
+                                Some(line) => format!("worker exited with {status}: {line}"),
+                                None => format!("worker exited with {status}"),
+                            });
                         }
                         Err(e) => {
                             first.get_or_insert(format!("worker not reapable: {e}"));
@@ -155,7 +184,7 @@ impl Workers {
 
     fn kill(&mut self) {
         if let Workers::Children(children) = self {
-            for child in children {
+            for (child, _) in children {
                 let _ = child.kill();
             }
         }
@@ -268,7 +297,7 @@ fn run_local(
         WorkerMode::Processes { exe } => {
             *pool = Workers::Children(Vec::with_capacity(workers));
             for i in 0..workers {
-                let child = Command::new(exe)
+                let mut child = Command::new(exe)
                     .args([
                         "work",
                         "--connect",
@@ -282,11 +311,13 @@ fn run_local(
                     ])
                     .stdin(Stdio::null())
                     .stdout(Stdio::null())
-                    .stderr(Stdio::null())
+                    .stderr(Stdio::piped())
                     .spawn()
                     .map_err(|e| DistError::Io(format!("spawn {}: {e}", exe.display())))?;
+                let stderr = child.stderr.take();
+                let drain = std::thread::spawn(move || last_line(stderr?));
                 if let Workers::Children(children) = pool {
-                    children.push(child);
+                    children.push((child, drain));
                 }
             }
         }

@@ -1,7 +1,7 @@
 //! Versioned + checksummed snapshot envelopes for checkpoint files.
 //!
 //! The format is deliberately tiny (no external serialisation
-//! dependency — the same offline-build discipline as `vendor/serde`):
+//! dependency: the workspace builds offline):
 //!
 //! ```text
 //! magic   4 bytes   b"FSAS"

@@ -6,7 +6,6 @@
 //! a whole small digraph the same way, for kernels that run once per
 //! candidate composition: weak connectivity and the §4.4 relation χ.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 const WORD_BITS: usize = 64;
@@ -327,7 +326,7 @@ pub struct ChiScratch {
 /// assert!(s.contains(3));
 /// assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 64]);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct BitSet {
     words: Vec<u64>,
     capacity: usize,

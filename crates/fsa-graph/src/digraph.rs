@@ -4,14 +4,13 @@
 //! keeps all downstream algorithms (closure, topological sort, DOT
 //! export) deterministic — important for reproducible requirement lists.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a node within one [`DiGraph`].
 ///
 /// Ids are dense (`0..node_count`) and stable: removing nodes is not
 /// supported, so an id stays valid for the lifetime of its graph.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(u32);
 
 impl NodeId {
@@ -59,7 +58,7 @@ pub type EdgeRef = (NodeId, NodeId);
 /// assert!(!g.add_edge(a, b), "parallel edges are collapsed");
 /// assert_eq!(g.successors(a).collect::<Vec<_>>(), vec![b]);
 /// ```
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct DiGraph<N> {
     payloads: Vec<N>,
     /// Adjacency lists, each sorted by id without duplicates

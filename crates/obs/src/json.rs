@@ -1,6 +1,6 @@
 //! Minimal hand-rolled JSON emission (the crate is zero-dependency by
-//! design; the vendored `serde` derives are no-ops, so exports are
-//! written by hand with an explicit, stable key order).
+//! design, so exports are written by hand with an explicit, stable key
+//! order).
 //!
 //! The string/key writers are `pub` so sibling crates that speak JSON
 //! on the wire (notably `fsa-serve`'s `fsa-wire/v1` frames) reuse this

@@ -462,7 +462,9 @@ const ELICIT: Table<SpecFlags> = Table {
 /// pass) and one `spec.render` (everything printed, and freeing the §4
 /// report) per instance. `--verify-dataflow` adds one `spec.dataflow`
 /// (deriving the dataflow APA) and the §5 `elicit` spans per instance,
-/// under `spec` too.
+/// under `spec` too. The counters `spec.instances` and `spec.actions`
+/// size the spec, and for `elicit` `spec.requirements` counts what the
+/// §4 pass elicited over all instances.
 pub fn run_spec(
     command: &str,
     rest: &[String],
@@ -507,14 +509,16 @@ pub fn run_spec(
             (file.clone(), parsed.as_slice())
         }
     };
+    let actions: usize = instances.iter().map(|i| i.action_count()).sum();
+    obs.counter_add("spec.instances", instances.len() as u64);
+    obs.counter_add("spec.actions", actions as u64);
     let mut r = Rendered::success();
     match command {
         "check" => {
             let _ = writeln!(
                 r.stdout,
-                "{label}: OK ({} instance(s), {} action(s) total)",
+                "{label}: OK ({} instance(s), {actions} action(s) total)",
                 instances.len(),
-                instances.iter().map(|i| i.action_count()).sum::<usize>()
             );
         }
         "elicit" => {
@@ -529,6 +533,10 @@ pub fn run_spec(
                     }
                 };
                 drop(manual);
+                obs.counter_add(
+                    "spec.requirements",
+                    report.classified_requirements().len() as u64,
+                );
                 // The §5 cross-check runs before the report prints, so
                 // that the report is printed and freed in `spec.render`;
                 // its verdict prints after the report.

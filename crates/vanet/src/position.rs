@@ -7,11 +7,10 @@
 //! `pos3`/`pos4` likewise, but the two pairs are out of range — exactly
 //! the configuration of the four-vehicle instance of Fig. 8.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A position on the (one-dimensional) road.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Position(pub i64);
 
 impl Position {
@@ -28,7 +27,7 @@ impl fmt::Display for Position {
 }
 
 /// A communication / warning range.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Range(pub u64);
 
 impl Range {
@@ -44,7 +43,7 @@ impl Range {
 /// The named positions of the paper's APA models (`Z_gps = P({pos1,
 /// pos2, pos3, pos4})`), with coordinates realising the Fig. 8
 /// configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum NamedPosition {
     /// Position of vehicle 1 (warns).
     Pos1,

@@ -10,10 +10,8 @@
 //! every qualitative result (minima, maxima, dependence matrix,
 //! requirement sets) is identical across them.
 
-use serde::{Deserialize, Serialize};
-
 /// Whether an input datum is consumed by the action that uses it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Consumption {
     /// The datum is removed (the paper's printed Δ-relations).
     Consume,
@@ -22,7 +20,7 @@ pub enum Consumption {
 }
 
 /// Consumption semantics of the vehicle APA model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ApaSemantics {
     /// Does `rec` remove the message from the shared `net` component?
     pub message: Consumption,

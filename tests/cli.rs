@@ -126,6 +126,24 @@ fn distributed_explore_finishes_at_the_default_universe() {
     );
 }
 
+#[test]
+fn distributed_explore_names_why_its_workers_failed() {
+    // Regression: workers ran with their stderr discarded, so a run
+    // whose workers all failed said only `worker exited with exit
+    // status: 1`. Each worker fails on the budget within milliseconds.
+    let base = ["explore", "--max-vehicles", "3", "--budget", "5"];
+    let single = fsa(&base);
+    let distributed = fsa(&[&base[..], &["--distributed", "--workers", "2"]].concat());
+    let why = "enumeration exceeded the budget of 5 candidates";
+    for out in [&single, &distributed] {
+        assert_eq!(out.status.code(), Some(1), "{out:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains(why),
+            "{out:?}"
+        );
+    }
+}
+
 /// The lines of a report's `exploration stats:` block, durations masked.
 fn stats_block(stdout: &[u8]) -> Vec<String> {
     mask_timings(stdout)

@@ -289,6 +289,42 @@ fn spec_runs_export_spans_for_parse_manual_and_render() {
     }
 }
 
+/// A spec run's counters size the spec and count what the §4 pass
+/// elicited, pinned on Fig. 4: one instance of nine actions, four
+/// requirements.
+#[test]
+fn spec_runs_export_deterministic_counters() {
+    let dir = TempDir::new("obs-spec-counters");
+    let stats = dir.path().join("stats.json");
+    let stats_arg = stats.to_str().unwrap();
+    let sizes = [("spec.instances", 1), ("spec.actions", 9)];
+    let cases: [(&str, &[(&str, u64)]); 2] = [
+        ("check", &sizes),
+        ("elicit", &[sizes[0], sizes[1], ("spec.requirements", 4)]),
+    ];
+    for (command, want) in cases {
+        let out = fsa(&[command, "specs/fig4.fsa", "--stats-json", stats_arg]);
+        assert!(out.status.success(), "{command}: {out:?}");
+        let body = std::fs::read_to_string(&stats).unwrap();
+        let doc = fsa::serve::json::parse(&body).expect("valid JSON");
+        let counters: BTreeSet<(String, u64)> = doc
+            .get("counters")
+            .and_then(|v| v.as_arr())
+            .expect("counters")
+            .iter()
+            .map(|c| {
+                let name = c.get("name").and_then(|n| n.as_str()).expect("name");
+                (
+                    name.to_owned(),
+                    c.get("value").and_then(|v| v.as_u64()).expect("value"),
+                )
+            })
+            .collect();
+        let want = want.iter().map(|&(n, v)| (n.to_owned(), v)).collect();
+        assert_eq!(counters, want, "{command}: {body}");
+    }
+}
+
 /// Each span's name with its parent's name, and the number of roots, of
 /// a `--stats-json` document.
 fn span_tree(body: &str) -> (BTreeSet<(String, Option<String>)>, usize) {
