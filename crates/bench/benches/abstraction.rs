@@ -71,11 +71,10 @@ fn bench_dependence(c: &mut Criterion) {
 }
 
 /// The full §5.5 dependence-checking engine on the three-pair
-/// (six-vehicle) behaviour: the abstraction method sequentially vs.
-/// the precedence method (one walk per minimum) at 1 and 4 threads.
-/// Verdicts are bit-identical across thread counts and methods (see
-/// `tests/parallel_props.rs` and `tests/kernel_differential.rs`); only
-/// the wall-clock differs.
+/// (six-vehicle) behaviour: the abstraction method vs. the precedence
+/// method (one walk per minimum). Verdicts are bit-identical across
+/// methods (see `tests/kernel_differential.rs`); only the wall-clock
+/// differs.
 fn bench_engine(c: &mut Criterion) {
     let graph = n_pair_apa(3, ApaSemantics::PAPER)
         .expect("valid model")
@@ -128,11 +127,9 @@ fn bench_engine(c: &mut Criterion) {
             "seq_naive",
             ElicitOptions {
                 method: DependenceMethod::Abstraction,
-                threads: 1,
             },
         ),
         ("seq_precedence", ElicitOptions::service(1)),
-        ("par4_precedence", ElicitOptions::service(4)),
     ] {
         group.bench_function(name, |b| {
             b.iter(|| {

@@ -15,10 +15,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fsa_core::explore::{ExecOptions, ExploreOptions};
-use fsa_graph::iso::{
-    canonical_certificate, dedup_isomorphic, dedup_isomorphic_certified,
-    dedup_isomorphic_certified_parallel,
-};
+use fsa_graph::iso::{canonical_certificate, dedup_isomorphic, dedup_isomorphic_certified};
 use fsa_graph::DiGraph;
 use std::hint::black_box;
 use vanet::exploration::{enumerate_scenario_instances, explore_scenario_universe};
@@ -95,11 +92,6 @@ fn bench_exploration(c: &mut Criterion) {
             BenchmarkId::new("certificate_dedup", max_vehicles),
             &stream,
             |b, s| b.iter(|| black_box(dedup_isomorphic_certified(s.clone()))),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("certificate_dedup_parallel", max_vehicles),
-            &stream,
-            |b, s| b.iter(|| black_box(dedup_isomorphic_certified_parallel(s.clone(), 4))),
         );
     }
 

@@ -45,7 +45,6 @@ fn from_scratch(model: &EditModel) {
         &graph,
         &ElicitOptions {
             method: DependenceMethod::Precedence,
-            threads: 1,
         },
         |max| model.stakeholder(max),
     ));

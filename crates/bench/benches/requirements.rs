@@ -66,8 +66,8 @@ fn bench_parameterise(c: &mut Criterion) {
 
 /// The tool-assisted pipeline on the dataflow APA of a layered model:
 /// the full dependence-checking engine (minima/maxima scan + one
-/// precedence walk per minimum over the reachability graph), sequential
-/// vs. 4-thread grid. Verdicts are bit-identical across thread counts.
+/// precedence walk per minimum over the reachability graph), against
+/// the seed's per-pair queries.
 fn bench_assisted_engine(c: &mut Criterion) {
     use fsa_core::assisted::{elicit_with_options, ElicitOptions};
     use fsa_core::dataflow::dataflow_apa;
@@ -101,16 +101,14 @@ fn bench_assisted_engine(c: &mut Criterion) {
         })
     });
 
-    for (name, threads) in [("threads_1", 1usize), ("threads_4", 4)] {
-        let options = ElicitOptions::service(threads);
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                black_box(elicit_with_options(black_box(&graph), &options, |_| {
-                    Agent::new("P")
-                }))
-            })
-        });
-    }
+    let options = ElicitOptions::service(1);
+    group.bench_function("threads_1", |b| {
+        b.iter(|| {
+            black_box(elicit_with_options(black_box(&graph), &options, |_| {
+                Agent::new("P")
+            }))
+        })
+    });
     group.finish();
 }
 

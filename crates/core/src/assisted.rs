@@ -105,17 +105,12 @@ pub struct AssistedReport {
 pub struct ElicitOptions {
     /// The decision procedure per (maximum, minimum) pair.
     pub method: DependenceMethod,
-    /// Worker threads for the pair grid; `0` or `1` evaluates
-    /// sequentially. The verdict vector is identical for every thread
-    /// count (deterministic index-ordered merge).
-    pub threads: usize,
 }
 
 impl Default for ElicitOptions {
     fn default() -> Self {
         ElicitOptions {
             method: DependenceMethod::Abstraction,
-            threads: 1,
         }
     }
 }
@@ -126,12 +121,13 @@ impl ElicitOptions {
     /// cross-check build *these* options, so served and one-shot runs
     /// are the same engine configuration by construction.
     ///
-    /// Precedence method.
+    /// Precedence method. The grid runs on the calling thread: one walk
+    /// per minimum is microseconds of work, less than a thread spawn.
+    /// `_threads` is ignored; it stays for callers of this signature.
     #[must_use]
-    pub fn service(threads: usize) -> Self {
+    pub fn service(_threads: usize) -> Self {
         ElicitOptions {
             method: DependenceMethod::Precedence,
-            threads,
         }
     }
 }
@@ -160,8 +156,6 @@ pub struct PipelineStats {
     pub pair_eval: Duration,
     /// Pairs in the grid (minimum ≠ maximum).
     pub pairs_total: usize,
-    /// Worker threads used for the pair grid (1 = sequential).
-    pub threads: usize,
 }
 
 /// Decides dependence of (`minimum`, `maximum`) by homomorphic
@@ -205,8 +199,8 @@ pub fn requirements_from_verdicts(
 }
 
 /// Runs the tool-assisted pipeline on a reachability graph with the
-/// default engine options (sequential) — byte-identical to the original
-/// per-pair loop.
+/// default engine options — byte-identical to the original per-pair
+/// loop.
 ///
 /// `stakeholder` assigns the responsible agent to each *maximum* action
 /// name (e.g. `V2_show ↦ D_2`).
@@ -215,23 +209,11 @@ pub fn elicit_from_graph(
     method: DependenceMethod,
     stakeholder: impl Fn(&str) -> Agent,
 ) -> AssistedReport {
-    elicit_with_options(
-        graph,
-        &ElicitOptions {
-            method,
-            ..ElicitOptions::default()
-        },
-        stakeholder,
-    )
+    elicit_with_options(graph, &ElicitOptions { method }, stakeholder)
 }
 
 /// Runs the tool-assisted pipeline with explicit engine options: the
-/// decision procedure and worker threads over the (maxima × minima)
-/// grid.
-///
-/// For any fixed options, the verdict vector is deterministic; for any
-/// *thread count*, it is bit-identical to the sequential run (the work
-/// is chunked, evaluated independently, and merged in index order).
+/// decision procedure over the (maxima × minima) grid.
 pub fn elicit_with_options(
     graph: &ReachGraph,
     options: &ElicitOptions,
@@ -250,12 +232,6 @@ pub fn elicit_with_options(
 /// measurements.
 ///
 /// The graph is analysed as one fragment and recomposed alone.
-///
-/// # Panics
-///
-/// If a pair worker panics. This infallible graph-level wrapper is the
-/// only place that turns [`FsaError::WorkerPanicked`] into a panic;
-/// [`elicit_apa`] returns it.
 pub fn elicit_observed(
     graph: &ReachGraph,
     options: &ElicitOptions,
@@ -264,16 +240,15 @@ pub fn elicit_observed(
 ) -> AssistedReport {
     let run = obs.span("elicit");
     let mut stats = PipelineStats::default();
-    let report = analyze(graph, options, false, obs, &mut stats).and_then(|analysis| {
-        recompose(
-            &[&analysis],
-            options,
-            &mut CrossCache::new(),
-            stats,
-            stakeholder,
-        )
-    });
-    let report = report.unwrap_or_else(|e| panic!("{e}"));
+    let analysis = analyze(graph, options, false, obs, &mut stats);
+    let report = recompose(
+        &[&analysis],
+        options,
+        &mut CrossCache::new(),
+        stats,
+        stakeholder,
+    )
+    .expect("one fragment's own counts fit usize");
     mirror_counters(obs, &report.stats);
     drop(run);
     report
@@ -301,8 +276,6 @@ pub fn elicit_observed(
 ///   fragment, since only fragments are built.
 /// * [`FsaError::RecompositionOverflow`] when the recomposed state or
 ///   edge count does not fit `usize`.
-/// * [`FsaError::WorkerPanicked`] (stage `assisted:pairs`) when a pair
-///   worker panics.
 pub fn elicit_apa(
     apa: &Apa,
     options: &ElicitOptions,
@@ -320,7 +293,7 @@ pub fn elicit_apa(
         let graph = part.reachability(&ReachOptions::default())?;
         stats.reach += span.finish();
         stats.reach_states += graph.state_count();
-        analyses.push(analyze(&graph, options, projections, obs, &mut stats)?);
+        analyses.push(analyze(&graph, options, projections, obs, &mut stats));
         Ok(())
     };
     if fragments == 1 {
@@ -347,7 +320,6 @@ pub fn elicit_apa(
 fn mirror_counters(obs: &Obs, stats: &PipelineStats) {
     if obs.is_enabled() {
         obs.counter_add("elicit.pairs_total", stats.pairs_total as u64);
-        obs.counter_add("elicit.threads", stats.threads as u64);
         obs.counter_add("elicit.fragments", stats.fragments as u64);
         obs.counter_add("elicit.reach.states", stats.reach_states as u64);
     }
@@ -404,28 +376,21 @@ pub(crate) struct FragmentAnalysis {
 }
 
 /// Analyses one reachability graph (a fragment): minima and maxima,
-/// dead states, the pair grid with the options' method and threads —
-/// chunked over the workers and merged in index order, so deterministic
-/// for every thread count — and, with `projections` under the
-/// abstraction method, the unary projection of every minimum and
-/// maximum. Each stage runs under its `elicit.*` span and adds its
-/// duration to `stats`.
+/// dead states, the pair grid with the options' method, on the calling
+/// thread, and, with `projections` under the abstraction method, the
+/// unary projection of every minimum and maximum. Each stage runs under
+/// its `elicit.*` span and adds its duration to `stats`.
 ///
 /// Under [`DependenceMethod::Precedence`] the grid is one
 /// [`ReachGraph::fireable_avoiding`] walk per minimum, and no automaton
 /// is built; only the abstraction method builds the behaviour NFA.
-///
-/// # Errors
-///
-/// [`FsaError::WorkerPanicked`] (stage `assisted:pairs`) if a pair
-/// worker panics.
 pub(crate) fn analyze(
     graph: &ReachGraph,
     options: &ElicitOptions,
     projections: bool,
     obs: &Obs,
     stats: &mut PipelineStats,
-) -> Result<FragmentAnalysis, FsaError> {
+) -> FragmentAnalysis {
     let span = obs.span("elicit.min_max");
     let minima_syms = graph.minima_syms();
     let maxima_syms = graph.maxima_syms();
@@ -440,60 +405,46 @@ pub(crate) fn analyze(
     let has_dead = !graph.dead_states().is_empty();
     stats.min_max += span.finish();
 
-    // The deterministic pair grid: maxima outer, minima inner.
-    let mut pairs: Vec<(usize, usize)> = Vec::with_capacity(maxima_syms.len() * minima_syms.len());
-    for (ma, &max_sym) in maxima_syms.iter().enumerate() {
-        for (mi, &min_sym) in minima_syms.iter().enumerate() {
-            if min_sym != max_sym {
-                pairs.push((ma, mi));
-            }
-        }
-    }
-
     let span = obs.span("elicit.pair_eval");
-    let threads = options.threads.max(1);
+    let mut grid = vec![GridVerdict::default(); maxima.len() * minima.len()];
     let mut unary = BTreeMap::new();
-    let verdicts: Vec<GridVerdict> = match options.method {
+    match options.method {
         DependenceMethod::Precedence => {
             // One walk per minimum decides its whole column: a maximum
             // depends on the minimum iff no run without it fires the
             // maximum.
-            let fireable =
-                eval_chunked(&minima_syms, threads, |&min| graph.fireable_avoiding(min))?;
-            pairs
-                .iter()
-                .map(|&(ma, mi)| GridVerdict {
-                    dependent: !fireable[mi].contains(maxima_syms[ma].index()),
-                    minimal_automaton_states: None,
-                })
-                .collect()
+            for (mi, &min_sym) in minima_syms.iter().enumerate() {
+                let fireable = graph.fireable_avoiding(min_sym);
+                for (ma, &max_sym) in maxima_syms.iter().enumerate() {
+                    grid[ma * minima.len() + mi].dependent = !fireable.contains(max_sym.index());
+                }
+            }
         }
         DependenceMethod::Abstraction => {
             let behaviour = graph.to_nfa();
-            let verdicts = eval_chunked(&pairs, threads, |&(ma, mi)| {
-                let (dependent, minimal) =
-                    dependence_by_abstraction(&behaviour, &minima[mi], &maxima[ma]);
-                GridVerdict {
-                    dependent,
-                    minimal_automaton_states: Some(minimal.state_count()),
+            for (ma, &max_sym) in maxima_syms.iter().enumerate() {
+                for (mi, &min_sym) in minima_syms.iter().enumerate() {
+                    if min_sym != max_sym {
+                        let (dependent, minimal) =
+                            dependence_by_abstraction(&behaviour, &minima[mi], &maxima[ma]);
+                        grid[ma * minima.len() + mi] = GridVerdict {
+                            dependent,
+                            minimal_automaton_states: Some(minimal.state_count()),
+                        };
+                    }
                 }
-            })?;
+            }
             if projections {
                 let actions: BTreeSet<&String> = minima.iter().chain(&maxima).collect();
                 for action in actions {
                     unary.insert(action.clone(), unary_projection(&behaviour, action));
                 }
             }
-            verdicts
         }
-    };
-    let mut grid = vec![GridVerdict::default(); maxima.len() * minima.len()];
-    for (&(ma, mi), verdict) in pairs.iter().zip(verdicts) {
-        grid[ma * minima.len() + mi] = verdict;
     }
     stats.pair_eval += span.finish();
 
-    Ok(FragmentAnalysis {
+    FragmentAnalysis {
         state_count: graph.state_count(),
         edge_count: graph.edge_count(),
         minima,
@@ -501,7 +452,7 @@ pub(crate) fn analyze(
         has_dead,
         grid,
         unary,
-    })
+    }
 }
 
 /// The projection of a behaviour onto the single action `action`.
@@ -616,7 +567,6 @@ pub(crate) fn recompose(
         }
     }
     stats.pairs_total = verdicts.len();
-    stats.threads = options.threads.max(1);
     stats.fragments = analyses.len();
 
     let requirements = requirements_from_verdicts(&verdicts, stakeholder);
@@ -661,50 +611,6 @@ fn unary_nfa(lang: UnaryLang, sym: &str) -> Nfa {
         }
     }
     b.build()
-}
-
-/// Maps `eval` over `items` in chunks on up to `threads` scoped
-/// workers, merged in index order. Every worker is joined before the
-/// first panicking chunk is reported, so a second panic cannot abort
-/// the scope.
-///
-/// # Errors
-///
-/// [`FsaError::WorkerPanicked`] (stage `assisted:pairs`) naming the
-/// first chunk whose worker panicked.
-fn eval_chunked<T: Sync, R: Send>(
-    items: &[T],
-    threads: usize,
-    eval: impl Fn(&T) -> R + Sync,
-) -> Result<Vec<R>, FsaError> {
-    if threads <= 1 || items.len() < 2 {
-        return Ok(items.iter().map(eval).collect());
-    }
-    let chunk = items.len().div_ceil(threads);
-    let per_chunk: Vec<Result<Vec<R>, usize>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|part| scope.spawn(|| part.iter().map(&eval).collect::<Vec<_>>()))
-            .collect();
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(i, h)| h.join().map_err(|_| i))
-            .collect()
-    });
-    let mut out = Vec::with_capacity(items.len());
-    for part in per_chunk {
-        match part {
-            Ok(results) => out.extend(results),
-            Err(chunk) => {
-                return Err(FsaError::WorkerPanicked {
-                    stage: "assisted:pairs",
-                    chunk,
-                })
-            }
-        }
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -815,32 +721,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_grid_is_bit_identical_to_sequential() {
-        let g = pipeline_graph();
-        for method in [DependenceMethod::Abstraction, DependenceMethod::Precedence] {
-            let seq = elicit_with_options(&g, &ElicitOptions { method, threads: 1 }, |_| {
-                Agent::new("P")
-            });
-            for threads in [2, 4, 8] {
-                let par = elicit_with_options(&g, &ElicitOptions { method, threads }, |_| {
-                    Agent::new("P")
-                });
-                assert_eq!(par.verdicts, seq.verdicts, "threads = {threads}");
-                assert_eq!(
-                    par.requirements.iter().collect::<Vec<_>>(),
-                    seq.requirements.iter().collect::<Vec<_>>()
-                );
-                assert_eq!(par.stats.threads, threads);
-            }
-        }
-    }
-
-    #[test]
     fn stats_are_populated() {
         let g = pipeline_graph();
         let report = elicit_from_graph(&g, DependenceMethod::Abstraction, |_| Agent::new("P"));
         assert_eq!(report.stats.pairs_total, report.verdicts.len());
-        assert_eq!(report.stats.threads, 1);
         assert!(report.stats.pair_eval >= std::time::Duration::ZERO);
     }
 
@@ -858,10 +742,7 @@ mod tests {
     #[test]
     fn observed_run_matches_unobserved_and_counters_mirror_live_stats() {
         let g = pipeline_graph();
-        let options = ElicitOptions {
-            threads: 2,
-            ..ElicitOptions::default()
-        };
+        let options = ElicitOptions::default();
         let plain = elicit_with_options(&g, &options, |_| Agent::new("P"));
         let obs = Obs::enabled();
         let observed = elicit_observed(&g, &options, &obs, |_| Agent::new("P"));
@@ -904,7 +785,6 @@ mod tests {
     fn assert_counters_mirror(snap: &fsa_obs::Snapshot, stats: &PipelineStats) {
         let mirrored = [
             ("elicit.pairs_total", stats.pairs_total),
-            ("elicit.threads", stats.threads),
             ("elicit.fragments", stats.fragments),
             ("elicit.reach.states", stats.reach_states),
         ];
@@ -999,7 +879,6 @@ mod tests {
                 &Obs::disabled(),
                 &mut stats,
             )
-            .unwrap()
         };
         // `f` can fire exactly once.
         let mut b = ApaBuilder::new();
@@ -1020,30 +899,6 @@ mod tests {
         assert_eq!(
             analysis(b.build().unwrap()).unary["f"],
             UnaryLang::Unbounded
-        );
-    }
-
-    #[test]
-    fn a_panicking_pair_worker_is_a_typed_error() {
-        let items: Vec<usize> = (0..8).collect();
-        let doubled = eval_chunked(&items, 4, |&i| i * 2).unwrap();
-        assert_eq!(doubled, vec![0, 2, 4, 6, 8, 10, 12, 14]);
-        // Four chunks of two items; items 5 and 7 sit in chunks 2 and 3,
-        // and the first panicking chunk is reported.
-        let err = eval_chunked(&items, 4, |&i| {
-            assert!(i != 5 && i != 7, "injected pair-worker panic");
-            i
-        })
-        .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                FsaError::WorkerPanicked {
-                    stage: "assisted:pairs",
-                    chunk: 2
-                }
-            ),
-            "{err}"
         );
     }
 }

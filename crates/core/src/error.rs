@@ -30,18 +30,6 @@ pub enum FsaError {
         /// The configured budget that was exceeded.
         limit: usize,
     },
-    /// A parallel worker panicked outside the supervisor: the threaded
-    /// subset scan of [`crate::explore`] (`explore:scan`) or a worker of
-    /// the §5 pair grid in [`crate::assisted`] (`assisted:pairs`).
-    /// Candidate builds and union elicitations run under the
-    /// supervisor, which retries and quarantines a panicking chunk
-    /// instead.
-    WorkerPanicked {
-        /// Engine stage (`explore:scan`, `assisted:pairs`).
-        stage: &'static str,
-        /// Chunk index of the panicked worker.
-        chunk: usize,
-    },
     /// A checkpoint file could not be loaded: missing, truncated,
     /// bit-flipped (checksum mismatch), version-skewed, or written by a
     /// run with a different configuration. Never a panic, never a
@@ -97,9 +85,6 @@ impl fmt::Display for FsaError {
             }
             FsaError::BudgetExceeded { limit } => {
                 write!(f, "enumeration exceeded the budget of {limit} candidates")
-            }
-            FsaError::WorkerPanicked { stage, chunk } => {
-                write!(f, "worker panicked in stage `{stage}` chunk {chunk}")
             }
             FsaError::CorruptCheckpoint { reason } => {
                 write!(f, "corrupt checkpoint: {reason}")
@@ -157,11 +142,6 @@ mod tests {
         assert!(e.to_string().contains('x'));
         let e = FsaError::BudgetExceeded { limit: 42 };
         assert!(e.to_string().contains("42"));
-        let e = FsaError::WorkerPanicked {
-            stage: "explore:build",
-            chunk: 7,
-        };
-        assert!(e.to_string().contains("explore:build") && e.to_string().contains('7'));
         let e = FsaError::CorruptCheckpoint {
             reason: "checksum mismatch".into(),
         };

@@ -42,12 +42,11 @@ pub struct IncrementalElicitor {
     /// bounded store.
     cross_cache: CrossCache,
     method: DependenceMethod,
-    threads: usize,
 }
 
 impl IncrementalElicitor {
     /// An engine whose memo store holds at most `capacity` entries
-    /// (abstraction method, sequential).
+    /// (abstraction method).
     ///
     /// # Errors
     ///
@@ -59,7 +58,6 @@ impl IncrementalElicitor {
             store: MemoStore::new(capacity)?,
             cross_cache: CrossCache::new(),
             method: DependenceMethod::Abstraction,
-            threads: 1,
         })
     }
 
@@ -68,19 +66,6 @@ impl IncrementalElicitor {
     pub fn method(mut self, method: DependenceMethod) -> IncrementalElicitor {
         self.method = method;
         self
-    }
-
-    /// Sets the worker-thread count for fragment pair grids (default 1;
-    /// the report is bit-identical for every thread count).
-    pub fn threads(mut self, threads: usize) -> IncrementalElicitor {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Re-sets the worker-thread count on a live engine (a resident
-    /// session adjusts it per request); all memoised state survives.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
     }
 
     /// Engine-level memo counters: `hits`/`misses` count *fragments*
@@ -104,7 +89,6 @@ impl IncrementalElicitor {
         let before = self.store.counters();
         let options = ElicitOptions {
             method: self.method,
-            threads: self.threads,
         };
         let quiet = Obs::disabled();
         let mut stats = PipelineStats::default();
@@ -130,7 +114,7 @@ impl IncrementalElicitor {
                 .reachability(&ReachOptions::default())?;
             stats.reach += span.finish();
             stats.reach_states += graph.state_count();
-            let analysis = Arc::new(analyze(&graph, &options, true, &quiet, &mut stats)?);
+            let analysis = Arc::new(analyze(&graph, &options, true, &quiet, &mut stats));
             self.store.insert(key.clone(), Arc::clone(&analysis));
             entries.push(analysis);
         }
@@ -203,7 +187,7 @@ mod tests {
             .unwrap()
             .reachability(&ReachOptions::default())
             .unwrap();
-        elicit_with_options(&graph, &ElicitOptions { method, threads: 1 }, |max| {
+        elicit_with_options(&graph, &ElicitOptions { method }, |max| {
             model.stakeholder(max)
         })
     }
@@ -225,23 +209,6 @@ mod tests {
             let report = engine.elicit(&model, &Obs::disabled()).unwrap();
             assert_report_eq(&report, &from_scratch(&model, method));
             assert!(report.state_count > 100, "product recomposition expected");
-        }
-    }
-
-    #[test]
-    fn thread_count_does_not_change_the_report() {
-        let model = two_zone_model();
-        let baseline = IncrementalElicitor::new(64)
-            .unwrap()
-            .elicit(&model, &Obs::disabled())
-            .unwrap();
-        for threads in [2, 4, 8] {
-            let report = IncrementalElicitor::new(64)
-                .unwrap()
-                .threads(threads)
-                .elicit(&model, &Obs::disabled())
-                .unwrap();
-            assert_report_eq(&report, &baseline);
         }
     }
 

@@ -190,11 +190,7 @@ pub fn render_assisted(report: &AssistedReport) -> String {
 /// (the `--stats` output of the `fsa` binary).
 pub fn render_stats(stats: &crate::assisted::PipelineStats) -> String {
     let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "pipeline stats ({} thread(s), {} fragment(s)):",
-        stats.threads, stats.fragments
-    );
+    let _ = writeln!(s, "pipeline stats ({} fragment(s)):", stats.fragments);
     let _ = writeln!(
         s,
         "  reachability:    {:?} ({} state(s) built)",
@@ -299,7 +295,6 @@ mod tests {
     fn render_stats_lists_stages() {
         let stats = crate::assisted::PipelineStats {
             pairs_total: 6,
-            threads: 4,
             fragments: 3,
             reach_states: 87,
             ..Default::default()
@@ -312,7 +307,7 @@ mod tests {
         assert_eq!(
             stages,
             [
-                "pipeline stats (4 thread(s), 3 fragment(s))",
+                "pipeline stats (3 fragment(s))",
                 "reachability",
                 "min/max scan",
                 "pair evaluation"

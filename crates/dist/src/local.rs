@@ -17,8 +17,8 @@ use crate::error::DistError;
 use crate::worker::{run_worker, WorkerConfig};
 use fsa_core::explore::{compose_accepted, Exploration, ExploreOptions, Universe};
 use fsa_obs::Obs;
-use std::io::{BufRead, BufReader, Read};
-use std::path::PathBuf;
+use std::fs::File;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -54,6 +54,8 @@ pub struct LocalConfig {
     /// Checkpoint/state directory; an ephemeral one is created (and
     /// removed once the workers are reaped, whatever the outcome) when
     /// unset, and the coordinator then keeps its ledger in memory only.
+    /// A worker process writes its stderr to `worker-<i>.stderr` here,
+    /// which is read and removed when the worker is reaped.
     pub state_dir: Option<PathBuf>,
     /// Global candidate budget.
     pub max_candidates: usize,
@@ -98,29 +100,21 @@ fn worker_seed(base: u64, index: usize) -> u64 {
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
 enum Workers {
-    /// Worker processes, each with the thread that drains its stderr
-    /// and returns the last line the worker wrote there.
-    Children(Vec<(Child, JoinHandle<Option<String>>)>),
+    /// Worker processes, each with the file in the state directory
+    /// that its stderr goes to (`worker-<i>.stderr`).
+    Children(Vec<(Child, PathBuf)>),
     Handles(Vec<JoinHandle<Result<(), DistError>>>),
 }
 
-/// Reads `pipe` to its end and returns its last non-blank line. Reading
-/// all of it keeps a chatty worker from blocking on a full pipe.
-fn last_line(pipe: impl Read) -> Option<String> {
-    let mut reader = BufReader::new(pipe);
-    let (mut line, mut last) = (Vec::new(), None);
-    loop {
-        line.clear();
-        match reader.read_until(b'\n', &mut line) {
-            Ok(0) | Err(_) => return last,
-            Ok(_) => {
-                let text = String::from_utf8_lossy(&line);
-                if !text.trim().is_empty() {
-                    last = Some(text.trim_end().to_owned());
-                }
-            }
-        }
-    }
+/// Reads the stderr file of a reaped worker, removes it and returns
+/// its last non-blank line.
+fn last_line(path: &Path) -> Option<String> {
+    let bytes = std::fs::read(path);
+    let _ = std::fs::remove_file(path);
+    let bytes = bytes.ok()?;
+    let text = String::from_utf8_lossy(&bytes);
+    let last = text.lines().rev().find(|line| !line.trim().is_empty())?;
+    Some(last.trim_end().to_owned())
 }
 
 impl Workers {
@@ -147,10 +141,9 @@ impl Workers {
         let mut first = None;
         match self {
             Workers::Children(children) => {
-                for (mut child, drain) in children.drain(..) {
+                for (mut child, stderr) in children.drain(..) {
                     let status = child.wait();
-                    // The worker's exit closes the pipe, so the drain ends.
-                    let said = drain.join().ok().flatten();
+                    let said = last_line(&stderr);
                     match status {
                         Ok(status) if !status.success() => {
                             first.get_or_insert(match said {
@@ -266,7 +259,7 @@ pub(crate) fn explore_distributed_universe(
 fn run_local(
     config: &LocalConfig,
     mode: &WorkerMode,
-    state_dir: &std::path::Path,
+    state_dir: &Path,
     ephemeral: bool,
     pool: &mut Workers,
     spawn: fsa_obs::Span,
@@ -297,7 +290,10 @@ fn run_local(
         WorkerMode::Processes { exe } => {
             *pool = Workers::Children(Vec::with_capacity(workers));
             for i in 0..workers {
-                let mut child = Command::new(exe)
+                let stderr = state_dir.join(format!("worker-{i}.stderr"));
+                let file = File::create(&stderr)
+                    .map_err(|e| DistError::Io(format!("{}: {e}", stderr.display())))?;
+                let child = Command::new(exe)
                     .args([
                         "work",
                         "--connect",
@@ -311,13 +307,14 @@ fn run_local(
                     ])
                     .stdin(Stdio::null())
                     .stdout(Stdio::null())
-                    .stderr(Stdio::piped())
+                    .stderr(Stdio::from(file))
                     .spawn()
-                    .map_err(|e| DistError::Io(format!("spawn {}: {e}", exe.display())))?;
-                let stderr = child.stderr.take();
-                let drain = std::thread::spawn(move || last_line(stderr?));
+                    .map_err(|e| {
+                        let _ = std::fs::remove_file(&stderr);
+                        DistError::Io(format!("spawn {}: {e}", exe.display()))
+                    })?;
                 if let Workers::Children(children) = pool {
-                    children.push((child, drain));
+                    children.push((child, stderr));
                 }
             }
         }

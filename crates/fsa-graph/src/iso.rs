@@ -556,7 +556,7 @@ pub fn label_hash<L: Hash + ?Sized>(label: &L) -> u64 {
 ///
 /// A representative `R` is whatever the caller keeps of a class: a
 /// whole [`DiGraph`] (compared with [`find_isomorphism`] by
-/// [`CertifiedClasses::insert_with_certificate`]), or a key from which
+/// [`CertifiedClasses::insert`]), or a key from which
 /// the caller rebuilds the graph when a bucket is hit
 /// ([`CertifiedClasses::insert_by`]).
 #[derive(Debug, Clone)]
@@ -652,22 +652,12 @@ impl<R> CertifiedClasses<R> {
 }
 
 impl<L: Eq + Hash + Ord> CertifiedClasses<DiGraph<L>> {
-    /// Inserts a candidate graph whose certificate was precomputed (e.g.
-    /// on a worker thread), confirming bucket hits with
-    /// [`find_isomorphism`]. See [`CertifiedClasses::insert_by`].
-    pub fn insert_with_certificate(
-        &mut self,
-        g: DiGraph<L>,
-        certificate: Certificate,
-    ) -> Option<usize> {
-        self.insert_by(g, certificate, are_isomorphic)
-    }
-
-    /// Inserts a candidate graph, computing its certificate. See
-    /// [`CertifiedClasses::insert_with_certificate`].
+    /// Inserts a candidate graph under its certificate, confirming
+    /// bucket hits with [`find_isomorphism`]. See
+    /// [`CertifiedClasses::insert_by`].
     pub fn insert(&mut self, g: DiGraph<L>) -> Option<usize> {
         let certificate = canonical_certificate(&g);
-        self.insert_with_certificate(g, certificate)
+        self.insert_by(g, certificate, are_isomorphic)
     }
 }
 
@@ -679,35 +669,6 @@ pub fn dedup_isomorphic_certified<L: Eq + Hash + Ord>(graphs: Vec<DiGraph<L>>) -
     let mut classes = CertifiedClasses::new();
     for g in graphs {
         classes.insert(g);
-    }
-    classes.into_reps()
-}
-
-/// Like [`dedup_isomorphic_certified`], but computes the certificates on
-/// `threads` scoped worker threads (chunked, merged in input order — the
-/// result is bit-identical for every thread count).
-pub fn dedup_isomorphic_certified_parallel<L: Eq + Hash + Ord + Sync>(
-    graphs: Vec<DiGraph<L>>,
-    threads: usize,
-) -> Vec<DiGraph<L>> {
-    let threads = threads.max(1);
-    if threads == 1 || graphs.len() < 2 {
-        return dedup_isomorphic_certified(graphs);
-    }
-    let chunk = graphs.len().div_ceil(threads);
-    let certificates: Vec<Certificate> = std::thread::scope(|scope| {
-        let handles: Vec<_> = graphs
-            .chunks(chunk)
-            .map(|gs| scope.spawn(|| gs.iter().map(canonical_certificate).collect::<Vec<_>>()))
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("certificate worker panicked"))
-            .collect()
-    });
-    let mut classes = CertifiedClasses::new();
-    for (g, c) in graphs.into_iter().zip(certificates) {
-        classes.insert_with_certificate(g, c);
     }
     classes.into_reps()
 }
@@ -1191,13 +1152,6 @@ mod tests {
         let pairwise = dedup_isomorphic(graphs.clone());
         let certified = dedup_isomorphic_certified(graphs.clone());
         assert_eq!(pairwise, certified);
-        for threads in [1usize, 2, 4, 8] {
-            assert_eq!(
-                pairwise,
-                dedup_isomorphic_certified_parallel(graphs.clone(), threads),
-                "threads {threads}"
-            );
-        }
     }
 
     #[test]

@@ -28,8 +28,8 @@ use std::fmt::Write as _;
 
 /// The usage text of `fsa` itself: one synopsis per subcommand.
 pub const GLOBAL_USAGE: &str = "usage:
-  fsa elicit <spec-file> [--param] [--refine] [--prioritise] [--dot] [--markdown] [--verify-dataflow] [--stats] [--threads=N]
-  fsa elicit --scenario two|chain|attacked|six [--edit-script F] [--threads N]
+  fsa elicit <spec-file> [--param] [--refine] [--prioritise] [--dot] [--markdown] [--verify-dataflow] [--stats]
+  fsa elicit --scenario two|chain|attacked|six [--edit-script F]
   fsa check <spec-file>
   fsa explore [--max-vehicles N] [--threads N] [--stats] [--budget N] [--truncate] [--all]
               [--deadline-ms N] [--retries N] [--checkpoint F [--checkpoint-every N]] [--resume F]
@@ -132,7 +132,7 @@ and check a sharded simulator fleet against it (exit 1 on violations).
   --trace-json F   write a chrome://tracing view of the run to F";
 
 pub(crate) const ELICIT_USAGE: &str = "usage:
-  fsa elicit <spec-file> [--param] [--refine] [--prioritise] [--dot] [--markdown] [--verify-dataflow] [--stats] [--threads=N]
+  fsa elicit <spec-file> [--param] [--refine] [--prioritise] [--dot] [--markdown] [--verify-dataflow] [--stats]
 
 Run the §4 manual elicitation pipeline on every instance of the spec.
   --param            add first-order (parameterised) requirement forms
@@ -142,12 +142,11 @@ Run the §4 manual elicitation pipeline on every instance of the spec.
   --markdown         render the report as a markdown table
   --verify-dataflow  cross-check against the §5 tool-assisted pipeline
   --stats            print §5 engine statistics (with --verify-dataflow)
-  --threads=N        worker threads for the dependence grid (at most 256)
   --stats-json F     write span/counter statistics (fsa-obs/v1 JSON) to F
   --trace-json F     write a chrome://tracing view of the run to F";
 
 pub(crate) const ELICIT_SCENARIO_USAGE: &str = "usage:
-  fsa elicit --scenario two|chain|attacked|six [--edit-script F] [--threads N]
+  fsa elicit --scenario two|chain|attacked|six [--edit-script F]
 
 Run the §5 tool-assisted elicitation pipeline on a named scenario APA.
 The `two` and `six` scenarios are *editable*: their component models
@@ -166,8 +165,6 @@ edit reusing every untouched fragment's memoised analysis.
                      remove-flow NAME
                      rewire-flow NAME FROM TO
                      retag-stakeholder AUTOMATON AGENT
-  --threads N      worker threads for the dependence grids, at most 256
-                   (the report is bit-identical for any value; default 1)
   --stats-json F   write span/counter statistics (fsa-obs/v1 JSON) to F
                    (includes the elicit.memo.* incremental counters)
   --trace-json F   write a chrome://tracing view of the run to F";
@@ -417,7 +414,6 @@ struct SpecFlags {
     markdown: bool,
     verify_dataflow: bool,
     stats: bool,
-    threads: Option<usize>,
     outputs: ObsOutputs,
 }
 
@@ -446,7 +442,6 @@ const ELICIT: Table<SpecFlags> = Table {
             ("markdown", Kind::Switch(|f| &mut f.markdown)),
             ("verify-dataflow", Kind::Switch(|f| &mut f.verify_dataflow)),
             ("stats", Kind::Switch(|f| &mut f.stats)),
-            ("threads", Kind::Capped(|f| &mut f.threads, MAX_THREADS)),
             ("stats-json", Kind::Text(|f| &mut f.outputs.stats_json)),
             ("trace-json", Kind::Text(|f| &mut f.outputs.trace_json)),
         ],
@@ -542,7 +537,7 @@ pub fn run_spec(
                 // its verdict prints after the report.
                 let verified = f
                     .verify_dataflow
-                    .then(|| cross_check(instance, &report, f.threads.unwrap_or(1), &obs));
+                    .then(|| cross_check(instance, &report, &obs));
                 let render = obs.span("spec.render");
                 if f.markdown {
                     let _ = write!(r.stdout, "{}", fsa_core::report::render_markdown(&report));
@@ -646,7 +641,6 @@ pub fn run_spec(
 fn cross_check(
     instance: &fsa_core::SosInstance,
     report: &fsa_core::manual::ElicitationReport,
-    threads: usize,
     obs: &fsa_obs::Obs,
 ) -> Result<fsa_core::assisted::PipelineStats, String> {
     let derive = obs.span("spec.dataflow");
@@ -654,7 +648,7 @@ fn cross_check(
     drop(derive);
     let assisted = fsa_core::assisted::elicit_apa(
         &apa,
-        &fsa_core::assisted::ElicitOptions::service(threads),
+        &fsa_core::assisted::ElicitOptions::service(1),
         obs,
         |name| {
             let action = fsa_core::Action::parse(name);
@@ -686,7 +680,6 @@ fn cross_check(
 struct ElicitScenarioFlags {
     scenario: Option<String>,
     edit_script: Option<String>,
-    threads: Option<usize>,
     outputs: ObsOutputs,
 }
 
@@ -695,7 +688,6 @@ const ELICIT_SCENARIO: Table<ElicitScenarioFlags> = Table::new(
     &[
         ("scenario", Kind::Text(|f| &mut f.scenario)),
         ("edit-script", Kind::Text(|f| &mut f.edit_script)),
-        ("threads", Kind::Capped(|f| &mut f.threads, MAX_THREADS)),
         ("stats-json", Kind::Text(|f| &mut f.outputs.stats_json)),
         ("trace-json", Kind::Text(|f| &mut f.outputs.trace_json)),
     ],
@@ -740,7 +732,6 @@ pub fn run_elicit_scenario(
     if let Err(r) = ELICIT_SCENARIO.parse(rest, fixed, &mut f) {
         return r;
     }
-    let threads = f.threads.unwrap_or(1);
 
     let mut built;
     let model_ref: &mut ScenarioModel = match model {
@@ -769,7 +760,7 @@ pub fn run_elicit_scenario(
     let obs = f.outputs.obs(ctx);
     let mut r = Rendered::success();
     match f.edit_script {
-        None => match model_ref.elicit_report(threads, &obs) {
+        None => match model_ref.elicit_report(1, &obs) {
             Ok(report) => r
                 .stdout
                 .push_str(&render_elicited(model_ref.name(), &report)),
@@ -811,7 +802,7 @@ pub fn run_elicit_scenario(
                     }
                     batch.clear();
                 }
-                match model_ref.elicit_report(threads, &obs) {
+                match model_ref.elicit_report(1, &obs) {
                     Ok(report) => r
                         .stdout
                         .push_str(&render_elicited(model_ref.name(), &report)),
@@ -1402,8 +1393,6 @@ mod tests {
             );
         }
         assert_eq!((MAX_THREADS, MAX_WORKERS), (256, 64));
-        bound(&ELICIT, "threads", MAX_THREADS);
-        bound(&ELICIT_SCENARIO, "threads", MAX_THREADS);
         bound(&EXPLORE, "threads", MAX_THREADS);
         bound(&EXPLORE, "workers", MAX_WORKERS);
         bound(&MONITOR, "threads", MAX_THREADS);
@@ -1732,7 +1721,7 @@ mod tests {
         assert_eq!(first_line(r), fixed);
         let r = run_elicit_scenario(&argv(&["--scenario"]), Some(&mut model), &ctx);
         assert_eq!(first_line(r), "--scenario expects a value");
-        let rest = argv(&["--threads", "2", "--edit-script", "f", "--threads", "3"]);
+        let rest = argv(&["--trace-json=t", "--edit-script", "f", "--trace-json=u"]);
         let r = run_elicit_scenario(&rest, Some(&mut model), &ctx);
         assert!(first_line(r).starts_with("--edit-script is a one-shot flag"));
     }

@@ -162,14 +162,14 @@ impl ScenarioModel {
     /// ([`fsa_core::assisted::ElicitOptions::service`] — precedence
     /// method), the same options the one-shot `fsa elicit` cross-check
     /// uses, so the report is bit-identical whichever entry point
-    /// answered.
+    /// answered. The pair grids run on the calling thread; `_threads`
+    /// is ignored and stays for callers of this signature.
     ///
     /// # Errors
     ///
     /// The reachability (or recomposition) failure, display-ready.
-    pub fn elicit_report(&mut self, threads: usize, obs: &Obs) -> Result<AssistedReport, String> {
+    pub fn elicit_report(&mut self, _threads: usize, obs: &Obs) -> Result<AssistedReport, String> {
         if let Some(ed) = self.editable.as_mut() {
-            ed.elicitor.set_threads(threads);
             return ed
                 .elicitor
                 .elicit(&ed.model, obs)
@@ -177,7 +177,7 @@ impl ScenarioModel {
         }
         fsa_core::assisted::elicit_apa(
             &self.apa,
-            &fsa_core::assisted::ElicitOptions::service(threads),
+            &fsa_core::assisted::ElicitOptions::service(1),
             obs,
             vanet::apa_model::stakeholder_of,
         )
@@ -205,8 +205,8 @@ impl ScenarioModel {
 
     /// The APA, the parts a fleet simulates it on, and its elicited
     /// requirement set, derived on first call and memoised until an
-    /// edit. The set comes from [`Self::elicit_report`] (one thread,
-    /// nothing recorded). The parts of an editable scenario are the
+    /// edit. The set comes from [`Self::elicit_report`] (nothing
+    /// recorded). The parts of an editable scenario are the
     /// compiled sub-APAs of its model's independent value-level
     /// fragments ([`EditModel::fragments`]: three 12-state pairs for
     /// `six`, where the global APA has 1 728 states); any other scenario
@@ -480,7 +480,6 @@ mod tests {
             service.method,
             fsa_core::assisted::DependenceMethod::Precedence
         );
-        assert_eq!(service.threads, 3);
     }
 
     #[test]

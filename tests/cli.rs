@@ -1173,8 +1173,9 @@ fn monitor_refuses_streams_above_the_event_bound() {
 
 /// A served session answers an over-long monitor request with the
 /// usage error and goes on serving: the next monitor runs, and the
-/// server drains cleanly. So do a stream count and thread counts one
-/// above their caps, refused before any stream or thread starts.
+/// server drains cleanly. So do a stream count and a thread count one
+/// above their caps, refused before any stream or thread starts, and an
+/// `elicit` given `--threads`, which it does not take.
 #[test]
 fn a_served_session_refuses_an_over_long_monitor_and_serves_on() {
     let server = Server::start();
@@ -1202,12 +1203,13 @@ fn a_served_session_refuses_an_over_long_monitor_and_serves_on() {
         "10000000000 events per stream exceed the limit",
         "--streams: 65537 streams exceed the limit of 65536 streams",
         "--threads expects at most 256",
+        "unknown flag --threads",
     ] {
         assert!(stderr.contains(refusal), "{refusal}: {stderr}");
     }
     assert_eq!(
         stderr.matches("--threads expects at most 256").count(),
-        2,
+        1,
         "{stderr}"
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -1217,6 +1219,37 @@ fn a_served_session_refuses_an_over_long_monitor_and_serves_on() {
     );
     assert_eq!(code, Some(0), "{server_stderr}");
     assert!(!server_stderr.contains("panicked at"), "{server_stderr}");
+}
+
+/// A served `elicit` given `--threads`, over a spec or a scenario, is
+/// the one-shot usage error (exit 2, `unknown flag --threads`), and the
+/// session answers its next request as a one-shot run would.
+#[test]
+fn a_served_elicit_refuses_the_threads_flag_and_serves_on() {
+    let server = Server::start();
+    for (open, one_shot) in [
+        (
+            ["--spec", "specs/fig3.fsa"],
+            &["elicit", "specs/fig3.fsa"][..],
+        ),
+        (["--scenario", "six"], &["elicit", "--scenario", "six"]),
+    ] {
+        let mut args = vec!["serve", "--connect", &server.addr];
+        args.extend(open);
+        args.extend(["--request", "elicit --threads 2", "--request", "elicit"]);
+        let out = fsa(&args);
+        assert_eq!(out.status.code(), Some(2), "{open:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.starts_with("unknown flag --threads\n"),
+            "{open:?}: {stderr}"
+        );
+        let want = fsa(one_shot);
+        assert!(want.status.success(), "{want:?}");
+        assert_eq!(out.stdout, want.stdout, "{open:?}");
+    }
+    let (code, server_stderr) = server.drain();
+    assert_eq!(code, Some(0), "{server_stderr}");
 }
 
 /// A served `six` session edited and then monitored (its parts rebuilt

@@ -78,11 +78,14 @@ fn check_rejects_the_flags_only_elicit_takes() {
     assert!(out.status.success(), "{out:?}");
 }
 
-/// `fsa elicit --threads 0` says what every other subcommand says.
+/// The §5 pair grid runs on the calling thread, so neither form of
+/// `fsa elicit` takes `--threads`.
 #[test]
-fn elicit_threads_zero_expects_a_positive_integer() {
-    assert_usage_error(
-        &["elicit", "specs/fig3.fsa", "--threads", "0"],
-        "--threads expects a positive integer",
-    );
+fn elicit_refuses_the_removed_threads_flag() {
+    for args in [
+        &["elicit", "specs/fig3.fsa", "--threads", "2"][..],
+        &["elicit", "--scenario", "six", "--threads", "2"],
+    ] {
+        assert_usage_error(args, "unknown flag --threads");
+    }
 }

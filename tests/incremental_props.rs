@@ -1,8 +1,7 @@
 //! Property tests for the incremental elicitation engine: after *any*
 //! sequence of model edits, [`IncrementalElicitor::elicit`] must be
 //! bit-identical (every report field except timings) to a from-scratch
-//! `elicit_with_options` run on the final model, for every thread
-//! count. Memoisation is an implementation detail, never a semantics:
+//! `elicit_with_options` run on the final model. Memoisation is an implementation detail, never a semantics:
 //! the memo keys are content-addressed and nothing is invalidated, so
 //! the engine here only ever sees the edited model.
 
@@ -32,7 +31,7 @@ fn analyse(model: &EditModel, method: DependenceMethod) -> Analysis {
         .ok()?
         .reachability(&ReachOptions::default())
         .ok()?;
-    let r = elicit_with_options(&graph, &ElicitOptions { method, threads: 1 }, |max| {
+    let r = elicit_with_options(&graph, &ElicitOptions { method }, |max| {
         model.stakeholder(max)
     });
     Some((r.state_count, r.edge_count, r.minima, r.maxima, r.verdicts))
@@ -41,14 +40,13 @@ fn analyse(model: &EditModel, method: DependenceMethod) -> Analysis {
 /// From-scratch reference run on the final model; `None` when the
 /// model has no behaviour worth comparing (compile/reachability
 /// failure — the incremental path must then fail too).
-fn from_scratch(model: &EditModel, threads: usize) -> Option<AssistedReport> {
+fn from_scratch(model: &EditModel) -> Option<AssistedReport> {
     let apa = model.compile().ok()?;
     let graph = apa.reachability(&ReachOptions::default()).ok()?;
     Some(elicit_with_options(
         &graph,
         &ElicitOptions {
             method: DependenceMethod::Precedence,
-            threads,
         },
         |max| model.stakeholder(max),
     ))
@@ -90,7 +88,7 @@ proptest! {
         let mut fresh = 0usize;
 
         // Warm the memo on the base model (when it has behaviour).
-        if let Some(scratch) = from_scratch(&model, 1) {
+        if let Some(scratch) = from_scratch(&model) {
             let report = engine.elicit(&model, &obs).expect("incremental base");
             assert_bit_identical(&report, &scratch, "on the base model");
         }
@@ -134,19 +132,9 @@ proptest! {
             if let Some(undo) = undo {
                 model.apply(&undo).expect("undo of a set-initial");
             }
-            if let Some(scratch) = from_scratch(&model, 1) {
+            if let Some(scratch) = from_scratch(&model) {
                 let report = engine.elicit(&model, &obs).expect("incremental after edit");
                 assert_bit_identical(&report, &scratch, &format!("after edit {delta}"));
-            }
-        }
-
-        // Thread sweep on the final model: parallel pair evaluation is
-        // deterministic, so every thread count matches from-scratch.
-        if let Some(scratch) = from_scratch(&model, 1) {
-            for threads in [1usize, 2, 4, 8] {
-                engine.set_threads(threads);
-                let report = engine.elicit(&model, &obs).expect("incremental final");
-                assert_bit_identical(&report, &scratch, &format!("at {threads} threads"));
             }
         }
     }
@@ -209,7 +197,7 @@ proptest! {
         let mut next = lcg(seed);
         let obs = Obs::disabled();
         let mut model = random_model(n, &mut next);
-        if from_scratch(&model, 1).is_none() {
+        if from_scratch(&model).is_none() {
             return; // degenerate model with no behaviour: nothing to compare
         }
         let mut engine = IncrementalElicitor::new(64).unwrap().method(DependenceMethod::Precedence);

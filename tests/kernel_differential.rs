@@ -29,7 +29,7 @@ mod edit_models;
 #[path = "../crates/apa/src/reach/reference.rs"]
 mod reference;
 
-/// A random token-mover APA (same shape as `parallel_props`): `n`
+/// A random token-mover APA (same shape as `monitor_props`): `n`
 /// chained/branching components wired pseudo-randomly from `seed`,
 /// with forward-only movers so every run terminates.
 fn arb_apa() -> impl Strategy<Value = Apa> {
@@ -573,38 +573,35 @@ proptest! {
         let behaviour = global.to_nfa();
         let mut by_abstraction = Vec::new();
         for method in [DependenceMethod::Abstraction, DependenceMethod::Precedence] {
-            for threads in [1usize, 2] {
-                let opts = ElicitOptions { method, threads };
-                let at = format!("method {method:?} threads {threads}");
-                let split = elicit_apa(&apa, &opts, &Obs::disabled(), Agent::new)
-                    .expect("fragment engine");
-                let oracle = elicit_with_options(&global, &opts, Agent::new);
-                prop_assert_eq!(split.state_count, oracle.state_count, "{}", at);
-                prop_assert_eq!(split.edge_count, oracle.edge_count, "{}", at);
-                prop_assert_eq!(&split.minima, &oracle.minima, "{}", at);
-                prop_assert_eq!(&split.maxima, &oracle.maxima, "{}", at);
-                prop_assert_eq!(&split.verdicts, &oracle.verdicts, "{}", at);
-                prop_assert_eq!(&split.requirements, &oracle.requirements, "{}", at);
-                prop_assert_eq!(split.stats.pairs_total, oracle.stats.pairs_total, "{}", at);
-                prop_assert_eq!(split.stats.threads, oracle.stats.threads, "{}", at);
-                prop_assert_eq!(split.stats.fragments, apa.fragment_count(), "{}", at);
-                if method == DependenceMethod::Abstraction {
-                    by_abstraction.clone_from(&split.verdicts);
-                    continue;
-                }
-                // The graph walk against the NFA-level precedence oracle
-                // on the global behaviour, and against abstraction.
-                for verdicts in [&split.verdicts, &oracle.verdicts] {
-                    prop_assert_eq!(verdicts.len(), by_abstraction.len(), "{}", at);
-                    for (v, abstraction) in verdicts.iter().zip(&by_abstraction) {
-                        let pair = format!("{at} ({}, {})", v.minimum, v.maximum);
-                        prop_assert_eq!(
-                            v.dependent,
-                            dependence_by_precedence(&behaviour, &v.minimum, &v.maximum),
-                            "{}", pair
-                        );
-                        prop_assert_eq!(v.dependent, abstraction.dependent, "{}", pair);
-                    }
+            let opts = ElicitOptions { method };
+            let at = format!("method {method:?}");
+            let split = elicit_apa(&apa, &opts, &Obs::disabled(), Agent::new)
+                .expect("fragment engine");
+            let oracle = elicit_with_options(&global, &opts, Agent::new);
+            prop_assert_eq!(split.state_count, oracle.state_count, "{}", at);
+            prop_assert_eq!(split.edge_count, oracle.edge_count, "{}", at);
+            prop_assert_eq!(&split.minima, &oracle.minima, "{}", at);
+            prop_assert_eq!(&split.maxima, &oracle.maxima, "{}", at);
+            prop_assert_eq!(&split.verdicts, &oracle.verdicts, "{}", at);
+            prop_assert_eq!(&split.requirements, &oracle.requirements, "{}", at);
+            prop_assert_eq!(split.stats.pairs_total, oracle.stats.pairs_total, "{}", at);
+            prop_assert_eq!(split.stats.fragments, apa.fragment_count(), "{}", at);
+            if method == DependenceMethod::Abstraction {
+                by_abstraction.clone_from(&split.verdicts);
+                continue;
+            }
+            // The graph walk against the NFA-level precedence oracle
+            // on the global behaviour, and against abstraction.
+            for verdicts in [&split.verdicts, &oracle.verdicts] {
+                prop_assert_eq!(verdicts.len(), by_abstraction.len(), "{}", at);
+                for (v, abstraction) in verdicts.iter().zip(&by_abstraction) {
+                    let pair = format!("{at} ({}, {})", v.minimum, v.maximum);
+                    prop_assert_eq!(
+                        v.dependent,
+                        dependence_by_precedence(&behaviour, &v.minimum, &v.maximum),
+                        "{}", pair
+                    );
+                    prop_assert_eq!(v.dependent, abstraction.dependent, "{}", pair);
                 }
             }
         }

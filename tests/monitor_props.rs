@@ -18,7 +18,7 @@ use proptest::prelude::*;
 
 /// A random token-mover APA: forward-only token flow, so runs
 /// terminate and the reachability graph is finite (same family as
-/// `tests/parallel_props.rs`).
+/// `arb_apa` in `tests/kernel_differential.rs`).
 fn arb_apa() -> impl Strategy<Value = Apa> {
     (2usize..6, any::<u64>()).prop_map(|(n, seed)| {
         let mut state = seed | 1;

@@ -228,7 +228,6 @@ fn elicit_exports_pipeline_series() {
     assert_eq!(names("spans"), BTreeSet::from(spans.map(String::from)));
     let counters = [
         "elicit.pairs_total",
-        "elicit.threads",
         "elicit.fragments",
         "elicit.reach.states",
     ];

@@ -8,7 +8,8 @@
 use fsa::core::delta::{EditModel, Flow, ModelDelta};
 
 /// A deterministic inline LCG so each proptest case draws its whole
-/// wiring from one `u64` seed (same idiom as `parallel_props.rs`).
+/// wiring from one `u64` seed (same idiom as `arb_apa` in
+/// `kernel_differential.rs`).
 pub fn lcg(seed: u64) -> impl FnMut() -> u64 {
     let mut state = seed | 1;
     move || {
